@@ -13,7 +13,12 @@ design promises, asserting at each step:
 3. **cache packs** — ``pack export`` from the warm cache, then a
    *fresh* daemon with ``--warm-pack`` serves the same batch with zero
    synthesis calls (the fleet warm-up story);
-4. **drain** — both daemons exit 0 on SIGTERM.
+4. **warm fork** — that daemon is restarted on its now-warm cache and
+   the batch replayed several times at default admission limits: every
+   answer comes from L2, no worker parses a vendor spec
+   (``runs.perf.specs_parsed == 0``) and nothing is rate-limited
+   (``admission.rejected.rate == 0``) — counts, not timings;
+5. **drain** — every daemon exits 0 on SIGTERM.
 
 Scrapes ``/stats`` after each phase and writes them as a JSON artifact.
 
@@ -192,6 +197,58 @@ def main(argv: list[str] | None = None) -> int:
                 f"{stats['tiers']['l2']['hit_rate']}"
             )
 
+        # --------------------------------------------------------------
+        # Phase 4: restart on the warm cache and replay from L2.  L1 of
+        # one entry, so every submit forks a worker (two or more unique
+        # jobs alternate); the workers must inherit everything warm.
+        # --------------------------------------------------------------
+        replays = 5
+        with DaemonProcess(
+            cache_dir=str(fresh_cache),
+            jobs=args.jobs,
+            extra_args=extra + ["--l1-capacity", "1"],
+        ) as daemon:
+            print(f"[smoke] restarted warm daemon at {daemon.addr}")
+            with DaemonClient.connect(daemon.addr, timeout=600.0) as client:
+                frames = []
+                for _ in range(replays):
+                    for request in requests:
+                        frames += client.submit_many([request], tenant="fleet")
+            stats = http_get(daemon.addr, "/stats")
+            artifact["restart_replay"] = stats
+            bad = [f for f in frames if not f.get("ok")]
+            parsed = stats["runs"]["perf"].get("specs_parsed", 0)
+            rate_rejected = stats["admission"]["rejected"]["rate"]
+            if bad:
+                failures.append(
+                    f"restart replay errors: {[f.get('error') for f in bad]}"
+                )
+            if stats["runs"]["synth_calls"]:
+                failures.append(
+                    f"restart replay synthesized "
+                    f"{stats['runs']['synth_calls']} times (want zero)"
+                )
+            if len(requests) > 1 and stats["runs"]["jobs"] != len(frames):
+                failures.append(
+                    f"restart replay: {stats['runs']['jobs']} worker runs "
+                    f"for {len(frames)} submits (L1 of 1 must miss)"
+                )
+            if parsed:
+                failures.append(
+                    f"warm fork: workers parsed {parsed} vendor specs "
+                    "(want zero — prewarm must cover everything they read)"
+                )
+            if rate_rejected or stats["admission"]["limits"]["tenant_rate"]:
+                failures.append(
+                    f"admission: {rate_rejected} rate rejections at default "
+                    "limits (rate limiting must be opt-in)"
+                )
+            print(
+                f"[smoke] restart replay: {len(frames)} submits, "
+                f"{stats['runs']['jobs']} worker runs, {parsed} specs "
+                f"parsed, {rate_rejected} rate rejections"
+            )
+
     if args.out:
         out_path = Path(args.out)
         out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -203,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
         for failure in failures:
             print(f"  - {failure}")
         return 1
-    print("[smoke] PASS: dedup, L1, and pack warm-up all proven")
+    print("[smoke] PASS: dedup, L1, pack warm-up and warm fork all proven")
     return 0
 
 

@@ -82,6 +82,10 @@ class AutoLLVMDictionary:
     isas: tuple[str, ...]
     ops: list[AutoLLVMOp]
     by_target_instruction: dict[str, AutoLLVMOp] = field(default_factory=dict)
+    # Memo slot owned by ``synthesis.serialize.dictionary_fingerprint``:
+    # a dictionary is immutable once built, so its digest is computed
+    # once per object (and inherited by every worker forked afterwards).
+    _fingerprint: str | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.ops)

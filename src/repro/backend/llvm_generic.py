@@ -17,7 +17,12 @@ from __future__ import annotations
 
 import time
 
-from repro.backend.common import CompiledKernel, broadcast_ops, memory_ops
+from repro.backend.common import (
+    CompileError,
+    CompiledKernel,
+    broadcast_ops,
+    memory_ops,
+)
 from repro.backend.select import generic_op, op_table
 from repro.halide import ir as hir
 from repro.halide.lowering import LoweredKernel
@@ -50,7 +55,25 @@ _DIRECT_FAMILIES: dict[str, set[str]] = {
         "adds", "addus", "subs", "subus", "avg_u", "havg_u", "havg_s",
         "sat_cast", "widen_cast", "cmp", "select",
     },
+    # LLVM's RISC-V vector lowering is young: plain SIMD only, as for
+    # HVX; the saturating/averaging/narrowing-clip instructions expand.
+    "rvv": {
+        "add", "sub", "mul", "min_s", "max_s", "min_u", "max_u",
+        "and", "or", "xor", "shl", "lshr", "ashr",
+        "cmp", "select", "widen_cast",
+    },
 }
+
+
+def _direct_families(isa: str) -> set[str]:
+    direct = _DIRECT_FAMILIES.get(isa)
+    if direct is None:
+        raise CompileError(
+            f"llvm backend has no lowering table for ISA {isa!r}; "
+            f"supported: {tuple(_DIRECT_FAMILIES)}"
+        )
+    return direct
+
 
 _BIN_FAMILY = {
     "add": "ew_add", "sub": "ew_sub", "mul": "ew_mullo",
@@ -80,6 +103,7 @@ class LlvmGenericCompiler:
 
     def compile(self, kernel: LoweredKernel, isa: str) -> CompiledKernel:
         start = time.time()
+        _direct_families(isa)  # an unknown ISA is a CompileError, up front
         target = TARGETS[isa]
         body: list[MachineOp] = []
         self._lower(kernel.window, isa, body)
@@ -100,7 +124,7 @@ class LlvmGenericCompiler:
         self._emit_single(node, isa, body)
 
     def _emit_single(self, node: hir.HExpr, isa: str, body: list[MachineOp]) -> None:
-        direct = _DIRECT_FAMILIES[isa]
+        direct = _direct_families(isa)
         table = op_table(isa)
         registers = self._register_factor(node, isa)
 

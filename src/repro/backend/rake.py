@@ -68,9 +68,9 @@ def rake_dictionary(base: AutoLLVMDictionary) -> AutoLLVMDictionary:
 
 # The instruction count Rake supports (used by the Table 1/eval text).
 def rake_supported_count() -> int:
-    from repro.isa.registry import load_isa
+    from repro.isa.registry import load_catalog
 
-    catalog = load_isa("hvx").catalog
+    catalog = load_catalog("hvx")
     return sum(1 for s in catalog if _rake_supported(s.name, s.family))
 
 

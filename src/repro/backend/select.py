@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.isa.registry import load_isa
+from repro.isa.registry import load_catalog
 from repro.isa.spec import InstructionSpec
 from repro.machine.ops import MachineOp, op_from_spec
 
@@ -14,7 +14,7 @@ class OpTable:
 
     def __init__(self, isa: str) -> None:
         self.isa = isa
-        self.catalog = load_isa(isa).catalog
+        self.catalog = load_catalog(isa)
         self._index: dict[tuple[str, int], list[InstructionSpec]] = {}
         for spec in self.catalog:
             elem_width = spec.attributes.get("elem_width", 0)

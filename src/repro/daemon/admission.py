@@ -1,18 +1,22 @@
 """Admission control: per-tenant quotas and global backpressure.
 
-The daemon never buffers without bound.  Three gates run, in order, on
-every submit:
+The daemon never buffers without bound.  Up to three gates run, in
+order, on every submit:
 
-1. **token bucket** per tenant — sustained submit rate with a burst
-   allowance; the rejection's ``retry_after`` is exactly the time until
-   the next token accrues;
+1. **token bucket** per tenant (opt-in: ``tenant_rate`` set) —
+   sustained submit rate with a burst allowance; the rejection's
+   ``retry_after`` is exactly the time until the next token accrues;
 2. **in-flight cap** per tenant — jobs admitted but not yet answered;
 3. **global queue bound** — pending-not-yet-launched jobs across all
    tenants.
 
-All three reject with a typed, retryable error instead of queueing —
-an overloaded daemon degrades to fast "come back in N ms" answers, not
-to unbounded memory growth and collapsing latency.
+Gates 2 and 3 are what bound the daemon's memory and they always apply.
+The rate gate has no default: any finite rate is a constant the next
+speed-up of the serving path overtakes, at which point it caps the
+daemon below what it can serve.  All three reject with a typed,
+retryable error instead of queueing — an overloaded daemon degrades to
+fast "come back in N ms" answers, not to unbounded memory growth and
+collapsing latency.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ from dataclasses import dataclass, field
 class AdmissionLimits:
     """Quota knobs (one set shared by every tenant, plus global bounds)."""
 
-    # Token bucket: sustained submits/second and burst capacity.
-    tenant_rate: float = 50.0
+    # Token bucket: sustained submits/second and burst capacity.  None
+    # (the default) = no rate limit; 0 or less = the tenant is banned.
+    tenant_rate: float | None = None
     tenant_burst: int = 100
     # Jobs a tenant may have admitted-but-unanswered at once.
     tenant_max_inflight: int = 16
@@ -71,7 +76,7 @@ class TenantState:
     """Live accounting for one tenant."""
 
     name: str
-    bucket: TokenBucket
+    bucket: TokenBucket | None
     inflight: int = 0
     submitted: int = 0
     completed: int = 0
@@ -111,15 +116,17 @@ class AdmissionController:
     def tenant(self, name: str) -> TenantState:
         state = self.tenants.get(name)
         if state is None:
-            state = TenantState(
-                name,
-                TokenBucket(self.limits.tenant_rate, self.limits.tenant_burst),
+            rate = self.limits.tenant_rate
+            bucket = (
+                None if rate is None
+                else TokenBucket(rate, self.limits.tenant_burst)
             )
+            state = TenantState(name, bucket)
             self.tenants[name] = state
         return state
 
     def admit(self, tenant_name: str, queue_depth: int) -> TenantState:
-        """Pass all three gates or raise :class:`Rejection`.
+        """Pass every gate or raise :class:`Rejection`.
 
         On success the tenant's in-flight count is already incremented —
         the caller must pair every admit with exactly one
@@ -127,7 +134,7 @@ class AdmissionController:
         """
         state = self.tenant(tenant_name)
         state.submitted += 1
-        wait = state.bucket.take()
+        wait = state.bucket.take() if state.bucket is not None else None
         if wait is not None:
             state.rejected += 1
             self.rejected_rate += 1

@@ -56,10 +56,13 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
                        help="in-memory result LRU size (jobs)")
     serve.add_argument("--max-queue", type=int, default=256,
                        help="global pending-queue bound")
-    serve.add_argument("--tenant-rate", type=float, default=50.0,
-                       help="per-tenant sustained submits/second")
+    serve.add_argument("--tenant-rate", type=float, default=None,
+                       help="per-tenant sustained submits/second "
+                       "(default: no rate limit; the in-flight cap and "
+                       "the queue bound always apply)")
     serve.add_argument("--tenant-burst", type=int, default=100,
-                       help="per-tenant token-bucket burst")
+                       help="per-tenant token-bucket burst "
+                       "(with --tenant-rate)")
     serve.add_argument("--tenant-max-inflight", type=int, default=16,
                        help="per-tenant admitted-but-unanswered cap")
     serve.add_argument("--drain-seconds", type=float, default=60.0,

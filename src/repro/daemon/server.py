@@ -49,12 +49,15 @@ from repro.service.scheduler import (
     ServiceStats,
     WorkerPool,
     default_cegis_options,
+    prewarm,
     window_keys,
 )
 from repro.service.telemetry import fold_outcome
 
 KNOWN_COMPILERS = ("hydride", "halide", "llvm", "rake")
 KNOWN_ISAS = SUPPORTED_ISAS
+# The window-keys memo's bound: the default L1 capacity.
+_WINDOW_KEYS_CAPACITY = 512
 
 
 @dataclass
@@ -74,6 +77,9 @@ class DaemonOptions:
     drain_pack: str | None = None
     # Import this cache pack into cache_dir before serving.
     warm_pack: str | None = None
+    # The pump wakes on events (a submit, a worker's pipe turning
+    # readable); this tick is only the backstop that enforces worker
+    # kill limits and the drain deadline.
     pump_interval: float = 0.02
 
 
@@ -137,6 +143,9 @@ class DaemonServer:
         }
         # L1: job signature -> response payload (result + telemetry).
         self._l1: OrderedDict[tuple, dict] = OrderedDict()
+        # job signature -> window_keys(job), so the event loop lowers a
+        # job once, not on every submit; LRU-bounded like L1.
+        self._window_keys: OrderedDict[tuple, frozenset] = OrderedDict()
         self._pending: deque[_Entry] = deque()
         self._by_signature: dict[tuple, _Entry] = {}
         self._launched: dict[int, _Entry] = {}
@@ -145,6 +154,10 @@ class DaemonServer:
         self._pool: WorkerPool | None = None
         self._server: asyncio.base_events.Server | None = None
         self._pump_task: asyncio.Task | None = None
+        # Set by whatever gives the pump something to do.
+        self._wake = asyncio.Event()
+        # token -> fd of the worker pipe registered with the loop.
+        self._watched: dict[int, int] = {}
         self._draining = False
         self._drained = asyncio.Event()
         self._started_at = time.monotonic()
@@ -160,9 +173,9 @@ class DaemonServer:
 
             merged = import_pack(self.options.cache_dir, self.options.warm_pack)
             self.counters["pack_imported_entries"] += merged["imported"]
-        self.counters["rulebooks_preloaded"] += self._preload_rulebooks()
-        # Building the dictionary blocks the loop once, at startup, so
-        # every forked worker inherits it warm.
+        # Everything a worker reads is built here, once, blocking the
+        # loop at startup, so every forked worker inherits it warm.
+        self.counters["rulebooks_preloaded"] += prewarm(self.options.cache_dir)
         self._pool = WorkerPool(
             ServiceOptions(
                 jobs=self.options.jobs,
@@ -178,46 +191,6 @@ class DaemonServer:
         )
         self._pump_task = asyncio.create_task(self._pump())
 
-    def _preload_rulebooks(self) -> int:
-        """Parse each ISA's distilled rulebook before the pool forks.
-
-        :func:`~repro.synthesis.rules.load_rulebook` memoizes per
-        (directory, fingerprint), so workers forked after this inherit
-        the parsed books and skip the JSON parse entirely.  Returns the
-        number of books found.
-        """
-        if self.options.cache_dir is None:
-            return 0
-        from pathlib import Path
-
-        from repro.autollvm import build_dictionary
-        from repro.autollvm.intrinsics import dictionary_isas
-        from repro.service.store import FINGERPRINT_DIR_CHARS
-        from repro.synthesis.rules import load_rulebook
-        from repro.synthesis.serialize import dictionary_fingerprint
-
-        root = Path(self.options.cache_dir)
-        loaded = 0
-        fingerprints: dict[tuple[str, ...], str] = {}
-        for isa in KNOWN_ISAS:
-            # Skip ISAs with no cache presence before paying for their
-            # dictionary: plug-in ISAs (rvv) only warm up if a prior run
-            # actually distilled rules for them.
-            if not (root / isa).is_dir():
-                continue
-            isas = dictionary_isas(isa)
-            dictionary = build_dictionary(isas)
-            fingerprint = fingerprints.setdefault(
-                isas, dictionary_fingerprint(dictionary)
-            )
-            directory = root / isa / fingerprint[:FINGERPRINT_DIR_CHARS]
-            book = load_rulebook(
-                directory, dictionary, expect_fingerprint=fingerprint
-            )
-            if book is not None and len(book):
-                loaded += 1
-        return loaded
-
     @property
     def bound_port(self) -> int:
         assert self._server is not None and self._server.sockets
@@ -229,6 +202,7 @@ class DaemonServer:
     def request_drain(self) -> None:
         """Signal-safe entry: stop admitting; the pump finishes the rest."""
         self._draining = True
+        self._wake.set()
         if self._server is not None:
             self._server.close()
 
@@ -430,15 +404,14 @@ class DaemonServer:
 
             entry = _Entry(
                 job=job,
-                keys=window_keys(job)
-                if self.options.cache_dir is not None
-                else frozenset(),
+                keys=self._keys_for(job, signature),
                 requests=[request],
                 token=self._next_token,
             )
             self._next_token += 1
             self._by_signature[signature] = entry
             self._pending.append(entry)
+            self._wake.set()
         except faults.InjectedFault as exc:
             self.counters["internal_errors"] += 1
             self.admission.release(job.tenant, completed=False)
@@ -448,6 +421,20 @@ class DaemonServer:
                     frame_id, "internal", f"enqueue failed: {exc}"
                 ),
             )
+
+    def _keys_for(self, job: CompileJob, signature: tuple) -> frozenset:
+        """``window_keys(job)``, memoised per signature (it depends on
+        nothing else).  Window dedup needs a shared disk cache."""
+        if self.options.cache_dir is None:
+            return frozenset()
+        keys = self._window_keys.get(signature)
+        if keys is None:
+            keys = self._window_keys[signature] = window_keys(job)
+            if len(self._window_keys) > _WINDOW_KEYS_CAPACITY:
+                self._window_keys.popitem(last=False)
+        else:
+            self._window_keys.move_to_end(signature)
+        return keys
 
     def _validate(self, job: CompileJob) -> str:
         if job.compiler not in KNOWN_COMPILERS:
@@ -471,10 +458,14 @@ class DaemonServer:
 
     async def _pump(self) -> None:
         assert self._pool is not None
+        loop = asyncio.get_running_loop()
         drain_deadline: float | None = None
         while True:
+            # Cleared before the work, so a submit or a result landing
+            # while this pass awaits a send triggers another pass.
+            self._wake.clear()
             try:
-                for event in self._pool.poll():
+                for event in self._harvest():
                     await self._complete(event.token, event.outcome)
                 self._launch_eligible()
             except Exception:  # noqa: BLE001 - the pump must never die
@@ -488,7 +479,41 @@ class DaemonServer:
                 if settled or time.monotonic() > drain_deadline:
                     await self._finish_drain()
                     return
-            await asyncio.sleep(self.options.pump_interval)
+            # Sleep until an event; the tick is the backstop for what no
+            # event announces (a worker past its kill limit, a worker
+            # that died with its pipe held open, the drain deadline).
+            tick = loop.call_later(self.options.pump_interval, self._wake.set)
+            await self._wake.wait()
+            tick.cancel()
+
+    def _harvest(self) -> list:
+        """``poll()`` the pool and drop the readers of every worker it
+        reaped.  poll() has already closed those pipes, so this runs
+        before anything can await: a closed fd still registered with the
+        loop would be silently inherited by whoever reuses its number."""
+        assert self._pool is not None
+        events = self._pool.poll()
+        for event in events:
+            self._unwatch(event.token)
+        return events
+
+    def _watch(self, token: int) -> None:
+        """Wake the pump once when ``token``'s result pipe turns readable
+        (a result, EOF, or the worker's death closing its end)."""
+        assert self._pool is not None
+        fd = self._pool.pipe(token).fileno()
+        self._watched[token] = fd
+        asyncio.get_running_loop().add_reader(fd, self._on_readable, token)
+
+    def _on_readable(self, token: int) -> None:
+        # One-shot: a readable pipe stays readable until poll() takes it.
+        self._unwatch(token)
+        self._wake.set()
+
+    def _unwatch(self, token: int) -> None:
+        fd = self._watched.pop(token, None)
+        if fd is not None:
+            asyncio.get_running_loop().remove_reader(fd)
 
     def _launch_eligible(self) -> None:
         assert self._pool is not None
@@ -510,6 +535,7 @@ class DaemonServer:
                     continue
                 self._pending.remove(entry)
                 self._pool.launch(entry.token, entry.job)
+                self._watch(entry.token)
                 entry.launched = True
                 self._launched[entry.token] = entry
                 self._running_keys.update(entry.keys)
@@ -558,6 +584,8 @@ class DaemonServer:
         self._launched.clear()
         self._running_keys.clear()
         self._by_signature.clear()
+        for token in list(self._watched):
+            self._unwatch(token)
         self._pool.shutdown()
         for entry in leftovers:
             for request in entry.requests:

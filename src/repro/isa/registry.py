@@ -17,6 +17,7 @@ from functools import lru_cache
 from repro.hydride_ir.ast import SemanticsFunction
 from repro.hydride_ir.transforms import canonicalize
 from repro.isa.spec import InstructionSpec, IsaCatalog
+from repro.perf import global_counters
 
 # -- the plug-in table ------------------------------------------------------
 #
@@ -119,6 +120,7 @@ def parse_spec(isa: str, spec: InstructionSpec) -> SemanticsFunction:
     """Parse + canonicalise one spec's pseudocode (verification-hooked)."""
     from repro.analysis import hooks
 
+    global_counters().specs_parsed += 1
     _generate, parse = _generators(isa)
     verify = hooks.verification_enabled()
     parsed = parse(spec)

@@ -104,6 +104,10 @@ class PerfCounters:
     # fallback, stale negative entry ignored).
     faults_injected: int = 0
     fault_recoveries: int = 0
+    # Vendor specs parsed + canonicalised (isa.registry.parse_spec).  A
+    # worker forked from a warm parent must report zero: the dictionary
+    # comes from the irgen artifact or the parent, never from a re-parse.
+    specs_parsed: int = 0
 
     # ------------------------------------------------------------------
 
@@ -161,6 +165,7 @@ class PerfCounters:
             rule_verify_failures=self.rule_verify_failures,
             faults_injected=self.faults_injected,
             fault_recoveries=self.fault_recoveries,
+            specs_parsed=self.specs_parsed,
         )
         return out
 
@@ -201,6 +206,7 @@ class PerfCounters:
         self.rule_verify_failures = 0
         self.faults_injected = 0
         self.fault_recoveries = 0
+        self.specs_parsed = 0
 
 
 _GLOBAL = PerfCounters()

@@ -23,6 +23,7 @@ from repro.service.scheduler import (
     ServiceStats,
     WorkerPool,
     default_cegis_options,
+    prewarm,
 )
 from repro.service.store import (
     PackError,
@@ -48,6 +49,7 @@ __all__ = [
     "ServiceStats",
     "WorkerPool",
     "default_cegis_options",
+    "prewarm",
     "PackError",
     "PersistentCache",
     "export_pack",

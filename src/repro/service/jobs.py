@@ -297,10 +297,12 @@ def execute_job(
     deadline = (
         started + job.timeout_seconds if job.timeout_seconds is not None else None
     )
-    dictionary = build_dictionary(dictionary_isas(job.isa))
-    # Snapshot before the cache opens so open-time events (entry loads,
-    # reaped litter, absorbed faults) are attributed to this job too.
+    # Snapshot first, so whatever this process has to build before it can
+    # compile is attributed to the job too: a dictionary the parent did
+    # not prewarm (``specs_parsed``, irgen load) and open-time events
+    # (entry loads, reaped litter, absorbed faults).
     perf_before = perf_snapshot()
+    dictionary = build_dictionary(dictionary_isas(job.isa))
     cache = _open_cache(job, cache_dir, dictionary)
     reuse = _open_reuse(job, cache_dir)
     rules = _open_rules(job, cache)

@@ -20,9 +20,11 @@ uses take.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro import faults
 from repro.perf import global_counters
@@ -45,7 +47,6 @@ KILL_GRACE = 1.5
 # whole run (the pre-faults scheduler returned None here and never
 # killed such workers).
 DEFAULT_KILL_SECONDS = 600.0
-_POLL_SECONDS = 0.02
 # How long finish() waits for a worker to join before escalating from
 # SIGTERM to SIGKILL.
 _JOIN_GRACE_SECONDS = 5.0
@@ -171,6 +172,50 @@ def window_keys(job: CompileJob) -> frozenset[str]:
         return frozenset()
 
 
+def prewarm(cache_dir: str | None) -> int:
+    """Build, in the parent, every piece of process-wide state a worker
+    reads — call once before the first fork.
+
+    The warm-fork invariant: a worker forked by :class:`WorkerPool`
+    inherits all of this and rebuilds none of it (``specs_parsed`` in its
+    ``JobTelemetry.perf`` stays zero).  Loaded here: the workload
+    registry, the core dictionary, and — for every ISA with presence in
+    ``cache_dir`` — that ISA's dictionary (``dictionary_isas``), its
+    fingerprint (memoised on the dictionary object) and its distilled
+    rulebook (memoised by :func:`~repro.synthesis.rules.load_rulebook`).
+    A plug-in ISA nobody has compiled for yet is skipped: its first
+    worker builds the larger dictionary itself.  Returns the number of
+    non-empty rulebooks loaded.
+    """
+    from repro.autollvm import build_dictionary
+    from repro.autollvm.intrinsics import dictionary_isas
+    from repro.isa.registry import supported_isas
+    from repro.service.store import FINGERPRINT_DIR_CHARS
+    from repro.synthesis.rules import load_rulebook
+    from repro.synthesis.serialize import dictionary_fingerprint
+    from repro.workloads.registry import all_benchmarks
+
+    all_benchmarks()
+    build_dictionary()
+    if cache_dir is None:
+        return 0
+    root = Path(cache_dir)
+    books = 0
+    for isa in supported_isas():
+        if not (root / isa).is_dir():
+            continue
+        dictionary = build_dictionary(dictionary_isas(isa))
+        fingerprint = dictionary_fingerprint(dictionary)
+        book = load_rulebook(
+            root / isa / fingerprint[:FINGERPRINT_DIR_CHARS],
+            dictionary,
+            expect_fingerprint=fingerprint,
+        )
+        if book is not None and len(book):
+            books += 1
+    return books
+
+
 @dataclass
 class PoolEvent:
     """One completed worker, as observed by :meth:`WorkerPool.poll`.
@@ -196,22 +241,16 @@ class WorkerPool:
     worker and, on each ``poll``, harvest whatever finished since the
     last call — receiving results, recovering EOF'd pipes and silent
     deaths via the baseline fallback, and hard-killing workers past
-    their wall backstop.  *When* to poll is the caller's business: the
-    batch :class:`Scheduler` spins a blocking loop around it, while the
-    daemon (:mod:`repro.daemon`) drives the same pool from an asyncio
-    timer without ever blocking its connections.
+    their wall backstop.  *When* to poll is the caller's business, and
+    both callers are event-driven: the batch :class:`Scheduler` blocks
+    in :meth:`wait`, while the daemon (:mod:`repro.daemon`) registers
+    each worker's :meth:`pipe` with its asyncio loop and never blocks
+    its connections.  Call :func:`prewarm` before the first ``launch``:
+    workers are forked, so whatever the parent has built they inherit.
     """
 
-    def __init__(
-        self, options: ServiceOptions, prewarm_dictionary: bool = True
-    ) -> None:
+    def __init__(self, options: ServiceOptions) -> None:
         self.options = options
-        if prewarm_dictionary:
-            # Warm the dictionary cache before forking so children
-            # inherit it instead of each rebuilding it.
-            from repro.autollvm import build_dictionary
-
-            build_dictionary(("x86", "hvx", "arm"))
         methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else None
@@ -247,6 +286,27 @@ class WorkerPool:
         proc.start()
         child_conn.close()
         self._running[token] = (proc, parent_conn, time.monotonic(), job)
+
+    def pipe(self, token: int):
+        """The read end of a launched worker's result pipe.
+
+        Readable when the worker has reported, closed its end, or died;
+        :meth:`poll` closes it, so a caller that registered it with a
+        selector must unregister in the same breath (see the daemon).
+        """
+        return self._running[token][1]
+
+    def wait(self) -> None:
+        """Block until some worker is ready for :meth:`poll`: a result or
+        EOF on its pipe, its exit, or its kill backstop coming due."""
+        now = time.monotonic()
+        handles, timeout = [], None
+        for proc, conn, started_at, job in self._running.values():
+            handles += [conn, proc.sentinel]
+            left = started_at + _kill_limit(job, self.options.kill_seconds) - now
+            timeout = left if timeout is None else min(timeout, left)
+        if handles:
+            multiprocessing.connection.wait(handles, max(0.0, timeout))
 
     def _reap(self, token: int) -> None:
         proc, conn, _started, _job = self._running.pop(token)
@@ -388,6 +448,7 @@ class Scheduler:
     def _run_parallel(
         self, jobs: list[CompileJob], stats: ServiceStats
     ) -> list[JobResult]:
+        prewarm(self.options.cache_dir)
         # Parent-side counters (fallback compiles, EOF/kill recoveries)
         # are folded into the run aggregate at the end; workers are
         # separate processes, so there is no double counting.
@@ -432,7 +493,7 @@ class Scheduler:
                 launch(pending.pop(0))
                 continue
 
-            time.sleep(_POLL_SECONDS)
+            pool.wait()
             for event in pool.poll():
                 results[event.token] = event.outcome
                 running_indices.discard(event.token)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from repro.autollvm.intrinsics import AutoLLVMDictionary, AutoLLVMOp, TargetBinding
 from repro.halide import ir as hir
 from repro.hydride_ir.interp import resolved_input_widths
-from repro.isa.registry import load_isa
+from repro.isa.registry import load_catalog
 from repro.synthesis.cost import CostModel
 from repro.synthesis.program import SInput, SWIZZLE_PATTERNS
 
@@ -89,10 +89,13 @@ _FAMILY_SWIZZLES = {
 
 
 def native_swizzles_for(isa: str) -> set[str]:
-    """Patterns the target catalog realizes with a single instruction."""
-    catalog = load_isa(isa).catalog
+    """Patterns the target catalog realizes with a single instruction.
+
+    Reads ``spec.family`` off the generated (parse-free, memoised)
+    catalog: a forked worker must never pay for ``load_isa`` here.
+    """
     native: set[str] = set()
-    for spec in catalog:
+    for spec in load_catalog(isa):
         native |= _FAMILY_SWIZZLES.get(spec.family, set())
     return native
 

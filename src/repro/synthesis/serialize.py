@@ -190,7 +190,13 @@ def dictionary_fingerprint(
     parameter vectors).  Any dictionary regeneration that changes a class
     or a member's parameters changes the fingerprint, soundly invalidating
     every persisted entry produced under the old one.
+
+    The plain digest (no ``extra``) is memoised on the dictionary object:
+    hashing ~250 ops costs tens of milliseconds, every cache open needs
+    it, and a dictionary never changes after it is built.
     """
+    if not extra and dictionary._fingerprint is not None:
+        return dictionary._fingerprint
     digest = hashlib.sha256()
     digest.update(f"serialize:{SERIALIZE_VERSION}\n".encode())
     digest.update(f"grammar:{GRAMMAR_VERSION}\n".encode())
@@ -202,4 +208,7 @@ def dictionary_fingerprint(
             digest.update(f"  member:{binding.spec.name}:{values}\n".encode())
     for item in extra:
         digest.update(f"extra:{item}\n".encode())
-    return digest.hexdigest()
+    fingerprint = digest.hexdigest()
+    if not extra:
+        dictionary._fingerprint = fingerprint
+    return fingerprint

@@ -121,6 +121,36 @@ class TestBaselines:
         assert any("dmpy" in op.name for op in native.body)
 
 
+class TestRvvGenericGlue:
+    """The generic lowering Hydride glues split windows with, and the
+    llvm fallback, must know every registered ISA."""
+
+    def test_every_registered_isa_has_a_lowering_table(self, add_kernel):
+        from repro.isa.registry import supported_isas
+
+        for isa in supported_isas():
+            assert LlvmGenericCompiler().compile(add_kernel, isa).body
+
+    def test_unknown_isa_is_a_typed_error(self, add_kernel):
+        with pytest.raises(CompileError, match="vax.*supported.*rvv"):
+            LlvmGenericCompiler().compile(add_kernel, "vax")
+
+    def test_matmul_b1_rvv_compiles_without_keyerror(self):
+        # Its window splits, so Hydride glues the pieces with
+        # lower_single_node; the llvm fallback walks the same table.
+        from repro.service import CompileJob
+        from repro.service.jobs import execute_job
+
+        outcome = execute_job(
+            CompileJob("matmul_b1", "rvv"),
+            None,
+            CegisOptions(timeout_seconds=0.5, scale_factor=8),
+        )
+        assert outcome.ok, outcome.result.error
+        assert outcome.result.runtime_us is not None
+        assert "KeyError" not in (outcome.result.error or "")
+
+
 class TestRake:
     def test_arm_always_fails(self, dictionary, add_kernel):
         rake = RakeCompiler(dictionary=dictionary)

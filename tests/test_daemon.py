@@ -3,12 +3,14 @@ daemon (dedup, L1, quotas, drain) via a real subprocess."""
 
 from __future__ import annotations
 
+import asyncio
 import json
 import threading
 import time
 
 import pytest
 
+from repro import faults
 from repro.daemon.admission import (
     AdmissionController,
     AdmissionLimits,
@@ -18,7 +20,10 @@ from repro.daemon.admission import (
 from repro.daemon.client import DaemonClient, DaemonError, http_get, parse_addr
 from repro.daemon.proc import DaemonProcess
 from repro.daemon import protocol
+from repro.daemon.server import DaemonOptions, serve
+from repro.faults import FaultPlan, FaultSpec
 from repro.halide import ir as hir
+from repro.synthesis import CegisOptions
 from repro.service.store import PackError, export_pack, import_pack
 from repro.synthesis.cache import MemoCache
 from repro.synthesis.program import SInput, SSlice
@@ -143,6 +148,48 @@ class TestAdmission:
             controller.admit("t", queue_depth=1)
         assert exc_info.value.error_type == "queue_full"
         assert controller.rejected_queue == 1
+
+    def test_no_rate_limit_by_default(self):
+        controller = AdmissionController()
+        assert controller.limits.tenant_rate is None
+        for _ in range(5000):
+            controller.admit("t", queue_depth=0)
+            controller.release("t")
+        snapshot = controller.to_dict()
+        assert snapshot["rejected"] == {"rate": 0, "inflight": 0, "queue": 0}
+        assert snapshot["limits"]["tenant_rate"] is None
+        assert json.loads(json.dumps(snapshot))["limits"]["tenant_rate"] is None
+
+    def test_default_still_bounds_inflight_and_queue(self):
+        controller = AdmissionController()
+        for _ in range(controller.limits.tenant_max_inflight):
+            controller.admit("t", queue_depth=0)
+        with pytest.raises(Rejection) as exc_info:
+            controller.admit("t", queue_depth=0)
+        assert exc_info.value.error_type == "quota_exceeded"
+        assert controller.rejected_inflight == 1
+        with pytest.raises(Rejection) as exc_info:
+            controller.admit("u", queue_depth=controller.limits.max_queue)
+        assert exc_info.value.error_type == "queue_full"
+
+    def test_explicit_rate_keeps_bucket_semantics(self):
+        controller = AdmissionController(
+            AdmissionLimits(tenant_rate=2.0, tenant_burst=1)
+        )
+        controller.admit("t", queue_depth=0)
+        with pytest.raises(Rejection) as exc_info:
+            controller.admit("t", queue_depth=0)
+        assert exc_info.value.error_type == "quota_exceeded"
+        assert 0.0 < exc_info.value.retry_after <= 0.5
+        assert controller.rejected_rate == 1
+        # rate <= 0 still means banned: burst spent, then a hard back-off.
+        banned = AdmissionController(
+            AdmissionLimits(tenant_rate=0.0, tenant_burst=1)
+        )
+        banned.admit("t", queue_depth=0)
+        with pytest.raises(Rejection) as exc_info:
+            banned.admit("t", queue_depth=0)
+        assert exc_info.value.retry_after == 60.0
 
     def test_tenants_accounted_separately(self):
         controller = AdmissionController(
@@ -459,3 +506,168 @@ class TestDaemonSmoke:
         assert frame.get("ok"), frame
         assert frame["result"]["runtime_us"] is not None
         assert exit_code == 0
+
+
+# ----------------------------------------------------------------------
+# In-process daemon: the event-driven pump and the admission defaults
+# ----------------------------------------------------------------------
+
+
+class _LocalDaemon:
+    """A ``DaemonServer`` on a background thread's event loop, for the
+    options the CLI does not expose (``pump_interval``)."""
+
+    def __init__(self, **options) -> None:
+        self.options = DaemonOptions(
+            cegis=CegisOptions(timeout_seconds=6.0, scale_factor=8), **options
+        )
+        self.server = None
+        self.addr = ""
+        self._loop = None
+        self._ready = threading.Event()
+        self._thread = threading.Thread(target=self._run, daemon=True)
+
+    def _run(self) -> None:
+        def ready(server) -> None:
+            self.server = server
+            self.addr = f"127.0.0.1:{server.bound_port}"
+            self._loop = asyncio.get_running_loop()
+            self._ready.set()
+
+        asyncio.run(
+            serve(self.options, ready, install_signal_handlers=False)
+        )
+
+    def __enter__(self) -> "_LocalDaemon":
+        self._thread.start()
+        assert self._ready.wait(timeout=300.0), "daemon never became ready"
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._loop.call_soon_threadsafe(self.server.request_drain)
+        self._thread.join(timeout=60.0)
+        assert not self._thread.is_alive(), "daemon did not drain"
+
+
+LLVM_ADD = {"benchmark": "add", "isa": "x86", "compiler": "llvm"}
+
+
+@pytest.fixture
+def no_faults():
+    """The daemon runs in this process: fault plans must not leak."""
+    faults.clear_plan()
+    yield
+    faults.clear_plan()
+
+
+@pytest.mark.usefixtures("no_faults")
+class TestEventDrivenPump:
+    """With a 5 s tick, only the wake-ups can make these deadlines."""
+
+    def test_submit_and_result_wake_the_pump(self, tmp_path):
+        with _LocalDaemon(
+            cache_dir=str(tmp_path), jobs=1, pump_interval=5.0, l1_capacity=1
+        ) as daemon:
+            with DaemonClient.connect(daemon.addr, timeout=60.0) as client:
+                for request in (LLVM_ADD, {**LLVM_ADD, "benchmark": "mul"}) * 2:
+                    started = time.monotonic()
+                    frame = client.submit_many([request])[0]
+                    elapsed = time.monotonic() - started
+                    assert frame.get("ok"), frame
+                    # A worker ran (L1 holds one entry; the jobs alternate).
+                    assert frame["served_by"] != "l1"
+                    assert elapsed < 2.0, f"waited for the tick: {elapsed:.2f}s"
+
+    def test_eof_of_a_mute_worker_wakes_the_pump(self, tmp_path):
+        faults.install_plan(FaultPlan(
+            [FaultSpec("scheduler.worker.mute", "hang", match="add", delay=30.0)]
+        ))
+        with _LocalDaemon(
+            cache_dir=str(tmp_path), jobs=1, pump_interval=5.0
+        ) as daemon:
+            with DaemonClient.connect(daemon.addr, timeout=60.0) as client:
+                started = time.monotonic()
+                frame = client.submit_many([LLVM_ADD])[0]
+                elapsed = time.monotonic() - started
+            stats = daemon.server.stats_payload()
+        assert frame.get("ok"), frame
+        assert "pipe closed" in frame["result"]["error"]
+        assert stats["runs"]["worker_eofs"] == 1
+        assert elapsed < 4.0, f"EOF recovery waited for the tick: {elapsed:.2f}s"
+
+    def test_tick_kills_a_hung_worker_and_its_reader_goes_with_it(
+        self, tmp_path
+    ):
+        # The worker hangs with its pipe open: no event ever fires, so
+        # the residual tick must enforce the kill backstop.  poll()
+        # closes the pipe with the one-shot reader still registered; the
+        # next worker reuses the fd number and must get a live reader.
+        faults.install_plan(FaultPlan(
+            [FaultSpec("scheduler.worker.start", "hang", match="add",
+                       delay=60.0)]
+        ))
+        with _LocalDaemon(
+            cache_dir=str(tmp_path), jobs=1, pump_interval=0.5,
+            kill_seconds=1.0,
+        ) as daemon:
+            with DaemonClient.connect(daemon.addr, timeout=60.0) as client:
+                started = time.monotonic()
+                killed = client.submit_many([LLVM_ADD])[0]
+                kill_elapsed = time.monotonic() - started
+                # Slow the tick right down: from here only a live reader
+                # can deliver the next result in time.
+                daemon.server.options.pump_interval = 30.0
+                time.sleep(0.6)  # let the pump re-arm with the long tick
+                started = time.monotonic()
+                after = client.submit_many(
+                    [{**LLVM_ADD, "benchmark": "mul"}]
+                )[0]
+                elapsed = time.monotonic() - started
+            stats = daemon.server.stats_payload()
+        assert killed.get("ok"), killed
+        assert "killed after timeout" in killed["result"]["error"]
+        assert 1.0 <= kill_elapsed < 10.0
+        assert stats["runs"]["killed"] == 1
+        assert after.get("ok") and not after["result"].get("error"), after
+        assert elapsed < 5.0, f"stale reader: result waited {elapsed:.2f}s"
+        assert daemon.server._watched == {}
+
+
+@pytest.mark.usefixtures("no_faults")
+class TestAdmissionDefaults:
+    def test_thousand_l1_submits_are_never_rate_limited(self, tmp_path):
+        with _LocalDaemon(cache_dir=str(tmp_path), jobs=1) as daemon:
+            with DaemonClient.connect(daemon.addr, timeout=60.0) as client:
+                assert client.submit_many([LLVM_ADD])[0].get("ok")
+                frames = []
+                for _ in range(10):  # batches keep socket buffers small
+                    frames += client.submit_many([LLVM_ADD] * 100)
+            stats = daemon.server.stats_payload()
+        assert len(frames) == 1000
+        assert all(f.get("ok") and f["served_by"] == "l1" for f in frames)
+        assert stats["admission"]["limits"]["tenant_rate"] is None
+        assert sum(stats["admission"]["rejected"].values()) == 0
+
+    def test_inflight_cap_still_rejects_by_default(self, tmp_path):
+        # One slow worker, one tenant, more distinct jobs than the cap:
+        # the surplus bounces off the in-flight gate, not a rate gate.
+        faults.install_plan(FaultPlan(
+            [FaultSpec("scheduler.worker.start", "slow", delay=1.0)]
+        ))
+        names = [
+            "add", "mul", "average_pool", "max_pool", "matmul_b1", "box_blur3x3",
+        ]
+        with _LocalDaemon(
+            cache_dir=str(tmp_path), jobs=1,
+            limits=AdmissionLimits(tenant_max_inflight=2),
+        ) as daemon:
+            with DaemonClient.connect(daemon.addr, timeout=120.0) as client:
+                frames = client.submit_many(
+                    [{**LLVM_ADD, "benchmark": name} for name in names]
+                )
+            stats = daemon.server.stats_payload()
+        rejected = [f for f in frames if not f.get("ok")]
+        assert len(rejected) == len(names) - 2
+        assert all(f["error"]["type"] == "quota_exceeded" for f in rejected)
+        assert stats["admission"]["rejected"]["inflight"] == len(rejected)
+        assert stats["admission"]["rejected"]["rate"] == 0

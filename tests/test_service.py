@@ -133,6 +133,33 @@ class TestSerialize:
         assert a == dictionary_fingerprint(dictionary)
         assert a != dictionary_fingerprint(dictionary, extra=("v2",))
 
+    def test_fingerprint_memoised_per_dictionary_object(self, dictionary):
+        from repro.autollvm.intrinsics import AutoLLVMDictionary, AutoLLVMOp
+
+        def rebuilt(ops):
+            return AutoLLVMDictionary(
+                dictionary.isas, ops, dictionary.by_target_instruction
+            )
+
+        memoised = dictionary_fingerprint(dictionary)
+        assert dictionary._fingerprint == memoised
+        # Memoised and fresh digests agree.
+        assert dictionary_fingerprint(rebuilt(list(dictionary.ops))) == memoised
+        # A dictionary rebuilt with a changed member is a new object with
+        # a new digest.
+        first = dictionary.ops[0]
+        changed = AutoLLVMOp(
+            first.name, first.class_id, first.eq_class, first.bindings[:-1]
+        )
+        other = rebuilt([changed] + list(dictionary.ops[1:]))
+        assert dictionary_fingerprint(other) != memoised
+        # extra= digests are neither served from the memo nor stored in it.
+        salted = dictionary_fingerprint(dictionary, extra=("v2",))
+        assert salted != memoised
+        assert dictionary_fingerprint(dictionary, extra=("v3",)) != salted
+        assert dictionary._fingerprint == memoised
+        assert dictionary_fingerprint(dictionary) == memoised
+
 
 class TestMemoCacheAccounting:
     def test_failure_hits_counted(self):
@@ -349,6 +376,48 @@ class TestServiceSmoke:
         assert stats.perf.get("candidates_evaluated", 0) > 0
         exported = stats.to_dict()
         assert "blast_cache_hit_rate" in exported["perf_metrics"]
+
+
+class TestWarmFork:
+    """The warm-fork invariant: a worker forked after ``prewarm`` parses
+    no vendor spec, whatever ISA its job targets."""
+
+    # Synthesis need not succeed: a window that fails still opens the
+    # store and builds its grammar, which is where workers used to parse.
+    CEGIS = CegisOptions(timeout_seconds=0.3, scale_factor=8)
+    ISAS = ("x86", "hvx", "arm", "rvv")
+
+    def test_warm_workers_parse_no_specs(self, tmp_path):
+        from repro.isa.registry import load_isa
+        from repro.perf import global_counters
+        from repro.service import prewarm
+
+        for isa in self.ISAS:  # cache presence makes prewarm cover rvv
+            (tmp_path / isa).mkdir()
+        prewarm(str(tmp_path))
+        # Parsed semantics other tests left in this process would mask a
+        # worker that still reaches for load_isa.
+        load_isa.cache_clear()
+        parsed_before = global_counters().specs_parsed
+        scheduler = Scheduler(
+            ServiceOptions(jobs=2, cache_dir=str(tmp_path), cegis=self.CEGIS)
+        )
+        results = scheduler.run([CompileJob("add", isa) for isa in self.ISAS])
+        assert [r.job.isa for r in results] == list(self.ISAS)
+        for outcome in results:
+            assert outcome.ok, outcome.result.error
+            assert outcome.telemetry.worker_pid
+            assert outcome.telemetry.perf.get("specs_parsed", 0) == 0
+        assert scheduler.last_stats.perf.get("specs_parsed", 0) == 0
+        assert global_counters().specs_parsed == parsed_before
+
+    def test_parse_spec_is_counted(self):
+        from repro.isa.registry import load_catalog, parse_spec
+        from repro.perf import global_counters
+
+        before = global_counters().specs_parsed
+        parse_spec("hvx", load_catalog("hvx").specs[0])
+        assert global_counters().specs_parsed == before + 1
 
 
 class TestSchedulerSerialPath:

@@ -87,6 +87,49 @@ class TestGrammar:
         assert len(grammar.swizzle_patterns) == 8
 
 
+class TestNativeSwizzlesParseFree:
+    """``native_swizzles_for`` runs in every forked worker; it must read
+    the generated catalog and never parse a vendor spec."""
+
+    def test_no_spec_is_parsed_for_any_isa(self):
+        # A fresh interpreter: this process may already hold load_isa's
+        # per-process cache, which would hide a parse.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = (
+            "import repro.isa.registry as registry\n"
+            "def boom(*args, **kwargs):\n"
+            "    raise AssertionError('parsed a vendor spec')\n"
+            "registry.parse_spec = boom\n"
+            "from repro.synthesis.grammar import native_swizzles_for\n"
+            "for isa in registry.supported_isas():\n"
+            "    print(isa, sorted(native_swizzles_for(isa)))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert [line.split()[0] for line in proc.stdout.splitlines()] == [
+            "x86", "hvx", "arm", "rvv",
+        ]
+
+    def test_matches_the_parsed_catalog(self):
+        from repro.isa.registry import load_isa
+        from repro.synthesis.grammar import _FAMILY_SWIZZLES, native_swizzles_for
+
+        expected = set()
+        for spec in load_isa("hvx").catalog:
+            expected |= _FAMILY_SWIZZLES.get(spec.family, set())
+        assert expected
+        assert native_swizzles_for("hvx") == expected
+
+
 class TestScaling:
     def test_scale_spec(self):
         scaled = scale_spec(_dot_window(16), 4)
