@@ -160,7 +160,6 @@ class HydrideCompiler:
                     self.cegis,
                     self.cache,
                     reuse=self.reuse,
-                    dictionary=self.dictionary,
                     rules=self.rules,
                 )
                 accounting.synth_seconds += result.stats.seconds

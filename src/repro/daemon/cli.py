@@ -44,12 +44,6 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
                        help="persistent synthesis-cache directory (L2)")
     serve.add_argument("--synth-timeout", type=float, default=None,
                        help="per-window CEGIS budget in seconds")
-    serve.add_argument("--portfolio", type=int, default=0, metavar="ARMS",
-                       help="race this many portfolio CEGIS arms per "
-                       "synthesis window (0 = inline single-arm)")
-    serve.add_argument("--portfolio-diverse", action="store_true",
-                       help="add trajectory-diverse arms beyond the "
-                       "deterministic roster")
     serve.add_argument("--kill-seconds", type=float, default=None,
                        help="wall backstop for budget-less jobs")
     serve.add_argument("--l1-capacity", type=int, default=512,
@@ -138,10 +132,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     cegis = default_cegis_options()
     if args.synth_timeout:
         cegis.timeout_seconds = args.synth_timeout
-    if args.portfolio:
-        cegis.portfolio_arms = args.portfolio
-    if args.portfolio_diverse:
-        cegis.portfolio_diverse = True
     options = DaemonOptions(
         host=args.host,
         port=args.port,

@@ -676,21 +676,10 @@ class DaemonServer:
                     "exported_entries": self.counters["pack_exported_entries"],
                 },
             },
-            # Portfolio CEGIS and the cross-window reuse store: worker
-            # counters fold into runs["perf"], surfaced here as a stable
-            # section so dashboards don't scrape raw counter names.
-            "portfolio": {
-                "windows": runs["perf"].get("portfolio_windows", 0),
-                "arms_launched": runs["perf"].get(
-                    "portfolio_arms_launched", 0
-                ),
-                "cancels": runs["perf"].get("portfolio_cancels", 0),
-                "cex_broadcast": runs["perf"].get(
-                    "portfolio_cex_broadcast", 0
-                ),
-                "inline_fallbacks": runs["perf"].get(
-                    "portfolio_inline_fallbacks", 0
-                ),
+            # The cross-window reuse store: worker counters fold into
+            # runs["perf"], surfaced here as a stable section so
+            # dashboards don't scrape raw counter names.
+            "reuse": {
                 "reuse_cex_hits": runs["perf"].get("reuse_cex_hits", 0),
                 "reuse_cex_preloaded": runs["perf"].get(
                     "reuse_cex_preloaded", 0

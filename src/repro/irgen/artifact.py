@@ -103,8 +103,8 @@ def irgen_fingerprint(
 def partition_digest(classes: list[EquivalenceClass]) -> str:
     """A hash of the class partition: member names, orders, parameter
     vectors and fixed parameters.  Serial, sharded and artifact-loaded
-    runs must agree on this digest bit-for-bit — the determinism gate the
-    tests and ``scripts/bench_irgen.py`` enforce."""
+    runs must agree on this digest bit-for-bit — the determinism gate
+    ``tests/test_irgen.py`` enforces."""
     digest = hashlib.sha256()
     for cls in classes:
         digest.update(f"class:{cls.class_id}\n".encode())

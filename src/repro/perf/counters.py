@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 PHASES = (
@@ -28,15 +28,20 @@ PHASES = (
     # hole refinement + deterministic merge, and artifact loading.
     "irgen_parse", "irgen_extract", "irgen_bucket", "irgen_check",
     "irgen_merge", "irgen_load",
-    # Abstract interpretation (repro.analysis.absint): candidate
-    # dead-marking inside CEGIS and cache-entry screening.
+    # Abstract interpretation (repro.analysis.absint): cache-entry
+    # screening.
     "absint",
 )
 
 
 @dataclass
 class PerfCounters:
-    """Cumulative hot-path totals for one process."""
+    """Cumulative hot-path totals for one process.
+
+    Every field but ``phase_seconds`` is an event counter; ``snapshot``
+    and ``reset`` derive from the field list, so a counter is declared
+    here once.
+    """
 
     # Per-phase wall time in seconds.
     phase_seconds: dict[str, float] = field(
@@ -44,9 +49,6 @@ class PerfCounters:
     )
     # Candidate programs evaluated against the counterexample set.
     candidates_evaluated: int = 0
-    # Packed (batched) candidate evaluations vs legacy per-env evaluations.
-    batched_evals: int = 0
-    legacy_evals: int = 0
     # Bit-blaster structural cache.
     blast_cache_hits: int = 0
     blast_cache_misses: int = 0
@@ -66,22 +68,6 @@ class PerfCounters:
     # Hash-consing: term constructions served from the intern table.
     term_intern_hits: int = 0
     term_intern_misses: int = 0
-    # Abstract-interpretation pruning (CegisOptions.absint_prune):
-    # solution-width candidates checked against the spec's per-lane
-    # hulls, candidates proven dead (skipped by matching), and
-    # provably-wrong solutions rejected before their SMT query.
-    absint_checked: int = 0
-    absint_pruned: int = 0
-    absint_gate_rejects: int = 0
-    # Portfolio CEGIS (repro.synthesis.portfolio): windows raced, arm
-    # processes forked, losers cancelled after a win, counterexamples
-    # relayed between arms, and windows that fell back to the inline
-    # (single-arm) path because fork was unavailable.
-    portfolio_windows: int = 0
-    portfolio_arms_launched: int = 0
-    portfolio_cancels: int = 0
-    portfolio_cex_broadcast: int = 0
-    portfolio_inline_fallbacks: int = 0
     # Cross-window reuse (repro.synthesis.reuse): counterexample-suite
     # and learned-clause store traffic keyed by spec fingerprint.
     reuse_cex_hits: int = 0
@@ -130,83 +116,20 @@ class PerfCounters:
             f"seconds_{name}": round(value, 6)
             for name, value in self.phase_seconds.items()
         }
-        out.update(
-            candidates_evaluated=self.candidates_evaluated,
-            batched_evals=self.batched_evals,
-            legacy_evals=self.legacy_evals,
-            blast_cache_hits=self.blast_cache_hits,
-            blast_cache_misses=self.blast_cache_misses,
-            sat_queries=self.sat_queries,
-            sat_conflicts=self.sat_conflicts,
-            sat_restarts=self.sat_restarts,
-            sat_clauses_deleted=self.sat_clauses_deleted,
-            learned_clauses_retained=self.learned_clauses_retained,
-            incremental_queries=self.incremental_queries,
-            fresh_queries=self.fresh_queries,
-            term_intern_hits=self.term_intern_hits,
-            term_intern_misses=self.term_intern_misses,
-            absint_checked=self.absint_checked,
-            absint_pruned=self.absint_pruned,
-            absint_gate_rejects=self.absint_gate_rejects,
-            portfolio_windows=self.portfolio_windows,
-            portfolio_arms_launched=self.portfolio_arms_launched,
-            portfolio_cancels=self.portfolio_cancels,
-            portfolio_cex_broadcast=self.portfolio_cex_broadcast,
-            portfolio_inline_fallbacks=self.portfolio_inline_fallbacks,
-            reuse_cex_hits=self.reuse_cex_hits,
-            reuse_cex_misses=self.reuse_cex_misses,
-            reuse_cex_preloaded=self.reuse_cex_preloaded,
-            reuse_clause_hits=self.reuse_clause_hits,
-            reuse_clause_misses=self.reuse_clause_misses,
-            reuse_clauses_preloaded=self.reuse_clauses_preloaded,
-            rule_matches=self.rule_matches,
-            rule_misses=self.rule_misses,
-            rule_distilled=self.rule_distilled,
-            rule_verify_failures=self.rule_verify_failures,
-            faults_injected=self.faults_injected,
-            fault_recoveries=self.fault_recoveries,
-            specs_parsed=self.specs_parsed,
-        )
+        for name in _COUNTER_NAMES:
+            out[name] = getattr(self, name)
         return out
 
     def reset(self) -> None:
         for name in list(self.phase_seconds):
             self.phase_seconds[name] = 0.0
-        self.candidates_evaluated = 0
-        self.batched_evals = 0
-        self.legacy_evals = 0
-        self.blast_cache_hits = 0
-        self.blast_cache_misses = 0
-        self.sat_queries = 0
-        self.sat_conflicts = 0
-        self.sat_restarts = 0
-        self.sat_clauses_deleted = 0
-        self.learned_clauses_retained = 0
-        self.incremental_queries = 0
-        self.fresh_queries = 0
-        self.term_intern_hits = 0
-        self.term_intern_misses = 0
-        self.absint_checked = 0
-        self.absint_pruned = 0
-        self.absint_gate_rejects = 0
-        self.portfolio_windows = 0
-        self.portfolio_arms_launched = 0
-        self.portfolio_cancels = 0
-        self.portfolio_cex_broadcast = 0
-        self.portfolio_inline_fallbacks = 0
-        self.reuse_cex_hits = 0
-        self.reuse_cex_misses = 0
-        self.reuse_cex_preloaded = 0
-        self.reuse_clause_hits = 0
-        self.reuse_clause_misses = 0
-        self.reuse_clauses_preloaded = 0
-        self.rule_matches = 0
-        self.rule_misses = 0
-        self.rule_distilled = 0
-        self.rule_verify_failures = 0
-        self.faults_injected = 0
-        self.fault_recoveries = 0
-        self.specs_parsed = 0
+        for name in _COUNTER_NAMES:
+            setattr(self, name, 0)
+
+
+_COUNTER_NAMES = tuple(
+    f.name for f in fields(PerfCounters) if f.name != "phase_seconds"
+)
 
 
 _GLOBAL = PerfCounters()

@@ -56,20 +56,6 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
             help="fault-injection plan: inline JSON or a plan-file path "
             "(sets REPRO_FAULTS; see repro.faults and scripts/chaos_service.py)",
         )
-        p.add_argument(
-            "--portfolio",
-            type=int,
-            default=0,
-            metavar="ARMS",
-            help="race this many portfolio CEGIS arms per synthesis window "
-            "(0 = inline single-arm; capped at the usable core count)",
-        )
-        p.add_argument(
-            "--portfolio-diverse",
-            action="store_true",
-            help="add trajectory-diverse arms (perturbed solver heuristics, "
-            "reversed grammar) beyond the deterministic roster",
-        )
 
     warm = sub.add_parser("warm", help="populate a cache from a suite")
     common(warm, cache_required=True)
@@ -120,10 +106,6 @@ def _options(args: argparse.Namespace, jobs: int) -> ServiceOptions:
     cegis = default_cegis_options()
     if getattr(args, "synth_timeout", None):
         cegis.timeout_seconds = args.synth_timeout
-    if getattr(args, "portfolio", 0):
-        cegis.portfolio_arms = args.portfolio
-    if getattr(args, "portfolio_diverse", False):
-        cegis.portfolio_diverse = True
     options = ServiceOptions(jobs=jobs, cache_dir=args.cache_dir, cegis=cegis)
     if getattr(args, "kill_seconds", None):
         options.kill_seconds = args.kill_seconds

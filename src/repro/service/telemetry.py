@@ -74,15 +74,6 @@ def format_run_summary(run: dict, label: str = "last run") -> list[str]:
     if metrics:
         lines.append(f"{label} " + perf_line(metrics, run.get("perf") or {}))
     perf = run.get("perf") or {}
-    if perf.get("portfolio_windows") or perf.get("portfolio_inline_fallbacks"):
-        lines.append(
-            f"{label} portfolio: {perf.get('portfolio_windows', 0):.0f} windows "
-            f"raced, {perf.get('portfolio_arms_launched', 0):.0f} arms, "
-            f"{perf.get('portfolio_cancels', 0):.0f} cancelled, "
-            f"{perf.get('portfolio_cex_broadcast', 0):.0f} counterexamples "
-            f"relayed, {perf.get('portfolio_inline_fallbacks', 0):.0f} inline "
-            f"fallbacks"
-        )
     if perf.get("reuse_cex_hits") or perf.get("reuse_clause_hits"):
         lines.append(
             f"{label} reuse: {perf.get('reuse_cex_hits', 0):.0f} "

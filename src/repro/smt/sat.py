@@ -17,16 +17,15 @@ matter which assumptions the next query carries), which is what makes
 repeated CEGIS verification queries against one specification cheap: the
 solver re-learns nothing about the shared circuit.
 
-Heuristic behaviour is captured by :class:`SolverConfig` so the
-portfolio layer can race differently-configured solvers over one
-problem; :meth:`SolverConfig.legacy` reproduces the exact pre-upgrade
-behaviour (geometric restarts on the total-conflict count, no clause
-deletion, the old implicit 1.05 activity ramp) for A/B audits.
+Heuristic behaviour is captured by :class:`SolverConfig`;
+:meth:`SolverConfig.legacy` reproduces the exact pre-upgrade behaviour
+(geometric restarts on the total-conflict count, no clause deletion, the
+old implicit 1.05 activity ramp) as the reference the CDCL tests compare
+against.
 """
 
 from __future__ import annotations
 
-import random
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -58,7 +57,7 @@ class SolverConfig:
 
     The defaults are the modern core (Luby restarts, VSIDS decay, LBD
     clause-database reduction); :meth:`legacy` pins every knob to the
-    pre-upgrade solver so the two can be raced and diffed.
+    pre-upgrade solver so the two can be diffed.
     """
 
     # Per-conflict VSIDS decay: the activity increment grows by
@@ -81,11 +80,6 @@ class SolverConfig:
     reduce_interval: int = 2_000
     reduce_keep_lbd: int = 2
     reduce_fraction: float = 0.5
-    # Portfolio diversification: a seeded RNG occasionally (with
-    # ``random_branch_freq`` probability) overrides the VSIDS pick with a
-    # random unassigned variable.  None disables the perturbation.
-    branch_seed: int | None = None
-    random_branch_freq: float = 0.02
 
     @classmethod
     def legacy(cls) -> "SolverConfig":
@@ -94,7 +88,6 @@ class SolverConfig:
             var_decay=1.0 / 1.05,
             restart="geometric",
             reduce_db=False,
-            branch_seed=None,
         )
 
 
@@ -151,11 +144,6 @@ class CdclSolver:
         self.db_reductions = 0
         self.clauses_deleted = 0
         self._reduce_limit = self.config.reduce_interval
-        self._rng = (
-            random.Random(self.config.branch_seed)
-            if self.config.branch_seed is not None
-            else None
-        )
         self.ensure_vars(num_vars)
         for clause in clauses:
             self.add_clause(clause)
@@ -343,13 +331,6 @@ class CdclSolver:
         self._prop_head = len(self.trail)
 
     def _pick_branch(self) -> int:
-        if self._rng is not None and self._rng.random() < self.config.random_branch_freq:
-            unassigned = [
-                v for v in range(1, self.num_vars + 1)
-                if self.assignment[v] is None
-            ]
-            if unassigned:
-                return self._rng.choice(unassigned)
         best_var = 0
         best_activity = -1.0
         for variable in range(1, self.num_vars + 1):

@@ -20,8 +20,6 @@ AutoLLVM operations using counterexample-guided inductive synthesis:
   synthesized programs to AutoLLVM IR calls;
 * :mod:`repro.synthesis.serialize` — SNode round-tripping and dictionary
   fingerprinting for the persistent cache (:mod:`repro.service`);
-* :mod:`repro.synthesis.portfolio` — portfolio CEGIS: race diverse arms
-  per window across processes, relay counterexamples, first winner;
 * :mod:`repro.synthesis.reuse` — cross-window reuse of counterexample
   suites and learned clauses keyed by spec fingerprint;
 * :mod:`repro.synthesis.rules` — the cache distilled into verified,

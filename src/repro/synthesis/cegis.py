@@ -12,18 +12,18 @@ Algorithm 2 (lines 2, 7, 9, 11-12, 15-21, 23-26).
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from bisect import insort
 from dataclasses import dataclass, field
 
-from repro.analysis import absint, hooks
+from repro.analysis import hooks
 from repro.bitvector.bv import BitVector
 from repro.bitvector.lanes import Vector
 from repro.bitvector.packed import splat as packed_splat
 from repro.halide import ir as hir
 from repro.perf import global_counters, phase_timer
-from repro.smt.sat import SolverConfig
 from repro.smt.solver import EquivalenceChecker, SolverTimeout
 from repro.synthesis.cache import MemoCache
 from repro.synthesis.grammar import Grammar, GrammarEntry
@@ -36,7 +36,6 @@ from repro.synthesis.program import (
     SSlice,
     SSwizzle,
     SWIZZLE_SHAPES,
-    apply_node,
     evaluate_program,
     make_packed_applier,
     program_to_term,
@@ -68,36 +67,6 @@ class CegisOptions:
     # Verification budgets.
     verify_conflicts: int = 4_000
     full_scale_fuzz: int = 64
-    # Hot-path strategy switches.  ``legacy_eval=True`` restores the
-    # pre-optimisation enumeration loop (per-environment BitVector
-    # evaluation, uncached argument pools, full bucket re-sorts) — kept
-    # for A/B determinism audits and as the benchmark baseline.
-    legacy_eval: bool = False
-    # Reuse one SAT context (clause database + learned clauses) across a
-    # spec's verification queries instead of a fresh solver per query.
-    incremental_smt: bool = True
-    # Abstract-interpretation pruning (repro.analysis.absint): maintain a
-    # known-bits + value-range abstraction of every candidate over the
-    # hull of the counterexample suite, skip solution-width candidates
-    # whose abstraction provably disagrees with the spec's per-lane hulls
-    # (they cannot pass concrete matching), and reject provably-wrong
-    # solutions before their SMT query.  Off by default until the
-    # bench_synthesis A/B determinism gate covers it in CI.
-    absint_prune: bool = False
-    # CDCL configuration for verification queries.  None uses the modern
-    # defaults (VSIDS decay, Luby restarts, LBD clause-DB reduction);
-    # ``SolverConfig.legacy()`` restores the pre-upgrade heuristics for
-    # A/B audits.
-    solver: SolverConfig | None = None
-    # Portfolio racing (repro.synthesis.portfolio): fork this many diverse
-    # arms per window and keep the first verified program.  0/1 keeps the
-    # single-arm inline path.  ``portfolio_diverse`` adds
-    # trajectory-diverse arms (perturbed solver configs, reversed grammar
-    # order) beyond the deterministic roster — those adopt broadcast
-    # counterexamples out of order and are excluded from bit-identity
-    # audits.
-    portfolio_arms: int = 0
-    portfolio_diverse: bool = False
 
 
 @dataclass
@@ -110,14 +79,9 @@ class SynthStats:
     scale_factor: int = 1
     cache_hit: bool = False
     verified: str = ""
-    # Portfolio provenance: the arm that produced this program ("" on the
-    # inline path).
-    arm: str = ""
-    # Cross-window reuse and broadcast traffic for this run.
+    # Cross-window reuse traffic for this run.
     envs_preloaded: int = 0
     clauses_preloaded: int = 0
-    cex_adopted: int = 0
-    cex_published: int = 0
 
 
 @dataclass
@@ -146,14 +110,6 @@ class _Candidate:
     # the specification (or a register half of one) on every seed input —
     # a proven-useful intermediate, ranked first in argument pools.
     landmark: bool = False
-    # Abstract value over the hull of the counterexample suite (None when
-    # the transfer failed or pruning is off), and the dead flag: a proven
-    # per-lane conflict with the spec means concrete matching can never
-    # succeed, so matching_candidates skips the candidate.  Dead is
-    # forever — suite envs are never removed and failing lanes never
-    # shrink, so the witnessing disagreement persists.
-    absval: object | None = None
-    absint_dead: bool = False
 
 
 class _Enumerator:
@@ -166,12 +122,17 @@ class _Enumerator:
         spec: hir.HExpr,
         rng: random.Random,
         deadline: float,
+        scale_factor: int,
     ) -> None:
         self.grammar = grammar
         self.options = options
         self.spec = spec
         self.rng = rng
         self.deadline = deadline
+        # Lane-scaling factor the search runs at, and the per-entry
+        # scaled parameter values it implies.
+        self.scale_factor = scale_factor
+        self._scaled_cache: dict[int, object] = {}
         self.envs: list[dict[str, BitVector]] = []
         self.spec_outs: list[BitVector] = []
         self.pool: list[_Candidate] = []
@@ -195,14 +156,6 @@ class _Enumerator:
         self.spec_bv_ops, _, _ = _spec_profile(spec)
         # Pre-resolve entry shapes (scaled widths computed lazily).
         self._entry_shapes: list[tuple[GrammarEntry, tuple[int, ...], list[int], int]] = []
-        # Abstract-interpretation pruning state: per-input hulls of the
-        # suite envs, per-lane hulls of the spec's outputs, and the live
-        # failing-lane set (the driver shares its own set object).
-        self.absint_on = options.absint_prune
-        self.failing_lanes: set[int] = {0}
-        self._abs_inputs: dict[str, object] = {}
-        self._spec_abs_lanes: list = []
-        self._dead_checked_lanes: tuple[int, ...] = ()
 
     def _check_deadline(self) -> None:
         # Deadlines are monotonic-clock values: wall-clock adjustments
@@ -223,14 +176,11 @@ class _Enumerator:
         # candidate's value on the new input derives from its arguments'
         # freshly appended values with a single node application.
         env_index = len(self.envs) - 1
-        legacy = self.options.legacy_eval
         for candidate in self.pool:
             try:
                 if candidate.args is None:
                     node = candidate.node
-                    if legacy:
-                        value = evaluate_program(node, env).value
-                    elif isinstance(node, SInput):
+                    if isinstance(node, SInput):
                         value = env[node.name].value
                     elif isinstance(node, SConstant):
                         if node.lanes <= 0:
@@ -240,12 +190,6 @@ class _Enumerator:
                         )
                     else:
                         value = evaluate_program(node, env).value
-                elif legacy:
-                    args = [
-                        BitVector(a.outs[env_index], a.node.bits)
-                        for a in candidate.args
-                    ]
-                    value = apply_node(candidate.node, args).value
                 else:
                     applier = make_packed_applier(
                         candidate.node,
@@ -268,119 +212,6 @@ class _Enumerator:
             )
         # Landmark flags feed argument-pool ranking.
         self._args_cache.clear()
-        if self.absint_on:
-            self._refresh_abstracts()
-
-    # -- abstract-interpretation pruning ----------------------------------
-
-    def _refresh_abstracts(self) -> None:
-        """Recompute every abstraction after the suite gained an env.
-
-        Hulls only widen when values are added, so existing dead marks
-        stay sound; the recompute is one transfer per candidate in
-        creation (= topological) order, mirroring the concrete ``outs``
-        recomputation above.
-        """
-        start = time.monotonic()
-        self._abs_inputs = {
-            name: absint.from_ints(
-                [env[name].value for env in self.envs], load_type.bits
-            )
-            for name, load_type in sorted(self.spec.loads().items())
-        }
-        elem_width = self.spec.type.elem_width
-        mask = (1 << elem_width) - 1
-        self._spec_abs_lanes = [
-            absint.from_ints(
-                [(out.value >> (lane * elem_width)) & mask for out in self.spec_outs],
-                elem_width,
-            )
-            for lane in range(self.spec.type.lanes)
-        ]
-        for candidate in self.pool:
-            candidate.absval = self._abs_eval(candidate)
-        global_counters().add_phase("absint", time.monotonic() - start)
-
-    def _abs_eval(self, candidate: _Candidate):
-        """The candidate's abstract output over the current input hulls.
-
-        None means "no abstraction available" (a transfer raised) — the
-        candidate is simply never pruned.
-        """
-        node = candidate.node
-        try:
-            if isinstance(node, SInput):
-                return self._abs_inputs.get(node.name)
-            if isinstance(node, SConstant):
-                return absint.abstract_apply(node, [])
-            if candidate.args is not None:
-                values = []
-                for arg in candidate.args:
-                    if arg.absval is None:
-                        return None
-                    values.append(arg.absval)
-                return absint.abstract_apply(node, values)
-            return absint.abstract_program(node, dict(self._abs_inputs))
-        except Exception:
-            return None
-
-    def _prune_lanes(self) -> tuple[int, ...]:
-        """Lanes a solution must match on — what dead-marking checks."""
-        if self.options.lanewise:
-            return tuple(sorted(self.failing_lanes))
-        return tuple(range(self.spec.type.lanes))
-
-    def _dead_at(self, candidate: _Candidate, lanes) -> bool:
-        if candidate.absval is None or not self._spec_abs_lanes:
-            return False
-        elem_width = self.spec.type.elem_width
-        cand_lanes = absint.lane_values(candidate.absval, elem_width)
-        for lane in lanes:
-            if lane >= len(cand_lanes) or lane >= len(self._spec_abs_lanes):
-                continue
-            if absint.provably_disagrees(
-                cand_lanes[lane], self._spec_abs_lanes[lane]
-            ):
-                return True
-        return False
-
-    def _recheck_dead(self) -> None:
-        """Re-mark after the failing-lane set grew (never per-iteration)."""
-        lanes = self._prune_lanes()
-        if lanes == self._dead_checked_lanes:
-            return
-        start = time.monotonic()
-        perf = global_counters()
-        out_bits = self.spec.type.bits
-        for candidate in self.by_width.get(out_bits, []):
-            if candidate.absint_dead or candidate.absval is None:
-                continue
-            perf.absint_checked += 1
-            if self._dead_at(candidate, lanes):
-                candidate.absint_dead = True
-                perf.absint_pruned += 1
-        self._dead_checked_lanes = lanes
-        perf.add_phase("absint", time.monotonic() - start)
-
-    def abstract_conflict(self, candidate: _Candidate) -> bool:
-        """Pre-SMT gate: a proven disagreement on *any* lane of the hull.
-
-        A solution reaching the gate already matches concretely on the
-        failing lanes, so by soundness a conflict can only appear on a
-        lane the suite has not pinned yet — the SMT query it preempts
-        would have returned "not equivalent".
-        """
-        if not self.absint_on or candidate.absval is None:
-            return False
-        start = time.monotonic()
-        try:
-            return self._dead_at(
-                candidate, range(self.spec.type.lanes)
-            )
-        finally:
-            global_counters().add_phase(
-                "absint", time.monotonic() - start
-            )
 
     def _rebuild_landmarks(self) -> None:
         """Values of every specification subexpression (and their register
@@ -442,25 +273,7 @@ class _Enumerator:
     ) -> list[int] | None:
         """The candidate's output on every environment in one pass, or
         None when any application fails (the candidate is rejected)."""
-        perf = global_counters()
-        perf.candidates_evaluated += 1
-        if self.options.legacy_eval:
-            perf.legacy_evals += 1
-            outs: list[int] = []
-            for env_index, env in enumerate(self.envs):
-                try:
-                    if arg_candidates is not None:
-                        args = [
-                            BitVector(c.outs[env_index], c.node.bits)
-                            for c in arg_candidates
-                        ]
-                        outs.append(apply_node(node, args).value)
-                    else:
-                        outs.append(evaluate_program(node, env).value)
-                except Exception:
-                    return None
-            return outs
-        perf.batched_evals += 1
+        global_counters().candidates_evaluated += 1
         try:
             if arg_candidates is not None:
                 applier = make_packed_applier(
@@ -525,27 +338,10 @@ class _Enumerator:
             node, cost, outs, depth, arg_candidates, elem, is_landmark
         )
         self.pool.append(candidate)
-        if self.options.legacy_eval:
-            bucket.append(candidate)
-            bucket.sort(key=lambda c: c.cost)
-        else:
-            # insort-right after equal costs == append + stable sort.
-            insort(bucket, candidate, key=lambda c: c.cost)
-            self._args_cache.clear()
+        # insort-right after equal costs == append + stable sort.
+        insort(bucket, candidate, key=lambda c: c.cost)
+        self._args_cache.clear()
         self.total_candidates += 1
-        if self.absint_on:
-            start = time.monotonic()
-            perf = global_counters()
-            candidate.absval = self._abs_eval(candidate)
-            if (
-                node.bits == self.spec.type.bits
-                and candidate.absval is not None
-            ):
-                perf.absint_checked += 1
-                if self._dead_at(candidate, self._prune_lanes()):
-                    candidate.absint_dead = True
-                    perf.absint_pruned += 1
-            perf.add_phase("absint", time.monotonic() - start)
         # Goal-directed register assembly: a candidate that computes
         # exactly the low or high half of the specification is queued so
         # matching halves concatenate into full-width solutions — how a
@@ -639,8 +435,6 @@ class _Enumerator:
         of one grow() round asks for the same (width, cap, elem) pools
         once per grammar entry, and between admissions the pool is
         stable.  Callers treat the returned list as read-only."""
-        if self.options.legacy_eval:
-            return self._args_for_uncached(bits, cap, elem)
         key = (bits, cap, elem, self.depth)
         hit = self._args_cache.get(key)
         if hit is None:
@@ -719,7 +513,6 @@ class _Enumerator:
             ]
             if any(not p for p in pools):
                 continue
-            base_cost = self.grammar.cost_model.op_cost  # noqa: F841
             latency = entry.binding.spec.latency
             group: list = []
             for combo in _combinations(pools, frontier):
@@ -742,12 +535,11 @@ class _Enumerator:
             {n.type.elem_width for n in self.spec.walk() if n.type.elem_width > 1}
         )
         for pattern in self.grammar.swizzle_patterns:
-            arity, ratio = SWIZZLE_SHAPES[pattern]
+            arity, _ = SWIZZLE_SHAPES[pattern]
             for elem_width in elem_widths:
                 for bits in list(self.by_width):
                     if bits % elem_width or (bits // elem_width) < 2:
                         continue
-                    out_bits = int(bits * ratio) * (2 if pattern == "interleave_full" and arity == 2 else 1)
                     out_bits = bits * 2 if pattern == "interleave_full" else bits
                     if out_bits > self.max_bits:
                         continue
@@ -801,7 +593,6 @@ class _Enumerator:
         # expensive three-operand instructions of their budget share.
         new_nodes.sort(key=lambda item: (item[4], item[1]))
         del new_nodes[self.options.round_budget :]
-        admitted_before = self.total_candidates
         for node, cost, depth, args, _rank in new_nodes:
             self._check_deadline()
             self._admit(node, cost, depth, arg_candidates=args)
@@ -844,19 +635,16 @@ class _Enumerator:
                     force=True,
                     arg_candidates=(hi, lo),
                 )
-        del admitted_before
 
     def _scaled_values(self, entry: GrammarEntry):
-        factor = getattr(self, "scale_factor", 1)
-        if factor == 1:
+        if self.scale_factor == 1:
             return entry.binding.member.values()
-        cache = getattr(self, "_scaled_cache", None)
-        if cache is None:
-            cache = self._scaled_cache = {}
         key = id(entry)
-        if key not in cache:
-            cache[key] = scaled_member_values(entry.binding, factor)
-        return cache[key]
+        if key not in self._scaled_cache:
+            self._scaled_cache[key] = scaled_member_values(
+                entry.binding, self.scale_factor
+            )
+        return self._scaled_cache[key]
 
     # -- solution extraction ----------------------------------------------
 
@@ -864,14 +652,8 @@ class _Enumerator:
         """Candidates equal to the spec on the asserted lanes (line 7)."""
         out_bits = self.spec.type.bits
         elem_width = self.spec.type.elem_width
-        if self.absint_on:
-            self._recheck_dead()
         matches = []
         for candidate in self.by_width.get(out_bits, []):
-            if candidate.absint_dead:
-                # A proven abstract conflict on an asserted lane: the
-                # concrete comparison below could only reject it too.
-                continue
             ok = True
             for env_index in range(len(self.envs)):
                 spec_out = self.spec_outs[env_index]
@@ -937,8 +719,6 @@ def _node_kind(node: SNode) -> str:
 
 def _combinations(pools, frontier_depth):
     """Cartesian product requiring at least one arg from the newest round."""
-    import itertools
-
     for combo in itertools.product(*pools):
         if frontier_depth > 0 and all(c.depth < frontier_depth for c in combo):
             continue
@@ -1000,10 +780,9 @@ def synthesize(
 
     ``reuse`` is an optional :class:`~repro.synthesis.reuse.ReuseStore`
     carrying counterexample suites and learned clauses between windows
-    with the same spec fingerprint.  ``dictionary`` is only needed by the
-    portfolio path (``options.portfolio_arms >= 2``) to rebuild winning
-    programs shipped back from arm processes.  ``rules`` is an optional
-    :class:`~repro.synthesis.rules.RuleBook` consulted on every exact
+    with the same spec fingerprint.  ``dictionary`` is accepted and
+    ignored: ``bench_e2e/nearmiss.py`` still passes it.  ``rules`` is an
+    optional :class:`~repro.synthesis.rules.RuleBook` consulted on every exact
     cache miss: a verified rule match returns a solver-free program
     (``stats.verified == "rule"``), and can even rescue a window the
     negative cache remembers as failed — a rule distilled elsewhere may
@@ -1048,17 +827,7 @@ def synthesize(
             return rule_result(served)
 
     try:
-        if options.portfolio_arms >= 2:
-            from repro.synthesis.portfolio import run_portfolio
-
-            result = run_portfolio(
-                spec, grammar, options,
-                reuse=reuse, dictionary=dictionary, start=start,
-            )
-        else:
-            result = _synthesize_uncached(
-                spec, grammar, options, start, reuse=reuse
-            )
+        result = _synthesize_uncached(spec, grammar, options, start, reuse)
     except SynthesisFailure:
         if cache is not None:
             cache.store_failure(spec, grammar.isa)
@@ -1073,14 +842,10 @@ def _synthesize_uncached(
     spec: hir.HExpr,
     grammar: Grammar,
     options: CegisOptions,
-    start: float | None = None,
+    start: float,
     reuse=None,
-    broadcast=None,
 ) -> SynthesisResult:
-    """The scaling ladder around one lane-wise search (no cache, no
-    portfolio dispatch) — also the per-arm entry point for portfolio
-    children, which pass their pipe-backed ``broadcast`` client."""
-    start = time.monotonic() if start is None else start
+    """The scaling ladder around one lane-wise search (no cache)."""
     deadline = start + options.timeout_seconds
     factor = options.scale_factor if options.scaling else 1
     spec_scaled = None
@@ -1097,14 +862,12 @@ def _synthesize_uncached(
     try:
         return _lanewise_synthesis(
             spec, spec_scaled, factor, grammar, options, deadline, start,
-            reuse=reuse, broadcast=broadcast,
+            reuse=reuse,
         )
     except SynthesisFailure:
         if factor == 1:
             raise
-        # Algorithm 2 line 26: retry without scaling.  The broadcast
-        # stream is scoped to the scaled search — counterexamples from
-        # other arms live at the scaled width — so the retry runs solo.
+        # Algorithm 2 line 26: retry without scaling.
         return _lanewise_synthesis(
             spec, spec, 1, grammar, options, deadline, start, reuse=reuse
         )
@@ -1119,7 +882,6 @@ def _lanewise_synthesis(
     deadline: float,
     start: float,
     reuse=None,
-    broadcast=None,
 ) -> SynthesisResult:
     rng = random.Random(options.seed)
     checker = EquivalenceChecker(
@@ -1133,16 +895,13 @@ def _lanewise_synthesis(
         probabilistic_samples=96,
         # One solver context per spec: the spec circuit is blasted once
         # and learned clauses carry over between candidate queries.
-        incremental=options.incremental_smt,
-        solver_config=options.solver,
+        incremental=True,
     )
-    enumerator = _Enumerator(grammar, options, spec_scaled, rng, deadline)
-    enumerator.scale_factor = factor
+    enumerator = _Enumerator(
+        grammar, options, spec_scaled, rng, deadline, factor
+    )
     stats = SynthStats(grammar_size=grammar.size(), scale_factor=factor)
     failing_lanes: set[int] = {0}  # line 5
-    # The enumerator shares the live set so dead-marking at admission
-    # always sees the lanes currently asserted.
-    enumerator.failing_lanes = failing_lanes
     for _ in range(2):  # line 4: two seed inputs
         enumerator.add_env(enumerator.random_env())
     # Cross-window reuse: refuting inputs recorded by earlier same-spec
@@ -1157,24 +916,17 @@ def _lanewise_synthesis(
     enumerator.seed_pool()
 
     spec_term = hir.to_term(spec_scaled)
-    if options.incremental_smt:
-        # Prime: blast the spec first so its Tseitin variables occupy a
-        # deterministic prefix, making learned clauses over that cone
-        # portable between same-spec contexts (and import any stored).
-        cone, preload = 0, []
-        if reuse is not None:
-            cone, preload = reuse.lookup_clauses(spec_scaled, grammar.isa)
-        checker.prime(spec_term, preload, cone)
+    # Prime: blast the spec first so its Tseitin variables occupy a
+    # deterministic prefix, making learned clauses over that cone
+    # portable between same-spec contexts (and import any stored).
+    cone, preload = 0, []
+    if reuse is not None:
+        cone, preload = reuse.lookup_clauses(spec_scaled, grammar.isa)
+    checker.prime(spec_term, preload, cone)
     rejected: set[int] = set()
 
     while True:
         stats.iterations += 1
-        # Adopt counterexamples relayed from sibling portfolio arms.
-        if broadcast is not None:
-            for env, lane in broadcast.drain(len(enumerator.envs)):
-                enumerator.add_env(env)
-                failing_lanes.add(lane)
-                stats.cex_adopted += 1
         solution = None
         while solution is None:
             matches = [
@@ -1227,21 +979,8 @@ def _lanewise_synthesis(
                 stats.envs_preloaded += 1
             elif reuse is not None:
                 reuse.record_env(spec_scaled, grammar.isa, refuting_env)
-            if broadcast is not None and broadcast.publish(
-                len(enumerator.envs), refuting_env, lane
-            ):
-                stats.cex_published += 1
             enumerator.add_env(refuting_env)
             failing_lanes.add(lane)
-            continue
-        # Abstract pre-SMT gate: a solution whose abstraction provably
-        # disagrees with the spec's hull on some (not-yet-asserted) lane
-        # cannot be equivalent — skip the SMT query it would fail.
-        if options.absint_prune and enumerator.abstract_conflict(solution):
-            perf = global_counters()
-            perf.absint_gate_rejects += 1
-            perf.absint_pruned += 1
-            rejected.add(id(solution))
             continue
         # Line 15: verify symbolically over all lanes.  The structural
         # pre-check is far cheaper than building + solving the SMT query,
@@ -1258,7 +997,7 @@ def _lanewise_synthesis(
             break
         if verdict is None:
             # Conflict budget exceeded: extended fuzz battery as fallback.
-            ok = _fuzz_equal(solution.node, spec_scaled, enumerator, rng, 256)
+            ok = _fuzz_equal(solution.node, spec_scaled, enumerator, 256)
             if ok:
                 stats.verified = "fuzz-battery"
                 break
@@ -1271,10 +1010,6 @@ def _lanewise_synthesis(
         lane = _first_failing_lane(solution.node, spec_scaled, cex)
         if reuse is not None:
             reuse.record_env(spec_scaled, grammar.isa, cex)
-        if broadcast is not None and broadcast.publish(
-            len(enumerator.envs), cex, lane
-        ):
-            stats.cex_published += 1
         enumerator.add_env(cex)
         failing_lanes.add(lane)
 
@@ -1285,7 +1020,7 @@ def _lanewise_synthesis(
 
     # Bank this run's spec-cone learned clauses for the next same-spec
     # synthesis (counterexamples were recorded at discovery).
-    if reuse is not None and options.incremental_smt:
+    if reuse is not None:
         learned = checker.export_learned()
         if learned:
             reuse.record_clauses(
@@ -1308,7 +1043,7 @@ def _first_failing_lane(node: SNode, spec: hir.HExpr, env) -> int:
     return 0
 
 
-def _fuzz_equal(node: SNode, spec: hir.HExpr, enumerator: _Enumerator, rng, trials: int) -> bool:
+def _fuzz_equal(node: SNode, spec: hir.HExpr, enumerator: _Enumerator, trials: int) -> bool:
     return _fuzz_refute(node, spec, enumerator, trials) is None
 
 

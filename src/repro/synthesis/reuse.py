@@ -12,8 +12,7 @@ that must re-synthesize anyway:
   :func:`~repro.synthesis.cache.canonical_key` and preloaded into the
   next run's environment suite, skipping the iterations that would
   rediscover it.  Environments are just concrete inputs, so preloading
-  is always sound; it does change the search trajectory, which is why
-  the bench's determinism arms run with reuse off.
+  is always sound; it does change the search trajectory.
 * **learned clauses** — spec-cone clauses exported from a primed
   incremental SAT context (see
   :meth:`repro.smt.solver.IncrementalSatContext.export_learned`) are
@@ -27,20 +26,21 @@ input names share one entry; environments are stored under the
 positional placeholder names and remapped on load.
 
 Persistence is best-effort: one JSON file per spec under a directory
-that lives alongside the persistent synthesis cache.  Torn or corrupt
-files are ignored (the store is an accelerator, never a source of
-truth).
+that lives alongside the persistent synthesis cache, written through
+:func:`repro.service.store.atomic_write` (durable, inside the fault
+plane, ``.tmp-*`` litter the store's reaper knows).  A failed write is
+absorbed and torn or corrupt files are ignored (the store is an
+accelerator, never a source of truth).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro import faults
 from repro.bitvector.bv import BitVector
 from repro.halide import ir as hir
 from repro.perf import global_counters
@@ -82,27 +82,12 @@ class ReuseEntry:
         )
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Crash-consistent best-effort write (tmp file + rename)."""
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".reuse-")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-
-
 class ReuseStore:
     """In-memory reuse table with optional on-disk persistence.
 
     Worker processes forked from a warm parent see the parent's
     in-memory entries for free; their own discoveries travel back as
-    :meth:`payload` dicts merged with :meth:`merge` (the portfolio uses
-    exactly this to carry a winning arm's counterexamples home).
+    :meth:`payload` dicts merged with :meth:`merge`.
     """
 
     def __init__(
@@ -288,7 +273,12 @@ class ReuseStore:
             self._dirty.add(key)
 
     def flush(self) -> None:
-        """Persist dirty entries (no-op for memory-only stores)."""
+        """Persist dirty entries (no-op for memory-only stores).
+
+        An entry whose write fails (I/O error, injected fault) stays
+        dirty; the failure never reaches the compile."""
+        from repro.service.store import atomic_write
+
         if self.root is None:
             self._dirty.clear()
             return
@@ -303,7 +293,11 @@ class ReuseStore:
                 continue
             obj = entry.to_obj()
             obj["key"] = key
-            _atomic_write(path, json.dumps(obj, sort_keys=True))
+            try:
+                atomic_write(path, json.dumps(obj, sort_keys=True))
+            except OSError:
+                faults.recovered()
+                continue
             self._dirty.discard(key)
 
     def counters(self) -> dict[str, int]:

@@ -36,7 +36,6 @@ from repro.hydride_ir.interp import (
 )
 from repro.isa.fuzz import _random_inputs, derive_seed
 from repro.isa.registry import load_isa
-from repro.synthesis import CegisOptions, build_grammar, synthesize
 from repro.synthesis.cache import CacheEntry, canonical_key
 from repro.synthesis.program import SConstant, SInput
 
@@ -400,32 +399,3 @@ class TestPersistentCacheScreen:
         assert counters["screen_failures"] == 0
         assert counters["hits"] == 1
 
-
-# ----------------------------------------------------------------------
-# CEGIS A/B: pruning must be invisible in the synthesized program
-# ----------------------------------------------------------------------
-
-
-class TestCegisAbsint:
-    def test_prune_arm_synthesizes_identical_program(self, dictionary):
-        from repro.perf import snapshot, snapshot_delta
-
-        window = hir.HBin(
-            "adds", hir.HLoad("ld0", 16, 16), hir.HLoad("ld1", 16, 16)
-        )
-        base = synthesize(
-            window,
-            build_grammar(window, "x86", dictionary),
-            CegisOptions(timeout_seconds=30),
-        )
-        before = snapshot()
-        pruned = synthesize(
-            window,
-            build_grammar(window, "x86", dictionary),
-            CegisOptions(timeout_seconds=30, absint_prune=True),
-        )
-        delta = snapshot_delta(before)
-        assert pruned.program.describe() == base.program.describe()
-        assert delta["absint_checked"] > 0
-        # Nonzero *pruning* on a real workload is enforced by
-        # scripts/bench_synthesis.py (the A/B determinism gate).

@@ -423,22 +423,16 @@ class TestDaemonSmoke:
         assert cold["health"]["ok"] is True
         assert cold["exit_code"] == 0
 
-    def test_stats_expose_portfolio_and_reuse_counters(self, cold):
-        """/stats carries the stable portfolio/reuse section (satellite
-        of the portfolio CEGIS work): all fields present, never
-        negative.  This daemon ran without --portfolio, so no windows
-        were raced, but the reuse store is always live for hydride
+    def test_stats_expose_reuse_counters(self, cold):
+        """/stats carries the stable reuse section: all fields present,
+        never negative — the reuse store is always live for hydride
         jobs."""
-        portfolio = cold["stats"]["portfolio"]
-        for key in (
-            "windows", "arms_launched", "cancels", "cex_broadcast",
-            "inline_fallbacks", "reuse_cex_hits", "reuse_cex_preloaded",
+        reuse = cold["stats"]["reuse"]
+        assert set(reuse) == {
+            "reuse_cex_hits", "reuse_cex_preloaded",
             "reuse_clause_hits", "reuse_clauses_preloaded",
-        ):
-            assert key in portfolio
-            assert portfolio[key] >= 0
-        assert portfolio["windows"] == 0
-        assert portfolio["cancels"] <= portfolio["arms_launched"]
+        }
+        assert all(value >= 0 for value in reuse.values())
 
     def test_pack_warmed_fresh_daemon_zero_synthesis(self, cold, work):
         requests = [

@@ -1,8 +1,7 @@
 """Tests for the parallel, persistent offline IR generator (repro.irgen).
 
 The hvx catalog (141 instructions, ~3s per engine run) keeps every build
-here cheap; full-ISA determinism is additionally audited by
-``scripts/bench_irgen.py``.
+here cheap.
 """
 
 import json

@@ -71,7 +71,6 @@ class TestSolverConfig:
         assert legacy.var_decay == pytest.approx(1.0 / 1.05)
         assert legacy.restart == "geometric"
         assert not legacy.reduce_db
-        assert legacy.branch_seed is None
 
     def test_modern_defaults(self):
         config = SolverConfig()
@@ -221,8 +220,7 @@ class TestConfigEquivalence:
         SolverConfig(restart="none"),
         SolverConfig(restart="geometric", restart_base=8),
         SolverConfig(luby_unit=1, reduce_interval=4),
-        SolverConfig(branch_seed=7, random_branch_freq=0.3),
-        SolverConfig(var_decay=0.6, branch_seed=11, random_branch_freq=0.1),
+        SolverConfig(var_decay=0.6),
     )
 
     def test_verdicts_agree_on_random_cnfs(self):
