@@ -1,11 +1,12 @@
 """Extending Hydride with new instructions — the paper's ARM case study.
 
 The paper's headline engineering claim: a student added a whole new ISA
-in ~3 months because only the pseudocode parser is ISA-specific.  This
-example demonstrates the same extensibility in miniature: we "publish"
-two new vendor instructions (a fused multiply-add the base x86 catalog
-lacks, and a new-width saturating add), parse them with the existing x86
-parser, run the Similarity Checking Engine over the extended catalog, and
+in ~3 months because only the pseudocode parser is ISA-specific — here,
+only the dialect table and the catalog are.  This example demonstrates
+the same extensibility in miniature: we "publish" two new vendor
+instructions (a fused multiply-add the base x86 catalog lacks, and a
+new-width saturating add), parse them with the existing x86 dialect, run
+the Similarity Checking Engine over the extended catalog, and
 watch AutoLLVM absorb them — one lands in an *existing* equivalence class
 (zero new IR operations needed), the other founds a new class.
 

@@ -14,6 +14,7 @@ from repro.backend import (
     LlvmGenericCompiler,
     RakeCompiler,
 )
+from repro.isa.registry import CORE_ISAS
 from repro.synthesis import CegisOptions, MemoCache
 from repro.workloads.registry import Benchmark, all_benchmarks
 
@@ -89,7 +90,7 @@ class ExperimentRunner:
         jobs: int = 1,
         daemon_addr: str | None = None,
     ) -> None:
-        self.dictionary = build_dictionary(("x86", "hvx", "arm"))
+        self.dictionary = build_dictionary(CORE_ISAS)
         self.cegis = cegis or fast_hydride_options()
         self.cache_dir = cache_dir
         self.jobs = max(1, jobs)
@@ -97,7 +98,7 @@ class ExperimentRunner:
         self.last_service_stats = None
         self.caches: dict[str, MemoCache] = {}
         self.hydride: dict[str, HydrideCompiler] = {}
-        for isa in ("x86", "hvx", "arm"):
+        for isa in CORE_ISAS:
             self.caches[isa] = self._make_cache(isa)
             self.hydride[isa] = HydrideCompiler(
                 dictionary=self.dictionary,

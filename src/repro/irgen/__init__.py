@@ -32,6 +32,7 @@ from repro.irgen.artifact import (
     store_inventory,
 )
 from repro.irgen.pipeline import build_artifact
+from repro.isa.registry import CORE_ISAS
 
 __all__ = [
     "IrgenArtifact",
@@ -128,7 +129,7 @@ def artifact_classes_and_stats(isas: tuple[str, ...]):
     return artifact.classes, artifact.stats
 
 
-def classes_and_stats(isas: tuple[str, ...] = ("x86", "hvx", "arm")):
+def classes_and_stats(isas: tuple[str, ...] = CORE_ISAS):
     """(classes, stats, source): artifact-backed when the env opts in,
     otherwise the serial in-memory engine."""
     result = artifact_classes_and_stats(tuple(isas))

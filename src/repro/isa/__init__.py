@@ -16,8 +16,10 @@ substitutes faithfully-shaped synthetic equivalents:
   ops including the fused multiply-accumulate family.
 
 Each ISA provides a *spec generator* (the stand-in for the vendor manual)
-and a *parser* (genuine lexing/parsing/lowering of that dialect into
-:class:`repro.hydride_ir.SemanticsFunction`).  Every instruction also
+and a *dialect table* driving the one parser in
+:mod:`repro.isa.pseudo_core` (genuine lexing/parsing/lowering of that
+dialect into :class:`repro.hydride_ir.SemanticsFunction`).  Every
+instruction also
 carries a reference executable (the stand-in for target C builtins) that
 the differential fuzzer in :mod:`repro.isa.fuzz` checks parsed semantics
 against.

@@ -1,4 +1,4 @@
-"""ARM ISA: ASL-style pseudocode dialect, spec generator, and parser."""
+"""ARM ISA: ASL-style pseudocode dialect table and spec generator."""
 
 from repro.isa.arm.parser import parse_arm_pseudocode, arm_semantics
 from repro.isa.arm.specgen import generate_arm_catalog

@@ -1,4 +1,4 @@
-"""Parser for the ARM ASL-style pseudocode dialect.
+"""The ARM ASL-style pseudocode dialect.
 
 ARM's architecture specification language writes NEON behaviour with
 ``Elem`` accessors over typed vectors::
@@ -12,274 +12,55 @@ ARM's architecture specification language writes NEON behaviour with
 ``e``-th ``width``-bit element of ``v``.  Width-changing functions take
 the target width as an explicit second argument (``SExt(x, 32)``), unlike
 the suffix-style names of the x86 dialect — each vendor's surface syntax
-gets its own parser, as in the paper.
+gets its own dialect table, where the paper wrote a parser per vendor.
 """
 
 from __future__ import annotations
 
-from repro.hydride_ir.ast import Input, SemanticsFunction
-from repro.hydride_ir.indexexpr import IConst
-from repro.isa.pseudo_core import (
-    Builtin,
-    CORE_BUILTINS,
-    Lexer,
-    PAssign,
-    PBin,
-    PCall,
-    PCond,
-    PElem,
-    PFor,
-    PIf,
-    PInt,
-    PSlice,
-    PStmt,
-    PExpr,
-    PUn,
-    PVar,
-    Program,
-    PseudocodeError,
-    TokenStream,
-    lower_program,
+from functools import partial
+
+from repro.isa.pseudo_core import Dialect, dialect_semantics, parse_pseudocode
+
+DIALECT = Dialect(
+    output="result",
+    assign="=",
+    keywords={
+        "for": "for",
+        "to": "to",
+        "endfor": "endfor",
+        "if": "if",
+        "then": "then",
+        "else": "else",
+        "endif": "endif",
+        "elem": "Elem",
+    },
+    c_style=False,
+    elem_suffixes={},
+    symbolic_elem_width=False,
+    builtins={
+        "SExt": "sign_extend",
+        "UExt": "zero_extend",
+        "Trunc": "truncate",
+        "SatS": "saturate_signed",
+        "SatU": "saturate_unsigned",
+        "MinS": "min_signed",
+        "MaxS": "max_signed",
+        "MinU": "min_unsigned",
+        "MaxU": "max_unsigned",
+        "Abs": "abs",
+        "SAddSat": "sat_add_signed",
+        "UAddSat": "sat_add_unsigned",
+        "SSubSat": "sat_sub_signed",
+        "USubSat": "sat_sub_unsigned",
+        "SHalvingAdd": "avg_signed",
+        "UHalvingAdd": "avg_unsigned",
+        "SRHalvingAdd": "avg_signed_round",
+        "URHalvingAdd": "avg_unsigned_round",
+        "CountBits": "popcount",
+    },
+    cast_prefixes={},
+    params={},
 )
-from repro.isa.spec import InstructionSpec
 
-_SYMBOLS = [
-    "==", "!=", "<=s", ">=s", "<s", ">s", "<=u", ">=u", "<u", ">u",
-    "<=", ">=", "<<", ">>>", ">>", "(", ")", "[", "]", ",", ":", "?",
-    "=", "<", ">", "+", "-", "*", "/", "%", "&", "|", "^", "~",
-]
-
-_LEXER = Lexer(_SYMBOLS)
-
-_KEYWORDS = {"for", "to", "endfor", "if", "then", "else", "endif"}
-
-_BUILTINS: dict[str, Builtin] = {
-    "SExt": CORE_BUILTINS["sign_extend"],
-    "UExt": CORE_BUILTINS["zero_extend"],
-    "Trunc": CORE_BUILTINS["truncate"],
-    "SatS": CORE_BUILTINS["saturate_signed"],
-    "SatU": CORE_BUILTINS["saturate_unsigned"],
-    "MinS": CORE_BUILTINS["min_signed"],
-    "MaxS": CORE_BUILTINS["max_signed"],
-    "MinU": CORE_BUILTINS["min_unsigned"],
-    "MaxU": CORE_BUILTINS["max_unsigned"],
-    "Abs": CORE_BUILTINS["abs"],
-    "SAddSat": CORE_BUILTINS["sat_add_signed"],
-    "UAddSat": CORE_BUILTINS["sat_add_unsigned"],
-    "SSubSat": CORE_BUILTINS["sat_sub_signed"],
-    "USubSat": CORE_BUILTINS["sat_sub_unsigned"],
-    "SHalvingAdd": CORE_BUILTINS["avg_signed"],
-    "UHalvingAdd": CORE_BUILTINS["avg_unsigned"],
-    "SRHalvingAdd": CORE_BUILTINS["avg_signed_round"],
-    "URHalvingAdd": CORE_BUILTINS["avg_unsigned_round"],
-    "CountBits": CORE_BUILTINS["popcount"],
-}
-
-
-class _ArmParser:
-    def __init__(self, text: str) -> None:
-        self.stream = TokenStream(_LEXER.tokenize(text))
-
-    def parse_program(self) -> Program:
-        statements: list[PStmt] = []
-        while not self.stream.at_end():
-            statements.append(self._statement())
-        return Program(tuple(statements))
-
-    # -- statements -----------------------------------------------------
-
-    def _block_until(self, *terminators: str) -> tuple[PStmt, ...]:
-        body: list[PStmt] = []
-        while self.stream.peek().text not in terminators:
-            if self.stream.at_end():
-                raise PseudocodeError(
-                    f"unexpected end of pseudocode, expected one of {terminators}"
-                )
-            body.append(self._statement())
-        return tuple(body)
-
-    def _statement(self) -> PStmt:
-        token = self.stream.peek()
-        if token.text == "for":
-            return self._for_statement()
-        if token.text == "if":
-            return self._if_statement()
-        return self._assignment()
-
-    def _for_statement(self) -> PFor:
-        self.stream.expect("for")
-        var = self.stream.expect_kind("ident").text
-        self.stream.expect("=")
-        start = self._expression()
-        self.stream.expect("to")
-        end = self._expression()
-        body = self._block_until("endfor")
-        self.stream.expect("endfor")
-        return PFor(var, start, end, body)
-
-    def _if_statement(self) -> PIf:
-        self.stream.expect("if")
-        cond = self._expression()
-        self.stream.expect("then")
-        then_body = self._block_until("else", "endif")
-        else_body: tuple[PStmt, ...] = ()
-        if self.stream.accept("else"):
-            else_body = self._block_until("endif")
-        self.stream.expect("endif")
-        return PIf(cond, then_body, else_body)
-
-    def _assignment(self) -> PAssign:
-        target = self._postfix()
-        if not isinstance(target, (PVar, PElem, PSlice)):
-            raise PseudocodeError("assignment target must be a name, Elem, or slice")
-        self.stream.expect("=")
-        value = self._expression()
-        return PAssign(target, value)
-
-    # -- expressions ------------------------------------------------------
-
-    def _expression(self) -> PExpr:
-        return self._ternary()
-
-    def _ternary(self) -> PExpr:
-        cond = self._comparison()
-        if self.stream.accept("?"):
-            then_expr = self._ternary()
-            self.stream.expect(":")
-            else_expr = self._ternary()
-            return PCond(cond, then_expr, else_expr)
-        return cond
-
-    _CMP_TOKENS = {
-        "==", "!=", "<s", ">s", "<=s", ">=s", "<u", ">u", "<=u", ">=u",
-        "<", ">", "<=", ">=",
-    }
-
-    def _comparison(self) -> PExpr:
-        left = self._bitor()
-        token = self.stream.peek().text
-        if token in self._CMP_TOKENS:
-            self.stream.next()
-            return PBin(token, left, self._bitor())
-        return left
-
-    def _bitor(self) -> PExpr:
-        expr = self._bitxor()
-        while self.stream.peek().text == "|":
-            self.stream.next()
-            expr = PBin("|", expr, self._bitxor())
-        return expr
-
-    def _bitxor(self) -> PExpr:
-        expr = self._bitand()
-        while self.stream.peek().text == "^":
-            self.stream.next()
-            expr = PBin("^", expr, self._bitand())
-        return expr
-
-    def _bitand(self) -> PExpr:
-        expr = self._shift()
-        while self.stream.peek().text == "&":
-            self.stream.next()
-            expr = PBin("&", expr, self._shift())
-        return expr
-
-    def _shift(self) -> PExpr:
-        expr = self._additive()
-        while self.stream.peek().text in ("<<", ">>", ">>>"):
-            op = self.stream.next().text
-            expr = PBin(op, expr, self._additive())
-        return expr
-
-    def _additive(self) -> PExpr:
-        expr = self._multiplicative()
-        while self.stream.peek().text in ("+", "-"):
-            op = self.stream.next().text
-            expr = PBin(op, expr, self._multiplicative())
-        return expr
-
-    def _multiplicative(self) -> PExpr:
-        expr = self._unary()
-        while self.stream.peek().text in ("*", "/", "%"):
-            op = self.stream.next().text
-            expr = PBin(op, expr, self._unary())
-        return expr
-
-    def _unary(self) -> PExpr:
-        token = self.stream.peek()
-        if token.text == "-":
-            self.stream.next()
-            return PUn("-", self._unary())
-        if token.text == "~":
-            self.stream.next()
-            return PUn("~", self._unary())
-        return self._postfix()
-
-    def _postfix(self) -> PExpr:
-        expr = self._primary()
-        while self.stream.peek().text == "[" and isinstance(expr, PVar):
-            self.stream.expect("[")
-            high = self._expression()
-            self.stream.expect(":")
-            low = self._expression()
-            self.stream.expect("]")
-            expr = PSlice(expr.name, high, low)
-        return expr
-
-    def _elem_access(self) -> PExpr:
-        """``Elem[name, index, width]`` with a literal width."""
-        self.stream.expect("[")
-        name = self.stream.expect_kind("ident").text
-        self.stream.expect(",")
-        index = self._expression()
-        self.stream.expect(",")
-        width_token = self.stream.expect_kind("int")
-        self.stream.expect("]")
-        return PElem(name, int(width_token.text), index)
-
-    def _primary(self) -> PExpr:
-        token = self.stream.next()
-        if token.kind == "int":
-            return PInt(int(token.text))
-        if token.kind == "ident":
-            if token.text == "Elem":
-                return self._elem_access()
-            if token.text in _KEYWORDS:
-                raise PseudocodeError(
-                    f"line {token.line}: unexpected keyword {token.text!r}"
-                )
-            if self.stream.peek().text == "(":
-                self.stream.expect("(")
-                args: list[PExpr] = []
-                if not self.stream.accept(")"):
-                    args.append(self._expression())
-                    while self.stream.accept(","):
-                        args.append(self._expression())
-                    self.stream.expect(")")
-                return PCall(token.text, tuple(args))
-            return PVar(token.text)
-        if token.text == "(":
-            expr = self._expression()
-            self.stream.expect(")")
-            return expr
-        raise PseudocodeError(f"line {token.line}: unexpected token {token.text!r}")
-
-
-def parse_arm_pseudocode(text: str) -> Program:
-    return _ArmParser(text).parse_program()
-
-
-def arm_semantics(spec: InstructionSpec) -> SemanticsFunction:
-    program = parse_arm_pseudocode(spec.pseudocode)
-    input_widths = {op.name: op.width for op in spec.operands}
-    body = lower_program(
-        program,
-        input_widths,
-        output_name="result",
-        output_width=spec.output_width,
-        builtins=_BUILTINS,
-    )
-    inputs = tuple(
-        Input(op.name, IConst(op.width), op.is_immediate) for op in spec.operands
-    )
-    return SemanticsFunction(spec.name, inputs, {}, body, IConst(spec.output_width))
+parse_arm_pseudocode = partial(parse_pseudocode, DIALECT)
+arm_semantics = partial(dialect_semantics, DIALECT)

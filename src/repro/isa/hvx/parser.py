@@ -1,4 +1,4 @@
-"""Parser for the Qualcomm HVX programmer's-reference-manual C dialect.
+"""The Qualcomm HVX programmer's-reference-manual C dialect.
 
 The HVX PRM writes instruction behaviour as C-flavoured loops over typed
 element accessors::
@@ -17,317 +17,44 @@ the paper had to patch into the vendor pseudocode by hand.
 
 from __future__ import annotations
 
-import re
+from functools import partial
 
-from repro.hydride_ir.ast import Input, SemanticsFunction
-from repro.hydride_ir.indexexpr import IConst
-from repro.isa.pseudo_core import (
-    Builtin,
-    CORE_BUILTINS,
-    Lexer,
-    PAssign,
-    PBin,
-    PCall,
-    PCond,
-    PElem,
-    PFor,
-    PIf,
-    PInt,
-    PSlice,
-    PStmt,
-    PExpr,
-    PUn,
-    PVar,
-    Program,
-    PseudocodeError,
-    TokenStream,
-    lower_program,
-    make_cast_builtin,
+from repro.isa.pseudo_core import Dialect, dialect_semantics, parse_pseudocode
+
+DIALECT = Dialect(
+    output="Vd",
+    assign="=",
+    keywords={"for": "for", "if": "if", "else": "else"},
+    c_style=True,
+    elem_suffixes={"b": 8, "ub": 8, "h": 16, "uh": 16, "w": 32, "uw": 32},
+    symbolic_elem_width=False,
+    builtins={
+        "min_s": "min_signed",
+        "max_s": "max_signed",
+        "min_u": "min_unsigned",
+        "max_u": "max_unsigned",
+        "abs": "abs",
+        "addsat_s": "sat_add_signed",
+        "addsat_u": "sat_add_unsigned",
+        "subsat_s": "sat_sub_signed",
+        "subsat_u": "sat_sub_unsigned",
+        "avg_s": "avg_signed",
+        "avg_u": "avg_unsigned",
+        "avgrnd_s": "avg_signed_round",
+        "avgrnd_u": "avg_unsigned_round",
+        "popcount": "popcount",
+    },
+    # sxt32(x), zxt16(x), sat8(x), usat16(x), trunc8(x), fullmask32(x)
+    cast_prefixes={
+        "sxt": "sext",
+        "zxt": "zext",
+        "sat": "saturate_to_signed",
+        "usat": "saturate_to_unsigned",
+        "trunc": "trunc",
+        "fullmask": "sext",
+    },
+    params={},
 )
-from repro.isa.spec import InstructionSpec
 
-_SYMBOLS = [
-    "==", "!=", "<=s", ">=s", "<s", ">s", "<=u", ">=u", "<u", ">u",
-    "<=", ">=", "<<", ">>>", ">>", "++", "(", ")", "[", "]", "{", "}",
-    ";", ",", ":", "?", "=", "<", ">", "+", "-", "*", "/", "%",
-    "&", "|", "^", "~", ".",
-]
-
-_LEXER = Lexer(_SYMBOLS)
-
-_ELEM_WIDTHS = {"b": 8, "ub": 8, "h": 16, "uh": 16, "w": 32, "uw": 32}
-
-_NAMED_BUILTINS: dict[str, Builtin] = {
-    "min_s": CORE_BUILTINS["min_signed"],
-    "max_s": CORE_BUILTINS["max_signed"],
-    "min_u": CORE_BUILTINS["min_unsigned"],
-    "max_u": CORE_BUILTINS["max_unsigned"],
-    "abs": CORE_BUILTINS["abs"],
-    "addsat_s": CORE_BUILTINS["sat_add_signed"],
-    "addsat_u": CORE_BUILTINS["sat_add_unsigned"],
-    "subsat_s": CORE_BUILTINS["sat_sub_signed"],
-    "subsat_u": CORE_BUILTINS["sat_sub_unsigned"],
-    "avg_s": CORE_BUILTINS["avg_signed"],
-    "avg_u": CORE_BUILTINS["avg_unsigned"],
-    "avgrnd_s": CORE_BUILTINS["avg_signed_round"],
-    "avgrnd_u": CORE_BUILTINS["avg_unsigned_round"],
-    "popcount": CORE_BUILTINS["popcount"],
-}
-
-# sxt32(x), zxt16(x), sat8(x), usat16(x), trunc8(x), fullmask32(x)
-_CAST_RE = re.compile(r"^(sxt|zxt|usat|sat|trunc|fullmask)(\d+)$")
-_CAST_OPS = {
-    "sxt": "sext",
-    "zxt": "zext",
-    "sat": "saturate_to_signed",
-    "usat": "saturate_to_unsigned",
-    "trunc": "trunc",
-    "fullmask": "sext",
-}
-
-
-def _builtin_for(name: str) -> Builtin | None:
-    builtin = _NAMED_BUILTINS.get(name)
-    if builtin is not None:
-        return builtin
-    match = _CAST_RE.match(name)
-    if match is None:
-        return None
-    cast = make_cast_builtin(_CAST_OPS[match.group(1)])
-    width = int(match.group(2))
-
-    def build(args, widths, _inner=cast.constructor, _width=width):
-        return _inner([args[0], _width], widths)
-
-    return Builtin(1, build)
-
-
-class _BuiltinTable(dict):
-    def get(self, name: str, default=None):  # type: ignore[override]
-        found = super().get(name)
-        if found is not None:
-            return found
-        builtin = _builtin_for(name)
-        if builtin is not None:
-            self[name] = builtin
-        return builtin if builtin is not None else default
-
-
-_BUILTINS = _BuiltinTable(_NAMED_BUILTINS)
-
-
-class _HvxParser:
-    def __init__(self, text: str) -> None:
-        self.stream = TokenStream(_LEXER.tokenize(text))
-
-    def parse_program(self) -> Program:
-        statements: list[PStmt] = []
-        while not self.stream.at_end():
-            statements.append(self._statement())
-        return Program(tuple(statements))
-
-    # -- statements -----------------------------------------------------
-
-    def _block(self) -> tuple[PStmt, ...]:
-        self.stream.expect("{")
-        body: list[PStmt] = []
-        while not self.stream.accept("}"):
-            if self.stream.at_end():
-                raise PseudocodeError("unexpected end of pseudocode in block")
-            body.append(self._statement())
-        return tuple(body)
-
-    def _statement(self) -> PStmt:
-        token = self.stream.peek()
-        if token.text == "for":
-            return self._for_statement()
-        if token.text == "if":
-            return self._if_statement()
-        return self._assignment()
-
-    def _for_statement(self) -> PFor:
-        self.stream.expect("for")
-        self.stream.expect("(")
-        var = self.stream.expect_kind("ident").text
-        self.stream.expect("=")
-        start = self._expression()
-        self.stream.expect(";")
-        check_var = self.stream.expect_kind("ident").text
-        if check_var != var:
-            raise PseudocodeError(f"for condition tests {check_var!r}, not {var!r}")
-        self.stream.expect("<")
-        bound = self._expression()
-        self.stream.expect(";")
-        step_var = self.stream.expect_kind("ident").text
-        if step_var != var:
-            raise PseudocodeError(f"for step increments {step_var!r}, not {var!r}")
-        self.stream.expect("++")
-        self.stream.expect(")")
-        body = self._block()
-        # C loops are exclusive at the top; PFor ends inclusively.
-        end = PBin("-", bound, PInt(1))
-        return PFor(var, start, end, body)
-
-    def _if_statement(self) -> PIf:
-        self.stream.expect("if")
-        self.stream.expect("(")
-        cond = self._expression()
-        self.stream.expect(")")
-        then_body = self._block()
-        else_body: tuple[PStmt, ...] = ()
-        if self.stream.accept("else"):
-            else_body = self._block()
-        return PIf(cond, then_body, else_body)
-
-    def _assignment(self) -> PAssign:
-        target = self._postfix()
-        if not isinstance(target, (PVar, PElem, PSlice)):
-            raise PseudocodeError("assignment target must be a name or element")
-        self.stream.expect("=")
-        value = self._expression()
-        self.stream.expect(";")
-        return PAssign(target, value)
-
-    # -- expressions ------------------------------------------------------
-
-    def _expression(self) -> PExpr:
-        return self._ternary()
-
-    def _ternary(self) -> PExpr:
-        cond = self._comparison()
-        if self.stream.accept("?"):
-            then_expr = self._ternary()
-            self.stream.expect(":")
-            else_expr = self._ternary()
-            return PCond(cond, then_expr, else_expr)
-        return cond
-
-    _CMP_TOKENS = {
-        "==", "!=", "<s", ">s", "<=s", ">=s", "<u", ">u", "<=u", ">=u",
-        "<", ">", "<=", ">=",
-    }
-
-    def _comparison(self) -> PExpr:
-        left = self._bitor()
-        token = self.stream.peek().text
-        if token in self._CMP_TOKENS:
-            self.stream.next()
-            return PBin(token, left, self._bitor())
-        return left
-
-    def _bitor(self) -> PExpr:
-        expr = self._bitxor()
-        while self.stream.peek().text == "|":
-            self.stream.next()
-            expr = PBin("|", expr, self._bitxor())
-        return expr
-
-    def _bitxor(self) -> PExpr:
-        expr = self._bitand()
-        while self.stream.peek().text == "^":
-            self.stream.next()
-            expr = PBin("^", expr, self._bitand())
-        return expr
-
-    def _bitand(self) -> PExpr:
-        expr = self._shift()
-        while self.stream.peek().text == "&":
-            self.stream.next()
-            expr = PBin("&", expr, self._shift())
-        return expr
-
-    def _shift(self) -> PExpr:
-        expr = self._additive()
-        while self.stream.peek().text in ("<<", ">>", ">>>"):
-            op = self.stream.next().text
-            expr = PBin(op, expr, self._additive())
-        return expr
-
-    def _additive(self) -> PExpr:
-        expr = self._multiplicative()
-        while self.stream.peek().text in ("+", "-"):
-            op = self.stream.next().text
-            expr = PBin(op, expr, self._multiplicative())
-        return expr
-
-    def _multiplicative(self) -> PExpr:
-        expr = self._unary()
-        while self.stream.peek().text in ("*", "/", "%"):
-            op = self.stream.next().text
-            expr = PBin(op, expr, self._unary())
-        return expr
-
-    def _unary(self) -> PExpr:
-        token = self.stream.peek()
-        if token.text == "-":
-            self.stream.next()
-            return PUn("-", self._unary())
-        if token.text == "~":
-            self.stream.next()
-            return PUn("~", self._unary())
-        return self._postfix()
-
-    def _postfix(self) -> PExpr:
-        expr = self._primary()
-        while self.stream.peek().text == "[":
-            if not isinstance(expr, PVar):
-                raise PseudocodeError("only names can be indexed")
-            name = expr.name
-            if "." in name:
-                base, suffix = name.rsplit(".", 1)
-                width = _ELEM_WIDTHS.get(suffix)
-                if width is None:
-                    raise PseudocodeError(f"unknown element suffix .{suffix}")
-                self.stream.expect("[")
-                index = self._expression()
-                self.stream.expect("]")
-                expr = PElem(base, width, index)
-            else:
-                self.stream.expect("[")
-                high = self._expression()
-                self.stream.expect(":")
-                low = self._expression()
-                self.stream.expect("]")
-                expr = PSlice(name, high, low)
-        return expr
-
-    def _primary(self) -> PExpr:
-        token = self.stream.next()
-        if token.kind == "int":
-            return PInt(int(token.text))
-        if token.kind == "ident":
-            if self.stream.peek().text == "(":
-                self.stream.expect("(")
-                args: list[PExpr] = []
-                if not self.stream.accept(")"):
-                    args.append(self._expression())
-                    while self.stream.accept(","):
-                        args.append(self._expression())
-                    self.stream.expect(")")
-                return PCall(token.text, tuple(args))
-            return PVar(token.text)
-        if token.text == "(":
-            expr = self._expression()
-            self.stream.expect(")")
-            return expr
-        raise PseudocodeError(f"line {token.line}: unexpected token {token.text!r}")
-
-
-def parse_hvx_pseudocode(text: str) -> Program:
-    return _HvxParser(text).parse_program()
-
-
-def hvx_semantics(spec: InstructionSpec) -> SemanticsFunction:
-    program = parse_hvx_pseudocode(spec.pseudocode)
-    input_widths = {op.name: op.width for op in spec.operands}
-    body = lower_program(
-        program,
-        input_widths,
-        output_name="Vd",
-        output_width=spec.output_width,
-        builtins=_BUILTINS,
-    )
-    inputs = tuple(
-        Input(op.name, IConst(op.width), op.is_immediate) for op in spec.operands
-    )
-    return SemanticsFunction(spec.name, inputs, {}, body, IConst(spec.output_width))
+parse_hvx_pseudocode = partial(parse_pseudocode, DIALECT)
+hvx_semantics = partial(dialect_semantics, DIALECT)

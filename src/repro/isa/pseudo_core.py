@@ -1,9 +1,12 @@
-"""Shared machinery for the three vendor pseudocode dialects.
+"""Shared machinery for the vendor pseudocode dialects.
 
-Each ISA parser (x86, HVX, ARM) has its own surface grammar, keywords and
-builtin names — as the vendors' manuals do — but they all parse into the
-small statement/expression AST defined here, which is then *lowered* to
-Hydride IR by symbolic unrolling:
+Each ISA (x86, HVX, ARM, RVV) writes its manual in its own surface
+syntax — keywords, assignment token, block form, element accessors and
+builtin names differ, as the vendors' manuals do — but the differences
+are *data*: a :class:`Dialect` table per ISA drives the one
+:class:`Parser` defined here.  Every dialect parses into the small
+statement/expression AST below, which is then *lowered* to Hydride IR by
+symbolic unrolling:
 
 * ``FOR`` loops run with concrete bounds (vendor pseudocode always has
   literal trip counts), producing one slice assignment per element;
@@ -21,7 +24,9 @@ This mirrors the paper's flow where parsed semantics are canonicalised by
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 from repro.hydride_ir.ast import (
     BvBinOp,
@@ -34,8 +39,11 @@ from repro.hydride_ir.ast import (
     BvIte,
     BvUnOp,
     BvVar,
+    Input,
+    SemanticsFunction,
 )
 from repro.hydride_ir.indexexpr import IConst
+from repro.isa.spec import InstructionSpec
 
 
 class PseudocodeError(Exception):
@@ -55,10 +63,10 @@ class Token:
 
 
 class Lexer:
-    """Regex tokenizer configurable with a dialect's symbol set."""
+    """Regex tokenizer over a symbol set; ``//`` and ``#`` start comments."""
 
     def __init__(
-        self, symbols: list[str], line_comments: tuple[str, ...] = ("//",)
+        self, symbols: list[str], line_comments: tuple[str, ...] = ("//", "#")
     ) -> None:
         # Longest symbols first so '>=' wins over '>'.
         ordered = sorted(symbols, key=len, reverse=True)
@@ -258,6 +266,311 @@ class Program:
 
 
 # ----------------------------------------------------------------------
+# Dialects: what differs between the vendors' surface syntaxes, as data
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class Dialect:
+    """One vendor's surface syntax.
+
+    Everything the dialects share — the expression grammar, operator
+    spellings, comments, ``base[high:low]`` slices — is fixed in
+    :class:`Parser`; a field exists here only because two shipped
+    dialects disagree on it.  A dialect is compared and hashed by
+    identity (its tables are dicts), which is what lets
+    :func:`dialect_builtin` memoise per dialect.
+    """
+
+    #: The destination register's name (``dst``, ``Vd``, ``result``, ``vd``).
+    output: str
+    #: The assignment token: Intel's ``:=`` or plain ``=``.
+    assign: str
+    #: Grammar role -> vendor spelling.  Keyword-block dialects spell
+    #: ``for to endfor if then else endif``; the C dialect needs only
+    #: ``for if else``.  Optional roles: ``define return enddef`` (helper
+    #: functions) and ``elem`` (the ``Elem[reg, index, width]`` accessor).
+    keywords: Mapping[str, str]
+    #: C statement forms — ``for (i = 0; i < n; i++) { ... }``,
+    #: ``if (c) { ... } else { ... }``, ``;``-terminated assignments —
+    #: instead of keyword-delimited blocks.
+    c_style: bool
+    #: Typed element accessors ``reg.<suffix>[i]``: suffix -> element width.
+    elem_suffixes: Mapping[str, int]
+    #: Whether ``Elem``'s width is an expression (RVV's ``SEW``, ``SEW * 2``)
+    #: rather than an integer literal (ARM's ``16``).
+    symbolic_elem_width: bool
+    #: Builtin spelling -> :data:`CORE_BUILTINS` key.
+    builtins: Mapping[str, str]
+    #: Width-suffixed casts: prefix -> cast op, so that with
+    #: ``{"SignExtend": "sext"}`` the call ``SignExtend32(x)`` sign-extends
+    #: ``x`` to 32 bits.
+    cast_prefixes: Mapping[str, str]
+    #: Symbolic machine parameter -> the ``spec.attributes`` key holding
+    #: the value it is bound to at lowering time (RVV's VLEN/LMUL/SEW).
+    params: Mapping[str, str]
+
+
+# One symbol set for all dialects: a symbol a dialect has no use for is
+# rejected by the parser, with a line number, instead of by the lexer.
+_LEXER = Lexer([
+    ":=", "==", "!=", "<=s", ">=s", "<s", ">s", "<=u", ">=u", "<u", ">u",
+    "<=", ">=", "<<", ">>>", ">>", "++", "(", ")", "[", "]", "{", "}",
+    ";", ",", ":", "?", "=", "<", ">", "+", "-", "*", "/", "%",
+    "&", "|", "^", "~", ".",
+])
+
+_CMP_TOKENS = frozenset({
+    "==", "!=", "<s", ">s", "<=s", ">=s", "<u", ">u", "<=u", ">=u",
+    "<", ">", "<=", ">=",
+})
+
+# Left-associative binary operators -> binding power (higher binds tighter).
+_BINARY_PRECEDENCE = {
+    "|": 1,
+    "^": 2,
+    "&": 3,
+    "<<": 4, ">>": 4, ">>>": 4,
+    "+": 5, "-": 5,
+    "*": 6, "/": 6, "%": 6,
+}
+
+
+class Parser:
+    """Recursive-descent parser for every dialect, driven by its table."""
+
+    def __init__(self, dialect: Dialect, text: str) -> None:
+        self.dialect = dialect
+        self.kw = dialect.keywords
+        self.reserved = frozenset(dialect.keywords.values())
+        self.stream = TokenStream(_LEXER.tokenize(text))
+
+    def parse_program(self) -> Program:
+        statements: list[PStmt] = []
+        while not self.stream.at_end():
+            statements.append(self._statement())
+        return Program(tuple(statements))
+
+    @staticmethod
+    def _error(token: Token, message: str) -> PseudocodeError:
+        return PseudocodeError(f"line {token.line}: {message}")
+
+    # -- statements ------------------------------------------------------
+
+    def _block_until(self, *terminators: str) -> tuple[PStmt, ...]:
+        body: list[PStmt] = []
+        while self.stream.peek().text not in terminators:
+            if self.stream.at_end():
+                raise self._error(
+                    self.stream.peek(),
+                    f"unexpected end of pseudocode, expected one of {terminators}",
+                )
+            body.append(self._statement())
+        return tuple(body)
+
+    def _braced_block(self) -> tuple[PStmt, ...]:
+        self.stream.expect("{")
+        body = self._block_until("}")
+        self.stream.expect("}")
+        return body
+
+    def _statement(self) -> PStmt:
+        text = self.stream.peek().text
+        if text == self.kw["for"]:
+            return self._for_statement()
+        if text == self.kw["if"]:
+            return self._if_statement()
+        if text == self.kw.get("define"):
+            return self._define_statement()
+        return self._assignment()
+
+    def _for_statement(self) -> PFor:
+        stream, kw = self.stream, self.kw
+        stream.expect(kw["for"])
+        if self.dialect.c_style:
+            stream.expect("(")
+        var = stream.expect_kind("ident").text
+        stream.expect(self.dialect.assign)
+        start = self._expression()
+        if self.dialect.c_style:
+            stream.expect(";")
+            self._expect_loop_var(var, "condition tests")
+            stream.expect("<")
+            bound = self._expression()
+            stream.expect(";")
+            self._expect_loop_var(var, "step increments")
+            stream.expect("++")
+            stream.expect(")")
+            # C loops are exclusive at the top; PFor ends inclusively.
+            inclusive = PBin("-", bound, PInt(1))
+            return PFor(var, start, inclusive, self._braced_block())
+        stream.expect(kw["to"])
+        end = self._expression()
+        body = self._block_until(kw["endfor"])
+        stream.expect(kw["endfor"])
+        return PFor(var, start, end, body)
+
+    def _expect_loop_var(self, var: str, clause: str) -> None:
+        token = self.stream.expect_kind("ident")
+        if token.text != var:
+            raise self._error(token, f"for {clause} {token.text!r}, not {var!r}")
+
+    def _if_statement(self) -> PIf:
+        stream, kw = self.stream, self.kw
+        stream.expect(kw["if"])
+        else_body: tuple[PStmt, ...] = ()
+        if self.dialect.c_style:
+            stream.expect("(")
+            cond = self._expression()
+            stream.expect(")")
+            then_body = self._braced_block()
+            if stream.accept(kw["else"]):
+                else_body = self._braced_block()
+            return PIf(cond, then_body, else_body)
+        cond = self._expression()
+        stream.expect(kw["then"])
+        then_body = self._block_until(kw["else"], kw["endif"])
+        if stream.accept(kw["else"]):
+            else_body = self._block_until(kw["endif"])
+        stream.expect(kw["endif"])
+        return PIf(cond, then_body, else_body)
+
+    def _define_statement(self) -> PDefine:
+        stream, kw = self.stream, self.kw
+        stream.expect(kw["define"])
+        name = stream.expect_kind("ident").text
+        stream.expect("(")
+        params = self._list_to_paren(lambda: stream.expect_kind("ident").text)
+        body = self._block_until(kw["return"])
+        stream.expect(kw["return"])
+        result = self._expression()
+        stream.expect(kw["enddef"])
+        return PDefine(name, params, body, result)
+
+    def _list_to_paren(self, item: Callable[[], object]) -> tuple:
+        """Comma-separated ``item()``s up to and including the closing ``)``."""
+        items = []
+        if not self.stream.accept(")"):
+            items.append(item())
+            while self.stream.accept(","):
+                items.append(item())
+            self.stream.expect(")")
+        return tuple(items)
+
+    def _assignment(self) -> PAssign:
+        first = self.stream.peek()
+        target = self._postfix()
+        if not isinstance(target, (PVar, PElem, PSlice)):
+            raise self._error(
+                first, "assignment target must be a name, element or slice"
+            )
+        self.stream.expect(self.dialect.assign)
+        value = self._expression()
+        if self.dialect.c_style:
+            self.stream.expect(";")
+        return PAssign(target, value)
+
+    # -- expressions (precedence climbing) --------------------------------
+
+    def _expression(self) -> PExpr:
+        cond = self._comparison()
+        if self.stream.accept("?"):
+            then_expr = self._expression()
+            self.stream.expect(":")
+            else_expr = self._expression()
+            return PCond(cond, then_expr, else_expr)
+        return cond
+
+    def _comparison(self) -> PExpr:
+        left = self._binary()
+        token = self.stream.peek().text
+        if token in _CMP_TOKENS:
+            self.stream.next()
+            return PBin(token, left, self._binary())
+        return left
+
+    def _binary(self, min_precedence: int = 1) -> PExpr:
+        expr = self._unary()
+        while True:
+            op = self.stream.peek().text
+            precedence = _BINARY_PRECEDENCE.get(op, 0)
+            if precedence < min_precedence:
+                return expr
+            self.stream.next()
+            expr = PBin(op, expr, self._binary(precedence + 1))
+
+    def _unary(self) -> PExpr:
+        if self.stream.peek().text in ("-", "~"):
+            op = self.stream.next().text
+            return PUn(op, self._unary())
+        return self._postfix()
+
+    def _postfix(self) -> PExpr:
+        expr = self._primary()
+        while self.stream.peek().text == "[":
+            bracket = self.stream.next()
+            if not isinstance(expr, PVar):
+                raise self._error(bracket, "only names can be sliced or indexed")
+            base, dot, suffix = expr.name.rpartition(".")
+            if dot and self.dialect.elem_suffixes:
+                width = self.dialect.elem_suffixes.get(suffix)
+                if width is None:
+                    raise self._error(bracket, f"unknown element suffix .{suffix}")
+                expr = PElem(base, width, self._expression())
+            else:
+                high = self._expression()
+                self.stream.expect(":")
+                expr = PSlice(expr.name, high, self._expression())
+            self.stream.expect("]")
+        return expr
+
+    def _elem_access(self) -> PExpr:
+        """``Elem[reg, index, width]`` after the accessor keyword.
+
+        A symbolic width desugars to ``reg[(index+1)*width - 1 :
+        index*width]``, so it survives as an index expression until
+        lowering binds the machine parameters.
+        """
+        self.stream.expect("[")
+        name = self.stream.expect_kind("ident").text
+        self.stream.expect(",")
+        index = self._expression()
+        self.stream.expect(",")
+        if not self.dialect.symbolic_elem_width:
+            literal = int(self.stream.expect_kind("int").text)
+            self.stream.expect("]")
+            return PElem(name, literal, index)
+        width = self._expression()
+        self.stream.expect("]")
+        low = PBin("*", index, width)
+        high = PBin("-", PBin("*", PBin("+", index, PInt(1)), width), PInt(1))
+        return PSlice(name, high, low)
+
+    def _primary(self) -> PExpr:
+        token = self.stream.next()
+        if token.kind == "int":
+            return PInt(int(token.text))
+        if token.kind == "ident":
+            if token.text == self.kw.get("elem"):
+                return self._elem_access()
+            if token.text in self.reserved:
+                raise self._error(token, f"unexpected keyword {token.text!r}")
+            if self.stream.accept("("):
+                return PCall(token.text, self._list_to_paren(self._expression))
+            return PVar(token.text)
+        if token.text == "(":
+            expr = self._expression()
+            self.stream.expect(")")
+            return expr
+        raise self._error(token, f"unexpected token {token.text!r}")
+
+
+def parse_pseudocode(dialect: Dialect, text: str) -> Program:
+    """Parse one dialect's text into the shared pseudocode AST."""
+    return Parser(dialect, text).parse_program()
+
+
+# ----------------------------------------------------------------------
 # Builtins: the dialect maps its function names onto these constructors
 # ----------------------------------------------------------------------
 
@@ -344,14 +657,30 @@ CORE_BUILTINS: dict[str, Builtin] = {
     "popcount": make_unop_builtin("popcount"),
 }
 
+_WIDTH_SUFFIXED = re.compile(r"(\D+)(\d+)")
+
+
+@lru_cache(maxsize=1024)
+def dialect_builtin(dialect: Dialect, name: str) -> Builtin | None:
+    """The one builtin lookup: a named spelling or a width-suffixed cast."""
+    key = dialect.builtins.get(name)
+    if key is not None:
+        return CORE_BUILTINS[key]
+    match = _WIDTH_SUFFIXED.fullmatch(name)
+    if match is None or match[1] not in dialect.cast_prefixes:
+        return None
+    cast = make_cast_builtin(dialect.cast_prefixes[match[1]]).constructor
+    width = int(match[2])
+    return Builtin(1, lambda args, widths: cast([args[0], width], widths))
+
 
 # ----------------------------------------------------------------------
 # Lowering: unrolling evaluator
 # ----------------------------------------------------------------------
 
-# Map from dialect operator text to Hydride binop/cmp names.  Right shifts
-# are dialect-sensitive (the paper notes vendors conflate logical and
-# arithmetic right shift); dialects pass their own table.
+# Map from operator text to Hydride binop/cmp names.  The paper notes
+# vendors conflate logical and arithmetic right shift; every dialect here
+# spells the split out: ``>>`` is logical, ``>>>`` arithmetic.
 DEFAULT_BIN_OPS = {
     "+": "bvadd",
     "-": "bvsub",
@@ -412,16 +741,12 @@ class LoweringContext:
         input_widths: dict[str, int],
         output_name: str,
         output_width: int,
-        builtins: dict[str, Builtin],
-        bin_ops: dict[str, str] | None = None,
-        cmp_ops: dict[str, str] | None = None,
+        builtins: Callable[[str], Builtin | None],
     ) -> None:
         self.input_widths = dict(input_widths)
         self.output_name = output_name
         self.output_width = output_width
         self.builtins = builtins
-        self.bin_ops = bin_ops or DEFAULT_BIN_OPS
-        self.cmp_ops = cmp_ops or DEFAULT_CMP_OPS
         self.int_env: dict[str, int] = {}
         self.bv_temps: dict[str, BvExpr] = {}
         self.defines: dict[str, PDefine] = {}
@@ -533,16 +858,23 @@ class LoweringContext:
             fn = _INT_BIN.get(expr.op)
             if fn is None:
                 raise PseudocodeError(f"integer operator {expr.op!r} unsupported")
-            return fn(left, right)
+            try:
+                return fn(left, right)
+            except (ZeroDivisionError, ValueError) as error:
+                # Division/modulo by zero, negative shift count.
+                raise PseudocodeError(
+                    f"integer operator {expr.op!r} undefined for operands "
+                    f"{left} and {right}: {error}"
+                ) from None
         # Integer literals mixed with bitvectors coerce to same-width consts.
         if isinstance(left, int):
             left = BvConst(IConst(left), IConst(self.width_of(right)))
         left_bv = _need_bv(left, f"operator {expr.op}")
         if isinstance(right, int):
             right = BvConst(IConst(right), IConst(self.width_of(left_bv)))
-        if expr.op in self.cmp_ops:
-            return BvCmp(self.cmp_ops[expr.op], left_bv, right)
-        op_name = self.bin_ops.get(expr.op)
+        if expr.op in DEFAULT_CMP_OPS:
+            return BvCmp(DEFAULT_CMP_OPS[expr.op], left_bv, right)
+        op_name = DEFAULT_BIN_OPS.get(expr.op)
         if op_name is None:
             raise PseudocodeError(f"bitvector operator {expr.op!r} unsupported")
         if self.width_of(left_bv) != self.width_of(right):
@@ -556,7 +888,7 @@ class LoweringContext:
         define = self.defines.get(expr.name)
         if define is not None:
             return self._inline_define(define, expr)
-        builtin = self.builtins.get(expr.name)
+        builtin = self.builtins(expr.name)
         if builtin is None:
             raise PseudocodeError(f"unknown function {expr.name!r}")
         if len(expr.args) != builtin.arity:
@@ -732,14 +1064,39 @@ def lower_program(
     input_widths: dict[str, int],
     output_name: str,
     output_width: int,
-    builtins: dict[str, Builtin],
-    bin_ops: dict[str, str] | None = None,
-    cmp_ops: dict[str, str] | None = None,
+    builtins: Callable[[str], Builtin | None],
+    params: Mapping[str, int] | None = None,
 ) -> BvExpr:
-    """Run the unrolling evaluator over a parsed program."""
-    context = LoweringContext(
-        input_widths, output_name, output_width, builtins, bin_ops, cmp_ops
-    )
+    """Run the unrolling evaluator over a parsed program.
+
+    ``params`` seeds the integer environment with a dialect's symbolic
+    machine parameters; the pseudocode text itself stays agnostic of them
+    and can be re-lowered at any binding.
+    """
+    context = LoweringContext(input_widths, output_name, output_width, builtins)
+    context.int_env.update(params or {})
     for stmt in program.statements:
         context.exec_stmt(stmt)
     return context.finish()
+
+
+def dialect_semantics(dialect: Dialect, spec: InstructionSpec) -> SemanticsFunction:
+    """Parse and lower one instruction spec to a semantics function."""
+    program = parse_pseudocode(dialect, spec.pseudocode)
+    params: dict[str, int] = {}
+    for name, attribute in dialect.params.items():
+        if attribute not in spec.attributes:
+            raise PseudocodeError(f"machine parameter {name} is unbound")
+        params[name] = int(spec.attributes[attribute])
+    body = lower_program(
+        program,
+        {op.name: op.width for op in spec.operands},
+        dialect.output,
+        spec.output_width,
+        partial(dialect_builtin, dialect),
+        params,
+    )
+    inputs = tuple(
+        Input(op.name, IConst(op.width), op.is_immediate) for op in spec.operands
+    )
+    return SemanticsFunction(spec.name, inputs, {}, body, IConst(spec.output_width))

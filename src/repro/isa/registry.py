@@ -10,63 +10,45 @@ entirely.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib import import_module
 
 from repro.hydride_ir.ast import SemanticsFunction
 from repro.hydride_ir.transforms import canonicalize
+from repro.isa.pseudo_core import dialect_semantics
 from repro.isa.spec import InstructionSpec, IsaCatalog
 from repro.perf import global_counters
 
 # -- the plug-in table ------------------------------------------------------
 #
-# One registration per ISA: a loader returning ``(generate_catalog,
-# parse_semantics)``.  Loaders are thunks so the (comparatively heavy)
-# per-ISA subpackages import lazily, exactly as the old if/elif chain did.
-# ``SUPPORTED_ISAS`` is *derived* from this table — adding an ISA means
-# adding one ``register_isa`` call, nothing else.
+# One row per ISA: ``(catalog generator, dialect table)``, each named as
+# ``module:attribute`` so the (comparatively heavy) per-ISA subpackages
+# import lazily.  ``SUPPORTED_ISAS`` is *derived* from this table — the
+# ISA layer's share of adding a target is one row here.
 
-GeneratorPair = tuple[Callable[[], IsaCatalog], Callable[[InstructionSpec], SemanticsFunction]]
-
-_REGISTRY: dict[str, Callable[[], GeneratorPair]] = {}
-
-
-def register_isa(name: str, loader: Callable[[], GeneratorPair]) -> None:
-    """Register an ISA plug-in: ``loader() -> (generate, parse)``."""
-    if name in _REGISTRY:
-        raise ValueError(f"ISA {name!r} is already registered")
-    _REGISTRY[name] = loader
+_REGISTRY: dict[str, tuple[str, str]] = {
+    "x86": ("repro.isa.x86.specgen:generate_x86_catalog", "repro.isa.x86.parser:DIALECT"),
+    "hvx": ("repro.isa.hvx.specgen:generate_hvx_catalog", "repro.isa.hvx.parser:DIALECT"),
+    "arm": ("repro.isa.arm.specgen:generate_arm_catalog", "repro.isa.arm.parser:DIALECT"),
+    "rvv": ("repro.isa.rvv.specgen:generate_rvv_catalog", "repro.isa.rvv.parser:DIALECT"),
+}
 
 
-def _load_x86() -> GeneratorPair:
-    from repro.isa.x86 import generate_x86_catalog, x86_semantics
-
-    return generate_x86_catalog, x86_semantics
-
-
-def _load_hvx() -> GeneratorPair:
-    from repro.isa.hvx import generate_hvx_catalog, hvx_semantics
-
-    return generate_hvx_catalog, hvx_semantics
+def _row(isa: str) -> tuple[str, str]:
+    row = _REGISTRY.get(isa)
+    if row is None:
+        raise ValueError(
+            f"unknown ISA {isa!r}; supported: {supported_isas()}"
+        )
+    return row
 
 
-def _load_arm() -> GeneratorPair:
-    from repro.isa.arm import generate_arm_catalog, arm_semantics
+def _load(reference: str):
+    """Import and return the object a ``module:attribute`` cell names."""
+    module, _, attribute = reference.partition(":")
+    return getattr(import_module(module), attribute)
 
-    return generate_arm_catalog, arm_semantics
-
-
-def _load_rvv() -> GeneratorPair:
-    from repro.isa.rvv import generate_rvv_catalog, rvv_semantics
-
-    return generate_rvv_catalog, rvv_semantics
-
-
-register_isa("x86", _load_x86)
-register_isa("hvx", _load_hvx)
-register_isa("arm", _load_arm)
-register_isa("rvv", _load_rvv)
 
 #: The three fixed-width ISAs of the paper's evaluation; the default for
 #: dictionary builds and experiment runs that predate the rvv target.
@@ -77,8 +59,8 @@ SUPPORTED_ISAS = tuple(_REGISTRY)
 
 
 def supported_isas() -> tuple[str, ...]:
-    """All registered ISAs, including plug-ins added after import."""
-    return tuple(_REGISTRY)
+    """All registered ISAs, in registration order."""
+    return SUPPORTED_ISAS
 
 
 @dataclass
@@ -99,21 +81,11 @@ class LoadedIsa:
         return len(self.catalog)
 
 
-def _generators(isa: str) -> GeneratorPair:
-    """(catalog generator, pseudocode parser) for one ISA."""
-    loader = _REGISTRY.get(isa)
-    if loader is None:
-        raise ValueError(
-            f"unknown ISA {isa!r}; supported: {supported_isas()}"
-        )
-    return loader()
-
-
 @lru_cache(maxsize=None)
 def load_catalog(isa: str) -> IsaCatalog:
     """Generate one ISA's spec catalog (no parsing), cached."""
-    generate, _parse = _generators(isa)
-    return generate()
+    generator, _dialect = _row(isa)
+    return _load(generator)()
 
 
 def parse_spec(isa: str, spec: InstructionSpec) -> SemanticsFunction:
@@ -121,9 +93,9 @@ def parse_spec(isa: str, spec: InstructionSpec) -> SemanticsFunction:
     from repro.analysis import hooks
 
     global_counters().specs_parsed += 1
-    _generate, parse = _generators(isa)
+    _generator, dialect = _row(isa)
     verify = hooks.verification_enabled()
-    parsed = parse(spec)
+    parsed = dialect_semantics(_load(dialect), spec)
     if verify:
         hooks.verify_semantics(
             parsed,

@@ -1,10 +1,6 @@
-"""Synthetic RVV (RISC-V vector) target: VL-agnostic specs + parser."""
+"""Synthetic RVV (RISC-V vector) target: VL-agnostic specs + dialect table."""
 
-from repro.isa.rvv.parser import (
-    lower_with_params,
-    parse_rvv_pseudocode,
-    rvv_semantics,
-)
+from repro.isa.rvv.parser import parse_rvv_pseudocode, rvv_semantics
 from repro.isa.rvv.specgen import (
     LMULS,
     SEWS,
@@ -17,7 +13,6 @@ __all__ = [
     "SEWS",
     "VLEN_SOLVER",
     "generate_rvv_catalog",
-    "lower_with_params",
     "parse_rvv_pseudocode",
     "rvv_semantics",
 ]

@@ -1,4 +1,4 @@
-"""Parser for the RVV-style vector-length-agnostic pseudocode dialect.
+"""The RVV-style vector-length-agnostic pseudocode dialect.
 
 RISC-V's vector specification writes instruction behaviour against a
 *symbolic* machine configuration: the hardware vector length ``VLEN``,
@@ -15,7 +15,7 @@ width — ``Elem[v, i, SEW]`` takes a full expression.  The parser
 desugars it into a bit slice whose bounds are index expressions
 (``v[(i+1)*SEW-1 : i*SEW]``), so the width stays symbolic until the
 lowering binds ``VLEN``/``LMUL``/``SEW`` to solver-tractable concrete
-values from the spec's attributes (see :func:`rvv_semantics`).  That is
+values from the spec's attributes (``DIALECT.params`` below).  That is
 the same scale-down move the synthesis layer makes when it shrinks
 native-width windows: semantics are written once, agnostic of VL, and
 instantiated at whatever width the solver can afford.
@@ -23,310 +23,49 @@ instantiated at whatever width the solver can afford.
 
 from __future__ import annotations
 
-from repro.hydride_ir.ast import Input, SemanticsFunction
-from repro.hydride_ir.indexexpr import IConst
-from repro.isa.pseudo_core import (
-    Builtin,
-    CORE_BUILTINS,
-    Lexer,
-    LoweringContext,
-    PAssign,
-    PBin,
-    PCall,
-    PCond,
-    PExpr,
-    PFor,
-    PIf,
-    PInt,
-    PSlice,
-    PStmt,
-    PUn,
-    PVar,
-    Program,
-    PseudocodeError,
-    TokenStream,
+from functools import partial
+
+from repro.isa.pseudo_core import Dialect, dialect_semantics, parse_pseudocode
+
+DIALECT = Dialect(
+    output="vd",
+    assign="=",
+    keywords={
+        "for": "for",
+        "to": "to",
+        "endfor": "endfor",
+        "if": "if",
+        "then": "then",
+        "else": "else",
+        "endif": "endif",
+        "elem": "Elem",
+    },
+    c_style=False,
+    elem_suffixes={},
+    symbolic_elem_width=True,
+    builtins={
+        "sext": "sign_extend",
+        "zext": "zero_extend",
+        "trunc": "truncate",
+        "sat_s": "saturate_signed",
+        "sat_u": "saturate_unsigned",
+        "min_s": "min_signed",
+        "max_s": "max_signed",
+        "min_u": "min_unsigned",
+        "max_u": "max_unsigned",
+        "abs": "abs",
+        "sadd_sat": "sat_add_signed",
+        "uadd_sat": "sat_add_unsigned",
+        "ssub_sat": "sat_sub_signed",
+        "usub_sat": "sat_sub_unsigned",
+        "avg_s": "avg_signed_round",
+        "avg_u": "avg_unsigned_round",
+        "popcount": "popcount",
+    },
+    cast_prefixes={},
+    # The symbolic machine parameters every rvv spec binds at lowering time.
+    params={"VLEN": "vlen", "LMUL": "lmul", "SEW": "sew"},
 )
-from repro.isa.spec import InstructionSpec
 
-_SYMBOLS = [
-    "==", "!=", "<=s", ">=s", "<s", ">s", "<=u", ">=u", "<u", ">u",
-    "<=", ">=", "<<", ">>>", ">>", "(", ")", "[", "]", ",", ":", "?",
-    "=", "<", ">", "+", "-", "*", "/", "%", "&", "|", "^", "~",
-]
-
-# The RVV spec's pseudocode comments use '#'.
-_LEXER = Lexer(_SYMBOLS, line_comments=("#",))
-
-_KEYWORDS = {"for", "to", "endfor", "if", "then", "else", "endif"}
-
-_BUILTINS: dict[str, Builtin] = {
-    "sext": CORE_BUILTINS["sign_extend"],
-    "zext": CORE_BUILTINS["zero_extend"],
-    "trunc": CORE_BUILTINS["truncate"],
-    "sat_s": CORE_BUILTINS["saturate_signed"],
-    "sat_u": CORE_BUILTINS["saturate_unsigned"],
-    "min_s": CORE_BUILTINS["min_signed"],
-    "max_s": CORE_BUILTINS["max_signed"],
-    "min_u": CORE_BUILTINS["min_unsigned"],
-    "max_u": CORE_BUILTINS["max_unsigned"],
-    "abs": CORE_BUILTINS["abs"],
-    "sadd_sat": CORE_BUILTINS["sat_add_signed"],
-    "uadd_sat": CORE_BUILTINS["sat_add_unsigned"],
-    "ssub_sat": CORE_BUILTINS["sat_sub_signed"],
-    "usub_sat": CORE_BUILTINS["sat_sub_unsigned"],
-    "avg_s": CORE_BUILTINS["avg_signed_round"],
-    "avg_u": CORE_BUILTINS["avg_unsigned_round"],
-    "popcount": CORE_BUILTINS["popcount"],
-}
-
-#: The symbolic machine parameters every rvv spec binds at lowering time.
-PARAM_NAMES = ("VLEN", "LMUL", "SEW")
-
-
-class _RvvParser:
-    def __init__(self, text: str) -> None:
-        self.stream = TokenStream(_LEXER.tokenize(text))
-
-    def parse_program(self) -> Program:
-        statements: list[PStmt] = []
-        while not self.stream.at_end():
-            statements.append(self._statement())
-        return Program(tuple(statements))
-
-    # -- statements -----------------------------------------------------
-
-    def _block_until(self, *terminators: str) -> tuple[PStmt, ...]:
-        body: list[PStmt] = []
-        while self.stream.peek().text not in terminators:
-            if self.stream.at_end():
-                raise PseudocodeError(
-                    f"unexpected end of pseudocode, expected one of {terminators}"
-                )
-            body.append(self._statement())
-        return tuple(body)
-
-    def _statement(self) -> PStmt:
-        token = self.stream.peek()
-        if token.text == "for":
-            return self._for_statement()
-        if token.text == "if":
-            return self._if_statement()
-        return self._assignment()
-
-    def _for_statement(self) -> PFor:
-        self.stream.expect("for")
-        var = self.stream.expect_kind("ident").text
-        self.stream.expect("=")
-        start = self._expression()
-        self.stream.expect("to")
-        end = self._expression()
-        body = self._block_until("endfor")
-        self.stream.expect("endfor")
-        return PFor(var, start, end, body)
-
-    def _if_statement(self) -> PIf:
-        self.stream.expect("if")
-        cond = self._expression()
-        self.stream.expect("then")
-        then_body = self._block_until("else", "endif")
-        else_body: tuple[PStmt, ...] = ()
-        if self.stream.accept("else"):
-            else_body = self._block_until("endif")
-        self.stream.expect("endif")
-        return PIf(cond, then_body, else_body)
-
-    def _assignment(self) -> PAssign:
-        target = self._postfix()
-        if not isinstance(target, (PVar, PSlice)):
-            raise PseudocodeError(
-                "assignment target must be a name, Elem, or slice"
-            )
-        self.stream.expect("=")
-        value = self._expression()
-        return PAssign(target, value)
-
-    # -- expressions ------------------------------------------------------
-
-    def _expression(self) -> PExpr:
-        return self._ternary()
-
-    def _ternary(self) -> PExpr:
-        cond = self._comparison()
-        if self.stream.accept("?"):
-            then_expr = self._ternary()
-            self.stream.expect(":")
-            else_expr = self._ternary()
-            return PCond(cond, then_expr, else_expr)
-        return cond
-
-    _CMP_TOKENS = {
-        "==", "!=", "<s", ">s", "<=s", ">=s", "<u", ">u", "<=u", ">=u",
-        "<", ">", "<=", ">=",
-    }
-
-    def _comparison(self) -> PExpr:
-        left = self._bitor()
-        token = self.stream.peek().text
-        if token in self._CMP_TOKENS:
-            self.stream.next()
-            return PBin(token, left, self._bitor())
-        return left
-
-    def _bitor(self) -> PExpr:
-        expr = self._bitxor()
-        while self.stream.peek().text == "|":
-            self.stream.next()
-            expr = PBin("|", expr, self._bitxor())
-        return expr
-
-    def _bitxor(self) -> PExpr:
-        expr = self._bitand()
-        while self.stream.peek().text == "^":
-            self.stream.next()
-            expr = PBin("^", expr, self._bitand())
-        return expr
-
-    def _bitand(self) -> PExpr:
-        expr = self._shift()
-        while self.stream.peek().text == "&":
-            self.stream.next()
-            expr = PBin("&", expr, self._shift())
-        return expr
-
-    def _shift(self) -> PExpr:
-        expr = self._additive()
-        while self.stream.peek().text in ("<<", ">>", ">>>"):
-            op = self.stream.next().text
-            expr = PBin(op, expr, self._additive())
-        return expr
-
-    def _additive(self) -> PExpr:
-        expr = self._multiplicative()
-        while self.stream.peek().text in ("+", "-"):
-            op = self.stream.next().text
-            expr = PBin(op, expr, self._multiplicative())
-        return expr
-
-    def _multiplicative(self) -> PExpr:
-        expr = self._unary()
-        while self.stream.peek().text in ("*", "/", "%"):
-            op = self.stream.next().text
-            expr = PBin(op, expr, self._unary())
-        return expr
-
-    def _unary(self) -> PExpr:
-        token = self.stream.peek()
-        if token.text == "-":
-            self.stream.next()
-            return PUn("-", self._unary())
-        if token.text == "~":
-            self.stream.next()
-            return PUn("~", self._unary())
-        return self._postfix()
-
-    def _postfix(self) -> PExpr:
-        expr = self._primary()
-        while self.stream.peek().text == "[" and isinstance(expr, PVar):
-            self.stream.expect("[")
-            high = self._expression()
-            self.stream.expect(":")
-            low = self._expression()
-            self.stream.expect("]")
-            expr = PSlice(expr.name, high, low)
-        return expr
-
-    def _elem_access(self) -> PExpr:
-        """``Elem[name, index, width]`` with an *expression* width.
-
-        Desugars to ``name[(index+1)*width - 1 : index*width]`` so a
-        symbolic ``SEW`` (or ``SEW * 2`` for widening forms) survives
-        until lowering, where the machine parameters are bound.
-        """
-        self.stream.expect("[")
-        name = self.stream.expect_kind("ident").text
-        self.stream.expect(",")
-        index = self._expression()
-        self.stream.expect(",")
-        width = self._expression()
-        self.stream.expect("]")
-        low = PBin("*", index, width)
-        high = PBin("-", PBin("*", PBin("+", index, PInt(1)), width), PInt(1))
-        return PSlice(name, high, low)
-
-    def _primary(self) -> PExpr:
-        token = self.stream.next()
-        if token.kind == "int":
-            return PInt(int(token.text))
-        if token.kind == "ident":
-            if token.text == "Elem":
-                return self._elem_access()
-            if token.text in _KEYWORDS:
-                raise PseudocodeError(
-                    f"line {token.line}: unexpected keyword {token.text!r}"
-                )
-            if self.stream.peek().text == "(":
-                self.stream.expect("(")
-                args: list[PExpr] = []
-                if not self.stream.accept(")"):
-                    args.append(self._expression())
-                    while self.stream.accept(","):
-                        args.append(self._expression())
-                    self.stream.expect(")")
-                return PCall(token.text, tuple(args))
-            return PVar(token.text)
-        if token.text == "(":
-            expr = self._expression()
-            self.stream.expect(")")
-            return expr
-        raise PseudocodeError(
-            f"line {token.line}: unexpected token {token.text!r}"
-        )
-
-
-def parse_rvv_pseudocode(text: str) -> Program:
-    return _RvvParser(text).parse_program()
-
-
-def lower_with_params(
-    program: Program,
-    input_widths: dict[str, int],
-    output_width: int,
-    params: dict[str, int],
-) -> "object":
-    """Lower a parsed rvv program with VLEN/LMUL/SEW bound to ``params``.
-
-    The machine parameters are seeded into the unroller's integer
-    environment rather than spliced into the pseudocode text — the text
-    itself stays vector-length-agnostic and can be re-lowered at any
-    (VLEN, LMUL, SEW) triple.
-    """
-    context = LoweringContext(
-        input_widths, output_name="vd", output_width=output_width,
-        builtins=_BUILTINS,
-    )
-    for name in PARAM_NAMES:
-        if name not in params:
-            raise PseudocodeError(f"machine parameter {name} is unbound")
-        context.int_env[name] = int(params[name])
-    for stmt in program.statements:
-        context.exec_stmt(stmt)
-    return context.finish()
-
-
-def rvv_semantics(spec: InstructionSpec) -> SemanticsFunction:
-    """Parse + lower one rvv spec at its recorded machine parameters."""
-    program = parse_rvv_pseudocode(spec.pseudocode)
-    input_widths = {op.name: op.width for op in spec.operands}
-    params = {
-        "VLEN": int(spec.attributes["vlen"]),
-        "LMUL": int(spec.attributes["lmul"]),
-        "SEW": int(spec.attributes["sew"]),
-    }
-    body = lower_with_params(
-        program, input_widths, spec.output_width, params
-    )
-    inputs = tuple(
-        Input(op.name, IConst(op.width), op.is_immediate)
-        for op in spec.operands
-    )
-    return SemanticsFunction(spec.name, inputs, {}, body, IConst(spec.output_width))
+parse_rvv_pseudocode = partial(parse_pseudocode, DIALECT)
+rvv_semantics = partial(dialect_semantics, DIALECT)

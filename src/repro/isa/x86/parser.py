@@ -1,4 +1,4 @@
-"""Parser for the Intel-intrinsics-guide pseudocode dialect.
+"""The Intel-intrinsics-guide pseudocode dialect.
 
 The dialect looks like the operation sections of the Intel Intrinsics
 Guide::
@@ -22,360 +22,54 @@ exactly the ambiguity the paper reports having to patch by hand.
 
 from __future__ import annotations
 
-import re
+from functools import partial
 
-from repro.hydride_ir.ast import Input, SemanticsFunction
-from repro.hydride_ir.indexexpr import IConst
-from repro.isa.pseudo_core import (
-    Builtin,
-    CORE_BUILTINS,
-    Lexer,
-    PAssign,
-    PBin,
-    PCall,
-    PCond,
-    PDefine,
-    PFor,
-    PIf,
-    PInt,
-    PSlice,
-    PStmt,
-    PExpr,
-    PUn,
-    PVar,
-    Program,
-    PseudocodeError,
-    TokenStream,
-    lower_program,
-    make_cast_builtin,
-)
-from repro.isa.spec import InstructionSpec
+from repro.isa.pseudo_core import Dialect, dialect_semantics, parse_pseudocode
 
-_SYMBOLS = [
-    ":=",
-    "<<",
-    ">>>",
-    ">>",
-    "==",
-    "!=",
-    "<=s",
-    ">=s",
-    "<s",
-    ">s",
-    "<=u",
-    ">=u",
-    "<u",
-    ">u",
-    "<=",
-    ">=",
-    "<",
-    ">",
-    "(",
-    ")",
-    "[",
-    "]",
-    ":",
-    "?",
-    ",",
-    "+",
-    "-",
-    "*",
-    "/",
-    "%",
-    "&",
-    "|",
-    "^",
-    "~",
-]
-
-_LEXER = Lexer(_SYMBOLS)
-
-_KEYWORDS = {"FOR", "to", "ENDFOR", "IF", "THEN", "ELSE", "FI", "DEFINE", "RETURN", "ENDDEF"}
-
-# Intel-style builtin names.  Width-suffixed casts are matched by regex.
-_NAMED_BUILTINS: dict[str, Builtin] = {
-    "MIN_S": CORE_BUILTINS["min_signed"],
-    "MAX_S": CORE_BUILTINS["max_signed"],
-    "MIN_U": CORE_BUILTINS["min_unsigned"],
-    "MAX_U": CORE_BUILTINS["max_unsigned"],
-    "ABS": CORE_BUILTINS["abs"],
-    "AVG_U_RND": CORE_BUILTINS["avg_unsigned_round"],
-    "AddSatS": CORE_BUILTINS["sat_add_signed"],
-    "AddSatU": CORE_BUILTINS["sat_add_unsigned"],
-    "SubSatS": CORE_BUILTINS["sat_sub_signed"],
-    "SubSatU": CORE_BUILTINS["sat_sub_unsigned"],
-    "RotR": CORE_BUILTINS["rotate_right"],
-    "RotL": CORE_BUILTINS["rotate_left"],
-}
-
-_CAST_RE = re.compile(
-    r"^(SignExtend|ZeroExtend|SaturateU|Saturate|Truncate|FullMask)(\d+)$"
+DIALECT = Dialect(
+    output="dst",
+    assign=":=",
+    keywords={
+        "for": "FOR",
+        "to": "to",
+        "endfor": "ENDFOR",
+        "if": "IF",
+        "then": "THEN",
+        "else": "ELSE",
+        "endif": "FI",
+        "define": "DEFINE",
+        "return": "RETURN",
+        "enddef": "ENDDEF",
+    },
+    c_style=False,
+    elem_suffixes={},
+    symbolic_elem_width=False,
+    builtins={
+        "MIN_S": "min_signed",
+        "MAX_S": "max_signed",
+        "MIN_U": "min_unsigned",
+        "MAX_U": "max_unsigned",
+        "ABS": "abs",
+        "AVG_U_RND": "avg_unsigned_round",
+        "AddSatS": "sat_add_signed",
+        "AddSatU": "sat_add_unsigned",
+        "SubSatS": "sat_sub_signed",
+        "SubSatU": "sat_sub_unsigned",
+        "RotR": "rotate_right",
+        "RotL": "rotate_left",
+    },
+    cast_prefixes={
+        "SignExtend": "sext",
+        "ZeroExtend": "zext",
+        "Saturate": "saturate_to_signed",
+        "SaturateU": "saturate_to_unsigned",
+        "Truncate": "trunc",
+        # FullMaskN turns a 1-bit predicate into an all-ones/all-zeros
+        # element, the idiom compare instructions use for their result lanes.
+        "FullMask": "sext",
+    },
+    params={},
 )
 
-_CAST_OPS = {
-    "SignExtend": "sext",
-    "ZeroExtend": "zext",
-    "Saturate": "saturate_to_signed",
-    "SaturateU": "saturate_to_unsigned",
-    "Truncate": "trunc",
-    # FullMaskN turns a 1-bit predicate into an all-ones/all-zeros element,
-    # the idiom compare instructions use for their result lanes.
-    "FullMask": "sext",
-}
-
-
-def _builtin_for(name: str) -> Builtin | None:
-    builtin = _NAMED_BUILTINS.get(name)
-    if builtin is not None:
-        return builtin
-    match = _CAST_RE.match(name)
-    if match is None:
-        return None
-    cast = make_cast_builtin(_CAST_OPS[match.group(1)])
-    width = int(match.group(2))
-
-    def build(args, widths, _inner=cast.constructor, _width=width):
-        return _inner([args[0], _width], widths)
-
-    return Builtin(1, build)
-
-
-class _X86Parser:
-    """Recursive-descent parser for the x86 dialect."""
-
-    def __init__(self, text: str) -> None:
-        self.stream = TokenStream(_LEXER.tokenize(text))
-
-    def parse_program(self) -> Program:
-        statements: list[PStmt] = []
-        while not self.stream.at_end():
-            statements.append(self._statement())
-        return Program(tuple(statements))
-
-    # -- statements ------------------------------------------------------
-
-    def _block_until(self, *terminators: str) -> tuple[PStmt, ...]:
-        body: list[PStmt] = []
-        while self.stream.peek().text not in terminators:
-            if self.stream.at_end():
-                raise PseudocodeError(
-                    f"unexpected end of pseudocode, expected one of {terminators}"
-                )
-            body.append(self._statement())
-        return tuple(body)
-
-    def _statement(self) -> PStmt:
-        token = self.stream.peek()
-        if token.text == "FOR":
-            return self._for_statement()
-        if token.text == "IF":
-            return self._if_statement()
-        if token.text == "DEFINE":
-            return self._define_statement()
-        return self._assignment()
-
-    def _for_statement(self) -> PFor:
-        self.stream.expect("FOR")
-        var = self.stream.expect_kind("ident").text
-        self.stream.expect(":=")
-        start = self._expression()
-        self.stream.expect("to")
-        end = self._expression()
-        body = self._block_until("ENDFOR")
-        self.stream.expect("ENDFOR")
-        return PFor(var, start, end, body)
-
-    def _if_statement(self) -> PIf:
-        self.stream.expect("IF")
-        cond = self._expression()
-        self.stream.expect("THEN")
-        then_body = self._block_until("ELSE", "FI")
-        else_body: tuple[PStmt, ...] = ()
-        if self.stream.accept("ELSE"):
-            else_body = self._block_until("FI")
-        self.stream.expect("FI")
-        return PIf(cond, then_body, else_body)
-
-    def _define_statement(self) -> PDefine:
-        self.stream.expect("DEFINE")
-        name = self.stream.expect_kind("ident").text
-        self.stream.expect("(")
-        params: list[str] = []
-        if not self.stream.accept(")"):
-            params.append(self.stream.expect_kind("ident").text)
-            while self.stream.accept(","):
-                params.append(self.stream.expect_kind("ident").text)
-            self.stream.expect(")")
-        body: list[PStmt] = []
-        while self.stream.peek().text != "RETURN":
-            body.append(self._statement())
-        self.stream.expect("RETURN")
-        result = self._expression()
-        self.stream.expect("ENDDEF")
-        return PDefine(name, tuple(params), tuple(body), result)
-
-    def _assignment(self) -> PAssign:
-        target = self._postfix()
-        if not isinstance(target, (PVar, PSlice)):
-            raise PseudocodeError("assignment target must be a name or slice")
-        self.stream.expect(":=")
-        value = self._expression()
-        return PAssign(target, value)
-
-    # -- expressions (precedence climbing) --------------------------------
-
-    def _expression(self) -> PExpr:
-        return self._ternary()
-
-    def _ternary(self) -> PExpr:
-        cond = self._comparison()
-        if self.stream.accept("?"):
-            then_expr = self._ternary()
-            self.stream.expect(":")
-            else_expr = self._ternary()
-            return PCond(cond, then_expr, else_expr)
-        return cond
-
-    _CMP_TOKENS = {
-        "==", "!=", "<s", ">s", "<=s", ">=s", "<u", ">u", "<=u", ">=u",
-        "<", ">", "<=", ">=",
-    }
-
-    def _comparison(self) -> PExpr:
-        left = self._bitor()
-        token = self.stream.peek().text
-        if token in self._CMP_TOKENS:
-            self.stream.next()
-            right = self._bitor()
-            return PBin(token, left, right)
-        return left
-
-    def _bitor(self) -> PExpr:
-        expr = self._bitxor()
-        while self.stream.peek().text == "|":
-            self.stream.next()
-            expr = PBin("|", expr, self._bitxor())
-        return expr
-
-    def _bitxor(self) -> PExpr:
-        expr = self._bitand()
-        while self.stream.peek().text == "^":
-            self.stream.next()
-            expr = PBin("^", expr, self._bitand())
-        return expr
-
-    def _bitand(self) -> PExpr:
-        expr = self._shift()
-        while self.stream.peek().text == "&":
-            self.stream.next()
-            expr = PBin("&", expr, self._shift())
-        return expr
-
-    def _shift(self) -> PExpr:
-        expr = self._additive()
-        while self.stream.peek().text in ("<<", ">>", ">>>"):
-            op = self.stream.next().text
-            expr = PBin(op, expr, self._additive())
-        return expr
-
-    def _additive(self) -> PExpr:
-        expr = self._multiplicative()
-        while self.stream.peek().text in ("+", "-"):
-            op = self.stream.next().text
-            expr = PBin(op, expr, self._multiplicative())
-        return expr
-
-    def _multiplicative(self) -> PExpr:
-        expr = self._unary()
-        while self.stream.peek().text in ("*", "/", "%"):
-            op = self.stream.next().text
-            expr = PBin(op, expr, self._unary())
-        return expr
-
-    def _unary(self) -> PExpr:
-        token = self.stream.peek()
-        if token.text == "-":
-            self.stream.next()
-            return PUn("-", self._unary())
-        if token.text == "~":
-            self.stream.next()
-            return PUn("~", self._unary())
-        return self._postfix()
-
-    def _postfix(self) -> PExpr:
-        expr = self._primary()
-        while self.stream.peek().text == "[":
-            if not isinstance(expr, PVar):
-                raise PseudocodeError("only names can be sliced")
-            self.stream.expect("[")
-            high = self._expression()
-            self.stream.expect(":")
-            low = self._expression()
-            self.stream.expect("]")
-            expr = PSlice(expr.name, high, low)
-        return expr
-
-    def _primary(self) -> PExpr:
-        token = self.stream.next()
-        if token.kind == "int":
-            return PInt(int(token.text))
-        if token.kind == "ident":
-            if token.text in _KEYWORDS:
-                raise PseudocodeError(
-                    f"line {token.line}: unexpected keyword {token.text!r}"
-                )
-            if self.stream.peek().text == "(":
-                self.stream.expect("(")
-                args: list[PExpr] = []
-                if not self.stream.accept(")"):
-                    args.append(self._expression())
-                    while self.stream.accept(","):
-                        args.append(self._expression())
-                    self.stream.expect(")")
-                return PCall(token.text, tuple(args))
-            return PVar(token.text)
-        if token.text == "(":
-            expr = self._expression()
-            self.stream.expect(")")
-            return expr
-        raise PseudocodeError(f"line {token.line}: unexpected token {token.text!r}")
-
-
-class _BuiltinTable(dict):
-    """Builtin lookup that synthesises width-suffixed cast builtins."""
-
-    def get(self, name: str, default=None):  # type: ignore[override]
-        found = super().get(name)
-        if found is not None:
-            return found
-        builtin = _builtin_for(name)
-        if builtin is not None:
-            self[name] = builtin
-        return builtin if builtin is not None else default
-
-
-_BUILTINS = _BuiltinTable(_NAMED_BUILTINS)
-
-
-def parse_x86_pseudocode(text: str) -> Program:
-    """Parse dialect text into the shared pseudocode AST."""
-    return _X86Parser(text).parse_program()
-
-
-def x86_semantics(spec: InstructionSpec) -> SemanticsFunction:
-    """Parse and lower one instruction spec to a semantics function."""
-    program = parse_x86_pseudocode(spec.pseudocode)
-    input_widths = {op.name: op.width for op in spec.operands}
-    body = lower_program(
-        program,
-        input_widths,
-        output_name="dst",
-        output_width=spec.output_width,
-        builtins=_BUILTINS,
-    )
-    inputs = tuple(
-        Input(op.name, IConst(op.width), op.is_immediate) for op in spec.operands
-    )
-    return SemanticsFunction(
-        spec.name, inputs, {}, body, IConst(spec.output_width)
-    )
+parse_x86_pseudocode = partial(parse_pseudocode, DIALECT)
+x86_semantics = partial(dialect_semantics, DIALECT)

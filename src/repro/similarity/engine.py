@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from repro.smt.solver import EquivalenceChecker
-from repro.isa.registry import load_isa
+from repro.isa.registry import CORE_ISAS, load_isa
 from repro.similarity.constants import SymbolicSemantics, extract_constants
 from repro.similarity.eqclass import ClassMember, EquivalenceClass
 from repro.similarity.equivalence import check_similar, find_similar_permutation
@@ -325,7 +325,7 @@ def _symbolics_for_isa(isa: str) -> list[SymbolicSemantics]:
 
 @lru_cache(maxsize=None)
 def build_equivalence_classes(
-    isas: tuple[str, ...] = ("x86", "hvx", "arm"),
+    isas: tuple[str, ...] = CORE_ISAS,
 ) -> tuple:
     """Run the engine over the given ISAs; returns (classes, stats)."""
     symbolics: list[SymbolicSemantics] = []

@@ -1,17 +1,29 @@
 """Tests for the ISA substrate: dialect parsers, spec generators, fuzzing."""
 
+import dataclasses
+import hashlib
+import random
+import re
 
 import pytest
 
 from repro.bitvector import bv
+from repro.hydride_ir.ast import SemanticsFunction
 from repro.hydride_ir.interp import interpret
 from repro.isa.fuzz import derive_seed, fuzz_catalog, fuzz_semantics
-from repro.isa.pseudo_core import Lexer, PseudocodeError, TokenStream
-from repro.isa.registry import load_isa
+from repro.isa.pseudo_core import (
+    Lexer,
+    PseudocodeError,
+    TokenStream,
+    dialect_semantics,
+    parse_pseudocode,
+)
+from repro.isa.registry import load_catalog, load_isa, supported_isas
 from repro.isa.spec import InstructionSpec, OperandSpec, validate_catalog
-from repro.isa.arm.parser import arm_semantics
-from repro.isa.hvx.parser import parse_hvx_pseudocode, hvx_semantics
-from repro.isa.x86.parser import x86_semantics
+from repro.isa.arm.parser import DIALECT as ARM, arm_semantics
+from repro.isa.hvx.parser import DIALECT as HVX, parse_hvx_pseudocode, hvx_semantics
+from repro.isa.rvv.parser import DIALECT as RVV
+from repro.isa.x86.parser import DIALECT as X86, x86_semantics
 
 
 class TestLexer:
@@ -240,7 +252,147 @@ class TestArmParser:
         assert interpret(sem, {"operand1": bv(100, 8), "operand2": bv(100, 8)}).signed == 127
 
 
+# Per dialect: its table, an 8-bit source operand, and a statement
+# assigning ``{}`` to the whole 8-bit destination.
+_DIALECTS = {
+    "x86": (X86, "a", "dst[7:0] := {}\n"),
+    "hvx": (HVX, "Vu", "Vd.b[0] = {};\n"),
+    "arm": (ARM, "operand1", "Elem[result, 0, 8] = {}\n"),
+    "rvv": (RVV, "vs2", "Elem[vd, 0, SEW] = {}\n"),
+}
+
+
+def _assigning(isa: str, rhs: str) -> InstructionSpec:
+    """A one-statement spec (on line 2) in ``isa``'s dialect: dest = ``rhs``."""
+    _dialect, operand, statement = _DIALECTS[isa]
+    return InstructionSpec(
+        name="test", isa=isa, asm="t", operands=(OperandSpec(operand, 8),),
+        output_width=8, pseudocode="\n" + statement.format(rhs),
+        extension="T", family="test", latency=1.0, throughput=1.0,
+        attributes={"vlen": 8, "lmul": 1, "sew": 8},
+    )
+
+
+def _lower(isa: str, rhs: str):
+    return dialect_semantics(_DIALECTS[isa][0], _assigning(isa, rhs))
+
+
+@pytest.mark.parametrize("isa", supported_isas())
+class TestEveryDialect:
+    """Behaviour the one parser gives all four dialects alike."""
+
+    def test_template_is_well_formed(self, isa):
+        operand = _DIALECTS[isa][1]
+        sem = _lower(isa, f"~{operand}")
+        assert interpret(sem, {operand: bv(0x0F, 8)}).value == 0xF0
+
+    def test_both_comment_styles(self, isa):
+        dialect = _DIALECTS[isa][0]
+        statement = _assigning(isa, "1").pseudocode
+        commented = f"// slashes\n# hash{statement}  // trailing\n"
+        assert parse_pseudocode(dialect, commented) == parse_pseudocode(
+            dialect, statement
+        )
+
+    def test_keyword_in_expression_position(self, isa):
+        for role, keyword in _DIALECTS[isa][0].keywords.items():
+            if role == "elem":
+                continue
+            with pytest.raises(PseudocodeError, match="line 2: unexpected keyword"):
+                _lower(isa, f"1 + {keyword}")
+
+    def test_only_names_can_be_sliced(self, isa):
+        operand = _DIALECTS[isa][1]
+        with pytest.raises(PseudocodeError, match="line 2: only names can be sliced"):
+            _lower(isa, f"({operand} + 1)[7:0]")
+
+    @pytest.mark.parametrize(
+        "expression,message",
+        [
+            ("0 / 0", "'/' undefined for operands 0 and 0"),
+            ("1 % 0", "'%' undefined for operands 1 and 0"),
+            ("1 << (0 - 1)", "'<<' undefined for operands 1 and -1"),
+            ("8 >> (0 - 1)", "'>>' undefined for operands 8 and -1"),
+        ],
+    )
+    def test_undefined_integer_arithmetic_is_typed(self, isa, expression, message):
+        with pytest.raises(PseudocodeError, match=re.escape(message)):
+            _lower(isa, expression)
+
+    def test_token_mutations_parse_or_raise_typed(self, isa):
+        """Seeded fuzz: a mutated catalog spec lowers, or raises
+        ``PseudocodeError`` — never anything else (``ZeroDivisionError``
+        and ``ValueError`` used to escape from integer ``/ % << >>``)."""
+        dialect = _DIALECTS[isa][0]
+        keywords = list(dialect.keywords.values())
+        specs = load_catalog(isa).specs
+        rng = random.Random(f"mutate-{isa}-0")
+        typed_errors = 0
+        for _ in range(600):
+            spec = rng.choice(specs)
+            mutated = _mutate(spec.pseudocode, rng, keywords)
+            try:
+                result = dialect_semantics(
+                    dialect, dataclasses.replace(spec, pseudocode=mutated)
+                )
+            except PseudocodeError:
+                typed_errors += 1
+            else:
+                assert isinstance(result, SemanticsFunction)
+        assert typed_errors > 300  # the mutations do bite
+
+
+_MUTATION_TOKEN = re.compile(
+    r"\s+|0[xX][0-9a-fA-F]+|[A-Za-z_][A-Za-z_0-9.]*|\d+|[^\sA-Za-z_0-9]"
+)
+
+
+def _mutate(text: str, rng: random.Random, keywords: list[str]) -> str:
+    """Delete, duplicate, swap or replace one token of ``text``."""
+    tokens = _MUTATION_TOKEN.findall(text)
+    positions = [i for i, token in enumerate(tokens) if not token.isspace()]
+    at = rng.randrange(len(positions))
+    i = positions[at]
+    kind = rng.choice(["delete", "duplicate", "swap", "replace"])
+    if kind == "delete":
+        tokens[i] = " "
+    elif kind == "duplicate":
+        tokens[i] = f"{tokens[i]} {tokens[i]}"
+    elif kind == "swap":
+        j = positions[(at + 1) % len(positions)]
+        tokens[i], tokens[j] = tokens[j], tokens[i]
+    else:
+        replacements = ["(", ")", "[", "]", "{", "}", "0", "-1", "/", "%"]
+        tokens[i] = f" {rng.choice(replacements + keywords)} "
+    return "".join(tokens)
+
+
+def test_rvv_symbolic_elem_width_division_by_zero():
+    with pytest.raises(PseudocodeError, match="operands 8 and 0"):
+        _lower("rvv", "Elem[vs2, 0, SEW / 0]")
+
+
+# sha256 over repr() of every parsed Program, recorded with the four
+# per-ISA parser classes this table-driven parser replaced.
+_GOLDEN_AST_DIGESTS = {
+    "x86": "04780bcd0263999088a8d6f3d6d158f4b7bf44b918df75f599d31e854f8e0ca3",
+    "hvx": "b1db7ed72dd48899362e146249617e38b0a7747b4a67ae903d45e1fbc90d3f8c",
+    "arm": "52ac1818c56148fbdbc7c03fb9051f9a2a7eb549b68fb6ab7632ce351a14705b",
+    "rvv": "31c4347ee8571c44ec74530e381ace29eb1f583e515f20b189422b955ea732b4",
+}
+
+
 class TestCatalogs:
+    @pytest.mark.parametrize("isa", supported_isas())
+    def test_golden_ast_digest(self, isa):
+        dialect = _DIALECTS[isa][0]
+        text = "".join(
+            repr(parse_pseudocode(dialect, spec.pseudocode))
+            for spec in load_catalog(isa).specs
+        )
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == _GOLDEN_AST_DIGESTS[isa]
+
     @pytest.mark.parametrize("isa,expected_min", [("x86", 500), ("hvx", 120), ("arm", 400)])
     def test_catalog_sizes(self, isa, expected_min):
         loaded = load_isa(isa)

@@ -24,13 +24,13 @@ from repro.isa.pseudo_core import (
 )
 
 
-def _lower(statements, inputs, out_width, builtins=None):
+def _lower(statements, inputs, out_width):
     body = lower_program(
         Program(tuple(statements)),
         inputs,
         "dst",
         out_width,
-        builtins or dict(CORE_BUILTINS),
+        CORE_BUILTINS.get,
     )
     func = SemanticsFunction(
         "t",
@@ -155,11 +155,10 @@ class TestLowering:
             _lower(statements, {"a": 8}, 8)
 
     def test_cast_builtin_coerces_int_argument(self):
-        builtins = dict(CORE_BUILTINS)
         statements = [
             PAssign(PSlice("dst", PInt(7), PInt(0)),
                     PBin("+", PCall("zero_extend", (PInt(3), PInt(8))),
                          PSlice("a", PInt(7), PInt(0)))),
         ]
-        func = _lower(statements, {"a": 8}, 8, builtins)
+        func = _lower(statements, {"a": 8}, 8)
         assert interpret(func, {"a": bv(4, 8)}).value == 7
