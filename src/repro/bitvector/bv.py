@@ -240,15 +240,19 @@ class BitVector:
     # ------------------------------------------------------------------
 
     def bvsmin(self, other: "BitVector") -> "BitVector":
+        self._check_same_width(other, "bvsmin")
         return self if self.signed <= other.signed else other
 
     def bvsmax(self, other: "BitVector") -> "BitVector":
+        self._check_same_width(other, "bvsmax")
         return self if self.signed >= other.signed else other
 
     def bvumin(self, other: "BitVector") -> "BitVector":
+        self._check_same_width(other, "bvumin")
         return self if self.unsigned <= other.unsigned else other
 
     def bvumax(self, other: "BitVector") -> "BitVector":
+        self._check_same_width(other, "bvumax")
         return self if self.unsigned >= other.unsigned else other
 
     # ------------------------------------------------------------------

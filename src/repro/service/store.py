@@ -270,11 +270,12 @@ class PersistentCache(MemoCache):
 
         Persisted entries can rot in ways deserialization cannot see: a
         bit-flipped immediate, a program saved against different
-        semantics, a hand-edited file.  ``screen_cached_program`` costs
-        microseconds and proves (or fails to refute) that the stored
-        program can still equal the spec, so a semantically-corrupt
-        entry is evicted here — the window re-synthesizes — instead of
-        silently compiling wrong code.
+        semantics, a hand-edited file.  ``screen_cached_program`` proves
+        (or fails to refute) that the stored program can still equal the
+        spec, so a semantically-corrupt entry is evicted here — the
+        window re-synthesizes — instead of silently compiling wrong
+        code.  It is not free: measured at ``2f9498e``, 5–19 ms per hit
+        on the bench population, 74 % of a warm worker's in-process time.
         """
         entry = super().lookup(expr, isa)
         if entry is None:

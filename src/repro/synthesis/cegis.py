@@ -16,11 +16,14 @@ import itertools
 import random
 import time
 from bisect import insort
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.analysis import hooks
 from repro.bitvector.bv import BitVector
 from repro.bitvector.lanes import Vector
+from repro.bitvector.packed import slice_half
 from repro.bitvector.packed import splat as packed_splat
 from repro.halide import ir as hir
 from repro.perf import global_counters, phase_timer
@@ -39,6 +42,8 @@ from repro.synthesis.program import (
     evaluate_program,
     make_packed_applier,
     program_to_term,
+    sop_applier,
+    swizzle_applier,
 )
 from repro.synthesis.scale import scale_spec, scaled_member_values
 
@@ -110,6 +115,57 @@ class _Candidate:
     # the specification (or a register half of one) on every seed input —
     # a proven-useful intermediate, ranked first in argument pools.
     landmark: bool = False
+    # node.bits and _node_kind(node), read on every pool scan.
+    bits: int = 0
+    kind: str = "leaf"
+
+
+@dataclass(frozen=True)
+class _Production:
+    """One grammar production at fixed argument widths: everything a
+    round's combos of it share, so a combo is evaluated on its argument
+    candidates' memoised outputs and becomes a node only if admitted."""
+
+    out_bits: int
+    kind: str
+    # Packed applier; None when building it failed, which rejects every
+    # combo exactly as a failing application does.
+    apply: Callable[[list[int]], int] | None
+    # Argument candidates -> the SNode applying this production to them.
+    build: Callable[[tuple["_Candidate", ...]], SNode]
+
+
+def _build_concat(args: tuple["_Candidate", ...]) -> SNode:
+    return SConcat(args[0].node, args[1].node)
+
+
+def _build_slice(high: bool, args: tuple["_Candidate", ...]) -> SNode:
+    return SSlice(args[0].node, high)
+
+
+def _build_op(
+    entry: GrammarEntry, values, out_bits: int, args: tuple["_Candidate", ...]
+) -> SNode:
+    return SOp(
+        entry.op,
+        entry.binding,
+        tuple(c.node for c in args),
+        entry.imm_values,
+        values,
+        out_bits,
+    )
+
+
+def _build_swizzle(
+    pattern: str,
+    elem_width: int,
+    out_bits: int,
+    amount: int,
+    args: tuple["_Candidate", ...],
+) -> SNode:
+    return SSwizzle(
+        pattern, tuple(c.node for c in args), elem_width, out_bits, amount
+    )
 
 
 class _Enumerator:
@@ -143,13 +199,16 @@ class _Enumerator:
         self._half_lo: list[_Candidate] = []
         self._half_hi: list[_Candidate] = []
         self._half_paired: set[tuple[int, int]] = set()
-        # Memoised _args_for results; flushed on any pool mutation.
-        self._args_cache: dict[tuple, list[_Candidate]] = {}
+        # Memoised _args_for results per width: an admission to width W
+        # changes only by_width[W], so only W's pools are dropped.
+        self._args_cache: dict[int, dict[tuple, list[_Candidate]]] = {}
         self.seen: set[tuple] = set()
         self.depth = 0
         self.total_candidates = 0
+        self.spec_bits = spec.type.bits
+        self.spec_elem_width = spec.type.elem_width
         self.max_bits = 2 * max(
-            [spec.type.bits] + [i.bits for i in grammar.inputs] + [1]
+            [self.spec_bits] + [i.bits for i in grammar.inputs] + [1]
         )
         from repro.synthesis.grammar import _spec_profile
 
@@ -193,7 +252,7 @@ class _Enumerator:
                 else:
                     applier = make_packed_applier(
                         candidate.node,
-                        tuple(a.node.bits for a in candidate.args),
+                        tuple(a.bits for a in candidate.args),
                     )
                     value = applier(
                         [a.outs[env_index] for a in candidate.args]
@@ -202,13 +261,11 @@ class _Enumerator:
             except Exception:
                 candidate.outs.append(-1)
         # Re-key dedup (outputs grew).
-        self.seen = {
-            (c.node.bits, tuple(c.outs)) for c in self.pool
-        }
+        self.seen = {(c.bits, tuple(c.outs)) for c in self.pool}
         self._rebuild_landmarks()
         for candidate in self.pool:
             candidate.landmark = (
-                (candidate.node.bits, tuple(candidate.outs)) in self._landmarks
+                (candidate.bits, tuple(candidate.outs)) in self._landmarks
             )
         # Landmark flags feed argument-pool ranking.
         self._args_cache.clear()
@@ -273,11 +330,10 @@ class _Enumerator:
     ) -> list[int] | None:
         """The candidate's output on every environment in one pass, or
         None when any application fails (the candidate is rejected)."""
-        global_counters().candidates_evaluated += 1
         try:
             if arg_candidates is not None:
                 applier = make_packed_applier(
-                    node, tuple(c.node.bits for c in arg_candidates)
+                    node, tuple(c.bits for c in arg_candidates)
                 )
                 return [
                     applier([c.outs[i] for c in arg_candidates])
@@ -294,6 +350,15 @@ class _Enumerator:
         except Exception:
             return None
 
+    def _counts(self, bits: int) -> bool:
+        """The width-range gate every admission path opens with; a
+        candidate that passes it is counted as evaluated (this is what
+        ``cegis.candidates`` reads) before dedup sees it."""
+        if bits <= 0 or bits > self.max_bits:
+            return False
+        global_counters().candidates_evaluated += 1
+        return True
+
     def _admit(
         self,
         node: SNode,
@@ -302,14 +367,82 @@ class _Enumerator:
         force: bool = False,
         arg_candidates: tuple["_Candidate", ...] | None = None,
     ) -> None:
-        if node.bits <= 0 or node.bits > self.max_bits:
+        """Admit an already-built node (the leaves; and the reference the
+        outs-first paths below are tested against)."""
+        if not self._counts(node.bits):
             return
-        if arg_candidates is None and not isinstance(node, (SInput, SConstant)):
-            arg_candidates = getattr(node, "_arg_candidates", None)
         outs = self._eval_outs(node, arg_candidates)
-        if outs is None:
+        if outs is not None:
+            self._insert(
+                node.bits, outs, _node_kind(node), cost, depth, force,
+                arg_candidates, lambda _args: node,
+            )
+
+    def _admit_concat(
+        self,
+        high: _Candidate,
+        low: _Candidate,
+        cost: float,
+        depth: int,
+        force: bool = False,
+    ) -> None:
+        """``high:low`` register pairing, from the parts' memoised outputs."""
+        high_bits, low_bits = high.bits, low.bits
+        if self._counts(high_bits + low_bits):
+            # packed.concat_pair, inlined: this runs once per pairing the
+            # closure tries, and over 95 % of those are duplicates.
+            high_mask, low_mask = (1 << high_bits) - 1, (1 << low_bits) - 1
+            outs = [
+                ((h & high_mask) << low_bits) | (l & low_mask)
+                for h, l in zip(high.outs, low.outs)
+            ]
+            self._insert(
+                high_bits + low_bits, outs, "view", cost, depth, force,
+                (high, low), _build_concat,
+            )
+
+    def _admit_slice(self, src: _Candidate, high: bool, depth: int) -> None:
+        """A free half-register view of ``src``."""
+        if self._counts(src.bits // 2):
+            outs = [slice_half(value, src.bits, high) for value in src.outs]
+            self._insert(
+                src.bits // 2, outs, "view", src.cost, depth, True,
+                (src,), partial(_build_slice, high),
+            )
+
+    def _admit_production(
+        self, production: _Production, cost: float, combo: tuple[_Candidate, ...]
+    ) -> None:
+        if not self._counts(production.out_bits):
             return
-        key = (node.bits, tuple(outs))
+        apply = production.apply
+        if apply is None:
+            return
+        try:
+            outs = [
+                apply([c.outs[i] for c in combo]) for i in range(len(self.envs))
+            ]
+        except Exception:
+            return
+        self._insert(
+            production.out_bits, outs, production.kind, cost, self.depth,
+            False, combo, production.build,
+        )
+
+    def _insert(
+        self,
+        bits: int,
+        outs: list[int],
+        kind: str,
+        cost: float,
+        depth: int,
+        force: bool,
+        args: tuple[_Candidate, ...] | None,
+        build,
+    ) -> None:
+        """Dedup, cap and pool insertion for one evaluated candidate;
+        ``build(args)`` constructs its node, for survivors only."""
+        key = (bits, tuple(outs))
         if key in self.seen:
             return
         is_landmark = key in self._landmarks
@@ -317,14 +450,15 @@ class _Enumerator:
         # always enter the pool; the per-width cap only sheds junk.
         if is_landmark:
             force = True
-        if not force and node.bits == self.spec.type.bits:
+        if not force and bits == self.spec_bits:
             force = self._matches_lane0(outs)
-        bucket = self.by_width.setdefault(node.bits, [])
-        kind = _node_kind(node)
+        # Before the cap check on purpose: a width whose every candidate
+        # was shed still owns a bucket the per-width loops of _grow visit.
+        bucket = self.by_width.setdefault(bits, [])
         # Caps are per (width, kind, depth): each enumeration round gets
         # its own allowance, so early rounds cannot starve later ones of
         # pool space — only same-round volume is shed.
-        kind_key = (node.bits, kind, depth)
+        kind_key = (bits, kind, depth)
         kind_count = self._kind_counts.get(kind_key, 0)
         cap = self.options.pool_per_width if kind == "op" else (
             self.options.pool_per_width // 2
@@ -333,22 +467,23 @@ class _Enumerator:
             return
         self._kind_counts[kind_key] = kind_count + 1
         self.seen.add(key)
-        elem = _elem_view(node, arg_candidates)
+        node = build(args)
         candidate = _Candidate(
-            node, cost, outs, depth, arg_candidates, elem, is_landmark
+            node, cost, outs, depth, args, _elem_view(node, args),
+            is_landmark, bits, kind,
         )
         self.pool.append(candidate)
         # insort-right after equal costs == append + stable sort.
         insort(bucket, candidate, key=lambda c: c.cost)
-        self._args_cache.clear()
+        self._args_cache.pop(bits, None)
         self.total_candidates += 1
         # Goal-directed register assembly: a candidate that computes
         # exactly the low or high half of the specification is queued so
         # matching halves concatenate into full-width solutions — how a
         # window wider than one target register gets its per-register
         # program without spending a grammar-depth level per concat.
-        half_bits = self.spec.type.bits // 2
-        if node.bits == half_bits and half_bits > 0:
+        half_bits = self.spec_bits // 2
+        if bits == half_bits and half_bits > 0:
             mask = (1 << half_bits) - 1
             if all(
                 out == self.spec_outs[i].value & mask
@@ -362,8 +497,7 @@ class _Enumerator:
                 self._half_hi.append(candidate)
 
     def _matches_lane0(self, outs: list[int]) -> bool:
-        elem_width = self.spec.type.elem_width
-        mask = (1 << elem_width) - 1
+        mask = (1 << self.spec_elem_width) - 1
         for env_index, got in enumerate(outs):
             if got & mask != self.spec_outs[env_index].value & mask:
                 return False
@@ -408,18 +542,11 @@ class _Enumerator:
         """Free half-slices of a value, admitted at the same depth —
         register views never consume a grammar-depth level.  Only one
         level of views: slices of slices/concats add nothing but volume."""
-        if isinstance(candidate.node, (SSlice, SConcat)):
+        if candidate.kind == "view":
             return
-        bits = candidate.node.bits
-        if bits % 2 == 0 and bits >= 16:
+        if candidate.bits % 2 == 0 and candidate.bits >= 16:
             for high in (False, True):
-                self._admit(
-                    SSlice(candidate.node, high),
-                    candidate.cost,
-                    depth,
-                    force=True,
-                    arg_candidates=(candidate,),
-                )
+                self._admit_slice(candidate, high, depth)
 
     def _args_for(
         self, bits: int, cap: int | None = None, elem: int | None = None
@@ -431,49 +558,54 @@ class _Enumerator:
         results, swizzles and views all represented, and the newest
         round's intermediates always get slots.
 
-        Results are memoised until the pool changes: the collection phase
-        of one grow() round asks for the same (width, cap, elem) pools
-        once per grammar entry, and between admissions the pool is
-        stable.  Callers treat the returned list as read-only."""
-        key = (bits, cap, elem, self.depth)
-        hit = self._args_cache.get(key)
+        Results are memoised until their width's bucket changes (or a
+        new environment re-ranks landmarks, or the depth moves): the
+        collection phase of one grow() round asks for the same (width,
+        cap, elem) pools once per grammar entry, and the pairing closure
+        asks for width W's pool while admitting at width 2W.  Callers
+        treat the returned list as read-only."""
+        pools = self._args_cache.setdefault(bits, {})
+        key = (cap, elem, self.depth)
+        hit = pools.get(key)
         if hit is None:
-            hit = self._args_for_uncached(bits, cap, elem)
-            self._args_cache[key] = hit
+            hit = pools[key] = self._args_for_uncached(bits, cap, elem)
         return hit
 
     def _args_for_uncached(
         self, bits: int, cap: int | None = None, elem: int | None = None
     ):
-        bucket = self.by_width.get(bits, [])
-        if elem is not None:
-            bucket = [
-                c
-                for c in bucket
-                if c.elem is None or c.elem == elem or c.depth == 0
-            ]
         cap = cap or self.options.args_per_width
+        frontier = self.depth - 1
+        # The bucket is cost-sorted, so "stable sort by (not landmark,
+        # cost)" is "landmarks in bucket order, then the rest in bucket
+        # order": each group below is that pair of lists.
+        ops, swizzles, others, fresh = ([], []), ([], []), ([], []), ([], [])
+        for c in self.by_width.get(bits, ()):
+            if not (
+                elem is None or c.elem is None or c.elem == elem or c.depth == 0
+            ):
+                continue
+            rank = 0 if c.landmark else 1
+            if c.kind == "op":
+                ops[rank].append(c)
+            elif c.kind == "swizzle":
+                swizzles[rank].append(c)
+            else:
+                others[rank].append(c)
+            if c.depth >= frontier > 0:
+                fresh[rank].append(c)
 
-        def pick(candidates, count):
-            return sorted(
-                candidates, key=lambda c: (not c.landmark, c.cost)
-            )[:count]
+        def pick(group, count):
+            return (group[0] + group[1])[:count]
 
-        ops = [c for c in bucket if isinstance(c.node, SOp)]
-        swizzles = [c for c in bucket if isinstance(c.node, SSwizzle)]
-        others = [
-            c for c in bucket if not isinstance(c.node, (SOp, SSwizzle))
-        ]
         chosen = (
             pick(ops, cap)
             + pick(swizzles, max(3, cap // 2))
             + pick(others, max(4, cap // 2))
         )
-        seen_ids = {id(c) for c in chosen}
-        frontier = self.depth - 1
         if frontier > 0:
-            fresh = pick((c for c in bucket if c.depth >= frontier), cap)
-            chosen.extend(c for c in fresh if id(c) not in seen_ids)
+            seen_ids = {id(c) for c in chosen}
+            chosen.extend(c for c in pick(fresh, cap) if id(c) not in seen_ids)
         return chosen
 
     def grow(self) -> None:
@@ -485,7 +617,9 @@ class _Enumerator:
         self._check_deadline()
         self.depth += 1
         self._args_cache.clear()
-        new_nodes: list[tuple[SNode, float, int]] = []
+        # (production, cost, argument candidates, rank within its group);
+        # production None is the free register pairing.
+        new_nodes: list[tuple[_Production | None, float, tuple, int]] = []
         frontier = self.depth - 1  # at least one arg from the last round
 
         # Target instruction applications.
@@ -514,21 +648,21 @@ class _Enumerator:
             if any(not p for p in pools):
                 continue
             latency = entry.binding.spec.latency
-            group: list = []
-            for combo in _combinations(pools, frontier):
-                node = SOp(
-                    entry.op,
-                    entry.binding,
-                    tuple(c.node for c in combo),
-                    entry.imm_values,
-                    values,
-                    out_bits,
+            try:
+                apply = sop_applier(
+                    entry.binding, values, entry.imm_values, tuple(widths)
                 )
-                cost = latency + sum(c.cost for c in combo)
-                group.append((node, cost, self.depth, tuple(combo)))
+            except Exception:
+                apply = None
+            production = _Production(
+                out_bits, "op", apply, partial(_build_op, entry, values, out_bits)
+            )
+            group = [
+                (production, latency + sum(c.cost for c in combo), combo)
+                for combo in _combinations(pools, frontier)
+            ]
             group.sort(key=_group_key)
-            for rank, item in enumerate(group):
-                new_nodes.append((*item, rank))
+            new_nodes.extend((*item, rank) for rank, item in enumerate(group))
 
         # Swizzle patterns (always in the grammar).
         elem_widths = sorted(
@@ -552,50 +686,50 @@ class _Enumerator:
                         else (0,)
                     )
                     for amount in amounts:
-                        group = []
-                        for combo in _combinations(pools, frontier):
-                            node = SSwizzle(
-                                pattern,
-                                tuple(c.node for c in combo),
-                                elem_width,
-                                out_bits,
-                                amount,
+                        try:
+                            apply = swizzle_applier(
+                                pattern, elem_width, amount, (bits,) * arity
                             )
-                            cost = self.grammar.cost_model.swizzle_cost(node) + sum(
-                                c.cost for c in combo
-                            )
-                            group.append((node, cost, self.depth, tuple(combo)))
+                        except Exception:
+                            apply = None
+                        build = partial(
+                            _build_swizzle, pattern, elem_width, out_bits, amount
+                        )
+                        production = _Production(out_bits, "swizzle", apply, build)
+                        # The cost model reads the pattern only.
+                        latency = self.grammar.cost_model.swizzle_cost(build(()))
+                        group = [
+                            (production, latency + sum(c.cost for c in combo), combo)
+                            for combo in _combinations(pools, frontier)
+                        ]
                         group.sort(key=_group_key)
-                        for rank, item in enumerate(group):
-                            new_nodes.append((*item, rank))
+                        new_nodes.extend(
+                            (*item, rank) for rank, item in enumerate(group)
+                        )
 
         # Concatenations of equal-width values (free register pairing).
         for bits in list(self.by_width):
             if bits * 2 <= self.max_bits:
                 pool = self._args_for(bits, max(4, self.options.args_per_width // 2))
-                group = []
-                for combo in _combinations([pool, pool], frontier):
-                    group.append(
-                        (
-                            SConcat(combo[0].node, combo[1].node),
-                            combo[0].cost + combo[1].cost,
-                            self.depth,
-                            tuple(combo),
-                        )
-                    )
+                group = [
+                    (None, combo[0].cost + combo[1].cost, combo)
+                    for combo in _combinations([pool, pool], frontier)
+                ]
                 group.sort(key=lambda item: item[1])
-                for rank, item in enumerate(group):
-                    new_nodes.append((*item, rank))
+                new_nodes.extend((*item, rank) for rank, item in enumerate(group))
 
         # Deterministic, fair per-round work bound: candidates are taken
         # round-robin across generating instructions (each instruction's
         # combos cost-sorted), so cheap high-fanout families cannot starve
         # expensive three-operand instructions of their budget share.
-        new_nodes.sort(key=lambda item: (item[4], item[1]))
+        new_nodes.sort(key=lambda item: (item[3], item[1]))
         del new_nodes[self.options.round_budget :]
-        for node, cost, depth, args, _rank in new_nodes:
+        for production, cost, combo, _rank in new_nodes:
             self._check_deadline()
-            self._admit(node, cost, depth, arg_candidates=args)
+            if production is None:
+                self._admit_concat(combo[0], combo[1], cost, self.depth)
+            else:
+                self._admit_production(production, cost, combo)
         # Close the new round under free register views so a slice or a
         # register-pair of this round's results is usable immediately —
         # multi-register outputs (concat of per-register results) would
@@ -604,23 +738,12 @@ class _Enumerator:
         for candidate in fresh:
             self._admit_views(candidate, self.depth)
         for candidate in fresh:
-            bits = candidate.node.bits
-            if bits * 2 > self.max_bits:
+            if candidate.bits * 2 > self.max_bits:
                 continue
-            partners = self._args_for(bits, 8)
-            for partner in partners:
-                self._admit(
-                    SConcat(candidate.node, partner.node),
-                    candidate.cost + partner.cost,
-                    self.depth,
-                    arg_candidates=(candidate, partner),
-                )
-                self._admit(
-                    SConcat(partner.node, candidate.node),
-                    candidate.cost + partner.cost,
-                    self.depth,
-                    arg_candidates=(partner, candidate),
-                )
+            for partner in self._args_for(candidate.bits, 8):
+                cost = candidate.cost + partner.cost
+                self._admit_concat(candidate, partner, cost, self.depth)
+                self._admit_concat(partner, candidate, cost, self.depth)
         # Assemble solutions from exact half-matches.
         for hi in list(self._half_hi):
             for lo in list(self._half_lo):
@@ -628,12 +751,8 @@ class _Enumerator:
                 if pair_key in self._half_paired:
                     continue
                 self._half_paired.add(pair_key)
-                self._admit(
-                    SConcat(hi.node, lo.node),
-                    hi.cost + lo.cost,
-                    self.depth,
-                    force=True,
-                    arg_candidates=(hi, lo),
+                self._admit_concat(
+                    hi, lo, hi.cost + lo.cost, self.depth, force=True
                 )
 
     def _scaled_values(self, entry: GrammarEntry):
@@ -650,8 +769,8 @@ class _Enumerator:
 
     def matching_candidates(self, failing_lanes: set[int], lanewise: bool):
         """Candidates equal to the spec on the asserted lanes (line 7)."""
-        out_bits = self.spec.type.bits
-        elem_width = self.spec.type.elem_width
+        out_bits = self.spec_bits
+        elem_width = self.spec_elem_width
         matches = []
         for candidate in self.by_width.get(out_bits, []):
             ok = True
@@ -702,8 +821,7 @@ def _elem_view(node: SNode, args) -> int | None:
 def _group_key(item) -> tuple:
     """Within one instruction's combo group: combos built from proven
     landmark intermediates first, then cheapest."""
-    combo = item[3]
-    non_landmark = sum(0 if c.landmark else 1 for c in combo)
+    non_landmark = sum(0 if c.landmark else 1 for c in item[2])
     return (non_landmark, item[1])
 
 

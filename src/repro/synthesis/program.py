@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.bitvector.bv import BitVector
 from repro.bitvector.lanes import Vector, vector_from_elems
@@ -22,6 +23,7 @@ from repro.bitvector.packed import (
     swizzle_order,
 )
 from repro.autollvm.intrinsics import AutoLLVMOp, TargetBinding
+from repro.hydride_ir.compile import compile_semantics
 from repro.hydride_ir.interp import interpret as interpret_semantics
 from repro.hydride_ir.interp import make_evaluator
 from repro.hydride_ir.interp import to_term as semantics_to_term
@@ -153,7 +155,8 @@ class SSlice(SNode):
     def children(self) -> tuple[SNode, ...]:
         return (self.src,)
 
-    @property
+    # Cached: views nest, and the enumerator reads widths constantly.
+    @cached_property
     def bits(self) -> int:
         return self.src.bits // 2
 
@@ -172,7 +175,7 @@ class SConcat(SNode):
     def children(self) -> tuple[SNode, ...]:
         return (self.high_part, self.low_part)
 
-    @property
+    @cached_property
     def bits(self) -> int:
         return self.high_part.bits + self.low_part.bits
 
@@ -321,43 +324,98 @@ def swizzle_elements(pattern: str, vectors: list[Vector], amount: int = 0):
 _SOP_EVAL_CACHE: dict[tuple, tuple] = {}
 
 
-def _sop_plan(node: SOp) -> tuple:
+def _sop_plan(
+    binding: TargetBinding, values: tuple[int, ...], imm_values: tuple[int, ...]
+) -> tuple:
     """Hoisted per-(binding, params, imms) evaluation state for one SOp.
 
     Everything :func:`apply_node` recomputes per call — the parameter
     dict, the concrete semantics function, the resolved input widths and
     the immediate operands — is computed once here and shared by every
-    candidate applying the same instruction with the same parameters.
+    candidate applying the same instruction with the same parameters,
+    together with the compiled form of the semantics (None when
+    :func:`compile_semantics` declines).
     """
-    key = (id(node.binding), node.values(), node.imm_values)
+    key = (id(binding), values, imm_values)
     plan = _SOP_EVAL_CACHE.get(key)
     if plan is None:
-        symbolic = node.binding.member.symbolic
-        values = dict(zip(symbolic.param_names, node.values()))
-        func = symbolic.to_function(values)
-        evaluator = make_evaluator(func, values)
+        symbolic = binding.member.symbolic
+        params = dict(zip(symbolic.param_names, values))
+        func = symbolic.to_function(params)
+        evaluator = make_evaluator(func, params)
         imm_env: dict[str, BitVector] = {}
         reg_names: list[str] = []
-        imm_iter = iter(node.imm_values)
+        imm_iter = iter(imm_values)
         for inp in func.inputs:
             if inp.is_immediate:
                 width = evaluator.input_widths[inp.name]
                 imm_env[inp.name] = BitVector(next(imm_iter), width)
             else:
                 reg_names.append(inp.name)
-        plan = (node.binding, evaluator, imm_env, tuple(reg_names))
+        compiled = compile_semantics(
+            func, params, {name: imm.value for name, imm in imm_env.items()}
+        )
+        reg_widths = tuple(evaluator.input_widths[name] for name in reg_names)
+        plan = (binding, evaluator, imm_env, tuple(reg_names), reg_widths, compiled)
         _SOP_EVAL_CACHE[key] = plan
     return plan
+
+
+def sop_applier(
+    binding: TargetBinding,
+    values: tuple[int, ...],
+    imm_values: tuple[int, ...],
+    arg_widths: tuple[int, ...],
+):
+    """Packed evaluation of one instruction at one parameter vector.
+
+    Arguments arriving at the instruction's resolved input widths run
+    the compiled semantics; anything else — a width-mismatched
+    application, or semantics the compiler declined — boxes its operands
+    at the *argument's* width and goes through the interpreter, whose
+    validation rejects exactly what the object path rejects.
+    """
+    _, evaluator, imm_env, reg_names, reg_widths, compiled = _sop_plan(
+        binding, values, imm_values
+    )
+    if compiled is not None and arg_widths == reg_widths:
+        return compiled
+
+    def apply_sop(args: list[int]) -> int:
+        env = dict(imm_env)
+        for name, value, width in zip(reg_names, args, arg_widths):
+            env[name] = BitVector(value, width)
+        return evaluator(env).value
+
+    return apply_sop
+
+
+def swizzle_applier(
+    pattern: str, elem_width: int, amount: int, arg_widths: tuple[int, ...]
+):
+    """Packed evaluation of one swizzle pattern at fixed register widths."""
+    for width in arg_widths:
+        if width % elem_width:
+            raise ValueError(
+                f"register width {width} is not a multiple of "
+                f"element width {elem_width}"
+            )
+    order = swizzle_order(pattern, arg_widths[0] // elem_width, amount)
+    widths = list(arg_widths)
+
+    def apply_swizzle(args: list[int]) -> int:
+        return gather_lanes(order, args, widths, elem_width)
+
+    return apply_swizzle
 
 
 def make_packed_applier(node: SNode, arg_widths: tuple[int, ...]):
     """A callable evaluating ``node`` on packed integer argument values.
 
-    Arguments and result are plain ints (a whole register each); only the
-    instruction-semantics path still boxes its operands into
-    :class:`BitVector`.  Malformed applications raise exactly where the
-    object path raises, so candidate rejection is unchanged — values out
-    of range are masked the same way :class:`BitVector` masks them.
+    Arguments and result are plain ints (a whole register each).
+    Malformed applications raise exactly where the object path raises,
+    so candidate rejection is unchanged — values out of range are masked
+    the same way :class:`BitVector` masks them.
     """
     if isinstance(node, SInput):
         raise ValueError("inputs have no arguments")
@@ -374,35 +432,11 @@ def make_packed_applier(node: SNode, arg_widths: tuple[int, ...]):
         high_width, low_width = arg_widths
         return lambda args: concat_pair(args[0], args[1], high_width, low_width)
     if isinstance(node, SSwizzle):
-        elem_width = node.elem_width
-        for width in arg_widths:
-            if width % elem_width:
-                raise ValueError(
-                    f"register width {width} is not a multiple of "
-                    f"element width {elem_width}"
-                )
-        order = swizzle_order(
-            node.pattern, arg_widths[0] // elem_width, node.amount
+        return swizzle_applier(
+            node.pattern, node.elem_width, node.amount, arg_widths
         )
-        widths = list(arg_widths)
-
-        def apply_swizzle(args: list[int]) -> int:
-            return gather_lanes(order, args, widths, elem_width)
-
-        return apply_swizzle
     assert isinstance(node, SOp)
-    _, evaluator, imm_env, reg_names = _sop_plan(node)
-
-    def apply_sop(args: list[int]) -> int:
-        env = dict(imm_env)
-        # Box at the *argument's* width, not the declared input width, so
-        # a width-mismatched application is rejected by the evaluator's
-        # validation exactly like the object path.
-        for name, value, width in zip(reg_names, args, arg_widths):
-            env[name] = BitVector(value, width)
-        return evaluator(env).value
-
-    return apply_sop
+    return sop_applier(node.binding, node.values(), node.imm_values, arg_widths)
 
 
 SWIZZLE_PATTERNS = (

@@ -130,6 +130,15 @@ class TestComparisons:
         assert a.bvumin(b).unsigned <= a.bvumax(b).unsigned
         assert {a.bvsmin(b).value, a.bvsmax(b).value} == {a.value, b.value}
 
+    @pytest.mark.parametrize("op", ("bvsmin", "bvsmax", "bvumin", "bvumax"))
+    def test_minmax_width_mismatch_rejected(self, op):
+        # The result's width must not depend on which operand wins —
+        # smt.apply_op rejects the same application.
+        with pytest.raises(ValueError):
+            getattr(bv(200, 8), op)(bv(5, 16))
+        with pytest.raises(ValueError):
+            getattr(bv(5, 16), op)(bv(200, 8))
+
 
 class TestWidthChanges:
     def test_extract(self):

@@ -1,15 +1,22 @@
 """Tests for Hydride IR: AST, interpretation, lowering, transforms."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitvector import bv
+from repro.autollvm import build_dictionary
+from repro.bitvector import BitVector, bv, splat
 from repro.hydride_ir import (
     BvBinOp,
     BvCast,
+    BvCmp,
     BvConcat,
+    BvConst,
     BvExtract,
+    BvIte,
     BvVar,
     ForConcat,
     Input,
@@ -22,9 +29,23 @@ from repro.hydride_ir import (
     to_term,
 )
 from repro.hydride_ir.indexexpr import IBin, IConst, normalize_affine, simplify_index
-from repro.hydride_ir.interp import SemanticsError, compute_width
+from repro.hydride_ir.compile import compile_semantics
+from repro.hydride_ir.interp import (
+    SemanticsError,
+    compute_width,
+    resolved_input_widths,
+)
+from repro.isa.registry import CORE_ISAS, load_isa, supported_isas
 from repro.hydride_ir.transforms import canonicalize, propagate_constants, reroll
 from repro.smt.eval import evaluate
+from repro.synthesis.program import (
+    SInput,
+    SOp,
+    apply_node,
+    make_packed_applier,
+    sop_applier,
+)
+from repro.synthesis.scale import scaled_member_values
 
 
 def _simd_add(count: int, elem: int) -> SemanticsFunction:
@@ -157,6 +178,179 @@ class TestInterp:
     def test_compute_width(self):
         func = _simd_add(4, 8)
         assert compute_width(func.body, {}, {"a": 32, "b": 32}) == 32
+
+
+def _register_patterns(rng: random.Random, width: int, elem: int) -> list[int]:
+    """Boundary registers, then seeded random ones."""
+    lanes = max(width // elem, 1)
+    ones = (1 << width) - 1
+    alternating = sum(
+        ((1 << elem) - 1) << (lane * elem) for lane in range(0, lanes, 2)
+    )
+    return [
+        0,
+        ones,
+        splat(1 << (elem - 1), lanes, elem) & ones,  # sign bit set per lane
+        alternating & ones,
+        ~alternating & ones,
+    ] + [rng.getrandbits(width) for _ in range(4)]
+
+
+def _outcome(thunk):
+    """The thunk's value, or None when it rejects its input."""
+    try:
+        return thunk()
+    except Exception:
+        return None
+
+
+def _assert_compiled_matches_interpreter(func, params, fixed, elem, rng) -> bool:
+    """False when the compiler declined; otherwise the compiled form must
+    equal ``interpret`` on every pattern."""
+    compiled = compile_semantics(func, params, fixed)
+    if compiled is None:
+        return False
+    widths = resolved_input_widths(func, params)
+    registers = [i.name for i in func.inputs if i.name not in fixed]
+    columns = [_register_patterns(rng, widths[name], elem) for name in registers]
+    immediates = {name: BitVector(value, widths[name]) for name, value in fixed.items()}
+    for row in zip(*columns):
+        env = {name: BitVector(value, widths[name]) for name, value in zip(registers, row)}
+        expected = interpret(func, {**env, **immediates}, params).value
+        assert compiled(list(row)) == expected, (func.name, compiled.source)
+    return True
+
+
+def _elem_width(spec) -> int:
+    elem = spec.attributes.get("elem_width")
+    return elem if isinstance(elem, int) and elem > 0 else 8
+
+
+class TestCompiledSemantics:
+    """``compile_semantics`` against its oracle, ``interpret``."""
+
+    @pytest.mark.parametrize("isa", supported_isas())
+    def test_catalog_specs_at_own_parameters(self, isa):
+        loaded = load_isa(isa)
+        rng = random.Random(f"compiled-{isa}")
+        compiled = 0
+        for name, func in loaded.semantics.items():
+            fixed = {
+                i.name: rng.choice((0, 1, 3, 7)) for i in func.inputs if i.is_immediate
+            }
+            compiled += _assert_compiled_matches_interpreter(
+                func, func.params, fixed, _elem_width(loaded.spec(name)), rng
+            )
+        # Declining is always allowed, but not as the common case.
+        assert compiled >= 0.95 * len(loaded.semantics)
+
+    @pytest.mark.parametrize("isa", supported_isas())
+    def test_dictionary_bindings_at_search_parameters(self, isa):
+        """At the ×8-scaled parameters the search actually runs at, and
+        through ``make_packed_applier`` — compiled where the argument
+        widths are the declared ones, interpreter (and its rejection,
+        which must be ``apply_node``'s) where one is not."""
+        dictionary = build_dictionary(CORE_ISAS if isa in CORE_ISAS else (isa,))
+        rng = random.Random(f"compiled-scaled-{isa}")
+        compiled = scaled_bindings = 0
+        for op in dictionary.ops:
+            for binding in op.bindings_for(isa):
+                values = scaled_member_values(binding, 8)
+                if values is None:
+                    continue
+                scaled_bindings += 1
+                symbolic = binding.member.symbolic
+                params = dict(zip(symbolic.param_names, values))
+                func = symbolic.to_function(params)
+                imms = (rng.choice((1, 2, 3)),) * symbolic.imm_arity()
+                fixed = dict(
+                    zip((i.name for i in func.inputs if i.is_immediate), imms)
+                )
+                compiled += _assert_compiled_matches_interpreter(
+                    func, params, fixed, _elem_width(binding.spec), rng
+                )
+                widths = resolved_input_widths(func, params)
+                declared = tuple(
+                    widths[i.name] for i in func.inputs if not i.is_immediate
+                )
+                widened = (declared[0] * 2,) + declared[1:]
+                node = SOp(
+                    op, binding,
+                    tuple(SInput(f"ld{i}", 1, w) for i, w in enumerate(declared)),
+                    imms, values,
+                )
+                for arg_widths in (declared, widened):
+                    regs = [rng.getrandbits(w) for w in arg_widths]
+                    assert _outcome(
+                        lambda: make_packed_applier(node, arg_widths)(regs)
+                    ) == _outcome(
+                        lambda: apply_node(
+                            node, [BitVector(r, w) for r, w in zip(regs, arg_widths)]
+                        ).value
+                    ), (binding.spec.name, arg_widths)
+        assert scaled_bindings and compiled >= 0.95 * scaled_bindings
+
+    @pytest.mark.parametrize(
+        "body",
+        (
+            # statically inconsistent widths
+            BvBinOp("bvadd", BvVar("a"), BvCast("zext", BvVar("b"), iconst(32))),
+            # out-of-range extract, in the arm taken only when a != 0
+            BvIte(
+                BvCmp("bveq", BvVar("a"), BvConst(iconst(0), iconst(16))),
+                BvVar("b"),
+                BvExtract(BvVar("a"), iconst(12), iconst(16)),
+            ),
+            # zero-count loop
+            ForConcat("i", iconst(0), BvVar("a")),
+            # an operation the compiler has no template for
+            BvBinOp("bvsdiv", BvVar("a"), BvVar("b")),
+        ),
+        ids=("mismatched-bvadd", "untaken-arm-extract", "zero-count-loop", "unknown-op"),
+    )
+    def test_declined_functions_fall_back_to_the_interpreter(self, body):
+        width = iconst(16)
+        func = SemanticsFunction("hand", (Input("a", width), Input("b", width)), {}, body)
+        assert compile_semantics(func) is None
+        # Through the enumerator's entry point: same values, same rejections.
+        symbolic = SimpleNamespace(param_names=(), to_function=lambda params: func)
+        binding = SimpleNamespace(member=SimpleNamespace(symbolic=symbolic))
+        applier = sop_applier(binding, (), (), (16, 16))
+        for a, b in ((0, 0x1234), (5, 0x1234), (0xFFFF, 3)):
+            expected = _outcome(
+                lambda: interpret(func, {"a": bv(a, 16), "b": bv(b, 16)}).value
+            )
+            assert _outcome(lambda: applier([a, b])) == expected
+        if body.__class__ is BvIte:
+            # Lazy: the bad arm only matters on inputs that take it.
+            assert applier([0, 0x1234]) == 0x1234
+            assert _outcome(lambda: applier([5, 0x1234])) is None
+
+    def test_ite_arms_stay_lazy_in_generated_code(self):
+        # Arms that need statements of their own (a shared operand bound
+        # to a temporary) compile to an if/else block, not to eagerly
+        # evaluated temporaries ahead of a select.
+        def arm(op):
+            return BvBinOp(op, BvBinOp("bvadd", BvVar("a"), BvVar("b")), BvVar("b"))
+
+        body = BvIte(BvCmp("bvult", BvVar("a"), BvVar("b")), arm("bvumax"), arm("bvsmin"))
+        width = iconst(8)
+        func = SemanticsFunction("lazy", (Input("a", width), Input("b", width)), {}, body)
+        compiled = compile_semantics(func)
+        lines = compiled.source.splitlines()
+        first_if = next(i for i, line in enumerate(lines) if line.lstrip().startswith("if "))
+        assert all(" + " not in line for line in lines[:first_if])
+        for a in range(0, 256, 7):
+            for b in range(0, 256, 11):
+                assert compiled([a, b]) == interpret(func, {"a": bv(a, 8), "b": bv(b, 8)}).value
+
+    def test_inputs_are_masked_like_boxing(self):
+        # A failed re-evaluation leaves -1 in a candidate's outputs;
+        # BitVector masks it to all-ones and so must the compiled form.
+        func = canonicalize(_simd_add(4, 8))
+        compiled = compile_semantics(func)
+        expected = interpret(func, {"a": bv(-1, 32), "b": bv(1, 32)}).value
+        assert compiled([-1, 1]) == expected
 
 
 class TestReroll:

@@ -25,6 +25,7 @@ from repro.bitvector import (
 )
 from repro.backend.hydride import HydrideCompiler
 from repro.halide import ir as hir
+from repro.perf import global_counters
 from repro.synthesis import CegisOptions, MemoCache, build_grammar, synthesize
 from repro.synthesis.grammar import GrammarEntry
 from repro.synthesis.program import (
@@ -235,11 +236,28 @@ class TestPackedAppliers:
         assert evaluated and rejected
 
 
+# The bench_e2e population (average_pool / max_pool on every ISA), each a
+# two-level tree of one instruction: that instruction, and the number of
+# candidates the search evaluated to find it (the ``repro.perf``
+# ``candidates_evaluated`` delta).  Recorded at 2f9498e — the last commit
+# whose enumerator tree-walked the semantics per candidate — and
+# re-derived there before the compiled evaluator went in.  A changed
+# count means the search changed, not just its speed.
+POPULATION = {
+    ("x86", "average_pool"): ("_mm512_avg_epu8", 95_492),
+    ("x86", "max_pool"): ("_mm512_max_epu8", 84_854),
+    ("hvx", "average_pool"): ("V6_vavgubrnd", 93_546),
+    ("hvx", "max_pool"): ("V6_vmaxub", 91_386),
+    ("arm", "average_pool"): ("vrhaddq_u8", 78_425),
+    ("arm", "max_pool"): ("vmaxq_u8", 68_864),
+    ("rvv", "average_pool"): ("vaaddu_vv_u8m2", 85_266),
+    ("rvv", "max_pool"): ("vmaxu_vv_u8m2", 81_775),
+}
+
+
 class TestGoldenPrograms:
     """The programs the one remaining search synthesizes for a fixed
-    CEGIS seed, recorded from the commit that still raced the legacy
-    evaluator and the abstract-pruning arm against it (all three arms
-    produced these strings)."""
+    CEGIS seed, and the effort it spends finding them."""
 
     def test_add_window(self, dictionary):
         window = hir.HBin(
@@ -249,30 +267,23 @@ class TestGoldenPrograms:
         result = synthesize(window, grammar, CegisOptions(timeout_seconds=30))
         assert result.program.describe() == "_mm256_add_epi16(%ld0, %ld1)"
 
-    @pytest.mark.parametrize(
-        "name, programs",
-        (
-            (
-                "average_pool",
-                ["_mm512_avg_epu8(_mm512_avg_epu8(%ld0, %ld1), "
-                 "_mm512_avg_epu8(%ld2, %ld3))"],
-            ),
-            (
-                "max_pool",
-                ["_mm512_max_epu8(_mm512_max_epu8(%ld0, %ld1), "
-                 "_mm512_max_epu8(%ld2, %ld3))"],
-            ),
-        ),
-    )
-    def test_x86_benchmark(self, dictionary, name, programs):
+    @pytest.mark.parametrize("isa, name", sorted(POPULATION))
+    def test_population(self, dictionary, isa, name):
+        if isa == "rvv":
+            dictionary = build_dictionary(("rvv",))
+        instruction, candidates = POPULATION[isa, name]
         compiler = HydrideCompiler(
             dictionary=dictionary,
             cache=MemoCache(),
             cegis=CegisOptions(timeout_seconds=120),
         )
+        before = global_counters().candidates_evaluated
         described = [
             program.describe()
-            for kernel in benchmark_named(name).lower("x86")
-            for program in compiler.compile(kernel, "x86").programs
+            for kernel in benchmark_named(name).lower(isa)
+            for program in compiler.compile(kernel, isa).programs
         ]
-        assert described == programs
+        assert described == [
+            f"{instruction}({instruction}(%ld0, %ld1), {instruction}(%ld2, %ld3))"
+        ]
+        assert global_counters().candidates_evaluated - before == candidates

@@ -1,5 +1,8 @@
 """Tests for the code synthesizer: grammar, scaling, CEGIS, cache."""
 
+import random
+import time
+
 import pytest
 
 from repro.autollvm import build_dictionary
@@ -15,8 +18,11 @@ from repro.synthesis import (
     synthesize,
 )
 from repro.synthesis.cache import canonical_key
+from repro.synthesis.cegis import _Enumerator
 from repro.synthesis.cost import CostModel
 from repro.synthesis.program import (
+    SConcat,
+    SConstant,
     SSlice,
     SSwizzle,
     evaluate_program,
@@ -263,9 +269,97 @@ class TestCegis:
             window, "x86", dictionary, GrammarOptions(bvs=False, sbos=False, top_n_by_score=50)
         )
         start = time.time()
-        with pytest.raises(SynthesisFailure):
-            synthesize(window, grammar, CegisOptions(timeout_seconds=3))
+        # The budget must sit well under what this window needs (~3 s
+        # since the compiled evaluator; it was ~12 s when this said 3).
+        with pytest.raises(SynthesisFailure) as failure:
+            synthesize(window, grammar, CegisOptions(timeout_seconds=0.5))
+        assert failure.value.timed_out
         assert time.time() - start < 30
+
+
+class TestEnumerator:
+    """Pool bookkeeping the search's bit-identity rests on."""
+
+    FIELDS = ("node", "cost", "outs", "depth", "elem", "landmark", "bits", "kind")
+
+    @staticmethod
+    def seeded(dictionary) -> _Enumerator:
+        """Two 64-bit inputs, their 32-bit halves, two seed environments."""
+        window = _add_window(lanes=4, ew=16)
+        enumerator = _Enumerator(
+            build_grammar(window, "x86", dictionary),
+            CegisOptions(),
+            window,
+            random.Random(7),
+            time.monotonic() + 60,
+            1,
+        )
+        for _ in range(2):
+            enumerator.add_env(enumerator.random_env())
+        enumerator.seed_pool()
+        return enumerator
+
+    def test_admission_drops_only_its_own_widths_argument_pools(self, dictionary):
+        enumerator = self.seeded(dictionary)
+        wide, narrow = enumerator._args_for(64), enumerator._args_for(32)
+        assert enumerator._args_for(64) is wide
+        enumerator._admit(SConstant(5, 2, 16), 0.0, 0)
+        assert enumerator.pool[-1].bits == 32
+        assert enumerator._args_for(64) is wide
+        refreshed = enumerator._args_for(32)
+        assert refreshed is not narrow
+        assert enumerator.pool[-1] in refreshed and enumerator.pool[-1] not in narrow
+
+    def test_cap_shed_width_keeps_its_empty_bucket(self, dictionary):
+        enumerator = self.seeded(dictionary)
+        enumerator.options.pool_per_width = 0
+        size = len(enumerator.pool)
+        enumerator._admit(SConstant(3, 1, 16), 0.0, 0)
+        assert len(enumerator.pool) == size
+        # _grow's per-width loops iterate by_width: the shed width is
+        # still one of them.
+        assert enumerator.by_width[16] == []
+
+    def test_outs_first_admission_equals_admitting_the_built_node(self, dictionary):
+        direct, reference = self.seeded(dictionary), self.seeded(dictionary)
+
+        def same_pools():
+            assert len(direct.pool) == len(reference.pool)
+            for got, want in zip(direct.pool, reference.pool):
+                for name in self.FIELDS:
+                    assert getattr(got, name) == getattr(want, name), name
+                assert (got.args is None) == (want.args is None)
+                if got.args is not None:
+                    assert [direct.pool.index(a) for a in got.args] == [
+                        reference.pool.index(a) for a in want.args
+                    ]
+            assert direct.seen == reference.seen
+            assert direct._kind_counts == reference._kind_counts
+
+        same_pools()
+        size = len(direct.pool)
+        # Register pairing, twice: the second is a duplicate for both.
+        for _ in range(2):
+            high, low = direct.pool[0], direct.pool[1]
+            direct._admit_concat(high, low, high.cost + low.cost, 1)
+            high, low = reference.pool[0], reference.pool[1]
+            reference._admit(
+                SConcat(high.node, low.node), high.cost + low.cost, 1,
+                arg_candidates=(high, low),
+            )
+        assert len(direct.pool) == size + 1
+        assert direct.pool[-1].node == SConcat(direct.pool[0].node, direct.pool[1].node)
+        # Half-register views of a fresh value.
+        for enumerator in (direct, reference):
+            enumerator._admit(SConstant(0x1234, 4, 16), 0.0, 1)
+        for high in (True, False):
+            direct._admit_slice(direct.pool[size + 1], high, 1)
+            src = reference.pool[size + 1]
+            reference._admit(
+                SSlice(src.node, high), src.cost, 1, force=True, arg_candidates=(src,)
+            )
+        assert len(direct.pool) == size + 3  # both halves of a splat are equal
+        same_pools()
 
 
 class TestCache:
