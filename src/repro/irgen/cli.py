@@ -7,8 +7,9 @@ Subcommands::
             CI smoke job uses it to prove the second build is a pure
             cache hit.
     stats   Inventory of a cache root: per-namespace class counts, build
-            stats (including attempt_truncations, the engine's precision
-            -loss counter), disk usage, and which namespace is current.
+            stats (including the similarity ladder's per-rung verdict
+            counts and attempt_truncations, the engine's precision-loss
+            counter), disk usage, and which namespace is current.
 """
 
 from __future__ import annotations
@@ -80,6 +81,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _rungs(checker_stats: dict) -> str:
+    """Non-zero ladder verdict counts, e.g. ``alpha:1156/structural:40``."""
+    return "/".join(f"{k}:{v}" for k, v in checker_stats.items() if v) or "-"
+
+
 def cmd_build(args) -> int:
     root = _resolve_root(args)
     isas = _resolve_isas(args)
@@ -93,6 +99,7 @@ def cmd_build(args) -> int:
         f"[irgen] {action} {'+'.join(isas)}: {len(artifact.classes)} classes"
         f" from {artifact.stats.instructions} instructions in {elapsed:.2f}s"
         f" (checks={artifact.stats.checks},"
+        f" rungs={_rungs(artifact.stats.checker_stats)},"
         f" truncations={artifact.stats.attempt_truncations},"
         f" fingerprint={artifact.fingerprint[:16]})"
     )
@@ -137,7 +144,9 @@ def cmd_stats(args) -> int:
             f"  classes={entry.get('classes', '?')}"
             f"  instructions={entry.get('instructions', '?')}"
             f"  checks={stats.get('checks', '?')}"
+            f"  rungs={_rungs(stats.get('checker_stats', {}))}"
             f"  truncations={stats.get('attempt_truncations', '?')}"
+            f"  uninstantiable={stats.get('uninstantiable', '?')}"
             f"  build_s={stats.get('seconds', '?')}"
             f"  KiB={entry['bytes'] // 1024}"
             + (f"  tmp_litter={litter}" if litter else "")

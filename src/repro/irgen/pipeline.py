@@ -109,9 +109,12 @@ def _check_task(task: tuple[list[int], list[SymbolicSemantics]]):
 
 
 def _refine_task(task: tuple[int, SymbolicSemantics]):
-    """Precompute one class representative's offset-hole refinement."""
+    """Precompute one class representative's offset-hole refinement;
+    the third element is 1 when it was skipped as uninstantiable."""
     position, representative = task
-    return position, synthesize_offset_hole(representative, _fresh_checker())
+    checker = _fresh_checker()
+    refined = synthesize_offset_hole(representative, checker)
+    return position, refined, checker.stats.get("uninstantiable", 0)
 
 
 # ----------------------------------------------------------------------
@@ -226,17 +229,18 @@ def build_artifact(
     # -- merge (pass 3 + finalisation, centralised) -------------------
     with phase_timer("irgen_merge"):
         merge_began = time.monotonic()
-        refined_pairs = _pool_map(
+        refinements = _pool_map(
             _refine_task,
             [(pos, cls.representative) for pos, cls in enumerate(classes)],
             jobs,
         )
         refined = {
-            pos: symbolic for pos, symbolic in refined_pairs
+            pos: symbolic for pos, symbolic, _skipped in refinements
             if symbolic is not None
         }
         engine = SimilarityEngine(_fresh_checker())
         engine.stats.instructions = len(symbolics)
+        engine.stats.uninstantiable = sum(s for _p, _r, s in refinements)
         engine.stats.checks = worker_stats["checks"]
         engine.stats.permute_merges = worker_stats["permute_merges"]
         engine.stats.attempt_truncations = worker_stats["attempt_truncations"]

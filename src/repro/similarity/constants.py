@@ -19,7 +19,9 @@ canonical shape.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.hydride_ir.ast import (
     BvBinOp,
@@ -92,6 +94,30 @@ class SymbolicSemantics:
 
     def values_vector(self) -> tuple[int, ...]:
         return tuple(self.param_values[p] for p in self.param_names)
+
+    @cached_property
+    def op_multiset(self) -> tuple[tuple[str, int], ...]:
+        """Operator counts of the body — the engine's cheap pre-screen."""
+        counter: Counter[str] = Counter()
+        for node in self.body.walk():
+            op = getattr(node, "op", None)
+            if op is not None:
+                counter[op] += 1
+        return tuple(sorted(counter.items()))
+
+    @cached_property
+    def alpha_key(self) -> str:
+        """Sigma(I, alpha) spelled out exactly, up to input and iterator
+        names: equal keys mean every instantiation lowers to the same
+        solver term.  Lazy, so artifact-loaded (warm) symbolics never pay."""
+        params = frozenset(self.param_names)
+        input_ids = {inp.name: idx for idx, inp in enumerate(self.inputs)}
+        inputs = " ".join(
+            f"{_index_skeleton(inp.width, {}, params)}:{int(inp.is_immediate)}"
+            for inp in self.inputs
+        )
+        body = _expr_skeleton(self.body, input_ids, {}, params)
+        return f"{','.join(self.param_names)}|{inputs}|{body}"
 
     def to_function(
         self, values: dict[str, int] | None = None, name: str | None = None
@@ -307,22 +333,41 @@ def extract_constants(func: SemanticsFunction, isa: str) -> SymbolicSemantics:
 # ----------------------------------------------------------------------
 
 
-def _index_skeleton(expr: IndexExpr, ivar_ids: dict[str, int]) -> str:
+def _name_token(name: str, ivar_ids: dict[str, int], params) -> str:
+    # Exact mode keeps parameter names (``p0``, ``p1``, ... are already
+    # canonical first-site order) and numbers every other name; IParam and
+    # IVar read one environment, so the node kind does not matter.
+    if params is not None and name in params:
+        return f"P{name}"
+    return f"i{ivar_ids.setdefault(name, len(ivar_ids))}"
+
+
+def _index_skeleton(
+    expr: IndexExpr, ivar_ids: dict[str, int], params: frozenset | None = None
+) -> str:
+    """``params`` None: the coarse skeleton (constants and parameters
+    anonymous).  Otherwise the exact :attr:`SymbolicSemantics.alpha_key`
+    spelling over that parameter-name set."""
     if isinstance(expr, IConst):
-        return "C"
-    if isinstance(expr, IParam):
+        return "C" if params is None else f"C{expr.value}"
+    if isinstance(expr, IParam) and params is None:
         return "P"
-    if isinstance(expr, IVar):
-        return f"i{ivar_ids.setdefault(expr.name, len(ivar_ids))}"
+    if isinstance(expr, (IParam, IVar)):
+        return _name_token(expr.name, ivar_ids, params)
     assert isinstance(expr, IBin)
+    # Exact tokens carry values and names, so they need a separator.
+    separator = "" if params is None else ","
     return (
-        f"({expr.op}{_index_skeleton(expr.left, ivar_ids)}"
-        f"{_index_skeleton(expr.right, ivar_ids)})"
+        f"({expr.op}{_index_skeleton(expr.left, ivar_ids, params)}{separator}"
+        f"{_index_skeleton(expr.right, ivar_ids, params)})"
     )
 
 
 def _expr_skeleton(
-    expr: BvExpr, input_ids: dict[str, int], ivar_ids: dict[str, int]
+    expr: BvExpr,
+    input_ids: dict[str, int],
+    ivar_ids: dict[str, int],
+    params: frozenset | None = None,
 ) -> str:
     if isinstance(expr, BvVar):
         return f"v{input_ids[expr.name]}"
@@ -331,9 +376,13 @@ def _expr_skeleton(
     if op is not None:
         parts.append(op)
     if isinstance(expr, ForConcat):
-        ivar_ids.setdefault(expr.var, len(ivar_ids))
-    parts.extend(_index_skeleton(ie, ivar_ids) for ie in expr.index_exprs())
-    parts.extend(_expr_skeleton(c, input_ids, ivar_ids) for c in expr.children())
+        binder = _name_token(expr.var, ivar_ids, params)
+        if params is not None:
+            parts.append(binder)
+    parts.extend(_index_skeleton(ie, ivar_ids, params) for ie in expr.index_exprs())
+    parts.extend(
+        _expr_skeleton(c, input_ids, ivar_ids, params) for c in expr.children()
+    )
     return "(" + " ".join(parts) + ")"
 
 

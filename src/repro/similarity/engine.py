@@ -12,15 +12,16 @@ Pipeline::
 Cost control mirrors the paper's pre-checks: instructions are only
 compared when their argument signatures match (number of register
 arguments, of immediate arguments, and of extracted parameters), plus an
-operator-multiset screen; the structural fast path in the solver ladder
-discharges the vast majority of the remaining queries without touching
-the SAT backend.
+operator-multiset screen.  ~97 % of the comparisons that remain are
+between two instructions whose parameterized IR is the same function up to
+input/iterator names; ``check_similar``'s alpha-equivalence rung settles
+those on the IR, and only the rest are lowered to solver terms (where the
+structural fast path discharges nearly all of them before SAT).
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -38,15 +39,6 @@ from repro.similarity.holes import synthesize_offset_hole
 ENGINE_VERSION = 1
 
 
-def _op_multiset(symbolic: SymbolicSemantics) -> tuple[tuple[str, int], ...]:
-    counter: Counter[str] = Counter()
-    for node in symbolic.body.walk():
-        op = getattr(node, "op", None)
-        if op is not None:
-            counter[op] += 1
-    return tuple(sorted(counter.items()))
-
-
 @dataclass
 class EngineStats:
     instructions: int = 0
@@ -58,6 +50,9 @@ class EngineStats:
     # its ``max_semantic_attempts`` budget — each skip is a potential
     # missed merge, so precision loss stays observable (`repro.irgen stats`).
     attempt_truncations: int = 0
+    # Hole refinements skipped because the representative cannot be
+    # instantiated even at its own parameter values (a broken vendor spec).
+    uninstantiable: int = 0
     seconds: float = 0.0
     checker_stats: dict[str, int] = field(default_factory=dict)
 
@@ -69,6 +64,7 @@ class EngineStats:
             "permute_merges": self.permute_merges,
             "hole_merges": self.hole_merges,
             "attempt_truncations": self.attempt_truncations,
+            "uninstantiable": self.uninstantiable,
             "seconds": round(self.seconds, 6),
             "checker_stats": dict(self.checker_stats),
         }
@@ -78,7 +74,7 @@ class EngineStats:
         stats = cls()
         for name in (
             "instructions", "classes", "checks", "permute_merges",
-            "hole_merges", "attempt_truncations",
+            "hole_merges", "attempt_truncations", "uninstantiable",
         ):
             setattr(stats, name, int(data.get(name, 0)))
         stats.seconds = float(data.get("seconds", 0.0))
@@ -94,7 +90,7 @@ def shard_key(symbolic: SymbolicSemantics) -> tuple:
     permutation pass pairs classes under the same two filters — so the
     (signature, op-multiset) groups partition passes 1–2 into jobs that
     can run in parallel workers without changing any comparison."""
-    return (symbolic.signature(), _op_multiset(symbolic))
+    return (symbolic.signature(), symbolic.op_multiset)
 
 
 class SimilarityEngine:
@@ -126,16 +122,16 @@ class SimilarityEngine:
         )
         self._classes.append(cls)
         self._buckets.setdefault(self._bucket_key(symbolic), []).append(index)
-        self._class_ops[index] = _op_multiset(symbolic)
+        self._class_ops[index] = symbolic.op_multiset
         self._class_skeletons[index] = symbolic.skeleton
 
     def insert(self, symbolic: SymbolicSemantics) -> None:
         """Place one instruction into an existing class or a new one."""
         key = self._bucket_key(symbolic)
-        ops = _op_multiset(symbolic)
+        ops = symbolic.op_multiset
         candidates = self._buckets.get(key, [])
-        # Skeleton-identical classes first: these almost always merge via
-        # the structural fast path.
+        # Skeleton-identical classes first: these almost always merge, most
+        # of them on check_similar's alpha rung.
         ordered = sorted(
             candidates,
             key=lambda i: 0 if self._class_skeletons[i] == symbolic.skeleton else 1,
@@ -243,7 +239,7 @@ class SimilarityEngine:
                     rep_b = refined.get(
                         index_b, self._classes[index_b].representative
                     )
-                    if _op_multiset(rep_a) != _op_multiset(rep_b):
+                    if rep_a.op_multiset != rep_b.op_multiset:
                         continue
                     if rep_a.skeleton != rep_b.skeleton:
                         continue
@@ -312,6 +308,7 @@ class SimilarityEngine:
             cls.compute_fixed_params()
         self.stats.classes = len(result)
         self.stats.checker_stats = dict(self.checker.stats)
+        self.stats.uninstantiable += self.stats.checker_stats.pop("uninstantiable", 0)
         return result
 
 

@@ -40,6 +40,24 @@ def instantiate_term(
     return to_term(func, assignment, rename)
 
 
+def lowered(
+    symbolic: SymbolicSemantics,
+    values: tuple[int, ...],
+    order: tuple[int, ...] | None,
+    checker: EquivalenceChecker,
+):
+    """:func:`instantiate_term`, at most once per checker (one engine or
+    shard worker) for each distinct ``(alpha_key, values, order)`` — equal
+    keys lower to the same term.  None when the instantiation is invalid."""
+    key = (symbolic.alpha_key, values, order)
+    if key not in checker.lowered:
+        try:
+            checker.lowered[key] = instantiate_term(symbolic, values, order)
+        except (SemanticsError, ValueError, KeyError, IndexError):
+            checker.lowered[key] = None
+    return checker.lowered[key]
+
+
 def check_similar(
     a: SymbolicSemantics,
     b: SymbolicSemantics,
@@ -48,18 +66,26 @@ def check_similar(
 ) -> bool:
     """Decide Sigma(I, alpha) === Sigma(J, alpha) per the paper's criteria.
 
-    ``order_b`` permutes instruction ``b``'s argument alignment.
+    ``order_b`` permutes instruction ``b``'s argument alignment; any explicit
+    order (the identity included) goes through instantiate-and-check.
     """
     if a.signature() != b.signature():
         return False
+    if order_b is None and a.alpha_key == b.alpha_key:
+        # The alpha-equivalence rung: one function up to naming, so at any
+        # assignment both sides lower to the same interned term and the
+        # ladder below could only refuse over an invalid instantiation —
+        # which, the sides being interchangeable, is one of these two.
+        checker.stats["alpha"] += 1
+        return all(
+            lowered(s, s.values_vector(), None, checker) is not None
+            for s in (a, b)
+        )
     assignments = {a.values_vector(), b.values_vector()}
     for values in sorted(assignments):
-        try:
-            term_a = instantiate_term(a, values)
-            term_b = instantiate_term(b, values, order_b)
-        except (SemanticsError, ValueError, KeyError, IndexError):
-            return False
-        if term_a.width != term_b.width:
+        term_a = lowered(a, values, None, checker)
+        term_b = None if term_a is None else lowered(b, values, order_b, checker)
+        if term_b is None or term_a.width != term_b.width:
             return False
         try:
             result = checker.check_equivalence(term_a, term_b)

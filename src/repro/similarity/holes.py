@@ -33,7 +33,7 @@ from repro.hydride_ir.indexexpr import (
 from repro.hydride_ir.transforms.rewrite import rewrite_bottom_up
 from repro.smt.solver import EquivalenceChecker
 from repro.similarity.constants import SymbolicSemantics, extract_constants
-from repro.similarity.equivalence import instantiate_term
+from repro.similarity.equivalence import lowered
 
 
 def _has_trailing_const(expr: IndexExpr) -> bool:
@@ -131,17 +131,22 @@ def synthesize_offset_hole(
     The hole must preserve the instruction's own semantics, so the only
     admissible constant is one for which the refined instruction is
     equivalent to the original at its own parameter values — the paper's
-    ``%hole = add i32 %low.i, i32 0``.
+    ``%hole = add i32 %low.i, i32 0``.  None when no extract wants a hole
+    (nothing is lowered) or the original cannot be instantiated at all.
     """
-    original = instantiate_term(symbolic, symbolic.values_vector())
     for candidate in candidates:
         refined = insert_offset_holes(symbolic, candidate)
         if refined is None:
             return None
-        try:
-            refined_term = instantiate_term(refined, refined.values_vector())
-        except Exception:
-            continue
-        if checker.check_equivalence(original, refined_term).equivalent:
+        original = lowered(symbolic, symbolic.values_vector(), None, checker)
+        if original is None:
+            # check_similar never merges such an instruction either; it
+            # stays an unrefined singleton instead of failing the build.
+            checker.stats["uninstantiable"] = checker.stats.get("uninstantiable", 0) + 1
+            return None
+        refined_term = lowered(refined, refined.values_vector(), None, checker)
+        if refined_term is not None and checker.check_equivalence(
+            original, refined_term
+        ).equivalent:
             return refined
     return None

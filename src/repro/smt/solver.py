@@ -248,7 +248,12 @@ class EquivalenceChecker:
         self._preload: list[tuple[int, ...]] = []
         self._preload_cone = 0
         self.clauses_preloaded = 0
-        self.stats = {"structural": 0, "fuzz": 0, "exhaustive": 0, "sat": 0, "probabilistic": 0}
+        # Verdicts per rung.  ``alpha`` is counted by the similarity engine's
+        # rung in front of this ladder (repro.similarity.equivalence), which
+        # also memoises its term lowerings in ``lowered`` so that the memo is
+        # scoped to — and freed with — one checker.
+        self.stats = {"alpha": 0, "structural": 0, "fuzz": 0, "exhaustive": 0, "sat": 0, "probabilistic": 0}
+        self.lowered: dict = {}
 
     # ------------------------------------------------------------------
 
@@ -302,7 +307,8 @@ class EquivalenceChecker:
         """Decide whether ``a`` and ``b`` agree on every input."""
         if a.width != b.width:
             return CheckResult(False, None, "width")
-        sa, sb = simplify(a), simplify(b)
+        # Terms are hash-consed: one object needs no normalising.
+        sa, sb = (a, b) if a is b else (simplify(a), simplify(b))
         if sa == sb:
             self.stats["structural"] += 1
             return CheckResult(True, None, "structural")

@@ -1,0 +1,305 @@
+"""The alpha-equivalence rung in front of the similarity ladder.
+
+``check_similar`` settles a pair on the parameterised IR when the two
+``alpha_key``s are equal; any explicit ``order_b`` (the identity included)
+still goes through instantiate-and-check, which is the reference here.
+"""
+
+import dataclasses
+import random
+
+import pytest
+
+from repro.hydride_ir.ast import (
+    BvExtract,
+    BvVar,
+    ForConcat,
+    Input,
+    SemanticsFunction,
+)
+from repro.hydride_ir.indexexpr import IBin, IConst, IVar
+from repro.hydride_ir.serialize import (
+    expr_from_obj,
+    expr_to_obj,
+    index_from_obj,
+    index_to_obj,
+)
+from repro.irgen import build_artifact, load_artifact, persist_artifact
+from repro.irgen import pipeline
+from repro.similarity import engine as engine_module
+from repro.similarity import equivalence
+from repro.similarity.constants import extract_constants
+from repro.similarity.engine import SimilarityEngine, _symbolics_for_isa
+from repro.similarity.equivalence import check_similar
+from repro.smt import solver
+from repro.smt.solver import EquivalenceChecker
+
+CORE = ("x86", "hvx", "arm")
+GOLDEN = {
+    CORE: (231, "9c9ad24eee7627bf216cde8d22513afe74e070c26dcb6546db9fc26b51108ea8"),
+    CORE + ("rvv",): (
+        252, "51010be78e1caf39ae5c6248ff844d8d9f6531f2d3f3d0156963a72729fc98bd",
+    ),
+}
+
+
+def _identity(symbolic):
+    return tuple(range(len(symbolic.inputs)))
+
+
+def _ladder(a, b):
+    """The instantiate-and-check verdict (an explicit order skips the rung)."""
+    checker = EquivalenceChecker(seed=1)
+    verdict = check_similar(a, b, checker, _identity(b))
+    assert checker.stats["alpha"] == 0
+    return verdict
+
+
+def _map(obj, fn):
+    """Rebuild a serialised IR payload, offering every list node to ``fn``."""
+    if not isinstance(obj, list):
+        return obj
+    return fn([_map(item, fn) for item in obj])
+
+
+def _with(symbolic, body_fn=None, inputs=None):
+    body = symbolic.body
+    if body_fn is not None:
+        body = expr_from_obj(_map(expr_to_obj(body), body_fn))
+    return dataclasses.replace(
+        symbolic, body=body, inputs=inputs or symbolic.inputs
+    )
+
+
+def _first(predicate, replacement):
+    """A ``_map`` callback rewriting only the first node ``predicate`` takes."""
+    done = []
+
+    def fn(node):
+        if not done and predicate(node):
+            done.append(node)
+            return replacement(node)
+        return node
+
+    return fn
+
+
+def _is_param(node):
+    return len(node) == 2 and node[0] == "p"
+
+
+def _mutants(symbolic):
+    """(label, base, mutant) triples; each mutant is one edit from its base."""
+    values = symbolic.param_values
+    pinned = _with(symbolic, _first(_is_param, lambda n: values[n[1]]))
+    yield "param pinned to its constant", symbolic, pinned
+    yield "one constant changed", pinned, _with(
+        symbolic, _first(_is_param, lambda n: values[n[1]] + 8)
+    )
+    used: list[str] = []
+
+    def note(node):
+        if _is_param(node) and node[1] not in used:
+            used.append(node[1])
+        return node
+
+    _map(expr_to_obj(symbolic.body), note)
+    if len(used) >= 2:
+        swap = {used[0]: used[1], used[1]: used[0]}
+        yield "two parameter names swapped", symbolic, _with(
+            symbolic, lambda n: ["p", swap.get(n[1], n[1])] if _is_param(n) else n
+        )
+    first, rest = symbolic.inputs[0], symbolic.inputs[1:]
+    yield "is_immediate flipped", symbolic, _with(
+        symbolic,
+        inputs=(Input(first.name, first.width, not first.is_immediate),) + rest,
+    )
+    other = next(
+        p for p in reversed(symbolic.param_names)
+        if index_to_obj(first.width) != ["p", p]
+    )
+    yield "input width parameter changed", symbolic, _with(
+        symbolic,
+        inputs=(Input(first.name, index_from_obj(["p", other]), first.is_immediate),)
+        + rest,
+    )
+    swapped_op = {"bvadd": "bvsub", "bvsub": "bvadd", "bvand": "bvor", "bvor": "bvand"}
+    mutant = _with(
+        symbolic,
+        _first(
+            lambda n: n[0] == "O" and n[1] in swapped_op,
+            lambda n: ["O", swapped_op[n[1]]] + n[2:],
+        ),
+    )
+    if mutant.body != symbolic.body:
+        yield "one operator replaced", symbolic, mutant
+
+
+@pytest.fixture(scope="module")
+def four_isa_build():
+    """The jobs=1 four-ISA build, with every pair the rung accepted."""
+    accepted = []
+    real = engine_module.check_similar
+
+    def recording(a, b, checker, order_b=None):
+        before = checker.stats["alpha"]
+        verdict = real(a, b, checker, order_b)
+        if verdict and checker.stats["alpha"] > before:
+            accepted.append((a, b))
+        return verdict
+
+    with pytest.MonkeyPatch.context() as patcher:
+        patcher.setattr(engine_module, "check_similar", recording)
+        artifact = build_artifact(CORE + ("rvv",), jobs=1)
+    return artifact, accepted
+
+
+class TestGoldenPartitions:
+    @pytest.mark.parametrize("isas", list(GOLDEN))
+    def test_sharded_build(self, isas):
+        classes, digest = GOLDEN[isas]
+        artifact = build_artifact(isas, jobs=2)
+        assert (len(artifact.classes), artifact.digest()) == (classes, digest)
+
+    def test_inline_builds(self, four_isa_build):
+        artifact, _accepted = four_isa_build
+        assert (len(artifact.classes), artifact.digest()) == GOLDEN[artifact.isas]
+        core = build_artifact(CORE, jobs=1)
+        assert (len(core.classes), core.digest()) == GOLDEN[CORE]
+        assert (core.stats.hole_merges, core.stats.permute_merges) == (3, 3)
+        assert (artifact.stats.hole_merges, artifact.stats.permute_merges) == (3, 4)
+
+
+class TestRungAgainstLadder:
+    def test_every_accepted_pair_is_similar_by_the_ladder(self, four_isa_build):
+        _artifact, accepted = four_isa_build
+        assert accepted
+        refused = [(a.name, b.name) for a, b in accepted if not _ladder(a, b)]
+        assert refused == []
+
+    def test_rung_settles_nearly_every_comparison(self, four_isa_build):
+        artifact, accepted = four_isa_build
+        stats = artifact.stats
+        assert stats.checker_stats["alpha"] >= 0.95 * stats.checks
+        assert stats.checker_stats["alpha"] >= len(accepted)
+        assert stats.uninstantiable == 0
+
+    def test_mutants_leave_the_rung_and_keep_the_verdict(self):
+        symbolics = random.Random(24).sample(_symbolics_for_isa("hvx"), 10)
+        labels = set()
+        for symbolic in symbolics:
+            for label, base, mutant in _mutants(symbolic):
+                labels.add(label)
+                assert base.alpha_key != mutant.alpha_key, (symbolic.name, label)
+                checker = EquivalenceChecker(seed=1)
+                assert check_similar(base, mutant, checker) == _ladder(
+                    base, mutant
+                ), (symbolic.name, label)
+                assert checker.stats["alpha"] == 0
+        assert len(labels) == 6
+
+
+class TestAlphaKey:
+    def test_invariant_under_input_and_iterator_renaming(self):
+        def rename(node):
+            if node[0] in ("V", "v") and len(node) == 2:
+                return [node[0], "renamed_" + node[1]]
+            if node[0] == "F":
+                return ["F", "renamed_" + node[1]] + node[2:]
+            return node
+
+        for symbolic in random.Random(7).sample(_symbolics_for_isa("hvx"), 10):
+            inputs = tuple(
+                Input("renamed_" + i.name, i.width, i.is_immediate)
+                for i in symbolic.inputs
+            )
+            renamed = _with(symbolic, rename, inputs)
+            assert renamed.body != symbolic.body
+            assert renamed.alpha_key == symbolic.alpha_key
+            checker = EquivalenceChecker(seed=1)
+            assert check_similar(symbolic, renamed, checker)
+            assert (checker.stats["alpha"], checker.stats["structural"]) == (1, 0)
+
+    def test_explicit_order_never_takes_the_rung(self):
+        symbolic = _symbolics_for_isa("hvx")[0]
+        checker = EquivalenceChecker(seed=1)
+        assert check_similar(symbolic, symbolic, checker, _identity(symbolic))
+        assert checker.stats["alpha"] == 0
+        assert checker.stats["structural"] > 0
+
+    def test_lowering_is_memoised_per_checker(self, monkeypatch):
+        calls = []
+        real = equivalence.instantiate_term
+        monkeypatch.setattr(
+            equivalence, "instantiate_term",
+            lambda *args: calls.append(args) or real(*args),
+        )
+        a, b = _symbolics_for_isa("hvx")[:2]
+        checker = EquivalenceChecker(seed=1)
+        for _ in range(3):
+            check_similar(a, b, checker, _identity(b))
+        assert len(calls) == len(checker.lowered) <= 4
+
+    def test_warm_load_computes_no_key(self, tmp_path):
+        artifact = build_artifact(("hvx",), jobs=1)
+        persist_artifact(tmp_path, artifact)
+        loaded = load_artifact(tmp_path, artifact.fingerprint)
+        assert loaded.dictionary.ops
+        for cls in loaded.classes:
+            for member in cls.members:
+                assert "alpha_key" not in vars(member.symbolic)
+
+
+class TestIdenticalTerms:
+    def test_same_term_is_structural_without_simplify(self, monkeypatch):
+        symbolic = _symbolics_for_isa("hvx")[0]
+        term = equivalence.instantiate_term(symbolic, symbolic.values_vector())
+        monkeypatch.setattr(
+            solver, "simplify", lambda _t: pytest.fail("simplify called")
+        )
+        checker = EquivalenceChecker(seed=1)
+        result = checker.check_equivalence(term, term)
+        assert (result.equivalent, result.method) == (True, "structural")
+        assert checker.stats["structural"] == 1
+
+
+def _out_of_range(name: str):
+    """A vendor spec reading eight 8-bit lanes out of a 32-bit input: the
+    extract leaves its source from lane 4 on, and its offset ``i * 8`` has
+    no trailing constant, so pass 3 wants a hole in it."""
+    lane = BvExtract(BvVar("a"), IBin("*", IVar("i"), IConst(8)), IConst(8))
+    func = SemanticsFunction(
+        name, (Input("a", IConst(32), False),), {},
+        ForConcat("i", IConst(8), lane), IConst(0),
+    )
+    return extract_constants(func, "fake")
+
+
+class TestUninstantiableInstruction:
+    def test_twins_are_not_merged(self):
+        a, b = _out_of_range("broken_a"), _out_of_range("broken_b")
+        assert a.alpha_key == b.alpha_key
+        checker = EquivalenceChecker(seed=1)
+        assert check_similar(a, b, checker) is _ladder(a, b) is False
+        assert checker.stats["alpha"] == 1
+
+    def test_engine_keeps_them_as_unrefined_singletons(self):
+        engine = SimilarityEngine()
+        classes = engine.run([_out_of_range("broken_a"), _out_of_range("broken_b")])
+        assert [len(c.members) for c in classes] == [1, 1]
+        assert engine.stats.uninstantiable == 2
+        assert "uninstantiable" not in engine.stats.checker_stats
+
+    def test_build_artifact_completes(self, monkeypatch):
+        good = _symbolics_for_isa("hvx")[:4]
+        broken = [_out_of_range("broken_a"), _out_of_range("broken_b")]
+        monkeypatch.setattr(pipeline, "_parse_tasks", lambda isas, jobs: [None])
+        monkeypatch.setattr(
+            pipeline, "_parse_task", lambda task: (broken + good, 0.0, 0.0)
+        )
+        monkeypatch.setattr(pipeline, "irgen_fingerprint", lambda *a: "f" * 64)
+        artifact = build_artifact(("fake",), jobs=1)
+        assert artifact.stats.uninstantiable == 2
+        assert artifact.stats.instructions == 6
+        singles = [c.members[0].name for c in artifact.classes if len(c.members) == 1]
+        assert {"broken_a", "broken_b"} <= set(singles)
