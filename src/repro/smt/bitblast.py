@@ -27,7 +27,10 @@ class BitBlaster:
     ``id(term)``: structurally identical subterms are blasted once even
     across separate queries sharing this blaster, and a recycled object id
     (possible once the original term is garbage collected) can never alias
-    an unrelated term's circuit.
+    an unrelated term's circuit.  Below the term level the builder hashes
+    individual gates (:mod:`repro.smt.cnf`), so different terms that
+    compute the same gate — a candidate's ``a ^ b`` and the spec adder's
+    partial sum — share one variable too.
     """
 
     def __init__(self) -> None:
@@ -188,8 +191,15 @@ class BitBlaster:
         return self._shift(value, amount, "ashr")
 
     def _rotate(self, term: App, left: bool) -> Bits:
+        # Amount bits >= log2(width): rotation is modular, and for power-of-two
+        # widths those bits contribute full rotations (no-ops).  Non-power-of-two
+        # widths would need modular reduction; our ISAs only rotate po2 widths.
+        # Refuse before blasting anything, so a shared builder keeps no gates
+        # for a term it cannot encode.
+        width = term.width
+        if width & (width - 1):
+            raise NotBitblastable("rotate on non-power-of-two width")
         value, amount = (self.blast(x) for x in term.args)
-        width = len(value)
         bits = list(value)
         stage = 0
         while (1 << stage) < width and stage < len(amount):
@@ -201,11 +211,6 @@ class BitBlaster:
                 rotated = [bits[(i + distance) % width] for i in range(width)]
             bits = [self.cnf.gate_mux(control, r, b) for r, b in zip(rotated, bits)]
             stage += 1
-        # Amount bits >= log2(width): rotation is modular, and for power-of-two
-        # widths those bits contribute full rotations (no-ops).  Non-power-of-two
-        # widths would need modular reduction; our ISAs only rotate po2 widths.
-        if width & (width - 1):
-            raise NotBitblastable("rotate on non-power-of-two width")
         return bits
 
     def _op_bvrotl(self, term: App) -> Bits:

@@ -4,6 +4,18 @@ Literals use the DIMACS convention: a positive integer ``v`` is variable
 ``v``, ``-v`` is its negation.  Variable 0 is never used.  Two reserved
 variables encode the constants true/false so gate encodings never need
 special cases for constant inputs.
+
+Gates are structurally hashed, as an AIG bit-blaster hashes its nodes:
+``gate_and`` / ``gate_xor`` / ``gate_mux`` memoise on a normalised key
+and a repeated gate returns the literal that already exists.  AND keys on
+its sorted operand pair; XOR strips both operand signs into an output
+parity; MUX makes its selector positive by swapping the arms.  OR and
+the full adder are built from these, so they share for free.  Two terms
+that compute the same gate — a candidate's ``a ^ b`` and the spec
+adder's partial sum — thus get one Tseitin variable, and a miter
+``xor(x, x)`` folds to false instead of being rediscovered by the solver
+one conflict at a time.  Hashing only ever returns an existing literal;
+it never adds a clause.
 """
 
 from __future__ import annotations
@@ -15,6 +27,10 @@ class CnfBuilder:
     def __init__(self) -> None:
         self._next_var = 1
         self.clauses: list[tuple[int, ...]] = []
+        # Gate tables: normalised operand key -> output literal.
+        self._and: dict[tuple[int, int], int] = {}
+        self._xor: dict[tuple[int, int], int] = {}
+        self._mux: dict[tuple[int, int, int], int] = {}
         # Reserved constant-true variable; its clause pins it true, and
         # ``-self.true_lit`` serves as constant false.
         self.true_lit = self.new_var()
@@ -54,10 +70,15 @@ class CnfBuilder:
             return a
         if a == -b:
             return self.false_lit
-        out = self.new_var()
-        self.add_clause([-out, a])
-        self.add_clause([-out, b])
-        self.add_clause([out, -a, -b])
+        if a > b:
+            a, b = b, a
+        key = (a, b)
+        out = self._and.get(key)
+        if out is None:
+            out = self._and[key] = self.new_var()
+            self.add_clause([-out, a])
+            self.add_clause([-out, b])
+            self.add_clause([out, -a, -b])
         return out
 
     def gate_or(self, a: int, b: int) -> int:
@@ -76,12 +97,20 @@ class CnfBuilder:
             return self.false_lit
         if a == -b:
             return self.true_lit
-        out = self.new_var()
-        self.add_clause([-out, a, b])
-        self.add_clause([-out, -a, -b])
-        self.add_clause([out, -a, b])
-        self.add_clause([out, a, -b])
-        return out
+        # xor(-a, b) == -xor(a, b): key on the unsigned operands.
+        negated = (a < 0) != (b < 0)
+        a, b = abs(a), abs(b)
+        if a > b:
+            a, b = b, a
+        key = (a, b)
+        out = self._xor.get(key)
+        if out is None:
+            out = self._xor[key] = self.new_var()
+            self.add_clause([-out, a, b])
+            self.add_clause([-out, -a, -b])
+            self.add_clause([out, -a, b])
+            self.add_clause([out, a, -b])
+        return -out if negated else out
 
     def gate_mux(self, sel: int, when_true: int, when_false: int) -> int:
         """``sel ? when_true : when_false``."""
@@ -91,11 +120,16 @@ class CnfBuilder:
             return when_false
         if when_true == when_false:
             return when_true
-        out = self.new_var()
-        self.add_clause([-out, -sel, when_true])
-        self.add_clause([-out, sel, when_false])
-        self.add_clause([out, -sel, -when_true])
-        self.add_clause([out, sel, -when_false])
+        if sel < 0:
+            sel, when_true, when_false = -sel, when_false, when_true
+        key = (sel, when_true, when_false)
+        out = self._mux.get(key)
+        if out is None:
+            out = self._mux[key] = self.new_var()
+            self.add_clause([-out, -sel, when_true])
+            self.add_clause([-out, sel, when_false])
+            self.add_clause([out, -sel, -when_true])
+            self.add_clause([out, sel, -when_false])
         return out
 
     def gate_full_adder(self, a: int, b: int, carry_in: int) -> tuple[int, int]:

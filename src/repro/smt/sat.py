@@ -22,12 +22,29 @@ Heuristic behaviour is captured by :class:`SolverConfig`;
 (geometric restarts on the total-conflict count, no clause deletion, the
 old implicit 1.05 activity ramp) as the reference the CDCL tests compare
 against.
+
+Data structures (a pure implementation choice: the search — every
+decision, conflict, learned clause and model — is the one a linear
+branching scan would produce, which ``tests/test_sat_cdcl.py`` pins):
+
+* literal values live in one list indexed by the literal itself — a
+  negative literal indexes from the end, so ``values[lit]`` needs no
+  ``abs()`` or sign test on the propagation path;
+* the branching order is a lazy binary heap of ``(-activity, var)``:
+  stale and assigned entries are skipped when popped, unassigned
+  variables are re-pushed on backtrack, and the heap is rebuilt on the
+  activity rescale and once stale entries pile up — the pop is the
+  scan's "maximum activity, lowest index among ties";
+* watch lists are compacted in place during propagation;
+* conflict analysis marks variables in one persistent array and clears
+  only what it marked.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 
 def luby(i: int) -> int:
@@ -116,11 +133,17 @@ class CdclSolver:
     ) -> None:
         self.config = config or SolverConfig()
         self.num_vars = 0
-        # assignment[v]: None unassigned, else bool.
-        self.assignment: list[bool | None] = [None]
+        # values[lit]: None unassigned, else the literal's truth value.
+        # Length 2 * capacity + 1: positive literals at 1..capacity,
+        # literal -v at index len - v (Python's negative indexing).
+        self._capacity = 0
+        self._values: list[bool | None] = [None]
         self.level: list[int] = [0]
         self.reason: list[list[int] | None] = [None]
         self.activity: list[float] = [0.0]
+        self._seen: list[bool] = [False]
+        # Branching heap of (-activity, var); see the module docstring.
+        self._heap: list[tuple[float, int]] = []
         self.trail: list[int] = []
         self.activity_inc = 1.0
         # Problem clauses (incl. incremental additions): never deleted.
@@ -156,11 +179,22 @@ class CdclSolver:
         """Grow the variable space to at least ``num_vars`` variables."""
         if num_vars <= self.num_vars:
             return
+        if num_vars > self._capacity:
+            # Re-lay the literal array out at (at least) double capacity.
+            old, old_capacity = self._values, self._capacity
+            capacity = max(num_vars, 2 * old_capacity)
+            values: list[bool | None] = [None] * (2 * capacity + 1)
+            if old_capacity:
+                values[1 : old_capacity + 1] = old[1 : old_capacity + 1]
+                values[-old_capacity:] = old[-old_capacity:]
+            self._values, self._capacity = values, capacity
         grow = num_vars - self.num_vars
-        self.assignment.extend([None] * grow)
         self.level.extend([0] * grow)
         self.reason.extend([None] * grow)
         self.activity.extend([0.0] * grow)
+        self._seen.extend([False] * grow)
+        for variable in range(self.num_vars + 1, num_vars + 1):
+            heappush(self._heap, (-0.0, variable))
         self.num_vars = num_vars
 
     def add_clause(self, lits: Sequence[int]) -> None:
@@ -209,61 +243,59 @@ class CdclSolver:
     # Assignment machinery
     # ------------------------------------------------------------------
 
-    def _lit_value(self, lit: int) -> bool | None:
-        value = self.assignment[abs(lit)]
-        if value is None:
-            return None
-        return value if lit > 0 else not value
-
     def _enqueue(self, lit: int, reason: list[int] | None, level: int) -> None:
         variable = abs(lit)
-        self.assignment[variable] = lit > 0
+        self._values[lit] = True
+        self._values[-lit] = False
         self.level[variable] = level
         self.reason[variable] = reason
         self.trail.append(lit)
 
     def _propagate(self, level: int) -> list[int] | None:
         """Unit propagation; returns a conflicting clause or None."""
+        trail = self.trail
+        values = self._values
+        watches = self.watches
         head = self._prop_head
-        while head < len(self.trail):
-            lit = self.trail[head]
+        while head < len(trail):
+            falsified = -trail[head]
             head += 1
-            falsified = -lit
-            watch_list = self.watches.get(falsified)
+            watch_list = watches.get(falsified)
             if not watch_list:
                 continue
-            new_watch_list: list[list[int]] = []
-            conflict: list[int] | None = None
-            for clause in watch_list:
-                if conflict is not None:
-                    new_watch_list.append(clause)
-                    continue
+            # Compact in place: clauses that stay watched on ``falsified``
+            # are copied down to ``kept``; moved ones are dropped.
+            kept = 0
+            for index, clause in enumerate(watch_list):
                 # Ensure the falsified literal is in slot 1.
-                if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self._lit_value(first) is True:
-                    new_watch_list.append(clause)
+                if first == falsified:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = falsified
+                value = values[first]
+                if value is True:
+                    watch_list[kept] = clause
+                    kept += 1
                     continue
                 # Look for a replacement watch.
-                replaced = False
                 for slot in range(2, len(clause)):
-                    if self._lit_value(clause[slot]) is not False:
-                        clause[1], clause[slot] = clause[slot], clause[1]
-                        self._watch(clause[1], clause)
-                        replaced = True
+                    other = clause[slot]
+                    if values[other] is not False:
+                        clause[1] = other
+                        clause[slot] = falsified
+                        watches.setdefault(other, []).append(clause)
                         break
-                if replaced:
-                    continue
-                new_watch_list.append(clause)
-                if self._lit_value(first) is False:
-                    conflict = clause
                 else:
+                    watch_list[kept] = clause
+                    kept += 1
+                    if value is False:
+                        # Conflict: the unvisited tail stays as it is.
+                        del watch_list[kept : index + 1]
+                        self._prop_head = head
+                        return clause
                     self._enqueue(first, clause, level)
-            self.watches[falsified] = new_watch_list
-            if conflict is not None:
-                self._prop_head = head
-                return conflict
+            del watch_list[kept:]
         self._prop_head = head
         return None
 
@@ -274,9 +306,26 @@ class CdclSolver:
     def _bump(self, variable: int) -> None:
         self.activity[variable] += self.activity_inc
         if self.activity[variable] > 1e100:
-            for v in range(1, self.num_vars + 1):
-                self.activity[v] *= 1e-100
-            self.activity_inc *= 1e-100
+            self._rescale()
+        elif self._values[variable] is None:
+            heappush(self._heap, (-self.activity[variable], variable))
+
+    def _rescale(self) -> None:
+        activity = self.activity
+        for v in range(1, self.num_vars + 1):
+            activity[v] *= 1e-100
+        self.activity_inc *= 1e-100
+        # Every key changed, so the branching heap is rebuilt.
+        self._rebuild_heap()
+
+    def _rebuild_heap(self) -> None:
+        values, activity = self._values, self.activity
+        self._heap[:] = [
+            (-activity[v], v)
+            for v in range(1, self.num_vars + 1)
+            if values[v] is None
+        ]
+        heapify(self._heap)
 
     def _decay_activity(self) -> None:
         """One conflict's worth of VSIDS decay (increment growth)."""
@@ -284,7 +333,8 @@ class CdclSolver:
 
     def _analyze(self, conflict: list[int], level: int) -> tuple[list[int], int]:
         learned: list[int] = []
-        seen = [False] * (self.num_vars + 1)
+        seen = self._seen
+        marked: list[int] = []
         counter = 0
         lit = 0
         clause: list[int] | None = conflict
@@ -296,6 +346,7 @@ class CdclSolver:
                 if clause_lit == lit or seen[variable]:
                     continue
                 seen[variable] = True
+                marked.append(variable)
                 self._bump(variable)
                 if self.level[variable] == level:
                     counter += 1
@@ -310,6 +361,9 @@ class CdclSolver:
             if counter == 0:
                 break
             clause = self.reason[abs(lit)]
+        # Reset only what this conflict marked; the array is reused.
+        for variable in marked:
+            seen[variable] = False
         learned.insert(0, -lit)
         if len(learned) == 1:
             return learned, 0
@@ -326,18 +380,24 @@ class CdclSolver:
         while self.trail and self.level[abs(self.trail[-1])] > target_level:
             lit = self.trail.pop()
             variable = abs(lit)
-            self.assignment[variable] = None
+            self._values[lit] = self._values[-lit] = None
             self.reason[variable] = None
+            heappush(self._heap, (-self.activity[variable], variable))
         self._prop_head = len(self.trail)
 
     def _pick_branch(self) -> int:
-        best_var = 0
-        best_activity = -1.0
-        for variable in range(1, self.num_vars + 1):
-            if self.assignment[variable] is None and self.activity[variable] > best_activity:
-                best_activity = self.activity[variable]
-                best_var = variable
-        return best_var
+        """The unassigned variable of maximum activity, lowest index among
+        ties; 0 once every variable is assigned."""
+        heap = self._heap
+        if len(heap) > 2 * self.num_vars + 64:
+            # Shed the stale and duplicate entries backtracking piles up.
+            self._rebuild_heap()
+        values, activity = self._values, self.activity
+        while heap:
+            key, variable = heappop(heap)
+            if values[variable] is None and key == -activity[variable]:
+                return variable
+        return 0
 
     # ------------------------------------------------------------------
     # Learned-clause database reduction
@@ -417,8 +477,9 @@ class CdclSolver:
         # Re-run propagation over the whole level-0 trail so that clauses
         # added since the last call see the retained assignments.
         self._prop_head = 0
+        values = self._values
         for lit in self._units:
-            current = self._lit_value(lit)
+            current = values[lit]
             if current is False:
                 self._unsat = True
                 return SatResult(False)
@@ -445,7 +506,7 @@ class CdclSolver:
             branch_lit = 0
             failed_assumption = False
             for lit in assumptions:
-                value = self._lit_value(lit)
+                value = values[lit]
                 if value is False:
                     failed_assumption = True
                     break
@@ -459,8 +520,7 @@ class CdclSolver:
                 branch_var = self._pick_branch()
                 if branch_var == 0:
                     model = {
-                        v: bool(self.assignment[v])
-                        for v in range(1, self.num_vars + 1)
+                        v: values[v] is True for v in range(1, self.num_vars + 1)
                     }
                     self.total_conflicts += conflicts
                     return SatResult(True, model, conflicts=conflicts)
@@ -490,7 +550,7 @@ class CdclSolver:
                 if len(learned) == 1:
                     self._units.append(learned[0])
                     self._learned_units.append(learned[0])
-                    if self._lit_value(learned[0]) is False:
+                    if values[learned[0]] is False:
                         # Contradicts a retained level-0 implication only
                         # when the database itself is unsatisfiable.
                         if self.level[abs(learned[0])] == 0:
@@ -499,7 +559,7 @@ class CdclSolver:
                             return SatResult(False, conflicts=conflicts)
                         self._backtrack(0)
                         level = 0
-                    if self._lit_value(learned[0]) is None:
+                    if values[learned[0]] is None:
                         self._enqueue(learned[0], None, 0)
                 else:
                     self.learned.append(learned)

@@ -22,7 +22,7 @@ from repro.bitvector.bv import BitVector
 from repro.perf import global_counters, phase_timer
 from repro.smt.bitblast import BitBlaster, NotBitblastable
 from repro.smt.eval import evaluate
-from repro.smt.sat import CdclSolver, SatResult, SolverBudgetExceeded, SolverConfig
+from repro.smt.sat import CdclSolver, SatResult, SolverBudgetExceeded
 from repro.smt.simplify import simplify
 from repro.smt.terms import App, Term, apply_op
 
@@ -89,13 +89,9 @@ class IncrementalSatContext:
     retired with a unit clause so it can never constrain later queries.
     """
 
-    def __init__(
-        self,
-        max_vars: int = 400_000,
-        config: SolverConfig | None = None,
-    ) -> None:
+    def __init__(self, max_vars: int = 400_000) -> None:
         self.blaster = BitBlaster()
-        self.solver = CdclSolver(config=config)
+        self.solver = CdclSolver()
         self.max_vars = max_vars
         self.queries = 0
         # How many of the builder's clauses have been fed to the solver.
@@ -146,7 +142,16 @@ class IncrementalSatContext:
         any model of the spec-cone clauses extends to the full database;
         a learned clause over cone variables is therefore entailed by the
         spec circuit alone and sound to preload into a sibling context.
-        Best clauses first (low LBD, then short).
+        Structural gate hashing (:mod:`repro.smt.cnf`) keeps this true: a
+        candidate gate that repeats a spec gate is handed the existing
+        cone literal, and hashing never adds a clause, so the cone clauses
+        are still exactly the spec's own definitions and the prefix a
+        fresh blast of the spec lays out.  It does not make clauses
+        exported *before* hashing portable: hashing can keep the cone's
+        size and still define some of its variables with the opposite
+        polarity, so :data:`repro.synthesis.reuse.REUSE_VERSION` rejects
+        those suites rather than the cone check.  Best clauses first (low
+        LBD, then short).
         """
         if not self.spec_cone_vars:
             return []
@@ -228,7 +233,6 @@ class EquivalenceChecker:
         sat_node_limit: int = 6_000,
         probabilistic_samples: int = PROBABILISTIC_SAMPLES,
         incremental: bool = False,
-        solver_config: SolverConfig | None = None,
     ) -> None:
         self.rng = random.Random(seed)
         self.max_conflicts = max_conflicts
@@ -239,7 +243,6 @@ class EquivalenceChecker:
         self.sat_node_limit = sat_node_limit
         # Share one solver context across this checker's SAT queries.
         self.incremental = incremental
-        self.solver_config = solver_config
         self._context: IncrementalSatContext | None = None
         # Cross-window reuse: the spec term to prime new contexts with
         # and the clause suite to preload into them (re-applied whenever
@@ -294,7 +297,7 @@ class EquivalenceChecker:
         return self._context.spec_cone_vars
 
     def _new_context(self) -> IncrementalSatContext:
-        context = IncrementalSatContext(config=self.solver_config)
+        context = IncrementalSatContext()
         if self._prime_term is not None:
             cone = context.prime(self._prime_term)
             if self._preload and self._preload_cone in (0, cone):
@@ -384,10 +387,7 @@ class EquivalenceChecker:
             # Assert that some output bit differs.
             diff_lits = [blaster.cnf.gate_xor(x, y) for x, y in zip(bits_a, bits_b)]
             blaster.cnf.assert_lit(blaster.cnf.gate_big_or(diff_lits))
-        solver = CdclSolver(
-            blaster.cnf.num_vars, blaster.cnf.clauses,
-            config=self.solver_config,
-        )
+        solver = CdclSolver(blaster.cnf.num_vars, blaster.cnf.clauses)
         perf.fresh_queries += 1
         perf.sat_queries += 1
         try:

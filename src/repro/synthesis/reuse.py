@@ -17,8 +17,10 @@ that must re-synthesize anyway:
   incremental SAT context (see
   :meth:`repro.smt.solver.IncrementalSatContext.export_learned`) are
   replayed into the next same-spec context.  Clauses are stored with the
-  cone boundary they were exported under and dropped on mismatch, which
-  is the invalidation rule for blaster-layout drift.
+  cone boundary they were exported under and dropped on mismatch.  That
+  rule only sees drift that moves the boundary; a blaster change that
+  keeps the boundary but changes what a variable means must bump
+  ``REUSE_VERSION``.
 
 Entries are keyed by the *scaled* spec (the circuit CEGIS actually
 races) and canonicalised in load naming, so windows that differ only in
@@ -46,8 +48,13 @@ from repro.halide import ir as hir
 from repro.perf import global_counters
 from repro.synthesis.cache import _appearance_order, canonical_key
 
-# Bump when the on-disk entry encoding changes shape.
-REUSE_VERSION = 1
+# Bump when the on-disk entry encoding changes shape, or when the
+# bit-blaster changes what its variables mean.  The cone-size check only
+# catches layout drift that moves the cone boundary: version 1 suites
+# predate structural gate hashing, which keeps the variable count of
+# e.g. a ripple adder but flips the polarity some of them are defined
+# with, so their clauses would be wrong, not merely stale.
+REUSE_VERSION = 2
 
 
 @dataclass

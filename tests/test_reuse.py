@@ -18,6 +18,7 @@ from repro.service.store import reap_tmp
 from repro.smt.solver import IncrementalSatContext
 from repro.smt.terms import apply_op, var
 from repro.synthesis import ReuseStore
+from repro.synthesis.reuse import REUSE_VERSION
 
 
 @pytest.fixture(autouse=True)
@@ -118,6 +119,24 @@ class TestReuseStore:
         path.write_text(json.dumps(obj))
         fresh = ReuseStore(tmp_path)
         assert fresh.lookup_envs(spec, self.ISA) == []
+
+    def test_entries_from_before_gate_hashing_are_not_preloaded(self, tmp_path):
+        """Gate hashing keeps the cone size of an ``a + b`` spec but flips
+        the polarity of some of its variables, so a version-1 suite with
+        a matching ``cone_vars`` would still replay wrong clauses."""
+        spec = _add_window(lanes=1, ew=32)
+        cone = IncrementalSatContext().prime(hir.to_term(spec))
+        store = ReuseStore(tmp_path)
+        store.record_clauses(spec, self.ISA, cone, [(1, -2), (3, 4, -5)])
+        store.flush()
+        path = store._path_for(store.key_for(spec, self.ISA))
+        obj = json.loads(path.read_text())
+        assert obj["version"] == REUSE_VERSION == 2
+        assert ReuseStore(tmp_path).lookup_clauses(spec, self.ISA)[0] == cone
+
+        obj["version"] = 1
+        path.write_text(json.dumps(obj))
+        assert ReuseStore(tmp_path).lookup_clauses(spec, self.ISA) == (0, [])
 
     def test_clause_cone_mismatch_invalidates(self):
         store = ReuseStore()

@@ -116,6 +116,54 @@ class TestActivityDecay:
         assert solver.activity_inc < 1e100
 
 
+def scan_pick(solver: CdclSolver) -> int:
+    """The reference branching rule: maximum activity among unassigned
+    variables, lowest index among ties, 0 when none is left."""
+    best_var, best_activity = 0, -1.0
+    for variable in range(1, solver.num_vars + 1):
+        if solver._values[variable] is None and solver.activity[variable] > best_activity:
+            best_var, best_activity = variable, solver.activity[variable]
+    return best_var
+
+
+class TestBranchHeap:
+    def test_pick_follows_activity_across_rescale(self):
+        solver = CdclSolver(config=SolverConfig(var_decay=0.5))
+        solver.ensure_vars(3)
+        solver._bump(3)
+        for _ in range(400):
+            solver._decay_activity()
+        solver._bump(2)  # crosses 1e100: every activity is rescaled
+        assert solver.activity_inc < 1e100
+        assert solver._pick_branch() == 2
+
+    def test_pick_matches_a_linear_scan(self):
+        rng = random.Random(5)
+        solver = CdclSolver(config=SolverConfig(var_decay=0.5))
+        solver.ensure_vars(30)
+        level = 0
+        for _ in range(4_000):
+            roll = rng.random()
+            if roll < 0.4:
+                solver._bump(rng.randint(1, solver.num_vars))
+                solver._decay_activity()
+            elif roll < 0.5 and level:
+                level = rng.randrange(level)
+                solver._backtrack(level)
+            elif roll < 0.51:
+                solver.ensure_vars(solver.num_vars + 1)
+            else:
+                expected = scan_pick(solver)
+                variable = solver._pick_branch()
+                assert variable == expected
+                if variable == 0:
+                    solver._backtrack(0)
+                    level = 0
+                    continue
+                level += 1
+                solver._enqueue(variable if rng.random() < 0.5 else -variable, None, level)
+
+
 class TestRestarts:
     def test_none_policy_never_restarts(self):
         num_vars, clauses = pigeonhole(5, 4)
@@ -264,3 +312,140 @@ class TestConfigEquivalence:
         ).solve()
         assert not modern.satisfiable
         assert not legacy.satisfiable
+
+
+def random_3sat(seed: int, num_vars: int, num_clauses: int):
+    """Uniform random 3-SAT: three distinct variables per clause."""
+    rng = random.Random(seed)
+    clauses = []
+    for _ in range(num_clauses):
+        chosen = rng.sample(range(1, num_vars + 1), 3)
+        clauses.append([v if rng.random() < 0.5 else -v for v in chosen])
+    return clauses
+
+
+def trajectory(solver: CdclSolver, result):
+    """Everything a search decision can move, after one ``solve()``."""
+    model = ""
+    if result.satisfiable:
+        model = hex(sum(1 << (v - 1) for v, value in result.model.items() if value))
+    return (
+        result.satisfiable,
+        result.conflicts,
+        solver.restarts,
+        solver.learned_count,
+        solver.clauses_deleted,
+        model,
+    )
+
+
+def incremental_trajectory(solver: CdclSolver):
+    """Assumption queries interleaved with clause and variable growth,
+    including an assumption-UNSAT answer followed by a SAT one."""
+    rng = random.Random(99)
+    out = [trajectory(solver, solver.solve(assumptions=[1, -2, 3]))]
+    for clause in random_3sat(7, 60, 30):
+        solver.add_clause(clause)
+    out.append(trajectory(solver, solver.solve(assumptions=[-4, 6, -9])))
+    out.append(trajectory(solver, solver.solve()))
+    for _ in range(15):
+        chosen = rng.sample(range(1, 67), 3)
+        solver.add_clause([v if rng.random() < 0.5 else -v for v in chosen])
+    out.append(trajectory(solver, solver.solve(assumptions=[61, -63, 66])))
+    out.append(trajectory(solver, solver.solve(assumptions=[-61])))
+    for clause in random_3sat(8, 66, 25):
+        solver.add_clause(clause)
+    out.append(trajectory(
+        solver, solver.solve(assumptions=[5, -7, 11, -13, 17, -19])
+    ))
+    out.append(trajectory(solver, solver.solve()))
+    return out
+
+
+class TestPinnedTrajectory:
+    """The engine's search, not just its verdicts, is fixed.
+
+    Recorded from the scan-based reference engine (linear branching scan,
+    per-visit literal lookups, rebuilt watch lists); any rewrite of the
+    solver's data structures must reproduce every conflict count, restart,
+    learned clause, deletion and model exactly.  ``churn`` drives the
+    paths the defaults rarely reach on small inputs: the 1e100 activity
+    rescale (decay 0.5), frequent restarts and learned-clause deletion.
+    Random 3-SAT sits at clause/variable ratio 4.2, the hard region.
+    """
+
+    CONFIGS = {
+        "default": SolverConfig(),
+        "legacy": SolverConfig.legacy(),
+        "churn": SolverConfig(var_decay=0.5, luby_unit=4, reduce_interval=20),
+    }
+
+    EXPECTED = {
+        "default": {
+            "3sat0": (False, 1712, 11, 1711, 0, ""),
+            "3sat1": (True, 1584, 9, 1584, 0, "0xe0134131edc7dc5892e0fdbcacbd06"),
+            "3sat2": (False, 1207, 7, 1206, 0, ""),
+            "3sat3": (True, 286, 2, 286, 0, "0x747bc12039592a8566cf5ced47e6f9"),
+            "php54": (False, 32, 0, 31, 0, ""),
+            "incremental": [
+                (True, 6, 0, 6, 0, "0xfe994f6cb8ad5fd"),
+                (True, 8, 0, 14, 0, "0xb2ceaf5290e9cf4"),
+                (True, 7, 0, 21, 0, "0xf6d90f4e90ed5fc"),
+                (True, 34, 0, 55, 0, "0x3bb27e8f4290c9cf0"),
+                (True, 9, 0, 64, 0, "0x3af6596b4fb8f54d9"),
+                (False, 4, 0, 68, 0, ""),
+                (True, 67, 0, 135, 0, "0x33baddee49b6c4cf2"),
+            ],
+        },
+        "legacy": {
+            "3sat0": (False, 1653, 7, 1652, 0, ""),
+            "3sat1": (True, 1457, 7, 1457, 0, "0xe0134131edc7dc5892e0fdbcacbd06"),
+            "3sat2": (False, 1186, 7, 1185, 0, ""),
+            "3sat3": (True, 219, 2, 219, 0, "0x747bc12039592a8566cf5ced47e6f9"),
+            "php54": (False, 32, 0, 31, 0, ""),
+            "incremental": [
+                (True, 6, 0, 6, 0, "0xfe994f6cb8ad5fd"),
+                (True, 8, 0, 14, 0, "0xb2ceaf5290e9cf4"),
+                (True, 7, 0, 21, 0, "0xf6d90f4e90ed5fc"),
+                (True, 34, 0, 55, 0, "0x3bb26e8f4290e9cf0"),
+                (True, 13, 0, 68, 0, "0x3a3e894f2caf8a7f9"),
+                (False, 3, 0, 71, 0, ""),
+                (True, 43, 0, 114, 0, "0x33baddef49b2c4cf2"),
+            ],
+        },
+        "churn": {
+            "3sat0": (False, 5632, 380, 5631, 4937, ""),
+            "3sat1": (True, 5489, 379, 5489, 4912, "0xe0134131edc7dc5892e0fdbcacbd06"),
+            "3sat2": (False, 3626, 254, 3625, 3276, ""),
+            "3sat3": (True, 628, 61, 628, 471, "0x747bc12039592a8566cf5ced47e6f9"),
+            "php54": (False, 40, 6, 39, 3, ""),
+            "incremental": [
+                (True, 11, 2, 11, 0, "0xfe994f6cb8ad5fd"),
+                (True, 1, 2, 12, 0, "0xbbddef49b2c5cf2"),
+                (True, 1, 2, 13, 0, "0x3caeff0cf7dbbe9"),
+                (True, 17, 5, 30, 10, "0x3b3dae7b0cfddbbe9"),
+                (True, 5, 6, 35, 10, "0x3e3dae7b0cfddbbe9"),
+                (False, 4, 7, 39, 10, ""),
+                (True, 6, 8, 45, 10, "0x33baddef49b2c4cf2"),
+            ],
+        },
+    }
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_3sat(self, name, seed):
+        solver = CdclSolver(120, random_3sat(seed, 120, 504), config=self.CONFIGS[name])
+        got = trajectory(solver, solver.solve())
+        assert got == self.EXPECTED[name][f"3sat{seed}"]
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_pigeonhole(self, name):
+        num_vars, clauses = pigeonhole(5, 4)
+        solver = CdclSolver(num_vars, clauses, config=self.CONFIGS[name])
+        got = trajectory(solver, solver.solve())
+        assert got == self.EXPECTED[name]["php54"]
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_incremental_sequence(self, name):
+        solver = CdclSolver(60, random_3sat(3, 60, 180), config=self.CONFIGS[name])
+        assert incremental_trajectory(solver) == self.EXPECTED[name]["incremental"]
