@@ -5,7 +5,7 @@ Public API tour (see README.md for the architecture diagram):
 
 Offline phase
     >>> from repro import load_isa, build_equivalence_classes, build_dictionary
-    >>> dictionary = build_dictionary(("x86", "hvx", "arm"))
+    >>> dictionary = build_dictionary()  # every registered ISA
 
 Online phase
     >>> from repro import build_grammar, synthesize, CegisOptions

@@ -12,10 +12,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from repro.isa.registry import CORE_ISAS, load_catalog
+from repro.isa.registry import load_catalog, supported_isas
 from repro.isa.spec import InstructionSpec
-from repro.similarity.eqclass import ClassMember, EquivalenceClass
-from repro.similarity.engine import build_equivalence_classes
+from repro.similarity.eqclass import (
+    ClassMember,
+    EquivalenceClass,
+    restrict_classes,
+)
 
 
 @dataclass
@@ -109,19 +112,21 @@ def _family_label(bindings: list[TargetBinding]) -> str:
 def dictionary_from_classes(
     isas: tuple[str, ...], classes: list[EquivalenceClass]
 ) -> AutoLLVMDictionary:
-    """Assemble the dictionary over an already-computed class partition.
+    """Assemble the dictionary over ``classes`` restricted to ``isas``.
 
     Target specs are resolved from the (cheap, parse-free) generated
     catalogs by name, which is what lets an artifact loaded from disk
     (:mod:`repro.irgen`) rebuild the full dictionary without ever running
-    the pseudocode parser.
+    the pseudocode parser.  Restricting a partition to a subset of its
+    ISAs yields the induced partition, so a subset dictionary keeps the
+    class ids of the one it was cut from.
     """
     specs = {
         isa: {spec.name: spec for spec in load_catalog(isa)} for isa in isas
     }
     ops: list[AutoLLVMOp] = []
     reverse: dict[str, AutoLLVMOp] = {}
-    for cls in classes:
+    for cls in restrict_classes(classes, set(isas)):
         bindings = [
             TargetBinding(member, specs[member.isa][member.name])
             for member in cls.members
@@ -140,35 +145,30 @@ def dictionary_from_classes(
 
 
 def dictionary_isas(isa: str) -> tuple[str, ...]:
-    """The dictionary an ``isa``-targeted job should compile against.
+    """Every registered ISA, whatever ``isa`` is: each job compiles
+    against the one dictionary.
 
-    Core ISAs share the canonical 3-ISA dictionary (keeping its
-    fingerprint, grammar, and class ids identical to historical runs);
-    a plug-in ISA such as rvv extends that tuple, opting in to a larger
-    dictionary without perturbing anyone else's.
+    Shim for ``bench_e2e`` (oracle, report, nearmiss, tracejob), which
+    still asks per ISA; delete it once the benchmark calls
+    :func:`build_dictionary` with no argument.
     """
-    if isa in CORE_ISAS:
-        return CORE_ISAS
-    return CORE_ISAS + (isa,)
+    return supported_isas()
 
 
-def build_dictionary(isas: tuple[str, ...] = CORE_ISAS) -> AutoLLVMDictionary:
-    """Generate the AutoLLVM dictionary for a set of ISAs (cached).
+def build_dictionary(isas: tuple[str, ...] | None = None) -> AutoLLVMDictionary:
+    """The AutoLLVM dictionary over every registered ISA (cached).
 
-    When ``REPRO_IRGEN_CACHE`` names an artifact store, the class
-    partition comes from the persisted irgen artifact (warm load or
-    rebuild-and-persist); otherwise the in-memory serial engine runs.
+    ``isas`` names a subset: the one partition restricted to it, never a
+    second build.  The partition comes from the persisted irgen artifact
+    when ``REPRO_IRGEN_CACHE`` names a store (warm load or
+    rebuild-and-persist), otherwise from the in-memory serial engine.
     """
-    return _build_dictionary_cached(tuple(isas))
+    return _build_dictionary_cached(tuple(isas or supported_isas()))
 
 
 @lru_cache(maxsize=None)
 def _build_dictionary_cached(isas: tuple[str, ...]) -> AutoLLVMDictionary:
-    from repro.irgen import artifact_classes_and_stats
+    from repro.irgen import classes_and_stats
 
-    cached = artifact_classes_and_stats(isas)
-    if cached is not None:
-        classes, _stats = cached
-    else:
-        classes, _stats = build_equivalence_classes(isas)
+    classes, _stats, _source = classes_and_stats()
     return dictionary_from_classes(isas, classes)

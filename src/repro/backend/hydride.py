@@ -22,7 +22,6 @@ from repro.autollvm.intrinsics import AutoLLVMDictionary
 from repro.backend.common import CompiledKernel, broadcast_ops, memory_ops
 from repro.halide import ir as hir
 from repro.halide.lowering import LoweredKernel
-from repro.isa.registry import CORE_ISAS
 from repro.machine.ops import MachineOp, op_from_spec
 from repro.machine.targets import TARGETS
 from repro.synthesis import (
@@ -107,7 +106,7 @@ class HydrideCompiler:
         # CEGIS on every exact cache miss.
         rules=None,
     ) -> None:
-        self.dictionary = dictionary or build_dictionary(CORE_ISAS)
+        self.dictionary = dictionary or build_dictionary()
         self.cache = cache if cache is not None else MemoCache()
         self.cegis = cegis or CegisOptions(timeout_seconds=30.0)
         self.grammar_options = grammar_options or GrammarOptions()

@@ -27,7 +27,6 @@ from repro.backend.hydride import HydrideCompiler, rewrite_broadcasts
 from repro.bitvector.bv import BitVector
 from repro.halide import ir as hir
 from repro.halide.lowering import LoweredKernel
-from repro.isa.registry import CORE_ISAS
 from repro.synthesis import CegisOptions, MemoCache
 
 
@@ -89,7 +88,7 @@ class RakeCompiler:
         cache: MemoCache | None = None,
         buggy_semantics: bool = False,
     ) -> None:
-        base = dictionary or build_dictionary(CORE_ISAS)
+        base = dictionary or build_dictionary()
         self.dictionary = rake_dictionary(base)
         self.buggy_semantics = buggy_semantics
         # Rake explores smaller windows than Hydride (its tractability

@@ -90,7 +90,7 @@ class ExperimentRunner:
         jobs: int = 1,
         daemon_addr: str | None = None,
     ) -> None:
-        self.dictionary = build_dictionary(CORE_ISAS)
+        self.dictionary = build_dictionary()
         self.cegis = cegis or fast_hydride_options()
         self.cache_dir = cache_dir
         self.jobs = max(1, jobs)

@@ -1,10 +1,13 @@
 """Parallel, persistent offline IR generation.
 
-The paper's Automatic IR Generator runs once, offline, per ISA set; this
-package makes that run *parallel* (sharded similarity checking, pooled
-spec parsing — :mod:`repro.irgen.pipeline`) and *persistent* (a
-fingerprinted on-disk artifact holding the equivalence classes and, by
-extension, the AutoLLVM dictionary — :mod:`repro.irgen.artifact`).
+The paper's Automatic IR Generator runs once, offline, over every
+target's specs; this package makes that run *parallel* (sharded
+similarity checking, pooled spec parsing — :mod:`repro.irgen.pipeline`)
+and *persistent* (a fingerprinted on-disk artifact holding the
+equivalence classes and, by extension, the AutoLLVM dictionary —
+:mod:`repro.irgen.artifact`).  There is one artifact, over every
+registered ISA; an ISA subset is a restriction of it, never a second
+build.
 
 Consumers opt in through the environment::
 
@@ -32,11 +35,10 @@ from repro.irgen.artifact import (
     store_inventory,
 )
 from repro.irgen.pipeline import build_artifact
-from repro.isa.registry import CORE_ISAS
+from repro.isa.registry import supported_isas
 
 __all__ = [
     "IrgenArtifact",
-    "artifact_classes_and_stats",
     "build_artifact",
     "cache_root_from_env",
     "classes_and_stats",
@@ -52,7 +54,7 @@ __all__ = [
 ENV_CACHE = "REPRO_IRGEN_CACHE"
 ENV_JOBS = "REPRO_IRGEN_JOBS"
 
-# In-process memo: (root, isas, fingerprint, extra) -> IrgenArtifact.
+# In-process memo: (root, fingerprint) -> IrgenArtifact.
 # Sits in front of the disk store exactly like the lru_cache on
 # build_equivalence_classes sits in front of the serial engine.
 _MEMO: dict[tuple, IrgenArtifact] = {}
@@ -74,21 +76,19 @@ def default_jobs() -> int:
 
 
 def ensure_artifact(
-    isas: tuple[str, ...],
     root: str,
     jobs: int | None = None,
     force: bool = False,
     extra: tuple[str, ...] = (),
 ) -> IrgenArtifact:
-    """The artifact for ``isas`` under ``root``: loaded warm when the
-    fingerprint matches, rebuilt (and persisted) otherwise.
+    """The artifact under ``root``: loaded warm when the fingerprint
+    matches, rebuilt (and persisted) otherwise.
 
     ``force`` rebuilds even on a fingerprint hit.  ``extra`` salts the
     fingerprint (test hook).  Results are memoised per process.
     """
-    isas = tuple(isas)
-    fingerprint = irgen_fingerprint(isas, extra)
-    key = (str(root), isas, fingerprint, extra)
+    fingerprint = irgen_fingerprint(extra=extra)
+    key = (str(root), fingerprint)
     if not force and key in _MEMO:
         return _MEMO[key]
     artifact = None
@@ -101,7 +101,7 @@ def ensure_artifact(
             if artifact is not None:
                 artifact.phase_seconds["load"] = time.monotonic() - began
     if artifact is None:
-        artifact = build_artifact(isas, jobs or default_jobs(), extra)
+        artifact = build_artifact(jobs or default_jobs(), extra)
         persist_artifact(root, artifact)
     _MEMO[key] = artifact
     return artifact
@@ -112,31 +112,24 @@ def clear_memo() -> None:
     _MEMO.clear()
 
 
-def artifact_classes_and_stats(isas: tuple[str, ...]):
-    """(classes, stats) from the env-configured artifact store, or None.
+def classes_and_stats():
+    """(classes, stats, source) of the one partition over every registered
+    ISA: from the env-configured artifact store when there is one,
+    otherwise from the serial in-memory engine.
 
-    Any failure — unwritable root, corrupt payload, unknown ISA — falls
-    back to None so callers degrade to the in-memory serial path instead
-    of crashing an otherwise healthy run.
+    Any store failure — unwritable root, corrupt payload — falls back to
+    the engine, so callers degrade instead of crashing an otherwise
+    healthy run.
     """
     root = cache_root_from_env()
-    if root is None:
-        return None
-    try:
-        artifact = ensure_artifact(tuple(isas), root)
-    except Exception:
-        return None
-    return artifact.classes, artifact.stats
-
-
-def classes_and_stats(isas: tuple[str, ...] = CORE_ISAS):
-    """(classes, stats, source): artifact-backed when the env opts in,
-    otherwise the serial in-memory engine."""
-    result = artifact_classes_and_stats(tuple(isas))
-    if result is not None:
-        classes, stats = result
-        return classes, stats, "artifact"
+    if root is not None:
+        try:
+            artifact = ensure_artifact(root)
+        except Exception:
+            artifact = None
+        if artifact is not None:
+            return artifact.classes, artifact.stats, "artifact"
     from repro.similarity.engine import build_equivalence_classes
 
-    classes, stats = build_equivalence_classes(tuple(isas))
+    classes, stats = build_equivalence_classes(supported_isas())
     return classes, stats, "engine"

@@ -1,19 +1,23 @@
 """The on-disk IR-generation artifact: equivalence classes + dictionary.
 
-The paper runs the Automatic IR Generator once offline per ISA set; this
-module makes that phase a cacheable artifact.  Layout under a cache root
-directory (mirroring :mod:`repro.service.store`'s conventions)::
+The paper runs the Automatic IR Generator once, offline, over every
+target's specs; this module makes that phase a cacheable artifact over
+every registered ISA (an ISA subset is a restriction of it, see
+:func:`repro.similarity.eqclass.restrict_classes`).  Layout under a
+cache root directory (mirroring :mod:`repro.service.store`'s
+conventions)::
 
     <root>/
       <fingerprint16>/
         meta.json        # fingerprint, versions, isas, build stats
         artifact.json    # equivalence classes with full symbolic semantics
 
-The fingerprint (:func:`irgen_fingerprint`) hashes every spec's text and
-structure (name, operands, output width, pseudocode, family, extension)
-together with the engine/grammar/format versions, so any change to a
-vendor spec or to the similarity algorithm lands in a fresh namespace and
-stale artifacts are never replayed.  Writes are atomic and idempotent;
+The fingerprint (:func:`irgen_fingerprint`) hashes every registered
+spec's text and structure (name, operands, output width, pseudocode,
+family, extension) together with the engine/grammar/format versions, so
+any change to a vendor spec, to the registry or to the similarity
+algorithm lands in a fresh namespace and stale artifacts are never
+replayed.  Writes are atomic and idempotent;
 racing builders produce byte-identical files.
 
 Class members persist with their *full* parameterized semantics (via
@@ -41,7 +45,7 @@ from repro.hydride_ir.serialize import (
     input_from_obj,
     input_to_obj,
 )
-from repro.isa.registry import load_catalog
+from repro.isa.registry import load_catalog, supported_isas
 from repro.similarity.constants import SymbolicSemantics
 from repro.similarity.engine import ENGINE_VERSION, EngineStats
 from repro.similarity.eqclass import ClassMember, EquivalenceClass
@@ -64,26 +68,30 @@ class ArtifactError(ValueError):
 
 
 def irgen_fingerprint(
-    isas: tuple[str, ...],
+    subset: tuple[str, ...] = (),
     extra: tuple[str, ...] = (),
     catalogs: dict[str, Any] | None = None,
 ) -> str:
     """A stable hash of everything the generated IR depends on.
 
     Covers the artifact format, the similarity-engine version, the
-    synthesis grammar version, and the full spec text of every ISA in the
-    set.  ``catalogs`` is injectable for tests; by default the (cheap)
-    generated catalogs are used.
+    synthesis grammar version, and the full spec text of every registered
+    ISA.  ``catalogs`` (ISA -> specs) is injectable for tests and then
+    stands in for the registry; by default the (cheap) generated catalogs
+    are used.  ``subset`` does not enter the hash: every ISA subset is
+    served by the one artifact.  It is a shim for ``bench_e2e/report.py``,
+    which still passes an ISA tuple; delete it once the benchmark stops.
     """
     from repro.synthesis.grammar import GRAMMAR_VERSION
 
+    isas = tuple(catalogs) if catalogs is not None else supported_isas()
     digest = hashlib.sha256()
     digest.update(f"irgen:{IRGEN_FORMAT_VERSION}\n".encode())
     digest.update(f"engine:{ENGINE_VERSION}\n".encode())
     digest.update(f"grammar:{GRAMMAR_VERSION}\n".encode())
     digest.update(f"isas:{','.join(isas)}\n".encode())
     for isa in isas:
-        catalog = (catalogs or {}).get(isa) or load_catalog(isa)
+        catalog = catalogs[isa] if catalogs is not None else load_catalog(isa)
         for spec in catalog:
             operands = ",".join(
                 f"{op.name}:{op.width}:{int(op.is_immediate)}"

@@ -2,7 +2,8 @@
 
 Subcommands::
 
-    build   Build (or warm-load) the artifact for an ISA set.
+    build   Build (or warm-load) the one artifact, over every registered
+            ISA.
             --expect-cached exits non-zero if a rebuild was needed — the
             CI smoke job uses it to prove the second build is a pure
             cache hit.
@@ -29,18 +30,15 @@ from repro.irgen import (
 )
 from repro.isa.registry import supported_isas
 
-DEFAULT_ISAS = "x86,hvx,arm"
 
-
-def _parse_isas(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
-def _resolve_isas(args) -> tuple[str, ...]:
-    """ISA set from ``--isa`` flags (if any) or the ``--isas`` list."""
-    isas = tuple(args.isa) if getattr(args, "isa", None) else _parse_isas(args.isas)
+def _check_isas(text: str) -> None:
+    """Reject unknown names in ``build --isas``.  The list selects
+    nothing — every build covers all registered ISAs — and exists only
+    because ``bench_e2e/harness.py`` passes it; delete the flag once the
+    benchmark stops."""
     known = supported_isas()
-    unknown = [isa for isa in isas if isa not in known]
+    names = (part.strip() for part in text.split(","))
+    unknown = [isa for isa in names if isa and isa not in known]
     if unknown:
         print(
             f"error: unknown ISA(s) {', '.join(unknown)}; supported: "
@@ -48,7 +46,6 @@ def _resolve_isas(args) -> tuple[str, ...]:
             file=sys.stderr,
         )
         raise SystemExit(2)
-    return isas
 
 
 def _resolve_root(args) -> str:
@@ -68,17 +65,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=f"artifact root directory (default: ${ENV_CACHE})",
     )
-    parser.add_argument(
-        "--isas",
-        default=DEFAULT_ISAS,
-        help=f"comma-separated ISA set (default: {DEFAULT_ISAS})",
-    )
-    parser.add_argument(
-        "--isa",
-        action="append",
-        metavar="ISA",
-        help="single ISA to target; repeatable, overrides --isas",
-    )
 
 
 def _rungs(checker_stats: dict) -> str:
@@ -88,15 +74,14 @@ def _rungs(checker_stats: dict) -> str:
 
 def cmd_build(args) -> int:
     root = _resolve_root(args)
-    isas = _resolve_isas(args)
+    _check_isas(args.isas)
     began = time.monotonic()
-    artifact = ensure_artifact(
-        isas, root, jobs=args.jobs, force=args.force
-    )
+    artifact = ensure_artifact(root, jobs=args.jobs, force=args.force)
     elapsed = time.monotonic() - began
     action = "loaded" if artifact.loaded else "built"
     print(
-        f"[irgen] {action} {'+'.join(isas)}: {len(artifact.classes)} classes"
+        f"[irgen] {action} {'+'.join(artifact.isas)}:"
+        f" {len(artifact.classes)} classes"
         f" from {artifact.stats.instructions} instructions in {elapsed:.2f}s"
         f" (checks={artifact.stats.checks},"
         f" rungs={_rungs(artifact.stats.checker_stats)},"
@@ -114,8 +99,7 @@ def cmd_build(args) -> int:
 
 def cmd_stats(args) -> int:
     root = _resolve_root(args)
-    isas = _resolve_isas(args)
-    current = irgen_fingerprint(isas)
+    current = irgen_fingerprint()
     namespaces = store_inventory(root)
     for entry in namespaces:
         entry["current"] = entry.get("fingerprint") == current
@@ -133,7 +117,10 @@ def cmd_stats(args) -> int:
         )
         return 0
     print(f"[irgen] store {root}: {len(namespaces)} namespace(s)")
-    print(f"[irgen] current fingerprint ({'+'.join(isas)}): {current[:16]}")
+    print(
+        f"[irgen] current fingerprint ({'+'.join(supported_isas())}):"
+        f" {current[:16]}"
+    )
     for entry in namespaces:
         stats = entry.get("stats", {})
         marker = "*" if entry.get("current") else " "
@@ -165,6 +152,12 @@ def main(argv: list[str] | None = None) -> int:
 
     build = sub.add_parser("build", help="build or warm-load the artifact")
     _add_common(build)
+    build.add_argument(
+        "--isas",
+        default="",
+        help="comma-separated ISA names, checked against the registry;"
+        " every build covers all registered ISAs",
+    )
     build.add_argument(
         "--jobs",
         type=int,

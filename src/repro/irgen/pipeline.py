@@ -38,7 +38,7 @@ import multiprocessing
 import time
 
 from repro import faults
-from repro.isa.registry import load_catalog, parse_slice
+from repro.isa.registry import load_catalog, parse_slice, supported_isas
 from repro.perf import global_counters, phase_timer
 from repro.similarity.constants import SymbolicSemantics, extract_constants
 from repro.similarity.engine import SimilarityEngine, shard_key
@@ -151,17 +151,15 @@ def _parse_tasks(isas: tuple[str, ...], jobs: int) -> list[tuple[str, int, int]]
 # ----------------------------------------------------------------------
 
 
-def build_artifact(
-    isas: tuple[str, ...],
-    jobs: int = 1,
-    extra: tuple[str, ...] = (),
-) -> IrgenArtifact:
-    """Run the full sharded pipeline; returns a freshly built artifact.
+def build_artifact(jobs: int = 1, extra: tuple[str, ...] = ()) -> IrgenArtifact:
+    """Run the full sharded pipeline over every registered ISA; returns a
+    freshly built artifact.
 
     With ``jobs <= 1`` the identical phase structure runs inline — the
     partition it produces is the determinism reference the tests compare
     against :func:`repro.similarity.engine.build_equivalence_classes`.
     """
+    isas = supported_isas()
     faults.trip("irgen.build", detail="+".join(isas))
     perf = global_counters()
     began = time.monotonic()
@@ -255,8 +253,8 @@ def build_artifact(
 
     engine.stats.seconds = time.monotonic() - began
     return IrgenArtifact(
-        isas=tuple(isas),
-        fingerprint=irgen_fingerprint(tuple(isas), extra),
+        isas=isas,
+        fingerprint=irgen_fingerprint(extra=extra),
         classes=final,
         stats=engine.stats,
         phase_seconds=phases,

@@ -19,10 +19,8 @@ import json
 import sys
 
 from repro.autollvm import build_dictionary
-from repro.isa.registry import CORE_ISAS
+from repro.isa.registry import supported_isas
 from repro.synthesis.serialize import dictionary_fingerprint
-
-DEFAULT_ISAS = CORE_ISAS
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
@@ -39,8 +37,8 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
         )
         p.add_argument(
             "--isa",
-            default=",".join(DEFAULT_ISAS),
-            help="comma-separated ISAs (default: all)",
+            default=",".join(supported_isas()),
+            help="comma-separated ISAs (default: every registered ISA)",
         )
         p.add_argument("--json", action="store_true")
 
@@ -71,11 +69,9 @@ def _isas(args: argparse.Namespace) -> list[str]:
     return [s for s in args.isa.split(",") if s]
 
 
-def _dictionary_for(isa: str):
-    """Per-ISA dictionary + fingerprint, matching what jobs compile with."""
-    from repro.autollvm.intrinsics import dictionary_isas
-
-    dictionary = build_dictionary(dictionary_isas(isa))
+def _dictionary():
+    """The dictionary every job compiles against, and its fingerprint."""
+    dictionary = build_dictionary()
     return dictionary, dictionary_fingerprint(dictionary)
 
 
@@ -89,8 +85,8 @@ def _cmd_distill(args: argparse.Namespace) -> int:
     from repro.synthesis.rules import clear_preloaded, distill_rules
 
     payload = []
+    dictionary, fingerprint = _dictionary()
     for isa in _isas(args):
-        dictionary, fingerprint = _dictionary_for(isa)
         cache = _open_cache(args.cache_dir, isa, dictionary)
         book, report = distill_rules(
             cache._entries.items(), isa, fingerprint=fingerprint,
@@ -143,8 +139,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
     root = Path(args.cache_dir)
     payload = []
+    dictionary, fingerprint = _dictionary()
     for isa in _isas(args):
-        dictionary, fingerprint = _dictionary_for(isa)
         directory = root / isa / fingerprint[:FINGERPRINT_DIR_CHARS]
         book = load_rulebook(
             directory, dictionary, expect_fingerprint=fingerprint,
@@ -182,8 +178,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     root = Path(args.cache_dir)
     payload = []
     failures = 0
+    dictionary, fingerprint = _dictionary()
     for isa in _isas(args):
-        dictionary, fingerprint = _dictionary_for(isa)
         directory = root / isa / fingerprint[:FINGERPRINT_DIR_CHARS]
         book = load_rulebook(
             directory, dictionary, expect_fingerprint=fingerprint,

@@ -185,11 +185,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if args.screen:
         from repro.analysis.absint import screen_dictionary
         from repro.autollvm import build_dictionary
-        from repro.isa.registry import CORE_ISAS
 
-        stats["dictionary_screen"] = screen_dictionary(
-            build_dictionary(CORE_ISAS)
-        )
+        stats["dictionary_screen"] = screen_dictionary(build_dictionary())
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
@@ -236,10 +233,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_gc(args: argparse.Namespace) -> int:
     from repro.autollvm import build_dictionary
-    from repro.isa.registry import CORE_ISAS
     from repro.synthesis.serialize import dictionary_fingerprint
 
-    fingerprint = dictionary_fingerprint(build_dictionary(CORE_ISAS))
+    fingerprint = dictionary_fingerprint(build_dictionary())
     outcome = gc_store(args.cache_dir, fingerprint)
     reaped = outcome.get("removed_rulebooks", 0)
     print(

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 from repro import faults
 from repro.autollvm import build_dictionary
-from repro.autollvm.intrinsics import dictionary_isas
 from repro.backend import (
     CompileError,
     HalideNativeCompiler,
@@ -302,7 +301,7 @@ def execute_job(
     # not prewarm (``specs_parsed``, irgen load) and open-time events
     # (entry loads, reaped litter, absorbed faults).
     perf_before = perf_snapshot()
-    dictionary = build_dictionary(dictionary_isas(job.isa))
+    dictionary = build_dictionary()
     cache = _open_cache(job, cache_dir, dictionary)
     reuse = _open_reuse(job, cache_dir)
     rules = _open_rules(job, cache)
@@ -398,7 +397,7 @@ def fallback_job_result(
     """
     started = time.monotonic()
     name = job.fallback or "llvm"
-    dictionary = build_dictionary(dictionary_isas(job.isa))
+    dictionary = build_dictionary()
     result = _compile_once(job, name, dictionary, MemoCache(), cegis, None)
     result = dataclasses.replace(result, error=f"fallback={name}: {reason}")
     telemetry = JobTelemetry(

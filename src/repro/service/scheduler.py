@@ -179,16 +179,14 @@ def prewarm(cache_dir: str | None) -> int:
     The warm-fork invariant: a worker forked by :class:`WorkerPool`
     inherits all of this and rebuilds none of it (``specs_parsed`` in its
     ``JobTelemetry.perf`` stays zero).  Loaded here: the workload
-    registry, the core dictionary, and — for every ISA with presence in
-    ``cache_dir`` — that ISA's dictionary (``dictionary_isas``), its
-    fingerprint (memoised on the dictionary object) and its distilled
-    rulebook (memoised by :func:`~repro.synthesis.rules.load_rulebook`).
-    A plug-in ISA nobody has compiled for yet is skipped: its first
-    worker builds the larger dictionary itself.  Returns the number of
+    registry, the one dictionary every job compiles against (over every
+    registered ISA), its fingerprint (memoised on the dictionary object)
+    and, for every ISA with presence in ``cache_dir``, that namespace's
+    distilled rulebook (memoised by
+    :func:`~repro.synthesis.rules.load_rulebook`).  Returns the number of
     non-empty rulebooks loaded.
     """
     from repro.autollvm import build_dictionary
-    from repro.autollvm.intrinsics import dictionary_isas
     from repro.isa.registry import supported_isas
     from repro.service.store import FINGERPRINT_DIR_CHARS
     from repro.synthesis.rules import load_rulebook
@@ -196,16 +194,15 @@ def prewarm(cache_dir: str | None) -> int:
     from repro.workloads.registry import all_benchmarks
 
     all_benchmarks()
-    build_dictionary()
+    dictionary = build_dictionary()
     if cache_dir is None:
         return 0
+    fingerprint = dictionary_fingerprint(dictionary)
     root = Path(cache_dir)
     books = 0
     for isa in supported_isas():
         if not (root / isa).is_dir():
             continue
-        dictionary = build_dictionary(dictionary_isas(isa))
-        fingerprint = dictionary_fingerprint(dictionary)
         book = load_rulebook(
             root / isa / fingerprint[:FINGERPRINT_DIR_CHARS],
             dictionary,

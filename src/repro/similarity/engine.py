@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from repro.smt.solver import EquivalenceChecker
-from repro.isa.registry import CORE_ISAS, load_isa
+from repro.isa.registry import load_isa
 from repro.similarity.constants import SymbolicSemantics, extract_constants
 from repro.similarity.eqclass import ClassMember, EquivalenceClass
 from repro.similarity.equivalence import check_similar, find_similar_permutation
@@ -321,10 +321,12 @@ def _symbolics_for_isa(isa: str) -> list[SymbolicSemantics]:
 
 
 @lru_cache(maxsize=None)
-def build_equivalence_classes(
-    isas: tuple[str, ...] = CORE_ISAS,
-) -> tuple:
-    """Run the engine over the given ISAs; returns (classes, stats)."""
+def build_equivalence_classes(isas: tuple[str, ...]) -> tuple:
+    """Run the serial engine over the given ISAs; returns (classes, stats).
+
+    Serving code reads the one partition through
+    :func:`repro.irgen.classes_and_stats`; this is its in-memory
+    fallback and the tests' reference."""
     symbolics: list[SymbolicSemantics] = []
     for isa in isas:
         symbolics.extend(_symbolics_for_isa(isa))

@@ -77,13 +77,16 @@ def restrict_classes(
     """The classes induced on a subset of ISAs.
 
     Restricting an equivalence relation to a subset of its carrier yields
-    the induced partition, so subset class counts (Table 1 rows) derive
-    from one combined engine run.
+    the induced partition, so subset class counts (Table 1 rows) and
+    subset dictionaries derive from one combined engine run.  A class
+    that loses no member is returned as is.
     """
     result: list[EquivalenceClass] = []
     for cls in classes:
         members = [m for m in cls.members if m.isa in isas]
-        if members:
+        if len(members) == len(cls.members):
+            result.append(cls)
+        elif members:
             restricted = EquivalenceClass(cls.class_id, members)
             restricted.compute_fixed_params()
             result.append(restricted)

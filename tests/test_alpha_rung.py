@@ -24,15 +24,19 @@ from repro.hydride_ir.serialize import (
     index_from_obj,
     index_to_obj,
 )
+from repro.autollvm.intrinsics import dictionary_from_classes
 from repro.irgen import build_artifact, load_artifact, persist_artifact
-from repro.irgen import pipeline
+from repro.irgen import partition_digest, pipeline
+from repro.isa import registry
 from repro.similarity import engine as engine_module
 from repro.similarity import equivalence
 from repro.similarity.constants import extract_constants
 from repro.similarity.engine import SimilarityEngine, _symbolics_for_isa
+from repro.similarity.eqclass import restrict_classes
 from repro.similarity.equivalence import check_similar
 from repro.smt import solver
 from repro.smt.solver import EquivalenceChecker
+from repro.synthesis.serialize import dictionary_fingerprint
 
 CORE = ("x86", "hvx", "arm")
 GOLDEN = {
@@ -41,6 +45,13 @@ GOLDEN = {
         252, "51010be78e1caf39ae5c6248ff844d8d9f6531f2d3f3d0156963a72729fc98bd",
     ),
 }
+
+
+def _build(isas, jobs):
+    """The artifact of a registry holding exactly ``isas``."""
+    with pytest.MonkeyPatch.context() as patcher:
+        patcher.setattr(registry, "SUPPORTED_ISAS", isas)
+        return build_artifact(jobs=jobs)
 
 
 def _identity(symbolic):
@@ -150,7 +161,8 @@ def four_isa_build():
 
     with pytest.MonkeyPatch.context() as patcher:
         patcher.setattr(engine_module, "check_similar", recording)
-        artifact = build_artifact(CORE + ("rvv",), jobs=1)
+        artifact = build_artifact(jobs=1)
+    assert artifact.isas == CORE + ("rvv",)
     return artifact, accepted
 
 
@@ -158,16 +170,31 @@ class TestGoldenPartitions:
     @pytest.mark.parametrize("isas", list(GOLDEN))
     def test_sharded_build(self, isas):
         classes, digest = GOLDEN[isas]
-        artifact = build_artifact(isas, jobs=2)
+        artifact = _build(isas, jobs=2)
         assert (len(artifact.classes), artifact.digest()) == (classes, digest)
 
     def test_inline_builds(self, four_isa_build):
         artifact, _accepted = four_isa_build
         assert (len(artifact.classes), artifact.digest()) == GOLDEN[artifact.isas]
-        core = build_artifact(CORE, jobs=1)
+        core = _build(CORE, jobs=1)
         assert (len(core.classes), core.digest()) == GOLDEN[CORE]
         assert (core.stats.hole_merges, core.stats.permute_merges) == (3, 3)
         assert (artifact.stats.hole_merges, artifact.stats.permute_merges) == (3, 4)
+
+    def test_core_is_a_restriction_of_the_one_partition(self, four_isa_build):
+        """The 3-ISA partition a core-only registry builds is the one
+        partition restricted to the core ISAs: same classes, ids and
+        members, so the core dictionary is bit for bit the historical one."""
+        artifact, _accepted = four_isa_build
+        core = restrict_classes(artifact.classes, set(CORE))
+        assert (len(core), partition_digest(core)) == GOLDEN[CORE]
+        assert [cls.class_id for cls in core] == list(range(len(core)))
+        assert dictionary_fingerprint(
+            dictionary_from_classes(CORE, artifact.classes)
+        ).startswith("d347c9f0554a43ac")
+        assert dictionary_fingerprint(artifact.dictionary).startswith(
+            "fe498b014c9888b1"
+        )
 
 
 class TestRungAgainstLadder:
@@ -241,7 +268,7 @@ class TestAlphaKey:
         assert len(calls) == len(checker.lowered) <= 4
 
     def test_warm_load_computes_no_key(self, tmp_path):
-        artifact = build_artifact(("hvx",), jobs=1)
+        artifact = _build(("hvx",), jobs=1)
         persist_artifact(tmp_path, artifact)
         loaded = load_artifact(tmp_path, artifact.fingerprint)
         assert loaded.dictionary.ops
@@ -297,8 +324,8 @@ class TestUninstantiableInstruction:
         monkeypatch.setattr(
             pipeline, "_parse_task", lambda task: (broken + good, 0.0, 0.0)
         )
-        monkeypatch.setattr(pipeline, "irgen_fingerprint", lambda *a: "f" * 64)
-        artifact = build_artifact(("fake",), jobs=1)
+        monkeypatch.setattr(pipeline, "irgen_fingerprint", lambda **k: "f" * 64)
+        artifact = build_artifact(jobs=1)
         assert artifact.stats.uninstantiable == 2
         assert artifact.stats.instructions == 6
         singles = [c.members[0].name for c in artifact.classes if len(c.members) == 1]

@@ -26,6 +26,32 @@ class TestTable1:
     def test_seven_rows(self, result):
         assert len(result.rows) == 7
 
+    def test_rows_match_the_separate_three_isa_build(self, result):
+        """Restricting the one partition (every registered ISA) gives the
+        rows a separate x86+hvx+arm engine run gave: (ISA size, AutoLLVM
+        size) per subset, in the paper's row order."""
+        assert [
+            (row.isas, row.isa_size, row.autollvm_size) for row in result.rows
+        ] == [
+            (("x86",), 772, 111),
+            (("hvx",), 141, 64),
+            (("arm",), 477, 123),
+            (("x86", "hvx"), 913, 152),
+            (("x86", "arm"), 1249, 201),
+            (("hvx", "arm"), 618, 157),
+            (("x86", "hvx", "arm"), 1390, 231),
+        ]
+
+    def test_every_subset_of_the_registry(self):
+        from repro.isa.registry import supported_isas
+
+        rows = table1.run(supported_isas()).rows
+        assert len(rows) == 2 ** len(supported_isas()) - 1
+        assert (rows[3].isas, rows[3].isa_size, rows[3].autollvm_size) == (
+            ("rvv",), 295, 62,
+        )
+        assert (rows[-1].isa_size, rows[-1].autollvm_size) == (1685, 252)
+
     def test_each_isa_compresses(self, result):
         for row in result.rows:
             assert row.autollvm_size < row.isa_size / 2

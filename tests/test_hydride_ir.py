@@ -35,7 +35,7 @@ from repro.hydride_ir.interp import (
     compute_width,
     resolved_input_widths,
 )
-from repro.isa.registry import CORE_ISAS, load_isa, supported_isas
+from repro.isa.registry import load_isa, supported_isas
 from repro.hydride_ir.transforms import canonicalize, propagate_constants, reroll
 from repro.smt.eval import evaluate
 from repro.synthesis.program import (
@@ -250,7 +250,7 @@ class TestCompiledSemantics:
         through ``make_packed_applier`` — compiled where the argument
         widths are the declared ones, interpreter (and its rejection,
         which must be ``apply_node``'s) where one is not."""
-        dictionary = build_dictionary(CORE_ISAS if isa in CORE_ISAS else (isa,))
+        dictionary = build_dictionary()
         rng = random.Random(f"compiled-scaled-{isa}")
         compiled = scaled_bindings = 0
         for op in dictionary.ops:

@@ -1,7 +1,8 @@
 """Tests for the parallel, persistent offline IR generator (repro.irgen).
 
-The hvx catalog (141 instructions, ~3s per engine run) keeps every build
-here cheap.
+Every irgen entry point covers every registered ISA; this module narrows
+the registry to the hvx catalog (141 instructions, ~3s per engine run)
+to keep every build here cheap.
 """
 
 import json
@@ -23,6 +24,7 @@ from repro.irgen import (
     persist_artifact,
 )
 from repro.irgen.artifact import ARTIFACT_FILE, artifact_dir
+from repro.isa import registry
 from repro.similarity.constants import SymbolicSemantics, skeleton_key
 from repro.similarity.engine import (
     EngineStats,
@@ -33,6 +35,14 @@ from repro.similarity.engine import (
 from repro.synthesis.serialize import dictionary_fingerprint
 
 ISAS = ("hvx",)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def hvx_registry():
+    """A registry of one ISA: the one artifact is the hvx partition."""
+    with pytest.MonkeyPatch.context() as patcher:
+        patcher.setattr(registry, "SUPPORTED_ISAS", ISAS)
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +56,7 @@ def serial_reference():
 @pytest.fixture(scope="module")
 def artifacts():
     """Sharded builds at several worker counts (built once per module)."""
-    return {jobs: build_artifact(ISAS, jobs=jobs) for jobs in (1, 2, 4)}
+    return {jobs: build_artifact(jobs=jobs) for jobs in (1, 2, 4)}
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +141,7 @@ class TestArtifactStore:
 
         clear_memo()
         before = snapshot()
-        artifact = ensure_artifact(ISAS, str(store))
+        artifact = ensure_artifact(str(store))
         delta = snapshot_delta(before)
         assert artifact.loaded
         assert delta["seconds_irgen_check"] == 0.0
@@ -142,11 +152,11 @@ class TestArtifactStore:
     def test_classes_and_stats_prefers_artifact(self, store, monkeypatch):
         monkeypatch.setenv("REPRO_IRGEN_CACHE", str(store))
         clear_memo()
-        _classes, stats, source = classes_and_stats(ISAS)
+        _classes, stats, source = classes_and_stats()
         assert source == "artifact"
         assert stats.checks > 0
         monkeypatch.delenv("REPRO_IRGEN_CACHE")
-        _classes, _stats, source = classes_and_stats(ISAS)
+        _classes, _stats, source = classes_and_stats()
         assert source == "engine"
 
     def test_cli_build_expect_cached(self, store, capsys):
@@ -164,26 +174,32 @@ class TestArtifactStore:
         )
         assert "loaded hvx" in capsys.readouterr().out
 
+    def test_cli_build_rejects_unknown_isa(self, store, capsys):
+        from repro.irgen.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "--cache-dir", str(store), "--isas", "hvx,vax"])
+        assert exc.value.code == 2
+        assert "vax" in capsys.readouterr().err
+
     def test_cli_stats_lists_namespace(self, store, artifacts, capsys):
         from repro.irgen.cli import main
 
-        assert main(["stats", "--cache-dir", str(store), "--isas", "hvx"]) == 0
+        assert main(["stats", "--cache-dir", str(store)]) == 0
         out = capsys.readouterr().out
         assert artifacts[2].fingerprint[:16] in out
         assert "truncations=" in out
-        assert main(
-            ["stats", "--cache-dir", str(store), "--isas", "hvx", "--json"]
-        ) == 0
+        assert main(["stats", "--cache-dir", str(store), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["namespaces"][0]["complete"] is True
 
 
 class TestFingerprintInvalidation:
     def test_extra_salt_changes_fingerprint(self):
-        base = irgen_fingerprint(ISAS)
-        assert irgen_fingerprint(ISAS, extra=("salt",)) != base
-        assert irgen_fingerprint(ISAS, extra=("salt",)) == irgen_fingerprint(
-            ISAS, extra=("salt",)
+        base = irgen_fingerprint()
+        assert irgen_fingerprint(extra=("salt",)) != base
+        assert irgen_fingerprint(extra=("salt",)) == irgen_fingerprint(
+            extra=("salt",)
         )
 
     def test_spec_text_changes_fingerprint(self):
@@ -195,16 +211,14 @@ class TestFingerprintInvalidation:
         catalog_a = [spec]
         edited = SimpleNamespace(**{**vars(spec), "pseudocode": "a - b"})
         assert irgen_fingerprint(
-            ("fake",), catalogs={"fake": catalog_a}
-        ) != irgen_fingerprint(("fake",), catalogs={"fake": [edited]})
+            catalogs={"fake": catalog_a}
+        ) != irgen_fingerprint(catalogs={"fake": [edited]})
 
     def test_stale_artifact_triggers_rebuild(self, store, artifacts):
         # A salted fingerprint misses the persisted namespace: ensure
         # rebuilds and persists into a new one.
         clear_memo()
-        salted = ensure_artifact(
-            ISAS, str(store), jobs=1, extra=("invalidate",)
-        )
+        salted = ensure_artifact(str(store), jobs=1, extra=("invalidate",))
         assert not salted.loaded
         assert salted.fingerprint != artifacts[2].fingerprint
         assert artifact_dir(store, salted.fingerprint).exists()

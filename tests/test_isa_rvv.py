@@ -12,8 +12,9 @@ from repro.analysis.cli import _check_spec_record
 from repro.analysis.diagnostics import DiagnosticSink
 from repro.autollvm.intrinsics import dictionary_isas
 from repro.irgen import build_artifact, partition_digest
+from repro.isa import registry
 from repro.isa.fuzz import fuzz_catalog
-from repro.isa.registry import CORE_ISAS, load_isa, supported_isas
+from repro.isa.registry import load_isa, supported_isas
 from repro.isa.rvv import VLEN_SOLVER, generate_rvv_catalog, rvv_semantics
 from repro.isa.spec import InstructionSpec, OperandSpec
 from repro.synthesis.serialize import dictionary_fingerprint
@@ -97,18 +98,19 @@ class TestRegistry:
             load_isa("vax")
 
     def test_dictionary_isas(self):
-        # Core ISAs keep the historical 3-ISA dictionary (and thus its
-        # fingerprint); plug-in ISAs opt into a widened one.
-        assert dictionary_isas("x86") == CORE_ISAS
-        assert dictionary_isas("rvv") == CORE_ISAS + ("rvv",)
+        # Every job compiles against the one dictionary, over every
+        # registered ISA.
+        assert dictionary_isas("x86") == supported_isas()
+        assert dictionary_isas("rvv") == supported_isas()
 
 
 class TestIrgenDeterminism:
     @pytest.fixture(scope="class")
     def artifacts(self):
-        return {
-            jobs: build_artifact(("rvv",), jobs=jobs) for jobs in (1, 2)
-        }
+        # A registry of rvv alone keeps the two builds cheap.
+        with pytest.MonkeyPatch.context() as patcher:
+            patcher.setattr(registry, "SUPPORTED_ISAS", ("rvv",))
+            return {jobs: build_artifact(jobs=jobs) for jobs in (1, 2)}
 
     def test_digest_identical_across_jobs(self, artifacts):
         assert partition_digest(artifacts[1].classes) == partition_digest(

@@ -323,6 +323,28 @@ class TestGcRulebooks:
         assert rules.exists()
 
 
+class TestRulesCli:
+    def test_default_covers_every_isa_on_the_one_dictionary(
+        self, tmp_path, capsys
+    ):
+        """With no ``--isa`` the CLI reads every registered ISA's
+        namespace, rvv included, under the one dictionary's fingerprint."""
+        from repro.isa.registry import supported_isas
+        from repro.rules.cli import main
+
+        fingerprint = dictionary_fingerprint(build_dictionary())
+        namespace = tmp_path / "rvv" / fingerprint[:16]
+        namespace.mkdir(parents=True)
+        (namespace / RULEBOOK_FILENAME).write_text(json.dumps(
+            {"version": 1, "isa": "rvv", "fingerprint": fingerprint,
+             "rules": []}
+        ))
+        assert main(["stats", "--cache-dir", str(tmp_path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [item["isa"] for item in payload] == list(supported_isas())
+        assert payload[-1]["book"]["fingerprint"] == fingerprint
+
+
 class TestTelemetryFlow:
     def test_rule_hits_fold_into_service_stats(self):
         outcome = JobResult(

@@ -38,7 +38,8 @@ from repro.workloads.registry import benchmark_named
 
 @pytest.fixture(scope="module")
 def dictionary():
-    return build_dictionary(("x86", "hvx", "arm"))
+    """The one dictionary the service compiles every ISA against."""
+    return build_dictionary()
 
 
 def _add_window(lanes=16, ew=16, names=("ld0", "ld1")):
@@ -455,3 +456,34 @@ class TestCliStats:
         assert main(["stats", "--cache-dir", str(tmp_path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["total_entries"] == 1
+
+
+class TestCliGc:
+    def test_gc_keeps_every_isa_and_removes_foreign(
+        self, tmp_path, dictionary, capsys
+    ):
+        """One dictionary means one live fingerprint for every ISA's
+        namespace: gc must keep all four (it used to keep only the core
+        ISAs' and delete rvv's) and still reap a foreign fingerprint."""
+        from repro.isa.registry import supported_isas
+        from repro.service.cli import main
+
+        for isa in supported_isas():
+            cache = PersistentCache(tmp_path, isa, dictionary)
+            cache.store(_add_window(), isa, _structural_program(), 4.0)
+        foreign = PersistentCache(
+            tmp_path, "x86", dictionary, fingerprint="a" * 64
+        )
+        foreign.store(_add_window(), "x86", _structural_program(), 4.0)
+        before = store_stats(tmp_path)
+        assert len(before["namespaces"]) == len(supported_isas()) + 1
+
+        assert main(["gc", "--cache-dir", str(tmp_path)]) == 0
+        assert "removed 1 stale namespaces" in capsys.readouterr().out
+        after = store_stats(tmp_path)
+        live = dictionary_fingerprint(dictionary)
+        assert sorted(ns["isa"] for ns in after["namespaces"]) == sorted(
+            supported_isas()
+        )
+        assert {ns["fingerprint"] for ns in after["namespaces"]} == {live}
+        assert after["total_entries"] == len(supported_isas())
