@@ -18,7 +18,11 @@ design promises, asserting at each step:
    answer comes from L2, no worker parses a vendor spec
    (``runs.perf.specs_parsed == 0``) and nothing is rate-limited
    (``admission.rejected.rate == 0``) — counts, not timings;
-5. **drain** — every daemon exits 0 on SIGTERM.
+5. **drain** — every daemon exits 0 on SIGTERM;
+6. **cache layout** — after every phase each cache root holds only
+   registered-ISA directories and ``stats.json`` (the layout
+   ``repro.service.store`` documents), so a component writing anywhere
+   else fails the job.
 
 Scrapes ``/stats`` after each phase and writes them as a JSON artifact.
 
@@ -43,6 +47,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.daemon.client import DaemonClient, http_get  # noqa: E402
 from repro.daemon.proc import DaemonProcess  # noqa: E402
+from repro.isa.registry import supported_isas  # noqa: E402
+from repro.service.store import STATS_FILE  # noqa: E402
 
 
 def _requests(benchmarks: list[str], isa: str) -> list[dict]:
@@ -54,6 +60,20 @@ def _submit_batch(
 ) -> None:
     with DaemonClient.connect(addr, timeout=600.0) as client:
         out[tenant] = client.submit_many(requests, tenant=tenant)
+
+
+def _check_layout(root: Path, phase: str, failures: list[str]) -> None:
+    """A cache root holds registered-ISA directories and ``stats.json``."""
+    stray = sorted(
+        p.name
+        for p in root.iterdir()
+        if not (p.is_dir() and p.name in supported_isas()
+                or p.is_file() and p.name == STATS_FILE)
+    )
+    if stray:
+        failures.append(
+            f"{phase}: {root.name} holds {stray} outside the store layout"
+        )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -106,6 +126,7 @@ def main(argv: list[str] | None = None) -> int:
                 )
         stats = http_get(daemon.addr, "/stats")
         artifact["cold"] = stats
+        _check_layout(warm_cache, "cold pass", failures)
         daemon_counters = stats["daemon"]
         unique = len(requests)
         if stats["runs"]["jobs"] != unique:
@@ -142,6 +163,7 @@ def main(argv: list[str] | None = None) -> int:
             )
         stats = http_get(daemon.addr, "/stats")
         artifact["warm"] = stats
+        _check_layout(warm_cache, "L1 repass", failures)
         l1 = stats["tiers"]["l1"]
         print(
             f"[smoke] L1 repass: hit rate {l1['hit_rate']:.2f} "
@@ -182,6 +204,7 @@ def main(argv: list[str] | None = None) -> int:
                 )
             stats = http_get(daemon.addr, "/stats")
             artifact["pack_warmed"] = stats
+            _check_layout(fresh_cache, "pack-warmed pass", failures)
             synth = stats["runs"]["synth_calls"]
             imported = stats["daemon"]["pack_imported_entries"]
             if synth:
@@ -216,6 +239,7 @@ def main(argv: list[str] | None = None) -> int:
                         frames += client.submit_many([request], tenant="fleet")
             stats = http_get(daemon.addr, "/stats")
             artifact["restart_replay"] = stats
+            _check_layout(fresh_cache, "restart replay", failures)
             bad = [f for f in frames if not f.get("ok")]
             parsed = stats["runs"]["perf"].get("specs_parsed", 0)
             rate_rejected = stats["admission"]["rejected"]["rate"]
@@ -248,6 +272,10 @@ def main(argv: list[str] | None = None) -> int:
                 f"{stats['runs']['jobs']} worker runs, {parsed} specs "
                 f"parsed, {rate_rejected} rate rejections"
             )
+
+    for root in (warm_cache, fresh_cache):
+        if root.exists():
+            _check_layout(root, "after drain", failures)
 
     if args.out:
         out_path = Path(args.out)

@@ -100,7 +100,8 @@ class HydrideCompiler:
         # Windows with more operations than synthesis could compress into
         # a max-depth program are split without attempting synthesis.
         max_window_ops: int = 6,
-        # Cross-window counterexample/clause reuse store (optional).
+        # Accepted and ignored: ``bench_e2e/tracejob.py`` still passes it.
+        # Delete with the next benchmark change.
         reuse=None,
         # Distilled rewrite-rule book (optional): consulted ahead of
         # CEGIS on every exact cache miss.
@@ -112,7 +113,6 @@ class HydrideCompiler:
         self.grammar_options = grammar_options or GrammarOptions()
         self.max_window_size = max_window_size
         self.max_window_ops = max_window_ops
-        self.reuse = reuse
         self.rules = rules
 
     # ------------------------------------------------------------------
@@ -159,7 +159,6 @@ class HydrideCompiler:
                     build_grammar(window, isa, self.dictionary, self.grammar_options),
                     self.cegis,
                     self.cache,
-                    reuse=self.reuse,
                     rules=self.rules,
                 )
                 accounting.synth_seconds += result.stats.seconds

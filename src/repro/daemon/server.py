@@ -676,19 +676,6 @@ class DaemonServer:
                     "exported_entries": self.counters["pack_exported_entries"],
                 },
             },
-            # The cross-window reuse store: worker counters fold into
-            # runs["perf"], surfaced here as a stable section so
-            # dashboards don't scrape raw counter names.
-            "reuse": {
-                "reuse_cex_hits": runs["perf"].get("reuse_cex_hits", 0),
-                "reuse_cex_preloaded": runs["perf"].get(
-                    "reuse_cex_preloaded", 0
-                ),
-                "reuse_clause_hits": runs["perf"].get("reuse_clause_hits", 0),
-                "reuse_clauses_preloaded": runs["perf"].get(
-                    "reuse_clauses_preloaded", 0
-                ),
-            },
             "runs": runs,
         }
 

@@ -68,14 +68,6 @@ class PerfCounters:
     # Hash-consing: term constructions served from the intern table.
     term_intern_hits: int = 0
     term_intern_misses: int = 0
-    # Cross-window reuse (repro.synthesis.reuse): counterexample-suite
-    # and learned-clause store traffic keyed by spec fingerprint.
-    reuse_cex_hits: int = 0
-    reuse_cex_misses: int = 0
-    reuse_cex_preloaded: int = 0
-    reuse_clause_hits: int = 0
-    reuse_clause_misses: int = 0
-    reuse_clauses_preloaded: int = 0
     # Rewrite-rule engine (repro.synthesis.rules): windows served by a
     # verified rule ahead of CEGIS, windows that consulted the rulebook
     # and fell through to synthesis, rules admitted by the offline

@@ -158,13 +158,11 @@ def make_compiler(
     dictionary,
     cache: MemoCache,
     cegis: CegisOptions,
-    reuse=None,
     rules=None,
 ):
     if name == "hydride":
         return HydrideCompiler(
-            dictionary=dictionary, cache=cache, cegis=cegis, reuse=reuse,
-            rules=rules,
+            dictionary=dictionary, cache=cache, cegis=cegis, rules=rules
         )
     if name == "halide":
         return HalideNativeCompiler()
@@ -181,24 +179,6 @@ def _open_cache(job: CompileJob, cache_dir, dictionary) -> MemoCache:
     from repro.service.store import PersistentCache
 
     return PersistentCache(cache_dir, job.isa, dictionary)
-
-
-def _open_reuse(job: CompileJob, cache_dir):
-    """The cross-window reuse store for one job.
-
-    Always created for hydride jobs — even without a cache directory the
-    in-memory store carries counterexample suites between a job's own
-    windows; with one, suites and learned clauses persist alongside the
-    synthesis cache (``<cache_dir>/reuse``, keys already embed the ISA).
-    """
-    if job.compiler != "hydride":
-        return None
-    from pathlib import Path
-
-    from repro.synthesis.reuse import ReuseStore
-
-    root = Path(cache_dir) / "reuse" if cache_dir is not None else None
-    return ReuseStore(root)
 
 
 def _open_rules(job: CompileJob, cache: MemoCache):
@@ -237,13 +217,10 @@ def _compile_once(
     cache: MemoCache,
     cegis: CegisOptions,
     deadline: float | None,
-    reuse=None,
     rules=None,
 ) -> BenchmarkResult:
     benchmark = benchmark_named(job.benchmark)
-    compiler = make_compiler(
-        compiler_name, dictionary, cache, cegis, reuse=reuse, rules=rules
-    )
+    compiler = make_compiler(compiler_name, dictionary, cache, cegis, rules=rules)
     start = time.monotonic()
     try:
         kernels = benchmark.lower(job.isa)
@@ -303,7 +280,6 @@ def execute_job(
     perf_before = perf_snapshot()
     dictionary = build_dictionary()
     cache = _open_cache(job, cache_dir, dictionary)
-    reuse = _open_reuse(job, cache_dir)
     rules = _open_rules(job, cache)
     telemetry = JobTelemetry(worker_pid=os.getpid())
 
@@ -320,7 +296,7 @@ def execute_job(
             _attempt_fault(job, attempt)
             result = _compile_once(
                 job, job.compiler, dictionary, cache, budget, deadline,
-                reuse=reuse, rules=rules,
+                rules=rules,
             )
         except JobTimeout as exc:
             timed_out = True
@@ -376,8 +352,6 @@ def execute_job(
                 error=f"fallback={job.fallback}: {original_error}",
             )
 
-    if reuse is not None:
-        reuse.flush()
     telemetry.wall_seconds = time.monotonic() - started
     telemetry.perf = {
         key: value

@@ -45,6 +45,9 @@ from repro.synthesis.serialize import (
 
 STATS_FILE = "stats.json"
 FINGERPRINT_DIR_CHARS = 16
+# Where the removed cross-window reuse store kept its ``r-*.json``
+# suites.  Nothing reads it any more; ``gc`` deletes it.
+_DEAD_REUSE_DIR = "reuse"
 
 # Leftover ``.tmp-*`` files older than this are reaped on cache open.
 # The age guard keeps a cache opening *now* from unlinking a temp file a
@@ -96,10 +99,6 @@ def atomic_write(path: Path, text: str) -> None:
         except OSError:
             pass
         raise
-
-
-# Backwards-compatible private alias (pre-irgen callers).
-_atomic_write = atomic_write
 
 
 def reap_tmp(
@@ -196,7 +195,7 @@ class PersistentCache(MemoCache):
         next time), never the compilation that produced it.
         """
         try:
-            _atomic_write(path, text)
+            atomic_write(path, text)
         except OSError:
             self.write_errors += 1
             faults.recovered()
@@ -562,10 +561,32 @@ def store_stats(root: str | Path) -> dict:
     }
 
 
+def _remove_flat_dir(directory: Path) -> tuple[int, bool]:
+    """Unlink every file in ``directory``, then the directory itself.
+
+    Returns the files removed and whether the directory went too; a file
+    unlinked under us is skipped, and a directory that grew a new file
+    meanwhile is left in place."""
+    removed = 0
+    for path in directory.glob("*"):
+        try:
+            path.unlink()
+            removed += 1
+        except OSError:
+            continue
+    try:
+        directory.rmdir()
+    except OSError:
+        return removed, False
+    return removed, True
+
+
 def gc_store(root: str | Path, keep_fingerprint: str) -> dict:
     """Remove every namespace whose fingerprint differs from the current one.
 
-    Returns counts of removed namespaces and files.  The live namespace
+    Returns counts of removed namespaces and files.  The dead
+    ``<root>/reuse/`` directory goes too, files and ``.tmp-*`` litter
+    included (its files count as removed files).  The live namespace
     (current fingerprint, any ISA) is left untouched — except for an
     orphaned or stale rulebook inside it: a ``rules.json`` that fails to
     parse or whose recorded fingerprint disagrees with the namespace it
@@ -582,23 +603,17 @@ def gc_store(root: str | Path, keep_fingerprint: str) -> dict:
     removed_rulebooks = 0
     keep = keep_fingerprint[:FINGERPRINT_DIR_CHARS]
     if root.is_dir():
+        if (root / _DEAD_REUSE_DIR).is_dir():
+            removed_files += _remove_flat_dir(root / _DEAD_REUSE_DIR)[0]
         for isa_dir in sorted(p for p in root.iterdir() if p.is_dir()):
             for fp_dir in sorted(p for p in isa_dir.iterdir() if p.is_dir()):
                 if fp_dir.name == keep:
                     if _reap_stale_rulebook(fp_dir, keep_fingerprint):
                         removed_rulebooks += 1
                     continue
-                for path in fp_dir.glob("*"):
-                    try:
-                        path.unlink()
-                        removed_files += 1
-                    except OSError:
-                        continue
-                try:
-                    fp_dir.rmdir()
-                    removed_dirs += 1
-                except OSError:
-                    continue
+                files, gone = _remove_flat_dir(fp_dir)
+                removed_files += files
+                removed_dirs += gone
             try:
                 if not any(isa_dir.iterdir()):
                     isa_dir.rmdir()
@@ -644,7 +659,7 @@ def record_run_telemetry(root: str | Path, data: dict) -> None:
     data["recorded_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     try:
         root.mkdir(parents=True, exist_ok=True)
-        _atomic_write(
+        atomic_write(
             root / STATS_FILE, json.dumps(data, sort_keys=True, indent=2)
         )
     except OSError:

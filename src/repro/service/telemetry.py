@@ -74,14 +74,6 @@ def format_run_summary(run: dict, label: str = "last run") -> list[str]:
     if metrics:
         lines.append(f"{label} " + perf_line(metrics, run.get("perf") or {}))
     perf = run.get("perf") or {}
-    if perf.get("reuse_cex_hits") or perf.get("reuse_clause_hits"):
-        lines.append(
-            f"{label} reuse: {perf.get('reuse_cex_hits', 0):.0f} "
-            f"counterexample-suite hits "
-            f"({perf.get('reuse_cex_preloaded', 0):.0f} refuters), "
-            f"{perf.get('reuse_clause_hits', 0):.0f} clause-store hits "
-            f"({perf.get('reuse_clauses_preloaded', 0):.0f} clauses preloaded)"
-        )
     if (
         run.get("rule_hits")
         or perf.get("rule_matches")

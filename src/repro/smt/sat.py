@@ -156,7 +156,6 @@ class CdclSolver:
         self.watches: dict[int, list[list[int]]] = {}
         self._empty_clause = False
         self._units: list[int] = []
-        self._learned_units: list[int] = []
         self._prop_head = 0
         # Permanently unsatisfiable (conflict at level 0, no assumptions).
         self._unsat = False
@@ -223,21 +222,6 @@ class CdclSolver:
 
     def _watch(self, lit: int, clause: list[int]) -> None:
         self.watches.setdefault(lit, []).append(clause)
-
-    def learned_clauses(self) -> list[tuple[tuple[int, ...], int]]:
-        """Live learned clauses as ``(literals, lbd)`` pairs, plus the
-        learned level-0 units as singleton clauses (LBD 0).
-
-        Every returned clause is an assumption-free consequence of the
-        database — safe to feed to any solver over a superset of the same
-        variable meanings (the cross-window reuse contract).
-        """
-        out = [((lit,), 0) for lit in self._learned_units]
-        out.extend(
-            (tuple(clause), self._lbd.get(id(clause), len(clause)))
-            for clause in self.learned
-        )
-        return out
 
     # ------------------------------------------------------------------
     # Assignment machinery
@@ -549,7 +533,6 @@ class CdclSolver:
                 self.learned_count += 1
                 if len(learned) == 1:
                     self._units.append(learned[0])
-                    self._learned_units.append(learned[0])
                     if values[learned[0]] is False:
                         # Contradicts a retained level-0 implication only
                         # when the database itself is unsatisfiable.

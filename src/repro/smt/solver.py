@@ -96,12 +96,6 @@ class IncrementalSatContext:
         self.queries = 0
         # How many of the builder's clauses have been fed to the solver.
         self._fed = 0
-        # Variable-count boundary of the primed specification's blast
-        # cone (0 = never primed).  Clauses whose variables all lie in
-        # the cone are consequences of the spec circuit alone and can be
-        # transferred to any context primed with the same term.
-        self.spec_cone_vars = 0
-        self._imported = 0
 
     def oversized(self) -> bool:
         """True once retired queries have bloated the database enough that
@@ -115,68 +109,19 @@ class IncrementalSatContext:
             self.solver.add_clause(clause)
         self._fed = len(cnf.clauses)
 
-    # -- cross-window clause reuse --------------------------------------
-
-    def prime(self, spec: Term) -> int:
+    def prime(self, spec: Term) -> None:
         """Blast ``spec`` before anything else touches the builder.
 
-        Priming pins the spec's Tseitin variables to the prefix
-        ``1..spec_cone_vars`` of the variable space (blasting is
-        deterministic over a fresh blaster), which makes learned clauses
-        over that prefix portable between contexts primed with the same
-        term.  Returns the cone boundary.
+        The spec's Tseitin variables then take the lowest indices, and
+        :class:`~repro.smt.sat.CdclSolver` breaks activity ties by lowest
+        index, so priming fixes the variable layout — and with it the
+        search trajectory — of every later query.
         """
         if self.queries or self._fed:
             raise RuntimeError("prime() must precede all queries")
         with phase_timer("blast"):
             self.blaster.blast(spec)
             self._sync()
-        self.spec_cone_vars = self.blaster.cnf.num_vars
-        return self.spec_cone_vars
-
-    def export_learned(self, limit: int = 256) -> list[tuple[int, ...]]:
-        """Learned clauses confined to the primed spec's blast cone.
-
-        Candidate circuits are plain Tseitin definitions and every
-        per-candidate assertion is guarded by an activation literal, so
-        any model of the spec-cone clauses extends to the full database;
-        a learned clause over cone variables is therefore entailed by the
-        spec circuit alone and sound to preload into a sibling context.
-        Structural gate hashing (:mod:`repro.smt.cnf`) keeps this true: a
-        candidate gate that repeats a spec gate is handed the existing
-        cone literal, and hashing never adds a clause, so the cone clauses
-        are still exactly the spec's own definitions and the prefix a
-        fresh blast of the spec lays out.  It does not make clauses
-        exported *before* hashing portable: hashing can keep the cone's
-        size and still define some of its variables with the opposite
-        polarity, so :data:`repro.synthesis.reuse.REUSE_VERSION` rejects
-        those suites rather than the cone check.  Best clauses first (low
-        LBD, then short).
-        """
-        if not self.spec_cone_vars:
-            return []
-        cone = self.spec_cone_vars
-        eligible = [
-            (lbd, clause)
-            for clause, lbd in self.solver.learned_clauses()
-            if all(abs(lit) <= cone for lit in clause)
-        ]
-        eligible.sort(key=lambda item: (item[0], len(item[1])))
-        return [clause for _, clause in eligible[:limit]]
-
-    def import_clauses(self, clauses: list[tuple[int, ...]]) -> int:
-        """Preload clauses previously exported from a same-spec context."""
-        if not self.spec_cone_vars:
-            raise RuntimeError("import_clauses() requires a primed context")
-        cone = self.spec_cone_vars
-        added = 0
-        for clause in clauses:
-            if not clause or any(abs(lit) > cone for lit in clause):
-                continue  # stale entry from a different blast layout
-            self.solver.add_clause(list(clause))
-            added += 1
-        self._imported += added
-        return added
 
     def check_not_equal(
         self, a: Term, b: Term, max_conflicts: int | None = None
@@ -244,13 +189,9 @@ class EquivalenceChecker:
         # Share one solver context across this checker's SAT queries.
         self.incremental = incremental
         self._context: IncrementalSatContext | None = None
-        # Cross-window reuse: the spec term to prime new contexts with
-        # and the clause suite to preload into them (re-applied whenever
-        # an oversized context is replaced).
+        # The spec term to prime new contexts with (re-applied whenever an
+        # oversized context is replaced).
         self._prime_term: Term | None = None
-        self._preload: list[tuple[int, ...]] = []
-        self._preload_cone = 0
-        self.clauses_preloaded = 0
         # Verdicts per rung.  ``alpha`` is counted by the similarity engine's
         # rung in front of this ladder (repro.similarity.equivalence), which
         # also memoises its term lowerings in ``lowered`` so that the memo is
@@ -260,48 +201,22 @@ class EquivalenceChecker:
 
     # ------------------------------------------------------------------
 
-    def prime(
-        self,
-        spec: Term,
-        clauses: list[tuple[int, ...]] | None = None,
-        cone_vars: int = 0,
-    ) -> None:
+    def prime(self, spec: Term) -> None:
         """Declare the spec every SAT query will verify against.
 
-        Incremental contexts created from now on blast ``spec`` first —
-        pinning its Tseitin variables to a deterministic prefix — and
-        preload ``clauses`` previously exported from a same-spec run.
-        ``cone_vars`` is the blast-cone boundary the clauses were
-        exported under; if the fresh blast produces a different boundary
-        the stored layout is stale and the whole suite is dropped.
-        No-op for non-incremental checkers.
+        Incremental contexts created from now on blast ``spec`` first
+        (see :meth:`IncrementalSatContext.prime`).  No-op for
+        non-incremental checkers.
         """
         if not self.incremental:
             return
         self._prime_term = simplify(spec)
-        self._preload = list(clauses or [])
-        self._preload_cone = cone_vars
         self._context = None  # rebuilt (and re-primed) lazily
-
-    def export_learned(self, limit: int = 256) -> list[tuple[int, ...]]:
-        """Spec-cone learned clauses from the live context (see
-        :meth:`IncrementalSatContext.export_learned`)."""
-        if self._context is None:
-            return []
-        return self._context.export_learned(limit)
-
-    def cone_vars(self) -> int:
-        """The live context's spec blast-cone boundary (0 = none)."""
-        if self._context is None:
-            return 0
-        return self._context.spec_cone_vars
 
     def _new_context(self) -> IncrementalSatContext:
         context = IncrementalSatContext()
         if self._prime_term is not None:
-            cone = context.prime(self._prime_term)
-            if self._preload and self._preload_cone in (0, cone):
-                self.clauses_preloaded += context.import_clauses(self._preload)
+            context.prime(self._prime_term)
         return context
 
     # ------------------------------------------------------------------

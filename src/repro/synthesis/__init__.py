@@ -20,8 +20,6 @@ AutoLLVM operations using counterexample-guided inductive synthesis:
   synthesized programs to AutoLLVM IR calls;
 * :mod:`repro.synthesis.serialize` — SNode round-tripping and dictionary
   fingerprinting for the persistent cache (:mod:`repro.service`);
-* :mod:`repro.synthesis.reuse` — cross-window reuse of counterexample
-  suites and learned clauses keyed by spec fingerprint;
 * :mod:`repro.synthesis.rules` — the cache distilled into verified,
   parameterized rewrite rules matched ahead of CEGIS.
 """
@@ -33,7 +31,6 @@ from repro.synthesis.cegis import (
     synthesize,
 )
 from repro.synthesis.cache import MemoCache
-from repro.synthesis.reuse import ReuseStore
 from repro.synthesis.grammar import Grammar, GrammarOptions, build_grammar
 from repro.synthesis.serialize import (
     SerializeError,
@@ -56,6 +53,22 @@ from repro.synthesis.rules import (
     load_rulebook,
     verify_rule,
 )
+
+
+class ReuseStore:
+    """No-op stand-in for the removed cross-window reuse store.
+
+    Shim for ``bench_e2e/tracejob.py``, which still constructs one and
+    flushes it; delete it with the next benchmark change.  It keeps
+    nothing and creates no directory.
+    """
+
+    def __init__(self, root=None) -> None:
+        pass
+
+    def flush(self) -> None:
+        pass
+
 
 __all__ = [
     "CegisOptions",

@@ -84,9 +84,6 @@ class SynthStats:
     scale_factor: int = 1
     cache_hit: bool = False
     verified: str = ""
-    # Cross-window reuse traffic for this run.
-    envs_preloaded: int = 0
-    clauses_preloaded: int = 0
 
 
 @dataclass
@@ -890,16 +887,13 @@ def synthesize(
     grammar: Grammar,
     options: CegisOptions | None = None,
     cache: MemoCache | None = None,
-    reuse=None,
     dictionary=None,
     rules=None,
 ) -> SynthesisResult:
     """Compile one Halide IR window to a target program (Algorithm 2).
 
-    ``reuse`` is an optional :class:`~repro.synthesis.reuse.ReuseStore`
-    carrying counterexample suites and learned clauses between windows
-    with the same spec fingerprint.  ``dictionary`` is accepted and
-    ignored: ``bench_e2e/nearmiss.py`` still passes it.  ``rules`` is an
+    ``dictionary`` is accepted and ignored: ``bench_e2e/nearmiss.py``
+    still passes it.  ``rules`` is an
     optional :class:`~repro.synthesis.rules.RuleBook` consulted on every exact
     cache miss: a verified rule match returns a solver-free program
     (``stats.verified == "rule"``), and can even rescue a window the
@@ -945,7 +939,7 @@ def synthesize(
             return rule_result(served)
 
     try:
-        result = _synthesize_uncached(spec, grammar, options, start, reuse)
+        result = _synthesize_uncached(spec, grammar, options, start)
     except SynthesisFailure:
         if cache is not None:
             cache.store_failure(spec, grammar.isa)
@@ -961,7 +955,6 @@ def _synthesize_uncached(
     grammar: Grammar,
     options: CegisOptions,
     start: float,
-    reuse=None,
 ) -> SynthesisResult:
     """The scaling ladder around one lane-wise search (no cache)."""
     deadline = start + options.timeout_seconds
@@ -979,15 +972,14 @@ def _synthesize_uncached(
 
     try:
         return _lanewise_synthesis(
-            spec, spec_scaled, factor, grammar, options, deadline, start,
-            reuse=reuse,
+            spec, spec_scaled, factor, grammar, options, deadline, start
         )
     except SynthesisFailure:
         if factor == 1:
             raise
         # Algorithm 2 line 26: retry without scaling.
         return _lanewise_synthesis(
-            spec, spec, 1, grammar, options, deadline, start, reuse=reuse
+            spec, spec, 1, grammar, options, deadline, start
         )
 
 
@@ -999,7 +991,6 @@ def _lanewise_synthesis(
     options: CegisOptions,
     deadline: float,
     start: float,
-    reuse=None,
 ) -> SynthesisResult:
     rng = random.Random(options.seed)
     checker = EquivalenceChecker(
@@ -1022,25 +1013,13 @@ def _lanewise_synthesis(
     failing_lanes: set[int] = {0}  # line 5
     for _ in range(2):  # line 4: two seed inputs
         enumerator.add_env(enumerator.random_env())
-    # Cross-window reuse: refuting inputs recorded by earlier same-spec
-    # runs are held aside as a targeted refutation library — proposed
-    # solutions are checked against them before any fuzzing, and only an
-    # input that actually refutes joins the suite.  (Adding them up front
-    # would tax every candidate evaluation with an extra environment for
-    # counterexamples the search may never need.)
-    known_refuters: list[dict[str, BitVector]] = []
-    if reuse is not None:
-        known_refuters = reuse.lookup_envs(spec_scaled, grammar.isa)
     enumerator.seed_pool()
 
     spec_term = hir.to_term(spec_scaled)
-    # Prime: blast the spec first so its Tseitin variables occupy a
-    # deterministic prefix, making learned clauses over that cone
-    # portable between same-spec contexts (and import any stored).
-    cone, preload = 0, []
-    if reuse is not None:
-        cone, preload = reuse.lookup_clauses(spec_scaled, grammar.isa)
-    checker.prime(spec_term, preload, cone)
+    # Prime: blast the spec first so its Tseitin variables occupy the
+    # lowest indices.  The branching heap breaks activity ties by lowest
+    # index, so this layout fixes the SAT search trajectory.
+    checker.prime(spec_term)
     rejected: set[int] = set()
 
     while True:
@@ -1067,36 +1046,12 @@ def _lanewise_synthesis(
 
         # Cheap refutation first: program-level evaluation is much faster
         # than term evaluation, and wrong candidates rarely survive it.
-        # Stored refuters from earlier same-spec runs go first — they
-        # were hard-won (often SMT models) and refute for free.
-        refuting_env = None
-        from_store = False
-        if known_refuters:
-            with phase_timer("verify"):
-                for env in known_refuters:
-                    try:
-                        wrong = (
-                            evaluate_program(solution.node, env).value
-                            != hir.interpret(spec_scaled, env).value
-                        )
-                    except Exception:
-                        wrong = False  # unevaluable here: not a refuter
-                    if wrong:
-                        refuting_env = env
-                        from_store = True
-                        break
-        if refuting_env is None:
-            with phase_timer("verify"):
-                refuting_env = _fuzz_refute(
-                    solution.node, spec_scaled, enumerator, 96
-                )
+        with phase_timer("verify"):
+            refuting_env = _fuzz_refute(
+                solution.node, spec_scaled, enumerator, 96
+            )
         if refuting_env is not None:
             lane = _first_failing_lane(solution.node, spec_scaled, refuting_env)
-            if from_store:
-                known_refuters.remove(refuting_env)
-                stats.envs_preloaded += 1
-            elif reuse is not None:
-                reuse.record_env(spec_scaled, grammar.isa, refuting_env)
             enumerator.add_env(refuting_env)
             failing_lanes.add(lane)
             continue
@@ -1126,8 +1081,6 @@ def _lanewise_synthesis(
         for name, load_type in spec_scaled.loads().items():
             cex.setdefault(name, BitVector(0, load_type.bits))
         lane = _first_failing_lane(solution.node, spec_scaled, cex)
-        if reuse is not None:
-            reuse.record_env(spec_scaled, grammar.isa, cex)
         enumerator.add_env(cex)
         failing_lanes.add(lane)
 
@@ -1135,16 +1088,6 @@ def _lanewise_synthesis(
     full = _scale_up(solution.node, factor)
     if factor > 1 and not _fuzz_equal_full(full, spec, rng, options.full_scale_fuzz):
         raise SynthesisFailure("scaled-up solution failed full-width check")
-
-    # Bank this run's spec-cone learned clauses for the next same-spec
-    # synthesis (counterexamples were recorded at discovery).
-    if reuse is not None:
-        learned = checker.export_learned()
-        if learned:
-            reuse.record_clauses(
-                spec_scaled, grammar.isa, checker.cone_vars(), learned
-            )
-    stats.clauses_preloaded = checker.clauses_preloaded
 
     stats.seconds = time.monotonic() - start
     stats.candidates = enumerator.total_candidates

@@ -1,8 +1,7 @@
 """Verified rewrite rules distilled from the synthesis cache.
 
-The serving tiers built so far (L1 results, L2 window cache, packs,
-cross-window reuse) all require an *exact* ``canonical_key``
-hit: a window that differs only in a constant or a lane count pays the
+The other serving tiers (L1 results, L2 window cache, packs) all
+require an *exact* ``canonical_key`` hit: a window that differs only in a constant or a lane count pays the
 full CEGIS price.  This module closes that gap by turning the cache into
 a generated compiler backend:
 

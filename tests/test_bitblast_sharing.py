@@ -4,10 +4,12 @@
 repeated gate — however its operands are ordered or signed — returns the
 literal that already exists.  These tests pin the key normalisation, check
 that hashing never changes what a circuit computes (random shared,
-commuted terms over every ``BitBlaster._op_*``), and keep the near-miss
-identity that motivated it proved on the library path.
+commuted terms over every ``BitBlaster._op_*``), keep the near-miss
+identity that motivated it proved on the library path, and pin what
+priming the solver with the spec does to CEGIS's search.
 """
 
+import json
 import random
 
 import pytest
@@ -255,3 +257,44 @@ class TestNearMissCarryIdentity:
             result.model, context.blaster, spec.variables()
         )
         assert evaluate(mutant, env).value != evaluate(spec, env).value
+
+
+class TestSpecFirstPriming:
+    """CEGIS blasts the spec into each fresh solver context before any
+    candidate, so the spec's variables take the lowest indices.  The
+    branching heap breaks activity ties by lowest index, so that layout
+    decides the search: the conflict count below is a property of it."""
+
+    def test_prime_must_precede_queries(self):
+        x = var("x", 4)
+        ctx = IncrementalSatContext()
+        ctx.check_not_equal(x, apply_op("bvnot", [x]))
+        with pytest.raises(RuntimeError):
+            ctx.prime(x)
+
+    def test_cegis_carry_identity_search_is_pinned(self):
+        """The 4 x i32 near-miss window, synthesized with the
+        ``near_miss_windows`` options and no cache.  Recorded before the
+        cross-window clause store was deleted; dropping the prime call
+        changes the conflict count."""
+        from repro.autollvm import build_dictionary
+        from repro.perf import global_counters
+        from repro.synthesis import CegisOptions, build_grammar, synthesize
+        from repro.synthesis.rules import program_signature
+
+        a, b = hir.HLoad("a", 4, 32), hir.HLoad("b", 4, 32)
+        carry = hir.HBin("shl", hir.HBin("and", a, b), hir.HConst(1, 4, 32))
+        window = hir.HBin("add", hir.HBin("xor", a, b), carry)
+        grammar = build_grammar(window, "x86", build_dictionary())
+        before = global_counters().sat_conflicts
+        result = synthesize(window, grammar, CegisOptions(timeout_seconds=25.0))
+        assert result.stats.verified == "sat"
+        assert json.loads(program_signature(result.program)) == {
+            "kind": "op", "spec": "_mm_add_epi32", "out_bits": 128,
+            "imm_values": [], "scaled_values": None,
+            "args": [
+                {"kind": "input", "name": name, "lanes": 4, "elem_width": 32}
+                for name in ("a", "b")
+            ],
+        }
+        assert global_counters().sat_conflicts - before == 2_560

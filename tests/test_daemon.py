@@ -423,17 +423,6 @@ class TestDaemonSmoke:
         assert cold["health"]["ok"] is True
         assert cold["exit_code"] == 0
 
-    def test_stats_expose_reuse_counters(self, cold):
-        """/stats carries the stable reuse section: all fields present,
-        never negative — the reuse store is always live for hydride
-        jobs."""
-        reuse = cold["stats"]["reuse"]
-        assert set(reuse) == {
-            "reuse_cex_hits", "reuse_cex_preloaded",
-            "reuse_clause_hits", "reuse_clauses_preloaded",
-        }
-        assert all(value >= 0 for value in reuse.values())
-
     def test_pack_warmed_fresh_daemon_zero_synthesis(self, cold, work):
         requests = [
             {"benchmark": name, "isa": "x86"} for name in self.BENCHMARKS

@@ -487,3 +487,27 @@ class TestCliGc:
         )
         assert {ns["fingerprint"] for ns in after["namespaces"]} == {live}
         assert after["total_entries"] == len(supported_isas())
+
+    def test_gc_removes_the_dead_reuse_directory(
+        self, tmp_path, dictionary, capsys
+    ):
+        """``<root>/reuse/`` held the removed cross-window store's suites
+        and any ``.tmp-*`` a crashed flush left; nothing reads it, and gc
+        deletes it whole without touching a live namespace."""
+        from repro.isa.registry import supported_isas
+        from repro.service.cli import main
+
+        for isa in supported_isas():
+            cache = PersistentCache(tmp_path, isa, dictionary)
+            cache.store(_add_window(), isa, _structural_program(), 4.0)
+        before = store_stats(tmp_path)["namespaces"]
+        dead = tmp_path / "reuse"
+        dead.mkdir()
+        (dead / f"r-{'0' * 32}.json").write_text("{}")
+        (dead / ".tmp-crashed.json").write_text("{")
+
+        assert main(["gc", "--cache-dir", str(tmp_path)]) == 0
+        assert "removed 0 stale namespaces (2 files" in capsys.readouterr().out
+        assert not dead.exists()
+        assert store_stats(tmp_path)["namespaces"] == before
+        assert len(before) == len(supported_isas())
