@@ -9,29 +9,54 @@ widening operations that the vector ISAs in :mod:`repro.isa` require.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 
 
 def _mask(width: int) -> int:
     return (1 << width) - 1
 
 
-@dataclass(frozen=True)
 class BitVector:
     """An immutable fixed-width two's-complement bitvector.
 
     ``value`` is always stored in its unsigned canonical form, i.e.
     ``0 <= value < 2**width``.  Use :attr:`signed` to read the
     two's-complement interpretation.
+
+    Slotted, and written through the slot descriptors: the reference
+    interpreters build one of these per lane per operation, so
+    construction is on every evaluation path.  Equality, hashing and
+    the error on assignment are those of a frozen dataclass.
     """
+
+    __slots__ = ("value", "width")
+    __match_args__ = ("value", "width")
 
     value: int
     width: int
 
-    def __post_init__(self) -> None:
-        if self.width <= 0:
-            raise ValueError(f"bitvector width must be positive, got {self.width}")
-        object.__setattr__(self, "value", self.value & _mask(self.width))
+    def __init__(self, value: int, width: int) -> None:
+        if width <= 0:
+            raise ValueError(f"bitvector width must be positive, got {width}")
+        _set_value(self, value & ((1 << width) - 1))
+        _set_width(self, width)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value == other.value and self.width == other.width
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.width))
+
+    def __reduce__(self):
+        return BitVector, (self.value, self.width)
 
     # ------------------------------------------------------------------
     # Interpretation
@@ -372,6 +397,10 @@ class BitVector:
     def count_leading_zeros(self) -> "BitVector":
         leading = self.width - self.value.bit_length()
         return self._like(leading)
+
+
+_set_value = BitVector.value.__set__
+_set_width = BitVector.width.__set__
 
 
 def bv(value: int, width: int) -> BitVector:

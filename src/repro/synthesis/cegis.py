@@ -41,6 +41,7 @@ from repro.synthesis.program import (
     SWIZZLE_SHAPES,
     evaluate_program,
     make_packed_applier,
+    make_packed_program,
     program_to_term,
     sop_applier,
     swizzle_applier,
@@ -192,6 +193,12 @@ class _Enumerator:
         self.by_width: dict[int, list[_Candidate]] = {}
         self._kind_counts: dict[tuple[int, str, int], int] = {}
         self._landmarks: set[tuple[int, tuple[int, ...]]] = set()
+        # by_width's landmark candidates, in bucket order.
+        self._landmarks_by_width: dict[int, list[_Candidate]] = {}
+        # What a register pairing's low half must be for the pairing to
+        # be a landmark (per pairing width) or a spec lane-0 match.
+        self._landmark_lows: dict[int, set[tuple[int, ...]]] = {}
+        self._spec_lane0: tuple[int, ...] = ()
         # Candidates computing exactly the spec's low / high output half.
         self._half_lo: list[_Candidate] = []
         self._half_hi: list[_Candidate] = []
@@ -264,6 +271,10 @@ class _Enumerator:
             candidate.landmark = (
                 (candidate.bits, tuple(candidate.outs)) in self._landmarks
             )
+        self._landmarks_by_width = {
+            bits: [c for c in bucket if c.landmark]
+            for bits, bucket in self.by_width.items()
+        }
         # Landmark flags feed argument-pool ranking.
         self._args_cache.clear()
 
@@ -300,6 +311,15 @@ class _Enumerator:
                 mask = (1 << half) - 1
                 self._landmarks.add((half, tuple(v & mask for v in values)))
                 self._landmarks.add((half, tuple((v >> half) & mask for v in values)))
+        self._landmark_lows = {}
+        for bits, values in self._landmarks:
+            if bits % 2 == 0:
+                mask = (1 << (bits // 2)) - 1
+                self._landmark_lows.setdefault(bits, set()).add(
+                    tuple(v & mask for v in values)
+                )
+        lane_mask = (1 << self.spec_elem_width) - 1
+        self._spec_lane0 = tuple(out.value & lane_mask for out in self.spec_outs)
 
     def random_env(self) -> dict[str, BitVector]:
         """Uniformly random register values.
@@ -349,8 +369,10 @@ class _Enumerator:
 
     def _counts(self, bits: int) -> bool:
         """The width-range gate every admission path opens with; a
-        candidate that passes it is counted as evaluated (this is what
-        ``cegis.candidates`` reads) before dedup sees it."""
+        candidate that passes it is counted as evaluated before dedup
+        or the cap sees it.  So ``cegis.candidates`` (and
+        ``candidates_per_s``) counts candidates that passed the width
+        gate, whether or not they were evaluated or entered the pool."""
         if bits <= 0 or bits > self.max_bits:
             return False
         global_counters().candidates_evaluated += 1
@@ -386,8 +408,8 @@ class _Enumerator:
         """``high:low`` register pairing, from the parts' memoised outputs."""
         high_bits, low_bits = high.bits, low.bits
         if self._counts(high_bits + low_bits):
-            # packed.concat_pair, inlined: this runs once per pairing the
-            # closure tries, and over 95 % of those are duplicates.
+            # packed.concat_pair, inlined: this runs once per pairing
+            # _grow does not shed unbuilt (_view_cap_spent, _may_lead).
             high_mask, low_mask = (1 << high_bits) - 1, (1 << low_bits) - 1
             outs = [
                 ((h & high_mask) << low_bits) | (l & low_mask)
@@ -397,6 +419,39 @@ class _Enumerator:
                 high_bits + low_bits, outs, "view", cost, depth, force,
                 (high, low), _build_concat,
             )
+
+    def _view_cap_spent(self, bits: int) -> bool:
+        """Whether this round's ``(bits, "view")`` allowance is used up;
+        once it is, it stays so for the rest of the round."""
+        if self._kind_counts.get((bits, "view", self.depth), 0) < (
+            self.options.pool_per_width // 2
+        ):
+            return False
+        # _insert gives the width of a candidate it sheds a bucket.
+        self.by_width.setdefault(bits, [])
+        return True
+
+    def _may_lead(self, low: _Candidate, memo: dict[int, bool]) -> bool:
+        """Whether an unforced ``high:low`` pairing of two equal-width
+        values could enter once its view allowance is spent.  Only a
+        landmark or a spec lane-0 match can then, and the low half alone
+        rules both out.  Outputs and landmarks are fixed within a round,
+        so ``memo`` (by ``id``) holds for one ``_grow``."""
+        lead = memo.get(id(low))
+        if lead is None:
+            bits = 2 * low.bits
+            low_mask = (1 << low.bits) - 1
+            lead = tuple(
+                out & low_mask for out in low.outs
+            ) in self._landmark_lows.get(bits, ())
+            if not lead and bits == self.spec_bits:
+                lane_mask = (1 << self.spec_elem_width) - 1
+                # A lane 0 wider than the low half reads the high half too.
+                lead = low.bits < self.spec_elem_width or tuple(
+                    out & lane_mask for out in low.outs
+                ) == self._spec_lane0
+            memo[id(low)] = lead
+        return lead
 
     def _admit_slice(self, src: _Candidate, high: bool, depth: int) -> None:
         """A free half-register view of ``src``."""
@@ -471,7 +526,12 @@ class _Enumerator:
         )
         self.pool.append(candidate)
         # insort-right after equal costs == append + stable sort.
-        insort(bucket, candidate, key=lambda c: c.cost)
+        insort(bucket, candidate, key=_cost)
+        if is_landmark:
+            insort(
+                self._landmarks_by_width.setdefault(bits, []), candidate,
+                key=_cost,
+            )
         self._args_cache.pop(bits, None)
         self.total_candidates += 1
         # Goal-directed register assembly: a candidate that computes
@@ -575,34 +635,47 @@ class _Enumerator:
         frontier = self.depth - 1
         # The bucket is cost-sorted, so "stable sort by (not landmark,
         # cost)" is "landmarks in bucket order, then the rest in bucket
-        # order": each group below is that pair of lists.
-        ops, swizzles, others, fresh = ([], []), ([], []), ([], []), ([], [])
-        for c in self.by_width.get(bits, ()):
-            if not (
-                elem is None or c.elem is None or c.elem == elem or c.depth == 0
-            ):
-                continue
-            rank = 0 if c.landmark else 1
-            if c.kind == "op":
-                ops[rank].append(c)
-            elif c.kind == "swizzle":
-                swizzles[rank].append(c)
-            else:
-                others[rank].append(c)
-            if c.depth >= frontier > 0:
-                fresh[rank].append(c)
+        # order": each group is that pair of lists, and the rest is read
+        # only as far as the group's quota needs.  Groups: instruction
+        # results, swizzles, other (leaves, views), the newest round.
+        quotas = [cap, max(3, cap // 2), max(4, cap // 2), cap if frontier > 0 else 0]
+        landmarks: tuple[list, ...] = ([], [], [], [])
+        rest: tuple[list, ...] = ([], [], [], [])
 
-        def pick(group, count):
-            return (group[0] + group[1])[:count]
+        def typed(c: _Candidate) -> bool:
+            return elem is None or c.elem is None or c.elem == elem or c.depth == 0
 
-        chosen = (
-            pick(ops, cap)
-            + pick(swizzles, max(3, cap // 2))
-            + pick(others, max(4, cap // 2))
+        for c in self._landmarks_by_width.get(bits, ()):
+            if typed(c):
+                landmarks[_GROUP.get(c.kind, 2)].append(c)
+                if c.depth >= frontier > 0:
+                    landmarks[3].append(c)
+        needed = [max(0, q - len(l)) for q, l in zip(quotas, landmarks)]
+        open_groups = sum(1 for n in needed if n)
+        if open_groups:
+            for c in self.by_width.get(bits, ()):
+                if c.landmark or not typed(c):
+                    continue
+                group = _GROUP.get(c.kind, 2)
+                if needed[group]:
+                    rest[group].append(c)
+                    needed[group] -= 1
+                    if not needed[group]:
+                        open_groups -= 1
+                if needed[3] and c.depth >= frontier > 0:
+                    rest[3].append(c)
+                    needed[3] -= 1
+                    if not needed[3]:
+                        open_groups -= 1
+                if not open_groups:
+                    break
+        ops, swizzles, others, fresh = (
+            (l + r)[:q] for l, r, q in zip(landmarks, rest, quotas)
         )
+        chosen = ops + swizzles + others
         if frontier > 0:
             seen_ids = {id(c) for c in chosen}
-            chosen.extend(c for c in pick(fresh, cap) if id(c) not in seen_ids)
+            chosen.extend(c for c in fresh if id(c) not in seen_ids)
         return chosen
 
     def grow(self) -> None:
@@ -721,26 +794,35 @@ class _Enumerator:
         # expensive three-operand instructions of their budget share.
         new_nodes.sort(key=lambda item: (item[3], item[1]))
         del new_nodes[self.options.round_budget :]
-        for production, cost, combo, _rank in new_nodes:
-            self._check_deadline()
-            if production is None:
-                self._admit_concat(combo[0], combo[1], cost, self.depth)
-            else:
-                self._admit_production(production, cost, combo)
-        # Close the new round under free register views so a slice or a
-        # register-pair of this round's results is usable immediately —
-        # multi-register outputs (concat of per-register results) would
-        # otherwise cost an extra grammar-depth level.
-        fresh = [c for c in self.pool if c.depth == self.depth]
-        for candidate in fresh:
-            self._admit_views(candidate, self.depth)
-        for candidate in fresh:
-            if candidate.bits * 2 > self.max_bits:
-                continue
-            for partner in self._args_for(candidate.bits, 8):
-                cost = candidate.cost + partner.cost
-                self._admit_concat(candidate, partner, cost, self.depth)
-                self._admit_concat(partner, candidate, cost, self.depth)
+        # Most register pairings arrive after their width's view
+        # allowance is spent; those that cannot lead (_may_lead) are
+        # counted here, in bulk, and never built.
+        leads: dict[int, bool] = {}
+        shed = 0
+        try:
+            for production, cost, combo, _rank in new_nodes:
+                self._check_deadline()
+                if production is not None:
+                    self._admit_production(production, cost, combo)
+                elif self._view_cap_spent(
+                    combo[0].bits + combo[1].bits
+                ) and not self._may_lead(combo[1], leads):
+                    shed += 1
+                else:
+                    self._admit_concat(combo[0], combo[1], cost, self.depth)
+            # Close the new round under free register views so a slice or
+            # a register-pair of this round's results is usable immediately
+            # — multi-register outputs (concat of per-register results)
+            # would otherwise cost an extra grammar-depth level.
+            fresh = [c for c in self.pool if c.depth == self.depth]
+            for candidate in fresh:
+                self._admit_views(candidate, self.depth)
+            for candidate in fresh:
+                if candidate.bits * 2 > self.max_bits:
+                    continue
+                shed += self._pair_with_partners(candidate, leads)
+        finally:
+            global_counters().candidates_evaluated += shed
         # Assemble solutions from exact half-matches.
         for hi in list(self._half_hi):
             for lo in list(self._half_lo):
@@ -751,6 +833,23 @@ class _Enumerator:
                 self._admit_concat(
                     hi, lo, hi.cost + lo.cost, self.depth, force=True
                 )
+
+    def _pair_with_partners(
+        self, candidate: _Candidate, leads: dict[int, bool]
+    ) -> int:
+        """``candidate:partner`` then ``partner:candidate`` for each partner
+        in its width's pool; returns how many pairings were shed unbuilt."""
+        bits = 2 * candidate.bits
+        shed = 0
+        for partner in self._args_for(candidate.bits, 8):
+            cost = candidate.cost + partner.cost
+            spent = self._view_cap_spent(bits)
+            for high, low in ((candidate, partner), (partner, candidate)):
+                if spent and not self._may_lead(low, leads):
+                    shed += 1
+                else:
+                    self._admit_concat(high, low, cost, self.depth)
+        return shed
 
     def _scaled_values(self, entry: GrammarEntry):
         if self.scale_factor == 1:
@@ -815,11 +914,19 @@ def _elem_view(node: SNode, args) -> int | None:
     return None
 
 
+def _cost(candidate: _Candidate) -> float:
+    return candidate.cost
+
+
 def _group_key(item) -> tuple:
     """Within one instruction's combo group: combos built from proven
     landmark intermediates first, then cheapest."""
     non_landmark = sum(0 if c.landmark else 1 for c in item[2])
     return (non_landmark, item[1])
+
+
+# _args_for_uncached's quota group per candidate kind (default: other).
+_GROUP = {"op": 0, "swizzle": 1}
 
 
 def _node_kind(node: SNode) -> str:
@@ -1086,8 +1193,8 @@ def _lanewise_synthesis(
 
     # Lines 23-25: scale back up and verify at full width.
     full = _scale_up(solution.node, factor)
-    if factor > 1 and not _fuzz_equal_full(full, spec, rng, options.full_scale_fuzz):
-        raise SynthesisFailure("scaled-up solution failed full-width check")
+    if factor > 1:
+        _check_full_width(full, spec, rng, options.full_scale_fuzz)
 
     stats.seconds = time.monotonic() - start
     stats.candidates = enumerator.total_candidates
@@ -1105,27 +1212,54 @@ def _first_failing_lane(node: SNode, spec: hir.HExpr, env) -> int:
 
 
 def _fuzz_equal(node: SNode, spec: hir.HExpr, enumerator: _Enumerator, trials: int) -> bool:
-    return _fuzz_refute(node, spec, enumerator, trials) is None
-
-
-def _fuzz_refute(node: SNode, spec: hir.HExpr, enumerator: _Enumerator, trials: int):
-    """Return an input on which the candidate differs from the spec."""
+    """The fuzz-battery rung.  Its yes accepts a program, so it runs on
+    the interpreter alone: the compiled evaluator cannot vouch for
+    itself."""
     for _ in range(trials):
         env = enumerator.random_env()
         if evaluate_program(node, env).value != hir.interpret(spec, env).value:
+            return False
+    return True
+
+
+def _fuzz_refute(node: SNode, spec: hir.HExpr, enumerator: _Enumerator, trials: int):
+    """Return an input on which the candidate differs from the spec.
+
+    The candidate runs on the compiled appliers the enumerator uses.  An
+    input they say refutes it, or cannot evaluate, is decided by the
+    interpreter, so only an input the interpreter refutes is returned."""
+    try:
+        run = make_packed_program(node)
+    except Exception:
+        run = None
+    for _ in range(trials):
+        env = enumerator.random_env()
+        want = hir.interpret(spec, env).value
+        if run is not None:
+            try:
+                if run(env) == want:
+                    continue
+            except Exception:
+                pass
+        if evaluate_program(node, env).value != want:
             return env
     return None
 
 
-def _fuzz_equal_full(node: SNode, spec: hir.HExpr, rng, trials: int) -> bool:
+def _check_full_width(node: SNode, spec: hir.HExpr, rng, trials: int) -> None:
+    """Fuzz the scaled-up program against the full-width spec; raise
+    :class:`SynthesisFailure` on a mismatch or an evaluation error."""
     loads = sorted(spec.loads().items())
     for _ in range(trials):
         env = {
             name: BitVector(rng.getrandbits(t.bits), t.bits) for name, t in loads
         }
         try:
-            if evaluate_program(node, env).value != hir.interpret(spec, env).value:
-                return False
-        except Exception:
-            return False
-    return True
+            equal = evaluate_program(node, env).value == hir.interpret(spec, env).value
+        except Exception as exc:
+            raise SynthesisFailure(
+                "scaled-up solution failed full-width check: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
+        if not equal:
+            raise SynthesisFailure("scaled-up solution failed full-width check")

@@ -9,9 +9,10 @@ real hardware — subregister addressing).
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from repro.bitvector.bv import BitVector
 from repro.bitvector.lanes import Vector, vector_from_elems
@@ -393,7 +394,14 @@ def sop_applier(
 def swizzle_applier(
     pattern: str, elem_width: int, amount: int, arg_widths: tuple[int, ...]
 ):
-    """Packed evaluation of one swizzle pattern at fixed register widths."""
+    """Packed evaluation of one swizzle pattern at fixed register widths.
+
+    The gather order depends only on the widths, so it is checked here,
+    once: an applier :func:`gather_lanes` would reject on every call is
+    never built (the same exception, raised earlier).  Byte-aligned
+    elements are then gathered by one ``itemgetter`` over the sources'
+    little-endian bytes; other widths go through :func:`gather_lanes`.
+    """
     for width in arg_widths:
         if width % elem_width:
             raise ValueError(
@@ -402,11 +410,39 @@ def swizzle_applier(
             )
     order = swizzle_order(pattern, arg_widths[0] // elem_width, amount)
     widths = list(arg_widths)
-
-    def apply_swizzle(args: list[int]) -> int:
-        return gather_lanes(order, args, widths, elem_width)
-
-    return apply_swizzle
+    if not order:
+        raise ValueError("swizzle produced no lanes")
+    for source, index in order:
+        if (index + 1) * elem_width > widths[source]:
+            raise IndexError(
+                f"lane {index} out of range for width {widths[source]}"
+            )
+    # (A one-byte result would make itemgetter return a bare int.)
+    if elem_width % 8 or len(order) * elem_width == 8:
+        return lambda args: gather_lanes(order, args, widths, elem_width)
+    elem_bytes = elem_width // 8
+    sizes = [width // 8 for width in widths]
+    masks = [(1 << width) - 1 for width in widths]
+    starts = [sum(sizes[:source]) for source in range(len(sizes))]
+    gather = itemgetter(*(
+        starts[source] + index * elem_bytes + offset
+        for source, index in order
+        for offset in range(elem_bytes)
+    ))
+    if len(widths) == 1:
+        size, mask = sizes[0], masks[0]
+        return lambda args: int.from_bytes(
+            bytes(gather((args[0] & mask).to_bytes(size, "little"))), "little"
+        )
+    # Every pattern reads at most two sources.
+    (mask0, mask1), (size0, size1) = masks[:2], sizes[:2]
+    return lambda args: int.from_bytes(
+        bytes(gather(
+            (args[0] & mask0).to_bytes(size0, "little")
+            + (args[1] & mask1).to_bytes(size1, "little")
+        )),
+        "little",
+    )
 
 
 def make_packed_applier(node: SNode, arg_widths: tuple[int, ...]):
@@ -437,6 +473,20 @@ def make_packed_applier(node: SNode, arg_widths: tuple[int, ...]):
         )
     assert isinstance(node, SOp)
     return sop_applier(node.binding, node.values(), node.imm_values, arg_widths)
+
+
+def make_packed_program(node: SNode) -> Callable[[Mapping[str, BitVector]], int]:
+    """``node`` as one callable from input registers to its packed value:
+    every node applied through :func:`make_packed_applier` at its
+    children's widths, as the enumerator evaluates candidates.  Raises
+    where building one of those appliers raises."""
+    if isinstance(node, SInput):
+        name = node.name
+        return lambda env: env[name].value
+    kids = node.children()
+    runs = [make_packed_program(kid) for kid in kids]
+    apply = make_packed_applier(node, tuple(kid.bits for kid in kids))
+    return lambda env: apply([run(env) for run in runs])
 
 
 SWIZZLE_PATTERNS = (

@@ -1,5 +1,9 @@
 """Unit and property tests for the bitvector substrate."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -268,3 +272,50 @@ class TestVector:
     def test_non_multiple_width_rejected(self):
         with pytest.raises(ValueError):
             Vector(bv(0, 12), 8)
+
+
+class TestValueContract:
+    """What callers rely on of the value type itself: masking, equality,
+    hashing, immutability, pickling and copying."""
+
+    def test_masks_on_construction(self):
+        assert BitVector(0x1FF, 8).value == 0xFF
+        assert BitVector(-1, 16).value == 0xFFFF
+        assert BitVector(1 << 70, 64).value == 0
+        assert BitVector(5, 8).width == 8
+
+    @pytest.mark.parametrize("width", (0, -1, -64))
+    def test_non_positive_width_rejected(self, width):
+        with pytest.raises(ValueError, match="width must be positive"):
+            BitVector(1, width)
+
+    def test_equality_and_hash(self):
+        assert BitVector(0x1FF, 8) == BitVector(0xFF, 8)
+        assert BitVector(1, 8) != BitVector(1, 16)
+        assert BitVector(1, 8) != BitVector(2, 8)
+        assert BitVector(1, 8) != 1
+        assert BitVector(1, 8) != (1, 8)
+        assert hash(BitVector(0x1FF, 8)) == hash(BitVector(0xFF, 8))
+        assert hash(BitVector(3, 8)) == hash((3, 8))
+        assert len({BitVector(3, 8), BitVector(3 + 256, 8), BitVector(3, 9)}) == 2
+
+    @pytest.mark.parametrize("field", ("value", "width", "other"))
+    def test_assignment_raises(self, field):
+        value = BitVector(3, 8)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, 4)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert value == BitVector(3, 8)
+
+    def test_pickle_and_copy_round_trip(self):
+        value = BitVector(0xBEEF, 16)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            restored = pickle.loads(pickle.dumps(value, protocol))
+            assert restored == value and type(restored) is BitVector
+        assert copy.copy(value) == value
+        assert copy.deepcopy([value]) == [value]
+
+    def test_repr(self):
+        assert repr(BitVector(0xBEEF, 16)) == "bv16(0xbeef)"
+        assert repr(BitVector(0, 1)) == "bv1(0x0)"

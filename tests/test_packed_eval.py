@@ -8,6 +8,7 @@ reference on values and on rejection behaviour, and pin the programs
 the search synthesizes to golden strings.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from repro.backend.hydride import HydrideCompiler
 from repro.halide import ir as hir
 from repro.perf import global_counters
 from repro.synthesis import CegisOptions, MemoCache, build_grammar, synthesize
+from repro.synthesis.cegis import _Enumerator
 from repro.synthesis.grammar import GrammarEntry
 from repro.synthesis.program import (
     SConcat,
@@ -37,6 +39,7 @@ from repro.synthesis.program import (
     SSwizzle,
     apply_node,
     make_packed_applier,
+    swizzle_applier,
     swizzle_elements,
 )
 from repro.synthesis.scale import scaled_member_values
@@ -124,6 +127,75 @@ class TestPackedPrimitives:
     def test_unknown_pattern_rejected(self):
         with pytest.raises(ValueError):
             swizzle_order("shuffle_mystery", 8)
+
+
+def _rejection(thunk):
+    """The thunk's value, or the type of the exception it raised."""
+    try:
+        return thunk()
+    except Exception as exc:
+        return type(exc)
+
+
+class TestByteSwizzles:
+    """``swizzle_applier`` gathers byte-aligned elements with one
+    ``itemgetter`` over the sources' bytes; ``gather_lanes`` and
+    ``swizzle_elements`` are the references it must equal."""
+
+    @pytest.mark.parametrize("pattern", PATTERNS_TWO_SOURCE + PATTERNS_ONE_SOURCE)
+    @pytest.mark.parametrize("elem_width", (8, 16, 32, 64, 4, 12))
+    def test_equals_gather_lanes_and_swizzle_elements(self, pattern, elem_width):
+        rng = random.Random(f"{pattern}-{elem_width}")
+        nargs = 2 if pattern in PATTERNS_TWO_SOURCE else 1
+        for lanes in (2, 4, 8):
+            width = lanes * elem_width
+            amounts = range(lanes + 1) if pattern == "rotate_right" else (0,)
+            for amount in amounts:
+                apply = swizzle_applier(pattern, elem_width, amount, (width,) * nargs)
+                order = swizzle_order(pattern, lanes, amount)
+                # -1 is what a failed re-evaluation leaves in a pool.
+                samples = [[-1] * nargs, [0] * nargs] + [
+                    [rand_reg(rng, width) for _ in range(nargs)] for _ in range(6)
+                ]
+                samples.append([rand_reg(rng, width), -1][:nargs])
+                for regs in samples:
+                    want = gather_lanes(order, regs, [width] * nargs, elem_width)
+                    assert apply(regs) == want, (lanes, amount, regs)
+                    vectors = [
+                        Vector(BitVector(r, width), elem_width) for r in regs
+                    ]
+                    assert want == vector_from_elems(
+                        swizzle_elements(pattern, vectors, amount)
+                    ).bits.value
+
+    @pytest.mark.parametrize("pattern", PATTERNS_TWO_SOURCE + PATTERNS_ONE_SOURCE)
+    @pytest.mark.parametrize("elem_width", (8, 16, 32, 64))
+    def test_out_of_range_orders_rejected_alike(self, pattern, elem_width):
+        """A second source narrower than the first, and a one-lane
+        register (whose halving patterns gather nothing), raise the
+        same exception from the applier as from ``gather_lanes``."""
+        nargs = 2 if pattern in PATTERNS_TWO_SOURCE else 1
+        shapes = [(elem_width,) * nargs]
+        if nargs == 2:
+            shapes.append((4 * elem_width, 2 * elem_width))
+        for widths in shapes:
+            regs = [-1] * nargs
+            order = swizzle_order(pattern, widths[0] // elem_width, 1)
+            want = _rejection(
+                lambda: gather_lanes(order, regs, list(widths), elem_width)
+            )
+            got = _rejection(
+                lambda: swizzle_applier(pattern, elem_width, 1, widths)(regs)
+            )
+            assert got == want, widths
+
+    def test_rejections_happen_when_the_applier_is_built(self):
+        with pytest.raises(IndexError):
+            swizzle_applier("interleave_hi", 8, 0, (32, 16))
+        with pytest.raises(ValueError):
+            swizzle_applier("concat_lo", 8, 0, (8, 8))
+        with pytest.raises(ValueError):
+            swizzle_applier("rotate_right", 16, 1, (40,))
 
 
 class TestPackedAppliers:
@@ -284,3 +356,63 @@ class TestGoldenPrograms:
             f"{instruction}({instruction}(%ld0, %ld1), {instruction}(%ld2, %ld3))"
         ]
         assert global_counters().candidates_evaluated - before == candidates
+
+
+def _pool_digest(pool) -> str:
+    """Hash of the enumerator's pool, in pool order."""
+    digest = hashlib.sha256()
+    for c in pool:
+        digest.update(
+            repr((c.bits, tuple(c.outs), c.kind, c.cost, c.depth, c.landmark))
+            .encode()
+        )
+    return digest.hexdigest()[:16]
+
+
+# Pool digests after every depth round, and the candidates the whole
+# compilation evaluated: the four average_pool windows cold_suite
+# serves (one CEGIS iteration each) and x86 ``mul``, whose second
+# iteration re-evaluates the pool on a counterexample and whose answer
+# is a register pairing of two half-width results.  Recorded at
+# c034290, before the enumerator's cap-aware pairing, quota-bounded
+# argument pools and byte swizzles went in.  A changed digest means the
+# search changed, not just its speed.
+TRAJECTORY = {
+    ("arm", "average_pool"): (["ff70534bbf20e2ac", "8705ea5041d29be1"], 78_425),
+    ("hvx", "average_pool"): (["4513311faa4716c9", "dcdd6e2ae15bfd68"], 93_546),
+    ("rvv", "average_pool"): (["63a12db0b8db38a2", "07be3a25b795b012"], 85_266),
+    ("x86", "average_pool"): (["e5c373918b4237b6", "a0718b39afaa748f"], 95_492),
+    ("x86", "mul"): (
+        [
+            "b8f33b363b5c362b", "dd84f3e0294f8d6d", "d6f99f7ba1b46d91",
+            "8e395519a65ea6a5", "52d528512c6cb50f", "24332457c25254a1",
+            "b8f33b363b5c362b", "dd84f3e0294f8d6d", "26b1439f2c048bd9",
+        ],
+        606_267,
+    ),
+}
+
+
+class TestPoolTrajectory:
+    """Every pool the search builds, not only the program it returns."""
+
+    @pytest.mark.parametrize("isa, name", sorted(TRAJECTORY))
+    def test_pool_after_every_round(self, dictionary, monkeypatch, isa, name):
+        digests: list[str] = []
+        grow = _Enumerator._grow
+
+        def recording_grow(self):
+            grow(self)
+            digests.append(_pool_digest(self.pool))
+
+        monkeypatch.setattr(_Enumerator, "_grow", recording_grow)
+        compiler = HydrideCompiler(
+            dictionary=dictionary,
+            cache=MemoCache(),
+            cegis=CegisOptions(timeout_seconds=120),
+        )
+        before = global_counters().candidates_evaluated
+        for kernel in benchmark_named(name).lower(isa):
+            compiler.compile(kernel, isa)
+        candidates = global_counters().candidates_evaluated - before
+        assert (digests, candidates) == TRAJECTORY[isa, name]

@@ -18,11 +18,12 @@ from repro.synthesis import (
     synthesize,
 )
 from repro.synthesis.cache import canonical_key
-from repro.synthesis.cegis import _Enumerator
+from repro.synthesis.cegis import _Candidate, _check_full_width, _Enumerator
 from repro.synthesis.cost import CostModel
 from repro.synthesis.program import (
     SConcat,
     SConstant,
+    SHole,
     SSlice,
     SSwizzle,
     evaluate_program,
@@ -277,6 +278,26 @@ class TestCegis:
         assert time.time() - start < 30
 
 
+class TestFullWidthCheck:
+    """The scaled-up program's full-width fuzz check."""
+
+    def test_evaluation_error_is_named_in_the_failure(self):
+        hole = SHole("k", 4, 8)
+        with pytest.raises(SynthesisFailure) as failure:
+            _check_full_width(hole, hir.HLoad("ld0", 4, 8), random.Random(0), 4)
+        message = str(failure.value)
+        assert message.startswith("scaled-up solution failed full-width check")
+        assert "ValueError" in message and "'k' must be instantiated" in message
+        assert isinstance(failure.value.__cause__, ValueError)
+
+    def test_mismatch_and_match(self):
+        window = _add_window(lanes=4, ew=8)
+        with pytest.raises(SynthesisFailure, match="full-width check$"):
+            _check_full_width(SInput("ld0", 4, 8), window, random.Random(0), 4)
+        _check_full_width(SInput("ld0", 4, 8), hir.HLoad("ld0", 4, 8),
+                          random.Random(0), 4)
+
+
 class TestEnumerator:
     """Pool bookkeeping the search's bit-identity rests on."""
 
@@ -360,6 +381,90 @@ class TestEnumerator:
             )
         assert len(direct.pool) == size + 3  # both halves of a splat are equal
         same_pools()
+
+
+    @staticmethod
+    def full_scan_args(enumerator, bits, cap, elem):
+        """The argument pool by partitioning the whole bucket, which is
+        how ``_args_for_uncached`` defined it before its scan stopped at
+        the quotas."""
+        cap = cap or enumerator.options.args_per_width
+        frontier = enumerator.depth - 1
+        ops, swizzles, others, fresh = ([], []), ([], []), ([], []), ([], [])
+        for c in enumerator.by_width.get(bits, ()):
+            if not (elem is None or c.elem is None or c.elem == elem or c.depth == 0):
+                continue
+            rank = 0 if c.landmark else 1
+            group = {"op": ops, "swizzle": swizzles}.get(c.kind, others)
+            group[rank].append(c)
+            if c.depth >= frontier > 0:
+                fresh[rank].append(c)
+
+        def pick(group, count):
+            return (group[0] + group[1])[:count]
+
+        chosen = (
+            pick(ops, cap) + pick(swizzles, max(3, cap // 2))
+            + pick(others, max(4, cap // 2))
+        )
+        if frontier > 0:
+            chosen += [c for c in pick(fresh, cap) if c not in chosen]
+        return chosen
+
+    def test_argument_pools_equal_the_full_scan(self, dictionary):
+        enumerator = self.seeded(dictionary)
+        enumerator.grow()
+        # A new input re-ranks landmarks and rebuilds the landmark lists.
+        enumerator.add_env(enumerator.random_env())
+        compared = 0
+        for depth in (1, 2, 3):
+            enumerator.depth = depth
+            for bits in enumerator.by_width:
+                for cap in (None, 2, 8, 12):
+                    for elem in (None, 8, 16, 32):
+                        got = enumerator._args_for_uncached(bits, cap, elem)
+                        assert got == self.full_scan_args(
+                            enumerator, bits, cap, elem
+                        ), (depth, bits, cap, elem)
+                        compared += bool(got)
+        assert compared
+
+    def test_a_pairing_that_cannot_lead_is_neither_landmark_nor_lane0(
+        self, dictionary
+    ):
+        """``_may_lead`` is a necessary condition: a pairing it rules out
+        could enter a spent allowance neither as a landmark nor as a
+        spec lane-0 match."""
+        enumerator = self.seeded(dictionary)
+        enumerator.grow()
+        outcomes = set()
+        for bits, bucket in enumerator.by_width.items():
+            if 2 * bits > enumerator.max_bits:
+                continue
+            for high in bucket[:25]:
+                for low in bucket[:25]:
+                    outs = [
+                        ((h & ((1 << bits) - 1)) << bits) | (lo & ((1 << bits) - 1))
+                        for h, lo in zip(high.outs, low.outs)
+                    ]
+                    could_enter = (2 * bits, tuple(outs)) in enumerator._landmarks or (
+                        2 * bits == enumerator.spec_bits
+                        and enumerator._matches_lane0(outs)
+                    )
+                    lead = enumerator._may_lead(low, {})
+                    assert lead or not could_enter, (high.node, low.node)
+                    outcomes.add((lead, could_enter))
+        assert {(True, True), (False, False)} <= outcomes
+        # A low half with the spec's lane 0 and a wrong lane 1 is no
+        # landmark's low half, yet its pairings match lane 0.
+        lane0 = [out.value & 0xFFFF for out in enumerator.spec_outs]
+        low = _Candidate(
+            SConstant(0, 2, 16), 0.0, [v | 0xABCD0000 for v in lane0], bits=32
+        )
+        outs = [(0x1234 << 32) | out for out in low.outs]
+        assert (64, tuple(outs)) not in enumerator._landmarks
+        assert enumerator._matches_lane0(outs)
+        assert enumerator._may_lead(low, {})
 
 
 class TestCache:
