@@ -18,8 +18,13 @@ design promises, asserting at each step:
    answer comes from L2, no worker parses a vendor spec
    (``runs.perf.specs_parsed == 0``) and nothing is rate-limited
    (``admission.rejected.rate == 0``) — counts, not timings;
-5. **drain** — every daemon exits 0 on SIGTERM;
-6. **cache layout** — after every phase each cache root holds only
+5. **rot** — one stored entry is rewritten with a well-typed but wrong
+   program (a constant of the entry's width); a daemon restarted on that
+   cache must refute it on lookup (``runs.cache_screen_failures >= 1``),
+   re-synthesize (``runs.synth_calls >= 1``) and answer every request
+   with the same ``runtime_us`` as the warm replay;
+6. **drain** — every daemon exits 0 on SIGTERM;
+7. **cache layout** — after every phase each cache root holds only
    registered-ISA directories and ``stats.json`` (the layout
    ``repro.service.store`` documents), so a component writing anywhere
    else fails the job.
@@ -49,6 +54,7 @@ from repro.daemon.client import DaemonClient, http_get  # noqa: E402
 from repro.daemon.proc import DaemonProcess  # noqa: E402
 from repro.isa.registry import supported_isas  # noqa: E402
 from repro.service.store import STATS_FILE  # noqa: E402
+from repro.synthesis.rules import parse_window  # noqa: E402
 
 
 def _requests(benchmarks: list[str], isa: str) -> list[dict]:
@@ -74,6 +80,33 @@ def _check_layout(root: Path, phase: str, failures: list[str]) -> None:
         failures.append(
             f"{phase}: {root.name} holds {stray} outside the store layout"
         )
+
+
+def _rot_one_entry(root: Path) -> str:
+    """Replace the first stored program with a constant of its width.
+
+    The file stays parseable and the program well-typed (same output
+    width, no unknown inputs), so only evaluating it can tell it is
+    wrong.  Returns the rewritten entry's key.
+    """
+    path = sorted(root.glob("*/*/e-*.json"))[0]
+    obj = json.loads(path.read_text())
+    _isa, window = parse_window(obj["key"])
+    obj["program"] = {
+        "kind": "const",
+        "value": 0,
+        "lanes": window.type.lanes,
+        "elem_width": window.type.elem_width,
+    }
+    path.write_text(json.dumps(obj, sort_keys=True))
+    return obj["key"]
+
+
+def _runtimes(frames: list[dict]) -> dict[str, float]:
+    return {
+        f["result"]["benchmark"]: f["result"]["runtime_us"]
+        for f in frames if f.get("ok")
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -272,6 +305,50 @@ def main(argv: list[str] | None = None) -> int:
                 f"{stats['runs']['jobs']} worker runs, {parsed} specs "
                 f"parsed, {rate_rejected} rate rejections"
             )
+        warm_runtimes = _runtimes(frames)
+
+        # --------------------------------------------------------------
+        # Phase 5: rot one entry on disk, restart, replay once.  The
+        # lookup check must evict it and the window re-synthesize to
+        # the same program cost.
+        # --------------------------------------------------------------
+        rotted = _rot_one_entry(fresh_cache)
+        with DaemonProcess(
+            cache_dir=str(fresh_cache), jobs=args.jobs, extra_args=extra
+        ) as daemon:
+            print(f"[smoke] rotted {rotted}; restarted daemon at {daemon.addr}")
+            with DaemonClient.connect(daemon.addr, timeout=600.0) as client:
+                frames = client.submit_many(requests, tenant="fleet")
+            stats = http_get(daemon.addr, "/stats")
+            artifact["rot_replay"] = stats
+            _check_layout(fresh_cache, "rot replay", failures)
+            evicted = stats["runs"].get("cache_screen_failures", 0)
+            synth = stats["runs"]["synth_calls"]
+            bad = [f for f in frames if not f.get("ok")]
+            if bad or len(frames) != len(requests):
+                failures.append(
+                    f"rot replay: {len(frames)}/{len(requests)} answers, "
+                    f"errors {[f.get('error') for f in bad]}"
+                )
+            if evicted < 1:
+                failures.append(
+                    "rot replay: the rotted entry was served "
+                    "(cache_screen_failures 0, want >= 1)"
+                )
+            if synth < 1:
+                failures.append(
+                    "rot replay: no re-synthesis after the eviction "
+                    "(synth_calls 0, want >= 1)"
+                )
+            if _runtimes(frames) != warm_runtimes:
+                failures.append(
+                    f"rot replay runtimes {_runtimes(frames)} differ from "
+                    f"the warm replay's {warm_runtimes}"
+                )
+            print(
+                f"[smoke] rot replay: {evicted} entries evicted, "
+                f"{synth} synth calls"
+            )
 
     for root in (warm_cache, fresh_cache):
         if root.exists():
@@ -288,7 +365,10 @@ def main(argv: list[str] | None = None) -> int:
         for failure in failures:
             print(f"  - {failure}")
         return 1
-    print("[smoke] PASS: dedup, L1, pack warm-up and warm fork all proven")
+    print(
+        "[smoke] PASS: dedup, L1, pack warm-up, warm fork and rot "
+        "eviction all proven"
+    )
     return 0
 
 

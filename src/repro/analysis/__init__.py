@@ -27,14 +27,8 @@ provenance and JSON output.  Pipeline stages call the gated hooks in
 
 from repro.analysis.absint import (
     AbsValue,
-    abstract_apply,
-    abstract_program,
     abstract_semantics,
-    abstract_window,
-    abstract_window_lanes,
     provably_disagrees,
-    screen_cached_program,
-    screen_dictionary,
 )
 from repro.analysis.diagnostics import (
     Diagnostic,
@@ -63,17 +57,11 @@ from repro.analysis.synth_check import assert_program, check_program
 
 __all__ = [
     "AbsValue",
-    "abstract_apply",
-    "abstract_program",
     "abstract_semantics",
-    "abstract_window",
-    "abstract_window_lanes",
     "check_semantic_rules",
     "observed_bits",
     "provably_disagrees",
     "sarif_json",
-    "screen_cached_program",
-    "screen_dictionary",
     "to_sarif",
     "Diagnostic",
     "DiagnosticSink",

@@ -1,4 +1,4 @@
-"""Abstract interpretation of Hydride IR and synthesis candidate programs.
+"""Abstract interpretation of Hydride IR semantics functions.
 
 Two cooperating lattices over fixed-width bitvectors:
 
@@ -10,16 +10,15 @@ Two cooperating lattices over fixed-width bitvectors:
 The two refine each other on construction (:func:`make`): known bits
 clamp the ranges, a constant range pins every bit, and the shared high
 bits of ``umin``/``umax`` become known bits.  Vector values are plain
-wide :class:`AbsValue` objects; per-lane views are recovered with
-:func:`lane_values` (the extract transfer applied per element), which is
-how packed/vector precision is expressed without a separate domain.
+wide :class:`AbsValue` objects, built lane by lane with
+:func:`pack_lanes`, so packed/vector precision needs no separate domain.
 
 **Soundness contract.**  For every expression ``e`` and every concrete
 environment on which ``e`` evaluates without error, the concrete result
 ``v`` satisfies ``abstract(e).contains(v.value)`` — i.e. abstract
-evaluation over-approximates concrete evaluation.  Everything built on
-top (CEGIS pruning, cache screening, the semantic lint rules) relies
-only on this direction; no consumer ever assumes precision.
+evaluation over-approximates concrete evaluation.  The one consumer,
+the semantic lint rules (``sem/*``, :mod:`repro.analysis.semantic_check`),
+relies only on this direction and never assumes precision.
 
 Transfer functions live in patchable tables (:data:`BINARY_TRANSFERS`,
 :data:`UNARY_TRANSFERS`, :data:`CMP_TRANSFERS`, :data:`CAST_TRANSFERS`)
@@ -32,8 +31,7 @@ Loops up to :data:`UNROLL_LIMIT` iterations are evaluated exactly (the
 whole generated corpus fits); iterator-independent bodies are evaluated
 once and replicated regardless of count; anything longer widens the
 remaining iterations to top — the classic jump-to-top widening that
-keeps the engine a single pass.  :meth:`AbsValue.widen` is the lattice
-half of the operator, available to future fixpoint consumers.
+keeps the engine a single pass.
 """
 
 from __future__ import annotations
@@ -41,8 +39,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from repro.bitvector.packed import swizzle_order
-from repro.halide import ir as hir
 from repro.hydride_ir.ast import (
     BvBinOp,
     BvBroadcastConst,
@@ -62,15 +58,6 @@ from repro.hydride_ir.interp import (
     SemanticsError,
     compute_width,
     resolved_input_widths,
-)
-from repro.synthesis.program import (
-    SConcat,
-    SConstant,
-    SInput,
-    SNode,
-    SOp,
-    SSlice,
-    SSwizzle,
 )
 
 # ForConcat loops longer than this are not fully unrolled; their tail
@@ -135,29 +122,6 @@ class AbsValue:
             umax=max(self.umax, other.umax),
             smin=min(self.smin, other.smin),
             smax=max(self.smax, other.smax),
-        )
-
-    def widen(self, other: "AbsValue") -> "AbsValue":
-        """Widening: like join, but unstable bounds jump to the extreme.
-
-        Guarantees termination of ascending chains in a handful of steps:
-        a bound that moved between ``self`` and ``other`` is not nudged
-        but thrown to the width's limit, and only bits known identically
-        on both sides survive.
-        """
-        if self.width != other.width:
-            raise ValueError(
-                f"widen requires equal widths, got {self.width} and {other.width}"
-            )
-        half = 1 << (self.width - 1)
-        return make(
-            self.width,
-            zeros=self.zeros & other.zeros,
-            ones=self.ones & other.ones,
-            umin=self.umin if other.umin >= self.umin else 0,
-            umax=self.umax if other.umax <= self.umax else _mask(self.width),
-            smin=self.smin if other.smin >= self.smin else -half,
-            smax=self.smax if other.smax <= self.smax else half - 1,
         )
 
 
@@ -260,18 +224,6 @@ def provably_disagrees(a: AbsValue, b: AbsValue) -> bool:
     if a.umax < b.umin or b.umax < a.umin:
         return True
     return a.smax < b.smin or b.smax < a.smin
-
-
-def lane_values(value: AbsValue, elem_width: int) -> list[AbsValue]:
-    """Per-lane view of a packed value, least-significant lane first."""
-    if value.width % elem_width:
-        raise ValueError(
-            f"width {value.width} is not a multiple of lane width {elem_width}"
-        )
-    return [
-        _extract(value, (i + 1) * elem_width - 1, i * elem_width)
-        for i in range(value.width // elem_width)
-    ]
 
 
 def pack_lanes(lanes: list[AbsValue]) -> AbsValue:
@@ -1047,297 +999,3 @@ def abstract_semantics(
         return pack_lanes(pieces)
 
     return run(func.body, param_env)
-
-
-# ----------------------------------------------------------------------
-# Halide window (specification) evaluation — per-lane
-# ----------------------------------------------------------------------
-
-
-def abstract_window_lanes(
-    expr: hir.HExpr, env: Mapping[str, AbsValue] | None = None
-) -> list[AbsValue]:
-    """Per-lane abstract evaluation of a Halide window.
-
-    ``env`` binds load names to whole-register abstract values and
-    broadcast names to single-element values; unbound names are top.
-    Lane 0 (least significant) comes first, matching
-    :class:`repro.bitvector.lanes.Vector`.
-    """
-    env = env or {}
-    cache: dict[int, list[AbsValue]] = {}
-
-    def run(node: hir.HExpr) -> list[AbsValue]:
-        cached = cache.get(id(node))
-        if cached is None:
-            cached = _eval(node)
-            cache[id(node)] = cached
-        return cached
-
-    def _eval(node: hir.HExpr) -> list[AbsValue]:
-        if isinstance(node, hir.HLoad):
-            value = env.get(node.name)
-            if value is None:
-                value = top(node.type.bits)
-            elif value.width != node.type.bits:
-                raise ValueError(
-                    f"load {node.name!r}: bound width {value.width}, "
-                    f"expected {node.type.bits}"
-                )
-            return lane_values(value, node.elem_width)
-        if isinstance(node, hir.HConst):
-            return [const(node.value, node.elem_width)] * node.lanes
-        if isinstance(node, hir.HBroadcast):
-            elem = env.get(node.name) or top(node.elem_width)
-            if elem.width != node.elem_width:
-                raise ValueError(f"broadcast {node.name!r} width mismatch")
-            return [elem] * node.lanes
-        if isinstance(node, hir.HBin):
-            op = hir.H_BINOPS[node.op]
-            left, right = run(node.left), run(node.right)
-            return [_binary(op, x, y) for x, y in zip(left, right)]
-        if isinstance(node, hir.HCmp):
-            op = hir.H_CMPOPS[node.op]
-            left, right = run(node.left), run(node.right)
-            return [_compare(op, x, y) for x, y in zip(left, right)]
-        if isinstance(node, hir.HSelect):
-            out = []
-            branches = zip(run(node.cond), run(node.then_expr), run(node.else_expr))
-            for cond, then_value, else_value in branches:
-                taken = cond.const_value()
-                if taken is None:
-                    out.append(then_value.join(else_value))
-                else:
-                    out.append(then_value if taken else else_value)
-            return out
-        if isinstance(node, hir.HCast):
-            new = node.new_elem_width
-            old = node.src.type.elem_width
-            table = {
-                "sext": "sext" if new >= old else "trunc",
-                "zext": "zext" if new >= old else "trunc",
-                "trunc": "trunc",
-                "sat_s": "saturate_to_signed",
-                "sat_u": "saturate_to_unsigned",
-            }
-            op = table[node.kind]
-            return [_cast(op, lane, new) for lane in run(node.src)]
-        if isinstance(node, hir.HSlice):
-            return run(node.src)[node.start : node.start + node.lanes]
-        if isinstance(node, hir.HConcat):
-            out = []
-            for part in node.parts:
-                out.extend(run(part))
-            return out
-        if isinstance(node, hir.HReduceAdd):
-            src = run(node.src)
-            out = []
-            for group in range(node.type.lanes):
-                total = src[group * node.factor]
-                for k in range(1, node.factor):
-                    total = _binary("bvadd", total, src[group * node.factor + k])
-                out.append(total)
-            return out
-        if isinstance(node, hir.HShuffle):
-            src = run(node.src)
-            return [src[i] for i in node.indices]
-        raise TypeError(f"unknown Halide IR node {type(node).__name__}")
-
-    return run(expr)
-
-
-def abstract_window(
-    expr: hir.HExpr, env: Mapping[str, AbsValue] | None = None
-) -> AbsValue:
-    """Whole-register abstract evaluation of a Halide window."""
-    return pack_lanes(abstract_window_lanes(expr, env))
-
-
-# ----------------------------------------------------------------------
-# Synthesis candidate (SNode) evaluation
-# ----------------------------------------------------------------------
-
-# (id(binding), parameter values, immediates) -> hoisted abstract plan,
-# mirroring program._SOP_EVAL_CACHE.  The binding reference in the value
-# keeps the id()-keyed entry from aliasing a recycled object.
-_SOP_ABS_CACHE: dict[tuple, tuple] = {}
-
-
-def _sop_abs_plan(node: SOp) -> tuple:
-    key = (id(node.binding), node.values(), node.imm_values)
-    plan = _SOP_ABS_CACHE.get(key)
-    if plan is None:
-        symbolic = node.binding.member.symbolic
-        values = dict(zip(symbolic.param_names, node.values()))
-        func = symbolic.to_function(values)
-        widths = resolved_input_widths(func, values)
-        imm_env: dict[str, AbsValue] = {}
-        reg_names: list[str] = []
-        imm_iter = iter(node.imm_values)
-        for inp in func.inputs:
-            if inp.is_immediate:
-                imm_env[inp.name] = const(next(imm_iter), widths[inp.name])
-            else:
-                reg_names.append(inp.name)
-        plan = (node.binding, func, values, widths, imm_env, tuple(reg_names))
-        _SOP_ABS_CACHE[key] = plan
-    return plan
-
-
-def abstract_apply(node: SNode, args: list[AbsValue]) -> AbsValue:
-    """Abstract one-node application given the children's abstract values.
-
-    The enumerator's incremental scheme: each admitted candidate stores
-    its abstract output, so a new candidate costs one transfer instead
-    of a DAG re-evaluation — exactly how concrete outputs are memoised.
-    """
-    if isinstance(node, SInput):
-        raise ValueError("inputs have no arguments")
-    if isinstance(node, SConstant):
-        return pack_lanes([const(node.value, node.elem_width)] * node.lanes)
-    if isinstance(node, SSlice):
-        src = args[0]
-        half = src.width // 2
-        if node.high:
-            return _extract(src, src.width - 1, half)
-        return _extract(src, half - 1, 0)
-    if isinstance(node, SConcat):
-        return _concat(args[0], args[1])
-    if isinstance(node, SSwizzle):
-        elem_width = node.elem_width
-        for value in args:
-            if value.width % elem_width:
-                raise ValueError(
-                    f"register width {value.width} is not a multiple of "
-                    f"element width {elem_width}"
-                )
-        order = swizzle_order(
-            node.pattern, args[0].width // elem_width, node.amount
-        )
-        arg_lanes = [lane_values(value, elem_width) for value in args]
-        return pack_lanes([arg_lanes[source][index] for source, index in order])
-    assert isinstance(node, SOp)
-    _, func, values, widths, imm_env, reg_names = _sop_abs_plan(node)
-    bound = dict(imm_env)
-    for name, value in zip(reg_names, args):
-        if value.width != widths[name]:
-            raise SemanticsError(
-                f"input {name!r} has width {value.width}, expected {widths[name]}"
-            )
-        bound[name] = value
-    return abstract_semantics(func, bound, values)
-
-
-def abstract_program(
-    node: SNode, env: Mapping[str, AbsValue] | None = None
-) -> AbsValue:
-    """Abstractly run a candidate program; unbound inputs are top."""
-    env = env or {}
-    cache: dict[int, AbsValue] = {}
-
-    def run(n: SNode) -> AbsValue:
-        cached = cache.get(id(n))
-        if cached is None:
-            if isinstance(n, SInput):
-                cached = env.get(n.name) or top(n.bits)
-                if cached.width != n.bits:
-                    raise ValueError(
-                        f"input {n.name!r}: bound width {cached.width}, "
-                        f"expected {n.bits}"
-                    )
-            else:
-                cached = abstract_apply(n, [run(a) for a in n.children()])
-            cache[id(n)] = cached
-        return cached
-
-    return run(node)
-
-
-# ----------------------------------------------------------------------
-# Solver-free screening (cache entries and dictionary members)
-# ----------------------------------------------------------------------
-
-
-def screen_cached_program(spec: hir.HExpr, program: SNode) -> list[str]:
-    """Cheap tripwire for a stale or corrupt cached synthesis result.
-
-    Checks the stored program against the specification it is about to
-    be served for: inputs must exist at matching widths, and the
-    program's abstract output must not provably disagree with the
-    specification's on any lane.  A sound cache entry can never trip
-    this (both abstractions over-approximate the same function); an
-    empty list therefore means "no proof of corruption", not "verified".
-    """
-    problems: list[str] = []
-    try:
-        loads = spec.loads()
-    except ValueError as error:
-        return [f"specification rejected: {error}"]
-    for n in program.walk():
-        if not isinstance(n, SInput):
-            continue
-        declared = loads.get(n.name)
-        if declared is None:
-            problems.append(f"program reads unknown input {n.name!r}")
-        elif declared.bits != n.bits:
-            problems.append(
-                f"input {n.name!r} has width {n.bits}, "
-                f"specification expects {declared.bits}"
-            )
-    if problems:
-        return problems
-    try:
-        program_value = abstract_program(program)
-        spec_lanes = abstract_window_lanes(spec)
-    except Exception as error:  # abstraction failure == suspicious entry
-        return [f"abstract evaluation failed: {error}"]
-    spec_bits = spec.type.bits
-    if program_value.width != spec_bits:
-        return [
-            f"program output width {program_value.width}, "
-            f"specification expects {spec_bits}"
-        ]
-    elem_width = spec.type.elem_width
-    for index, (mine, theirs) in enumerate(
-        zip(lane_values(program_value, elem_width), spec_lanes)
-    ):
-        if provably_disagrees(mine, theirs):
-            problems.append(f"lane {index} provably disagrees with specification")
-    return problems
-
-
-def screen_dictionary(dictionary) -> dict:
-    """Abstractly re-check every AutoLLVM dictionary binding.
-
-    Evaluates each binding's semantics on top inputs and compares the
-    result width against the instruction's declared output width; any
-    mismatch or evaluation failure flags the entry.  Returns a summary
-    ``{"checked": n, "flagged": [{"instruction", "problem"}, ...]}``.
-    """
-    checked = 0
-    flagged: list[dict] = []
-    for name, op in sorted(dictionary.by_target_instruction.items()):
-        for binding in op.bindings:
-            if binding.spec.name != name:
-                continue
-            checked += 1
-            try:
-                symbolic = binding.member.symbolic
-                values = dict(zip(symbolic.param_names, binding.member.values()))
-                func = symbolic.to_function(values)
-                result = abstract_semantics(func, params=values)
-            except Exception as error:
-                flagged.append({"instruction": name, "problem": str(error)})
-                continue
-            declared = binding.spec.output_width
-            if result.width != declared:
-                flagged.append(
-                    {
-                        "instruction": name,
-                        "problem": (
-                            f"abstract output width {result.width}, "
-                            f"declared {declared}"
-                        ),
-                    }
-                )
-    return {"checked": checked, "flagged": flagged}

@@ -28,9 +28,6 @@ PHASES = (
     # hole refinement + deterministic merge, and artifact loading.
     "irgen_parse", "irgen_extract", "irgen_bucket", "irgen_check",
     "irgen_merge", "irgen_load",
-    # Abstract interpretation (repro.analysis.absint): cache-entry
-    # screening.
-    "absint",
 )
 
 

@@ -89,12 +89,6 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     stats = sub.add_parser("stats", help="cache inventory + last-run telemetry")
     common(stats, cache_required=True)
     stats.add_argument("--json", action="store_true")
-    stats.add_argument(
-        "--screen",
-        action="store_true",
-        help="abstractly screen the AutoLLVM dictionary (and report "
-        "per-entry problems) in addition to the cache inventory",
-    )
 
     gc = sub.add_parser("gc", help="drop stale-fingerprint namespaces")
     common(gc, cache_required=True)
@@ -146,7 +140,7 @@ def _print_results(results: list[JobResult], scheduler: Scheduler) -> None:
     )
     if stats.cache_screened:
         print(
-            f"absint screen: {stats.cache_screened} cache hits checked, "
+            f"hit check: {stats.cache_screened} cache hits checked, "
             f"{stats.cache_screen_failures} evicted"
         )
     print(perf_line(stats.perf_metrics(), stats.perf))
@@ -182,11 +176,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     stats = store_stats(args.cache_dir)
-    if args.screen:
-        from repro.analysis.absint import screen_dictionary
-        from repro.autollvm import build_dictionary
-
-        stats["dictionary_screen"] = screen_dictionary(build_dictionary())
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
@@ -215,15 +204,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             else ""
         )
     )
-    screen = stats.get("dictionary_screen")
-    if screen is not None:
-        flagged = screen.get("flagged") or []
-        print(
-            f"dictionary screen: {screen.get('checked', 0)} entries checked, "
-            f"{len(flagged)} flagged"
-        )
-        for item in flagged[:20]:
-            print(f"  {item['instruction']}: {item['problem']}")
     last = stats.get("last_run")
     if last:
         for line in format_run_summary(last, label="last run"):

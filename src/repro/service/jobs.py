@@ -105,9 +105,9 @@ class JobTelemetry:
     # (repro.synthesis.rules) instead of CEGIS.
     rule_hits: int = 0
     entries_added: int = 0
-    # Abstract screening of persistent-cache hits (PersistentCache.lookup):
+    # Concrete checks of persistent-cache hits (PersistentCache.lookup):
     # hits re-checked, and hits evicted because the stored program
-    # provably cannot equal the spec.
+    # failed check_stored_program.
     cache_screened: int = 0
     cache_screen_failures: int = 0
     wall_seconds: float = 0.0

@@ -79,8 +79,8 @@ class ServiceStats:
     # Cache misses served solver-free by the distilled rulebook.
     rule_hits: int = 0
     entries_added: int = 0
-    # Persistent-cache hits screened abstractly before codegen, and hits
-    # evicted because the stored program provably disagrees with its spec.
+    # Persistent-cache hits checked concretely before codegen, and hits
+    # evicted because the stored program failed that check.
     cache_screened: int = 0
     cache_screen_failures: int = 0
     fallbacks: int = 0

@@ -25,16 +25,21 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import tempfile
 import time
 from pathlib import Path
 
 from repro import faults
-from repro.analysis.absint import screen_cached_program
 from repro.autollvm.intrinsics import AutoLLVMDictionary
 from repro.halide import ir as hir
-from repro.perf import global_counters
-from repro.synthesis.cache import CacheEntry, MemoCache, canonical_key
+from repro.isa.registry import supported_isas
+from repro.synthesis.cache import (
+    CacheEntry,
+    MemoCache,
+    canonical_key,
+    check_stored_program,
+)
 from repro.synthesis.serialize import (
     SERIALIZE_VERSION,
     SerializeError,
@@ -53,6 +58,12 @@ _DEAD_REUSE_DIR = "reuse"
 # The age guard keeps a cache opening *now* from unlinking a temp file a
 # live concurrent writer is about to rename into place.
 TMP_REAP_AGE_SECONDS = 60.0
+
+# Random inputs each hit is evaluated on before it is served.  One is
+# enough to refute an entry that is wrong on most inputs, which is what
+# rot (a flipped immediate, a program saved against other semantics)
+# produces; the entries themselves were verified when they were stored.
+LOOKUP_CHECK_TRIALS = 1
 
 
 def _key_hash(key: str) -> str:
@@ -160,7 +171,7 @@ class PersistentCache(MemoCache):
         self.dir.mkdir(parents=True, exist_ok=True)
         self.load_errors = 0
         self.write_errors = 0
-        # Abstract-interpretation screening of cache hits (see lookup()).
+        # Concrete checks of cache hits (see lookup()).
         self.screened = 0
         self.screen_failures = 0
         # (size, mtime_ns) of every entry file already parsed — loads and
@@ -262,33 +273,30 @@ class PersistentCache(MemoCache):
         """
         return self._load()
 
-    # -- abstract screening of hits --------------------------------------
+    # -- concrete check of hits ------------------------------------------
 
     def lookup(self, expr: hir.HExpr, isa: str):
-        """A hit is re-checked abstractly before it reaches codegen.
+        """A hit is re-checked concretely before it reaches codegen.
 
         Persisted entries can rot in ways deserialization cannot see: a
         bit-flipped immediate, a program saved against different
-        semantics, a hand-edited file.  ``screen_cached_program`` proves
-        (or fails to refute) that the stored program can still equal the
-        spec, so a semantically-corrupt entry is evicted here — the
-        window re-synthesizes — instead of silently compiling wrong
-        code.  It is not free: measured at ``2f9498e``, 5–19 ms per hit
-        on the bench population, 74 % of a warm worker's in-process time.
+        semantics, a hand-edited file.  ``check_stored_program`` runs
+        the structural check and :data:`LOOKUP_CHECK_TRIALS` concrete
+        trials, on inputs seeded from the entry's key so one entry
+        always sees the same inputs.  A failing entry (a crash included)
+        is evicted from memory and disk, and the hit becomes a miss: the
+        window re-synthesizes instead of silently compiling wrong code.
         """
         entry = super().lookup(expr, isa)
         if entry is None:
             return None
-        perf = global_counters()
-        start = time.monotonic()
-        try:
-            problems = screen_cached_program(expr, entry.program)
-        except Exception:  # screening must never turn a hit into a crash
-            problems = []
-        finally:
-            perf.add_phase("absint", time.monotonic() - start)
+        key = canonical_key(expr, isa)
+        digest = _key_hash(key)
         self.screened += 1
-        if not problems:
+        problem = check_stored_program(
+            entry.program, expr, random.Random(digest), LOOKUP_CHECK_TRIALS
+        )
+        if problem is None:
             return entry
         self.screen_failures += 1
         faults.recovered()
@@ -296,9 +304,8 @@ class PersistentCache(MemoCache):
         # and the window re-synthesizes (overwriting the bad entry).
         self.hits -= 1
         self.misses += 1
-        key = canonical_key(expr, isa)
         self._entries.pop(key, None)
-        name = f"e-{_key_hash(key)}.json"
+        name = f"e-{digest}.json"
         self._seen_files.pop(name, None)
         try:
             (self.dir / name).unlink()
@@ -432,6 +439,37 @@ def export_pack(root: str | Path, output: str | Path) -> dict:
     }
 
 
+def _pack_namespaces(pack: dict, source) -> list[tuple[Path, dict, dict]]:
+    """Validate every namespace of a pack before anything is written.
+
+    A namespace lands at ``<root>/<isa>/<dir>``, so ``isa`` must be a
+    registered ISA and ``dir`` exactly :data:`FINGERPRINT_DIR_CHARS`
+    lowercase hex characters; anything else (``..``, an absolute path, a
+    separator) could write outside the cache root.  Returns
+    ``(relative target, namespace, files)`` triples.
+    """
+    valid = []
+    for namespace in pack["namespaces"]:
+        try:
+            isa, directory = namespace["isa"], namespace["dir"]
+            files = dict(namespace["files"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise PackError(f"malformed namespace in {source}: {exc}") from exc
+        if isa not in supported_isas():
+            raise PackError(f"{source}: namespace isa {isa!r} is not registered")
+        if not (
+            isinstance(directory, str)
+            and len(directory) == FINGERPRINT_DIR_CHARS
+            and all(c in "0123456789abcdef" for c in directory)
+        ):
+            raise PackError(
+                f"{source}: namespace dir {directory!r} is not "
+                f"{FINGERPRINT_DIR_CHARS} lowercase hex characters"
+            )
+        valid.append((Path(isa) / directory, namespace, files))
+    return valid
+
+
 def import_pack(root: str | Path, source: str | Path) -> dict:
     """Merge a pack into a cache root (atomic, idempotent writes).
 
@@ -441,6 +479,8 @@ def import_pack(root: str | Path, source: str | Path) -> dict:
     namespacing is preserved verbatim: a pack made against a stale
     dictionary merges into a stale namespace that a later ``gc`` sweeps,
     so importing can never replay entries against the wrong semantics.
+    The whole pack is validated first: a malformed one raises
+    :class:`PackError` and writes nothing.
     """
     root = Path(root)
     try:
@@ -455,12 +495,8 @@ def import_pack(root: str | Path, source: str | Path) -> dict:
             f"(want one of {_SUPPORTED_PACK_VERSIONS})"
         )
     imported = skipped = rulebooks = 0
-    for namespace in pack["namespaces"]:
-        try:
-            target = root / str(namespace["isa"]) / str(namespace["dir"])
-            files = dict(namespace["files"])
-        except (KeyError, TypeError) as exc:
-            raise PackError(f"malformed namespace in {source}: {exc}") from exc
+    for relative, namespace, files in _pack_namespaces(pack, source):
+        target = root / relative
         target.mkdir(parents=True, exist_ok=True)
         meta = namespace.get("meta")
         if meta is not None and not (target / "meta.json").exists():

@@ -67,7 +67,7 @@ def format_run_summary(run: dict, label: str = "last run") -> list[str]:
     ]
     if run.get("cache_screened"):
         lines.append(
-            f"{label} absint screen: {run.get('cache_screened')} hits "
+            f"{label} hit check: {run.get('cache_screened')} hits "
             f"checked, {run.get('cache_screen_failures', 0)} evicted"
         )
     metrics = run.get("perf_metrics") or {}

@@ -10,8 +10,10 @@ others) dramatically cheaper than column I.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
+from repro.bitvector.bv import BitVector
 from repro.halide import ir as hir
 from repro.synthesis.program import (
     SConcat,
@@ -21,6 +23,7 @@ from repro.synthesis.program import (
     SOp,
     SSlice,
     SSwizzle,
+    evaluate_program,
 )
 
 
@@ -62,6 +65,68 @@ def canonical_key(expr: hir.HExpr, isa: str) -> str:
         return f"({label} {' '.join(attrs)} {kids})"
 
     return f"{isa}:{serialize(expr)}"
+
+
+def window_env(expr: hir.HExpr, rng: random.Random) -> dict[str, BitVector]:
+    """A random concrete input environment for a window.
+
+    Loads bind the full register; broadcasts bind one element — the
+    binding convention of :func:`repro.halide.ir.interpret`.
+    """
+    env: dict[str, BitVector] = {}
+    for node in expr.walk():
+        if isinstance(node, hir.HLoad):
+            env.setdefault(
+                node.name,
+                BitVector(rng.getrandbits(node.type.bits), node.type.bits),
+            )
+        elif isinstance(node, hir.HBroadcast):
+            env.setdefault(
+                node.name,
+                BitVector(rng.getrandbits(node.elem_width), node.elem_width),
+            )
+    return env
+
+
+def check_stored_program(
+    program: SNode, spec: hir.HExpr, rng: random.Random, trials: int
+) -> str | None:
+    """Why a stored program must not be served for ``spec``, or None.
+
+    Every tier that replays a program it did not just verify (the
+    persistent cache, the rulebook matcher, the rule distiller) runs
+    this first.  The structural half — every input is a load of the
+    spec at its width, and the output width matches — draws nothing
+    from ``rng``.  Then ``trials`` random inputs from :func:`window_env`
+    must give the spec's value.  Any exception is a failed check.  A
+    sound program equals its spec on every input, so it always passes;
+    None therefore means "not refuted", not "verified".
+    """
+    try:
+        loads = spec.loads()
+        for node in program.walk():
+            if not isinstance(node, SInput):
+                continue
+            declared = loads.get(node.name)
+            if declared is None:
+                return f"program reads unknown input {node.name!r}"
+            if declared.bits != node.bits:
+                return (
+                    f"input {node.name!r} has width {node.bits}, "
+                    f"specification expects {declared.bits}"
+                )
+        if program.bits != spec.type.bits:
+            return (
+                f"program output width {program.bits}, "
+                f"specification expects {spec.type.bits}"
+            )
+        for _ in range(trials):
+            env = window_env(spec, rng)
+            if evaluate_program(program, env).value != hir.interpret(spec, env).value:
+                return "program differs from the specification on a random input"
+    except Exception as exc:  # noqa: BLE001 - a crash is a failed check
+        return f"check raised {type(exc).__name__}: {exc}"
+    return None
 
 
 @dataclass

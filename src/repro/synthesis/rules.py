@@ -11,8 +11,9 @@ a generated compiler backend:
   scale — into parameterized selection patterns whose constants are
   typed :class:`~repro.synthesis.program.SHole` leaves.
 * The **verifier** (:func:`verify_rule`) checks each candidate rule once
-  over its symbolic hole domain: an absint + concrete-sample pre-screen,
-  then the existing SMT equivalence ladder over a window whose hole
+  over its symbolic hole domain: a structural + concrete-sample
+  pre-screen (:func:`~repro.synthesis.cache.check_stored_program`), then
+  the existing SMT equivalence ladder over a window whose hole
   constants are replaced by :class:`~repro.halide.ir.HBroadcast` scalars
   sharing the template holes' SMT variables.  Only rules the checker
   proves equivalent survive.
@@ -20,8 +21,10 @@ a generated compiler backend:
   normalize the incoming window, look up its abstract key, bind hole
   values from the window's own constants (guarded by immediate range and
   lane-divisibility checks), instantiate, scale back up, and accept only
-  after a seeded concrete spot-check — the same standard CEGIS applies
-  to its own scaled-up programs.
+  after a seeded concrete spot-check (the same
+  :func:`~repro.synthesis.cache.check_stored_program` the persistent
+  cache runs on its hits) — the standard CEGIS applies to its own
+  scaled-up programs.
 
 Soundness: every persisted rule was SMT-verified at base scale over its
 entire hole domain, so hole instantiation is always exact; only the lane
@@ -40,12 +43,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.analysis import absint
-from repro.bitvector.bv import BitVector
 from repro.halide import ir as hir
 from repro.perf import global_counters
 from repro.smt.solver import EquivalenceChecker
-from repro.synthesis.cache import _appearance_order, _rename, canonical_key
+from repro.synthesis.cache import (
+    _appearance_order,
+    _rename,
+    canonical_key,
+    check_stored_program,
+)
 from repro.synthesis.program import (
     SConcat,
     SConstant,
@@ -55,7 +61,6 @@ from repro.synthesis.program import (
     SOp,
     SSlice,
     SSwizzle,
-    evaluate_program,
     program_to_term,
 )
 from repro.synthesis.scale import scale_spec, scaled_member_values
@@ -75,6 +80,13 @@ RULES_FILENAME = "rules.json"
 # collide with the positional input names (``in0``...).
 _HOLE_PREFIX = "__h"
 _MATCH_SEED = 0x52554C45  # "RULE"
+
+# Concrete trials run by check_stored_program before a program is
+# trusted: the matcher's gate on a scaled-up instantiation (the kind of
+# check CEGIS's full-scale fuzz applies after its own scale-up), and the
+# distiller's screen of each cached entry it generalises.
+MATCH_CHECK_TRIALS = 12
+DISTILL_CHECK_TRIALS = 4
 
 
 class KeyParseError(ValueError):
@@ -607,27 +619,6 @@ def rule_window(rule: Rule, hole_factory) -> hir.HExpr:
     return expr
 
 
-def window_env(expr: hir.HExpr, rng: random.Random) -> dict[str, BitVector]:
-    """A random concrete input environment for a window.
-
-    Loads bind the full register; broadcasts bind one element — the
-    binding convention of :func:`repro.halide.ir.interpret`.
-    """
-    env: dict[str, BitVector] = {}
-    for node in expr.walk():
-        if isinstance(node, hir.HLoad):
-            env.setdefault(
-                node.name,
-                BitVector(rng.getrandbits(node.type.bits), node.type.bits),
-            )
-        elif isinstance(node, hir.HBroadcast):
-            env.setdefault(
-                node.name,
-                BitVector(rng.getrandbits(node.elem_width), node.elem_width),
-            )
-    return env
-
-
 def verify_rule(
     rule: Rule,
     checker: EquivalenceChecker | None = None,
@@ -638,13 +629,13 @@ def verify_rule(
     """Decide whether a candidate rule is sound over its whole hole domain.
 
     Pre-screen first: boundary and random hole assignments are
-    instantiated concretely, screened abstractly
-    (:func:`~repro.analysis.absint.screen_cached_program`) and fuzzed
-    against the concrete window semantics — cheap rejection for the
-    common unsound candidate.  Survivors face the SMT ladder once, on a
-    window whose hole constants are broadcast *variables* sharing the
-    template holes' SMT names, so one equivalence query covers every
-    instantiation.
+    instantiated concretely and put through
+    :func:`~repro.synthesis.cache.check_stored_program` (structure, then
+    ``envs_per_sample`` random inputs against the concrete window
+    semantics) — cheap rejection for the common unsound candidate.
+    Survivors face the SMT ladder once, on a window whose hole constants
+    are broadcast *variables* sharing the template holes' SMT names, so
+    one equivalence query covers every instantiation.
     """
     rng = random.Random(seed)
     try:
@@ -672,17 +663,11 @@ def verify_rule(
             window = rule_window(
                 rule, lambda name, lanes, ew: hir.HConst(values[name], lanes, ew)
             )
-            problems = absint.screen_cached_program(window, program)
-            if problems:
-                return False, f"absint:{problems[0]}"
-            for _ in range(envs_per_sample):
-                env = window_env(window, rng)
-                got = evaluate_program(program, env).value
-                want = hir.interpret(window, env).value
-                if got != want:
-                    return False, "fuzz"
         except Exception as exc:  # noqa: BLE001 - any failure rejects the rule
             return False, f"error:{type(exc).__name__}"
+        problem = check_stored_program(program, window, rng, envs_per_sample)
+        if problem is not None:
+            return False, f"fuzz:{problem}"
 
     if checker is None:
         checker = EquivalenceChecker(
@@ -712,10 +697,6 @@ class RuleBook:
         self.fingerprint = fingerprint
         self.rules: list[Rule] = []
         self._index: dict[str, list[Rule]] = {}
-        # Concrete trials the matcher runs before serving a program —
-        # the same kind of gate CEGIS's full_scale_fuzz applies after
-        # its own scale-up.
-        self.spot_trials = 12
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -778,7 +759,7 @@ class RuleBook:
                 program = _rename(program, mapping)
             except Exception:  # noqa: BLE001 - try the next rule
                 continue
-            if _spot_check(program, spec, rng, self.spot_trials):
+            if check_stored_program(program, spec, rng, MATCH_CHECK_TRIALS) is None:
                 return program
         return None
 
@@ -881,19 +862,6 @@ def _bind_holes(
     return values
 
 
-def _spot_check(
-    program: SNode, spec: hir.HExpr, rng: random.Random, trials: int
-) -> bool:
-    for _ in range(trials):
-        env = window_env(spec, rng)
-        try:
-            if evaluate_program(program, env).value != hir.interpret(spec, env).value:
-                return False
-        except Exception:  # noqa: BLE001 - a crash is a failed match
-            return False
-    return True
-
-
 # ----------------------------------------------------------------------
 # The offline distiller
 # ----------------------------------------------------------------------
@@ -992,7 +960,9 @@ def distill_rules(
             # keep the entry at full width — the rule still generalizes
             # over constants, just not lanes.
             factor, base_window, base_program = 1, window, program
-        if not _spot_check(base_program, base_window, rng, 4):
+        if check_stored_program(
+            base_program, base_window, rng, DISTILL_CHECK_TRIALS
+        ) is not None:
             report.skip("corrupt")
             continue
         base_key = canonical_key(base_window, isa)

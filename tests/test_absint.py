@@ -1,4 +1,6 @@
-"""Tests for the abstract-interpretation engine (repro.analysis.absint).
+"""Tests for the abstract-interpretation engine (repro.analysis.absint),
+and for the concrete check every stored program passes before it is
+served (repro.synthesis.cache.check_stored_program).
 
 The centerpiece is the soundness property: for well over a thousand
 seeded random (expression, input) pairs drawn from the shipped spec
@@ -19,11 +21,9 @@ from repro.analysis.absint import (
     abstract_semantics,
     const,
     from_ints,
-    lane_values,
     make,
     pack_lanes,
     provably_disagrees,
-    screen_cached_program,
     top,
 )
 from repro.autollvm import build_dictionary
@@ -36,8 +36,12 @@ from repro.hydride_ir.interp import (
 )
 from repro.isa.fuzz import _random_inputs, derive_seed
 from repro.isa.registry import load_isa
-from repro.synthesis.cache import CacheEntry, canonical_key
-from repro.synthesis.program import SConstant, SInput
+from repro.synthesis.cache import (
+    CacheEntry,
+    canonical_key,
+    check_stored_program,
+)
+from repro.synthesis.program import SConstant, SInput, SOp
 
 SEED = 20240809
 PAIR_TARGET = 1000
@@ -94,28 +98,6 @@ class TestLattice:
         with pytest.raises(ValueError):
             const(1, 8).join(const(1, 16))
 
-    def test_widen_terminates_ascending_chain(self):
-        # An ascending chain must reach a fixpoint quickly: unstable
-        # bounds are thrown to the extremes rather than nudged, and the
-        # known-bit masks only ever shrink.
-        v = const(0, 16)
-        states = [v]
-        for i in range(1, 200):
-            v = v.widen(const(i, 16))
-            states.append(v)
-        distinct = len(set(states))
-        assert distinct <= 20, distinct
-        assert all(v.contains(i) for i in range(200))
-
-    def test_widen_covers_join(self):
-        a = from_ints([5, 9], 8)
-        b = from_ints([2, 30], 8)
-        w = a.widen(b)
-        j = a.join(b)
-        for x in range(256):
-            if j.contains(x):
-                assert w.contains(x)
-
     def test_from_ints_is_a_hull(self):
         values = [7, 12, 200]
         hull = from_ints(values, 8)
@@ -140,9 +122,9 @@ class TestLattice:
         lanes = [const(1, 8), const(2, 8), const(255, 8), top(8)]
         packed = pack_lanes(lanes)
         assert packed.width == 32
-        back = lane_values(packed, 8)
-        assert [v.const_value() for v in back[:3]] == [1, 2, 255]
-        assert all(back[3].contains(x) for x in range(256))
+        assert packed.contains(0x00FF0201)
+        assert packed.contains(0xAB_FF0201)
+        assert not packed.contains(0x00FF0202)
 
 
 # ----------------------------------------------------------------------
@@ -319,38 +301,55 @@ class TestMutationInjection:
 
 
 # ----------------------------------------------------------------------
-# Cache screening
+# The stored-program check (structure, then concrete trials)
 # ----------------------------------------------------------------------
+
+
+def _check(spec, program, trials=4):
+    return check_stored_program(program, spec, random.Random(0), trials)
+
+
+def _add_op(dictionary, args):
+    """``_mm_add_epi16`` applied to ``args`` (128-bit result)."""
+    name = "_mm_add_epi16"
+    op = dictionary.by_target_instruction[name]
+    binding = next(b for b in op.bindings if b.spec.name == name)
+    return SOp(op, binding, tuple(args), (), None, 128)
 
 
 class TestScreenCachedProgram:
     def test_identity_program_passes(self):
         spec = hir.HLoad("ld0", 8, 16)
-        assert screen_cached_program(spec, SInput("ld0", 8, 16)) == []
+        assert _check(spec, SInput("ld0", 8, 16)) is None
 
     def test_unknown_input_flagged(self):
         spec = hir.HLoad("ld0", 8, 16)
-        problems = screen_cached_program(spec, SInput("ghost", 8, 16))
-        assert any("unknown input" in p for p in problems)
+        assert "unknown input" in _check(spec, SInput("ghost", 8, 16))
 
     def test_width_mismatch_flagged(self):
         spec = hir.HLoad("ld0", 8, 16)
-        problems = screen_cached_program(spec, SInput("ld0", 4, 16))
-        assert any("width" in p for p in problems)
+        assert "width" in _check(spec, SInput("ld0", 4, 16))
 
     def test_output_width_mismatch_flagged(self):
         spec = hir.HLoad("ld0", 8, 16)
-        problems = screen_cached_program(spec, SConstant(0, 4, 16))
-        assert any("output width" in p for p in problems)
+        assert "output width" in _check(spec, SConstant(0, 4, 16))
 
     def test_provably_wrong_constant_flagged(self):
         spec = hir.HConst(3, 8, 16)
-        problems = screen_cached_program(spec, SConstant(5, 8, 16))
-        assert any("provably disagrees" in p for p in problems)
+        assert "differs" in _check(spec, SConstant(5, 8, 16))
 
     def test_matching_constant_passes(self):
         spec = hir.HConst(3, 8, 16)
-        assert screen_cached_program(spec, SConstant(3, 8, 16)) == []
+        assert _check(spec, SConstant(3, 8, 16)) is None
+
+    def test_structural_failures_draw_no_randomness(self):
+        # Callers share one RNG stream across candidates; a structural
+        # rejection must leave that stream where it was.
+        rng = random.Random(5)
+        spec = hir.HLoad("ld0", 8, 16)
+        assert check_stored_program(SInput("ghost", 8, 16), spec, rng, 3)
+        assert rng.random() == random.Random(5).random()
+
 
 
 class TestPersistentCacheScreen:
@@ -359,21 +358,23 @@ class TestPersistentCacheScreen:
             "add", hir.HLoad("ld0", 8, 16), hir.HLoad("ld1", 8, 16)
         )
 
-    def test_corrupt_entry_evicted_on_lookup(self, tmp_path, dictionary):
+    def _served(self, tmp_path, dictionary, program):
+        """Store ``program`` for the add window, then look it up."""
         from repro.service.store import PersistentCache, _key_hash
 
         spec = self._window()
         key = canonical_key(spec, "x86")
         cache = PersistentCache(tmp_path, "x86", dictionary)
-        # A program whose input width contradicts the specification —
-        # the shape a bit-rotted entry file takes after deserialization.
-        cache.put_entry(
-            key, CacheEntry(SInput("ld0", 4, 16), 1.0, ["ld0", "ld1"])
-        )
+        cache.put_entry(key, CacheEntry(program, 1.0, ["ld0", "ld1"]))
         entry_file = cache.dir / f"e-{_key_hash(key)}.json"
         assert entry_file.exists()
+        return cache.lookup(spec, "x86"), cache, key, entry_file
 
-        assert cache.lookup(spec, "x86") is None
+    def _assert_evicted(self, tmp_path, dictionary, program):
+        served, cache, key, entry_file = self._served(
+            tmp_path, dictionary, program
+        )
+        assert served is None
         counters = cache.counters()
         assert counters["screened"] == 1
         assert counters["screen_failures"] == 1
@@ -381,21 +382,42 @@ class TestPersistentCacheScreen:
         assert not entry_file.exists()
         assert key not in cache._entries
 
-    def test_plausible_entry_survives_screen(self, tmp_path, dictionary):
-        from repro.service.store import PersistentCache
+    def test_corrupt_entry_evicted_on_lookup(self, tmp_path, dictionary):
+        # A program whose input width contradicts the specification —
+        # the shape a bit-rotted entry file takes after deserialization.
+        self._assert_evicted(tmp_path, dictionary, SInput("ld0", 4, 16))
 
-        spec = self._window()
-        key = canonical_key(spec, "x86")
-        cache = PersistentCache(tmp_path, "x86", dictionary)
-        # Not equal to the spec, but not provably wrong either — the
-        # screen is a tripwire, not a verifier, so this must survive.
-        cache.put_entry(
-            key, CacheEntry(SInput("ld0", 8, 16), 1.0, ["ld0", "ld1"])
+    def test_plausible_entry_evicted_on_lookup(self, tmp_path, dictionary):
+        # Well-typed, reads only the spec's loads, and equal to ``add``
+        # on some inputs (ld1 == 0): only a concrete input refutes it.
+        self._assert_evicted(tmp_path, dictionary, SInput("ld0", 8, 16))
+
+    def test_same_shape_wrong_op_evicted_on_lookup(self, tmp_path, dictionary):
+        name = "_mm_sub_epi16"
+        op = dictionary.by_target_instruction[name]
+        binding = next(b for b in op.bindings if b.spec.name == name)
+        sub = SOp(
+            op, binding, (SInput("ld0", 8, 16), SInput("ld1", 8, 16)),
+            (), None, 128,
         )
-        entry = cache.lookup(spec, "x86")
-        assert entry is not None
+        self._assert_evicted(tmp_path, dictionary, sub)
+
+    def test_raising_entry_evicted_on_lookup(self, tmp_path, dictionary):
+        # One operand lost: evaluating it raises, which is a failed
+        # check, never a served hit.
+        truncated = _add_op(dictionary, [SInput("ld0", 8, 16)])
+        self._assert_evicted(tmp_path, dictionary, truncated)
+
+    def test_correct_entry_survives(self, tmp_path, dictionary):
+        program = _add_op(
+            dictionary, [SInput("ld0", 8, 16), SInput("ld1", 8, 16)]
+        )
+        served, cache, _key, entry_file = self._served(
+            tmp_path, dictionary, program
+        )
+        assert served is not None and served.program == program
         counters = cache.counters()
         assert counters["screened"] == 1
         assert counters["screen_failures"] == 0
         assert counters["hits"] == 1
-
+        assert entry_file.exists()

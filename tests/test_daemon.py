@@ -267,7 +267,11 @@ class TestMemoCacheLRU:
 # ----------------------------------------------------------------------
 
 
-def _fake_namespace(root, isa="x86", fingerprint="fp00", entries=2):
+# A namespace directory name: FINGERPRINT_DIR_CHARS lowercase hex chars.
+FP = "00f0" * 4
+
+
+def _fake_namespace(root, isa="x86", fingerprint=FP, entries=2):
     namespace = root / isa / fingerprint
     namespace.mkdir(parents=True)
     (namespace / "meta.json").write_text(
@@ -295,9 +299,9 @@ class TestCachePacks:
         target = tmp_path / "dst-cache"
         result = import_pack(target, pack)
         assert result["imported"] == 3
-        namespace = target / "x86" / "fp00"
+        namespace = target / "x86" / FP
         assert json.loads((namespace / "meta.json").read_text()) == {
-            "fingerprint": "fp00"
+            "fingerprint": FP
         }
         assert json.loads((namespace / "e-0001.json").read_text()) == {
             "program": 1
@@ -332,6 +336,35 @@ class TestCachePacks:
             import_pack(tmp_path / "dst", bad)
         with pytest.raises(PackError):
             import_pack(tmp_path / "dst", tmp_path / "missing.pack")
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("isa", "../escaped"),
+            ("isa", "{tmp}/escaped"),
+            ("isa", "mips"),
+            ("dir", "../../escaped00"),
+            ("dir", "ABCDEF0123456789"),
+            ("dir", "fp00"),
+        ],
+    )
+    def test_import_rejects_namespace_outside_root(self, tmp_path, field, value):
+        """A namespace's isa/dir become path components: only registered
+        ISAs and fingerprint-shaped dirs are accepted, and a bad
+        namespace anywhere in the pack means nothing is written."""
+        good = {
+            "isa": "x86", "dir": FP, "meta": {"fingerprint": FP},
+            "files": {"e-0000.json": {"program": 0}},
+        }
+        bad = dict(good, **{field: value.format(tmp=tmp_path)})
+        pack = tmp_path / "evil.pack"
+        pack.write_text(json.dumps({"version": 2, "namespaces": [good, bad]}))
+        root = tmp_path / "area" / "root"
+        root.mkdir(parents=True)
+        before = sorted(p for p in tmp_path.rglob("*"))
+        with pytest.raises(PackError):
+            import_pack(root, pack)
+        assert sorted(p for p in tmp_path.rglob("*")) == before
 
 
 # ----------------------------------------------------------------------

@@ -44,15 +44,17 @@ def _no_leftover_plan(monkeypatch):
 
 
 def _window(names=("ld0", "ld1")):
-    return hir.HBin(
-        "add", hir.HLoad(names[0], 16, 16), hir.HLoad(names[1], 16, 16)
-    )
+    """The window _program() computes: the low half of the first load,
+    then the high half of the second."""
+    return hir.HConcat((
+        hir.HSlice(hir.HLoad(names[0], 16, 16), 0, 8),
+        hir.HSlice(hir.HLoad(names[1], 16, 16), 8, 8),
+    ))
 
 
 def _program():
-    # Spec-consistent shape (declared load widths, 256-bit result): the
-    # abstract screen on PersistentCache.lookup evicts programs whose
-    # input or output widths contradict the window they are served for.
+    # Computes _window(): PersistentCache.lookup evaluates hits and
+    # evicts programs that differ from the window they are served for.
     return SConcat(
         SSlice(SInput("ld1", 16, 16), high=True),
         SSlice(SInput("ld0", 16, 16), high=False),

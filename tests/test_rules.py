@@ -30,6 +30,7 @@ from repro.synthesis import (
     dictionary_fingerprint,
     synthesize,
 )
+from repro.synthesis.cache import window_env
 from repro.synthesis.program import SInput, evaluate_program
 from repro.synthesis.rules import (
     Rule,
@@ -39,10 +40,11 @@ from repro.synthesis.rules import (
     program_signature,
     rule_window,
     verify_rule,
-    window_env,
 )
 
 OPTIONS = CegisOptions(timeout_seconds=30)
+# A namespace directory name: FINGERPRINT_DIR_CHARS lowercase hex chars.
+FP = "00f0" * 4
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +165,26 @@ class TestMatcher:
         fresh = _synth(window, dictionary, MemoCache())
         assert program_signature(served) == program_signature(fresh.program)
 
+    @pytest.mark.parametrize(
+        "op,const,lanes,program",
+        [
+            ("add", 67, 8, "_mm_add_epi16(%a, splat(67, <8 x i16>))"),
+            ("add", 119, 16, "_mm256_add_epi16(%a, splat(119, <16 x i16>))"),
+            ("mul", 109, 8, "_mm_mullo_epi16(%a, splat(109, <8 x i16>))"),
+            ("mul", 67, 16, "_mm256_mullo_epi16(%a, splat(67, <16 x i16>))"),
+        ],
+    )
+    def test_near_miss_windows_keep_their_programs(
+        self, distilled, op, const, lanes, program
+    ):
+        """The near_miss_windows bench's rule windows (unseen constants,
+        doubled lanes) are served exactly these programs: a change to the
+        match-time check's trials or RNG stream that alters what is
+        served fails here."""
+        book, _report = distilled
+        served = book.match(_const_window(op, const, lanes=lanes), "x86")
+        assert served is not None and served.describe() == program
+
     def test_unknown_shape_misses(self, distilled):
         book, _report = distilled
         counters = global_counters()
@@ -206,7 +228,7 @@ class TestPersistence:
         )
 
 
-def _fake_namespace(root, isa="x86", fingerprint="fp00", rules=True):
+def _fake_namespace(root, isa="x86", fingerprint=FP, rules=True):
     namespace = root / isa / fingerprint
     namespace.mkdir(parents=True)
     (namespace / "meta.json").write_text(
@@ -236,8 +258,8 @@ class TestCachePackRules:
         target = tmp_path / "dst"
         result = import_pack(target, pack)
         assert result["rulebooks"] == 1
-        shipped = target / "x86" / "fp00" / RULEBOOK_FILENAME
-        assert json.loads(shipped.read_text())["fingerprint"] == "fp00"
+        shipped = target / "x86" / FP / RULEBOOK_FILENAME
+        assert json.loads(shipped.read_text())["fingerprint"] == FP
 
     def test_pack_v1_still_imports(self, tmp_path):
         """Backward compat: a version-1 pack (no rules payload) loads."""
@@ -246,8 +268,8 @@ class TestCachePackRules:
             "version": 1,
             "namespaces": [{
                 "isa": "x86",
-                "dir": "fp00",
-                "meta": {"fingerprint": "fp00"},
+                "dir": FP,
+                "meta": {"fingerprint": FP},
                 "files": {"e-0000.json": {"program": 0}},
             }],
         }))

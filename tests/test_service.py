@@ -49,9 +49,10 @@ def _add_window(lanes=16, ew=16, names=("ld0", "ld1")):
 
 
 def _structural_program():
-    # Exercises every structural node kind while staying width-consistent
-    # with _add_window(): PersistentCache.lookup abstractly screens hits
-    # and evicts programs that contradict the window they are served for.
+    # Exercises every structural node kind.  It computes
+    # _structural_window(), which is what a cache must store it under:
+    # PersistentCache.lookup evaluates hits and evicts programs that
+    # differ from the window they are served for.
     return SConcat(
         SSwizzle(
             "interleave_full",
@@ -64,6 +65,18 @@ def _structural_program():
         ),
         SSlice(SInput("ld1", 16, 16), high=True),
     )
+
+
+def _structural_window(names=("ld0", "ld1")):
+    """The window _structural_program() computes, lane 0 first: the high
+    half of the second load, then lanes 12..15 of the first interleaved
+    with the constant 3."""
+    first, second = hir.HLoad(names[0], 16, 16), hir.HLoad(names[1], 16, 16)
+    quarter = hir.HConcat((hir.HSlice(first, 12, 4), hir.HConst(3, 4, 16)))
+    return hir.HConcat((
+        hir.HSlice(second, 8, 8),
+        hir.HShuffle(quarter, (0, 4, 1, 5, 2, 6, 3, 7)),
+    ))
 
 
 def _op_program(dictionary):
@@ -187,14 +200,14 @@ class TestMemoCacheAccounting:
 
 class TestPersistentCache:
     def test_persists_across_restart_with_rename(self, tmp_path, dictionary):
-        window = _add_window()
+        window = _structural_window()
         first = PersistentCache(tmp_path, "x86", dictionary)
         first.store(window, "x86", _structural_program(), 4.0)
 
         # A fresh instance over the same directory models a restart.
         second = PersistentCache(tmp_path, "x86", dictionary)
         assert len(second) == 1
-        renamed = _add_window(names=("p", "q"))
+        renamed = _structural_window(names=("p", "q"))
         hit = second.lookup(renamed, "x86")
         assert hit is not None
         names = {n.name for n in hit.program.walk() if isinstance(n, SInput)}
@@ -241,7 +254,7 @@ class TestPersistentCache:
         assert reopened.load_errors == 2
 
     def test_refresh_adopts_foreign_writes(self, tmp_path, dictionary):
-        window = _add_window()
+        window = _structural_window()
         reader = PersistentCache(tmp_path, "x86", dictionary)
         writer = PersistentCache(tmp_path, "x86", dictionary)
         writer.store(window, "x86", _structural_program(), 4.0)
