@@ -16,8 +16,10 @@ design promises, asserting at each step:
 4. **warm fork** — that daemon is restarted on its now-warm cache and
    the batch replayed several times at default admission limits: every
    answer comes from L2, no worker parses a vendor spec
-   (``runs.perf.specs_parsed == 0``) and nothing is rate-limited
-   (``admission.rejected.rate == 0``) — counts, not timings;
+   (``runs.perf.specs_parsed == 0``) or scans a grammar
+   (``runs.perf.grammar_builds == 0``: a hit never reads one) and
+   nothing is rate-limited (``admission.rejected.rate == 0``) — counts,
+   not timings;
 5. **rot** — one stored entry is rewritten with a well-typed but wrong
    program (a constant of the entry's width); a daemon restarted on that
    cache must refute it on lookup (``runs.cache_screen_failures >= 1``),
@@ -275,6 +277,7 @@ def main(argv: list[str] | None = None) -> int:
             _check_layout(fresh_cache, "restart replay", failures)
             bad = [f for f in frames if not f.get("ok")]
             parsed = stats["runs"]["perf"].get("specs_parsed", 0)
+            grammars = stats["runs"]["perf"].get("grammar_builds", 0)
             rate_rejected = stats["admission"]["rejected"]["rate"]
             if bad:
                 failures.append(
@@ -295,6 +298,11 @@ def main(argv: list[str] | None = None) -> int:
                     f"warm fork: workers parsed {parsed} vendor specs "
                     "(want zero — prewarm must cover everything they read)"
                 )
+            if grammars:
+                failures.append(
+                    f"warm fork: workers built {grammars} grammars "
+                    "(want zero — a cache hit never reads the grammar)"
+                )
             if rate_rejected or stats["admission"]["limits"]["tenant_rate"]:
                 failures.append(
                     f"admission: {rate_rejected} rate rejections at default "
@@ -303,7 +311,8 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"[smoke] restart replay: {len(frames)} submits, "
                 f"{stats['runs']['jobs']} worker runs, {parsed} specs "
-                f"parsed, {rate_rejected} rate rejections"
+                f"parsed, {grammars} grammars built, {rate_rejected} rate "
+                "rejections"
             )
         warm_runtimes = _runtimes(frames)
 

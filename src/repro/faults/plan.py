@@ -44,6 +44,9 @@ SITES: dict[str, tuple[str, ...]] = {
     "scheduler.worker.mute": ("hang",),
     # Crash after computing the result but before sending it.
     "scheduler.worker.send": ("exit",),
+    # After the result is sent and the pipe closed: the worker lingers
+    # ("slow") or never exits ("hang") while the parent has answered.
+    "scheduler.worker.exit": ("slow", "hang"),
     # Parent-side receive failure (torn pickle, closed pipe).
     "scheduler.recv": ("eof",),
     # Per-attempt faults inside execute_job's retry ladder: "timeout"

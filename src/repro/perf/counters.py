@@ -83,6 +83,10 @@ class PerfCounters:
     # worker forked from a warm parent must report zero: the dictionary
     # comes from the irgen artifact or the parent, never from a re-parse.
     specs_parsed: int = 0
+    # Grammars whose entries were computed (the BVS/SBOS scan of
+    # repro.synthesis.grammar).  A worker answering a fully cached job
+    # must report zero: a hit never reads the grammar.
+    grammar_builds: int = 0
 
     # ------------------------------------------------------------------
 

@@ -89,7 +89,7 @@ def _cmd_distill(args: argparse.Namespace) -> int:
     for isa in _isas(args):
         cache = _open_cache(args.cache_dir, isa, dictionary)
         book, report = distill_rules(
-            cache._entries.items(), isa, fingerprint=fingerprint,
+            cache.entries().items(), isa, fingerprint=fingerprint,
             seed=args.seed,
         )
         saved = None

@@ -104,6 +104,8 @@ class JobTelemetry:
     # Cache misses served solver-free by the distilled rulebook
     # (repro.synthesis.rules) instead of CEGIS.
     rule_hits: int = 0
+    # Entries this job wrote to the persistent store (positive and
+    # negative); 0 for a job answered entirely from it.
     entries_added: int = 0
     # Concrete checks of persistent-cache hits (PersistentCache.lookup):
     # hits re-checked, and hits evicted because the stored program
@@ -276,7 +278,7 @@ def execute_job(
     # Snapshot first, so whatever this process has to build before it can
     # compile is attributed to the job too: a dictionary the parent did
     # not prewarm (``specs_parsed``, irgen load) and open-time events
-    # (entry loads, reaped litter, absorbed faults).
+    # (reaped litter, absorbed faults).
     perf_before = perf_snapshot()
     dictionary = build_dictionary()
     cache = _open_cache(job, cache_dir, dictionary)
@@ -322,12 +324,12 @@ def execute_job(
         telemetry.synth_calls += max(
             0, after["misses"] - before["misses"] - rule_delta
         )
+        # Store counters exist only on PersistentCache; .get keeps the
+        # in-memory MemoCache path working.  Entries written, not the
+        # growth of the in-memory map: reads grow it too.
         telemetry.entries_added += (
-            after["entries"] - before["entries"]
-            + after["failures"] - before["failures"]
+            after.get("writes", 0) - before.get("writes", 0)
         )
-        # Screen counters exist only on PersistentCache; .get keeps the
-        # in-memory MemoCache path working.
         telemetry.cache_screened += (
             after.get("screened", 0) - before.get("screened", 0)
         )

@@ -47,8 +47,8 @@ KILL_GRACE = 1.5
 # whole run (the pre-faults scheduler returned None here and never
 # killed such workers).
 DEFAULT_KILL_SECONDS = 600.0
-# How long finish() waits for a worker to join before escalating from
-# SIGTERM to SIGKILL.
+# How long a worker that has reported (or been terminated) may take to
+# exit before the pool kills it.
 _JOIN_GRACE_SECONDS = 5.0
 
 
@@ -238,11 +238,14 @@ class WorkerPool:
     worker and, on each ``poll``, harvest whatever finished since the
     last call — receiving results, recovering EOF'd pipes and silent
     deaths via the baseline fallback, and hard-killing workers past
-    their wall backstop.  *When* to poll is the caller's business, and
-    both callers are event-driven: the batch :class:`Scheduler` blocks
-    in :meth:`wait`, while the daemon (:mod:`repro.daemon`) registers
-    each worker's :meth:`pipe` with its asyncio loop and never blocks
-    its connections.  Call :func:`prewarm` before the first ``launch``:
+    their wall backstop.  A result is handed out as soon as it is
+    received: the worker gives up its slot then, and its exit is joined
+    on a later ``poll`` (killed if it lingers past
+    ``_JOIN_GRACE_SECONDS``) or by ``shutdown``.  *When* to poll is the
+    caller's business, and both callers are event-driven: the batch
+    :class:`Scheduler` blocks in :meth:`wait`, while the daemon
+    (:mod:`repro.daemon`) registers each worker's :meth:`pipe` with its
+    asyncio loop and never blocks its connections.  Call :func:`prewarm` before the first ``launch``:
     workers are forked, so whatever the parent has built they inherit.
     """
 
@@ -254,6 +257,10 @@ class WorkerPool:
         )
         # token -> (process, parent_conn, started_at, job)
         self._running: dict[int, tuple] = {}
+        # Workers done with their job but not yet joined: (process, kill
+        # deadline).  They hold no slot; poll() joins them without
+        # blocking and kills any still alive past the deadline.
+        self._exiting: list[tuple] = []
         # Recovery accounting, folded into run stats by the caller.
         self.killed = 0
         self.worker_eofs = 0
@@ -302,19 +309,37 @@ class WorkerPool:
             handles += [conn, proc.sentinel]
             left = started_at + _kill_limit(job, self.options.kill_seconds) - now
             timeout = left if timeout is None else min(timeout, left)
+        for proc, deadline in self._exiting:
+            handles.append(proc.sentinel)
+            left = deadline - now
+            timeout = left if timeout is None else min(timeout, left)
         if handles:
             multiprocessing.connection.wait(handles, max(0.0, timeout))
 
-    def _reap(self, token: int) -> None:
+    def _release(self, token: int) -> None:
+        """Free ``token``'s slot and pipe; its process is joined later,
+        by :meth:`_join_exited`, so nobody waits for it to exit."""
         proc, conn, _started, _job = self._running.pop(token)
         try:
             conn.close()
         except OSError:
             pass
-        proc.join(timeout=_JOIN_GRACE_SECONDS)
-        if proc.is_alive():
-            proc.kill()
+        self._exiting.append((proc, time.monotonic() + _JOIN_GRACE_SECONDS))
+
+    def _join_exited(self, block: bool = False) -> None:
+        """Join every released worker that has exited; kill those past
+        their grace.  With ``block``, wait out each grace first."""
+        still = []
+        for proc, deadline in self._exiting:
+            if block:
+                proc.join(max(0.0, deadline - time.monotonic()))
+            if proc.is_alive() and time.monotonic() < deadline:
+                still.append((proc, deadline))
+                continue
+            if proc.is_alive():
+                proc.kill()
             proc.join()
+        self._exiting = still
 
     def poll(self) -> list[PoolEvent]:
         """Harvest every worker that finished since the last poll.
@@ -324,6 +349,7 @@ class WorkerPool:
         back as fallback results rather than exceptions — a pool user
         always gets exactly one event per launched token.
         """
+        self._join_exited()
         events: list[PoolEvent] = []
         for token in list(self._running):
             proc, conn, started_at, job = self._running[token]
@@ -342,7 +368,7 @@ class WorkerPool:
                     global_counters().fault_recoveries += 1
                     if proc.is_alive():
                         proc.terminate()
-                    self._reap(token)
+                    self._release(token)
                     events.append(PoolEvent(
                         token, job,
                         fallback_job_result(
@@ -365,13 +391,14 @@ class WorkerPool:
                         "worker sent "
                         f"{type(outcome).__name__} instead of a JobResult",
                     )
-                self._reap(token)
+                # Answer now; the worker is joined on a later poll.
+                self._release(token)
                 events.append(PoolEvent(token, job, outcome, kind=kind))
                 continue
             if not proc.is_alive() and not conn.poll(0):
                 # Worker died without reporting (crash/OOM).
                 exitcode = proc.exitcode
-                self._reap(token)
+                self._release(token)
                 events.append(PoolEvent(
                     token, job,
                     fallback_job_result(
@@ -387,7 +414,7 @@ class WorkerPool:
                 proc.terminate()
                 self.killed += 1
                 global_counters().fault_recoveries += 1
-                self._reap(token)
+                self._release(token)
                 events.append(PoolEvent(
                     token, job,
                     fallback_job_result(
@@ -398,12 +425,14 @@ class WorkerPool:
         return events
 
     def shutdown(self) -> None:
-        """Terminate every still-running worker (drain abandonment)."""
+        """Terminate every still-running worker (drain abandonment) and
+        join every worker, so none outlives the pool."""
         for token in list(self._running):
             proc, _conn, _started, _job = self._running[token]
             if proc.is_alive():
                 proc.terminate()
-            self._reap(token)
+            self._release(token)
+        self._join_exited(block=True)
 
 
 class Scheduler:
@@ -499,6 +528,7 @@ class Scheduler:
                 for other in running_indices:
                     running_keys.update(keys[other])
 
+        pool.shutdown()
         stats.killed += pool.killed
         stats.worker_eofs += pool.worker_eofs
         for key, value in perf_snapshot_delta(parent_before).items():
@@ -548,3 +578,5 @@ def _worker_main(conn, job: CompileJob, cache_dir, cegis) -> None:
     except (BrokenPipeError, OSError):
         # Parent is gone (or killed us mid-send); nothing left to report.
         os._exit(1)
+    # Reported: from here on the parent has answered and only joins us.
+    faults.trip("scheduler.worker.exit", detail=job.benchmark)

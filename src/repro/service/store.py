@@ -15,9 +15,12 @@ so a regenerated dictionary lands in a fresh namespace and stale entries
 are never replayed; ``gc`` removes namespaces whose fingerprint no longer
 matches the current dictionary.
 
-Writes are atomic (write-to-temp + ``os.replace``) and idempotent, which
-makes concurrent write-through from multiple worker processes safe: two
-workers racing on the same window write byte-identical files.
+Reads are per key: a cache reads a window's entry file when it is first
+asked for that window, never the whole namespace, so opening one costs
+the same however many entries it holds.  Writes are atomic
+(write-to-temp + ``os.replace``) and idempotent, which makes concurrent
+write-through from multiple worker processes safe: two workers racing on
+the same window write byte-identical files.
 """
 
 from __future__ import annotations
@@ -143,16 +146,22 @@ def reap_tmp(
 class PersistentCache(MemoCache):
     """A :class:`MemoCache` backed by an on-disk store.
 
-    On construction every entry persisted under the current fingerprint
-    is loaded; ``store``/``store_failure`` write through to disk.  Entries
-    that fail to deserialize (corrupt files, instructions that no longer
-    exist) are skipped — the window simply re-synthesizes and overwrites
-    them.  Negative entries carry the CEGIS budget they failed under, so
-    a timeout recorded by a reduced-budget retry never poisons a later
-    full-budget run (see :meth:`MemoCache.lookup_failure`).  Stale
-    ``.tmp-*`` litter from killed writers is reaped on open, and
-    ``refresh`` only parses files whose (size, mtime) signature changed
-    since they were last read.
+    Opening a namespace reads nothing but ``meta.json``: each
+    ``lookup``/``lookup_failure`` reads the one ``e-<hash>.json`` /
+    ``f-<hash>.json`` file of its key the first time this object is
+    asked for that key, and answers from memory after that.  A warm
+    job therefore costs one file read per window, however large the
+    namespace has grown, and an entry another process wrote after this
+    one opened is still found.  ``store``/``store_failure`` write
+    through to disk.  A file that fails to deserialize (corrupt,
+    unreadable, or an instruction that no longer exists) is never
+    served: it is counted once in ``load_errors`` and the window simply
+    re-synthesizes and overwrites it.  Negative entries carry the CEGIS
+    budget they failed under, so a timeout recorded by a reduced-budget
+    retry never poisons a later full-budget run (see
+    :meth:`MemoCache.lookup_failure`).  Readers that need every entry
+    (the rule distiller) call :meth:`entries`, the one full scan.
+    Stale ``.tmp-*`` litter from killed writers is reaped on open.
     """
 
     def __init__(
@@ -171,15 +180,17 @@ class PersistentCache(MemoCache):
         self.dir.mkdir(parents=True, exist_ok=True)
         self.load_errors = 0
         self.write_errors = 0
+        # Entries this object wrote (store / store_failure / put_entry).
+        self.writes = 0
         # Concrete checks of cache hits (see lookup()).
         self.screened = 0
         self.screen_failures = 0
-        # (size, mtime_ns) of every entry file already parsed — loads and
-        # refreshes only touch files whose signature changed.
-        self._seen_files: dict[str, tuple[int, int]] = {}
+        # Names of the entry files already read (or written) by this
+        # object: each is read at most once, so a corrupt file is
+        # charged to load_errors once.
+        self._read: set[str] = set()
         self.tmp_reaped = reap_tmp(self.dir)
         self._write_meta()
-        self._load()
 
     # -- disk I/O -------------------------------------------------------
 
@@ -211,67 +222,67 @@ class PersistentCache(MemoCache):
             self.write_errors += 1
             faults.recovered()
 
-    def _changed(self, path: Path) -> bool:
-        """True when ``path`` is new or rewritten since it was last
-        parsed; records the new signature.  A corrupt file is therefore
-        counted (and its error charged) exactly once until someone
-        overwrites it."""
-        try:
-            st = path.stat()
-        except OSError:
-            return False
-        signature = (st.st_size, st.st_mtime_ns)
-        if self._seen_files.get(path.name) == signature:
-            return False
-        self._seen_files[path.name] = signature
-        return True
+    def _write_entry(self, name: str, text: str) -> None:
+        self._read.add(name)
+        self.writes += 1
+        self._best_effort_write(self.dir / name, text)
 
-    def _load(self) -> int:
-        adopted = 0
-        for path in sorted(self.dir.glob("e-*.json")):
-            if not self._changed(path):
-                continue
-            try:
-                faults.trip("store.load", detail=path.name)
-                key, entry = entry_from_json(
-                    path.read_text(), self.dictionary
-                )
-            except (SerializeError, OSError):
-                self.load_errors += 1
-                faults.recovered()
-                continue
-            self._entries[key] = entry
-            adopted += 1
-        for path in sorted(self.dir.glob("f-*.json")):
-            if not self._changed(path):
-                continue
-            try:
-                faults.trip("store.load", detail=path.name)
-                obj = json.loads(path.read_text())
+    def _read_entry(self, path: Path) -> None:
+        """Parse one ``e-``/``f-`` file into memory, at most once.
+
+        A missing file is a plain miss; a corrupt or unreadable one is
+        charged to ``load_errors`` and adopts nothing.
+        """
+        if path.name in self._read:
+            return
+        try:
+            text = path.read_text()
+        except FileNotFoundError:
+            return  # nothing stored under this key (yet)
+        except OSError:
+            text = None
+        self._read.add(path.name)
+        try:
+            faults.trip("store.load", detail=path.name)
+            if text is None:
+                raise OSError(f"cannot read {path.name}")
+            if path.name.startswith("e-"):
+                key, entry = entry_from_json(text, self.dictionary)
+                self._entries[key] = entry
+            else:
+                obj = json.loads(text)
                 key = obj["key"]
                 budget = obj.get("budget")
                 budget = None if budget is None else float(budget)
-            except (
-                json.JSONDecodeError, KeyError, TypeError, ValueError, OSError,
-            ):
-                self.load_errors += 1
-                faults.recovered()
-                continue
-            self._failures.add(key)
-            self._failure_budgets[key] = budget
-            adopted += 1
-        return adopted
+                self._failures.add(key)
+                self._failure_budgets[key] = budget
+        except (
+            SerializeError, json.JSONDecodeError, KeyError, TypeError,
+            ValueError, OSError,
+        ):
+            self.load_errors += 1
+            faults.recovered()
 
-    def refresh(self) -> int:
-        """Pick up entries written by other processes since load.
+    def _read_key(self, key: str) -> None:
+        digest = _key_hash(key)
+        self._read_entry(self.dir / f"e-{digest}.json")
+        self._read_entry(self.dir / f"f-{digest}.json")
 
-        Returns the number of entries adopted.  Only files whose
-        signature changed are re-read, so refresh is idempotent: calling
-        it twice parses nothing twice and never re-charges ``load_errors``
-        for the same corrupt file.  Counters are kept, so a refresh never
-        perturbs hit/miss accounting.
+    def entries(self) -> dict[str, CacheEntry]:
+        """Every positive entry of the namespace, for bulk readers.
+
+        The one full scan: reads every ``e-``/``f-`` file this object
+        has not read yet (each corrupt file is counted once) and returns
+        the positive entries now in memory.
         """
-        return self._load()
+        for pattern in ("e-*.json", "f-*.json"):
+            for path in sorted(self.dir.glob(pattern)):
+                self._read_entry(path)
+        return dict(self._entries)
+
+    def lookup_failure(self, expr: hir.HExpr, isa: str) -> bool:
+        self._read_key(canonical_key(expr, isa))
+        return super().lookup_failure(expr, isa)
 
     # -- concrete check of hits ------------------------------------------
 
@@ -287,10 +298,11 @@ class PersistentCache(MemoCache):
         is evicted from memory and disk, and the hit becomes a miss: the
         window re-synthesizes instead of silently compiling wrong code.
         """
+        key = canonical_key(expr, isa)
+        self._read_key(key)
         entry = super().lookup(expr, isa)
         if entry is None:
             return None
-        key = canonical_key(expr, isa)
         digest = _key_hash(key)
         self.screened += 1
         problem = check_stored_program(
@@ -306,7 +318,8 @@ class PersistentCache(MemoCache):
         self.misses += 1
         self._entries.pop(key, None)
         name = f"e-{digest}.json"
-        self._seen_files.pop(name, None)
+        # Unread again: a re-synthesis by another process may land here.
+        self._read.discard(name)
         try:
             (self.dir / name).unlink()
         except OSError:
@@ -315,6 +328,7 @@ class PersistentCache(MemoCache):
 
     def counters(self) -> dict[str, int]:
         out = super().counters()
+        out["writes"] = self.writes
         out["screened"] = self.screened
         out["screen_failures"] = self.screen_failures
         return out
@@ -327,21 +341,22 @@ class PersistentCache(MemoCache):
         super().store(expr, isa, program, cost)
         key = canonical_key(expr, isa)
         entry = self._entries[key]
-        self._best_effort_write(
-            self.dir / f"e-{_key_hash(key)}.json", entry_to_json(key, entry)
-        )
+        digest = _key_hash(key)
+        self._write_entry(f"e-{digest}.json", entry_to_json(key, entry))
         # A success supersedes any persisted failure for the window
-        # (typically one recorded under a smaller retry budget).
+        # (typically one recorded under a smaller retry budget); it is
+        # never read back.
+        self._read.add(f"f-{digest}.json")
         try:
-            (self.dir / f"f-{_key_hash(key)}.json").unlink()
+            (self.dir / f"f-{digest}.json").unlink()
         except OSError:
             pass
 
     def store_failure(self, expr: hir.HExpr, isa: str) -> None:
         super().store_failure(expr, isa)
         key = canonical_key(expr, isa)
-        self._best_effort_write(
-            self.dir / f"f-{_key_hash(key)}.json",
+        self._write_entry(
+            f"f-{_key_hash(key)}.json",
             json.dumps(
                 # The recorded budget (the in-memory merge keeps the
                 # widest one); null = unconditional, always replayed.
@@ -353,9 +368,7 @@ class PersistentCache(MemoCache):
     def put_entry(self, key: str, entry: CacheEntry) -> None:
         """Adopt an already-canonicalized entry (service internal use)."""
         self._entries[key] = entry
-        self._best_effort_write(
-            self.dir / f"e-{_key_hash(key)}.json", entry_to_json(key, entry)
-        )
+        self._write_entry(f"e-{_key_hash(key)}.json", entry_to_json(key, entry))
 
 
 # ----------------------------------------------------------------------

@@ -81,6 +81,7 @@ class SynthStats:
     iterations: int = 0
     candidates: int = 0
     depth_reached: int = 0
+    # 0 = not built: a cache hit or rule match never reads the grammar.
     grammar_size: int = 0
     scale_factor: int = 1
     cache_hit: bool = False
@@ -1013,9 +1014,7 @@ def synthesize(
     def rule_result(program: SNode) -> SynthesisResult:
         cost = grammar.cost_model.cost(program)
         stats = SynthStats(
-            seconds=time.monotonic() - start,
-            grammar_size=grammar.size(),
-            verified="rule",
+            seconds=time.monotonic() - start, verified="rule"
         )
         if cache is not None:
             cache.store(spec, grammar.isa, program, cost)
@@ -1035,8 +1034,7 @@ def synthesize(
         hit = cache.lookup(spec, grammar.isa)
         if hit is not None:
             stats = SynthStats(
-                seconds=time.monotonic() - start, cache_hit=True,
-                grammar_size=grammar.size(),
+                seconds=time.monotonic() - start, cache_hit=True
             )
             return SynthesisResult(hit.program, hit.cost, stats, spec)
 

@@ -18,12 +18,15 @@ intractable.  Three pruning stages produce tractable grammars:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, partial
 
 from repro.autollvm.intrinsics import AutoLLVMDictionary, AutoLLVMOp, TargetBinding
 from repro.halide import ir as hir
 from repro.hydride_ir.interp import resolved_input_widths
 from repro.isa.registry import load_catalog
+from repro.perf import global_counters
 from repro.synthesis.cost import CostModel
 from repro.synthesis.program import SInput, SWIZZLE_PATTERNS
 
@@ -88,16 +91,18 @@ _FAMILY_SWIZZLES = {
 }
 
 
-def native_swizzles_for(isa: str) -> set[str]:
+@lru_cache(maxsize=None)
+def native_swizzles_for(isa: str) -> frozenset[str]:
     """Patterns the target catalog realizes with a single instruction.
 
     Reads ``spec.family`` off the generated (parse-free, memoised)
     catalog: a forked worker must never pay for ``load_isa`` here.
+    Memoised per ISA, like the catalog it reads.
     """
     native: set[str] = set()
     for spec in load_catalog(isa):
         native |= _FAMILY_SWIZZLES.get(spec.family, set())
-    return native
+    return frozenset(native)
 
 
 @dataclass(frozen=True)
@@ -183,13 +188,26 @@ class GrammarOptions:
 
 @dataclass
 class Grammar:
+    """The productions synthesis may use for one window.
+
+    ``entries`` — the BVS/SBOS scan over every equivalence class — is
+    computed on its first read: a window answered from a cache or a rule
+    never enumerates, so it never pays for the scan.  The cost model is
+    built eagerly (rule-served programs are costed with it).
+    """
+
     isa: str
-    entries: list[GrammarEntry]
     inputs: list[SInput]
     swizzle_patterns: tuple[str, ...]
     cost_model: CostModel
+    _scan: Callable[[], list[GrammarEntry]] = field(repr=False, compare=False)
     spec_out_bits: int = 0
     spec_out_elem_width: int = 0
+
+    @cached_property
+    def entries(self) -> list[GrammarEntry]:
+        global_counters().grammar_builds += 1
+        return self._scan()
 
     def size(self) -> int:
         """Number of target operations available (Table 5's grammar size)."""
@@ -274,8 +292,34 @@ def build_grammar(
     dictionary: AutoLLVMDictionary,
     options: GrammarOptions | None = None,
 ) -> Grammar:
-    """Generate the (pruned) grammar for one input window."""
+    """Generate the (pruned) grammar for one input window.
+
+    The entry scan is deferred to the first read of ``Grammar.entries``
+    (or ``size()``); everything else is built here.
+    """
     options = options or GrammarOptions()
+    inputs = [
+        SInput(name, load_type.lanes, load_type.elem_width)
+        for name, load_type in sorted(expr.loads().items())
+    ]
+    return Grammar(
+        isa=isa,
+        inputs=inputs,
+        swizzle_patterns=SWIZZLE_PATTERNS,
+        cost_model=CostModel(native_swizzles_for(isa)),
+        spec_out_bits=expr.type.bits,
+        spec_out_elem_width=expr.type.elem_width,
+        _scan=partial(_scan_entries, expr, isa, dictionary, options),
+    )
+
+
+def _scan_entries(
+    expr: hir.HExpr,
+    isa: str,
+    dictionary: AutoLLVMDictionary,
+    options: GrammarOptions,
+) -> list[GrammarEntry]:
+    """BVS screening and SBOS top-k over every class of ``isa``."""
     spec_ops, elem_widths, bit_sizes = _spec_profile(expr)
     min_elem = min(
         node.type.elem_width for node in expr.walk() if node.type.elem_width > 1
@@ -339,18 +383,4 @@ def build_grammar(
         entries.sort(key=lambda e: (-e.score, e.name))
         entries = entries[: options.top_n_by_score]
 
-    inputs = [
-        SInput(name, load_type.lanes, load_type.elem_width)
-        for name, load_type in sorted(expr.loads().items())
-    ]
-    native = native_swizzles_for(isa)
-    cost_model = CostModel(native)
-    return Grammar(
-        isa=isa,
-        entries=entries,
-        inputs=inputs,
-        swizzle_patterns=SWIZZLE_PATTERNS,
-        cost_model=cost_model,
-        spec_out_bits=expr.type.bits,
-        spec_out_elem_width=expr.type.elem_width,
-    )
+    return entries

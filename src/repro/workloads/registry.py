@@ -23,18 +23,30 @@ class Benchmark:
     # Element width of the vectorised dimension: lanes = vector_bits / this.
     vector_elem_width: int
     attributes: dict[str, object] = field(default_factory=dict)
+    # ISA -> its lowered stages, built on the first lower(isa).
+    _lowered: dict[str, tuple[LoweredKernel, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def lanes_for(self, isa: str) -> int:
         return TARGETS[isa].vector_bits // self.vector_elem_width
 
     def lower(self, isa: str) -> list[LoweredKernel]:
-        """All stages lowered for one target."""
-        lanes = self.lanes_for(isa)
-        kernels = []
-        for stage in self.stages:
-            func, extents = stage(lanes)
-            kernels.append(lower_func(func, extents))
-        return kernels
+        """All stages lowered for one target.
+
+        Lowered once per process and ISA: the daemon's parent lowers a
+        job to key its windows, and every worker it forks inherits that
+        lowering.  The list is fresh on each call; the kernels are
+        shared, so nothing may mutate one.
+        """
+        kernels = self._lowered.get(isa)
+        if kernels is None:
+            lanes = self.lanes_for(isa)
+            kernels = tuple(
+                lower_func(*stage(lanes)) for stage in self.stages
+            )
+            self._lowered[isa] = kernels
+        return list(kernels)
 
 
 def _collect() -> list[Benchmark]:

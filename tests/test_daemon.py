@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import signal
 import threading
 import time
 
@@ -647,6 +648,79 @@ class TestEventDrivenPump:
         assert after.get("ok") and not after["result"].get("error"), after
         assert elapsed < 5.0, f"stale reader: result waited {elapsed:.2f}s"
         assert daemon.server._watched == {}
+
+
+@pytest.mark.usefixtures("no_faults")
+class TestAnswerBeforeReap:
+    """A result is answered as soon as it arrives; the worker's exit is
+    joined on later polls, never on the event loop's critical path."""
+
+    @staticmethod
+    def _exiting(daemon):
+        return [proc for proc, _deadline in daemon.server._pool._exiting]
+
+    @staticmethod
+    def _wait_reaped(daemon, seconds: float) -> None:
+        deadline = time.monotonic() + seconds
+        while daemon.server._pool._exiting and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not daemon.server._pool._exiting
+
+    def test_a_lingering_worker_stalls_no_one(self, tmp_path):
+        faults.install_plan(FaultPlan([
+            FaultSpec("scheduler.worker.exit", "slow", match="add", delay=2.0)
+        ]))
+        pings: list[float] = []
+        stop = threading.Event()
+        with _LocalDaemon(cache_dir=str(tmp_path), jobs=2) as daemon:
+
+            def ping_loop() -> None:
+                with DaemonClient.connect(daemon.addr, timeout=60.0) as pinger:
+                    while not stop.is_set():
+                        started = time.monotonic()
+                        assert pinger.ping()
+                        pings.append(time.monotonic() - started)
+                        time.sleep(0.02)
+
+            pinger = threading.Thread(target=ping_loop)
+            pinger.start()
+            try:
+                with DaemonClient.connect(daemon.addr, timeout=60.0) as client:
+                    started = time.monotonic()
+                    frame = client.submit_many([LLVM_ADD])[0]
+                    elapsed = time.monotonic() - started
+                exiting = self._exiting(daemon)
+                active = daemon.server._pool.active
+                time.sleep(1.0)  # pings keep flowing while it lingers
+            finally:
+                stop.set()
+                pinger.join()
+            self._wait_reaped(daemon, 5.0)
+        assert frame.get("ok") and not frame["result"].get("error"), frame
+        assert elapsed < 0.5, f"answer waited for the exit: {elapsed:.2f}s"
+        assert pings and max(pings) < 0.5, f"ping stalled: {max(pings):.2f}s"
+        # Answered while the worker lingered, which held no slot; then
+        # joined once it exited.
+        (worker,) = exiting
+        assert active == 0
+        assert worker.exitcode == 0
+
+    def test_a_worker_that_never_exits_is_killed(self, tmp_path, monkeypatch):
+        from repro.service import scheduler
+
+        monkeypatch.setattr(scheduler, "_JOIN_GRACE_SECONDS", 0.2)
+        faults.install_plan(FaultPlan([
+            FaultSpec("scheduler.worker.exit", "hang", match="add", delay=60.0)
+        ]))
+        with _LocalDaemon(cache_dir=str(tmp_path), jobs=2) as daemon:
+            with DaemonClient.connect(daemon.addr, timeout=60.0) as client:
+                frame = client.submit_many([LLVM_ADD])[0]
+            (worker,) = self._exiting(daemon)
+            self._wait_reaped(daemon, 5.0)
+        # The worker's own answer, not a fallback.
+        assert frame.get("ok") and not frame["result"].get("error"), frame
+        assert frame["served_by"] == "synthesis"
+        assert worker.exitcode == -signal.SIGKILL
 
 
 @pytest.mark.usefixtures("no_faults")

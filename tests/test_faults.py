@@ -213,6 +213,7 @@ class TestStoreHardening:
         assert cache.lookup(_window(), "x86") is not None
         faults.clear_plan()
         reopened = PersistentCache(tmp_path, "x86", dictionary)
+        assert reopened.lookup(_window(), "x86") is None
         assert len(reopened) == 0
 
     def test_corrupt_entry_skipped_then_overwritten(self, tmp_path, dictionary):
@@ -222,23 +223,41 @@ class TestStoreHardening:
         first = PersistentCache(tmp_path, "x86", dictionary)
         first.store(_window(), "x86", _program(), 4.0)
         faults.clear_plan()
-        # The corrupt file is skipped (charged once), then the window
-        # re-synthesizes and the overwrite makes the entry readable.
+        # The corrupt file is skipped when its key is first looked up
+        # (charged once), then the window re-synthesizes and the
+        # overwrite makes the entry readable.
         second = PersistentCache(tmp_path, "x86", dictionary)
+        assert second.load_errors == 0
+        assert second.lookup(_window(), "x86") is None
+        assert second.lookup(_window(), "x86") is None
         assert len(second) == 0
         assert second.load_errors == 1
         second.store(_window(), "x86", _program(), 4.0)
         third = PersistentCache(tmp_path, "x86", dictionary)
+        assert third.lookup(_window(), "x86") is not None
         assert len(third) == 1
         assert third.load_errors == 0
 
     def test_load_faults_charged_as_load_errors(self, tmp_path, dictionary):
         seeded = PersistentCache(tmp_path, "x86", dictionary)
         seeded.store(_window(), "x86", _program(), 4.0)
-        faults.install_plan(FaultPlan([FaultSpec("store.load", "raise")]))
+        low_half = hir.HSlice(hir.HLoad("ld0", 16, 16), 0, 8)
+        seeded.store(
+            low_half, "x86", SSlice(SInput("ld0", 16, 16), high=False), 4.0
+        )
+        faults.install_plan(
+            FaultPlan([FaultSpec("store.load", "raise", count=0)])
+        )
         reopened = PersistentCache(tmp_path, "x86", dictionary)
+        assert reopened.load_errors == 0
+        assert reopened.lookup(_window(), "x86") is None
+        assert reopened.lookup(_window(), "x86") is None
         assert reopened.load_errors == 1
         assert len(reopened) == 0
+        # Cleared: another key is read (and served) normally.
+        faults.clear_plan()
+        assert reopened.lookup(low_half, "x86") is not None
+        assert reopened.load_errors == 1
 
     def test_stale_tmp_litter_reaped_on_open(self, tmp_path, dictionary):
         cache = PersistentCache(tmp_path, "x86", dictionary)

@@ -5,6 +5,7 @@ gc reaping, and the rule_hits telemetry flow."""
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -66,15 +67,21 @@ def _synth(window, dictionary, cache, rules=None):
 
 
 @pytest.fixture(scope="module")
-def distilled(dictionary):
-    """A small seed family synthesized cold, then distilled."""
+def seed_cache(dictionary):
+    """A small seed family synthesized cold, in memory."""
     cache = MemoCache()
     for op in ("add", "mul"):
         for const in (3, 5, 9):
             _synth(_const_window(op, const), dictionary, cache)
+    return cache
+
+
+@pytest.fixture(scope="module")
+def distilled(dictionary, seed_cache):
+    """The seed family, distilled."""
     fingerprint = dictionary_fingerprint(dictionary)
     book, report = distill_rules(
-        cache._entries.items(), "x86", fingerprint=fingerprint, seed=7
+        seed_cache._entries.items(), "x86", fingerprint=fingerprint, seed=7
     )
     return book, report
 
@@ -365,6 +372,42 @@ class TestRulesCli:
         payload = json.loads(capsys.readouterr().out)
         assert [item["isa"] for item in payload] == list(supported_isas())
         assert payload[-1]["book"]["fingerprint"] == fingerprint
+
+
+    def test_distill_reads_a_store_another_process_wrote(
+        self, tmp_path, dictionary, seed_cache, distilled, monkeypatch,
+        capsys,
+    ):
+        """``distill`` scans the whole namespace, not just the entries
+        its cache object happened to look up: a store written by another
+        process distills to the rulebook its entries give in memory."""
+        import multiprocessing
+
+        from repro.rules import cli
+        from repro.service.store import PersistentCache
+
+        def write() -> None:
+            cache = PersistentCache(tmp_path, "x86", dictionary)
+            for key, entry in seed_cache._entries.items():
+                cache.put_entry(key, entry)
+
+        writer = multiprocessing.get_context("fork").Process(target=write)
+        writer.start()
+        writer.join()
+        assert writer.exitcode == 0
+        fingerprint = dictionary_fingerprint(dictionary)
+        monkeypatch.setattr(cli, "_dictionary", lambda: (dictionary, fingerprint))
+        assert cli.main([
+            "distill", "--cache-dir", str(tmp_path), "--isa", "x86", "--json",
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        book, report = distilled
+        assert payload[0]["report"]["scanned"] == report.scanned == 6
+        assert payload[0]["book"]["rules"] == len(book) >= 1
+        saved = json.loads(Path(payload[0]["saved"]).read_text())
+        assert sorted(rule["key"] for rule in saved["rules"]) == sorted(
+            rule.key for rule in book.rules
+        )
 
 
 class TestTelemetryFlow:

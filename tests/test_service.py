@@ -16,7 +16,9 @@ from repro.service import (
     gc_store,
     store_stats,
 )
+from repro.service.store import _key_hash
 from repro.synthesis import CegisOptions, MemoCache
+from repro.synthesis.cache import canonical_key
 from repro.synthesis.program import (
     SConcat,
     SConstant,
@@ -204,12 +206,14 @@ class TestPersistentCache:
         first = PersistentCache(tmp_path, "x86", dictionary)
         first.store(window, "x86", _structural_program(), 4.0)
 
-        # A fresh instance over the same directory models a restart.
+        # A fresh instance over the same directory models a restart.  It
+        # reads an entry when it is first asked for its key, not on open.
         second = PersistentCache(tmp_path, "x86", dictionary)
-        assert len(second) == 1
+        assert len(second) == 0
         renamed = _structural_window(names=("p", "q"))
         hit = second.lookup(renamed, "x86")
         assert hit is not None
+        assert len(second) == 1
         names = {n.name for n in hit.program.walk() if isinstance(n, SInput)}
         assert names == {"p", "q"}
         assert second.hits == 1
@@ -237,47 +241,80 @@ class TestPersistentCache:
         stats = store_stats(tmp_path)
         assert [ns["fingerprint"][:1] for ns in stats["namespaces"]] == ["b"]
 
-    def test_corrupt_entries_skipped(self, tmp_path, dictionary):
+    @staticmethod
+    def _spoil(cache, window, text):
+        """Overwrite ``window``'s positive and negative entry files."""
+        digest = _key_hash(canonical_key(window, "x86"))
+        (cache.dir / f"e-{digest}.json").write_text(text)
+        (cache.dir / f"f-{digest}.json").write_text(text)
+
+    def _corrupt_entry_never_served(self, tmp_path, dictionary, text):
+        good = _structural_window()
+        bad = _add_window()
         cache = PersistentCache(tmp_path, "x86", dictionary)
-        (cache.dir / "e-0000.json").write_text("{not json")
-        (cache.dir / "f-0000.json").write_text("[]")
+        cache.store(good, "x86", _structural_program(), 4.0)
+        self._spoil(cache, bad, text)
         reopened = PersistentCache(tmp_path, "x86", dictionary)
+        # Opening parses nothing.
         assert len(reopened) == 0
+        assert reopened.load_errors == 0
+        # The corrupt key misses, charged once however often it is asked.
+        for _ in range(3):
+            assert reopened.lookup_failure(bad, "x86") is False
+            assert reopened.lookup(bad, "x86") is None
         assert reopened.load_errors == 2
+        # Another key is still a hit.
+        assert reopened.lookup(good, "x86") is not None
+        assert reopened.load_errors == 2
+
+    def test_corrupt_entries_skipped(self, tmp_path, dictionary):
+        self._corrupt_entry_never_served(tmp_path, dictionary, "{not json")
 
     def test_zero_length_entries_skipped(self, tmp_path, dictionary):
-        cache = PersistentCache(tmp_path, "x86", dictionary)
-        (cache.dir / "e-0000.json").write_text("")
-        (cache.dir / "f-0000.json").write_text("")
-        reopened = PersistentCache(tmp_path, "x86", dictionary)
-        assert len(reopened) == 0
-        assert reopened.load_errors == 2
+        self._corrupt_entry_never_served(tmp_path, dictionary, "")
 
-    def test_refresh_adopts_foreign_writes(self, tmp_path, dictionary):
+    def test_foreign_writes_after_open_are_hits(self, tmp_path, dictionary):
         window = _structural_window()
         reader = PersistentCache(tmp_path, "x86", dictionary)
         writer = PersistentCache(tmp_path, "x86", dictionary)
-        writer.store(window, "x86", _structural_program(), 4.0)
         assert reader.lookup(window, "x86") is None
-        assert reader.refresh() == 1
+        writer.store(window, "x86", _structural_program(), 4.0)
         assert reader.lookup(window, "x86") is not None
+        assert reader.load_errors == 0
 
-    def test_refresh_is_idempotent(self, tmp_path, dictionary):
-        # Pre-faults refresh() re-parsed every file on every call and
-        # re-charged load_errors for the same corrupt file each time.
+    def test_corrupt_entry_counted_once_per_key(self, tmp_path, dictionary):
+        window = _structural_window()
         reader = PersistentCache(tmp_path, "x86", dictionary)
+        self._spoil(reader, window, "{not json")
+        assert reader.lookup(window, "x86") is None
+        assert reader.load_errors == 2
+        assert reader.lookup(window, "x86") is None
+        assert reader.load_errors == 2
+        # Re-synthesis overwrites the corrupt file: this object serves
+        # it from memory, a restarted one reads it back cleanly.
+        reader.store(window, "x86", _structural_program(), 4.0)
+        assert reader.lookup(window, "x86") is not None
+        restarted = PersistentCache(tmp_path, "x86", dictionary)
+        assert restarted.lookup(window, "x86") is not None
+        assert restarted.load_errors == 0
+
+    def test_entries_scans_every_valid_entry_once(self, tmp_path, dictionary):
+        windows = [_structural_window(), _add_window()]
         writer = PersistentCache(tmp_path, "x86", dictionary)
-        writer.store(_add_window(), "x86", _structural_program(), 4.0)
-        (reader.dir / "e-bad.json").write_text("{not json")
-        assert reader.refresh() == 1
-        assert reader.load_errors == 1
-        assert reader.refresh() == 0
-        assert reader.load_errors == 1
-        # Overwriting the corrupt file changes its signature: re-read.
-        writer.store(
-            _add_window(names=("p", "q")), "x86", _structural_program(), 4.0
-        )
-        assert reader.refresh() == 1
+        writer.store(windows[0], "x86", _structural_program(), 4.0)
+        writer.store_failure(windows[1], "x86")
+        (writer.dir / "e-0000.json").write_text("{not json")
+        (writer.dir / "f-0000.json").write_text("[]")
+        reader = PersistentCache(tmp_path, "x86", dictionary)
+        scanned = reader.entries()
+        assert list(scanned) == [canonical_key(windows[0], "x86")]
+        assert reader.load_errors == 2
+        assert reader.entries() == scanned
+        assert reader.load_errors == 2
+        # The scan also filled the negative cache.
+        assert reader.lookup_failure(windows[1], "x86")
+        assert reader.lookup(windows[0], "x86") is not None
+        assert reader.load_errors == 2
 
     def test_store_stats_excludes_tmp_litter(self, tmp_path, dictionary):
         cache = PersistentCache(tmp_path, "x86", dictionary)
@@ -424,6 +461,58 @@ class TestWarmFork:
             assert outcome.telemetry.perf.get("specs_parsed", 0) == 0
         assert scheduler.last_stats.perf.get("specs_parsed", 0) == 0
         assert global_counters().specs_parsed == parsed_before
+
+    @staticmethod
+    def _forked(job, cache_dir, cegis):
+        """Run one job in a ``WorkerPool``-forked worker."""
+        from repro.service.scheduler import WorkerPool
+
+        pool = WorkerPool(ServiceOptions(
+            jobs=1, cache_dir=cache_dir, cegis=cegis, kill_seconds=120.0
+        ))
+        pool.launch(0, job)
+        events = []
+        while not events:
+            pool.wait()
+            events = pool.poll()
+        pool.shutdown()
+        (event,) = events
+        assert event.kind == "result"
+        return event.outcome
+
+    def test_warm_worker_does_only_its_lookups(self, tmp_path):
+        """A worker answering a fully cached job reads its windows' entries
+        by key and nothing else: no grammar scan, no spec parse, no
+        write — and it serves exactly what the cold compile stored."""
+        from repro.service import prewarm
+
+        job = CompileJob("average_pool", "x86")
+        cegis = CegisOptions(timeout_seconds=30, scale_factor=8)
+        prewarm(str(tmp_path))
+
+        def stored():
+            return {
+                path.name: path.read_bytes()
+                for path in tmp_path.glob("x86/*/[ef]-*.json")
+            }
+
+        cold = self._forked(job, str(tmp_path), cegis)
+        written = stored()
+        assert cold.ok and cold.telemetry.synth_calls >= 1
+        assert cold.telemetry.entries_added == len(written) >= 1
+        assert cold.telemetry.perf.get("grammar_builds", 0) >= 1
+
+        warm = self._forked(job, str(tmp_path), cegis)
+        telemetry = warm.telemetry
+        assert warm.ok
+        assert telemetry.perf.get("grammar_builds", 0) == 0
+        assert telemetry.perf.get("specs_parsed", 0) == 0
+        assert telemetry.synth_calls == 0
+        assert telemetry.entries_added == 0
+        assert telemetry.cache_hits == warm.result.expression_count >= 1
+        assert telemetry.cache_screened == telemetry.cache_hits
+        assert warm.result.runtime_us == cold.result.runtime_us
+        assert stored() == written
 
     def test_parse_spec_is_counted(self):
         from repro.isa.registry import load_catalog, parse_spec

@@ -1,5 +1,7 @@
 """Tests for the 33-benchmark workload suite."""
 
+import re
+
 import pytest
 
 from repro.halide import ir as hir
@@ -107,3 +109,82 @@ class TestKernelShapes:
         b1 = benchmark_named("matmul_b1").lower("x86")[0].work_items
         b4 = benchmark_named("matmul_b4").lower("x86")[0].work_items
         assert b4 == 4 * b1
+
+
+def _fresh_lowering(benchmark, isa):
+    """``benchmark.lower(isa)`` rebuilt from the stages, bypassing the
+    per-process memo."""
+    from repro.halide.lowering import lower_func
+
+    lanes = benchmark.lanes_for(isa)
+    return [lower_func(*stage(lanes)) for stage in benchmark.stages]
+
+
+def _dump(kernels) -> str:
+    """Every field of every kernel (window, loops, loads, schedule, ...).
+    Each ``RDom`` draws its axis names ``r<N>_<i>`` from a process-wide
+    counter, so a re-lowering renames them; ``<N>`` is dropped."""
+    return re.sub(r"\br\d+_(\d+)", r"r_\1", repr(kernels))
+
+
+class TestLoweringMemo:
+    """``Benchmark.lower`` lowers once per process and ISA.  The kernels
+    it hands out are shared (a forked worker inherits its parent's), so
+    no compiler may mutate one."""
+
+    def test_lower_twice_gives_equal_kernels(self):
+        from repro.isa.registry import supported_isas
+
+        for isa in supported_isas():
+            for benchmark in all_benchmarks():
+                first, second = benchmark.lower(isa), benchmark.lower(isa)
+                assert first is not second and first == second
+                assert _dump(first) == _dump(_fresh_lowering(benchmark, isa))
+
+    @pytest.mark.parametrize("compiler", ["llvm", "halide"])
+    def test_baseline_compiles_leave_kernels_untouched(self, compiler):
+        from repro.backend import HalideNativeCompiler, LlvmGenericCompiler
+        from repro.isa.registry import supported_isas
+
+        backend = (
+            LlvmGenericCompiler() if compiler == "llvm"
+            else HalideNativeCompiler()
+        )
+        for isa in supported_isas():
+            for benchmark in all_benchmarks():
+                for kernel in benchmark.lower(isa):
+                    backend.compile(kernel, isa).simulate()
+                assert _dump(benchmark.lower(isa)) == _dump(
+                    _fresh_lowering(benchmark, isa)
+                ), (benchmark.name, isa)
+
+    def test_hydride_compiles_match_an_unmemoised_run(self):
+        from repro.autollvm import build_dictionary
+        from repro.backend import HydrideCompiler
+        from repro.isa.registry import supported_isas
+        from repro.synthesis import CegisOptions, MemoCache
+        from repro.synthesis.rules import program_signature
+
+        dictionary = build_dictionary()
+
+        def compile_all(kernels, isa):
+            compiler = HydrideCompiler(
+                dictionary=dictionary,
+                cache=MemoCache(),
+                cegis=CegisOptions(timeout_seconds=30, scale_factor=8),
+            )
+            signatures, runtime_us = [], 0.0
+            for kernel in kernels:
+                compiled = compiler.compile(kernel, isa)
+                runtime_us += compiled.simulate().runtime_us
+                signatures += [program_signature(p) for p in compiled.programs]
+            return signatures, runtime_us
+
+        benchmark = benchmark_named("average_pool")
+        for isa in supported_isas():
+            unmemoised = _fresh_lowering(benchmark, isa)
+            memoised = compile_all(benchmark.lower(isa), isa)
+            assert memoised == compile_all(unmemoised, isa)
+            assert _dump(benchmark.lower(isa)) == _dump(
+                _fresh_lowering(benchmark, isa)
+            )
