@@ -27,6 +27,8 @@ class TargetBinding:
 
     member: ClassMember
     spec: InstructionSpec
+    # Memo slot owned by ``synthesis.grammar._binding_ops``.
+    _ops: frozenset[str] | None = field(default=None, repr=False, compare=False)
 
     @property
     def isa(self) -> str:
@@ -45,6 +47,7 @@ class AutoLLVMOp:
     class_id: int
     eq_class: EquivalenceClass
     bindings: list[TargetBinding] = field(default_factory=list)
+    _ops: frozenset[str] | None = field(default=None, repr=False, compare=False)
 
     @property
     def free_positions(self) -> list[int]:
@@ -60,13 +63,16 @@ class AutoLLVMOp:
     def bindings_for(self, isa: str) -> list[TargetBinding]:
         return [b for b in self.bindings if b.isa == isa]
 
-    def ops_used(self) -> set[str]:
-        ops: set[str] = set()
-        for node in self.eq_class.representative.body.walk():
-            op = getattr(node, "op", None)
-            if op is not None:
-                ops.add(op)
-        return ops
+    def ops_used(self) -> frozenset[str]:
+        """Operators in the representative's semantics (computed once:
+        an op is immutable once built)."""
+        if self._ops is None:
+            self._ops = frozenset(
+                op
+                for node in self.eq_class.representative.body.walk()
+                if (op := getattr(node, "op", None)) is not None
+            )
+        return self._ops
 
     def intrinsic_signature(self) -> str:
         """LLVM-style declaration used in module headers / TableGen."""
@@ -89,6 +95,10 @@ class AutoLLVMDictionary:
     # a dictionary is immutable once built, so its digest is computed
     # once per object (and inherited by every worker forked afterwards).
     _fingerprint: str | None = field(default=None, repr=False, compare=False)
+    # ops_for_isa memo, per ISA.
+    _by_isa: dict[str, tuple[AutoLLVMOp, ...]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -99,8 +109,13 @@ class AutoLLVMDictionary:
                 return op
         raise KeyError(name)
 
-    def ops_for_isa(self, isa: str) -> list[AutoLLVMOp]:
-        return [op for op in self.ops if isa in op.isas()]
+    def ops_for_isa(self, isa: str) -> tuple[AutoLLVMOp, ...]:
+        ops = self._by_isa.get(isa)
+        if ops is None:
+            ops = self._by_isa[isa] = tuple(
+                op for op in self.ops if isa in op.isas()
+            )
+        return ops
 
 
 def _family_label(bindings: list[TargetBinding]) -> str:

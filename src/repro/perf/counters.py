@@ -62,6 +62,13 @@ class PerfCounters:
     # freshly constructed solver.
     incremental_queries: int = 0
     fresh_queries: int = 0
+    # Lane-symmetric proofs (repro.smt.solver): lane-class SAT queries
+    # run, decompositions that fell back to the whole-vector query, and
+    # CEGIS full-width checks proved without sampling vs sampled.
+    lane_class_queries: int = 0
+    lane_fallbacks: int = 0
+    full_width_proved: int = 0
+    full_width_sampled: int = 0
     # Hash-consing: term constructions served from the intern table.
     term_intern_hits: int = 0
     term_intern_misses: int = 0

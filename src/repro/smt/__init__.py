@@ -12,7 +12,8 @@ this package implements the slice of QF_BV that Hydride needs:
 * :mod:`repro.smt.bitblast` — Tseitin translation of terms to CNF,
 * :mod:`repro.smt.solver` — the high-level equivalence/model interface
   (structural fast path, exhaustive enumeration for tiny input spaces,
-  bit-blasting otherwise, randomized fallback for unsupported operators).
+  bit-blasting otherwise — one lane per symmetry class where the pair
+  allows it — randomized fallback for unsupported operators).
 
 The paper's key tractability trick — scaling vectors down before solving —
 is exactly what makes a from-scratch solver adequate here: scaled queries

@@ -205,6 +205,12 @@ def _simplify_app(
     return apply_op(op, args, params)
 
 
+def simplify_extract(term: Term, high: int, low: int) -> Term:
+    """``simplify(extract(term, high, low))`` for an already simplified
+    ``term``, without walking it again."""
+    return _simplify_app("extract", [term], (high, low), high - low + 1)
+
+
 def structurally_equal(a: Term, b: Term) -> bool:
     """True when the two terms normalise to the identical tree."""
     return simplify(a) == simplify(b)

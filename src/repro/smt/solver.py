@@ -7,7 +7,11 @@ queries tractable:
 2. *fuzz*: a handful of random inputs finds a counterexample quickly,
 3. *exhaustive*: the symbolic input space is tiny (after lane scaling it
    usually is), so enumerate it completely,
-4. *sat*: bit-blast ``a != b`` and run CDCL,
+4. *sat*: bit-blast ``a != b`` and run CDCL.  A checker primed with a
+   lane width first splits the pair into output lanes, abstracts each
+   lane's input reads into fresh variables and proves one lane per
+   symmetry class (:meth:`EquivalenceChecker.prime`); anything short of
+   a proof of every class runs the whole-vector query instead,
 5. *probabilistic*: for operators with no circuit encoding (division,
    popcount), a large randomized battery; documented as incomplete.
 """
@@ -23,8 +27,8 @@ from repro.perf import global_counters, phase_timer
 from repro.smt.bitblast import BitBlaster, NotBitblastable
 from repro.smt.eval import evaluate
 from repro.smt.sat import CdclSolver, SatResult, SolverBudgetExceeded
-from repro.smt.simplify import simplify
-from repro.smt.terms import App, Term, apply_op
+from repro.smt.simplify import simplify, simplify_extract, substitute
+from repro.smt.terms import App, Term, Var, apply_op, var
 
 # Input spaces up to this many total bits are enumerated exhaustively.
 EXHAUSTIVE_BIT_LIMIT = 14
@@ -76,6 +80,132 @@ def _random_env(
             value = rng.getrandbits(width)
         env[name] = BitVector(value, width)
     return env
+
+
+# ----------------------------------------------------------------------
+# Lane-symmetric proofs
+# ----------------------------------------------------------------------
+
+# One symmetry class: an (abstract spec lane, abstract candidate lane)
+# pair.  Terms are hash-consed, so equal classes are equal tuples.
+LaneClass = tuple[Term, Term]
+
+
+def split_lanes(term: Term, lane_width: int) -> list[Term] | None:
+    """``term``'s ``lane_width``-bit output slices, lowest lane first, or
+    None when its width is not a whole number of lanes.
+
+    ``term`` must be simplified.  The top-level ``concat`` chain is
+    flattened once; only a part that spans several lanes (or straddles a
+    lane boundary) is cut, one extract per piece, so the split stays
+    linear in the size of the term.
+    """
+    if lane_width <= 0 or term.width % lane_width:
+        return None
+    parts: list[Term] = []  # high part first
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, App) and node.op == "concat":
+            high_part, low_part = node.args
+            stack.append(low_part)
+            stack.append(high_part)
+        else:
+            parts.append(node)
+    lanes: list[Term] = []
+    pieces: list[Term] = []  # the current lane's pieces, low first
+    filled = 0
+    for part in reversed(parts):
+        low = 0
+        while low < part.width:
+            take = min(part.width - low, lane_width - filled)
+            if take == part.width:
+                pieces.append(part)
+            else:
+                pieces.append(simplify_extract(part, low + take - 1, low))
+            low += take
+            filled += take
+            if filled == lane_width:
+                lane = pieces[0]
+                for piece in pieces[1:]:
+                    lane = apply_op("concat", [piece, lane])
+                lanes.append(lane)
+                pieces, filled = [], 0
+    return lanes
+
+
+def _is_input_read(node: Term) -> bool:
+    """A ``Var``, or an ``extract`` of one."""
+    return isinstance(node, Var) or (
+        isinstance(node, App)
+        and node.op == "extract"
+        and isinstance(node.args[0], Var)
+    )
+
+
+def _abstract_lane_pair(
+    spec_lane: Term, candidate_lane: Term
+) -> tuple[LaneClass, dict[str, Term]]:
+    """Replace every input read of the pair with a fresh variable.
+
+    Fresh variables are numbered by first occurrence over the spec lane,
+    then the candidate lane; the same read gets the same variable.
+    Returns the abstract pair and the bindings (fresh name -> read) that
+    map it back onto the concrete lane.
+    """
+    reads: dict[Term, Term] = {}
+    bindings: dict[str, Term] = {}
+    memo: dict[Term, Term] = {}
+
+    def run(node: Term) -> Term:
+        hit = memo.get(node)
+        if hit is not None:
+            return hit
+        if _is_input_read(node):
+            fresh = reads.get(node)
+            if fresh is None:
+                # '@' never occurs in an input name.
+                name = f"@{len(reads)}"
+                fresh = reads[node] = var(name, node.width)
+                bindings[name] = node
+            result = fresh
+        elif isinstance(node, App):
+            result = apply_op(node.op, [run(a) for a in node.args], node.params)
+        else:
+            result = node
+        memo[node] = result
+        return result
+
+    abstract = (run(spec_lane), run(candidate_lane))
+    return abstract, bindings
+
+
+def lane_classes(
+    candidate: Term, spec: Term, lane_width: int
+) -> tuple[list[LaneClass], int] | None:
+    """The distinct lane classes of a simplified pair, in first-lane
+    order, and the number of lanes; None when the pair does not split.
+
+    Every lane's abstraction is checked, never assumed: substituting the
+    lane's reads back into its abstract pair must give exactly that
+    lane's two terms.  A proof of an abstract pair ranges over
+    independent values of its fresh variables, so it covers every lane
+    that is an instance of it — overlapping reads included.
+    """
+    spec_lanes = split_lanes(spec, lane_width)
+    candidate_lanes = split_lanes(candidate, lane_width)
+    if spec_lanes is None or candidate_lanes is None:
+        return None
+    classes: dict[LaneClass, None] = {}
+    for spec_lane, candidate_lane in zip(spec_lanes, candidate_lanes):
+        abstract, bindings = _abstract_lane_pair(spec_lane, candidate_lane)
+        if (
+            substitute(abstract[0], bindings) != spec_lane
+            or substitute(abstract[1], bindings) != candidate_lane
+        ):
+            return None
+        classes[abstract] = None
+    return list(classes), len(spec_lanes)
 
 
 class IncrementalSatContext:
@@ -152,6 +282,9 @@ class IncrementalSatContext:
                 result = self.solver.solve(
                     max_conflicts, assumptions=(activation,)
                 )
+        except SolverBudgetExceeded as exc:
+            perf.sat_conflicts += exc.conflicts
+            raise
         finally:
             # Retire the guard: later queries must not inherit this one's
             # difference assertion.
@@ -192,6 +325,11 @@ class EquivalenceChecker:
         # The spec term to prime new contexts with (re-applied whenever an
         # oversized context is replaced).
         self._prime_term: Term | None = None
+        # Output lane width declared by prime(); None: no lane proofs.
+        self._lane_width: int | None = None
+        # One context per abstract spec lane, and the lane classes proved.
+        self._lane_contexts: dict[Term, IncrementalSatContext] = {}
+        self.proven: set[LaneClass] = set()
         # Verdicts per rung.  ``alpha`` is counted by the similarity engine's
         # rung in front of this ladder (repro.similarity.equivalence), which
         # also memoises its term lowerings in ``lowered`` so that the memo is
@@ -201,16 +339,18 @@ class EquivalenceChecker:
 
     # ------------------------------------------------------------------
 
-    def prime(self, spec: Term) -> None:
+    def prime(self, spec: Term, lane_width: int | None = None) -> None:
         """Declare the spec every SAT query will verify against.
 
         Incremental contexts created from now on blast ``spec`` first
-        (see :meth:`IncrementalSatContext.prime`).  No-op for
-        non-incremental checkers.
+        (see :meth:`IncrementalSatContext.prime`).  With ``lane_width``,
+        the SAT rung first tries to prove the pair one lane class at a
+        time (:meth:`_prove_lanes`).  No-op for non-incremental checkers.
         """
         if not self.incremental:
             return
         self._prime_term = simplify(spec)
+        self._lane_width = lane_width
         self._context = None  # rebuilt (and re-primed) lazily
 
     def _new_context(self) -> IncrementalSatContext:
@@ -279,9 +419,60 @@ class EquivalenceChecker:
                 return CheckResult(False, env, "exhaustive")
         return CheckResult(True, None, "exhaustive")
 
+    def proves(self, a: Term, b: Term) -> bool:
+        """True when ``a == b`` is already established without a query:
+        the two simplify to the same term, or every lane class of the
+        pair has been proved by an earlier SAT rung."""
+        if a.width != b.width:
+            return False
+        sa, sb = simplify(a), simplify(b)
+        if sa == sb:
+            return True
+        if self._lane_width is None:
+            return False
+        split = lane_classes(sa, sb, self._lane_width)
+        return split is not None and all(c in self.proven for c in split[0])
+
+    def _prove_lanes(self, a: Term, b: Term) -> bool:
+        """Prove the simplified pair one lane class at a time.
+
+        ``b`` is the spec side.  Decomposes only when there are fewer
+        classes than lanes; each class not yet in :attr:`proven` is
+        proved on a context primed with its abstract spec lane, under
+        the checker's conflict budget.  False — leaving the whole-vector
+        query to decide — unless every class is UNSAT.
+        """
+        split = lane_classes(a, b, self._lane_width)
+        if split is None or len(split[0]) >= split[1]:
+            return False
+        perf = global_counters()
+        for cls in split[0]:
+            if cls in self.proven:
+                continue
+            abstract_spec, abstract_candidate = cls
+            context = self._lane_contexts.get(abstract_spec)
+            if context is None or context.oversized():
+                context = IncrementalSatContext()
+                context.prime(abstract_spec)
+                self._lane_contexts[abstract_spec] = context
+            perf.lane_class_queries += 1
+            try:
+                result = context.check_not_equal(
+                    abstract_candidate, abstract_spec, self.max_conflicts
+                )
+            except (NotBitblastable, SolverBudgetExceeded):
+                result = None
+            if result is None or result.satisfiable:
+                perf.lane_fallbacks += 1
+                return False
+            self.proven.add(cls)
+        return True
+
     def _sat_check(
         self, a: Term, b: Term, variables: dict[str, int]
     ) -> CheckResult:
+        if self._lane_width is not None and self._prove_lanes(a, b):
+            return CheckResult(True, None, "sat")
         if self.incremental:
             if self._context is None or self._context.oversized():
                 self._context = self._new_context()
@@ -309,6 +500,7 @@ class EquivalenceChecker:
             with phase_timer("sat"):
                 result = solver.solve(self.max_conflicts)
         except SolverBudgetExceeded as exc:
+            perf.sat_conflicts += exc.conflicts
             raise SolverTimeout(str(exc)) from exc
         perf.sat_conflicts += result.conflicts
         if not result.satisfiable:

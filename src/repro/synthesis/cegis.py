@@ -1123,8 +1123,9 @@ def _lanewise_synthesis(
     spec_term = hir.to_term(spec_scaled)
     # Prime: blast the spec first so its Tseitin variables occupy the
     # lowest indices.  The branching heap breaks activity ties by lowest
-    # index, so this layout fixes the SAT search trajectory.
-    checker.prime(spec_term)
+    # index, so this layout fixes the SAT search trajectory.  The lane
+    # width lets the SAT rung prove one lane per symmetry class.
+    checker.prime(spec_term, spec_scaled.type.elem_width)
     rejected: set[int] = set()
 
     while True:
@@ -1189,10 +1190,21 @@ def _lanewise_synthesis(
         enumerator.add_env(cex)
         failing_lanes.add(lane)
 
-    # Lines 23-25: scale back up and verify at full width.
+    # Lines 23-25: scale back up and verify at full width.  A symbolic
+    # scaled verdict may already prove the full-width pair; otherwise
+    # (and after any other verdict) sample it.
     full = _scale_up(solution.node, factor)
     if factor > 1:
-        _check_full_width(full, spec, rng, options.full_scale_fuzz)
+        perf = global_counters()
+        with phase_timer("verify"):
+            proved = stats.verified in ("structural", "sat") and (
+                _proves_full_width(full, spec, checker)
+            )
+        if proved:
+            perf.full_width_proved += 1
+        else:
+            perf.full_width_sampled += 1
+            _check_full_width(full, spec, rng, options.full_scale_fuzz)
 
     stats.seconds = time.monotonic() - start
     stats.candidates = enumerator.total_candidates
@@ -1242,6 +1254,19 @@ def _fuzz_refute(node: SNode, spec: hir.HExpr, enumerator: _Enumerator, trials: 
         if evaluate_program(node, env).value != want:
             return env
     return None
+
+
+def _proves_full_width(
+    node: SNode, spec: hir.HExpr, checker: EquivalenceChecker
+) -> bool:
+    """True when the full-width pair is identical after simplification,
+    or every one of its lane classes was proved at the scaled width.
+    Runs no solver query; a lowering error is left to the sampler."""
+    try:
+        node_term, spec_term = program_to_term(node), hir.to_term(spec)
+    except Exception:
+        return False
+    return checker.proves(node_term, spec_term)
 
 
 def _check_full_width(node: SNode, spec: hir.HExpr, rng, trials: int) -> None:

@@ -259,13 +259,15 @@ def _spec_profile(expr: hir.HExpr):
     return bv_ops, elem_widths, bit_sizes
 
 
-def _binding_ops(binding: TargetBinding) -> set[str]:
-    ops: set[str] = set()
-    for node in binding.member.symbolic.body.walk():
-        op = getattr(node, "op", None)
-        if op is not None:
-            ops.add(op)
-    return ops
+def _binding_ops(binding: TargetBinding) -> frozenset[str]:
+    """Operators in the binding's semantics, memoised on the binding."""
+    if binding._ops is None:
+        binding._ops = frozenset(
+            op
+            for node in binding.member.symbolic.body.walk()
+            if (op := getattr(node, "op", None)) is not None
+        )
+    return binding._ops
 
 
 def _score(binding: TargetBinding, spec_ops, elem_widths, bit_sizes) -> int:

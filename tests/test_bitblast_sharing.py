@@ -272,22 +272,44 @@ class TestSpecFirstPriming:
         with pytest.raises(RuntimeError):
             ctx.prime(x)
 
-    def test_cegis_carry_identity_search_is_pinned(self):
+    @pytest.fixture(scope="class")
+    def carry_run(self):
         """The 4 x i32 near-miss window, synthesized with the
-        ``near_miss_windows`` options and no cache.  Recorded before the
-        cross-window clause store was deleted; dropping the prime call
-        changes the conflict count."""
+        ``near_miss_windows`` options and no cache, recording the pair
+        its SAT rung receives and the counter deltas."""
         from repro.autollvm import build_dictionary
         from repro.perf import global_counters
         from repro.synthesis import CegisOptions, build_grammar, synthesize
-        from repro.synthesis.rules import program_signature
 
         a, b = hir.HLoad("a", 4, 32), hir.HLoad("b", 4, 32)
         carry = hir.HBin("shl", hir.HBin("and", a, b), hir.HConst(1, 4, 32))
         window = hir.HBin("add", hir.HBin("xor", a, b), carry)
         grammar = build_grammar(window, "x86", build_dictionary())
-        before = global_counters().sat_conflicts
-        result = synthesize(window, grammar, CegisOptions(timeout_seconds=25.0))
+        pairs = []
+        real = EquivalenceChecker._sat_check
+
+        def recording(checker, left, right, variables):
+            pairs.append((left, right))
+            return real(checker, left, right, variables)
+
+        names = ("sat_conflicts", "lane_class_queries", "lane_fallbacks",
+                 "full_width_proved", "full_width_sampled")
+        perf = global_counters()
+        before = {name: getattr(perf, name) for name in names}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(EquivalenceChecker, "_sat_check", recording)
+            result = synthesize(window, grammar, CegisOptions(timeout_seconds=25.0))
+        delta = {name: getattr(perf, name) - before[name] for name in names}
+        return result, pairs, delta
+
+    def test_cegis_carry_identity_search_is_pinned(self, carry_run):
+        """The scaled 2 x i32 query splits into one lane class, proved
+        on a context primed with the abstract spec lane; the full-width
+        check reuses that proof.  Dropping the prime call changes the
+        conflict count."""
+        from repro.synthesis.rules import program_signature
+
+        result, pairs, delta = carry_run
         assert result.stats.verified == "sat"
         assert json.loads(program_signature(result.program)) == {
             "kind": "op", "spec": "_mm_add_epi32", "out_bits": 128,
@@ -297,4 +319,21 @@ class TestSpecFirstPriming:
                 for name in ("a", "b")
             ],
         }
-        assert global_counters().sat_conflicts - before == 2_560
+        assert len(pairs) == 1
+        assert delta == {
+            "sat_conflicts": 1_317, "lane_class_queries": 1,
+            "lane_fallbacks": 0, "full_width_proved": 1,
+            "full_width_sampled": 0,
+        }
+
+    def test_whole_vector_carry_identity_query_is_pinned(self, carry_run):
+        """The same query as one whole-vector check — what a lane
+        fallback runs — on a context primed with the whole spec term.
+        Recorded before the cross-window clause store was deleted."""
+        _result, pairs, _delta = carry_run
+        candidate, spec = pairs[0]
+        context = IncrementalSatContext()
+        context.prime(spec)
+        result = context.check_not_equal(candidate, spec, 4_000)
+        assert not result.satisfiable
+        assert result.conflicts == 2_560

@@ -94,6 +94,67 @@ class TestGrammar:
         assert len(grammar.swizzle_patterns) == 8
 
 
+def _walk_ops(body) -> set[str]:
+    return {op for node in body.walk() if (op := getattr(node, "op", None))}
+
+
+class TestGrammarScanMemo:
+    """``AutoLLVMOp.ops_used``, ``AutoLLVMDictionary.ops_for_isa`` and
+    ``grammar._binding_ops`` are memoised on their immutable objects; the
+    scan must produce exactly what it produces without the memos."""
+
+    @staticmethod
+    def _windows():
+        from bench_e2e import nearmiss
+        from bench_e2e.workloads import POPULATION
+        from repro.backend.hydride import rewrite_broadcasts
+        from repro.workloads.registry import benchmark_named
+
+        windows = []
+
+        def visit(window, isa):
+            windows.append((isa, window))
+            for kid in window.children():
+                if kid.size() > 1:
+                    visit(kid, isa)
+
+        for name, isa in POPULATION:
+            for kernel in benchmark_named(name).lower(isa):
+                visit(rewrite_broadcasts(kernel.window), isa)
+        near_miss = nearmiss.seed_family()
+        for seed in (11, 12, 13):
+            near_miss += nearmiss.stream(seed)
+        return windows + [(nearmiss.ISA, window) for window in near_miss]
+
+    @staticmethod
+    def _entries(window, isa, dictionary):
+        grammar = build_grammar(window, isa, dictionary)
+        return [(e.name, e.imm_values, e.score) for e in grammar.entries]
+
+    def test_entries_identical_to_an_unmemoised_scan(self, monkeypatch):
+        from repro.autollvm.intrinsics import AutoLLVMDictionary, AutoLLVMOp
+        from repro.synthesis import grammar as grammar_module
+
+        dictionary = build_dictionary()
+        windows = self._windows()
+        memoised = [self._entries(w, isa, dictionary) for isa, w in windows]
+        monkeypatch.setattr(
+            AutoLLVMOp, "ops_used",
+            lambda op: _walk_ops(op.eq_class.representative.body),
+        )
+        monkeypatch.setattr(
+            AutoLLVMDictionary, "ops_for_isa",
+            lambda d, isa: [op for op in d.ops if isa in op.isas()],
+        )
+        monkeypatch.setattr(
+            grammar_module, "_binding_ops",
+            lambda binding: _walk_ops(binding.member.symbolic.body),
+        )
+        plain = [self._entries(w, isa, dictionary) for isa, w in windows]
+        assert memoised == plain
+        assert all(memoised)
+
+
 class TestNativeSwizzlesParseFree:
     """``native_swizzles_for`` runs in every forked worker; it must read
     the generated catalog and never parse a vendor spec."""
