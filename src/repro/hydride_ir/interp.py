@@ -7,6 +7,9 @@ Two consumers need to execute semantics functions:
 * the Similarity Checking Engine and CEGIS verification lower them to
   symbolic :class:`repro.smt.Term` DAGs (:func:`to_term`) under a concrete
   parameter assignment — the paper's Phi(I, k) with k substituted.
+
+:func:`check_instantiable` decides whether :func:`to_term` would succeed
+without building the term, for callers that only need that fact.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from repro.hydride_ir.ast import (
     ForConcat,
     SemanticsFunction,
 )
+from repro.hydride_ir.indexexpr import IndexExpr
 
 
 class SemanticsError(Exception):
@@ -258,6 +262,68 @@ def to_term(
             for part in parts[1:]:
                 result = smt.apply_op("concat", [part, result])
             return result
+        raise SemanticsError(f"unknown expression node {type(expr).__name__}")
+
+    return run(func.body, param_env)
+
+
+def check_instantiable(
+    func: SemanticsFunction, params: Mapping[str, int] | None = None
+) -> int:
+    """The width of ``to_term(func, params)``, computed without building it:
+    the same walk and per-iteration ``ForConcat`` unrolling over widths and
+    index values only, raising exactly where :func:`to_term` would (every
+    operator's width and legality rule comes from
+    :func:`repro.smt.terms.result_width`)."""
+    param_env: dict[str, int] = dict(params if params is not None else func.params)
+    widths = resolved_input_widths(func, param_env)
+
+    def const_width(value: IndexExpr, width: IndexExpr, env: dict[str, int]) -> int:
+        value.evaluate(env)
+        bits = width.evaluate(env)
+        if bits < 0:  # smt.const masks with ``1 << width``
+            raise ValueError(f"negative constant width {bits} in {func.name}")
+        return bits
+
+    def run(expr: BvExpr, env: dict[str, int]) -> int:
+        if isinstance(expr, BvVar):
+            return widths[expr.name]
+        if isinstance(expr, BvConst):
+            return const_width(expr.value, expr.width, env)
+        if isinstance(expr, BvBroadcastConst):
+            elem = const_width(expr.value, expr.elem_width, env)
+            return elem * max(1, expr.num_elems.evaluate(env))
+        if isinstance(expr, BvExtract):
+            src = run(expr.src, env)
+            low = expr.low.evaluate(env)
+            width = expr.width.evaluate(env)
+            if low < 0 or low + width > src:
+                raise SemanticsError(
+                    f"extract [{low}, {low + width}) out of range "
+                    f"for width {src} in {func.name}"
+                )
+            return smt.result_width("extract", [src], (low + width - 1, low))
+        if isinstance(expr, (BvBinOp, BvCmp, BvUnOp)):
+            return smt.result_width(expr.op, [run(c, env) for c in expr.children()])
+        if isinstance(expr, BvCast):
+            return smt.result_width(
+                expr.op, [run(expr.operand, env)], (expr.new_width.evaluate(env),)
+            )
+        if isinstance(expr, BvIte):
+            return smt.result_width("ite", [run(c, env) for c in expr.children()])
+        if isinstance(expr, ForConcat):
+            count = expr.count.evaluate(env)
+            if count <= 0:
+                raise SemanticsError(f"loop count {count} in {func.name}")
+            body_env = dict(env)
+            total = 0
+            for i in range(count):
+                body_env[expr.var] = i
+                total += run(expr.body, body_env)
+            return total
+        if isinstance(expr, BvConcat):
+            parts = [run(p, env) for p in expr.parts]
+            return parts[0] + sum(parts[1:])  # empty: IndexError, as to_term
         raise SemanticsError(f"unknown expression node {type(expr).__name__}")
 
     return run(func.body, param_env)

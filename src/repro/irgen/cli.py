@@ -72,6 +72,18 @@ def _rungs(checker_stats: dict) -> str:
     return "/".join(f"{k}:{v}" for k, v in checker_stats.items() if v) or "-"
 
 
+_WALLS = (
+    ("parse", "parse_wall"), ("check", "check_wall"), ("refine", "refine"), ("merge", "merge"),
+)
+
+
+def _walls(phase_seconds: dict) -> str:
+    """Where a cold build's wall time went, e.g. ``parse:2.41s/check:0.37s``."""
+    return "/".join(
+        f"{name}:{phase_seconds[key]:.2f}s" for name, key in _WALLS if key in phase_seconds
+    ) or "-"
+
+
 def cmd_build(args) -> int:
     root = _resolve_root(args)
     _check_isas(args.isas)
@@ -85,6 +97,7 @@ def cmd_build(args) -> int:
         f" from {artifact.stats.instructions} instructions in {elapsed:.2f}s"
         f" (checks={artifact.stats.checks},"
         f" rungs={_rungs(artifact.stats.checker_stats)},"
+        f" walls={_walls(artifact.phase_seconds)},"
         f" truncations={artifact.stats.attempt_truncations},"
         f" fingerprint={artifact.fingerprint[:16]})"
     )
@@ -132,6 +145,7 @@ def cmd_stats(args) -> int:
             f"  instructions={entry.get('instructions', '?')}"
             f"  checks={stats.get('checks', '?')}"
             f"  rungs={_rungs(stats.get('checker_stats', {}))}"
+            f"  walls={_walls(entry.get('phase_seconds', {}))}"
             f"  truncations={stats.get('attempt_truncations', '?')}"
             f"  uninstantiable={stats.get('uninstantiable', '?')}"
             f"  build_s={stats.get('seconds', '?')}"

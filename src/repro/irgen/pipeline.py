@@ -1,6 +1,6 @@
 """The parallel offline IR-generation pipeline.
 
-Four phases, each timed into :mod:`repro.perf` (``irgen_*`` counters):
+Five phases, each timed into :mod:`repro.perf` (``irgen_*`` counters):
 
 ``parse``
     Per-ISA spec parsing + canonicalisation + constant extraction, fanned
@@ -25,11 +25,15 @@ Four phases, each timed into :mod:`repro.perf` (``irgen_*`` counters):
     pass-2 merges always fold the later class into the earlier one, so
     this reproduces the serial engine's class ordering bit-for-bit.
 
+``refine``
+    Each class representative's offset-hole refinement, one pool task per
+    class.
+
 ``merge``
     Pass 3 (offset-hole refinement) merges *across* the original groups —
     hole insertion changes signatures — so it runs in the parent over the
-    combined classes.  The per-class hole synthesis is precomputed in the
-    pool; only the cross-class merge loop is serial.
+    combined classes, from the refinements precomputed in the pool; only
+    the cross-class merge loop is serial.
 """
 
 from __future__ import annotations
@@ -224,9 +228,9 @@ def build_artifact(jobs: int = 1, extra: tuple[str, ...] = ()) -> IrgenArtifact:
     phases["check"] = worker_stats["seconds"]
     phases["check_wall"] = time.monotonic() - check_began
 
-    # -- merge (pass 3 + finalisation, centralised) -------------------
-    with phase_timer("irgen_merge"):
-        merge_began = time.monotonic()
+    # -- refine (per-representative hole synthesis, pooled) ------------
+    with phase_timer("irgen_refine"):
+        refine_began = time.monotonic()
         refinements = _pool_map(
             _refine_task,
             [(pos, cls.representative) for pos, cls in enumerate(classes)],
@@ -236,6 +240,11 @@ def build_artifact(jobs: int = 1, extra: tuple[str, ...] = ()) -> IrgenArtifact:
             pos: symbolic for pos, symbolic, _skipped in refinements
             if symbolic is not None
         }
+        phases["refine"] = time.monotonic() - refine_began
+
+    # -- merge (pass 3 + finalisation, centralised) -------------------
+    with phase_timer("irgen_merge"):
+        merge_began = time.monotonic()
         engine = SimilarityEngine(_fresh_checker())
         engine.stats.instructions = len(symbolics)
         engine.stats.uninstantiable = sum(s for _p, _r, s in refinements)

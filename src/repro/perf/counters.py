@@ -25,9 +25,9 @@ PHASES = (
     "enumeration", "dedup", "blast", "sat", "verify",
     # Offline IR generation (repro.irgen): spec parse/canonicalize,
     # constant extraction, shard bucketing, pass-1/2 equivalence checking,
-    # hole refinement + deterministic merge, and artifact loading.
+    # hole refinement, deterministic merge, and artifact loading.
     "irgen_parse", "irgen_extract", "irgen_bucket", "irgen_check",
-    "irgen_merge", "irgen_load",
+    "irgen_refine", "irgen_merge", "irgen_load",
 )
 
 

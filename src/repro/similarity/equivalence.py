@@ -10,7 +10,9 @@ and vice versa.
 
 from __future__ import annotations
 
-from repro.hydride_ir.interp import SemanticsError, to_term
+import itertools
+
+from repro.hydride_ir.interp import SemanticsError, check_instantiable, to_term
 from repro.smt.solver import EquivalenceChecker, SolverTimeout
 from repro.similarity.constants import SymbolicSemantics
 
@@ -40,20 +42,50 @@ def instantiate_term(
     return to_term(func, assignment, rename)
 
 
+# What an invalid instantiation raises, from the walk and from lowering alike.
+_INVALID = (SemanticsError, ValueError, KeyError, IndexError)
+
+
+def instantiable(
+    symbolic: SymbolicSemantics,
+    values: tuple[int, ...],
+    checker: EquivalenceChecker,
+) -> bool:
+    """Whether Sigma(I, alpha) instantiates validly at ``values``.
+
+    Decided by :func:`check_instantiable`, which builds no term, at most
+    once per checker for each ``(alpha_key, values)``; a term already in
+    :func:`lowered`'s memo answers at once."""
+    key = (symbolic.alpha_key, values)
+    if key not in checker.instantiable:
+        term_key = key + (None,)
+        if term_key in checker.lowered:
+            checker.instantiable[key] = checker.lowered[term_key] is not None
+        else:
+            assignment = dict(zip(symbolic.param_names, values))
+            try:
+                check_instantiable(symbolic.to_function(assignment), assignment)
+                checker.instantiable[key] = True
+            except _INVALID:
+                checker.instantiable[key] = False
+    return checker.instantiable[key]
+
+
 def lowered(
     symbolic: SymbolicSemantics,
     values: tuple[int, ...],
     order: tuple[int, ...] | None,
     checker: EquivalenceChecker,
 ):
-    """:func:`instantiate_term`, at most once per checker (one engine or
-    shard worker) for each distinct ``(alpha_key, values, order)`` — equal
-    keys lower to the same term.  None when the instantiation is invalid."""
+    """:func:`instantiate_term` for a pair that reaches the solver ladder,
+    at most once per checker (one engine or shard worker) for each distinct
+    ``(alpha_key, values, order)`` — equal keys lower to the same term.
+    None when the instantiation is invalid."""
     key = (symbolic.alpha_key, values, order)
     if key not in checker.lowered:
         try:
             checker.lowered[key] = instantiate_term(symbolic, values, order)
-        except (SemanticsError, ValueError, KeyError, IndexError):
+        except _INVALID:
             checker.lowered[key] = None
     return checker.lowered[key]
 
@@ -77,10 +109,7 @@ def check_similar(
         # ladder below could only refuse over an invalid instantiation —
         # which, the sides being interchangeable, is one of these two.
         checker.stats["alpha"] += 1
-        return all(
-            lowered(s, s.values_vector(), None, checker) is not None
-            for s in (a, b)
-        )
+        return all(instantiable(s, s.values_vector(), checker) for s in (a, b))
     assignments = {a.values_vector(), b.values_vector()}
     for values in sorted(assignments):
         term_a = lowered(a, values, None, checker)
@@ -105,8 +134,6 @@ def find_similar_permutation(
     """Search non-identity argument orders of ``b`` that make it similar
     to ``a`` (e.g. x86 ``andnot`` = NOT(a) AND b vs ARM ``bic`` =
     a AND NOT(b)).  Immediate operands keep their positions."""
-    import itertools
-
     if a.signature() != b.signature():
         return None
     arity = len(b.inputs)

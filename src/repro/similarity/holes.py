@@ -19,21 +19,29 @@ occupies the canonical position.
 from __future__ import annotations
 
 from repro.hydride_ir.ast import (
+    BvBroadcastConst,
+    BvCast,
+    BvConst,
     BvExpr,
     BvExtract,
     BvVar,
+    ForConcat,
+    Input,
     SemanticsFunction,
 )
 from repro.hydride_ir.indexexpr import (
     IBin,
     IConst,
     IndexExpr,
+    normalize_affine,
+    simplify_index,
     substitute_index,
 )
+from repro.hydride_ir.interp import resolved_input_widths
 from repro.hydride_ir.transforms.rewrite import rewrite_bottom_up
 from repro.smt.solver import EquivalenceChecker
 from repro.similarity.constants import SymbolicSemantics, extract_constants
-from repro.similarity.equivalence import lowered
+from repro.similarity.equivalence import instantiable, lowered
 
 
 def _has_trailing_const(expr: IndexExpr) -> bool:
@@ -44,39 +52,55 @@ def _has_trailing_const(expr: IndexExpr) -> bool:
     )
 
 
-def _concretize_body(symbolic: SymbolicSemantics) -> BvExpr:
-    """Substitute the instruction's own parameter values back into its body."""
+def _concretize_body(symbolic: SymbolicSemantics, normalize: bool = False) -> BvExpr:
+    """Substitute the instruction's own parameter values back into its body
+    (and normalise every index expression when ``normalize``)."""
     bindings = {name: IConst(v) for name, v in symbolic.param_values.items()}
 
-    def fix(node: BvExpr) -> BvExpr:
-        index_exprs = node.index_exprs()
-        if not index_exprs:
-            return node
-        from repro.hydride_ir.transforms.rewrite import reconstruct
-        from repro.hydride_ir.ast import (
-            BvBroadcastConst,
-            BvCast,
-            BvConcat,
-            BvConst,
-            ForConcat,
-        )
+    def index(expr: IndexExpr) -> IndexExpr:
+        expr = substitute_index(expr, bindings)
+        return normalize_affine(simplify_index(expr)) if normalize else expr
 
-        new_indexes = [substitute_index(ie, bindings) for ie in index_exprs]
-        kids = list(node.children())
+    def fix(node: BvExpr) -> BvExpr:
         if isinstance(node, BvConst):
-            return BvConst(new_indexes[0], new_indexes[1])
+            return BvConst(index(node.value), index(node.width))
         if isinstance(node, BvBroadcastConst):
-            return BvBroadcastConst(new_indexes[0], new_indexes[1], new_indexes[2])
+            return BvBroadcastConst(
+                index(node.value), index(node.elem_width), index(node.num_elems)
+            )
         if isinstance(node, BvExtract):
-            return BvExtract(kids[0], new_indexes[0], new_indexes[1])
+            return BvExtract(node.src, index(node.low), index(node.width))
         if isinstance(node, BvCast):
-            return BvCast(node.op, kids[0], new_indexes[0])
+            return BvCast(node.op, node.operand, index(node.new_width))
         if isinstance(node, ForConcat):
-            return ForConcat(node.var, new_indexes[0], kids[0])
-        del BvConcat, reconstruct
+            return ForConcat(node.var, index(node.count), node.body)
         return node
 
     return rewrite_bottom_up(symbolic.body, fix)
+
+
+def _lowers_identically(a: SymbolicSemantics, b: SymbolicSemantics) -> bool:
+    """For two instructions instantiable at their own values: True when
+    they lower there to one interned term, decided on the IR.
+
+    Lowering reads input names and widths and each index expression's
+    value under the iterator bindings, so equal inputs and equal bodies
+    (parameter values substituted, index expressions normalised) build the
+    same term node by node.  An iterator named like a parameter would be
+    substituted too: such a body answers False."""
+    if any(
+        isinstance(node, ForConcat) and node.var in s.param_values
+        for s in (a, b) for node in s.body.walk()
+    ):
+        return False
+    first, second = (
+        (
+            list(resolved_input_widths(s.to_function(), s.param_values).items()),
+            _concretize_body(s, normalize=True),
+        )
+        for s in (a, b)
+    )
+    return first == second
 
 
 def insert_offset_holes(
@@ -108,8 +132,6 @@ def insert_offset_holes(
         return None
 
     concrete_inputs = []
-    from repro.hydride_ir.ast import Input
-
     for inp in symbolic.inputs:
         width = substitute_index(
             inp.width, {n: IConst(v) for n, v in symbolic.param_values.items()}
@@ -131,22 +153,28 @@ def synthesize_offset_hole(
     The hole must preserve the instruction's own semantics, so the only
     admissible constant is one for which the refined instruction is
     equivalent to the original at its own parameter values — the paper's
-    ``%hole = add i32 %low.i, i32 0``.  None when no extract wants a hole
-    (nothing is lowered) or the original cannot be instantiated at all.
+    ``%hole = add i32 %low.i, i32 0``.  Identity is decided on the IR when
+    it can be (counted ``structural``, the verdict the ladder gives one
+    interned term twice); only a refinement that changes the body is
+    lowered and checked.  None when no extract wants a hole or the
+    original cannot be instantiated at all.
     """
     for candidate in candidates:
         refined = insert_offset_holes(symbolic, candidate)
         if refined is None:
             return None
-        original = lowered(symbolic, symbolic.values_vector(), None, checker)
-        if original is None:
+        if not instantiable(symbolic, symbolic.values_vector(), checker):
             # check_similar never merges such an instruction either; it
             # stays an unrefined singleton instead of failing the build.
             checker.stats["uninstantiable"] = checker.stats.get("uninstantiable", 0) + 1
             return None
+        if not instantiable(refined, refined.values_vector(), checker):
+            continue
+        if _lowers_identically(symbolic, refined):
+            checker.stats["structural"] += 1
+            return refined
+        original = lowered(symbolic, symbolic.values_vector(), None, checker)
         refined_term = lowered(refined, refined.values_vector(), None, checker)
-        if refined_term is not None and checker.check_equivalence(
-            original, refined_term
-        ).equivalent:
+        if checker.check_equivalence(original, refined_term).equivalent:
             return refined
     return None

@@ -332,9 +332,11 @@ class EquivalenceChecker:
         self.proven: set[LaneClass] = set()
         # Verdicts per rung.  ``alpha`` is counted by the similarity engine's
         # rung in front of this ladder (repro.similarity.equivalence), which
-        # also memoises its term lowerings in ``lowered`` so that the memo is
-        # scoped to — and freed with — one checker.
+        # also memoises its instantiability walks in ``instantiable`` and the
+        # term lowerings of pairs that reach this ladder in ``lowered``, so
+        # that both memos are scoped to — and freed with — one checker.
         self.stats = {"alpha": 0, "structural": 0, "fuzz": 0, "exhaustive": 0, "sat": 0, "probabilistic": 0}
+        self.instantiable: dict = {}
         self.lowered: dict = {}
 
     # ------------------------------------------------------------------

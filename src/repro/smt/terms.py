@@ -259,51 +259,53 @@ def var(name: str, width: int) -> Var:
     return intern_term(Var(width, name))
 
 
-def _require_same_width(op: str, a: Term, b: Term) -> None:
-    if a.width != b.width:
-        raise ValueError(f"{op}: width mismatch {a.width} vs {b.width}")
+def _require_same_width(op: str, a: int, b: int) -> None:
+    if a != b:
+        raise ValueError(f"{op}: width mismatch {a} vs {b}")
+
+
+def result_width(op: str, arg_widths: list[int], params: tuple[int, ...] = ()) -> int:
+    """The width of ``op`` applied to arguments of ``arg_widths``.
+
+    Every width-inference and legality rule of the term language lives
+    here; raises ValueError where the application is ill-formed."""
+    if op in BINARY_SAME_WIDTH or op in COMPARISONS:
+        first, second = arg_widths
+        _require_same_width(op, first, second)
+        return 1 if op in COMPARISONS else first
+    if op in UNARY_SAME_WIDTH:
+        (operand,) = arg_widths
+        return operand
+    if op in WIDTH_CHANGING:
+        (_operand,) = arg_widths
+        (new_width,) = params
+        return new_width
+    if op == "extract":
+        (operand,) = arg_widths
+        high, low = params
+        if not 0 <= low <= high < operand:
+            raise ValueError(f"extract [{high}:{low}] out of range for width {operand}")
+        return high - low + 1
+    if op == "concat":
+        high_part, low_part = arg_widths
+        return high_part + low_part
+    if op == "ite":
+        cond, then_width, else_width = arg_widths
+        if cond != 1:
+            raise ValueError("ite condition must be 1 bit wide")
+        _require_same_width(op, then_width, else_width)
+        return then_width
+    raise ValueError(f"unknown operator {op!r}")
 
 
 def apply_op(op: str, args: list[Term], params: tuple[int, ...] = ()) -> App:
-    """Construct an :class:`App` with width inference and legality checks.
+    """Construct an :class:`App` with width inference and legality checks
+    (:func:`result_width`).
 
     The returned node is interned: structurally identical applications are
     the same object, so downstream uid-keyed caches share their work."""
-    if op in BINARY_SAME_WIDTH:
-        first, second = args
-        _require_same_width(op, first, second)
-        app = App(first.width, op, (first, second))
-    elif op in UNARY_SAME_WIDTH:
-        (operand,) = args
-        app = App(operand.width, op, (operand,))
-    elif op in COMPARISONS:
-        first, second = args
-        _require_same_width(op, first, second)
-        app = App(1, op, (first, second))
-    elif op in WIDTH_CHANGING:
-        (operand,) = args
-        (new_width,) = params
-        app = App(new_width, op, (operand,), params)
-    elif op == "extract":
-        (operand,) = args
-        high, low = params
-        if not 0 <= low <= high < operand.width:
-            raise ValueError(
-                f"extract [{high}:{low}] out of range for width {operand.width}"
-            )
-        app = App(high - low + 1, op, (operand,), params)
-    elif op == "concat":
-        high_part, low_part = args
-        app = App(high_part.width + low_part.width, op, (high_part, low_part))
-    elif op == "ite":
-        cond, then_term, else_term = args
-        if cond.width != 1:
-            raise ValueError("ite condition must be 1 bit wide")
-        _require_same_width(op, then_term, else_term)
-        app = App(then_term.width, op, (cond, then_term, else_term))
-    else:
-        raise ValueError(f"unknown operator {op!r}")
-    return intern_term(app)
+    width = result_width(op, [a.width for a in args], params)
+    return intern_term(App(width, op, tuple(args), params))
 
 
 # ----------------------------------------------------------------------

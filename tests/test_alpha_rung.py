@@ -29,7 +29,7 @@ from repro.irgen import build_artifact, load_artifact, persist_artifact
 from repro.irgen import partition_digest, pipeline
 from repro.isa import registry
 from repro.similarity import engine as engine_module
-from repro.similarity import equivalence
+from repro.similarity import equivalence, holes
 from repro.similarity.constants import extract_constants
 from repro.similarity.engine import SimilarityEngine, _symbolics_for_isa
 from repro.similarity.eqclass import restrict_classes
@@ -45,6 +45,20 @@ GOLDEN = {
         252, "51010be78e1caf39ae5c6248ff844d8d9f6531f2d3f3d0156963a72729fc98bd",
     ),
 }
+# The four-ISA build's accounting: checks, ladder verdicts, skipped
+# refinements, and pass-2 / pass-3 merges.  The serial engine refines every
+# representative with its own checker, so its ``structural`` count also
+# holds the 187 hole identities the pipeline's refine pool counts apart.
+RUNGS = {"alpha": 1429, "structural": 45, "fuzz": 23, "exhaustive": 0, "sat": 0, "probabilistic": 0}
+ACCOUNTING = (1462, RUNGS, 0, 4, 3)
+SERIAL_ACCOUNTING = (1462, dict(RUNGS, structural=45 + 187), 0, 4, 3)
+
+
+def _accounting(stats):
+    return (
+        stats.checks, stats.checker_stats, stats.uninstantiable,
+        stats.permute_merges, stats.hole_merges,
+    )
 
 
 def _build(isas, jobs):
@@ -146,35 +160,78 @@ def _mutants(symbolic):
         yield "one operator replaced", symbolic, mutant
 
 
+class _Build:
+    """The jobs=1 four-ISA build, with every pair the rung accepted, the
+    lowerings made on the rung, and the lowerings pass 3 asked for."""
+
+    def __init__(self):
+        self.accepted = []
+        self.lowered_on_rung = 0
+        self.hole_lowerings = []
+        lowerings = []
+        real_check = engine_module.check_similar
+        real_instantiate = equivalence.instantiate_term
+        real_hole_lowered = holes.lowered
+
+        def check(a, b, checker, order_b=None):
+            before = checker.stats["alpha"], len(lowerings)
+            verdict = real_check(a, b, checker, order_b)
+            if checker.stats["alpha"] > before[0]:
+                self.lowered_on_rung += len(lowerings) - before[1]
+                if verdict:
+                    self.accepted.append((a, b))
+            return verdict
+
+        def instantiate(*args):
+            lowerings.append(args)
+            return real_instantiate(*args)
+
+        def hole_lowered(symbolic, *args):
+            self.hole_lowerings.append(symbolic.name)
+            return real_hole_lowered(symbolic, *args)
+
+        with pytest.MonkeyPatch.context() as patcher:
+            patcher.setattr(engine_module, "check_similar", check)
+            patcher.setattr(equivalence, "instantiate_term", instantiate)
+            patcher.setattr(holes, "lowered", hole_lowered)
+            self.artifact = build_artifact(jobs=1)
+        assert self.artifact.isas == CORE + ("rvv",)
+
+
 @pytest.fixture(scope="module")
 def four_isa_build():
-    """The jobs=1 four-ISA build, with every pair the rung accepted."""
-    accepted = []
-    real = engine_module.check_similar
+    build = _Build()
+    return build.artifact, build.accepted, build
 
-    def recording(a, b, checker, order_b=None):
-        before = checker.stats["alpha"]
-        verdict = real(a, b, checker, order_b)
-        if verdict and checker.stats["alpha"] > before:
-            accepted.append((a, b))
-        return verdict
 
-    with pytest.MonkeyPatch.context() as patcher:
-        patcher.setattr(engine_module, "check_similar", recording)
-        artifact = build_artifact(jobs=1)
-    assert artifact.isas == CORE + ("rvv",)
-    return artifact, accepted
+@pytest.fixture(scope="module")
+def sharded_four_isa_build():
+    return _build(CORE + ("rvv",), jobs=2)
 
 
 class TestGoldenPartitions:
     @pytest.mark.parametrize("isas", list(GOLDEN))
-    def test_sharded_build(self, isas):
-        classes, digest = GOLDEN[isas]
-        artifact = _build(isas, jobs=2)
-        assert (len(artifact.classes), artifact.digest()) == (classes, digest)
+    def test_sharded_build(self, isas, sharded_four_isa_build):
+        artifact = sharded_four_isa_build
+        if isas != artifact.isas:
+            artifact = _build(isas, jobs=2)
+        assert (len(artifact.classes), artifact.digest()) == GOLDEN[isas]
+
+    def test_accounting(self, four_isa_build, sharded_four_isa_build):
+        artifact, _accepted, _build_record = four_isa_build
+        assert _accounting(artifact.stats) == ACCOUNTING
+        assert _accounting(sharded_four_isa_build.stats) == ACCOUNTING
+        classes, stats = engine_module.build_equivalence_classes(CORE + ("rvv",))
+        assert _accounting(stats) == SERIAL_ACCOUNTING
+        assert (len(classes), partition_digest(classes)) == GOLDEN[CORE + ("rvv",)]
+
+    def test_build_lowers_no_term_on_the_rung_or_for_a_hole(self, four_isa_build):
+        _artifact, _accepted, record = four_isa_build
+        assert record.lowered_on_rung == 0
+        assert record.hole_lowerings == []
 
     def test_inline_builds(self, four_isa_build):
-        artifact, _accepted = four_isa_build
+        artifact, _accepted, _build_record = four_isa_build
         assert (len(artifact.classes), artifact.digest()) == GOLDEN[artifact.isas]
         core = _build(CORE, jobs=1)
         assert (len(core.classes), core.digest()) == GOLDEN[CORE]
@@ -185,7 +242,7 @@ class TestGoldenPartitions:
         """The 3-ISA partition a core-only registry builds is the one
         partition restricted to the core ISAs: same classes, ids and
         members, so the core dictionary is bit for bit the historical one."""
-        artifact, _accepted = four_isa_build
+        artifact, _accepted, _build_record = four_isa_build
         core = restrict_classes(artifact.classes, set(CORE))
         assert (len(core), partition_digest(core)) == GOLDEN[CORE]
         assert [cls.class_id for cls in core] == list(range(len(core)))
@@ -199,13 +256,13 @@ class TestGoldenPartitions:
 
 class TestRungAgainstLadder:
     def test_every_accepted_pair_is_similar_by_the_ladder(self, four_isa_build):
-        _artifact, accepted = four_isa_build
+        _artifact, accepted, _build_record = four_isa_build
         assert accepted
         refused = [(a.name, b.name) for a, b in accepted if not _ladder(a, b)]
         assert refused == []
 
     def test_rung_settles_nearly_every_comparison(self, four_isa_build):
-        artifact, accepted = four_isa_build
+        artifact, accepted, _build_record = four_isa_build
         stats = artifact.stats
         assert stats.checker_stats["alpha"] >= 0.95 * stats.checks
         assert stats.checker_stats["alpha"] >= len(accepted)
@@ -255,17 +312,34 @@ class TestAlphaKey:
         assert checker.stats["structural"] > 0
 
     def test_lowering_is_memoised_per_checker(self, monkeypatch):
-        calls = []
-        real = equivalence.instantiate_term
+        """The rung walks each ``(alpha_key, values)`` once and lowers
+        nothing; the ladder lowers each ``(alpha_key, values, order)``
+        once, and a walk of a key already lowered reads the term's memo."""
+        lowerings, walks = [], []
+        real_instantiate = equivalence.instantiate_term
+        real_walk = equivalence.check_instantiable
         monkeypatch.setattr(
             equivalence, "instantiate_term",
-            lambda *args: calls.append(args) or real(*args),
+            lambda *args: lowerings.append(args) or real_instantiate(*args),
+        )
+        monkeypatch.setattr(
+            equivalence, "check_instantiable",
+            lambda *args: walks.append(args) or real_walk(*args),
         )
         a, b = _symbolics_for_isa("hvx")[:2]
+        renamed = dataclasses.replace(a, name="renamed")
         checker = EquivalenceChecker(seed=1)
         for _ in range(3):
+            assert check_similar(a, renamed, checker)
+        assert (len(walks), len(lowerings), checker.stats["alpha"]) == (1, 0, 3)
+        assert len(checker.instantiable) == 1
+        for _ in range(3):
             check_similar(a, b, checker, _identity(b))
-        assert len(calls) == len(checker.lowered) <= 4
+        assert len(lowerings) == len(checker.lowered) <= 4
+        fresh = EquivalenceChecker(seed=1)
+        equivalence.lowered(a, a.values_vector(), None, fresh)
+        assert equivalence.instantiable(a, a.values_vector(), fresh)
+        assert len(walks) == 1
 
     def test_warm_load_computes_no_key(self, tmp_path):
         artifact = _build(("hvx",), jobs=1)

@@ -172,7 +172,9 @@ class TestArtifactStore:
             )
             == 0
         )
-        assert "loaded hvx" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "loaded hvx" in out
+        assert "walls=parse:" in out
 
     def test_cli_build_rejects_unknown_isa(self, store, capsys):
         from repro.irgen.cli import main
@@ -189,6 +191,11 @@ class TestArtifactStore:
         out = capsys.readouterr().out
         assert artifacts[2].fingerprint[:16] in out
         assert "truncations=" in out
+        # Where the cold build went: the pool's refinements apart from merge.
+        assert {"parse_wall", "check_wall", "refine", "merge"} <= set(
+            artifacts[2].phase_seconds
+        )
+        assert "/refine:" in out and "/merge:" in out
         assert main(["stats", "--cache-dir", str(store), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["namespaces"][0]["complete"] is True
