@@ -56,7 +56,7 @@ from repro.daemon.client import DaemonClient, http_get  # noqa: E402
 from repro.daemon.proc import DaemonProcess  # noqa: E402
 from repro.isa.registry import supported_isas  # noqa: E402
 from repro.service.store import STATS_FILE  # noqa: E402
-from repro.synthesis.rules import parse_window  # noqa: E402
+from repro.synthesis.cache import parse_window  # noqa: E402
 
 
 def _requests(benchmarks: list[str], isa: str) -> list[dict]:

@@ -9,8 +9,8 @@ representations the compiler moves through:
   width arithmetic;
 * **lowered Halide IR** windows (:mod:`repro.analysis.halide_check`);
 * **synthesis candidate programs**
-  (:mod:`repro.analysis.synth_check`) — the cheap pre-SMT
-  well-typedness gate inside CEGIS;
+  (:mod:`repro.analysis.synth_check`) — well-typedness of target
+  programs;
 * **AutoLLVM / LLVM IR** functions (:mod:`repro.analysis.llvm_check`)
   — SSA plus intrinsic-signature validation;
 * **semantic rules** (:mod:`repro.analysis.semantic_check`) — driven by
@@ -20,9 +20,8 @@ representations the compiler moves through:
 
 All checkers report through one diagnostics engine
 (:mod:`repro.analysis.diagnostics`) with stable rule IDs, severities,
-provenance and JSON output.  Pipeline stages call the gated hooks in
-:mod:`repro.analysis.hooks` (``REPRO_VERIFY_IR=1`` to enable), and
-``python -m repro.analysis`` lints the full generated spec corpora.
+provenance and JSON output.  ``python -m repro.analysis`` lints the
+full generated spec corpora.
 """
 
 from repro.analysis.absint import (
@@ -40,15 +39,6 @@ from repro.analysis.diagnostics import (
     rule_doc,
 )
 from repro.analysis.halide_check import assert_window, check_window
-from repro.analysis.hooks import (
-    set_verification,
-    verification,
-    verification_enabled,
-    verify_llvm,
-    verify_program,
-    verify_semantics,
-    verify_window,
-)
 from repro.analysis.hydride_check import assert_semantics, check_semantics
 from repro.analysis.llvm_check import check_function as check_llvm_function
 from repro.analysis.sarif import sarif_json, to_sarif
@@ -77,11 +67,4 @@ __all__ = [
     "check_program",
     "check_semantics",
     "check_window",
-    "set_verification",
-    "verification",
-    "verification_enabled",
-    "verify_llvm",
-    "verify_program",
-    "verify_semantics",
-    "verify_window",
 ]

@@ -147,7 +147,7 @@ class Diagnostic:
 
 
 class IRVerificationError(Exception):
-    """Raised by verification hooks when a check finds errors."""
+    """Raised by the ``assert_*`` checkers when a check finds errors."""
 
     def __init__(self, diagnostics: list[Diagnostic], context: str = "") -> None:
         self.diagnostics = list(diagnostics)

@@ -1,12 +1,10 @@
-"""Pre-SMT well-typedness check for synthesis candidate programs.
+"""Well-typedness check for synthesis candidate programs.
 
-CEGIS verifies a candidate by lowering it to an SMT term and querying the
-equivalence checker — an expensive step that silently produces a wrong
-query if the candidate DAG is malformed (an ``SOp`` applied at the wrong
-arity, a recorded ``out_bits`` that disagrees with the member semantics,
-a swizzle fed operands of unequal widths).  This module is the cheap
-well-typedness gate run before :class:`repro.smt.solver.EquivalenceChecker`:
-pure integer bookkeeping, no solver and no interpretation.
+Lowering a malformed candidate DAG to an SMT term (an ``SOp`` applied at
+the wrong arity, a recorded ``out_bits`` that disagrees with the member
+semantics, a swizzle fed operands of unequal widths) silently produces a
+wrong query.  This module names such defects: pure integer bookkeeping,
+no solver and no interpretation.
 """
 
 from __future__ import annotations

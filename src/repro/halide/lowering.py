@@ -276,11 +276,8 @@ class _Lowerer:
     # -- driver -----------------------------------------------------------
 
     def run(self) -> LoweredKernel:
-        from repro.analysis import hooks
-
         expr = self.func.expr
         window = self.lower(expr, self.lanes, {}, None)
-        hooks.verify_window(window, kernel=self.func.name, stage="lowering")
         loops: list[tuple[str, int]] = []
         order = self.schedule.order or [a.name for a in self.func.args][::-1]
         for name in order:

@@ -47,23 +47,6 @@ def _ensure_two_level(expr: BvExpr) -> BvExpr:
 
 
 def canonicalize(func: SemanticsFunction) -> SemanticsFunction:
-    """Reroll, fold, and enforce the two-level lane/element loop shape.
-
-    Under ``REPRO_VERIFY_IR`` each constituent pass's output is re-checked
-    by the :mod:`repro.analysis` verifier, so a transform that breaks
-    width arithmetic is caught at the pass that introduced the damage.
-    """
-    from repro.analysis import hooks
-
-    verify = hooks.verification_enabled()
-    body = reroll(func.body)
-    if verify:
-        hooks.verify_semantics(func.with_body(body), stage="reroll")
-    body = propagate_constants(body)
-    if verify:
-        hooks.verify_semantics(func.with_body(body), stage="constprop")
-    body = _ensure_two_level(body)
-    result = func.with_body(body)
-    if verify:
-        hooks.verify_semantics(result, stage="canonicalize")
-    return result
+    """Reroll, fold, and enforce the two-level lane/element loop shape."""
+    body = propagate_constants(reroll(func.body))
+    return func.with_body(_ensure_two_level(body))

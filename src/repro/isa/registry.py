@@ -90,29 +90,10 @@ def load_catalog(isa: str) -> IsaCatalog:
 
 
 def parse_spec(isa: str, spec: InstructionSpec) -> SemanticsFunction:
-    """Parse + canonicalise one spec's pseudocode (verification-hooked)."""
-    from repro.analysis import hooks
-
+    """Parse + canonicalise one spec's pseudocode."""
     global_counters().specs_parsed += 1
     _generator, dialect = _row(isa)
-    verify = hooks.verification_enabled()
-    parsed = dialect_semantics(_load(dialect), spec)
-    if verify:
-        hooks.verify_semantics(
-            parsed,
-            isa=isa,
-            stage="parse",
-            declared_output_width=spec.output_width,
-        )
-    canonical = canonicalize(parsed)
-    if verify:
-        hooks.verify_semantics(
-            canonical,
-            isa=isa,
-            stage="canonicalize",
-            declared_output_width=spec.output_width,
-        )
-    return canonical
+    return canonicalize(dialect_semantics(_load(dialect), spec))
 
 
 def parse_slice(

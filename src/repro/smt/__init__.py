@@ -10,7 +10,7 @@ this package implements the slice of QF_BV that Hydride needs:
 * :mod:`repro.smt.cnf` / :mod:`repro.smt.sat` — CNF formulas and a CDCL
   SAT solver with two-watched-literal propagation,
 * :mod:`repro.smt.bitblast` — Tseitin translation of terms to CNF,
-* :mod:`repro.smt.solver` — the high-level equivalence/model interface
+* :mod:`repro.smt.solver` — the high-level equivalence interface
   (structural fast path, exhaustive enumeration for tiny input spaces,
   bit-blasting otherwise — one lane per symmetry class where the pair
   allows it — randomized fallback for unsupported operators).
@@ -23,12 +23,7 @@ procedure.
 
 from repro.smt.terms import App, Const, Term, Var, const, var
 from repro.smt.eval import evaluate
-from repro.smt.solver import (
-    CheckResult,
-    EquivalenceChecker,
-    check_equivalence,
-    find_model,
-)
+from repro.smt.solver import CheckResult, EquivalenceChecker
 
 __all__ = [
     "App",
@@ -40,6 +35,4 @@ __all__ = [
     "evaluate",
     "CheckResult",
     "EquivalenceChecker",
-    "check_equivalence",
-    "find_model",
 ]

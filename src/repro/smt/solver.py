@@ -1,4 +1,4 @@
-"""High-level decision interface: equivalence checking and model finding.
+"""High-level decision interface: equivalence checking.
 
 Strategy ladder, cheapest first — mirroring how Hydride keeps its Rosette
 queries tractable:
@@ -527,50 +527,6 @@ class EquivalenceChecker:
             env[name] = BitVector(value, width)
         return env
 
-    # ------------------------------------------------------------------
-
-    def find_model(self, constraint: Term) -> dict[str, BitVector] | None:
-        """Find variable values making a 1-bit ``constraint`` true, or None."""
-        if constraint.width != 1:
-            raise ValueError("constraint must be a 1-bit term")
-        constraint = simplify(constraint)
-        variables = constraint.variables()
-        total_bits = sum(variables.values())
-        if total_bits <= self.exhaustive_bit_limit:
-            names = sorted(variables)
-            spaces = [range(1 << variables[n]) for n in names]
-            for values in itertools.product(*spaces):
-                env = {
-                    name: BitVector(value, variables[name])
-                    for name, value in zip(names, values)
-                }
-                if evaluate(constraint, env).value:
-                    return env
-            return None
-        blaster = BitBlaster()
-        bits = blaster.blast(constraint)
-        blaster.cnf.assert_lit(bits[0])
-        solver = CdclSolver(blaster.cnf.num_vars, blaster.cnf.clauses)
-        try:
-            result = solver.solve(self.max_conflicts)
-        except SolverBudgetExceeded as exc:
-            raise SolverTimeout(str(exc)) from exc
-        if not result.satisfiable:
-            return None
-        return self._model_to_env(result.model, blaster, variables)
-
-
-_DEFAULT_CHECKER = EquivalenceChecker()
-
-
-def check_equivalence(a: Term, b: Term) -> CheckResult:
-    """Module-level convenience using a shared default checker."""
-    return _DEFAULT_CHECKER.check_equivalence(a, b)
-
-
-def find_model(constraint: Term) -> dict[str, BitVector] | None:
-    return _DEFAULT_CHECKER.find_model(constraint)
-
 
 # Multiplier circuits beyond this operand width produce CNF the CDCL
 # budget cannot usefully chew through; such queries go to the battery.
@@ -583,8 +539,3 @@ def _has_wide_multiply(term: Term) -> bool:
             if node.width > SAT_MULTIPLY_WIDTH_LIMIT:
                 return True
     return False
-
-
-def not_equal(a: Term, b: Term) -> Term:
-    """A 1-bit term that is true iff ``a != b`` (for model queries)."""
-    return apply_op("bvne", [a, b])

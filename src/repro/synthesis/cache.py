@@ -11,20 +11,12 @@ others) dramatically cheaper than column I.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 
 from repro.bitvector.bv import BitVector
 from repro.halide import ir as hir
-from repro.synthesis.program import (
-    SConcat,
-    SConstant,
-    SInput,
-    SNode,
-    SOp,
-    SSlice,
-    SSwizzle,
-    evaluate_program,
-)
+from repro.synthesis.program import SInput, SNode, evaluate_program, map_program
 
 
 def _appearance_order(expr: hir.HExpr) -> list[str]:
@@ -42,6 +34,11 @@ def _appearance_order(expr: hir.HExpr) -> list[str]:
     return order
 
 
+# The attributes canonical_key writes after a node's label, in this order
+# (absent ones skipped); _build_node reads them back positionally.
+_KEY_ATTRS = ("op", "kind", "start", "lanes", "factor", "new_elem_width", "indices")
+
+
 def canonical_key(expr: hir.HExpr, isa: str) -> str:
     """A serialization of the window, canonical in load naming."""
     names: dict[str, str] = {}
@@ -57,7 +54,7 @@ def canonical_key(expr: hir.HExpr, isa: str) -> str:
             return f"(const {node.value} {node.lanes} {node.elem_width})"
         label = type(node).__name__
         attrs = []
-        for attr in ("op", "kind", "start", "lanes", "factor", "new_elem_width", "indices"):
+        for attr in _KEY_ATTRS:
             value = getattr(node, attr, None)
             if value is not None:
                 attrs.append(str(value))
@@ -65,6 +62,146 @@ def canonical_key(expr: hir.HExpr, isa: str) -> str:
         return f"({label} {' '.join(attrs)} {kids})"
 
     return f"{isa}:{serialize(expr)}"
+
+
+# ----------------------------------------------------------------------
+# Parsing canonical keys back into windows (the inverse of canonical_key)
+# ----------------------------------------------------------------------
+
+
+class KeyParseError(ValueError):
+    """A canonical cache key cannot be reconstructed into a window."""
+
+
+_TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
+# Exactly the shape canonical_key emits for HConst nodes.
+_CONST_RE = re.compile(r"\(const (-?\d+|\?) (\d+) (\d+)\)")
+
+
+def split_key(key: str) -> tuple[str, str]:
+    isa, sep, body = key.partition(":")
+    if not sep or not body:
+        raise KeyParseError(f"malformed cache key {key!r}")
+    return isa, body
+
+
+def abstract_key(key: str) -> str:
+    """The key with every constant's *value* replaced by ``?``.
+
+    Two windows share an abstract key exactly when they are identical up
+    to load naming and constant values — same structure, same lane
+    counts, same element widths.  This is the rulebook's index key.
+    """
+    return _CONST_RE.sub(
+        lambda m: f"(const ? {m.group(2)} {m.group(3)})", key
+    )
+
+
+def const_slots(key: str) -> list[tuple[int | None, int, int]]:
+    """``(value, lanes, elem_width)`` of every constant, in key order.
+
+    Textual order equals the serializer's depth-first order, so slot
+    positions line up between a concrete key and its abstract key.
+    """
+    return [
+        (None if value == "?" else int(value), int(lanes), int(ew))
+        for value, lanes, ew in _CONST_RE.findall(key)
+    ]
+
+
+def parse_window(key: str, const_hook=None) -> tuple[str, hir.HExpr]:
+    """Reconstruct the Halide window a canonical cache key serializes.
+
+    Loads and broadcasts come back with their positional names
+    (``in0``...).  ``const_hook(index, value, lanes, ew)`` — when given —
+    is consulted for every constant position (``value`` is the token
+    string, ``"?"`` in abstract keys) and may return a replacement node;
+    returning None falls back to the literal constant.  Shuffle windows
+    raise :class:`KeyParseError` (their index tuples serialize opaquely
+    and never lane-scale, so they are not distillable).
+    """
+    isa, body = split_key(key)
+    tokens = _TOKEN_RE.findall(body)
+    pos = 0
+    const_index = 0
+
+    def peek() -> str | None:
+        return tokens[pos] if pos < len(tokens) else None
+
+    def take() -> str:
+        nonlocal pos
+        if pos >= len(tokens):
+            raise KeyParseError("truncated key")
+        token = tokens[pos]
+        pos += 1
+        return token
+
+    def expect(token: str) -> None:
+        got = take()
+        if got != token:
+            raise KeyParseError(f"expected {token!r}, got {got!r}")
+
+    def parse() -> hir.HExpr:
+        nonlocal const_index
+        expect("(")
+        head = take()
+        try:
+            if head in ("load", "splat"):
+                name, lanes, ew = take(), int(take()), int(take())
+                expect(")")
+                leaf = hir.HLoad if head == "load" else hir.HBroadcast
+                return leaf(name, lanes, ew)
+            if head == "const":
+                value, lanes, ew = take(), int(take()), int(take())
+                expect(")")
+                index = const_index
+                const_index += 1
+                if const_hook is not None:
+                    node = const_hook(index, value, lanes, ew)
+                    if node is not None:
+                        return node
+                if value == "?":
+                    raise KeyParseError("abstract constant without a hook")
+                return hir.HConst(int(value), lanes, ew)
+        except ValueError as exc:
+            raise KeyParseError(f"bad {head} node: {exc}") from exc
+        attrs: list[str] = []
+        while peek() not in ("(", ")", None):
+            attrs.append(take())
+        kids: list[hir.HExpr] = []
+        while peek() == "(":
+            kids.append(parse())
+        expect(")")
+        return _build_node(head, attrs, kids)
+
+    expr = parse()
+    if pos != len(tokens):
+        raise KeyParseError("trailing tokens in key")
+    return isa, expr
+
+
+def _build_node(
+    label: str, attrs: list[str], kids: list[hir.HExpr]
+) -> hir.HExpr:
+    # ``attrs`` are in _KEY_ATTRS order.
+    try:
+        if label == "HBin":
+            return hir.HBin(attrs[0], kids[0], kids[1])
+        if label == "HCmp":
+            return hir.HCmp(attrs[0], kids[0], kids[1])
+        if label == "HSelect":
+            return hir.HSelect(kids[0], kids[1], kids[2])
+        if label == "HCast":
+            return hir.HCast(attrs[0], kids[0], int(attrs[1]))
+        if label == "HSlice":
+            return hir.HSlice(kids[0], int(attrs[0]), int(attrs[1]))
+        if label == "HConcat":
+            return hir.HConcat(tuple(kids))
+        if label == "HReduceAdd":
+            return hir.HReduceAdd(kids[0], int(attrs[0]))
+    except (ValueError, TypeError, IndexError) as exc:
+        raise KeyParseError(f"cannot rebuild {label}: {exc}") from exc
+    raise KeyParseError(f"unsupported node label {label!r}")
 
 
 def window_env(expr: hir.HExpr, rng: random.Random) -> dict[str, BitVector]:
@@ -143,20 +280,9 @@ class MemoCache:
     dominate warm-cache compile times; ours is a Python dict, so the
     per-invocation Racket overhead column of Table 4 is modelled
     separately by the experiment harness.
-
-    With ``max_entries`` set the positive-entry table becomes a bounded
-    LRU (insertion order refreshed on every hit, least-recently-used
-    entry evicted on overflow) — the mode the daemon's in-memory tier
-    runs in so a long-lived process cannot grow without bound.  The
-    default stays unbounded: in-process compiles and the persistent
-    cache want every entry resident.
     """
 
-    def __init__(self, max_entries: int | None = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be None or >= 1")
-        self.max_entries = max_entries
-        self.evictions = 0
+    def __init__(self) -> None:
         self._entries: dict[str, CacheEntry] = {}
         self._failures: set[str] = set()
         # CEGIS budget (seconds) each failure was recorded under; None
@@ -183,7 +309,6 @@ class MemoCache:
             "failure_hits": self.failure_hits,
             "entries": len(self._entries),
             "failures": len(self._failures),
-            "evictions": self.evictions,
         }
 
     def set_budget(self, seconds: float | None) -> None:
@@ -237,10 +362,6 @@ class MemoCache:
             self.misses += 1
             return None
         self.hits += 1
-        if self.max_entries is not None:
-            # Refresh recency: dict insertion order is the LRU order.
-            self._entries.pop(key)
-            self._entries[key] = entry
         # Equal keys mean the windows are identical up to load naming by
         # first appearance; rename the cached program's inputs positionally.
         new_order = _appearance_order(expr)
@@ -251,14 +372,9 @@ class MemoCache:
 
     def store(self, expr: hir.HExpr, isa: str, program: SNode, cost: float) -> None:
         key = canonical_key(expr, isa)
-        self._entries.pop(key, None)  # re-store refreshes recency
         self._entries[key] = CacheEntry(
             program, cost, _appearance_order(expr)
         )
-        if self.max_entries is not None:
-            while len(self._entries) > self.max_entries:
-                self._entries.pop(next(iter(self._entries)))
-                self.evictions += 1
         # A success supersedes any failure recorded under a smaller budget.
         self._failures.discard(key)
         self._failure_budgets.pop(key, None)
@@ -270,35 +386,14 @@ class MemoCache:
         self.hits = 0
         self.misses = 0
         self.failure_hits = 0
-        self.evictions = 0
 
 
 def _rename(program: SNode, mapping: dict[str, str]) -> SNode:
     def fix(node: SNode) -> SNode:
         if isinstance(node, SInput):
-            return SInput(mapping.get(node.name, node.name), node.lanes, node.elem_width)
-        if isinstance(node, SConstant):
-            return node
-        if isinstance(node, SSlice):
-            return SSlice(fix(node.src), node.high)
-        if isinstance(node, SConcat):
-            return SConcat(fix(node.high_part), fix(node.low_part))
-        if isinstance(node, SSwizzle):
-            return SSwizzle(
-                node.pattern,
-                tuple(fix(a) for a in node.args),
-                node.elem_width,
-                node.out_bits,
-                node.amount,
+            return SInput(
+                mapping.get(node.name, node.name), node.lanes, node.elem_width
             )
-        assert isinstance(node, SOp)
-        return SOp(
-            node.op,
-            node.binding,
-            tuple(fix(a) for a in node.args),
-            node.imm_values,
-            node.scaled_values,
-            node.out_bits,
-        )
+        return node
 
-    return fix(program)
+    return map_program(program, fix)

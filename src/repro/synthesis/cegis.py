@@ -20,7 +20,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 
-from repro.analysis import hooks
 from repro.bitvector.bv import BitVector
 from repro.bitvector.lanes import Vector
 from repro.bitvector.packed import slice_half
@@ -46,7 +45,11 @@ from repro.synthesis.program import (
     sop_applier,
     swizzle_applier,
 )
-from repro.synthesis.scale import scale_spec, scaled_member_values
+from repro.synthesis.scale import (
+    scale_spec,
+    scale_up_program,
+    scaled_member_values,
+)
 
 
 class SynthesisFailure(Exception):
@@ -949,43 +952,6 @@ def _combinations(pools, frontier_depth):
 
 
 # ----------------------------------------------------------------------
-# Scale-up of a synthesized program
-# ----------------------------------------------------------------------
-
-
-def _scale_up(node: SNode, factor: int) -> SNode:
-    if factor == 1:
-        return node
-    if isinstance(node, SInput):
-        return SInput(node.name, node.lanes * factor, node.elem_width)
-    if isinstance(node, SConstant):
-        return SConstant(node.value, node.lanes * factor, node.elem_width)
-    if isinstance(node, SSlice):
-        return SSlice(_scale_up(node.src, factor), node.high)
-    if isinstance(node, SConcat):
-        return SConcat(
-            _scale_up(node.high_part, factor), _scale_up(node.low_part, factor)
-        )
-    if isinstance(node, SSwizzle):
-        return SSwizzle(
-            node.pattern,
-            tuple(_scale_up(a, factor) for a in node.args),
-            node.elem_width,
-            node.out_bits * factor,
-            node.amount * factor if node.pattern == "rotate_right" else node.amount,
-        )
-    assert isinstance(node, SOp)
-    return SOp(
-        node.op,
-        node.binding,
-        tuple(_scale_up(a, factor) for a in node.args),
-        node.imm_values,
-        None,  # full-scale: the member's own parameter values
-        node.out_bits * factor,
-    )
-
-
-# ----------------------------------------------------------------------
 # The CEGIS driver
 # ----------------------------------------------------------------------
 
@@ -1161,10 +1127,7 @@ def _lanewise_synthesis(
             enumerator.add_env(refuting_env)
             failing_lanes.add(lane)
             continue
-        # Line 15: verify symbolically over all lanes.  The structural
-        # pre-check is far cheaper than building + solving the SMT query,
-        # so a malformed candidate fails here with a precise diagnostic.
-        hooks.verify_program(solution.node, isa=grammar.isa, stage="cegis")
+        # Line 15: verify symbolically over all lanes.
         candidate_term = program_to_term(solution.node)
         try:
             with phase_timer("verify"):
@@ -1193,7 +1156,9 @@ def _lanewise_synthesis(
     # Lines 23-25: scale back up and verify at full width.  A symbolic
     # scaled verdict may already prove the full-width pair; otherwise
     # (and after any other verdict) sample it.
-    full = _scale_up(solution.node, factor)
+    full = scale_up_program(solution.node, factor)
+    if full is None:
+        raise SynthesisFailure("scaled-up solution failed full-width check")
     if factor > 1:
         perf = global_counters()
         with phase_timer("verify"):

@@ -207,6 +207,39 @@ class SSwizzle(SNode):
         return f"{self.pattern}.i{self.elem_width}({args}{extra})"
 
 
+def map_program(node: SNode, fn: Callable[[SNode], SNode]) -> SNode:
+    """The one rewrite walk: rebuild ``node`` post-order, each node over
+    its mapped children and then passed through ``fn``.
+
+    Children are mapped left to right, so ``fn`` sees the leaves in
+    textual order; a node shared by two parents is mapped once per
+    occurrence.  ``fn`` may raise to abandon the rewrite."""
+    if isinstance(node, SOp):
+        node = SOp(
+            node.op,
+            node.binding,
+            tuple(map_program(a, fn) for a in node.args),
+            node.imm_values,
+            node.scaled_values,
+            node.out_bits,
+        )
+    elif isinstance(node, SSwizzle):
+        node = SSwizzle(
+            node.pattern,
+            tuple(map_program(a, fn) for a in node.args),
+            node.elem_width,
+            node.out_bits,
+            node.amount,
+        )
+    elif isinstance(node, SSlice):
+        node = SSlice(map_program(node.src, fn), node.high)
+    elif isinstance(node, SConcat):
+        node = SConcat(
+            map_program(node.high_part, fn), map_program(node.low_part, fn)
+        )
+    return fn(node)
+
+
 # ----------------------------------------------------------------------
 # Evaluation
 # ----------------------------------------------------------------------

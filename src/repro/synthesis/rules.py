@@ -37,9 +37,8 @@ from __future__ import annotations
 
 import json
 import random
-import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -47,23 +46,29 @@ from repro.halide import ir as hir
 from repro.perf import global_counters
 from repro.smt.solver import EquivalenceChecker
 from repro.synthesis.cache import (
+    KeyParseError,
     _appearance_order,
     _rename,
+    abstract_key,
     canonical_key,
     check_stored_program,
+    const_slots,
+    parse_window,
 )
 from repro.synthesis.program import (
-    SConcat,
     SConstant,
     SHole,
-    SInput,
     SNode,
     SOp,
-    SSlice,
-    SSwizzle,
+    map_program,
     program_to_term,
 )
-from repro.synthesis.scale import scale_spec, scaled_member_values
+from repro.synthesis.scale import (
+    normalize_factor,
+    scale_down_program,
+    scale_spec,
+    scale_up_program,
+)
 from repro.synthesis.serialize import (
     SerializeError,
     snode_from_obj,
@@ -89,321 +94,6 @@ MATCH_CHECK_TRIALS = 12
 DISTILL_CHECK_TRIALS = 4
 
 
-class KeyParseError(ValueError):
-    """A canonical cache key cannot be reconstructed into a window."""
-
-
-# ----------------------------------------------------------------------
-# Canonical-key parsing and abstraction
-# ----------------------------------------------------------------------
-
-_TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
-# Exactly the shape canonical_key emits for HConst nodes.
-_CONST_RE = re.compile(r"\(const (-?\d+|\?) (\d+) (\d+)\)")
-
-
-def split_key(key: str) -> tuple[str, str]:
-    isa, sep, body = key.partition(":")
-    if not sep or not body:
-        raise KeyParseError(f"malformed cache key {key!r}")
-    return isa, body
-
-
-def abstract_key(key: str) -> str:
-    """The key with every constant's *value* replaced by ``?``.
-
-    Two windows share an abstract key exactly when they are identical up
-    to load naming and constant values — same structure, same lane
-    counts, same element widths.  This is the rulebook's index key.
-    """
-    return _CONST_RE.sub(
-        lambda m: f"(const ? {m.group(2)} {m.group(3)})", key
-    )
-
-
-def const_slots(key: str) -> list[tuple[int | None, int, int]]:
-    """``(value, lanes, elem_width)`` of every constant, in key order.
-
-    Textual order equals the serializer's depth-first order, so slot
-    positions line up between a concrete key and its abstract key.
-    """
-    return [
-        (None if value == "?" else int(value), int(lanes), int(ew))
-        for value, lanes, ew in _CONST_RE.findall(key)
-    ]
-
-
-def parse_window(key: str, const_hook=None) -> tuple[str, hir.HExpr]:
-    """Reconstruct the Halide window a canonical cache key serializes.
-
-    Loads and broadcasts come back with their positional names
-    (``in0``...).  ``const_hook(index, value, lanes, ew)`` — when given —
-    is consulted for every constant position (``value`` is the token
-    string, ``"?"`` in abstract keys) and may return a replacement node;
-    returning None falls back to the literal constant.  Shuffle windows
-    raise :class:`KeyParseError` (their index tuples serialize opaquely
-    and never lane-scale, so they are not distillable).
-    """
-    isa, body = split_key(key)
-    tokens = _TOKEN_RE.findall(body)
-    pos = 0
-    const_index = 0
-
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise KeyParseError("truncated key")
-        token = tokens[pos]
-        pos += 1
-        return token
-
-    def expect(token: str) -> None:
-        got = take()
-        if got != token:
-            raise KeyParseError(f"expected {token!r}, got {got!r}")
-
-    def parse() -> hir.HExpr:
-        nonlocal const_index
-        expect("(")
-        head = take()
-        try:
-            if head == "load":
-                name, lanes, ew = take(), int(take()), int(take())
-                expect(")")
-                return hir.HLoad(name, lanes, ew)
-            if head == "splat":
-                name, lanes, ew = take(), int(take()), int(take())
-                expect(")")
-                return hir.HBroadcast(name, lanes, ew)
-            if head == "const":
-                value, lanes, ew = take(), int(take()), int(take())
-                expect(")")
-                index = const_index
-                const_index += 1
-                if const_hook is not None:
-                    node = const_hook(index, value, lanes, ew)
-                    if node is not None:
-                        return node
-                if value == "?":
-                    raise KeyParseError("abstract constant without a hook")
-                return hir.HConst(int(value), lanes, ew)
-        except ValueError as exc:
-            raise KeyParseError(f"bad {head} node: {exc}") from exc
-        attrs: list[str] = []
-        while peek() not in ("(", ")", None):
-            attrs.append(take())
-        kids: list[hir.HExpr] = []
-        while peek() == "(":
-            kids.append(parse())
-        expect(")")
-        return _build_node(head, attrs, kids)
-
-    expr = parse()
-    if pos != len(tokens):
-        raise KeyParseError("trailing tokens in key")
-    return isa, expr
-
-
-def _build_node(
-    label: str, attrs: list[str], kids: list[hir.HExpr]
-) -> hir.HExpr:
-    # Attribute order mirrors canonical_key's fixed probe order:
-    # ("op", "kind", "start", "lanes", "factor", "new_elem_width",
-    # "indices").
-    try:
-        if label == "HBin":
-            return hir.HBin(attrs[0], kids[0], kids[1])
-        if label == "HCmp":
-            return hir.HCmp(attrs[0], kids[0], kids[1])
-        if label == "HSelect":
-            return hir.HSelect(kids[0], kids[1], kids[2])
-        if label == "HCast":
-            return hir.HCast(attrs[0], kids[0], int(attrs[1]))
-        if label == "HSlice":
-            return hir.HSlice(kids[0], int(attrs[0]), int(attrs[1]))
-        if label == "HConcat":
-            return hir.HConcat(tuple(kids))
-        if label == "HReduceAdd":
-            return hir.HReduceAdd(kids[0], int(attrs[0]))
-    except (ValueError, TypeError, IndexError) as exc:
-        raise KeyParseError(f"cannot rebuild {label}: {exc}") from exc
-    raise KeyParseError(f"unsupported node label {label!r}")
-
-
-# ----------------------------------------------------------------------
-# Lane normalization (the inverse of the CEGIS scaling ladder)
-# ----------------------------------------------------------------------
-
-
-def normalize_factor(expr: hir.HExpr) -> int:
-    """The largest power-of-two lane scale-down that keeps >= 2 lanes.
-
-    Both the distiller and the matcher normalize windows through this,
-    so any two lane-multiples of the same base shape land on the same
-    rulebook index key.
-    """
-    factor = 1
-    while True:
-        doubled = factor * 2
-        scaled = scale_spec(expr, doubled)
-        if scaled is None or scaled.type.lanes < 2:
-            return factor
-        factor = doubled
-
-
-class _CannotScaleDown(Exception):
-    pass
-
-
-def scale_down_program(node: SNode, factor: int) -> SNode | None:
-    """Scale a full-width program down by ``factor``; None when illegal.
-
-    The exact inverse of CEGIS's ``_scale_up``: lane counts, output
-    widths, and rotate amounts divide; instruction parameter vectors go
-    through :func:`scaled_member_values`.  ``_scale_up(result, factor)``
-    reproduces the input bit-for-bit (up to the scaled_values-vs-None
-    encoding of "full scale"), which is what makes rule-served programs
-    identical to the cached originals.
-    """
-    if factor == 1:
-        return node
-    try:
-        return _scale_down(node, factor)
-    except _CannotScaleDown:
-        return None
-
-
-def _scale_down(node: SNode, factor: int) -> SNode:
-    if isinstance(node, SInput):
-        if node.lanes % factor:
-            raise _CannotScaleDown
-        return SInput(node.name, node.lanes // factor, node.elem_width)
-    if isinstance(node, SConstant):
-        if node.lanes % factor:
-            raise _CannotScaleDown
-        return SConstant(node.value, node.lanes // factor, node.elem_width)
-    if isinstance(node, SHole):
-        if node.lanes % factor:
-            raise _CannotScaleDown
-        return SHole(node.name, node.lanes // factor, node.elem_width)
-    if isinstance(node, SSlice):
-        return SSlice(_scale_down(node.src, factor), node.high)
-    if isinstance(node, SConcat):
-        return SConcat(
-            _scale_down(node.high_part, factor),
-            _scale_down(node.low_part, factor),
-        )
-    if isinstance(node, SSwizzle):
-        if node.out_bits % factor:
-            raise _CannotScaleDown
-        amount = node.amount
-        if node.pattern == "rotate_right":
-            if amount % factor:
-                raise _CannotScaleDown
-            amount //= factor
-        return SSwizzle(
-            node.pattern,
-            tuple(_scale_down(a, factor) for a in node.args),
-            node.elem_width,
-            node.out_bits // factor,
-            amount,
-        )
-    assert isinstance(node, SOp)
-    if node.out_bits % factor:
-        raise _CannotScaleDown
-    if tuple(node.values()) != tuple(node.binding.member.values()):
-        # Already partially scaled — cached programs are full-scale, so
-        # this only guards against future misuse.
-        raise _CannotScaleDown
-    scaled = scaled_member_values(node.binding, factor)
-    if scaled is None:
-        raise _CannotScaleDown
-    return SOp(
-        node.op,
-        node.binding,
-        tuple(_scale_down(a, factor) for a in node.args),
-        node.imm_values,
-        scaled,
-        node.out_bits // factor,
-    )
-
-
-class _CannotScaleUp(Exception):
-    pass
-
-
-def scale_match_program(node: SNode, factor: int) -> SNode | None:
-    """Scale an instantiated template up by ``factor`` for serving.
-
-    Unlike CEGIS's ``_scale_up`` — which always lands exactly on the
-    binding's native width — a rule is stored at its *minimal* lane
-    count and may be asked for any multiple of it, so each instruction
-    is re-bound to the equivalence-class sibling at the target width
-    with the same element width (``_mm_add_epi16`` →
-    ``_mm256_add_epi16``).  Targets below every sibling's native width
-    are refused rather than served partially scaled: fresh CEGIS emits
-    sub-native windows as a slice of a native-width op, and refusing
-    keeps rule-served programs bit-identical to what synthesis would
-    produce.  None when no sibling covers the target (the caller falls
-    back to synthesis).
-    """
-    if factor == 1:
-        return node
-    try:
-        return _scale_match(node, factor)
-    except _CannotScaleUp:
-        return None
-
-
-def _scale_match(node: SNode, factor: int) -> SNode:
-    if isinstance(node, SInput):
-        return SInput(node.name, node.lanes * factor, node.elem_width)
-    if isinstance(node, SConstant):
-        return SConstant(node.value, node.lanes * factor, node.elem_width)
-    if isinstance(node, SSlice):
-        return SSlice(_scale_match(node.src, factor), node.high)
-    if isinstance(node, SConcat):
-        return SConcat(
-            _scale_match(node.high_part, factor),
-            _scale_match(node.low_part, factor),
-        )
-    if isinstance(node, SSwizzle):
-        return SSwizzle(
-            node.pattern,
-            tuple(_scale_match(a, factor) for a in node.args),
-            node.elem_width,
-            node.out_bits * factor,
-            node.amount * factor
-            if node.pattern == "rotate_right"
-            else node.amount,
-        )
-    assert isinstance(node, SOp)
-    target_bits = node.out_bits * factor
-    args = tuple(_scale_match(a, factor) for a in node.args)
-    natural = node.binding.spec.output_width
-    if target_bits == natural:
-        return SOp(
-            node.op, node.binding, args, node.imm_values, None, target_bits
-        )
-    if target_bits < natural:
-        raise _CannotScaleUp
-    elem = node.binding.spec.attributes.get("elem_width")
-    for binding in node.op.bindings:
-        if (
-            binding.isa == node.binding.isa
-            and binding.spec.output_width == target_bits
-            and binding.spec.attributes.get("elem_width") == elem
-            and binding.member.arg_order == node.binding.member.arg_order
-        ):
-            return SOp(
-                node.op, binding, args, node.imm_values, None, target_bits
-            )
-    raise _CannotScaleUp
-
-
 # ----------------------------------------------------------------------
 # Template manipulation
 # ----------------------------------------------------------------------
@@ -411,73 +101,34 @@ def _scale_match(node: SNode, factor: int) -> SNode:
 
 def instantiate(node: SNode, values: Mapping[str, int]) -> SNode:
     """Substitute hole values, turning a template into a runnable program."""
-    if isinstance(node, SHole):
-        return SConstant(values[node.name], node.lanes, node.elem_width)
-    if isinstance(node, (SInput, SConstant)):
-        return node
-    if isinstance(node, SSlice):
-        return SSlice(instantiate(node.src, values), node.high)
-    if isinstance(node, SConcat):
-        return SConcat(
-            instantiate(node.high_part, values),
-            instantiate(node.low_part, values),
-        )
-    if isinstance(node, SSwizzle):
-        return SSwizzle(
-            node.pattern,
-            tuple(instantiate(a, values) for a in node.args),
-            node.elem_width,
-            node.out_bits,
-            node.amount,
-        )
-    assert isinstance(node, SOp)
-    return SOp(
-        node.op,
-        node.binding,
-        tuple(instantiate(a, values) for a in node.args),
-        node.imm_values,
-        node.scaled_values,
-        node.out_bits,
-    )
+
+    def fill(n: SNode) -> SNode:
+        if isinstance(n, SHole):
+            return SConstant(values[n.name], n.lanes, n.elem_width)
+        return n
+
+    return map_program(node, fill)
 
 
 def normalize_program(node: SNode) -> SNode:
     """Canonicalize the two encodings of "full scale" on SOp nodes.
 
     A program synthesized unscaled carries ``scaled_values`` equal to the
-    member's own vector; one that went through ``_scale_up`` carries
-    None.  Both mean the same thing — normalize to None so structural
-    comparisons (grouping, bit-identity audits) cannot be fooled.
+    member's own vector; one that was scaled up carries None.  Both mean
+    the same thing — normalize to None so structural comparisons
+    (grouping, bit-identity audits) cannot be fooled.
     """
-    if isinstance(node, (SInput, SConstant, SHole)):
-        return node
-    if isinstance(node, SSlice):
-        return SSlice(normalize_program(node.src), node.high)
-    if isinstance(node, SConcat):
-        return SConcat(
-            normalize_program(node.high_part),
-            normalize_program(node.low_part),
-        )
-    if isinstance(node, SSwizzle):
-        return SSwizzle(
-            node.pattern,
-            tuple(normalize_program(a) for a in node.args),
-            node.elem_width,
-            node.out_bits,
-            node.amount,
-        )
-    assert isinstance(node, SOp)
-    scaled = node.scaled_values
-    if scaled is not None and tuple(scaled) == tuple(node.binding.member.values()):
-        scaled = None
-    return SOp(
-        node.op,
-        node.binding,
-        tuple(normalize_program(a) for a in node.args),
-        node.imm_values,
-        scaled,
-        node.out_bits,
-    )
+
+    def unscale(n: SNode) -> SNode:
+        if (
+            isinstance(n, SOp)
+            and n.scaled_values is not None
+            and tuple(n.scaled_values) == tuple(n.binding.member.values())
+        ):
+            return replace(n, scaled_values=None)
+        return n
+
+    return map_program(node, unscale)
 
 
 def program_signature(node: SNode) -> str:
@@ -504,54 +155,33 @@ def _skeleton_signature(node: SNode) -> str:
 
 
 def _program_consts(node: SNode) -> list[SConstant]:
-    """Every SConstant in deterministic (pre-order, left-to-right) order."""
+    """Every SConstant, left to right: the order :func:`_replace_consts`
+    numbers them in."""
     found: list[SConstant] = []
 
-    def visit(n: SNode) -> None:
+    def visit(n: SNode) -> SNode:
         if isinstance(n, SConstant):
             found.append(n)
-        for kid in n.children():
-            visit(kid)
+        return n
 
-    visit(node)
+    map_program(node, visit)
     return found
 
 
 def _replace_consts(node: SNode, replacements: Mapping[int, SNode]) -> SNode:
-    """Rebuild a program with the i-th constant replaced per ``replacements``."""
+    """Rebuild a program with the i-th constant (left to right) replaced
+    per ``replacements``."""
     counter = 0
 
-    def rebuild(n: SNode) -> SNode:
+    def swap(n: SNode) -> SNode:
         nonlocal counter
-        if isinstance(n, SConstant):
-            index = counter
-            counter += 1
-            return replacements.get(index, n)
-        if isinstance(n, (SInput, SHole)):
+        if not isinstance(n, SConstant):
             return n
-        if isinstance(n, SSlice):
-            return SSlice(rebuild(n.src), n.high)
-        if isinstance(n, SConcat):
-            return SConcat(rebuild(n.high_part), rebuild(n.low_part))
-        if isinstance(n, SSwizzle):
-            return SSwizzle(
-                n.pattern,
-                tuple(rebuild(a) for a in n.args),
-                n.elem_width,
-                n.out_bits,
-                n.amount,
-            )
-        assert isinstance(n, SOp)
-        return SOp(
-            n.op,
-            n.binding,
-            tuple(rebuild(a) for a in n.args),
-            n.imm_values,
-            n.scaled_values,
-            n.out_bits,
-        )
+        index = counter
+        counter += 1
+        return replacements.get(index, n)
 
-    return rebuild(node)
+    return map_program(node, swap)
 
 
 # ----------------------------------------------------------------------
@@ -753,7 +383,7 @@ class RuleBook:
                 continue
             try:
                 program = instantiate(rule.template, values)
-                program = scale_match_program(program, factor)
+                program = scale_up_program(program, factor)
                 if program is None:
                     continue
                 program = _rename(program, mapping)
@@ -801,14 +431,9 @@ class RuleBook:
     def load(
         cls, directory, dictionary, expect_fingerprint: str | None = None
     ) -> "RuleBook | None":
-        path = Path(directory) / RULES_FILENAME
         try:
-            text = path.read_text()
-        except OSError:
-            return None
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError:
+            obj = json.loads((Path(directory) / RULES_FILENAME).read_text())
+        except (OSError, json.JSONDecodeError):
             return None
         if (
             expect_fingerprint is not None

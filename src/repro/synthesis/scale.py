@@ -14,9 +14,18 @@ count — leaving intensive parameters (element widths, offsets, shift
 amounts) untouched; invalid scalings are detected by instantiation and
 reported as None so the caller falls back to a smaller factor or to
 unscaled synthesis.
+
+Program scaling is the same law applied to a target program: CEGIS
+scales its scaled-width solution up to the spec's width, the rule
+distiller scales cached programs down to their base shape, and the
+rule matcher scales instantiated templates back up — all three through
+:func:`scale_up_program` / :func:`scale_down_program`.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
+from functools import partial
 
 from repro.autollvm.intrinsics import TargetBinding
 from repro.halide import ir as hir
@@ -25,6 +34,15 @@ from repro.hydride_ir.indexexpr import IParam
 from repro.hydride_ir.interp import SemanticsError, resolved_input_widths, interpret
 from repro.bitvector.bv import BitVector
 from repro.similarity.constants import SymbolicSemantics
+from repro.synthesis.program import (
+    SConstant,
+    SHole,
+    SInput,
+    SNode,
+    SOp,
+    SSwizzle,
+    map_program,
+)
 
 
 def scale_spec(expr: hir.HExpr, factor: int) -> hir.HExpr | None:
@@ -148,3 +166,117 @@ def scaled_member_values(
     except (SemanticsError, ValueError, KeyError):
         return None
     return scaled
+
+
+def normalize_factor(expr: hir.HExpr) -> int:
+    """The largest power-of-two lane scale-down that keeps >= 2 lanes.
+
+    Both the rule distiller and the rule matcher normalize windows
+    through this, so any two lane-multiples of the same base shape land
+    on the same rulebook index key.
+    """
+    factor = 1
+    while True:
+        doubled = factor * 2
+        scaled = scale_spec(expr, doubled)
+        if scaled is None or scaled.type.lanes < 2:
+            return factor
+        factor = doubled
+
+
+# ----------------------------------------------------------------------
+# Program scaling
+# ----------------------------------------------------------------------
+
+
+def scale_up_program(node: SNode, factor: int) -> SNode | None:
+    """Scale a program up by ``factor``; None when some op cannot land.
+
+    Leaf lane counts, swizzle output widths and rotate amounts multiply.
+    Each :class:`SOp` lands at full scale (``scaled_values`` None) on its
+    own binding when the target width is that binding's native width,
+    and otherwise on the equivalence-class sibling of the same ISA,
+    element width and argument order at the target width
+    (``_mm_add_epi16`` → ``_mm256_add_epi16``).  A target below the
+    native width is refused rather than served partially scaled: CEGIS
+    emits sub-native windows as a slice of a native-width op.
+    """
+    return _rescale(node, factor, _upscale_node)
+
+
+def scale_down_program(node: SNode, factor: int) -> SNode | None:
+    """Scale a full-width program down by ``factor``; None when illegal.
+
+    The inverse of :func:`scale_up_program`: lane counts, output widths
+    and rotate amounts divide, and each instruction keeps its binding
+    with the parameter vector :func:`scaled_member_values` gives it.
+    Scaling the result back up reproduces the input (up to the
+    ``scaled_values``-versus-None encoding of "full scale").
+    """
+    return _rescale(node, factor, _downscale_node)
+
+
+def _rescale(node: SNode, factor: int, step) -> SNode | None:
+    if factor == 1:
+        return node
+    try:
+        return map_program(node, partial(step, factor))
+    except _CannotScale:
+        return None
+
+
+def _upscale_node(factor: int, node: SNode) -> SNode:
+    if isinstance(node, (SInput, SConstant, SHole)):
+        return replace(node, lanes=node.lanes * factor)
+    if isinstance(node, SSwizzle):
+        amount = node.amount
+        if node.pattern == "rotate_right":
+            amount *= factor
+        return replace(node, out_bits=node.out_bits * factor, amount=amount)
+    if not isinstance(node, SOp):
+        return node  # views follow their operands
+    target_bits = node.out_bits * factor
+    here = node.binding
+    if target_bits < here.spec.output_width:
+        raise _CannotScale
+    elem = here.spec.attributes.get("elem_width")
+    for binding in (here, *node.op.bindings):
+        if binding.spec.output_width == target_bits and (
+            binding is here
+            or (
+                binding.isa == here.isa
+                and binding.spec.attributes.get("elem_width") == elem
+                and binding.member.arg_order == here.member.arg_order
+            )
+        ):
+            return replace(
+                node, binding=binding, scaled_values=None, out_bits=target_bits
+            )
+    raise _CannotScale
+
+
+def _downscale_node(factor: int, node: SNode) -> SNode:
+    if isinstance(node, (SInput, SConstant, SHole)):
+        if node.lanes % factor:
+            raise _CannotScale
+        return replace(node, lanes=node.lanes // factor)
+    if isinstance(node, SSwizzle):
+        amount = node.amount
+        if node.pattern == "rotate_right":
+            if amount % factor:
+                raise _CannotScale
+            amount //= factor
+        if node.out_bits % factor:
+            raise _CannotScale
+        return replace(node, out_bits=node.out_bits // factor, amount=amount)
+    if not isinstance(node, SOp):
+        return node  # views follow their operands
+    # Stored programs are full-scale: a partially scaled op is refused.
+    if node.out_bits % factor or (
+        tuple(node.values()) != tuple(node.binding.member.values())
+    ):
+        raise _CannotScale
+    scaled = scaled_member_values(node.binding, factor)
+    if scaled is None:
+        raise _CannotScale
+    return replace(node, scaled_values=scaled, out_bits=node.out_bits // factor)

@@ -13,7 +13,7 @@ which the target backends resolve to native shuffles when they exist.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.autollvm.llvmir import (
     Function,
@@ -147,9 +147,6 @@ class Translator:
             return out
 
         function.ret = emit(program)
-        from repro.analysis import hooks
-
-        hooks.verify_llvm(function, stage="translate")
         return result
 
 

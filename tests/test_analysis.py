@@ -16,9 +16,6 @@ from repro.analysis import (
     Severity,
     check_semantics,
     rule_doc,
-    set_verification,
-    verification,
-    verification_enabled,
 )
 from repro.analysis.cli import (
     baseline_counts,
@@ -27,7 +24,6 @@ from repro.analysis.cli import (
     write_baseline,
 )
 from repro.analysis.cli import main as lint_main
-from repro.analysis.hooks import ENV_FLAG
 from repro.analysis.sarif import to_sarif
 from repro.isa.registry import load_isa
 
@@ -99,35 +95,6 @@ class TestDiagnosticsEngine:
             sink.raise_if_errors("translate:w0")
         assert "translate:w0" in str(info.value)
         assert info.value.diagnostics[0].rule == "llvm/undef-value"
-
-
-class TestVerificationGating:
-    def test_env_flag_default_off(self, monkeypatch):
-        monkeypatch.delenv(ENV_FLAG, raising=False)
-        set_verification(None)
-        assert not verification_enabled()
-
-    @pytest.mark.parametrize("value,expected", [
-        ("1", True),
-        ("true", True),
-        ("0", False),
-        ("off", False),
-        ("", False),
-    ])
-    def test_env_flag_values(self, monkeypatch, value, expected):
-        monkeypatch.setenv(ENV_FLAG, value)
-        set_verification(None)
-        assert verification_enabled() is expected
-
-    def test_context_manager_restores(self, monkeypatch):
-        monkeypatch.delenv(ENV_FLAG, raising=False)
-        set_verification(None)
-        with verification():
-            assert verification_enabled()
-            with verification(False):
-                assert not verification_enabled()
-            assert verification_enabled()
-        assert not verification_enabled()
 
 
 class TestCorpusClean:

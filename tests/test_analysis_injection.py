@@ -7,6 +7,8 @@ shift, slice out of bounds, malformed intrinsic calls — plus the synth-
 and Halide-layer variants of each.
 """
 
+import importlib
+
 import pytest
 
 from repro.analysis import (
@@ -101,6 +103,20 @@ class TestHydrideInjection:
     def test_nonpositive_loop_count(self):
         body = ForConcat("i", IConst(0), BvVar("a"))
         assert "hydride/loop-count" in _rules(check_semantics(_func(body)))
+
+    def test_broken_canonicalize_pass(self, monkeypatch):
+        """A constituent pass that corrupts the IR leaves damage the
+        checker names in canonicalize's output."""
+        canon_mod = importlib.import_module(
+            "repro.hydride_ir.transforms.canonicalize"
+        )
+
+        def broken_reroll(body):
+            return BvConst(IConst(0), IConst(-4))  # nonsense replacement
+
+        monkeypatch.setattr(canon_mod, "reroll", broken_reroll)
+        result = canon_mod.canonicalize(_func(BvVar("a")))
+        assert "hydride/nonpositive-width" in _rules(check_semantics(result))
 
 
 class TestHalideInjection:

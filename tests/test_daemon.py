@@ -225,42 +225,6 @@ class TestMemoCacheLRU:
         for op in ("add", "sub", "mul", "and", "or"):
             cache.store(_window(op), "x86", _program(), 1.0)
         assert len(cache) == 5
-        assert cache.counters()["evictions"] == 0
-
-    def test_bounded_evicts_least_recently_used(self):
-        cache = MemoCache(max_entries=2)
-        cache.store(_window("add"), "x86", _program(), 1.0)
-        cache.store(_window("sub"), "x86", _program(), 1.0)
-        # Touch "add" so "sub" is now the LRU entry.
-        assert cache.lookup(_window("add"), "x86") is not None
-        cache.store(_window("mul"), "x86", _program(), 1.0)
-        assert len(cache) == 2
-        assert cache.evictions == 1
-        assert cache.counters()["evictions"] == 1
-        assert cache.lookup(_window("sub"), "x86") is None  # evicted
-        assert cache.lookup(_window("add"), "x86") is not None
-        assert cache.lookup(_window("mul"), "x86") is not None
-
-    def test_restore_refreshes_recency(self):
-        cache = MemoCache(max_entries=2)
-        cache.store(_window("add"), "x86", _program(), 1.0)
-        cache.store(_window("sub"), "x86", _program(), 1.0)
-        cache.store(_window("add"), "x86", _program(), 2.0)  # re-store
-        cache.store(_window("mul"), "x86", _program(), 1.0)
-        assert cache.lookup(_window("sub"), "x86") is None  # was LRU
-        assert cache.lookup(_window("add"), "x86") is not None
-
-    def test_clear_resets_evictions(self):
-        cache = MemoCache(max_entries=1)
-        cache.store(_window("add"), "x86", _program(), 1.0)
-        cache.store(_window("sub"), "x86", _program(), 1.0)
-        assert cache.evictions == 1
-        cache.clear()
-        assert cache.evictions == 0
-
-    def test_rejects_nonpositive_bound(self):
-        with pytest.raises(ValueError):
-            MemoCache(max_entries=0)
 
 
 # ----------------------------------------------------------------------

@@ -38,10 +38,12 @@ from repro.synthesis.rules import (
     RuleBook,
     distill_rules,
     instantiate,
+    normalize_program,
     program_signature,
     rule_window,
     verify_rule,
 )
+from repro.synthesis.scale import scale_down_program, scale_up_program
 
 OPTIONS = CegisOptions(timeout_seconds=30)
 # A namespace directory name: FINGERPRINT_DIR_CHARS lowercase hex chars.
@@ -142,6 +144,25 @@ class TestDistiller:
         ok, reason = verify_rule(bogus, seed=1)
         assert not ok
         assert reason
+
+    def test_scale_down_then_up_is_the_program(self, seed_cache, distilled):
+        """The distiller's scale-down and the matcher's scale-up are one
+        law: on every cached program and rule template, and every factor
+        it scales down by, scaling back up gives the program again."""
+        book, _report = distilled
+        programs = [entry.program for entry in seed_cache._entries.values()]
+        programs += [rule.template for rule in book.rules]
+        pairs = 0
+        for program in programs:
+            for factor in (2, 4, 8, 16):
+                down = scale_down_program(program, factor)
+                if down is None:
+                    continue
+                pairs += 1
+                assert scale_up_program(down, factor) == normalize_program(
+                    program
+                )
+        assert pairs >= len(seed_cache)
 
     def test_counters_track_distillation(self, dictionary):
         cache = MemoCache()

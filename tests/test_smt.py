@@ -276,22 +276,6 @@ class TestEquivalenceChecker:
         env = result.counterexample
         assert evaluate(lhs, env).value != evaluate(rhs, env).value
 
-    def test_find_model(self):
-        checker = EquivalenceChecker()
-        x = var("x", 8)
-        constraint = apply_op("bveq", [apply_op("bvmul", [x, x]), const(49, 8)])
-        model = checker.find_model(constraint)
-        assert model is not None
-        assert (model["x"].value * model["x"].value) & 0xFF == 49
-
-    def test_find_model_unsat(self):
-        checker = EquivalenceChecker()
-        x = var("x", 4)
-        constraint = apply_op(
-            "bveq", [apply_op("bvand", [x, const(0, 4)]), const(1, 4)]
-        )
-        assert checker.find_model(constraint) is None
-
     def test_saturating_formulations_equivalent(self):
         """sat_add(x, y) == saturate(sext(x) + sext(y)) — the similarity
         engine depends on cross-formulation equivalences like this."""
