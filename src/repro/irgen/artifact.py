@@ -30,6 +30,7 @@ serialized, and re-resolving keeps them live).
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import time
@@ -315,6 +316,10 @@ def load_artifact(
     path = artifact_dir(root, fingerprint) / ARTIFACT_FILE
     if not path.exists():
         return None
+    # The decoded trees are acyclic, so the cyclic collector would only
+    # walk the growing heap over and over; pause it for the decode.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         faults.trip("irgen.load", detail=path.name)
         obj = json.loads(path.read_text())
@@ -322,6 +327,9 @@ def load_artifact(
     except (json.JSONDecodeError, OSError, ArtifactError):
         faults.recovered()
         return None
+    finally:
+        if collecting:
+            gc.enable()
     if artifact.fingerprint != fingerprint:
         faults.recovered()
         return None

@@ -62,9 +62,11 @@ class PerfCounters:
     # freshly constructed solver.
     incremental_queries: int = 0
     fresh_queries: int = 0
-    # Lane-symmetric proofs (repro.smt.solver): lane-class SAT queries
-    # run, decompositions that fell back to the whole-vector query, and
-    # CEGIS full-width checks proved without sampling vs sampled.
+    # Lane-symmetric proofs (repro.smt.solver): lane classes decided by
+    # bit-parallel simulation, lane-class CDCL queries run,
+    # decompositions that fell back to the whole-vector query, and CEGIS
+    # full-width checks proved without sampling vs sampled.
+    lane_class_simulations: int = 0
     lane_class_queries: int = 0
     lane_fallbacks: int = 0
     full_width_proved: int = 0

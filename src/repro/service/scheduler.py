@@ -19,6 +19,7 @@ uses take.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -185,6 +186,10 @@ def prewarm(cache_dir: str | None) -> int:
     distilled rulebook (memoised by
     :func:`~repro.synthesis.rules.load_rulebook`).  Returns the number of
     non-empty rulebooks loaded.
+
+    Ends by moving everything it built into the collector's permanent
+    generation (CPython's pattern before ``fork()``): a worker's
+    collections then never walk, or copy on write, the dictionary.
     """
     from repro.autollvm import build_dictionary
     from repro.isa.registry import supported_isas
@@ -195,21 +200,22 @@ def prewarm(cache_dir: str | None) -> int:
 
     all_benchmarks()
     dictionary = build_dictionary()
-    if cache_dir is None:
-        return 0
-    fingerprint = dictionary_fingerprint(dictionary)
-    root = Path(cache_dir)
     books = 0
-    for isa in supported_isas():
-        if not (root / isa).is_dir():
-            continue
-        book = load_rulebook(
-            root / isa / fingerprint[:FINGERPRINT_DIR_CHARS],
-            dictionary,
-            expect_fingerprint=fingerprint,
-        )
-        if book is not None and len(book):
-            books += 1
+    if cache_dir is not None:
+        fingerprint = dictionary_fingerprint(dictionary)
+        root = Path(cache_dir)
+        for isa in supported_isas():
+            if not (root / isa).is_dir():
+                continue
+            book = load_rulebook(
+                root / isa / fingerprint[:FINGERPRINT_DIR_CHARS],
+                dictionary,
+                expect_fingerprint=fingerprint,
+            )
+            if book is not None and len(book):
+                books += 1
+    gc.collect()
+    gc.freeze()
     return books
 
 

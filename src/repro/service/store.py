@@ -281,8 +281,9 @@ class PersistentCache(MemoCache):
         return dict(self._entries)
 
     def lookup_failure(self, expr: hir.HExpr, isa: str) -> bool:
-        self._read_key(canonical_key(expr, isa))
-        return super().lookup_failure(expr, isa)
+        key = canonical_key(expr, isa)
+        self._read_key(key)
+        return self._lookup_failure_key(key)
 
     # -- concrete check of hits ------------------------------------------
 
@@ -300,7 +301,7 @@ class PersistentCache(MemoCache):
         """
         key = canonical_key(expr, isa)
         self._read_key(key)
-        entry = super().lookup(expr, isa)
+        entry = self._lookup_key(key, expr)
         if entry is None:
             return None
         digest = _key_hash(key)
@@ -338,8 +339,8 @@ class PersistentCache(MemoCache):
     def store(
         self, expr: hir.HExpr, isa: str, program, cost: float
     ) -> None:
-        super().store(expr, isa, program, cost)
         key = canonical_key(expr, isa)
+        self._store_key(key, expr, program, cost)
         entry = self._entries[key]
         digest = _key_hash(key)
         self._write_entry(f"e-{digest}.json", entry_to_json(key, entry))
@@ -353,8 +354,8 @@ class PersistentCache(MemoCache):
             pass
 
     def store_failure(self, expr: hir.HExpr, isa: str) -> None:
-        super().store_failure(expr, isa)
         key = canonical_key(expr, isa)
+        self._store_failure_key(key)
         self._write_entry(
             f"f-{_key_hash(key)}.json",
             json.dumps(

@@ -65,8 +65,9 @@ class EquivalenceClass:
         """EliminateUnnecessaryArgs: fix parameters constant across members."""
         self.fixed_params = {}
         count = len(self.representative.param_names)
+        vectors = [m.values() for m in self.members]
         for position in range(count):
-            values = {m.values()[position] for m in self.members}
+            values = {vector[position] for vector in vectors}
             if len(values) == 1:
                 self.fixed_params[position] = next(iter(values))
 

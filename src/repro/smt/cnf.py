@@ -16,9 +16,17 @@ adder's partial sum — thus get one Tseitin variable, and a miter
 ``xor(x, x)`` folds to false instead of being rediscovered by the solver
 one conflict at a time.  Hashing only ever returns an existing literal;
 it never adds a clause.
+
+Every gate created is also appended to :attr:`CnfBuilder.gates` as
+``(out, kind, operands)``, in creation order, so a gate's operands always
+precede it.  That list is the circuit itself: :mod:`repro.smt.simulate`
+evaluates it bit-parallel without going through the clauses.
 """
 
 from __future__ import annotations
+
+# Gate kinds recorded in CnfBuilder.gates.
+AND, XOR, MUX = "and", "xor", "mux"
 
 
 class CnfBuilder:
@@ -31,6 +39,9 @@ class CnfBuilder:
         self._and: dict[tuple[int, int], int] = {}
         self._xor: dict[tuple[int, int], int] = {}
         self._mux: dict[tuple[int, int, int], int] = {}
+        # Every gate created, in creation order: (out, kind, operands),
+        # kind one of AND / XOR / MUX, operands as keyed above.
+        self.gates: list[tuple[int, str, tuple[int, ...]]] = []
         # Reserved constant-true variable; its clause pins it true, and
         # ``-self.true_lit`` serves as constant false.
         self.true_lit = self.new_var()
@@ -76,6 +87,7 @@ class CnfBuilder:
         out = self._and.get(key)
         if out is None:
             out = self._and[key] = self.new_var()
+            self.gates.append((out, AND, key))
             self.add_clause([-out, a])
             self.add_clause([-out, b])
             self.add_clause([out, -a, -b])
@@ -106,6 +118,7 @@ class CnfBuilder:
         out = self._xor.get(key)
         if out is None:
             out = self._xor[key] = self.new_var()
+            self.gates.append((out, XOR, key))
             self.add_clause([-out, a, b])
             self.add_clause([-out, -a, -b])
             self.add_clause([out, -a, b])
@@ -126,6 +139,7 @@ class CnfBuilder:
         out = self._mux.get(key)
         if out is None:
             out = self._mux[key] = self.new_var()
+            self.gates.append((out, MUX, key))
             self.add_clause([-out, -sel, when_true])
             self.add_clause([-out, sel, when_false])
             self.add_clause([out, -sel, -when_true])

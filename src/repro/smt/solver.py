@@ -4,15 +4,23 @@ Strategy ladder, cheapest first — mirroring how Hydride keeps its Rosette
 queries tractable:
 
 1. *structural*: both terms normalise to the identical tree,
-2. *fuzz*: a handful of random inputs finds a counterexample quickly,
-3. *exhaustive*: the symbolic input space is tiny (after lane scaling it
+2. *exhaustive* lane classes: a checker primed with a lane width
+   (:meth:`EquivalenceChecker.prime`) splits the pair into output lanes
+   and abstracts each lane's input reads into fresh variables, giving
+   one abstract pair per symmetry class.  Every class of at most 16
+   input bits is decided by simulating its blasted miter on all of its
+   inputs at once (:mod:`repro.smt.simulate`).  This sits ahead of the
+   random rungs and of the size / wide-multiply gate below because it
+   is complete, costs milliseconds, and its cost depends on the class,
+   not on the pair: an 8-bit multiply lane is as cheap as an 8-bit add,
+3. *fuzz*: a handful of random inputs finds a counterexample quickly,
+4. *exhaustive*: the symbolic input space is tiny (after lane scaling it
    usually is), so enumerate it completely,
-4. *sat*: bit-blast ``a != b`` and run CDCL.  A checker primed with a
-   lane width first splits the pair into output lanes, abstracts each
-   lane's input reads into fresh variables and proves one lane per
-   symmetry class (:meth:`EquivalenceChecker.prime`); anything short of
-   a proof of every class runs the whole-vector query instead,
-5. *probabilistic*: for operators with no circuit encoding (division,
+5. *sat*: bit-blast ``a != b`` and run CDCL.  A lane-primed checker
+   first proves, one CDCL query per class, the classes rung 2 did not;
+   anything short of a proof of every class runs the whole-vector query
+   instead,
+6. *probabilistic*: for operators with no circuit encoding (division,
    popcount), a large randomized battery; documented as incomplete.
 """
 
@@ -28,6 +36,7 @@ from repro.smt.bitblast import BitBlaster, NotBitblastable
 from repro.smt.eval import evaluate
 from repro.smt.sat import CdclSolver, SatResult, SolverBudgetExceeded
 from repro.smt.simplify import simplify, simplify_extract, substitute
+from repro.smt.simulate import simulate_equal
 from repro.smt.terms import App, Term, Var, apply_op, var
 
 # Input spaces up to this many total bits are enumerated exhaustively.
@@ -330,6 +339,8 @@ class EquivalenceChecker:
         # One context per abstract spec lane, and the lane classes proved.
         self._lane_contexts: dict[Term, IncrementalSatContext] = {}
         self.proven: set[LaneClass] = set()
+        # Classes the simulation refuted: their CDCL query would be SAT.
+        self._refuted: set[LaneClass] = set()
         # Verdicts per rung.  ``alpha`` is counted by the similarity engine's
         # rung in front of this ladder (repro.similarity.equivalence), which
         # also memoises its instantiability walks in ``instantiable`` and the
@@ -373,6 +384,11 @@ class EquivalenceChecker:
             self.stats["structural"] += 1
             return CheckResult(True, None, "structural")
 
+        classes = self._decomposition(sa, sb)
+        if classes is not None and self._simulate_lanes(classes):
+            self.stats["exhaustive"] += 1
+            return CheckResult(True, None, "exhaustive")
+
         variables = _merged_variables(sa, sb)
 
         # Quick randomized refutation.
@@ -391,7 +407,7 @@ class EquivalenceChecker:
             _has_wide_multiply(sa) or _has_wide_multiply(sb)
         ):
             try:
-                result = self._sat_check(sa, sb, variables)
+                result = self._sat_check(sa, sb, variables, classes)
                 self.stats["sat"] += 1
                 return result
             except NotBitblastable:
@@ -435,20 +451,54 @@ class EquivalenceChecker:
         split = lane_classes(sa, sb, self._lane_width)
         return split is not None and all(c in self.proven for c in split[0])
 
-    def _prove_lanes(self, a: Term, b: Term) -> bool:
-        """Prove the simplified pair one lane class at a time.
-
-        ``b`` is the spec side.  Decomposes only when there are fewer
-        classes than lanes; each class not yet in :attr:`proven` is
-        proved on a context primed with its abstract spec lane, under
-        the checker's conflict budget.  False — leaving the whole-vector
-        query to decide — unless every class is UNSAT.
-        """
+    def _decomposition(self, a: Term, b: Term) -> list[LaneClass] | None:
+        """The lane classes of a simplified pair when a lane-primed
+        checker can prove it class by class: there are fewer classes
+        than lanes.  None otherwise."""
+        if self._lane_width is None:
+            return None
         split = lane_classes(a, b, self._lane_width)
         if split is None or len(split[0]) >= split[1]:
-            return False
+            return None
+        return split[0]
+
+    def _simulate_lanes(self, classes: list[LaneClass]) -> bool:
+        """Decide a decomposing pair's classes by simulation.
+
+        Each class not yet in :attr:`proven` is simulated on every input
+        (:func:`~repro.smt.simulate.simulate_equal`); a proved class
+        joins :attr:`proven`, and the first refuted one ends the pass.
+        True when every class is proved.
+        """
         perf = global_counters()
-        for cls in split[0]:
+        for cls in classes:
+            if cls in self.proven:
+                continue
+            abstract_spec, abstract_candidate = cls
+            verdict = simulate_equal(abstract_candidate, abstract_spec)
+            if verdict is None:
+                continue
+            perf.lane_class_simulations += 1
+            if not verdict:
+                self._refuted.add(cls)
+                return False
+            self.proven.add(cls)
+        return all(cls in self.proven for cls in classes)
+
+    def _prove_lanes(self, classes: list[LaneClass]) -> bool:
+        """Prove a decomposing pair's lane classes one at a time.
+
+        Each class not yet in :attr:`proven` is proved on a context
+        primed with its abstract spec lane, under the checker's conflict
+        budget.  False — leaving the whole-vector query to decide —
+        unless every class is UNSAT; a class the simulation refuted falls
+        back at once.
+        """
+        perf = global_counters()
+        if any(cls in self._refuted for cls in classes):
+            perf.lane_fallbacks += 1
+            return False
+        for cls in classes:
             if cls in self.proven:
                 continue
             abstract_spec, abstract_candidate = cls
@@ -471,9 +521,15 @@ class EquivalenceChecker:
         return True
 
     def _sat_check(
-        self, a: Term, b: Term, variables: dict[str, int]
+        self,
+        a: Term,
+        b: Term,
+        variables: dict[str, int],
+        classes: list[LaneClass] | None = None,
     ) -> CheckResult:
-        if self._lane_width is not None and self._prove_lanes(a, b):
+        """Bit-blast ``a != b`` and run CDCL; ``classes`` is the pair's
+        :meth:`_decomposition`, proved class by class first."""
+        if classes is not None and self._prove_lanes(classes):
             return CheckResult(True, None, "sat")
         if self.incremental:
             if self._context is None or self._context.oversized():

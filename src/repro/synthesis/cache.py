@@ -321,9 +321,24 @@ class MemoCache:
         """
         self.budget_seconds = seconds
 
+    # The public methods serialize the window once; the keyed forms let
+    # a subclass that needs the key itself pass it down instead of
+    # serializing again.
+
     def lookup_failure(self, expr: hir.HExpr, isa: str) -> bool:
         """True when this window already failed synthesis (negative cache)."""
-        key = canonical_key(expr, isa)
+        return self._lookup_failure_key(canonical_key(expr, isa))
+
+    def store_failure(self, expr: hir.HExpr, isa: str) -> None:
+        self._store_failure_key(canonical_key(expr, isa))
+
+    def lookup(self, expr: hir.HExpr, isa: str) -> CacheEntry | None:
+        return self._lookup_key(canonical_key(expr, isa), expr)
+
+    def store(self, expr: hir.HExpr, isa: str, program: SNode, cost: float) -> None:
+        self._store_key(canonical_key(expr, isa), expr, program, cost)
+
+    def _lookup_failure_key(self, key: str) -> bool:
         if key not in self._failures:
             return False
         recorded = self._failure_budgets.get(key)
@@ -341,8 +356,7 @@ class MemoCache:
         self.failure_hits += 1
         return True
 
-    def store_failure(self, expr: hir.HExpr, isa: str) -> None:
-        key = canonical_key(expr, isa)
+    def _store_failure_key(self, key: str) -> None:
         self._failures.add(key)
         previous = self._failure_budgets.get(key, "unset")
         if previous is None:
@@ -355,8 +369,7 @@ class MemoCache:
             return  # keep the larger recorded budget
         self._failure_budgets[key] = self.budget_seconds
 
-    def lookup(self, expr: hir.HExpr, isa: str) -> CacheEntry | None:
-        key = canonical_key(expr, isa)
+    def _lookup_key(self, key: str, expr: hir.HExpr) -> CacheEntry | None:
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -370,8 +383,9 @@ class MemoCache:
             _rename(entry.program, mapping), entry.cost, new_order
         )
 
-    def store(self, expr: hir.HExpr, isa: str, program: SNode, cost: float) -> None:
-        key = canonical_key(expr, isa)
+    def _store_key(
+        self, key: str, expr: hir.HExpr, program: SNode, cost: float
+    ) -> None:
         self._entries[key] = CacheEntry(
             program, cost, _appearance_order(expr)
         )

@@ -1153,16 +1153,17 @@ def _lanewise_synthesis(
         enumerator.add_env(cex)
         failing_lanes.add(lane)
 
-    # Lines 23-25: scale back up and verify at full width.  A symbolic
+    # Lines 23-25: scale back up and verify at full width.  A complete
     # scaled verdict may already prove the full-width pair; otherwise
-    # (and after any other verdict) sample it.
+    # (and after any random verdict) sample it.  A whole-pair exhaustive
+    # verdict proves no lane class, so it samples too.
     full = scale_up_program(solution.node, factor)
     if full is None:
         raise SynthesisFailure("scaled-up solution failed full-width check")
     if factor > 1:
         perf = global_counters()
         with phase_timer("verify"):
-            proved = stats.verified in ("structural", "sat") and (
+            proved = stats.verified in ("structural", "exhaustive", "sat") and (
                 _proves_full_width(full, spec, checker)
             )
         if proved:

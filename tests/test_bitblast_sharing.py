@@ -288,9 +288,9 @@ class TestSpecFirstPriming:
         pairs = []
         real = EquivalenceChecker._sat_check
 
-        def recording(checker, left, right, variables):
+        def recording(checker, left, right, *rest):
             pairs.append((left, right))
-            return real(checker, left, right, variables)
+            return real(checker, left, right, *rest)
 
         names = ("sat_conflicts", "lane_class_queries", "lane_fallbacks",
                  "full_width_proved", "full_width_sampled")

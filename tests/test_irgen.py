@@ -125,6 +125,41 @@ class TestArtifactStore:
             dictionary_fingerprint(original.dictionary)
         )
 
+    def test_decode_pauses_the_collector_and_restores_it(
+        self, store, artifacts, monkeypatch
+    ):
+        import gc
+
+        from repro.irgen import artifact as artifact_module
+
+        real = artifact_module.artifact_from_obj
+        during = []
+
+        def recording(obj):
+            during.append(gc.isenabled())
+            return real(obj)
+
+        monkeypatch.setattr(artifact_module, "artifact_from_obj", recording)
+        assert gc.isenabled()
+        assert load_artifact(store, artifacts[2].fingerprint) is not None
+        assert during == [False] and gc.isenabled()
+
+        def failing(obj):
+            raise RuntimeError("decoder crashed")
+
+        monkeypatch.setattr(artifact_module, "artifact_from_obj", failing)
+        with pytest.raises(RuntimeError):
+            load_artifact(store, artifacts[2].fingerprint)
+        assert gc.isenabled()
+        # A caller that had paused the collector keeps it paused.
+        monkeypatch.setattr(artifact_module, "artifact_from_obj", recording)
+        gc.disable()
+        try:
+            assert load_artifact(store, artifacts[2].fingerprint) is not None
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
     def test_missing_fingerprint_is_a_miss(self, store):
         assert load_artifact(store, "0" * 64) is None
 

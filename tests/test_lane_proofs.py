@@ -1,10 +1,13 @@
-"""Lane-symmetric proofs in the SAT rung (``repro.smt.solver``).
+"""Lane-symmetric proofs (``repro.smt.solver``).
 
 A checker primed with a lane width splits a pair into output lanes,
 abstracts each lane's input reads into fresh variables and proves one
-lane per symmetry class.  Anything short of a proof must run the
-whole-vector query unchanged, so every refutation below is compared with
-the one a checker without a lane width returns.
+lane per symmetry class: by bit-parallel simulation when the class has at
+most 16 input bits (the 8-bit cases of :class:`TestProofs`), by one CDCL
+query otherwise (the 16-bit copies in :class:`TestCdclProofs`).  Anything
+short of a proof must run the whole-vector query unchanged, so every
+refutation below is compared with the one a checker without a lane width
+returns.
 """
 
 import random
@@ -34,8 +37,8 @@ def _op(op, *args, params=()):
     return apply_op(op, list(args), params)
 
 
-def _read(vector, lane):
-    return _op("extract", vector, params=((lane + 1) * WIDTH - 1, lane * WIDTH))
+def _read(vector, lane, width=WIDTH):
+    return _op("extract", vector, params=((lane + 1) * width - 1, lane * width))
 
 
 def _vector(lanes):
@@ -53,17 +56,16 @@ def _carry_add(x, y):
 
 def _hidden_bump(x, y):
     """``x + y``, off by one only when ``x == 0x5a`` and ``y == 0xa5``:
-    random inputs essentially never hit it, so CDCL has to find it."""
+    random inputs essentially never hit it, so a complete rung has to
+    find it."""
+    width = x.width
     hit = _op(
         "bvand",
-        _op("bveq", x, const(0x5A, WIDTH)),
-        _op("bveq", y, const(0xA5, WIDTH)),
+        _op("bveq", x, const(0x5A, width)),
+        _op("bveq", y, const(0xA5, width)),
     )
     total = _op("bvadd", x, y)
-    return _op("ite", hit, _op("bvadd", total, const(1, WIDTH)), total)
-
-
-SPEC = _vector([_carry_add(_read(A, i), _read(B, i)) for i in range(LANES)])
+    return _op("ite", hit, _op("bvadd", total, const(1, width)), total)
 
 
 def _op_add(x, y):
@@ -74,29 +76,45 @@ def _candidate(lane_term):
     return _vector([lane_term(i) for i in range(LANES)])
 
 
-CORRECT = _candidate(lambda i: _op_add(_read(A, i), _read(B, i)))
-
-
-def _corrupt(target):
-    def lane(i):
-        add = _hidden_bump if i == target else _op_add
-        return add(_read(A, i), _read(B, i))
-
-    return _candidate(lane)
-
-
 SWAP = (1, 0, 2, 3)
-MUTANTS = {
-    "first lane": _corrupt(0),
-    "middle lane": _corrupt(LANES // 2),
-    "last lane": _corrupt(LANES - 1),
-    "lanes 0 and 1 swapped": _candidate(
-        lambda i: _op_add(_read(A, SWAP[i]), _read(B, SWAP[i]))
-    ),
-    "neighbour slice": _candidate(
-        lambda i: _op_add(_read(A, i - 1 if i == 2 else i), _read(B, i))
-    ),
-}
+
+
+def _family(width):
+    """The spec, its correct candidate and the five soundness mutants
+    over ``LANES`` lanes of ``width`` bits."""
+    a, b = var("a", LANES * width), var("b", LANES * width)
+    candidate = _candidate
+
+    def corrupt(target):
+        def lane(i):
+            add = _hidden_bump if i == target else _op_add
+            return add(_read(a, i, width), _read(b, i, width))
+
+        return candidate(lane)
+
+    spec = candidate(lambda i: _carry_add(_read(a, i, width), _read(b, i, width)))
+    correct = candidate(lambda i: _op_add(_read(a, i, width), _read(b, i, width)))
+    mutants = {
+        "first lane": corrupt(0),
+        "middle lane": corrupt(LANES // 2),
+        "last lane": corrupt(LANES - 1),
+        "lanes 0 and 1 swapped": candidate(
+            lambda i: _op_add(_read(a, SWAP[i], width), _read(b, SWAP[i], width))
+        ),
+        "neighbour slice": candidate(
+            lambda i: _op_add(
+                _read(a, i - 1 if i == 2 else i, width), _read(b, i, width)
+            )
+        ),
+    }
+    return spec, correct, mutants
+
+
+SPEC, CORRECT, MUTANTS = _family(WIDTH)
+# Mutants whose 8-bit lane classes all have at most 16 input bits: the
+# simulation refutes them.  The other two read a neighbour's slice, so
+# their wrong class has 24 or 32 input bits and goes to CDCL.
+SIMULATED_MUTANTS = {"first lane", "middle lane", "last lane"}
 
 
 def _checker(lane_width, spec=SPEC):
@@ -125,7 +143,9 @@ def _counts():
     perf = global_counters()
     return {
         name: getattr(perf, name)
-        for name in ("lane_class_queries", "lane_fallbacks")
+        for name in (
+            "lane_class_simulations", "lane_class_queries", "lane_fallbacks"
+        )
     }
 
 
@@ -195,8 +215,10 @@ class TestProofs:
         checker = _checker(WIDTH)
         before = _counts()
         verdict = checker.check_equivalence(CORRECT, SPEC)
-        assert verdict.equivalent and verdict.method == "sat"
-        assert _delta(before, "lane_class_queries") == 1
+        # One 16-input-bit class: simulated, no CDCL query.
+        assert verdict.equivalent and verdict.method == "exhaustive"
+        assert _delta(before, "lane_class_simulations") == 1
+        assert _delta(before, "lane_class_queries") == 0
         assert _delta(before, "lane_fallbacks") == 0
         assert len(checker.proven) == 1
         # The whole-vector context was never built.
@@ -226,6 +248,15 @@ class TestProofs:
         before = _counts()
         lane_verdict = _checker(WIDTH).check_equivalence(mutant, SPEC)
         assert _delta(before, "lane_fallbacks") == 1
+        if name in SIMULATED_MUTANTS:
+            # The simulation refuted a class; no CDCL lane query re-finds it.
+            assert _delta(before, "lane_class_simulations") >= 1
+            assert _delta(before, "lane_class_queries") == 0
+        else:
+            # The untouched lanes' class is simulated; the wrong one is
+            # too wide and takes one CDCL query.
+            assert _delta(before, "lane_class_simulations") == 1
+            assert _delta(before, "lane_class_queries") == 1
         whole_verdict = _checker(None).check_equivalence(mutant, SPEC)
         assert not lane_verdict.equivalent
         assert lane_verdict.method == whole_verdict.method == "sat"
@@ -245,6 +276,7 @@ class TestProofs:
         verdict = checker.check_equivalence(candidate, spec)
         assert verdict.equivalent and verdict.method == "sat"
         assert _delta(before, "lane_class_queries") == 0
+        assert _delta(before, "lane_class_simulations") == 0
         assert _delta(before, "lane_fallbacks") == 0
         assert checker._context is not None and checker._context.queries == 1
         assert not checker.proven
@@ -273,6 +305,7 @@ class TestProofs:
         assert not verdict.equivalent
         assert verdict.counterexample == whole_verdict.counterexample
         assert _delta(before, "lane_class_queries") == 0
+        assert _delta(before, "lane_class_simulations") == 0
         assert not checker.proven
 
     def test_unprimed_checker_never_decomposes(self, no_fuzz):
@@ -280,7 +313,71 @@ class TestProofs:
         checker = EquivalenceChecker(seed=7, max_conflicts=4_000, incremental=True)
         assert checker.check_equivalence(CORRECT, SPEC).equivalent
         assert _delta(before, "lane_class_queries") == 0
+        assert _delta(before, "lane_class_simulations") == 0
         assert not checker.proven
+
+
+WIDE_SPEC, WIDE_CORRECT, WIDE_MUTANTS = _family(16)
+
+
+class TestCdclProofs:
+    """The CDCL cases of :class:`TestProofs` at 16-bit lanes, whose
+    classes have 32 input bits: past the simulation, so each class is
+    one CDCL lane query."""
+
+    def test_symmetric_pair_is_proved_one_lane_at_a_time(self, no_fuzz):
+        checker = _checker(16, WIDE_SPEC)
+        before = _counts()
+        verdict = checker.check_equivalence(WIDE_CORRECT, WIDE_SPEC)
+        assert verdict.equivalent and verdict.method == "sat"
+        assert _delta(before, "lane_class_queries") == 1
+        assert _delta(before, "lane_class_simulations") == 0
+        assert _delta(before, "lane_fallbacks") == 0
+        assert len(checker.proven) == 1
+        assert checker._context is None
+
+    @pytest.mark.parametrize("name", sorted(WIDE_MUTANTS))
+    def test_mutant_refuted_with_the_whole_vector_counterexample(self, name, no_fuzz):
+        mutant = WIDE_MUTANTS[name]
+        before = _counts()
+        lane_verdict = _checker(16, WIDE_SPEC).check_equivalence(mutant, WIDE_SPEC)
+        assert _delta(before, "lane_fallbacks") == 1
+        assert _delta(before, "lane_class_simulations") == 0
+        whole_verdict = _checker(None, WIDE_SPEC).check_equivalence(
+            mutant, WIDE_SPEC
+        )
+        assert not lane_verdict.equivalent
+        assert lane_verdict.method == whole_verdict.method == "sat"
+        assert lane_verdict.counterexample == whole_verdict.counterexample
+        env = lane_verdict.counterexample
+        assert evaluate(mutant, env).value != evaluate(WIDE_SPEC, env).value
+
+
+class TestCegisFullWidth:
+    def test_exhaustive_lane_verdict_proves_the_full_width_pair(self):
+        """The 16 x i8 carry identity of the near-miss stream: its scaled
+        query is one 16-input-bit class, proved by simulation, and the
+        full-width check is a memo hit on that proof, not a sample."""
+        from repro.autollvm import build_dictionary
+        from repro.halide import ir as hir
+        from repro.synthesis import CegisOptions, build_grammar, synthesize
+
+        a, b = hir.HLoad("a", 16, 8), hir.HLoad("b", 16, 8)
+        carry = hir.HBin("shl", hir.HBin("and", a, b), hir.HConst(1, 16, 8))
+        window = hir.HBin("add", hir.HBin("xor", a, b), carry)
+        grammar = build_grammar(window, "x86", build_dictionary())
+        names = ("lane_class_simulations", "lane_class_queries",
+                 "full_width_proved", "full_width_sampled")
+        perf = global_counters()
+        before = {name: getattr(perf, name) for name in names}
+        result = synthesize(window, grammar, CegisOptions(timeout_seconds=25.0))
+        assert result.stats.verified == "exhaustive"
+        assert result.stats.scale_factor > 1
+        delta = {name: getattr(perf, name) - before[name] for name in names}
+        assert delta["lane_class_simulations"] >= 1
+        assert delta["lane_class_queries"] == 0
+        assert delta["full_width_proved"] == 1
+        assert delta["full_width_sampled"] == 0
 
 
 class TestBudgetConflicts:

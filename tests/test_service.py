@@ -218,6 +218,35 @@ class TestPersistentCache:
         assert names == {"p", "q"}
         assert second.hits == 1
 
+    def test_warm_hit_serializes_its_window_twice(
+        self, tmp_path, dictionary, monkeypatch
+    ):
+        """One key for ``lookup_failure``, one for ``lookup``: the
+        persistent layer hands its key to the in-memory one instead of
+        letting it serialize the window again."""
+        from repro.service import store as store_module
+        from repro.synthesis import build_grammar, synthesize
+        from repro.synthesis import cache as cache_module
+
+        window = _structural_window()
+        PersistentCache(tmp_path, "x86", dictionary).store(
+            window, "x86", _structural_program(), 4.0
+        )
+        keys = []
+
+        def counting(expr, isa):
+            keys.append(expr)
+            return canonical_key(expr, isa)
+
+        monkeypatch.setattr(store_module, "canonical_key", counting)
+        monkeypatch.setattr(cache_module, "canonical_key", counting)
+        warm = PersistentCache(tmp_path, "x86", dictionary)
+        result = synthesize(
+            window, build_grammar(window, "x86", dictionary), cache=warm
+        )
+        assert result.stats.cache_hit
+        assert len(keys) == 2
+
     def test_negative_entries_persist(self, tmp_path, dictionary):
         window = _add_window()
         first = PersistentCache(tmp_path, "x86", dictionary)
@@ -437,6 +466,19 @@ class TestWarmFork:
     # store and builds its grammar, which is where workers used to parse.
     CEGIS = CegisOptions(timeout_seconds=0.3, scale_factor=8)
     ISAS = ("x86", "hvx", "arm", "rvv")
+
+    def test_prewarm_freezes_what_it_built(self, tmp_path):
+        """``prewarm`` ends with ``gc.freeze()``, so a forked worker's
+        collections never walk the dictionary."""
+        import gc
+
+        from repro.service import prewarm
+
+        try:
+            prewarm(str(tmp_path))
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
 
     def test_warm_workers_parse_no_specs(self, tmp_path):
         from repro.isa.registry import load_isa
