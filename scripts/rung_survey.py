@@ -15,6 +15,9 @@ JSON object per pair:
 * ``splits``: windows split, for failure or for size;
 * ``full_width_proved`` / ``full_width_sampled``: how the scaled-up
   programs were checked at full width;
+* ``programs``: the sha256 of the ``program_signature`` of every program
+  synthesis returned (memo hits and rule matches included), in order —
+  two runs served the same programs iff their digests are equal;
 * ``seconds``: wall time of the pair.
 
 Run from the repo root; adds ``src/`` to ``sys.path`` when the package is
@@ -23,6 +26,7 @@ the dictionary build.
 """
 
 import argparse
+import hashlib
 import json
 import pathlib
 import sys
@@ -37,6 +41,7 @@ from repro.autollvm import build_dictionary  # noqa: E402
 from repro.backend import hydride as hydride_backend  # noqa: E402
 from repro.perf import global_counters  # noqa: E402
 from repro.synthesis import CegisOptions, MemoCache, SynthesisFailure  # noqa: E402
+from repro.synthesis.rules import program_signature  # noqa: E402
 from repro.workloads.registry import benchmark_named  # noqa: E402
 
 TIMEOUT_SECONDS = 20.0
@@ -46,6 +51,7 @@ def survey(kernel: str, isa: str, dictionary) -> dict:
     """Compile one kernel for one ISA and tally its windows' verdicts."""
     rungs: Counter[str] = Counter()
     tally = {"memo_hits": 0, "failures": 0}
+    programs = hashlib.sha256()
     synthesize = hydride_backend.synthesize
 
     def recording(*args, **kwargs):
@@ -54,6 +60,7 @@ def survey(kernel: str, isa: str, dictionary) -> dict:
         except SynthesisFailure:
             tally["failures"] += 1
             raise
+        programs.update(program_signature(result.program).encode() + b"\n")
         if result.stats.cache_hit:
             tally["memo_hits"] += 1
         else:
@@ -82,6 +89,7 @@ def survey(kernel: str, isa: str, dictionary) -> dict:
         "splits": splits,
         "full_width_proved": perf.full_width_proved - proved,
         "full_width_sampled": perf.full_width_sampled - sampled,
+        "programs": programs.hexdigest(),
         "seconds": round(time.monotonic() - started, 3),
     }
 

@@ -38,6 +38,11 @@ from repro.synthesis.program import SNode, SOp, SSwizzle
 from repro.synthesis.translate import translate_program
 
 
+# Windows with more operations than synthesis could compress into a
+# max-depth program are split without attempting synthesis.
+MAX_WINDOW_OPS = 6
+
+
 def rewrite_broadcasts(expr: hir.HExpr) -> hir.HExpr:
     """Treat runtime broadcasts as opaque vector inputs for synthesis.
 
@@ -97,9 +102,6 @@ class HydrideCompiler:
         # Windows deeper than this are split before synthesis (the paper's
         # bounded window size).
         max_window_size: int = 14,
-        # Windows with more operations than synthesis could compress into
-        # a max-depth program are split without attempting synthesis.
-        max_window_ops: int = 6,
         # Accepted and ignored: ``bench_e2e/tracejob.py`` still passes it.
         # Delete with the next benchmark change.
         reuse=None,
@@ -112,7 +114,6 @@ class HydrideCompiler:
         self.cegis = cegis or CegisOptions(timeout_seconds=30.0)
         self.grammar_options = grammar_options or GrammarOptions()
         self.max_window_size = max_window_size
-        self.max_window_ops = max_window_ops
         self.rules = rules
 
     # ------------------------------------------------------------------
@@ -151,7 +152,7 @@ class HydrideCompiler:
             for n in window.walk()
             if not isinstance(n, (hir.HLoad, hir.HConst, hir.HBroadcast, hir.HSlice, hir.HConcat))
         )
-        if window.size() <= self.max_window_size and op_nodes <= self.max_window_ops:
+        if window.size() <= self.max_window_size and op_nodes <= MAX_WINDOW_OPS:
             try:
                 hits_before = self.cache.hits
                 result = synthesize(

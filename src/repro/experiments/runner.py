@@ -63,9 +63,58 @@ class SuiteResult:
         return math.exp(sum(math.log(r) for r in ratios) / len(ratios))
 
 
-def fast_hydride_options() -> CegisOptions:
-    """A synthesis budget suited to running the full suite."""
-    return CegisOptions(timeout_seconds=25.0, scale_factor=8)
+class JobTimeout(Exception):
+    """A compilation exceeded its wall budget."""
+
+
+def compile_benchmark(
+    benchmark: Benchmark,
+    isa: str,
+    label: str,
+    compiler,
+    deadline: float | None = None,
+) -> BenchmarkResult:
+    """Lower ``benchmark`` for ``isa``, compile and simulate every kernel
+    with ``compiler``, and sum the runtimes and window counts into one
+    result recorded under compiler ``label``.
+
+    A :class:`CompileError` or any other error is recorded as the
+    result's ``error``.  Past ``deadline`` (a monotonic-clock value),
+    the next kernel raises :class:`JobTimeout` instead.
+    """
+    start = time.monotonic()
+    try:
+        total_us = 0.0
+        expressions = 0
+        for kernel in benchmark.lower(isa):
+            if deadline is not None and time.monotonic() > deadline:
+                raise JobTimeout(f"{benchmark.name}/{isa} exceeded its wall budget")
+            compiled = compiler.compile(kernel, isa)
+            total_us += compiled.simulate().runtime_us
+            accounting = getattr(compiled, "accounting", None)
+            if accounting is not None:
+                expressions += accounting.expression_count
+        return BenchmarkResult(
+            benchmark.name,
+            isa,
+            label,
+            total_us,
+            compile_seconds=time.monotonic() - start,
+            expression_count=expressions,
+        )
+    except CompileError as exc:
+        return BenchmarkResult(
+            benchmark.name, isa, label, None,
+            compile_seconds=time.monotonic() - start, error=str(exc),
+        )
+    except JobTimeout:
+        raise
+    except Exception as exc:  # noqa: BLE001 - recorded, not fatal mid-suite
+        return BenchmarkResult(
+            benchmark.name, isa, label, None,
+            compile_seconds=time.monotonic() - start,
+            error=f"{type(exc).__name__}: {exc}",
+        )
 
 
 class ExperimentRunner:
@@ -90,8 +139,10 @@ class ExperimentRunner:
         jobs: int = 1,
         daemon_addr: str | None = None,
     ) -> None:
+        from repro.service.scheduler import default_cegis_options
+
         self.dictionary = build_dictionary()
-        self.cegis = cegis or fast_hydride_options()
+        self.cegis = cegis or default_cegis_options()
         self.cache_dir = cache_dir
         self.jobs = max(1, jobs)
         self.daemon_addr = daemon_addr
@@ -124,39 +175,9 @@ class ExperimentRunner:
     def run_one(
         self, benchmark: Benchmark, isa: str, compiler_name: str
     ) -> BenchmarkResult:
-        compiler = self.compiler_named(compiler_name, isa)
-        start = time.time()
-        try:
-            kernels = benchmark.lower(isa)
-            total_us = 0.0
-            expressions = 0
-            for kernel in kernels:
-                compiled = compiler.compile(kernel, isa)
-                total_us += compiled.simulate().runtime_us
-                accounting = getattr(compiled, "accounting", None)
-                if accounting is not None:
-                    expressions += accounting.expression_count
-            return BenchmarkResult(
-                benchmark.name,
-                isa,
-                compiler_name,
-                total_us,
-                compile_seconds=time.time() - start,
-                expression_count=expressions,
-            )
-        except CompileError as exc:
-            return BenchmarkResult(
-                benchmark.name, isa, compiler_name, None,
-                compile_seconds=time.time() - start, error=str(exc),
-            )
-        except Exception as exc:  # noqa: BLE001
-            # Unexpected errors should be visible during development but
-            # recorded rather than fatal during sweeps.
-            return BenchmarkResult(
-                benchmark.name, isa, compiler_name, None,
-                compile_seconds=time.time() - start,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+        return compile_benchmark(
+            benchmark, isa, compiler_name, self.compiler_named(compiler_name, isa)
+        )
 
     def run_suite(
         self,

@@ -117,7 +117,6 @@ def _run(
             options = CegisOptions(
                 timeout_seconds=setting.timeout,
                 lanewise=setting.lanewise,
-                scaling=setting.scaling,
                 scale_factor=8 if setting.scaling else 1,
             )
             start = time.time()

@@ -326,6 +326,13 @@ def interpret(expr: HExpr, env: Mapping[str, BitVector]) -> BitVector:
 
     Loads bind the full vector register; broadcasts bind one element.
     """
+    return node_values(expr, env)[id(expr)]
+
+
+def node_values(expr: HExpr, env: Mapping[str, BitVector]) -> dict[int, BitVector]:
+    """The value of every node of ``expr`` under ``env``, keyed by the
+    node's identity — one evaluation of the whole window, whose root
+    entry is :func:`interpret`'s result."""
     cache: dict[int, BitVector] = {}
 
     def run(node: HExpr) -> BitVector:
@@ -414,7 +421,8 @@ def interpret(expr: HExpr, env: Mapping[str, BitVector]) -> BitVector:
             return vector_from_elems([src.elem(i) for i in node.indices]).bits
         raise TypeError(f"unknown Halide IR node {type(node).__name__}")
 
-    return run(expr)
+    run(expr)
+    return cache
 
 
 # ----------------------------------------------------------------------

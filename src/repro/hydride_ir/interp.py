@@ -83,20 +83,16 @@ def interpret(
     params: Mapping[str, int] | None = None,
 ) -> BitVector:
     """Run the semantics on concrete register values."""
-    param_env: dict[str, int] = dict(params if params is not None else func.params)
-    widths = resolved_input_widths(func, param_env)
-    _check_inputs(widths, inputs)
-    return _run_body(func, inputs, param_env)
+    return make_evaluator(func, params)(inputs)
 
 
 def make_evaluator(func: SemanticsFunction, params: Mapping[str, int] | None = None):
     """A reusable concrete evaluator with the per-call setup hoisted out.
 
-    :func:`interpret` rebuilds the parameter environment and re-evaluates
-    every input-width expression on each call; the synthesizer applies the
-    same instruction (same parameter vector) to thousands of candidate
-    argument tuples, so this returns a closure that has both precomputed.
-    The resolved widths are exposed as ``input_widths`` so callers can
+    The parameter environment and every input-width expression are
+    resolved once; the synthesizer applies the same instruction (same
+    parameter vector) to thousands of candidate argument tuples.  The
+    resolved widths are exposed as ``input_widths`` so callers can
     build argument environments without touching the width expressions.
     """
     param_env: dict[str, int] = dict(params if params is not None else func.params)

@@ -28,21 +28,16 @@ from dataclasses import dataclass, field
 from repro import faults
 from repro.autollvm import build_dictionary
 from repro.backend import (
-    CompileError,
     HalideNativeCompiler,
     HydrideCompiler,
     LlvmGenericCompiler,
     RakeCompiler,
 )
-from repro.experiments.runner import BenchmarkResult
+from repro.experiments.runner import BenchmarkResult, JobTimeout, compile_benchmark
 from repro.perf import snapshot as perf_snapshot
 from repro.perf import snapshot_delta as perf_snapshot_delta
 from repro.synthesis import CegisOptions, MemoCache
 from repro.workloads.registry import benchmark_named
-
-
-class JobTimeout(Exception):
-    """One attempt exceeded its share of the job's wall budget."""
 
 
 def _attempt_fault(job: "CompileJob", attempt: int) -> None:
@@ -221,44 +216,10 @@ def _compile_once(
     deadline: float | None,
     rules=None,
 ) -> BenchmarkResult:
-    benchmark = benchmark_named(job.benchmark)
     compiler = make_compiler(compiler_name, dictionary, cache, cegis, rules=rules)
-    start = time.monotonic()
-    try:
-        kernels = benchmark.lower(job.isa)
-        total_us = 0.0
-        expressions = 0
-        for kernel in kernels:
-            if deadline is not None and time.monotonic() > deadline:
-                raise JobTimeout(
-                    f"{job.benchmark}/{job.isa} exceeded its wall budget"
-                )
-            compiled = compiler.compile(kernel, job.isa)
-            total_us += compiled.simulate().runtime_us
-            accounting = getattr(compiled, "accounting", None)
-            if accounting is not None:
-                expressions += accounting.expression_count
-        return BenchmarkResult(
-            benchmark.name,
-            job.isa,
-            job.compiler,
-            total_us,
-            compile_seconds=time.monotonic() - start,
-            expression_count=expressions,
-        )
-    except CompileError as exc:
-        return BenchmarkResult(
-            benchmark.name, job.isa, job.compiler, None,
-            compile_seconds=time.monotonic() - start, error=str(exc),
-        )
-    except JobTimeout:
-        raise
-    except Exception as exc:  # noqa: BLE001 - recorded, not fatal mid-suite
-        return BenchmarkResult(
-            benchmark.name, job.isa, job.compiler, None,
-            compile_seconds=time.monotonic() - start,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+    return compile_benchmark(
+        benchmark_named(job.benchmark), job.isa, job.compiler, compiler, deadline
+    )
 
 
 def execute_job(

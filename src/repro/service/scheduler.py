@@ -54,7 +54,8 @@ _JOIN_GRACE_SECONDS = 5.0
 
 
 def default_cegis_options() -> CegisOptions:
-    """The service's synthesis budget (mirrors the experiment suite's)."""
+    """The synthesis budget of the service, the daemon and the experiment
+    suite."""
     return CegisOptions(timeout_seconds=25.0, scale_factor=8)
 
 

@@ -42,6 +42,10 @@ from repro.smt.terms import App, Term, Var, apply_op, var
 # Input spaces up to this many total bits are enumerated exhaustively.
 EXHAUSTIVE_BIT_LIMIT = 14
 
+# An incremental context whose CNF outgrows this many variables is
+# replaced by a fresh one.
+CONTEXT_MAX_VARS = 400_000
+
 # Random samples tried before falling through to heavier methods.
 QUICK_FUZZ_SAMPLES = 48
 PROBABILISTIC_SAMPLES = 512
@@ -228,10 +232,9 @@ class IncrementalSatContext:
     retired with a unit clause so it can never constrain later queries.
     """
 
-    def __init__(self, max_vars: int = 400_000) -> None:
+    def __init__(self) -> None:
         self.blaster = BitBlaster()
         self.solver = CdclSolver()
-        self.max_vars = max_vars
         self.queries = 0
         # How many of the builder's clauses have been fed to the solver.
         self._fed = 0
@@ -239,7 +242,7 @@ class IncrementalSatContext:
     def oversized(self) -> bool:
         """True once retired queries have bloated the database enough that
         starting over is cheaper than dragging the dead weight along."""
-        return self.blaster.cnf.num_vars > self.max_vars
+        return self.blaster.cnf.num_vars > CONTEXT_MAX_VARS
 
     def _sync(self) -> None:
         cnf = self.blaster.cnf
@@ -316,14 +319,12 @@ class EquivalenceChecker:
         self,
         seed: int = 0,
         max_conflicts: int | None = 200_000,
-        exhaustive_bit_limit: int = EXHAUSTIVE_BIT_LIMIT,
         sat_node_limit: int = 6_000,
         probabilistic_samples: int = PROBABILISTIC_SAMPLES,
         incremental: bool = False,
     ) -> None:
         self.rng = random.Random(seed)
         self.max_conflicts = max_conflicts
-        self.exhaustive_bit_limit = exhaustive_bit_limit
         self.probabilistic_samples = probabilistic_samples
         # Terms larger than this skip bit-blasting (the CNF would dwarf the
         # budget) and rely on the randomized battery instead.
@@ -399,7 +400,7 @@ class EquivalenceChecker:
                 return CheckResult(False, env, "fuzz")
 
         total_bits = sum(variables.values())
-        if total_bits <= self.exhaustive_bit_limit:
+        if total_bits <= EXHAUSTIVE_BIT_LIMIT:
             self.stats["exhaustive"] += 1
             return self._exhaustive(sa, sb, variables)
 

@@ -232,7 +232,8 @@ def check_stored_program(
 
     Every tier that replays a program it did not just verify (the
     persistent cache, the rulebook matcher, the rule distiller) runs
-    this first.  The structural half — every input is a load of the
+    this first, and so does CEGIS on a scaled-up program it could not
+    prove at full width.  The structural half — every input is a load of the
     spec at its width, and the output width matches — draws nothing
     from ``rng``.  Then ``trials`` random inputs from :func:`window_env`
     must give the spec's value.  Any exception is a failed check.  A

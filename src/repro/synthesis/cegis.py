@@ -27,7 +27,7 @@ from repro.bitvector.packed import splat as packed_splat
 from repro.halide import ir as hir
 from repro.perf import global_counters, phase_timer
 from repro.smt.solver import EquivalenceChecker, SolverTimeout
-from repro.synthesis.cache import MemoCache
+from repro.synthesis.cache import MemoCache, check_stored_program
 from repro.synthesis.grammar import Grammar, GrammarEntry
 from repro.synthesis.program import (
     SConcat,
@@ -60,22 +60,29 @@ class SynthesisFailure(Exception):
         self.timed_out = timed_out
 
 
+# Enumeration bounds: argument-pool size per input width, pool
+# admissions per (width, kind, round), candidates per round, and the
+# rotate_right amounts tried.
+ARGS_PER_WIDTH = 12
+POOL_PER_WIDTH = 350
+ROUND_BUDGET = 20_000
+ROTATE_AMOUNTS = (1,)
+# Verification: the seed of the search's RNG and checker, the SAT
+# conflict budget per query, and the random inputs a scaled-up program
+# not proved at full width is checked on.
+SEED = 7
+VERIFY_CONFLICTS = 4_000
+FULL_WIDTH_TRIALS = 64
+
+
 @dataclass
 class CegisOptions:
+    """``scale_factor`` 1 synthesizes unscaled."""
+
     scale_factor: int = 8
     lanewise: bool = True
-    scaling: bool = True
     max_depth: int = 3
-    seed: int = 7
     timeout_seconds: float = 240.0
-    # Enumeration bounds.
-    args_per_width: int = 12
-    pool_per_width: int = 350
-    round_budget: int = 20_000
-    rotate_amounts: tuple[int, ...] = (1,)
-    # Verification budgets.
-    verify_conflicts: int = 4_000
-    full_scale_fuzz: int = 64
 
 
 @dataclass
@@ -176,14 +183,12 @@ class _Enumerator:
     def __init__(
         self,
         grammar: Grammar,
-        options: CegisOptions,
         spec: hir.HExpr,
         rng: random.Random,
         deadline: float,
         scale_factor: int,
     ) -> None:
         self.grammar = grammar
-        self.options = options
         self.spec = spec
         self.rng = rng
         self.deadline = deadline
@@ -192,6 +197,8 @@ class _Enumerator:
         self.scale_factor = scale_factor
         self._scaled_cache: dict[int, object] = {}
         self.envs: list[dict[str, BitVector]] = []
+        # Per env: every spec node's value (hir.node_values), and the root's.
+        self.spec_values: list[dict[int, BitVector]] = []
         self.spec_outs: list[BitVector] = []
         self.pool: list[_Candidate] = []
         self.by_width: dict[int, list[_Candidate]] = {}
@@ -238,7 +245,9 @@ class _Enumerator:
 
     def _add_env(self, env: dict[str, BitVector]) -> None:
         self.envs.append(env)
-        self.spec_outs.append(hir.interpret(self.spec, env))
+        values = hir.node_values(self.spec, env)
+        self.spec_values.append(values)
+        self.spec_outs.append(values[id(self.spec)])
         # The pool is in creation order, which is topological: each
         # candidate's value on the new input derives from its arguments'
         # freshly appended values with a single node application.
@@ -285,31 +294,11 @@ class _Enumerator:
     def _rebuild_landmarks(self) -> None:
         """Values of every specification subexpression (and their register
         halves) on the current seed inputs: goal-directed waypoints."""
-        per_node: dict[int, list[int]] = {}
-        node_bits: dict[int, int] = {}
-        for env_index, env in enumerate(self.envs):
-            cache: dict[int, BitVector] = {}
-
-            def run(node: hir.HExpr) -> BitVector:
-                hit = cache.get(id(node))
-                if hit is not None:
-                    return hit
-                for kid in node.children():
-                    run(kid)
-                value = hir.interpret(node, env)
-                cache[id(node)] = value
-                return value
-
-            run(self.spec)
-            for node_id, value in cache.items():
-                per_node.setdefault(node_id, []).append(value.value)
-                node_bits[node_id] = value.width
         self._landmarks = set()
-        for node_id, values in per_node.items():
-            if len(values) != len(self.envs):
-                continue
-            bits = node_bits[node_id]
-            self._landmarks.add((bits, tuple(values)))
+        for node_id, value in self.spec_values[0].items():
+            bits = value.width
+            values = tuple(per_env[node_id].value for per_env in self.spec_values)
+            self._landmarks.add((bits, values))
             if bits % 2 == 0 and bits >= 16:
                 half = bits // 2
                 mask = (1 << half) - 1
@@ -427,9 +416,7 @@ class _Enumerator:
     def _view_cap_spent(self, bits: int) -> bool:
         """Whether this round's ``(bits, "view")`` allowance is used up;
         once it is, it stays so for the rest of the round."""
-        if self._kind_counts.get((bits, "view", self.depth), 0) < (
-            self.options.pool_per_width // 2
-        ):
+        if self._kind_counts.get((bits, "view", self.depth), 0) < POOL_PER_WIDTH // 2:
             return False
         # _insert gives the width of a candidate it sheds a bucket.
         self.by_width.setdefault(bits, [])
@@ -516,9 +503,7 @@ class _Enumerator:
         # pool space — only same-round volume is shed.
         kind_key = (bits, kind, depth)
         kind_count = self._kind_counts.get(kind_key, 0)
-        cap = self.options.pool_per_width if kind == "op" else (
-            self.options.pool_per_width // 2
-        )
+        cap = POOL_PER_WIDTH if kind == "op" else POOL_PER_WIDTH // 2
         if not force and kind_count >= cap:
             return
         self._kind_counts[kind_key] = kind_count + 1
@@ -635,7 +620,7 @@ class _Enumerator:
     def _args_for_uncached(
         self, bits: int, cap: int | None = None, elem: int | None = None
     ):
-        cap = cap or self.options.args_per_width
+        cap = cap or ARGS_PER_WIDTH
         frontier = self.depth - 1
         # The bucket is cost-sorted, so "stable sort by (not landmark,
         # cost)" is "landmarks in bucket order, then the rest in bucket
@@ -711,12 +696,11 @@ class _Enumerator:
             arity = len(widths)
             if arity == 0 or arity > 3:
                 continue
-            arg_cap = self.options.args_per_width
             elem_reqs = entry.input_elem_widths(values)
             if len(elem_reqs) != arity:
                 elem_reqs = [None] * arity
             pools = [
-                self._args_for(w, arg_cap, e)
+                self._args_for(w, ARGS_PER_WIDTH, e)
                 for w, e in zip(widths, elem_reqs)
             ]
             if any(not p for p in pools):
@@ -754,11 +738,7 @@ class _Enumerator:
                     pools = [self._args_for(bits)] * arity
                     if any(not p for p in pools):
                         continue
-                    amounts = (
-                        self.options.rotate_amounts
-                        if pattern == "rotate_right"
-                        else (0,)
-                    )
+                    amounts = ROTATE_AMOUNTS if pattern == "rotate_right" else (0,)
                     for amount in amounts:
                         try:
                             apply = swizzle_applier(
@@ -784,7 +764,7 @@ class _Enumerator:
         # Concatenations of equal-width values (free register pairing).
         for bits in list(self.by_width):
             if bits * 2 <= self.max_bits:
-                pool = self._args_for(bits, max(4, self.options.args_per_width // 2))
+                pool = self._args_for(bits, max(4, ARGS_PER_WIDTH // 2))
                 group = [
                     (None, combo[0].cost + combo[1].cost, combo)
                     for combo in _combinations([pool, pool], frontier)
@@ -797,7 +777,7 @@ class _Enumerator:
         # combos cost-sorted), so cheap high-fanout families cannot starve
         # expensive three-operand instructions of their budget share.
         new_nodes.sort(key=lambda item: (item[3], item[1]))
-        del new_nodes[self.options.round_budget :]
+        del new_nodes[ROUND_BUDGET:]
         # Most register pairings arrive after their width's view
         # allowance is spent; those that cannot lead (_may_lead) are
         # counted here, in bulk, and never built.
@@ -1029,7 +1009,7 @@ def _synthesize_uncached(
 ) -> SynthesisResult:
     """The scaling ladder around one lane-wise search (no cache)."""
     deadline = start + options.timeout_seconds
-    factor = options.scale_factor if options.scaling else 1
+    factor = options.scale_factor
     spec_scaled = None
     while factor > 1:
         spec_scaled = scale_spec(spec, factor)
@@ -1063,10 +1043,10 @@ def _lanewise_synthesis(
     deadline: float,
     start: float,
 ) -> SynthesisResult:
-    rng = random.Random(options.seed)
+    rng = random.Random(SEED)
     checker = EquivalenceChecker(
-        seed=options.seed,
-        max_conflicts=options.verify_conflicts,
+        seed=SEED,
+        max_conflicts=VERIFY_CONFLICTS,
         # Multiply-heavy windows produce CNF beyond this solver's budget;
         # larger terms go straight to the randomized battery.  Wrong
         # candidates are refuted by a cheap program-level fuzz pass first,
@@ -1077,9 +1057,7 @@ def _lanewise_synthesis(
         # and learned clauses carry over between candidate queries.
         incremental=True,
     )
-    enumerator = _Enumerator(
-        grammar, options, spec_scaled, rng, deadline, factor
-    )
+    enumerator = _Enumerator(grammar, spec_scaled, rng, deadline, factor)
     stats = SynthStats(grammar_size=grammar.size(), scale_factor=factor)
     failing_lanes: set[int] = {0}  # line 5
     for _ in range(2):  # line 4: two seed inputs
@@ -1170,7 +1148,7 @@ def _lanewise_synthesis(
             perf.full_width_proved += 1
         else:
             perf.full_width_sampled += 1
-            _check_full_width(full, spec, rng, options.full_scale_fuzz)
+            _check_full_width(full, spec, rng, FULL_WIDTH_TRIALS)
 
     stats.seconds = time.monotonic() - start
     stats.candidates = enumerator.total_candidates
@@ -1236,19 +1214,11 @@ def _proves_full_width(
 
 
 def _check_full_width(node: SNode, spec: hir.HExpr, rng, trials: int) -> None:
-    """Fuzz the scaled-up program against the full-width spec; raise
-    :class:`SynthesisFailure` on a mismatch or an evaluation error."""
-    loads = sorted(spec.loads().items())
-    for _ in range(trials):
-        env = {
-            name: BitVector(rng.getrandbits(t.bits), t.bits) for name, t in loads
-        }
-        try:
-            equal = evaluate_program(node, env).value == hir.interpret(spec, env).value
-        except Exception as exc:
-            raise SynthesisFailure(
-                "scaled-up solution failed full-width check: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
-        if not equal:
-            raise SynthesisFailure("scaled-up solution failed full-width check")
+    """Check the scaled-up program against the full-width spec with the
+    stored-program check; raise :class:`SynthesisFailure` with its
+    reason when it fails."""
+    reason = check_stored_program(node, spec, rng, trials)
+    if reason is not None:
+        raise SynthesisFailure(
+            f"scaled-up solution failed full-width check: {reason}"
+        )

@@ -36,6 +36,10 @@ from repro.synthesis.program import SInput, SWIZZLE_PATTERNS
 # in their fingerprint so stale entries are invalidated soundly.
 GRAMMAR_VERSION = 1
 
+# Immediate operands tried per instruction: the window's first few
+# distinct constants (low byte).
+MAX_IMM_CANDIDATES = 3
+
 
 # Halide IR op name -> bitvector ops it may lower through.
 _H_TO_BV = {
@@ -183,7 +187,6 @@ class GrammarOptions:
     k: int = 4
     include_all: bool = False  # "All target instructions" row
     top_n_by_score: int | None = None  # "Top 50 instructions" row
-    max_imm_candidates: int = 3
 
 
 @dataclass
@@ -280,12 +283,12 @@ def _score(binding: TargetBinding, spec_ops, elem_widths, bit_sizes) -> int:
     return score
 
 
-def _imm_candidates(expr: hir.HExpr, limit: int) -> list[int]:
+def _imm_candidates(expr: hir.HExpr) -> list[int]:
     constants: list[int] = []
     for node in expr.walk():
         if isinstance(node, hir.HConst) and node.value not in constants:
             constants.append(node.value & 0xFF)
-    return constants[:limit]
+    return constants[:MAX_IMM_CANDIDATES]
 
 
 def build_grammar(
@@ -326,7 +329,7 @@ def _scan_entries(
     min_elem = min(
         node.type.elem_width for node in expr.walk() if node.type.elem_width > 1
     )
-    imm_pool = _imm_candidates(expr, options.max_imm_candidates) or [1]
+    imm_pool = _imm_candidates(expr) or [1]
 
     entries: list[GrammarEntry] = []
     for op in dictionary.ops_for_isa(isa):

@@ -25,7 +25,6 @@ from repro.bitvector.packed import (
 )
 from repro.autollvm.intrinsics import AutoLLVMOp, TargetBinding
 from repro.hydride_ir.compile import compile_semantics
-from repro.hydride_ir.interp import interpret as interpret_semantics
 from repro.hydride_ir.interp import make_evaluator
 from repro.hydride_ir.interp import to_term as semantics_to_term
 from repro.smt import terms as smt
@@ -240,18 +239,41 @@ def map_program(node: SNode, fn: Callable[[SNode], SNode]) -> SNode:
     return fn(node)
 
 
+def fold_program(
+    node: SNode,
+    leaf: Callable[[SInput], object],
+    step: Callable[[SNode, list], object],
+):
+    """The one evaluation walk: ``node`` computed post-order, each
+    distinct node (by identity) once.
+
+    An :class:`SInput` is ``leaf(input)``; every other node is
+    ``step(node, child_results)``, children left to right.  A node
+    shared by two parents is computed once and its result reused."""
+    done: dict[int, object] = {}
+
+    def run(n: SNode):
+        key = id(n)
+        if key in done:
+            return done[key]
+        if isinstance(n, SInput):
+            result = leaf(n)
+        else:
+            result = step(n, [run(kid) for kid in n.children()])
+        done[key] = result
+        return result
+
+    return run(node)
+
+
 # ----------------------------------------------------------------------
 # Evaluation
 # ----------------------------------------------------------------------
 
 
 def apply_node(node: SNode, args: list[BitVector]) -> BitVector:
-    """Evaluate one node given its children's already-computed values.
-
-    The enumerator's hot path: pools memoise every candidate's outputs,
-    so a new candidate costs one node application instead of a full DAG
-    re-evaluation.
-    """
+    """Evaluate one node given its children's already-computed values —
+    the one concrete semantics of every node kind."""
     if isinstance(node, SInput):
         raise ValueError("inputs have no arguments")
     if isinstance(node, SHole):
@@ -268,73 +290,16 @@ def apply_node(node: SNode, args: list[BitVector]) -> BitVector:
     if isinstance(node, SConcat):
         return args[0].concat(args[1])
     if isinstance(node, SSwizzle):
-        return _eval_swizzle(node, args)
+        vectors = [Vector(a, node.elem_width) for a in args]
+        out = swizzle_elements(node.pattern, vectors, node.amount)
+        return vector_from_elems(out).bits
     assert isinstance(node, SOp)
-    values = dict(zip(node.binding.member.symbolic.param_names, node.values()))
-    func = node.binding.member.symbolic.to_function(values)
-    arg_env: dict[str, BitVector] = {}
-    arg_iter = iter(args)
-    imm_iter = iter(node.imm_values)
-    for inp in func.inputs:
-        if inp.is_immediate:
-            width = inp.width.evaluate(values)
-            arg_env[inp.name] = BitVector(next(imm_iter), width)
-        else:
-            arg_env[inp.name] = next(arg_iter)
-    return interpret_semantics(func, arg_env, values)
+    return _sop_plan(node.binding, node.values(), node.imm_values).apply(args)
 
 
 def evaluate_program(node: SNode, env: Mapping[str, BitVector]) -> BitVector:
     """Run a candidate on concrete input registers."""
-    cache: dict[int, BitVector] = {}
-
-    def run(n: SNode) -> BitVector:
-        cached = cache.get(id(n))
-        if cached is not None:
-            return cached
-        result = _eval(n)
-        cache[id(n)] = result
-        return result
-
-    def _eval(n: SNode) -> BitVector:
-        if isinstance(n, SInput):
-            return env[n.name]
-        if isinstance(n, SHole):
-            raise ValueError(f"hole {n.name!r} must be instantiated first")
-        if isinstance(n, SConstant):
-            elem = BitVector(n.value, n.elem_width)
-            return vector_from_elems([elem] * n.lanes).bits
-        if isinstance(n, SSlice):
-            src = run(n.src)
-            half = src.width // 2
-            if n.high:
-                return src.extract(src.width - 1, half)
-            return src.extract(half - 1, 0)
-        if isinstance(n, SConcat):
-            return run(n.high_part).concat(run(n.low_part))
-        if isinstance(n, SSwizzle):
-            return _eval_swizzle(n, [run(a) for a in n.args])
-        assert isinstance(n, SOp)
-        values = dict(zip(n.binding.member.symbolic.param_names, n.values()))
-        func = n.binding.member.symbolic.to_function(values)
-        arg_env: dict[str, BitVector] = {}
-        arg_iter = iter(n.args)
-        imm_iter = iter(n.imm_values)
-        for inp in func.inputs:
-            if inp.is_immediate:
-                width = inp.width.evaluate(values)
-                arg_env[inp.name] = BitVector(next(imm_iter), width)
-            else:
-                arg_env[inp.name] = run(next(arg_iter))
-        return interpret_semantics(func, arg_env, values)
-
-    return run(node)
-
-
-def _eval_swizzle(node: SSwizzle, args: list[BitVector]) -> BitVector:
-    vectors = [Vector(a, node.elem_width) for a in args]
-    out = swizzle_elements(node.pattern, vectors, node.amount)
-    return vector_from_elems(out).bits
+    return fold_program(node, lambda n: env[n.name], apply_node)
 
 
 def swizzle_elements(pattern: str, vectors: list[Vector], amount: int = 0):
@@ -349,49 +314,77 @@ def swizzle_elements(pattern: str, vectors: list[Vector], amount: int = 0):
 
 
 # ----------------------------------------------------------------------
-# Packed (integer-domain) evaluation — the enumerator's hot path
+# Instruction plans (read by every evaluator) and packed (integer-domain)
+# evaluation — the enumerator's hot path
 # ----------------------------------------------------------------------
 
-# (id(binding), parameter values, immediates) -> hoisted evaluation plan.
-# The binding reference inside the value keeps the id()-keyed entry from
-# ever aliasing a recycled binding object.
-_SOP_EVAL_CACHE: dict[tuple, tuple] = {}
+
+class _SopPlan:
+    """Hoisted per-(binding, params, imms) evaluation state for one SOp.
+
+    Everything applying the instruction would otherwise recompute per
+    call — the parameter dict, the concrete semantics function, the
+    resolved input widths and the immediate operands — computed once and
+    shared by every node applying the same instruction with the same
+    parameters.  The compiled form of the semantics is a separate,
+    lazily built part: only :func:`sop_applier` reads it, so the
+    interpreter path (:func:`apply_node`) never compiles.
+    """
+
+    def __init__(
+        self,
+        binding: TargetBinding,
+        values: tuple[int, ...],
+        imm_values: tuple[int, ...],
+    ) -> None:
+        # Held so the id()-keyed cache entry never aliases a recycled
+        # binding object.
+        self.binding = binding
+        symbolic = binding.member.symbolic
+        self.params = dict(zip(symbolic.param_names, values))
+        self.func = symbolic.to_function(self.params)
+        self.evaluator = make_evaluator(self.func, self.params)
+        self.imm_env: dict[str, BitVector] = {}
+        reg_names: list[str] = []
+        imm_iter = iter(imm_values)
+        for inp in self.func.inputs:
+            if inp.is_immediate:
+                width = self.evaluator.input_widths[inp.name]
+                self.imm_env[inp.name] = BitVector(next(imm_iter), width)
+            else:
+                reg_names.append(inp.name)
+        self.reg_names = tuple(reg_names)
+        self.reg_widths = tuple(
+            self.evaluator.input_widths[name] for name in reg_names
+        )
+
+    def apply(self, args: list[BitVector]) -> BitVector:
+        """The interpreter on register operands ``args``, in order."""
+        env = dict(self.imm_env)
+        env.update(zip(self.reg_names, args, strict=True))
+        return self.evaluator(env)
+
+    @cached_property
+    def compiled(self):
+        """The compiled semantics, or None when the compiler declines."""
+        return compile_semantics(
+            self.func,
+            self.params,
+            {name: imm.value for name, imm in self.imm_env.items()},
+        )
+
+
+# (id(binding), parameter values, immediates) -> the hoisted plan.
+_SOP_EVAL_CACHE: dict[tuple, _SopPlan] = {}
 
 
 def _sop_plan(
     binding: TargetBinding, values: tuple[int, ...], imm_values: tuple[int, ...]
-) -> tuple:
-    """Hoisted per-(binding, params, imms) evaluation state for one SOp.
-
-    Everything :func:`apply_node` recomputes per call — the parameter
-    dict, the concrete semantics function, the resolved input widths and
-    the immediate operands — is computed once here and shared by every
-    candidate applying the same instruction with the same parameters,
-    together with the compiled form of the semantics (None when
-    :func:`compile_semantics` declines).
-    """
+) -> _SopPlan:
     key = (id(binding), values, imm_values)
     plan = _SOP_EVAL_CACHE.get(key)
     if plan is None:
-        symbolic = binding.member.symbolic
-        params = dict(zip(symbolic.param_names, values))
-        func = symbolic.to_function(params)
-        evaluator = make_evaluator(func, params)
-        imm_env: dict[str, BitVector] = {}
-        reg_names: list[str] = []
-        imm_iter = iter(imm_values)
-        for inp in func.inputs:
-            if inp.is_immediate:
-                width = evaluator.input_widths[inp.name]
-                imm_env[inp.name] = BitVector(next(imm_iter), width)
-            else:
-                reg_names.append(inp.name)
-        compiled = compile_semantics(
-            func, params, {name: imm.value for name, imm in imm_env.items()}
-        )
-        reg_widths = tuple(evaluator.input_widths[name] for name in reg_names)
-        plan = (binding, evaluator, imm_env, tuple(reg_names), reg_widths, compiled)
-        _SOP_EVAL_CACHE[key] = plan
+        plan = _SOP_EVAL_CACHE[key] = _SopPlan(binding, values, imm_values)
     return plan
 
 
@@ -409,17 +402,14 @@ def sop_applier(
     at the *argument's* width and goes through the interpreter, whose
     validation rejects exactly what the object path rejects.
     """
-    _, evaluator, imm_env, reg_names, reg_widths, compiled = _sop_plan(
-        binding, values, imm_values
-    )
-    if compiled is not None and arg_widths == reg_widths:
-        return compiled
+    plan = _sop_plan(binding, values, imm_values)
+    if arg_widths == plan.reg_widths and plan.compiled is not None:
+        return plan.compiled
 
     def apply_sop(args: list[int]) -> int:
-        env = dict(imm_env)
-        for name, value, width in zip(reg_names, args, arg_widths):
-            env[name] = BitVector(value, width)
-        return evaluator(env).value
+        return plan.apply(
+            [BitVector(value, width) for value, width in zip(args, arg_widths)]
+        ).value
 
     return apply_sop
 
@@ -513,13 +503,16 @@ def make_packed_program(node: SNode) -> Callable[[Mapping[str, BitVector]], int]
     every node applied through :func:`make_packed_applier` at its
     children's widths, as the enumerator evaluates candidates.  Raises
     where building one of those appliers raises."""
-    if isinstance(node, SInput):
-        name = node.name
+
+    def leaf(n: SInput):
+        name = n.name
         return lambda env: env[name].value
-    kids = node.children()
-    runs = [make_packed_program(kid) for kid in kids]
-    apply = make_packed_applier(node, tuple(kid.bits for kid in kids))
-    return lambda env: apply([run(env) for run in runs])
+
+    def step(n: SNode, runs: list):
+        apply = make_packed_applier(n, tuple(kid.bits for kid in n.children()))
+        return lambda env: apply([run(env) for run in runs])
+
+    return fold_program(node, leaf, step)
 
 
 SWIZZLE_PATTERNS = (
@@ -551,63 +544,50 @@ SWIZZLE_SHAPES = {
 # ----------------------------------------------------------------------
 
 
+def lower_node(node: SNode, args: list[smt.Term]) -> smt.Term:
+    """The solver term of one node over its children's terms — the term
+    twin of :func:`apply_node`."""
+    if isinstance(node, SInput):
+        raise ValueError("inputs have no arguments")
+    if isinstance(node, SHole):
+        # One symbolic element, replicated: the same scalar variable
+        # HBroadcast lowers to, so a window whose constant was
+        # rewritten to HBroadcast(name) and a template holding
+        # SHole(name) constrain the *same* SMT variable.
+        elem = smt.var(node.name, node.elem_width)
+        hole: smt.Term = elem
+        for _ in range(node.lanes - 1):
+            hole = smt.apply_op("concat", [elem, hole])
+        return hole
+    if isinstance(node, SConstant):
+        elem = smt.const(node.value, node.elem_width)
+        result: smt.Term = elem
+        for _ in range(node.lanes - 1):
+            result = smt.apply_op("concat", [elem, result])
+        return result
+    if isinstance(node, SSlice):
+        src = args[0]
+        half = src.width // 2
+        if node.high:
+            return smt.apply_op("extract", [src], (src.width - 1, half))
+        return smt.apply_op("extract", [src], (half - 1, 0))
+    if isinstance(node, SConcat):
+        return smt.apply_op("concat", args)
+    if isinstance(node, SSwizzle):
+        return _swizzle_term(node, args)
+    assert isinstance(node, SOp)
+    plan = _sop_plan(node.binding, node.values(), node.imm_values)
+    bindings: dict[str, smt.Term] = {
+        name: smt.const(imm.value, imm.width)
+        for name, imm in plan.imm_env.items()
+    }
+    bindings.update(zip(plan.reg_names, args, strict=True))
+    return substitute(semantics_to_term(plan.func, plan.params), bindings)
+
+
 def program_to_term(node: SNode) -> smt.Term:
     """Lower a candidate to a symbolic term over its SInput variables."""
-    cache: dict[int, smt.Term] = {}
-
-    def run(n: SNode) -> smt.Term:
-        cached = cache.get(id(n))
-        if cached is not None:
-            return cached
-        result = _lower(n)
-        cache[id(n)] = result
-        return result
-
-    def _lower(n: SNode) -> smt.Term:
-        if isinstance(n, SInput):
-            return smt.var(n.name, n.bits)
-        if isinstance(n, SHole):
-            # One symbolic element, replicated: the same scalar variable
-            # HBroadcast lowers to, so a window whose constant was
-            # rewritten to HBroadcast(name) and a template holding
-            # SHole(name) constrain the *same* SMT variable.
-            elem = smt.var(n.name, n.elem_width)
-            hole: smt.Term = elem
-            for _ in range(n.lanes - 1):
-                hole = smt.apply_op("concat", [elem, hole])
-            return hole
-        if isinstance(n, SConstant):
-            elem = smt.const(n.value, n.elem_width)
-            result: smt.Term = elem
-            for _ in range(n.lanes - 1):
-                result = smt.apply_op("concat", [elem, result])
-            return result
-        if isinstance(n, SSlice):
-            src = run(n.src)
-            half = src.width // 2
-            if n.high:
-                return smt.apply_op("extract", [src], (src.width - 1, half))
-            return smt.apply_op("extract", [src], (half - 1, 0))
-        if isinstance(n, SConcat):
-            return smt.apply_op("concat", [run(n.high_part), run(n.low_part)])
-        if isinstance(n, SSwizzle):
-            return _swizzle_term(n, [run(a) for a in n.args])
-        assert isinstance(n, SOp)
-        values = dict(zip(n.binding.member.symbolic.param_names, n.values()))
-        func = n.binding.member.symbolic.to_function(values)
-        bindings: dict[str, smt.Term] = {}
-        arg_iter = iter(n.args)
-        imm_iter = iter(n.imm_values)
-        for inp in func.inputs:
-            if inp.is_immediate:
-                width = inp.width.evaluate(values)
-                bindings[inp.name] = smt.const(next(imm_iter), width)
-            else:
-                bindings[inp.name] = run(next(arg_iter))
-        base = semantics_to_term(func, values)
-        return substitute(base, bindings)
-
-    return run(node)
+    return fold_program(node, lambda n: smt.var(n.name, n.bits), lower_node)
 
 
 def _swizzle_term(node: SSwizzle, args: list[smt.Term]) -> smt.Term:

@@ -1,5 +1,7 @@
 """Tests for the Halide frontend: DSL, lowering, and the vector IR."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,10 @@ from repro.halide.dsl import (
     summation,
 )
 from repro.halide.lowering import LoweringError, lower_func
+from repro.isa.registry import supported_isas
 from repro.smt.eval import evaluate
+from repro.synthesis.cache import window_env
+from repro.workloads.registry import all_benchmarks
 
 x, y = Var("x"), Var("y")
 
@@ -239,6 +244,26 @@ class TestVectorIr:
         expr = hir.HConcat((hir.HCast("zext", a8, 16), a16))
         with pytest.raises(ValueError):
             expr.loads()
+
+
+class TestNodeValues:
+    @pytest.mark.parametrize("isa", supported_isas())
+    def test_agrees_with_interpreting_each_node(self, isa):
+        """One walk gives every node the value interpreting that node as
+        its own window gives, on every registered kernel's windows."""
+        rng = random.Random(f"node-values-{isa}")
+        checked = 0
+        for benchmark in all_benchmarks():
+            for kernel in benchmark.lower(isa):
+                window = kernel.window
+                env = window_env(window, rng)
+                values = hir.node_values(window, env)
+                nodes = {id(node): node for node in window.walk()}
+                assert values.keys() == nodes.keys()
+                for key, node in nodes.items():
+                    assert values[key] == hir.interpret(node, env)
+                    checked += 1
+        assert checked > 1_000
 
 
 class TestEndToEndLowering:

@@ -43,6 +43,7 @@ from repro.synthesis.program import (
     SOp,
     apply_node,
     make_packed_applier,
+    program_to_term,
     sop_applier,
 )
 from repro.synthesis.scale import scaled_member_values
@@ -249,7 +250,9 @@ class TestCompiledSemantics:
         """At the ×8-scaled parameters the search actually runs at, and
         through ``make_packed_applier`` — compiled where the argument
         widths are the declared ones, interpreter (and its rejection,
-        which must be ``apply_node``'s) where one is not."""
+        which must be ``apply_node``'s) where one is not.  At the
+        declared widths the node's solver term (``program_to_term``)
+        must evaluate to the same value too."""
         dictionary = build_dictionary()
         rng = random.Random(f"compiled-scaled-{isa}")
         compiled = scaled_bindings = 0
@@ -281,13 +284,18 @@ class TestCompiledSemantics:
                 )
                 for arg_widths in (declared, widened):
                     regs = [rng.getrandbits(w) for w in arg_widths]
-                    assert _outcome(
+                    args = [BitVector(r, w) for r, w in zip(regs, arg_widths)]
+                    packed = _outcome(
                         lambda: make_packed_applier(node, arg_widths)(regs)
-                    ) == _outcome(
-                        lambda: apply_node(
-                            node, [BitVector(r, w) for r, w in zip(regs, arg_widths)]
-                        ).value
-                    ), (binding.spec.name, arg_widths)
+                    )
+                    reference = _outcome(lambda: apply_node(node, args).value)
+                    assert packed == reference, (binding.spec.name, arg_widths)
+                    if arg_widths == declared:
+                        env = {kid.name: arg for kid, arg in zip(node.args, args)}
+                        term = _outcome(
+                            lambda: evaluate(program_to_term(node), env).value
+                        )
+                        assert term == reference, binding.spec.name
         assert scaled_bindings and compiled >= 0.95 * scaled_bindings
 
     @pytest.mark.parametrize(

@@ -28,6 +28,7 @@ from repro.backend.hydride import HydrideCompiler
 from repro.halide import ir as hir
 from repro.perf import global_counters
 from repro.synthesis import CegisOptions, MemoCache, build_grammar, synthesize
+from repro.synthesis import program as program_module
 from repro.synthesis.cegis import _Enumerator
 from repro.synthesis.grammar import GrammarEntry
 from repro.synthesis.program import (
@@ -305,6 +306,34 @@ class TestPackedAppliers:
                             evaluated += 1
         # Both behaviours were actually exercised.
         assert evaluated and rejected
+
+    def test_apply_node_never_compiles(self, dictionary, monkeypatch):
+        """The interpreter path (every stored-program check) shares the
+        SOp plan with the packed appliers but never builds its compiled
+        part; the first packed applier at declared widths does."""
+        monkeypatch.setattr(program_module, "_SOP_EVAL_CACHE", {})
+        calls = []
+        compile_semantics = program_module.compile_semantics
+
+        def counting(*args):
+            calls.append(args)
+            return compile_semantics(*args)
+
+        monkeypatch.setattr(program_module, "compile_semantics", counting)
+        op = dictionary.by_target_instruction["_mm_add_epi16"]
+        binding = next(b for b in op.bindings if b.spec.name == "_mm_add_epi16")
+        node = SOp(
+            op, binding, (SInput("a", 8, 16), SInput("b", 8, 16)), (), None, 128
+        )
+        args = [BitVector(0x1234, 128), BitVector(0xFFFF, 128)]
+        for _ in range(3):
+            expected = apply_node(node, args).value
+        assert calls == []
+        packed = make_packed_applier(node, (128, 128))
+        assert packed([a.value for a in args]) == expected
+        assert len(calls) == 1
+        apply_node(node, args)
+        assert len(calls) == 1
 
 
 # The bench_e2e population (average_pool / max_pool on every ISA), each a

@@ -5,6 +5,7 @@ window-key codec (``canonical_key`` / ``parse_window``)."""
 import pytest
 
 from repro.autollvm import build_dictionary
+from repro.bitvector import BitVector, swizzle_order
 from repro.backend.hydride import rewrite_broadcasts
 from repro.halide import ir as hir
 from repro.isa.registry import supported_isas
@@ -22,7 +23,11 @@ from repro.synthesis.program import (
     SOp,
     SSlice,
     SSwizzle,
+    evaluate_program,
+    fold_program,
+    make_packed_program,
     map_program,
+    program_to_term,
 )
 from repro.synthesis.rules import (
     _program_consts,
@@ -35,6 +40,7 @@ from repro.synthesis.scale import (
     scale_up_program,
     scaled_member_values,
 )
+from repro.smt.eval import evaluate
 from repro.workloads.registry import all_benchmarks
 
 FACTORS = (2, 4, 8, 16)
@@ -111,6 +117,47 @@ class TestMapProgram:
             return node
 
         assert map_program(program, widen) == SSlice(SInput("a", 16, 16), False)
+
+
+class TestFoldProgram:
+    """The one evaluation walk, and the three evaluators built on it."""
+
+    @staticmethod
+    def shared(dictionary):
+        """``add(s, rotate_right(s, 1))`` with ``s = add(a, splat 3)``,
+        read by both parents as one node, at 8 i16 lanes."""
+        s = _sop(
+            dictionary, "_mm_add_epi16", (SInput("a", 8, 16), SConstant(3, 8, 16))
+        )
+        return _sop(
+            dictionary, "_mm_add_epi16",
+            (s, SSwizzle("rotate_right", (s,), 16, 128, 1)),
+        )
+
+    def test_each_distinct_node_is_computed_once(self, dictionary):
+        steps, leaves = [], []
+
+        def step(node, args):
+            steps.append(type(node).__name__)
+            return 0
+
+        fold_program(self.shared(dictionary), leaves.append, step)
+        assert [leaf.name for leaf in leaves] == ["a"]
+        assert steps == ["SConstant", "SOp", "SSwizzle", "SOp"]
+
+    def test_three_evaluators_agree_on_a_shared_subtree(self, dictionary):
+        program = self.shared(dictionary)
+        lanes = [0, 1, 0x7FFF, 0xFFFF, 0x8000, 0x1234, 0xFFFD, 42]
+        a = BitVector(sum(v << (16 * i) for i, v in enumerate(lanes)), 128)
+        s = [(v + 3) & 0xFFFF for v in lanes]
+        rotated = [s[index] for _, index in swizzle_order("rotate_right", 8, 1)]
+        want = sum(
+            ((x + y) & 0xFFFF) << (16 * i) for i, (x, y) in enumerate(zip(s, rotated))
+        )
+        env = {"a": a}
+        assert evaluate_program(program, env).value == want
+        assert make_packed_program(program)(env) == want
+        assert evaluate(program_to_term(program), env).value == want
 
 
 class TestWalks:
