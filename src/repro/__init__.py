@@ -19,44 +19,39 @@ End-to-end compilation and evaluation
     >>> compiled = HydrideCompiler(dictionary=dictionary).compile(kernel, "x86")
 """
 
-from repro.autollvm import InstructionSelector, build_dictionary
-from repro.backend import (
-    CompileError,
-    HalideNativeCompiler,
-    HydrideCompiler,
-    LlvmGenericCompiler,
-    RakeCompiler,
-)
-from repro.isa.registry import load_isa
-from repro.similarity import build_equivalence_classes
-from repro.synthesis import (
-    CegisOptions,
-    GrammarOptions,
-    MemoCache,
-    SynthesisFailure,
-    build_grammar,
-    synthesize,
-)
-from repro.workloads import benchmark_named
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "InstructionSelector",
-    "build_dictionary",
-    "CompileError",
-    "HalideNativeCompiler",
-    "HydrideCompiler",
-    "LlvmGenericCompiler",
-    "RakeCompiler",
-    "load_isa",
-    "build_equivalence_classes",
-    "CegisOptions",
-    "GrammarOptions",
-    "MemoCache",
-    "SynthesisFailure",
-    "build_grammar",
-    "synthesize",
-    "benchmark_named",
-    "__version__",
-]
+# Public name -> the module that defines it.  Resolved on first access
+# (PEP 562), so that importing one subsystem — an IR-generation process,
+# say — does not import every other.
+_EXPORTS = {
+    "InstructionSelector": "repro.autollvm",
+    "build_dictionary": "repro.autollvm",
+    "CompileError": "repro.backend",
+    "HalideNativeCompiler": "repro.backend",
+    "HydrideCompiler": "repro.backend",
+    "LlvmGenericCompiler": "repro.backend",
+    "RakeCompiler": "repro.backend",
+    "load_isa": "repro.isa.registry",
+    "build_equivalence_classes": "repro.similarity",
+    "CegisOptions": "repro.synthesis",
+    "GrammarOptions": "repro.synthesis",
+    "MemoCache": "repro.synthesis",
+    "SynthesisFailure": "repro.synthesis",
+    "build_grammar": "repro.synthesis",
+    "synthesize": "repro.synthesis",
+    "benchmark_named": "repro.workloads",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value

@@ -155,7 +155,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         addr = f"{args.host}:{server.bound_port}"
         print(f"[daemon] listening on {addr}", flush=True)
         if args.port_file:
-            from repro.service.store import atomic_write
+            from repro.persist import atomic_write
             from pathlib import Path
 
             atomic_write(Path(args.port_file), addr)

@@ -152,7 +152,7 @@ class BvIte(BvExpr):
 class BvConcat(BvExpr):
     """Explicit concatenation; ``parts[0]`` is least significant.
 
-    Parsers emit ``BvConcat`` for pseudocode that enumerates per-element
+    Parsers emit ``BvConcat`` for pseudocode they unroll into per-element
     assignments (``dst[15:0] := ...; dst[31:16] := ...``); the loop
     rerolling transform turns it back into a :class:`ForConcat`.
     """

@@ -6,12 +6,13 @@ lanes, an inner loop over elements in a lane" — before constants are
 extracted.  These transforms produce that shape:
 
 * :func:`repro.hydride_ir.transforms.reroll.reroll` turns an explicit
-  per-element concatenation back into a loop,
+  per-element concatenation — pseudocode the parser had to unroll — back
+  into a loop,
 * :func:`repro.hydride_ir.transforms.constprop.propagate_constants`
   re-folds index arithmetic and prunes degenerate nodes,
 * :func:`repro.hydride_ir.transforms.canonicalize.canonicalize` drives the
-  pipeline and inserts the artificial single-iteration inner loop for pure
-  SIMD instructions.
+  pipeline, inserts the artificial single-iteration inner loop for pure
+  SIMD instructions and gives the loops canonical names.
 """
 
 from repro.hydride_ir.transforms.canonicalize import canonicalize

@@ -3,46 +3,32 @@
 from __future__ import annotations
 
 from repro.hydride_ir.ast import (
-    BvBroadcastConst,
-    BvCast,
     BvConcat,
     BvConst,
     BvExpr,
-    BvExtract,
     BvIte,
     ForConcat,
     SemanticsFunction,
 )
 from repro.hydride_ir.indexexpr import IConst, normalize_affine, simplify_index
-from repro.hydride_ir.transforms.rewrite import rewrite_bottom_up
+from repro.hydride_ir.transforms.rewrite import rewrite_bottom_up, with_index_exprs
 
 
 def _canon_index(expr):
+    if isinstance(expr, IConst):
+        return expr
     return normalize_affine(simplify_index(expr))
 
 
 def _fold_node(expr: BvExpr) -> BvExpr:
-    if isinstance(expr, BvConst):
-        return BvConst(_canon_index(expr.value), _canon_index(expr.width))
-    if isinstance(expr, BvBroadcastConst):
-        return BvBroadcastConst(
-            _canon_index(expr.value),
-            _canon_index(expr.elem_width),
-            _canon_index(expr.num_elems),
-        )
-    if isinstance(expr, BvExtract):
-        low = _canon_index(expr.low)
-        width = _canon_index(expr.width)
-        return BvExtract(expr.src, low, width)
-    if isinstance(expr, BvCast):
-        return BvCast(expr.op, expr.operand, _canon_index(expr.new_width))
+    expr = with_index_exprs(expr, _canon_index)
     if isinstance(expr, ForConcat):
-        count = _canon_index(expr.count)
+        count = expr.count
         if isinstance(count, IConst) and count.value == 1 and not _uses_ivar(
             expr.body, expr.var
         ):
             return expr.body
-        return ForConcat(expr.var, count, expr.body)
+        return expr
     if isinstance(expr, BvIte):
         cond = expr.cond
         if isinstance(cond, BvConst) and isinstance(cond.value, IConst):

@@ -18,22 +18,13 @@ from __future__ import annotations
 
 import itertools
 
-from repro.hydride_ir.ast import (
-    BvBinOp,
-    BvBroadcastConst,
-    BvCast,
-    BvCmp,
-    BvConcat,
-    BvConst,
-    BvExpr,
-    BvExtract,
-    BvIte,
-    BvUnOp,
-    BvVar,
-    ForConcat,
+from repro.hydride_ir.ast import BvConcat, BvExpr, ForConcat
+from repro.hydride_ir.indexexpr import IBin, IConst, IndexExpr, IVar, ivar
+from repro.hydride_ir.transforms.rewrite import (
+    reconstruct,
+    rewrite_bottom_up,
+    with_index_exprs,
 )
-from repro.hydride_ir.indexexpr import IBin, IConst, IndexExpr, IParam, IVar, ivar
-from repro.hydride_ir.transforms.rewrite import rewrite_bottom_up
 
 _FRESH = itertools.count()
 
@@ -46,8 +37,6 @@ def _index_skeletons_match(a: IndexExpr, b: IndexExpr) -> bool:
     """Structural match allowing IConst values to differ."""
     if isinstance(a, IConst) and isinstance(b, IConst):
         return True
-    if isinstance(a, IParam) and isinstance(b, IParam):
-        return a.name == b.name
     if isinstance(a, IVar) and isinstance(b, IVar):
         return a.name == b.name
     if isinstance(a, IBin) and isinstance(b, IBin):
@@ -65,10 +54,7 @@ def _generalize_index(
     """Anti-unify index expressions that differ only in IConst values."""
     first = instances[0]
     if isinstance(first, IConst):
-        values = []
-        for inst in instances:
-            assert isinstance(inst, IConst)
-            values.append(inst.value)
+        values = [inst.value for inst in instances]  # type: ignore[union-attr]
         if all(v == values[0] for v in values):
             return first
         stride = values[1] - values[0]
@@ -80,7 +66,7 @@ def _generalize_index(
                 "+", IBin("*", loop_var, IConst(stride)), IConst(values[0])
             )
         raise _CannotReroll(f"non-affine constant progression {values}")
-    if isinstance(first, (IParam, IVar)):
+    if isinstance(first, IVar):
         return first
     assert isinstance(first, IBin)
     lefts = [inst.left for inst in instances]  # type: ignore[union-attr]
@@ -93,19 +79,15 @@ def _generalize_index(
 
 
 def _expr_skeletons_match(a: BvExpr, b: BvExpr) -> bool:
-    if type(a) is not type(b):
+    """Same node kinds, names and operators, with index skeletons that
+    match; loops never match (unrolled pseudocode has none)."""
+    if type(a) is not type(b) or isinstance(a, ForConcat):
         return False
-    if isinstance(a, BvVar):
-        return a.name == b.name  # type: ignore[union-attr]
-    if isinstance(a, (BvBinOp, BvCmp, BvUnOp, BvCast)):
-        if a.op != b.op:  # type: ignore[union-attr]
-            return False
-    if isinstance(a, ForConcat):
-        if a.var != b.var:  # type: ignore[union-attr]
-            return False
+    if getattr(a, "name", None) != getattr(b, "name", None):
+        return False
+    if getattr(a, "op", None) != getattr(b, "op", None):
+        return False
     index_a, index_b = a.index_exprs(), b.index_exprs()
-    if len(index_a) != len(index_b):
-        return False
     if not all(_index_skeletons_match(x, y) for x, y in zip(index_a, index_b)):
         return False
     kids_a, kids_b = a.children(), b.children()
@@ -115,53 +97,18 @@ def _expr_skeletons_match(a: BvExpr, b: BvExpr) -> bool:
 
 
 def _generalize_expr(instances: list[BvExpr], loop_var: IVar) -> BvExpr:
+    """One node whose every index position is generalised across
+    ``instances`` (which share its skeleton)."""
     first = instances[0]
     kids = [
         _generalize_expr([inst.children()[k] for inst in instances], loop_var)
         for k in range(len(first.children()))
     ]
-    if isinstance(first, BvVar):
-        return first
-    if isinstance(first, BvConst):
-        return BvConst(
-            _generalize_index([i.value for i in instances], loop_var),  # type: ignore[union-attr]
-            _generalize_index([i.width for i in instances], loop_var),  # type: ignore[union-attr]
-        )
-    if isinstance(first, BvBroadcastConst):
-        return BvBroadcastConst(
-            _generalize_index([i.value for i in instances], loop_var),  # type: ignore[union-attr]
-            _generalize_index([i.elem_width for i in instances], loop_var),  # type: ignore[union-attr]
-            _generalize_index([i.num_elems for i in instances], loop_var),  # type: ignore[union-attr]
-        )
-    if isinstance(first, BvExtract):
-        return BvExtract(
-            kids[0],
-            _generalize_index([i.low for i in instances], loop_var),  # type: ignore[union-attr]
-            _generalize_index([i.width for i in instances], loop_var),  # type: ignore[union-attr]
-        )
-    if isinstance(first, BvBinOp):
-        return BvBinOp(first.op, kids[0], kids[1])
-    if isinstance(first, BvUnOp):
-        return BvUnOp(first.op, kids[0])
-    if isinstance(first, BvCmp):
-        return BvCmp(first.op, kids[0], kids[1])
-    if isinstance(first, BvCast):
-        return BvCast(
-            first.op,
-            kids[0],
-            _generalize_index([i.new_width for i in instances], loop_var),  # type: ignore[union-attr]
-        )
-    if isinstance(first, BvIte):
-        return BvIte(kids[0], kids[1], kids[2])
-    if isinstance(first, ForConcat):
-        return ForConcat(
-            first.var,
-            _generalize_index([i.count for i in instances], loop_var),  # type: ignore[union-attr]
-            kids[0],
-        )
-    if isinstance(first, BvConcat):
-        return BvConcat(tuple(kids))
-    raise _CannotReroll(f"cannot generalize {type(first).__name__}")
+    node = reconstruct(first, kids) if kids else first
+    positions = iter(zip(*(inst.index_exprs() for inst in instances)))
+    return with_index_exprs(
+        node, lambda _index: _generalize_index(list(next(positions)), loop_var)
+    )
 
 
 def _group_divisors(n: int) -> list[int]:

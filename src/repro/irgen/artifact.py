@@ -47,6 +47,7 @@ from repro.hydride_ir.serialize import (
     input_to_obj,
 )
 from repro.isa.registry import load_catalog, supported_isas
+from repro.persist import GRAMMAR_VERSION, atomic_write
 from repro.similarity.constants import SymbolicSemantics
 from repro.similarity.engine import ENGINE_VERSION, EngineStats
 from repro.similarity.eqclass import ClassMember, EquivalenceClass
@@ -83,8 +84,6 @@ def irgen_fingerprint(
     served by the one artifact.  It is a shim for ``bench_e2e/report.py``,
     which still passes an ISA tuple; delete it once the benchmark stops.
     """
-    from repro.synthesis.grammar import GRAMMAR_VERSION
-
     isas = tuple(catalogs) if catalogs is not None else supported_isas()
     digest = hashlib.sha256()
     digest.update(f"irgen:{IRGEN_FORMAT_VERSION}\n".encode())
@@ -285,8 +284,6 @@ def artifact_dir(root: str | Path, fingerprint: str) -> Path:
 def persist_artifact(root: str | Path, artifact: IrgenArtifact) -> Path:
     """Atomically write ``meta.json`` + ``artifact.json``; returns the
     namespace directory."""
-    from repro.service.store import atomic_write
-
     faults.trip("irgen.save", detail=artifact.fingerprint[:FINGERPRINT_DIR_CHARS])
     directory = artifact_dir(root, artifact.fingerprint)
     directory.mkdir(parents=True, exist_ok=True)

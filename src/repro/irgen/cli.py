@@ -9,8 +9,10 @@ Subcommands::
             cache hit.
     stats   Inventory of a cache root: per-namespace class counts, build
             stats (including the similarity ladder's per-rung verdict
-            counts and attempt_truncations, the engine's precision-loss
-            counter), disk usage, and which namespace is current.
+            counts, attempt_truncations, the engine's precision-loss
+            counter, and how many specs were lowered as loops or
+            unrolled and re-rolled), disk usage, and which namespace is
+            current.
 """
 
 from __future__ import annotations
@@ -84,6 +86,14 @@ def _walls(phase_seconds: dict) -> str:
     ) or "-"
 
 
+def _lowering(stats: dict) -> str:
+    """How the specs were lowered, e.g. ``direct:1476/rerolled:114``."""
+    return (
+        f"direct:{stats.get('specs_lowered_direct', '?')}"
+        f"/rerolled:{stats.get('specs_rerolled', '?')}"
+    )
+
+
 def cmd_build(args) -> int:
     root = _resolve_root(args)
     _check_isas(args.isas)
@@ -98,6 +108,7 @@ def cmd_build(args) -> int:
         f" (checks={artifact.stats.checks},"
         f" rungs={_rungs(artifact.stats.checker_stats)},"
         f" walls={_walls(artifact.phase_seconds)},"
+        f" lowering={_lowering(artifact.stats.to_dict())},"
         f" truncations={artifact.stats.attempt_truncations},"
         f" fingerprint={artifact.fingerprint[:16]})"
     )
@@ -146,6 +157,7 @@ def cmd_stats(args) -> int:
             f"  checks={stats.get('checks', '?')}"
             f"  rungs={_rungs(stats.get('checker_stats', {}))}"
             f"  walls={_walls(entry.get('phase_seconds', {}))}"
+            f"  lowering={_lowering(stats)}"
             f"  truncations={stats.get('attempt_truncations', '?')}"
             f"  uninstantiable={stats.get('uninstantiable', '?')}"
             f"  build_s={stats.get('seconds', '?')}"

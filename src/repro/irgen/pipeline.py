@@ -7,7 +7,8 @@ Five phases, each timed into :mod:`repro.perf` (``irgen_*`` counters):
     across a process pool in contiguous catalog slices.  Workers
     regenerate the (millisecond-cheap) catalogs themselves — spec
     ``reference`` callables don't pickle — and return picklable
-    :class:`SymbolicSemantics`.
+    :class:`SymbolicSemantics`, with counts of the specs whose loops were
+    lowered as loops and of those unrolled and re-rolled.
 
 ``bucket``
     Group the symbolics by :func:`repro.similarity.engine.shard_key`.
@@ -75,15 +76,21 @@ def _fresh_checker() -> EquivalenceChecker:
 def _parse_task(task: tuple[str, int, int]):
     """Parse + canonicalise + extract one catalog slice.
 
-    Returns ``(symbolics, parse_seconds, extract_seconds)`` so the parent
-    can aggregate worker-side phase time into its own counters.
+    Returns ``(symbolics, parse_seconds, extract_seconds, lowered_direct,
+    rerolled)`` so the parent can aggregate worker-side phase time and
+    lowering counts into its own.
     """
     isa, start, stop = task
+    perf = global_counters()
+    direct, rerolled = perf.specs_lowered_direct, perf.specs_rerolled
     began = time.monotonic()
     parsed = parse_slice(isa, start, stop)
     mid = time.monotonic()
     symbolics = [extract_constants(func, isa) for _name, func in parsed]
-    return symbolics, mid - began, time.monotonic() - mid
+    return (
+        symbolics, mid - began, time.monotonic() - mid,
+        perf.specs_lowered_direct - direct, perf.specs_rerolled - rerolled,
+    )
 
 
 def _check_task(task: tuple[list[int], list[SymbolicSemantics]]):
@@ -174,10 +181,13 @@ def build_artifact(jobs: int = 1, extra: tuple[str, ...] = ()) -> IrgenArtifact:
     results = _pool_map(_parse_task, _parse_tasks(isas, jobs), jobs)
     symbolics: list[SymbolicSemantics] = []
     parse_seconds = extract_seconds = 0.0
-    for chunk, parsed, extracted in results:
+    lowered_direct = rerolled = 0
+    for chunk, parsed, extracted, direct, unrolled in results:
         symbolics.extend(chunk)
         parse_seconds += parsed
         extract_seconds += extracted
+        lowered_direct += direct
+        rerolled += unrolled
     perf.add_phase("irgen_parse", parse_seconds)
     perf.add_phase("irgen_extract", extract_seconds)
     phases["parse"] = parse_seconds
@@ -251,6 +261,8 @@ def build_artifact(jobs: int = 1, extra: tuple[str, ...] = ()) -> IrgenArtifact:
         engine.stats.checks = worker_stats["checks"]
         engine.stats.permute_merges = worker_stats["permute_merges"]
         engine.stats.attempt_truncations = worker_stats["attempt_truncations"]
+        engine.stats.specs_lowered_direct = lowered_direct
+        engine.stats.specs_rerolled = rerolled
         final = engine.finish(classes, refined)
         # finish() recorded the parent checker's ladder stats; fold the
         # workers' in so the totals match a serial run's accounting.

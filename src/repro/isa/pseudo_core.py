@@ -5,17 +5,21 @@ syntax — keywords, assignment token, block form, element accessors and
 builtin names differ, as the vendors' manuals do — but the differences
 are *data*: a :class:`Dialect` table per ISA drives the one
 :class:`Parser` defined here.  Every dialect parses into the small
-statement/expression AST below, which is then *lowered* to Hydride IR by
-symbolic unrolling:
+statement/expression AST below, which is then *lowered* to Hydride IR:
 
-* ``FOR`` loops run with concrete bounds (vendor pseudocode always has
-  literal trip counts), producing one slice assignment per element;
+* the loop nest that writes the destination is lowered *as loops*: its
+  body is lowered once with the loop variables kept symbolic, and the
+  result is the ``ForConcat`` nest that loop rerolling would recover
+  (:func:`_loop_nest` decides, on the pseudocode alone, which nests
+  qualify);
+* every other ``FOR`` runs with concrete bounds (vendor pseudocode always
+  has literal trip counts), producing one slice assignment per element,
+  and the slices are re-rolled by :mod:`repro.hydride_ir.transforms`;
 * helper ``DEFINE`` functions are inlined at call sites;
 * data-dependent ``IF`` (AVX-512 masking) merges branch assignments into
   ``BvIte`` nodes;
 * the resulting slice assignments must tile the destination register
-  exactly and become a ``BvConcat`` — which loop rerolling in
-  :mod:`repro.hydride_ir.transforms` subsequently re-rolls.
+  exactly and become a ``BvConcat``.
 
 This mirrors the paper's flow where parsed semantics are canonicalised by
 "function inlining, loop rerolling, etc." before similarity checking.
@@ -27,6 +31,8 @@ import re
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import zip_longest
+from typing import NamedTuple
 
 from repro.hydride_ir.ast import (
     BvBinOp,
@@ -39,11 +45,14 @@ from repro.hydride_ir.ast import (
     BvIte,
     BvUnOp,
     BvVar,
+    ForConcat,
     Input,
     SemanticsFunction,
 )
-from repro.hydride_ir.indexexpr import IConst
+from repro.hydride_ir.indexexpr import IBin, IConst, IndexExpr, IVar
+from repro.hydride_ir.transforms.rewrite import rewrite_bottom_up, with_index_exprs
 from repro.isa.spec import InstructionSpec
+from repro.perf import global_counters
 
 
 class PseudocodeError(Exception):
@@ -55,8 +64,7 @@ class PseudocodeError(Exception):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'ident' | 'int' | 'sym' | 'eof'
     text: str
     line: int
@@ -120,9 +128,9 @@ class TokenStream:
         self._tokens = tokens
         self._pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        index = min(self._pos + ahead, len(self._tokens) - 1)
-        return self._tokens[index]
+    def peek(self) -> Token:
+        # ``next`` never moves past the final ``eof`` token.
+        return self._tokens[self._pos]
 
     def next(self) -> Token:
         token = self.peek()
@@ -675,7 +683,7 @@ def dialect_builtin(dialect: Dialect, name: str) -> Builtin | None:
 
 
 # ----------------------------------------------------------------------
-# Lowering: unrolling evaluator
+# Lowering: loops as loops where the pseudocode allows, unrolled otherwise
 # ----------------------------------------------------------------------
 
 # Map from operator text to Hydride binop/cmp names.  The paper notes
@@ -726,9 +734,66 @@ _INT_BIN = {
 }
 
 
+@dataclass(frozen=True)
+class _Affine(IndexExpr):
+    """An integer affine in the iteration counters of the loop nest being
+    lowered as loops: ``const + sum(coeffs[d] * counter_d)``.
+
+    It stands in for a loop-dependent integer — a slice offset, an index
+    temporary — while the nest's body is lowered once, and is replaced by
+    a real index expression when the nest is assembled
+    (:meth:`LoweringContext.lower_nest`).  At least one coefficient is
+    non-zero: a loop-invariant value is a plain ``int``.
+    """
+
+    coeffs: tuple[int, ...]
+    const: int
+
+    def span(self, counts: tuple[int, ...]) -> tuple[int, int]:
+        """The least and greatest value over every iteration."""
+        low = high = self.const
+        for coeff, count in zip(self.coeffs, counts):
+            reach = coeff * (count - 1)
+            low += min(0, reach)
+            high += max(0, reach)
+        return low, high
+
+
+def _affine(coeffs: tuple[int, ...], const: int) -> "_Affine | int":
+    return _Affine(coeffs, const) if any(coeffs) else const
+
+
+def _affine_op(op: str, left, right) -> "_Affine | int":
+    """``left op right`` over ``int``s and :class:`_Affine`s: sums,
+    differences and scaling by an ``int`` stay affine, nothing else."""
+    if not isinstance(left, (int, _Affine)) or not isinstance(right, (int, _Affine)):
+        raise PseudocodeError(
+            f"operator {op!r} mixes a bitvector with a loop-dependent integer"
+        )
+    if op == "*" and isinstance(left, int):
+        left, right = right, left
+    a = left if isinstance(left, _Affine) else _Affine((), left)
+    if op == "*" and isinstance(right, int):
+        return _affine(tuple(c * right for c in a.coeffs), a.const * right)
+    if op not in ("+", "-"):
+        raise PseudocodeError(f"loop-dependent operator {op!r} is not affine")
+    sign = 1 if op == "+" else -1
+    b = right if isinstance(right, _Affine) else _Affine((), right)
+    return _affine(
+        tuple(x + sign * y for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0)),
+        a.const + sign * b.const,
+    )
+
+
+def _need_static(value, what: str):
+    if isinstance(value, _Affine):
+        raise PseudocodeError(f"{what} depends on a loop variable")
+    return value
+
+
 @dataclass
 class _SliceAssign:
-    low: int
+    low: "int | _Affine"
     width: int
     value: BvExpr
 
@@ -751,6 +816,8 @@ class LoweringContext:
         self.bv_temps: dict[str, BvExpr] = {}
         self.defines: dict[str, PDefine] = {}
         self.assigns: list[_SliceAssign] = []
+        # Trip counts of the nest being lowered as loops (lower_nest).
+        self.counts: tuple[int, ...] = ()
 
     # -- expression lowering -------------------------------------------
 
@@ -772,12 +839,14 @@ class LoweringContext:
         if isinstance(expr, PSlice):
             return self._eval_slice(expr)
         if isinstance(expr, PElem):
-            low = self._eval_int(expr.index) * expr.elem_width
+            low = _affine_op("*", self._eval_index(expr.index), expr.elem_width)
             return self._slice_of(expr.base, low, expr.elem_width)
         if isinstance(expr, PBin):
             return self._eval_bin(expr)
         if isinstance(expr, PUn):
             operand = self.eval_expr(expr.operand)
+            if isinstance(operand, _Affine) and expr.op == "-":
+                return _affine_op("*", operand, -1)
             if isinstance(operand, int):
                 if expr.op == "-":
                     return -operand
@@ -790,11 +859,11 @@ class LoweringContext:
         if isinstance(expr, PCall):
             return self._eval_call(expr)
         if isinstance(expr, PCond):
-            cond = self.eval_expr(expr.cond)
+            cond = _need_static(self.eval_expr(expr.cond), "condition")
             if isinstance(cond, int):
                 return self.eval_expr(expr.then_expr if cond else expr.else_expr)
-            then_value = self.eval_expr(expr.then_expr)
-            else_value = self.eval_expr(expr.else_expr)
+            then_value = _need_static(self.eval_expr(expr.then_expr), "ternary")
+            else_value = _need_static(self.eval_expr(expr.else_expr), "ternary")
             # ``cond ? 1 : 0`` materialises the predicate as a bit.
             if (
                 isinstance(then_value, int)
@@ -826,7 +895,18 @@ class LoweringContext:
             raise PseudocodeError("expected a static integer expression")
         return value
 
-    def _slice_of(self, base: str, low: int, width: int) -> BvExpr:
+    def _eval_index(self, expr: PExpr) -> "int | _Affine":
+        """A slice offset or element index: static, or affine in the
+        counters of the nest being lowered as loops."""
+        value = self.eval_expr(expr)
+        if not isinstance(value, (int, _Affine)):
+            raise PseudocodeError("expected a static integer expression")
+        return value
+
+    def _span(self, low: "int | _Affine") -> tuple[int, int]:
+        return low.span(self.counts) if isinstance(low, _Affine) else (low, low)
+
+    def _slice_of(self, base: str, low: "int | _Affine", width: int) -> BvExpr:
         if base in self.bv_temps:
             source: BvExpr = self.bv_temps[base]
             total = self.width_of(source)
@@ -835,25 +915,37 @@ class LoweringContext:
             total = self.input_widths[base]
         else:
             raise PseudocodeError(f"unknown register {base!r}")
-        if low < 0 or low + width > total:
+        least, greatest = self._span(low)
+        if least < 0 or greatest + width > total:
             raise PseudocodeError(
-                f"slice [{low}, {low + width}) out of range for {base!r} "
+                f"slice [{least}, {greatest + width}) out of range for {base!r} "
                 f"of width {total}"
             )
+        if isinstance(low, _Affine):
+            return BvExtract(source, low, IConst(width))
         if low == 0 and width == total:
             return source
         return BvExtract(source, IConst(low), IConst(width))
 
+    def _slice_width(self, high: PExpr, low: PExpr) -> tuple["int | _Affine", int]:
+        """``(low, width)`` of ``[high:low]``; the width must be static."""
+        high_value = self._eval_index(high)
+        low_value = self._eval_index(low)
+        span = _need_static(_affine_op("-", high_value, low_value), "slice width")
+        if span < 0:
+            raise PseudocodeError(
+                f"slice [{high_value}:{low_value}] has negative width"
+            )
+        return low_value, span + 1
+
     def _eval_slice(self, expr: PSlice) -> BvExpr:
-        high = self._eval_int(expr.high)
-        low = self._eval_int(expr.low)
-        if high < low:
-            raise PseudocodeError(f"slice [{high}:{low}] has negative width")
-        return self._slice_of(expr.base, low, high - low + 1)
+        return self._slice_of(expr.base, *self._slice_width(expr.high, expr.low))
 
     def _eval_bin(self, expr: PBin):
         left = self.eval_expr(expr.left)
         right = self.eval_expr(expr.right)
+        if isinstance(left, _Affine) or isinstance(right, _Affine):
+            return _affine_op(expr.op, left, right)
         if isinstance(left, int) and isinstance(right, int):
             fn = _INT_BIN.get(expr.op)
             if fn is None:
@@ -895,7 +987,10 @@ class LoweringContext:
             raise PseudocodeError(
                 f"{expr.name} expects {builtin.arity} args, got {len(expr.args)}"
             )
-        args = [self.eval_expr(a) for a in expr.args]
+        args = [
+            _need_static(self.eval_expr(a), f"argument of {expr.name}")
+            for a in expr.args
+        ]
         return builtin.constructor(args, self.input_widths)
 
     def _inline_define(self, define: PDefine, call: PCall):
@@ -954,7 +1049,7 @@ class LoweringContext:
         target = stmt.target
         if isinstance(target, PVar):
             value = self.eval_expr(stmt.value)
-            if isinstance(value, int):
+            if isinstance(value, (int, _Affine)):
                 self.int_env[target.name] = value
             else:
                 self.bv_temps[target.name] = value
@@ -964,37 +1059,40 @@ class LoweringContext:
                 raise PseudocodeError(
                     f"element assignment to non-output {target.base!r}"
                 )
-            low = self._eval_int(target.index) * target.elem_width
+            low = _affine_op("*", self._eval_index(target.index), target.elem_width)
             self._record_assign(low, target.elem_width, stmt.value)
             return
         if isinstance(target, PSlice):
             if target.base != self.output_name:
                 raise PseudocodeError(f"slice assignment to non-output {target.base!r}")
-            high = self._eval_int(target.high)
-            low = self._eval_int(target.low)
-            self._record_assign(low, high - low + 1, stmt.value)
+            self._record_assign(
+                *self._slice_width(target.high, target.low), stmt.value
+            )
             return
         raise PseudocodeError(f"bad assignment target {type(target).__name__}")
 
-    def _record_assign(self, low: int, width: int, value_expr: PExpr) -> None:
-        value = self.eval_expr(value_expr)
+    def _record_assign(
+        self, low: "int | _Affine", width: int, value_expr: PExpr
+    ) -> None:
+        value = _need_static(self.eval_expr(value_expr), "assigned value")
         if isinstance(value, int):
             value = BvConst(IConst(value), IConst(width))
+        least, greatest = self._span(low)
         actual = self.width_of(value)
         if actual != width:
             raise PseudocodeError(
-                f"assignment to [{low + width - 1}:{low}] has width {actual}, "
+                f"assignment to [{least + width - 1}:{least}] has width {actual}, "
                 f"expected {width}"
             )
-        if low < 0 or low + width > self.output_width:
+        if least < 0 or greatest + width > self.output_width:
             raise PseudocodeError(
-                f"assignment [{low}, {low + width}) outside destination "
+                f"assignment [{least}, {greatest + width}) outside destination "
                 f"of width {self.output_width}"
             )
         self.assigns.append(_SliceAssign(low, width, value))
 
     def _exec_if(self, stmt: PIf) -> None:
-        cond = self.eval_expr(stmt.cond)
+        cond = _need_static(self.eval_expr(stmt.cond), "IF condition")
         if isinstance(cond, int):
             body = stmt.then_body if cond else stmt.else_body
             for inner in body:
@@ -1032,6 +1130,65 @@ class LoweringContext:
         finally:
             self.assigns = saved
 
+    # -- the destination's loop nest, lowered as loops ------------------
+
+    def lower_nest(self, nest: tuple[PFor, ...]) -> bool:
+        """Lower a nest :func:`_loop_nest` admitted as one ``ForConcat``
+        nest covering the destination.
+
+        The body is lowered once, each loop variable bound to its
+        iteration counter (an :class:`_Affine`).  The result is the nest
+        :func:`repro.hydride_ir.transforms.reroll` recovers from the
+        unrolled slices.  Returns False, with the context as it was, when
+        the nest runs fewer than two iterations (unrolling makes no
+        concatenation), when its slices do not tile the destination in
+        iteration order, or when lowering it raises; the caller then
+        unrolls it, which reports any error at its iteration.
+        """
+        int_env, bv_temps = dict(self.int_env), dict(self.bv_temps)
+        assigns, self.assigns = self.assigns, []
+        try:
+            built = self._lower_nest(nest)
+        except PseudocodeError:
+            built = None
+        self.int_env, self.bv_temps, self.assigns = int_env, bv_temps, assigns
+        self.counts = ()
+        if built is None:
+            return False
+        self.assigns.append(_SliceAssign(0, self.output_width, built))
+        return True
+
+    def _lower_nest(self, nest: tuple[PFor, ...]) -> BvExpr | None:
+        counts = [1] * len(nest)
+        for depth, loop in enumerate(nest):
+            if depth:
+                for stmt in nest[depth - 1].body[:-1]:
+                    self.exec_stmt(stmt)
+            start = self._eval_int(loop.start)
+            counts[depth] = self._eval_int(loop.end) - start + 1
+            if counts[depth] < 1:
+                return None
+            self.counts = tuple(counts)
+            unit = tuple(int(d == depth) for d in range(len(nest)))
+            counter = _affine(unit, start) if counts[depth] > 1 else start
+            self.int_env[loop.var] = counter
+        for stmt in nest[-1].body:
+            self.exec_stmt(stmt)
+        dims = [d for d, count in enumerate(counts) if count > 1]
+        if len(self.assigns) != 1 or not dims:
+            return None
+        (assign,) = self.assigns
+        # Iteration order must be destination order: the innermost
+        # counter steps one slice, each outer one a whole inner loop.
+        strides = [0] * len(nest)
+        extent = assign.width
+        for d in reversed(dims):
+            strides[d] = extent
+            extent *= counts[d]
+        if assign.low != _Affine(tuple(strides), 0) or extent != self.output_width:
+            return None
+        return _assemble_nest(assign.value, dims, counts)
+
     # -- result assembly -------------------------------------------------
 
     def finish(self) -> BvExpr:
@@ -1059,6 +1216,202 @@ class LoweringContext:
         return BvConcat(tuple(parts))
 
 
+def _writes(stmt: PStmt) -> bool:
+    """Whether ``stmt`` can assign a destination slice."""
+    if isinstance(stmt, PAssign):
+        return not isinstance(stmt.target, PVar)
+    if isinstance(stmt, PFor):
+        return any(map(_writes, stmt.body))
+    if isinstance(stmt, PIf):
+        return any(map(_writes, stmt.then_body + stmt.else_body))
+    return False
+
+
+def _write_count(body: tuple[PStmt, ...]) -> int | None:
+    """Destination slices one pass over ``body`` assigns; None when that
+    is not fixed, or the body holds a loop or a definition."""
+    total = 0
+    for stmt in body:
+        if isinstance(stmt, PAssign):
+            total += _writes(stmt)
+        elif isinstance(stmt, PIf):
+            then_count = _write_count(stmt.then_body)
+            if then_count is None or then_count != _write_count(stmt.else_body):
+                return None
+            total += then_count
+        else:
+            return None
+    return total
+
+
+def _assigned(body: tuple[PStmt, ...]) -> set[str]:
+    names: set[str] = set()
+    for stmt in body:
+        if isinstance(stmt, PAssign) and isinstance(stmt.target, PVar):
+            names.add(stmt.target.name)
+        elif isinstance(stmt, PIf):
+            names |= _assigned(stmt.then_body) | _assigned(stmt.else_body)
+        elif isinstance(stmt, PFor):
+            names |= {stmt.var} | _assigned(stmt.body)
+    return names
+
+
+def _loop_use(expr: PExpr, tainted: set[str], unset: set[str]) -> bool | None:
+    """Whether ``expr`` is an integer varying with the loop (True) or not
+    (False).  None when it uses the loop other than affinely or outside
+    slice offsets — in a condition, a call, or as a value — or reads a
+    name in ``unset``: one the loop assigns but this iteration has not
+    yet, so the read would see the previous iteration's value."""
+    if isinstance(expr, PInt):
+        return False
+    if isinstance(expr, PVar):
+        return None if expr.name in unset else expr.name in tainted
+    if isinstance(expr, (PSlice, PElem)):
+        offsets = (expr.high, expr.low) if isinstance(expr, PSlice) else (expr.index,)
+        if expr.base in unset or any(
+            _loop_use(offset, tainted, unset) is None for offset in offsets
+        ):
+            return None
+        return False
+    if isinstance(expr, PBin):
+        left = _loop_use(expr.left, tainted, unset)
+        right = _loop_use(expr.right, tainted, unset)
+        if left is None or right is None:
+            return None
+        if not (left or right):
+            return False
+        if expr.op in ("+", "-") or (expr.op == "*" and not (left and right)):
+            return True
+        return None
+    if isinstance(expr, PUn):
+        use = _loop_use(expr.operand, tainted, unset)
+        return None if use and expr.op != "-" else use
+    if isinstance(expr, PCall):
+        parts = expr.args
+    elif isinstance(expr, PCond):
+        parts = (expr.cond, expr.then_expr, expr.else_expr)
+    else:
+        return None
+    if all(_loop_use(part, tainted, unset) is False for part in parts):
+        return False
+    return None
+
+
+def _affine_body(
+    body: tuple[PStmt, ...], tainted: set[str], bound: set[str], loop_names: set[str]
+) -> bool:
+    """Walk one iteration's statements in order.  ``tainted`` gathers the
+    loop-dependent integer temporaries, ``bound`` the ``loop_names``
+    (names the loop assigns) already set in this iteration."""
+    for stmt in body:
+        unset = loop_names - bound
+        if isinstance(stmt, PIf):
+            if _loop_use(stmt.cond, tainted, unset) is not False:
+                return False
+            branches = stmt.then_body + stmt.else_body
+            if not _affine_body(branches, tainted, bound, loop_names):
+                return False
+            continue
+        assert isinstance(stmt, PAssign)
+        target, use = stmt.target, _loop_use(stmt.value, tainted, unset)
+        if use is None:
+            return False
+        if isinstance(target, PVar):
+            (tainted.add if use else tainted.discard)(target.name)
+            bound.add(target.name)
+        elif use or _loop_use(target, tainted, unset) is None:
+            return False
+    return True
+
+
+def _loop_nest(program: Program) -> tuple[PFor, ...] | None:
+    """The destination's loop nest, when it lowers as loops.
+
+    Decided on the pseudocode alone, before anything is lowered.  The
+    nest must be the program's last statement and its only destination
+    writer, in a program without helper definitions; at most two loops
+    deep (the inner loop ends the outer body, after nothing but
+    temporaries); and assign one destination slice per iteration.  No
+    value may be carried from one iteration to the next,
+    and the loop variables — with the temporaries computed from them —
+    may appear only in affine integer arithmetic that ends in slice
+    offsets: a condition on a loop variable, a non-affine index or a
+    loop variable used as a value leaves the program to be unrolled.
+    """
+    if not program.statements:
+        return None
+    *prelude, last = program.statements
+    if not isinstance(last, PFor) or any(
+        isinstance(stmt, PDefine) or _writes(stmt) for stmt in prelude
+    ):
+        return None
+    nest = [last]
+    while any(isinstance(stmt, PFor) for stmt in nest[-1].body):
+        *temps, inner = nest[-1].body
+        if len(nest) == 2 or not isinstance(inner, PFor) or not all(
+            isinstance(stmt, PAssign) and isinstance(stmt.target, PVar)
+            for stmt in temps
+        ):
+            return None
+        nest.append(inner)
+    if _write_count(nest[-1].body) != 1:
+        return None
+    loop_names = _assigned((last,))
+    tainted: set[str] = set()
+    bound: set[str] = set()
+    for depth, loop in enumerate(nest):
+        for bound_expr in (loop.start, loop.end):
+            if _loop_use(bound_expr, tainted, loop_names - bound) is not False:
+                return None
+        tainted.add(loop.var)
+        bound.add(loop.var)
+        body = loop.body if depth == len(nest) - 1 else loop.body[:-1]
+        if not _affine_body(body, tainted, bound, loop_names):
+            return None
+    return tuple(nest)
+
+
+def _stride_form(var: str, stride: int, base: IndexExpr) -> IndexExpr:
+    """Reroll's shape for an offset that steps with a loop:
+    ``(var * stride) + base``; ``base`` alone when it does not step."""
+    if not stride:
+        return base
+    return IBin("+", IBin("*", IVar(var), IConst(stride)), base)
+
+
+def _assemble_nest(value: BvExpr, dims: list[int], counts: list[int]) -> BvExpr:
+    """Replace ``value``'s :class:`_Affine` offsets by index expressions
+    over fresh loop variables and wrap it in the loops.
+
+    Two loops whose every offset steps by the inner stride times the
+    inner trip count are one loop over the flattened iteration space —
+    reroll finds the single loop first; otherwise the nest stays nested.
+    """
+    offsets = [
+        index for node in value.walk() for index in node.index_exprs()
+        if isinstance(index, _Affine)
+    ]
+    trips = {d: counts[d] for d in dims}
+    if len(dims) == 2:
+        outer, inner = dims
+        if all(a.coeffs[outer] == a.coeffs[inner] * counts[inner] for a in offsets):
+            dims, trips = [inner], {inner: counts[outer] * counts[inner]}
+    names = {d: f"_i{d}" for d in dims}
+
+    def index(expr: IndexExpr) -> IndexExpr:
+        if not isinstance(expr, _Affine):
+            return expr
+        form: IndexExpr = IConst(expr.const)
+        for d in reversed(dims):
+            form = _stride_form(names[d], expr.coeffs[d], form)
+        return form
+
+    body = rewrite_bottom_up(value, lambda node: with_index_exprs(node, index))
+    for d in reversed(dims):
+        body = ForConcat(names[d], IConst(trips[d]), body)
+    return body
+
+
 def lower_program(
     program: Program,
     input_widths: dict[str, int],
@@ -1067,28 +1420,66 @@ def lower_program(
     builtins: Callable[[str], Builtin | None],
     params: Mapping[str, int] | None = None,
 ) -> BvExpr:
-    """Run the unrolling evaluator over a parsed program.
+    """Lower a parsed program: its destination loop nest as loops when
+    :func:`_loop_nest` admits it, everything else by unrolling.
 
     ``params`` seeds the integer environment with a dialect's symbolic
     machine parameters; the pseudocode text itself stays agnostic of them
     and can be re-lowered at any binding.
     """
-    context = LoweringContext(input_widths, output_name, output_width, builtins)
+    return _lower(
+        program, _loop_nest(program),
+        LoweringContext(input_widths, output_name, output_width, builtins), params,
+    )
+
+
+def unroll_program(
+    program: Program,
+    input_widths: dict[str, int],
+    output_name: str,
+    output_width: int,
+    builtins: Callable[[str], Builtin | None],
+    params: Mapping[str, int] | None = None,
+) -> BvExpr:
+    """Lower a parsed program by unrolling every loop.  Rerolling its
+    result gives the canonical form :func:`lower_program` builds directly;
+    it is the reference the two are tested against."""
+    return _lower(
+        program, None,
+        LoweringContext(input_widths, output_name, output_width, builtins), params,
+    )
+
+
+def _lower(
+    program: Program,
+    nest: tuple[PFor, ...] | None,
+    context: LoweringContext,
+    params: Mapping[str, int] | None,
+) -> BvExpr:
     context.int_env.update(params or {})
-    for stmt in program.statements:
+    statements = program.statements[:-1] if nest else program.statements
+    for stmt in statements:
         context.exec_stmt(stmt)
-    return context.finish()
+    perf = global_counters()
+    if nest is not None:
+        if context.lower_nest(nest):
+            perf.specs_lowered_direct += 1
+            return context.finish()
+        context.exec_stmt(nest[0])
+    body = context.finish()
+    if isinstance(body, BvConcat):
+        perf.specs_rerolled += 1
+    return body
 
 
-def dialect_semantics(dialect: Dialect, spec: InstructionSpec) -> SemanticsFunction:
-    """Parse and lower one instruction spec to a semantics function."""
+def _semantics(dialect: Dialect, spec: InstructionSpec, lower) -> SemanticsFunction:
     program = parse_pseudocode(dialect, spec.pseudocode)
     params: dict[str, int] = {}
     for name, attribute in dialect.params.items():
         if attribute not in spec.attributes:
             raise PseudocodeError(f"machine parameter {name} is unbound")
         params[name] = int(spec.attributes[attribute])
-    body = lower_program(
+    body = lower(
         program,
         {op.name: op.width for op in spec.operands},
         dialect.output,
@@ -1100,3 +1491,14 @@ def dialect_semantics(dialect: Dialect, spec: InstructionSpec) -> SemanticsFunct
         Input(op.name, IConst(op.width), op.is_immediate) for op in spec.operands
     )
     return SemanticsFunction(spec.name, inputs, {}, body, IConst(spec.output_width))
+
+
+def dialect_semantics(dialect: Dialect, spec: InstructionSpec) -> SemanticsFunction:
+    """Parse and lower one instruction spec to a semantics function."""
+    return _semantics(dialect, spec, lower_program)
+
+
+def unrolled_semantics(dialect: Dialect, spec: InstructionSpec) -> SemanticsFunction:
+    """:func:`dialect_semantics` through :func:`unroll_program`: the
+    unroll-then-reroll reference for the direct loop lowering."""
+    return _semantics(dialect, spec, unroll_program)

@@ -1,11 +1,11 @@
 """Central access point for ISA catalogs and parsed semantics.
 
 Catalog generation is cheap (milliseconds); pseudocode parsing and
-canonicalisation take a few seconds per ISA, so everything is cached per
-process.  The offline IR-generation pipeline (:mod:`repro.irgen`) slices
-the parse work across worker processes via :func:`parse_slice` and
-persists the result, so warm processes skip this module's slow path
-entirely.
+canonicalisation take about a second over the four catalogs, so
+everything is cached per process.  The offline IR-generation pipeline
+(:mod:`repro.irgen`) slices the parse work across worker processes via
+:func:`parse_slice` and persists the result, so warm processes skip this
+module's slow path entirely.
 """
 
 from __future__ import annotations

@@ -92,6 +92,12 @@ class PerfCounters:
     # worker forked from a warm parent must report zero: the dictionary
     # comes from the irgen artifact or the parent, never from a re-parse.
     specs_parsed: int = 0
+    # How parsed specs were lowered (repro.isa.pseudo_core): the
+    # destination loop nest lowered as loops, or unrolled into a
+    # concatenation that canonicalisation re-rolls.  Specs with neither
+    # (one assignment, one iteration) count in no field.
+    specs_lowered_direct: int = 0
+    specs_rerolled: int = 0
     # Grammars whose entries were computed (the BVS/SBOS scan of
     # repro.synthesis.grammar).  A worker answering a fully cached job
     # must report zero: a hit never reads the grammar.

@@ -29,7 +29,6 @@ import hashlib
 import json
 import os
 import random
-import tempfile
 import time
 from pathlib import Path
 
@@ -37,6 +36,7 @@ from repro import faults
 from repro.autollvm.intrinsics import AutoLLVMDictionary
 from repro.halide import ir as hir
 from repro.isa.registry import supported_isas
+from repro.persist import atomic_write
 from repro.synthesis.cache import (
     CacheEntry,
     MemoCache,
@@ -71,48 +71,6 @@ LOOKUP_CHECK_TRIALS = 1
 
 def _key_hash(key: str) -> str:
     return hashlib.sha256(key.encode()).hexdigest()[:32]
-
-
-def atomic_write(path: Path, text: str) -> None:
-    """Durable write-to-temp + rename.
-
-    Concurrent writers of identical content are safe, readers never
-    observe a partially written file, and the ``fsync`` before the rename
-    means a crash (even SIGKILL) can never publish a truncated entry —
-    the worst outcome is a leaked ``.tmp-*`` file, which cache open
-    reaps.  Shared by the synthesis cache and the irgen artifact store.
-    """
-    spec = faults.check("store.atomic_write", detail=path.name)
-    if spec is not None:
-        text = faults.transform_text(spec, text)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".json")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    if spec is not None and spec.kind == "leak_tmp":
-        leak_fd, _leak = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".json"
-        )
-        os.close(leak_fd)
-    # A crash between the durable write and the publish (injected here as
-    # "exit"/"raise") leaves only .tmp litter, never a partial entry.
-    faults.trip("store.atomic_write.crash", detail=path.name)
-    try:
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def reap_tmp(

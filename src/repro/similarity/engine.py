@@ -53,6 +53,11 @@ class EngineStats:
     # Hole refinements skipped because the representative cannot be
     # instantiated even at its own parameter values (a broken vendor spec).
     uninstantiable: int = 0
+    # How the parse phase lowered the specs (repro.perf's counters of the
+    # same names): loop nests lowered as loops, and unrolled bodies that
+    # canonicalisation re-rolled.
+    specs_lowered_direct: int = 0
+    specs_rerolled: int = 0
     seconds: float = 0.0
     checker_stats: dict[str, int] = field(default_factory=dict)
 
@@ -65,6 +70,8 @@ class EngineStats:
             "hole_merges": self.hole_merges,
             "attempt_truncations": self.attempt_truncations,
             "uninstantiable": self.uninstantiable,
+            "specs_lowered_direct": self.specs_lowered_direct,
+            "specs_rerolled": self.specs_rerolled,
             "seconds": round(self.seconds, 6),
             "checker_stats": dict(self.checker_stats),
         }
@@ -75,6 +82,7 @@ class EngineStats:
         for name in (
             "instructions", "classes", "checks", "permute_merges",
             "hole_merges", "attempt_truncations", "uninstantiable",
+            "specs_lowered_direct", "specs_rerolled",
         ):
             setattr(stats, name, int(data.get(name, 0)))
         stats.seconds = float(data.get("seconds", 0.0))

@@ -30,12 +30,6 @@ from repro.perf import global_counters
 from repro.synthesis.cost import CostModel
 from repro.synthesis.program import SInput, SWIZZLE_PATTERNS
 
-
-# Bumped whenever grammar generation changes in a way that could alter
-# which programs synthesis produces; persisted synthesis caches embed it
-# in their fingerprint so stale entries are invalidated soundly.
-GRAMMAR_VERSION = 1
-
 # Immediate operands tried per instruction: the window's first few
 # distinct constants (low byte).
 MAX_IMM_CANDIDATES = 3

@@ -421,7 +421,7 @@ class RuleBook:
         return book
 
     def save(self, directory) -> Path:
-        from repro.service.store import atomic_write
+        from repro.persist import atomic_write
 
         path = Path(directory) / RULES_FILENAME
         atomic_write(path, json.dumps(self.to_obj(), sort_keys=True))

@@ -19,7 +19,7 @@ from typing import Any
 
 from repro.autollvm.intrinsics import AutoLLVMDictionary
 from repro.synthesis.cache import CacheEntry
-from repro.synthesis.grammar import GRAMMAR_VERSION
+from repro.persist import GRAMMAR_VERSION
 from repro.synthesis.program import (
     SConcat,
     SConstant,

@@ -396,7 +396,7 @@ class TestUninstantiableInstruction:
         broken = [_out_of_range("broken_a"), _out_of_range("broken_b")]
         monkeypatch.setattr(pipeline, "_parse_tasks", lambda isas, jobs: [None])
         monkeypatch.setattr(
-            pipeline, "_parse_task", lambda task: (broken + good, 0.0, 0.0)
+            pipeline, "_parse_task", lambda task: (broken + good, 0.0, 0.0, 0, 0)
         )
         monkeypatch.setattr(pipeline, "irgen_fingerprint", lambda **k: "f" * 64)
         artifact = build_artifact(jobs=1)

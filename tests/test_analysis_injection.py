@@ -33,6 +33,7 @@ from repro.halide import ir as hir
 from repro.hydride_ir.ast import (
     BvBinOp,
     BvCast,
+    BvConcat,
     BvConst,
     BvExtract,
     BvVar,
@@ -41,6 +42,8 @@ from repro.hydride_ir.ast import (
     SemanticsFunction,
 )
 from repro.hydride_ir.indexexpr import IBin, IConst, IVar
+from repro.isa.registry import load_catalog
+from repro.isa.x86.parser import x86_semantics
 from repro.synthesis.program import SInput, SOp, SSwizzle
 
 
@@ -106,16 +109,21 @@ class TestHydrideInjection:
 
     def test_broken_canonicalize_pass(self, monkeypatch):
         """A constituent pass that corrupts the IR leaves damage the
-        checker names in canonicalize's output."""
+        checker names in canonicalize's output.  The spec interleaves two
+        registers, so its loops are unrolled and canonicalize re-rolls
+        them."""
         canon_mod = importlib.import_module(
             "repro.hydride_ir.transforms.canonicalize"
         )
+        spec = load_catalog("x86").by_name("_mm_unpacklo_epi8")
+        func = x86_semantics(spec)
+        assert isinstance(func.body, BvConcat)
 
         def broken_reroll(body):
             return BvConst(IConst(0), IConst(-4))  # nonsense replacement
 
         monkeypatch.setattr(canon_mod, "reroll", broken_reroll)
-        result = canon_mod.canonicalize(_func(BvVar("a")))
+        result = canon_mod.canonicalize(func)
         assert "hydride/nonpositive-width" in _rules(check_semantics(result))
 
 

@@ -6,6 +6,7 @@ untransformed semantics on random concrete inputs.
 """
 
 import random
+from importlib import import_module
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.hydride_ir.transforms import canonicalize
 from repro.hydride_ir.transforms.constprop import propagate_constants
 from repro.hydride_ir.transforms.reroll import reroll
 from repro.hydride_ir.transforms.rewrite import rewrite_bottom_up
+from repro.isa.pseudo_core import unrolled_semantics
 
 SAMPLE_STRIDE = 53  # every 53rd instruction: broad but cheap
 TRIALS = 4
@@ -69,7 +71,11 @@ def _assert_same_semantics(before, after, name):
 @pytest.mark.parametrize("isa", ["x86", "hvx", "arm"])
 class TestTransformProperties:
     def test_reroll_preserves(self, isa):
-        for spec, func in _raw_parse(isa):
+        # Most specs lower their loops as loops; reroll's input is the
+        # unrolled lowering.
+        dialect = import_module(f"repro.isa.{isa}.parser").DIALECT
+        for spec, _func in _raw_parse(isa):
+            func = unrolled_semantics(dialect, spec)
             after = func.with_body(reroll(func.body))
             _assert_clean(after, isa, "reroll")
             _assert_same_semantics(func, after, spec.name)

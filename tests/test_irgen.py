@@ -23,7 +23,7 @@ from repro.irgen import (
     partition_digest,
     persist_artifact,
 )
-from repro.irgen.artifact import ARTIFACT_FILE, artifact_dir
+from repro.irgen.artifact import ARTIFACT_FILE, artifact_dir, artifact_to_obj
 from repro.isa import registry
 from repro.similarity.constants import SymbolicSemantics, skeleton_key
 from repro.similarity.engine import (
@@ -100,6 +100,20 @@ class TestShardedDeterminism:
             assert [(m.name, m.arg_order) for m in ours.members] == [
                 (m.name, m.arg_order) for m in theirs.members
             ]
+
+    def test_classes_payload_identical_across_jobs(self, artifacts):
+        """Loop names are canonical, so how the catalog was sliced across
+        workers leaves no trace in the persisted IR."""
+        payloads = {
+            jobs: json.dumps(artifact_to_obj(artifact)["classes"], sort_keys=True)
+            for jobs, artifact in artifacts.items()
+        }
+        assert payloads[1] == payloads[2] == payloads[4]
+
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_lowering_paths_counted(self, jobs, artifacts):
+        stats = artifacts[jobs].stats
+        assert (stats.specs_lowered_direct, stats.specs_rerolled) == (123, 18)
 
     def test_shard_key_groups_cover_catalog(self):
         symbolics = _symbolics_for_isa("hvx")
@@ -210,6 +224,7 @@ class TestArtifactStore:
         out = capsys.readouterr().out
         assert "loaded hvx" in out
         assert "walls=parse:" in out
+        assert "lowering=direct:123/rerolled:18" in out
 
     def test_cli_build_rejects_unknown_isa(self, store, capsys):
         from repro.irgen.cli import main
@@ -234,6 +249,8 @@ class TestArtifactStore:
         assert main(["stats", "--cache-dir", str(store), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["namespaces"][0]["complete"] is True
+        stats = payload["namespaces"][0]["stats"]
+        assert (stats["specs_lowered_direct"], stats["specs_rerolled"]) == (123, 18)
 
 
 class TestFingerprintInvalidation:
