@@ -1,15 +1,36 @@
-"""Structural (de)serialization of Hydride IR expressions.
+"""The node table: hash-consed (de)serialization of Hydride IR.
 
-The offline IR-generation artifact (:mod:`repro.irgen`) persists the
+The offline IR-generation pipeline (:mod:`repro.irgen`) moves the
 parameterized semantics of every instruction — full :class:`BvExpr`
-bodies over symbolic :class:`IndexExpr` widths — so that a warm process
-can reload equivalence classes without re-parsing any vendor pseudocode.
+bodies over symbolic :class:`IndexExpr` widths — between processes and
+onto disk.  Those bodies repeat heavily: ~1.7k instructions hold ~41k
+IR nodes, of which ~2.5k are distinct.  A :class:`NodeTable` stores each
+distinct subtree once, so every copy costs one integer reference.
 
-The encoding is compact JSON: index expressions are plain integers
-(``IConst``, by far the most common node) or small tagged lists;
-bitvector nodes are tagged lists whose first element selects the
-constructor.  Encoding and decoding are exact inverses on canonical IR,
-which the artifact round-trip tests assert.
+Rows are JSON-ready.  An ``IConst`` row is its integer value; every other
+row is ``(tag, *fields)`` in the node's dataclass field order, where a
+child field holds the index of an *earlier* row (``BvConcat``'s parts are
+a list of them) and a name or operator field holds its string:
+
+=====  ====================  =====  ====================
+tag    node                  tag    node
+=====  ====================  =====  ====================
+``p``  ``IParam``            ``X``  ``BvExtract``
+``v``  ``IVar``              ``O``  ``BvBinOp``
+``b``  ``IBin``              ``U``  ``BvUnOp``
+``V``  ``BvVar``             ``M``  ``BvCmp``
+``C``  ``BvConst``           ``T``  ``BvCast``
+``B``  ``BvBroadcastConst``  ``I``  ``BvIte``
+``K``  ``BvConcat``          ``F``  ``ForConcat``
+=====  ====================  =====  ====================
+
+Encoding *is* interning: :meth:`NodeTable.add` keys a node by its row
+(children already interned), so structurally equal subtrees share one
+row, and memoises by object identity, so a subtree that is already
+shared costs one lookup.  :meth:`NodeTable.extend` decodes another
+table's rows into this one, building each distinct row once: the trees
+it returns share every repeated subtree, also across the tables merged
+into one.  A malformed payload raises :class:`IrSerializeError`.
 """
 
 from __future__ import annotations
@@ -29,7 +50,6 @@ from repro.hydride_ir.ast import (
     BvUnOp,
     BvVar,
     ForConcat,
-    Input,
 )
 from repro.hydride_ir.indexexpr import IBin, IConst, IndexExpr, IParam, IVar
 
@@ -38,131 +58,142 @@ class IrSerializeError(ValueError):
     """An IR node cannot be encoded or a payload cannot be decoded."""
 
 
-# ----------------------------------------------------------------------
-# Index expressions
-# ----------------------------------------------------------------------
+# Field kinds: a string, one child of a node kind, or BvConcat's parts.
+_STR, _PARTS = "str", "parts"
+
+_LAYOUT: dict[str, tuple[type, tuple]] = {
+    "p": (IParam, (_STR,)),
+    "v": (IVar, (_STR,)),
+    "b": (IBin, (_STR, IndexExpr, IndexExpr)),
+    "V": (BvVar, (_STR,)),
+    "C": (BvConst, (IndexExpr, IndexExpr)),
+    "B": (BvBroadcastConst, (IndexExpr, IndexExpr, IndexExpr)),
+    "X": (BvExtract, (BvExpr, IndexExpr, IndexExpr)),
+    "O": (BvBinOp, (_STR, BvExpr, BvExpr)),
+    "U": (BvUnOp, (_STR, BvExpr)),
+    "M": (BvCmp, (_STR, BvExpr, BvExpr)),
+    "T": (BvCast, (_STR, BvExpr, IndexExpr)),
+    "I": (BvIte, (BvExpr, BvExpr, BvExpr)),
+    "K": (BvConcat, (_PARTS,)),
+    "F": (ForConcat, (_STR, IndexExpr, BvExpr)),
+}
+
+# Node class -> its row, given ``add`` (which interns a child and
+# returns its row); the inverse of ``_LAYOUT``, spelled out because
+# encoding runs once per node of every parsed spec.
+_ENCODE = {
+    IParam: lambda add, n: ("p", n.name),
+    IVar: lambda add, n: ("v", n.name),
+    IBin: lambda add, n: ("b", n.op, add(n.left), add(n.right)),
+    BvVar: lambda add, n: ("V", n.name),
+    BvConst: lambda add, n: ("C", add(n.value), add(n.width)),
+    BvBroadcastConst: lambda add, n: (
+        "B", add(n.value), add(n.elem_width), add(n.num_elems)
+    ),
+    BvExtract: lambda add, n: ("X", add(n.src), add(n.low), add(n.width)),
+    BvBinOp: lambda add, n: ("O", n.op, add(n.left), add(n.right)),
+    BvUnOp: lambda add, n: ("U", n.op, add(n.operand)),
+    BvCmp: lambda add, n: ("M", n.op, add(n.left), add(n.right)),
+    BvCast: lambda add, n: ("T", n.op, add(n.operand), add(n.new_width)),
+    BvIte: lambda add, n: (
+        "I", add(n.cond), add(n.then_expr), add(n.else_expr)
+    ),
+    BvConcat: lambda add, n: ("K", tuple(map(add, n.parts))),
+    ForConcat: lambda add, n: ("F", n.var, add(n.count), add(n.body)),
+}
 
 
-def index_to_obj(expr: IndexExpr) -> Any:
-    if isinstance(expr, IConst):
-        return expr.value
-    if isinstance(expr, IParam):
-        return ["p", expr.name]
-    if isinstance(expr, IVar):
-        return ["v", expr.name]
-    if isinstance(expr, IBin):
-        return [expr.op, index_to_obj(expr.left), index_to_obj(expr.right)]
-    raise IrSerializeError(f"cannot serialize index node {type(expr).__name__}")
+def node_at(nodes: list, ref: Any, kind: type) -> Any:
+    """``nodes[ref]`` when ``ref`` is an in-range row index of a ``kind``
+    node; :class:`IrSerializeError` otherwise."""
+    if type(ref) is not int or not 0 <= ref < len(nodes):
+        raise IrSerializeError(f"reference {ref!r} is not to an earlier row")
+    node = nodes[ref]
+    if not isinstance(node, kind):
+        raise IrSerializeError(f"row {ref} is not a {kind.__name__}")
+    return node
 
 
-def index_from_obj(obj: Any) -> IndexExpr:
-    if isinstance(obj, bool):
-        raise IrSerializeError(f"invalid index payload {obj!r}")
-    if isinstance(obj, int):
-        return IConst(obj)
-    if not isinstance(obj, list) or not obj:
-        raise IrSerializeError(f"invalid index payload {obj!r}")
-    tag = obj[0]
-    if tag == "p":
-        return IParam(obj[1])
-    if tag == "v":
-        return IVar(obj[1])
-    if tag in IBin._OPS:
-        return IBin(tag, index_from_obj(obj[1]), index_from_obj(obj[2]))
-    raise IrSerializeError(f"unknown index tag {tag!r}")
+class NodeTable:
+    """One row per distinct IR subtree; see the module docstring."""
 
+    def __init__(self) -> None:
+        self.rows: list = []
+        self.nodes: list = []
+        self._row_of: dict = {}  # row (the structural key) -> its index
+        # id(node) -> (node, row); holding the node keeps its id unique.
+        self._seen: dict[int, tuple[Any, int]] = {}
 
-# ----------------------------------------------------------------------
-# Bitvector expressions
-# ----------------------------------------------------------------------
+    def __len__(self) -> int:
+        return len(self.rows)
 
+    def add(self, node: BvExpr | IndexExpr) -> int:
+        """Intern ``node`` and its subtrees; returns its row index."""
+        seen = self._seen.get(id(node))
+        if seen is not None:
+            return seen[1]
+        kind = type(node)
+        if kind is IConst:
+            return self._intern(node.value, node)
+        encode = _ENCODE.get(kind)
+        if encode is None:
+            raise IrSerializeError(f"cannot serialize IR node {kind.__name__}")
+        return self._intern(encode(self.add, node), node)
 
-def expr_to_obj(expr: BvExpr) -> Any:
-    if isinstance(expr, BvVar):
-        return ["V", expr.name]
-    if isinstance(expr, BvConst):
-        return ["C", index_to_obj(expr.value), index_to_obj(expr.width)]
-    if isinstance(expr, BvBroadcastConst):
-        return [
-            "B",
-            index_to_obj(expr.value),
-            index_to_obj(expr.elem_width),
-            index_to_obj(expr.num_elems),
-        ]
-    if isinstance(expr, BvExtract):
-        return [
-            "X",
-            expr_to_obj(expr.src),
-            index_to_obj(expr.low),
-            index_to_obj(expr.width),
-        ]
-    if isinstance(expr, BvBinOp):
-        return ["O", expr.op, expr_to_obj(expr.left), expr_to_obj(expr.right)]
-    if isinstance(expr, BvUnOp):
-        return ["U", expr.op, expr_to_obj(expr.operand)]
-    if isinstance(expr, BvCmp):
-        return ["M", expr.op, expr_to_obj(expr.left), expr_to_obj(expr.right)]
-    if isinstance(expr, BvCast):
-        return ["T", expr.op, expr_to_obj(expr.operand), index_to_obj(expr.new_width)]
-    if isinstance(expr, BvIte):
-        return [
-            "I",
-            expr_to_obj(expr.cond),
-            expr_to_obj(expr.then_expr),
-            expr_to_obj(expr.else_expr),
-        ]
-    if isinstance(expr, BvConcat):
-        return ["K", [expr_to_obj(p) for p in expr.parts]]
-    if isinstance(expr, ForConcat):
-        return ["F", expr.var, index_to_obj(expr.count), expr_to_obj(expr.body)]
-    raise IrSerializeError(f"cannot serialize IR node {type(expr).__name__}")
+    def _intern(self, key, node) -> int:
+        row = self._row_of.get(key)
+        if row is None:
+            row = self._row_of[key] = len(self.rows)
+            self.rows.append(key)
+            self.nodes.append(node)
+        self._seen[id(node)] = (node, row)
+        return row
 
+    def extend(self, rows: list) -> list:
+        """Decode the rows of an encoded table into this one; returns the
+        node of each of ``rows``, in order."""
+        decoded: list = []
+        for row in rows:
+            if type(row) is int:
+                key, make = row, (IConst, (row,))
+            else:
+                key, make = self._decode(row, decoded)
+            index = self._row_of.get(key)
+            if index is None:
+                cls, args = make
+                index = self._intern(key, cls(*args))
+            decoded.append(self.nodes[index])
+        return decoded
 
-def expr_from_obj(obj: Any) -> BvExpr:
-    if not isinstance(obj, list) or not obj:
-        raise IrSerializeError(f"invalid IR payload {obj!r}")
-    tag = obj[0]
-    if tag == "V":
-        return BvVar(obj[1])
-    if tag == "C":
-        return BvConst(index_from_obj(obj[1]), index_from_obj(obj[2]))
-    if tag == "B":
-        return BvBroadcastConst(
-            index_from_obj(obj[1]), index_from_obj(obj[2]), index_from_obj(obj[3])
-        )
-    if tag == "X":
-        return BvExtract(
-            expr_from_obj(obj[1]), index_from_obj(obj[2]), index_from_obj(obj[3])
-        )
-    if tag == "O":
-        return BvBinOp(obj[1], expr_from_obj(obj[2]), expr_from_obj(obj[3]))
-    if tag == "U":
-        return BvUnOp(obj[1], expr_from_obj(obj[2]))
-    if tag == "M":
-        return BvCmp(obj[1], expr_from_obj(obj[2]), expr_from_obj(obj[3]))
-    if tag == "T":
-        return BvCast(obj[1], expr_from_obj(obj[2]), index_from_obj(obj[3]))
-    if tag == "I":
-        return BvIte(
-            expr_from_obj(obj[1]), expr_from_obj(obj[2]), expr_from_obj(obj[3])
-        )
-    if tag == "K":
-        return BvConcat(tuple(expr_from_obj(p) for p in obj[1]))
-    if tag == "F":
-        return ForConcat(obj[1], index_from_obj(obj[2]), expr_from_obj(obj[3]))
-    raise IrSerializeError(f"unknown IR tag {tag!r}")
-
-
-# ----------------------------------------------------------------------
-# Declared inputs
-# ----------------------------------------------------------------------
-
-
-def input_to_obj(inp: Input) -> Any:
-    return [inp.name, index_to_obj(inp.width), 1 if inp.is_immediate else 0]
-
-
-def input_from_obj(obj: Any) -> Input:
-    if not isinstance(obj, list) or len(obj) != 3:
-        raise IrSerializeError(f"invalid input payload {obj!r}")
-    return Input(obj[0], index_from_obj(obj[1]), bool(obj[2]))
+    def _decode(self, row: Any, decoded: list):
+        """(key, (class, constructor args)) of one non-constant row;
+        child references resolve against the rows ``decoded`` so far."""
+        if not isinstance(row, (list, tuple)) or not row:
+            raise IrSerializeError(f"invalid row {row!r}")
+        layout = _LAYOUT.get(row[0]) if isinstance(row[0], str) else None
+        if layout is None:
+            raise IrSerializeError(f"unknown IR tag {row[0]!r}")
+        cls, kinds = layout
+        if len(row) != 1 + len(kinds):
+            raise IrSerializeError(f"row {row!r} has the wrong arity")
+        key: list = [row[0]]
+        args: list = []
+        for value, kind in zip(row[1:], kinds):
+            if kind is _STR:
+                if not isinstance(value, str):
+                    raise IrSerializeError(f"row {row!r}: {value!r} is not a name")
+                key.append(value)
+                args.append(value)
+            elif kind is _PARTS:
+                if not isinstance(value, (list, tuple)):
+                    raise IrSerializeError(f"row {row!r}: parts are not a list")
+                parts = tuple(node_at(decoded, ref, BvExpr) for ref in value)
+                key.append(tuple(self._seen[id(part)][1] for part in parts))
+                args.append(parts)
+            else:
+                child = node_at(decoded, value, kind)
+                key.append(self._seen[id(child)][1])
+                args.append(child)
+        if cls is IBin and args[0] not in IBin._OPS:
+            raise IrSerializeError(f"unknown index operator {args[0]!r}")
+        return tuple(key), (cls, args)

@@ -20,12 +20,16 @@ algorithm lands in a fresh namespace and stale artifacts are never
 replayed.  Writes are atomic and idempotent;
 racing builders produce byte-identical files.
 
-Class members persist with their *full* parameterized semantics (via
-:mod:`repro.hydride_ir.serialize`), so a warm load reconstructs the
-AutoLLVM dictionary without parsing a single line of vendor pseudocode —
-target :class:`InstructionSpec` objects are re-resolved from the cheap,
-freshly generated catalogs (their fuzzer reference callables cannot be
-serialized, and re-resolving keeps them live).
+Class members persist with their *full* parameterized semantics, so a
+warm load reconstructs the AutoLLVM dictionary without parsing a single
+line of vendor pseudocode — target :class:`InstructionSpec` objects are
+re-resolved from the cheap, freshly generated catalogs (their fuzzer
+reference callables cannot be serialized, and re-resolving keeps them
+live).  ``artifact.json`` (format 2) holds one node table
+(:mod:`repro.hydride_ir.serialize`) under ``nodes`` — each distinct IR
+subtree of every member once — and per class a list of ``[arg_order,
+record]`` members, whose :func:`symbolic_record` refers to table rows by
+index.  The parse pool sends the same records to the parent.
 """
 
 from __future__ import annotations
@@ -39,13 +43,9 @@ from pathlib import Path
 from typing import Any
 
 from repro import faults
-from repro.hydride_ir.serialize import (
-    IrSerializeError,
-    expr_from_obj,
-    expr_to_obj,
-    input_from_obj,
-    input_to_obj,
-)
+from repro.hydride_ir.ast import BvExpr, Input
+from repro.hydride_ir.indexexpr import IndexExpr
+from repro.hydride_ir.serialize import NodeTable, node_at
 from repro.isa.registry import load_catalog, supported_isas
 from repro.persist import GRAMMAR_VERSION, atomic_write
 from repro.similarity.constants import SymbolicSemantics
@@ -53,7 +53,7 @@ from repro.similarity.engine import ENGINE_VERSION, EngineStats
 from repro.similarity.eqclass import ClassMember, EquivalenceClass
 
 # Bump when the artifact encoding changes shape.
-IRGEN_FORMAT_VERSION = 1
+IRGEN_FORMAT_VERSION = 2
 
 META_FILE = "meta.json"
 ARTIFACT_FILE = "artifact.json"
@@ -148,6 +148,8 @@ class IrgenArtifact:
     built_at: str = ""
     # Path the artifact was loaded from; None for freshly built ones.
     loaded_from: str | None = None
+    # Rows of its node table on disk; 0 until persisted or loaded.
+    nodes: int = 0
     _dictionary: Any = field(default=None, repr=False, compare=False)
 
     @property
@@ -175,6 +177,8 @@ class IrgenArtifact:
             "jobs": self.jobs,
             "built_at": self.built_at,
             "loaded_from": self.loaded_from,
+            "format": IRGEN_FORMAT_VERSION,
+            "nodes": self.nodes,
             "stats": self.stats.to_dict(),
             "phase_seconds": {
                 k: round(v, 4) for k, v in sorted(self.phase_seconds.items())
@@ -187,34 +191,53 @@ class IrgenArtifact:
 # ----------------------------------------------------------------------
 
 
-def _symbolic_to_obj(symbolic: SymbolicSemantics) -> dict[str, Any]:
-    return {
-        "name": symbolic.name,
-        "isa": symbolic.isa,
-        "inputs": [input_to_obj(i) for i in symbolic.inputs],
-        "body": expr_to_obj(symbolic.body),
-        # Ordered pairs preserve the canonical alpha_1..alpha_r order.
-        "params": [
-            [name, symbolic.param_values[name]] for name in symbolic.param_names
+def symbolic_record(table: NodeTable, symbolic: SymbolicSemantics) -> list:
+    """``symbolic`` as ``[name, isa, inputs, body, params, skeleton]``,
+    its IR interned into ``table``: each input is ``[name, width row,
+    is_immediate]``, ``body`` is a row, and ``params`` are ordered
+    ``[name, value]`` pairs (the canonical alpha_1..alpha_r order)."""
+    return [
+        symbolic.name,
+        symbolic.isa,
+        [
+            [inp.name, table.add(inp.width), int(inp.is_immediate)]
+            for inp in symbolic.inputs
         ],
-        "skeleton": symbolic.skeleton,
-    }
+        table.add(symbolic.body),
+        [[name, symbolic.param_values[name]] for name in symbolic.param_names],
+        symbolic.skeleton,
+    ]
 
 
-def _symbolic_from_obj(obj: dict[str, Any]) -> SymbolicSemantics:
-    params = obj["params"]
+def symbolic_from_record(nodes: list, record: list) -> SymbolicSemantics:
+    """Inverse of :func:`symbolic_record` over the decoded table ``nodes``."""
+    name, isa, inputs, body, params, skeleton = record
     return SymbolicSemantics(
-        obj["name"],
-        obj["isa"],
-        tuple(input_from_obj(i) for i in obj["inputs"]),
-        expr_from_obj(obj["body"]),
-        tuple(name for name, _value in params),
-        {name: value for name, value in params},
-        obj.get("skeleton", ""),
+        name,
+        isa,
+        tuple(
+            Input(input_name, node_at(nodes, width, IndexExpr), bool(immediate))
+            for input_name, width, immediate in inputs
+        ),
+        node_at(nodes, body, BvExpr),
+        tuple(param for param, _value in params),
+        {param: value for param, value in params},
+        skeleton,
     )
 
 
 def artifact_to_obj(artifact: IrgenArtifact) -> dict[str, Any]:
+    table = NodeTable()
+    classes = [
+        {
+            "id": cls.class_id,
+            "members": [
+                [list(m.arg_order), symbolic_record(table, m.symbolic)]
+                for m in cls.members
+            ],
+        }
+        for cls in artifact.classes
+    ]
     return {
         "version": IRGEN_FORMAT_VERSION,
         "fingerprint": artifact.fingerprint,
@@ -223,53 +246,41 @@ def artifact_to_obj(artifact: IrgenArtifact) -> dict[str, Any]:
         "built_at": artifact.built_at,
         "stats": artifact.stats.to_dict(),
         "phase_seconds": artifact.phase_seconds,
-        "classes": [
-            {
-                "id": cls.class_id,
-                "members": [
-                    {
-                        "order": list(m.arg_order),
-                        "sym": _symbolic_to_obj(m.symbolic),
-                    }
-                    for m in cls.members
-                ],
-            }
-            for cls in artifact.classes
-        ],
+        "nodes": table.rows,
+        "classes": classes,
     }
 
 
 def artifact_from_obj(obj: dict[str, Any]) -> IrgenArtifact:
-    if obj.get("version") != IRGEN_FORMAT_VERSION:
-        raise ArtifactError(
-            f"unsupported artifact version {obj.get('version')!r}"
-        )
+    version = obj.get("version") if isinstance(obj, dict) else None
+    if version != IRGEN_FORMAT_VERSION:
+        raise ArtifactError(f"unsupported artifact version {version!r}")
     try:
+        rows = obj["nodes"]
+        nodes = NodeTable().extend(rows)
         classes: list[EquivalenceClass] = []
         for cls_obj in obj["classes"]:
             cls = EquivalenceClass(int(cls_obj["id"]))
-            for member in cls_obj["members"]:
-                cls.members.append(
-                    ClassMember(
-                        _symbolic_from_obj(member["sym"]),
-                        tuple(member["order"]),
-                    )
-                )
+            cls.members = [
+                ClassMember(symbolic_from_record(nodes, record), tuple(order))
+                for order, record in cls_obj["members"]
+            ]
             # Cheaper to recompute than to trust: fixed parameters are a
             # pure function of the member parameter vectors.
             cls.compute_fixed_params()
             classes.append(cls)
-    except (KeyError, TypeError, IndexError, IrSerializeError) as exc:
-        raise ArtifactError(f"corrupt artifact payload: {exc}") from exc
-    return IrgenArtifact(
-        isas=tuple(obj["isas"]),
-        fingerprint=obj["fingerprint"],
-        classes=classes,
-        stats=EngineStats.from_dict(obj.get("stats", {})),
-        phase_seconds=dict(obj.get("phase_seconds", {})),
-        jobs=int(obj.get("jobs", 1)),
-        built_at=obj.get("built_at", ""),
-    )
+        return IrgenArtifact(
+            isas=tuple(obj["isas"]),
+            fingerprint=obj["fingerprint"],
+            classes=classes,
+            stats=EngineStats.from_dict(obj.get("stats", {})),
+            phase_seconds=dict(obj.get("phase_seconds", {})),
+            jobs=int(obj.get("jobs", 1)),
+            built_at=obj.get("built_at", ""),
+            nodes=len(rows),
+        )
+    except (AttributeError, KeyError, TypeError, IndexError, ValueError) as exc:
+        raise ArtifactError(f"corrupt artifact payload: {exc!r}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -287,13 +298,15 @@ def persist_artifact(root: str | Path, artifact: IrgenArtifact) -> Path:
     faults.trip("irgen.save", detail=artifact.fingerprint[:FINGERPRINT_DIR_CHARS])
     directory = artifact_dir(root, artifact.fingerprint)
     directory.mkdir(parents=True, exist_ok=True)
+    payload = artifact_to_obj(artifact)
+    artifact.nodes = len(payload["nodes"])
     atomic_write(
         directory / META_FILE,
         json.dumps(artifact.summary(), sort_keys=True, indent=2),
     )
     atomic_write(
         directory / ARTIFACT_FILE,
-        json.dumps(artifact_to_obj(artifact), sort_keys=True),
+        json.dumps(payload, sort_keys=True, separators=(",", ":")),
     )
     return directory
 

@@ -7,12 +7,12 @@ Subcommands::
             --expect-cached exits non-zero if a rebuild was needed — the
             CI smoke job uses it to prove the second build is a pure
             cache hit.
-    stats   Inventory of a cache root: per-namespace class counts, build
-            stats (including the similarity ladder's per-rung verdict
-            counts, attempt_truncations, the engine's precision-loss
-            counter, and how many specs were lowered as loops or
-            unrolled and re-rolled), disk usage, and which namespace is
-            current.
+    stats   Inventory of a cache root: per-namespace class counts, the
+            artifact format and its node-table rows, build stats
+            (including the similarity ladder's per-rung verdict counts,
+            attempt_truncations, the engine's precision-loss counter,
+            and how many specs were lowered as loops or unrolled and
+            re-rolled), disk usage, and which namespace is current.
 """
 
 from __future__ import annotations
@@ -105,7 +105,8 @@ def cmd_build(args) -> int:
         f"[irgen] {action} {'+'.join(artifact.isas)}:"
         f" {len(artifact.classes)} classes"
         f" from {artifact.stats.instructions} instructions in {elapsed:.2f}s"
-        f" (checks={artifact.stats.checks},"
+        f" (nodes={artifact.nodes},"
+        f" checks={artifact.stats.checks},"
         f" rungs={_rungs(artifact.stats.checker_stats)},"
         f" walls={_walls(artifact.phase_seconds)},"
         f" lowering={_lowering(artifact.stats.to_dict())},"
@@ -154,6 +155,7 @@ def cmd_stats(args) -> int:
             f"  {marker} {entry['dir']}  {state}"
             f"  classes={entry.get('classes', '?')}"
             f"  instructions={entry.get('instructions', '?')}"
+            f"  nodes={entry.get('nodes', '?')}"
             f"  checks={stats.get('checks', '?')}"
             f"  rungs={_rungs(stats.get('checker_stats', {}))}"
             f"  walls={_walls(entry.get('phase_seconds', {}))}"

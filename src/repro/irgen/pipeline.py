@@ -6,9 +6,12 @@ Five phases, each timed into :mod:`repro.perf` (``irgen_*`` counters):
     Per-ISA spec parsing + canonicalisation + constant extraction, fanned
     across a process pool in contiguous catalog slices.  Workers
     regenerate the (millisecond-cheap) catalogs themselves — spec
-    ``reference`` callables don't pickle — and return picklable
-    :class:`SymbolicSemantics`, with counts of the specs whose loops were
-    lowered as loops and of those unrolled and re-rolled.
+    ``reference`` callables don't pickle — and return their slice as a
+    node table plus symbolic records (plain lists, see
+    :mod:`repro.hydride_ir.serialize`), with counts of the specs whose
+    loops were lowered as loops and of those unrolled and re-rolled.  The
+    parent decodes every slice into one table, so the symbolics share
+    each distinct subtree.
 
 ``bucket``
     Group the symbolics by :func:`repro.similarity.engine.shard_key`.
@@ -20,7 +23,9 @@ Five phases, each timed into :mod:`repro.perf` (``irgen_*`` counters):
 ``check``
     One pool task per group runs :meth:`SimilarityEngine.run_pass12` on a
     private engine and returns its classes as ``(global_index,
-    arg_order)`` member lists.  The parent rebuilds the classes over its
+    arg_order)`` member lists.  Tasks are global indices: forked workers
+    read the symbolics they inherited from the parent, so no IR is
+    pickled to them.  The parent rebuilds the classes over its
     own symbolic objects and sorts them by the global index of each
     class's first member — pass-1 creation order is first-member order and
     pass-2 merges always fold the later class into the earlier one, so
@@ -28,7 +33,8 @@ Five phases, each timed into :mod:`repro.perf` (``irgen_*`` counters):
 
 ``refine``
     Each class representative's offset-hole refinement, one pool task per
-    class.
+    class (its position and its representative's global index); a
+    refinement comes back as a one-record node table.
 
 ``merge``
     Pass 3 (offset-hole refinement) merges *across* the original groups —
@@ -39,10 +45,13 @@ Five phases, each timed into :mod:`repro.perf` (``irgen_*`` counters):
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import time
+from functools import partial
 
 from repro import faults
+from repro.hydride_ir.serialize import NodeTable
 from repro.isa.registry import load_catalog, parse_slice, supported_isas
 from repro.perf import global_counters, phase_timer
 from repro.similarity.constants import SymbolicSemantics, extract_constants
@@ -54,6 +63,8 @@ from repro.smt.solver import EquivalenceChecker
 from repro.irgen.artifact import (
     IrgenArtifact,
     irgen_fingerprint,
+    symbolic_from_record,
+    symbolic_record,
     timestamp,
 )
 
@@ -68,6 +79,18 @@ def _fresh_checker() -> EquivalenceChecker:
     return EquivalenceChecker(seed=1)
 
 
+def _encode(symbolics: list[SymbolicSemantics]) -> tuple[list, list]:
+    """``symbolics`` as ``(node table rows, records)``: plain lists."""
+    table = NodeTable()
+    records = [symbolic_record(table, symbolic) for symbolic in symbolics]
+    return table.rows, records
+
+
+def _decode(table: NodeTable, rows: list, records: list) -> list[SymbolicSemantics]:
+    nodes = table.extend(rows)
+    return [symbolic_from_record(nodes, record) for record in records]
+
+
 # ----------------------------------------------------------------------
 # Worker entry points (module-level: Pool pickles the callable)
 # ----------------------------------------------------------------------
@@ -76,9 +99,9 @@ def _fresh_checker() -> EquivalenceChecker:
 def _parse_task(task: tuple[str, int, int]):
     """Parse + canonicalise + extract one catalog slice.
 
-    Returns ``(symbolics, parse_seconds, extract_seconds, lowered_direct,
-    rerolled)`` so the parent can aggregate worker-side phase time and
-    lowering counts into its own.
+    Returns ``(rows, records, parse_seconds, extract_seconds,
+    lowered_direct, rerolled)`` so the parent can decode the slice and
+    aggregate worker-side phase time and lowering counts into its own.
     """
     isa, start, stop = task
     perf = global_counters()
@@ -87,24 +110,25 @@ def _parse_task(task: tuple[str, int, int]):
     parsed = parse_slice(isa, start, stop)
     mid = time.monotonic()
     symbolics = [extract_constants(func, isa) for _name, func in parsed]
+    extracted = time.monotonic() - mid
     return (
-        symbolics, mid - began, time.monotonic() - mid,
+        *_encode(symbolics), mid - began, extracted,
         perf.specs_lowered_direct - direct, perf.specs_rerolled - rerolled,
     )
 
 
-def _check_task(task: tuple[list[int], list[SymbolicSemantics]]):
-    """Run passes 1–2 over one shard group.
+def _check_task(symbolics: list[SymbolicSemantics], indices: list[int]):
+    """Run passes 1–2 over one shard group, given by global indices.
 
     Returns ``(classes, stats)`` where each class is a list of
     ``(global_index, arg_order)`` members in engine order, and ``stats``
     carries this worker's check/merge/truncation counts.
     """
-    indices, symbolics = task
+    group = [symbolics[g] for g in indices]
     began = time.monotonic()
     engine = SimilarityEngine(_fresh_checker())
-    classes = engine.run_pass12(symbolics)
-    index_of = {id(s): g for g, s in zip(indices, symbolics)}
+    classes = engine.run_pass12(group)
+    index_of = {id(s): g for g, s in zip(indices, group)}
     encoded = [
         [(index_of[id(m.symbolic)], list(m.arg_order)) for m in cls.members]
         for cls in classes
@@ -119,13 +143,17 @@ def _check_task(task: tuple[list[int], list[SymbolicSemantics]]):
     return encoded, stats
 
 
-def _refine_task(task: tuple[int, SymbolicSemantics]):
-    """Precompute one class representative's offset-hole refinement;
-    the third element is 1 when it was skipped as uninstantiable."""
-    position, representative = task
+def _refine_task(symbolics: list[SymbolicSemantics], task: tuple[int, int]):
+    """Precompute the offset-hole refinement of the class at ``position``,
+    whose representative has global index ``index``.  Returns
+    ``(position, refinement, skipped)``: the refinement is ``(rows,
+    records)`` of one symbolic or None, and ``skipped`` is 1 when the
+    representative was skipped as uninstantiable."""
+    position, index = task
     checker = _fresh_checker()
-    refined = synthesize_offset_hole(representative, checker)
-    return position, refined, checker.stats.get("uninstantiable", 0)
+    refined = synthesize_offset_hole(symbolics[index], checker)
+    encoded = None if refined is None else _encode([refined])
+    return position, encoded, checker.stats.get("uninstantiable", 0)
 
 
 # ----------------------------------------------------------------------
@@ -133,16 +161,38 @@ def _refine_task(task: tuple[int, SymbolicSemantics]):
 # ----------------------------------------------------------------------
 
 
-def _pool_map(func, tasks, jobs: int):
-    """``map`` over a fork pool, or inline when one job (or one task)."""
+# In a pool worker: the leading arguments of every task call, handed
+# over once by the pool's initializer.
+_SHARED: tuple = ()
+
+
+def _adopt(shared: tuple) -> None:
+    global _SHARED
+    _SHARED = shared
+
+
+def _call(func, task):
+    return func(*_SHARED, task)
+
+
+def _pool_map(func, tasks, jobs: int, *shared):
+    """``[func(*shared, task) for task in tasks]``, over a fork pool, or
+    inline when one job (or one task).
+
+    A fork pool's workers inherit ``shared`` with the initializer's
+    arguments instead of unpickling it, so tasks that name symbolics by
+    global index send no IR to a worker.
+    """
     if jobs <= 1 or len(tasks) <= 1:
-        return [func(task) for task in tasks]
+        return [func(*shared, task) for task in tasks]
     try:
         context = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX fallback
         context = multiprocessing.get_context("spawn")
-    with context.Pool(processes=min(jobs, len(tasks))) as pool:
-        return pool.map(func, tasks)
+    with context.Pool(
+        processes=min(jobs, len(tasks)), initializer=_adopt, initargs=(shared,)
+    ) as pool:
+        return pool.map(partial(_call, func), tasks)
 
 
 def _parse_tasks(isas: tuple[str, ...], jobs: int) -> list[tuple[str, int, int]]:
@@ -169,7 +219,21 @@ def build_artifact(jobs: int = 1, extra: tuple[str, ...] = ()) -> IrgenArtifact:
     With ``jobs <= 1`` the identical phase structure runs inline — the
     partition it produces is the determinism reference the tests compare
     against :func:`repro.similarity.engine.build_equivalence_classes`.
+
+    IR trees are acyclic, so the cyclic collector would only walk the
+    growing heap over and over: it is paused for the build (forked
+    workers inherit the pause) and restored, as it was, on the way out.
     """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _build(jobs, extra)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _build(jobs: int, extra: tuple[str, ...]) -> IrgenArtifact:
     isas = supported_isas()
     faults.trip("irgen.build", detail="+".join(isas))
     perf = global_counters()
@@ -179,11 +243,12 @@ def build_artifact(jobs: int = 1, extra: tuple[str, ...] = ()) -> IrgenArtifact:
     # -- parse + extract ----------------------------------------------
     parse_began = time.monotonic()
     results = _pool_map(_parse_task, _parse_tasks(isas, jobs), jobs)
+    table = NodeTable()
     symbolics: list[SymbolicSemantics] = []
     parse_seconds = extract_seconds = 0.0
     lowered_direct = rerolled = 0
-    for chunk, parsed, extracted, direct, unrolled in results:
-        symbolics.extend(chunk)
+    for rows, records, parsed, extracted, direct, unrolled in results:
+        symbolics.extend(_decode(table, rows, records))
         parse_seconds += parsed
         extract_seconds += extracted
         lowered_direct += direct
@@ -197,20 +262,16 @@ def build_artifact(jobs: int = 1, extra: tuple[str, ...] = ()) -> IrgenArtifact:
     # -- bucket --------------------------------------------------------
     with phase_timer("irgen_bucket"):
         bucket_began = time.monotonic()
-        groups: dict[tuple, tuple[list[int], list[SymbolicSemantics]]] = {}
+        groups: dict[tuple, list[int]] = {}
         for index, symbolic in enumerate(symbolics):
-            indices, members = groups.setdefault(
-                shard_key(symbolic), ([], [])
-            )
-            indices.append(index)
-            members.append(symbolic)
+            groups.setdefault(shard_key(symbolic), []).append(index)
         phases["bucket"] = time.monotonic() - bucket_began
 
     # -- check (passes 1–2, sharded) ----------------------------------
     check_began = time.monotonic()
     # Largest groups first: better tail latency when one group dominates.
-    tasks = sorted(groups.values(), key=lambda g: -len(g[0]))
-    outcomes = _pool_map(_check_task, tasks, jobs)
+    tasks = sorted(groups.values(), key=lambda g: -len(g))
+    outcomes = _pool_map(_check_task, tasks, jobs, symbolics)
     combined: list[tuple[int, EquivalenceClass]] = []
     worker_stats = {
         "checks": 0, "permute_merges": 0, "attempt_truncations": 0,
@@ -243,12 +304,14 @@ def build_artifact(jobs: int = 1, extra: tuple[str, ...] = ()) -> IrgenArtifact:
         refine_began = time.monotonic()
         refinements = _pool_map(
             _refine_task,
-            [(pos, cls.representative) for pos, cls in enumerate(classes)],
+            [(pos, first) for pos, (first, _cls) in enumerate(combined)],
             jobs,
+            symbolics,
         )
         refined = {
-            pos: symbolic for pos, symbolic, _skipped in refinements
-            if symbolic is not None
+            pos: _decode(table, *encoded)[0]
+            for pos, encoded, _skipped in refinements
+            if encoded is not None
         }
         phases["refine"] = time.monotonic() - refine_began
 

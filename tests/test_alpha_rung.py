@@ -11,19 +11,15 @@ import random
 import pytest
 
 from repro.hydride_ir.ast import (
+    BvBinOp,
+    BvExpr,
     BvExtract,
     BvVar,
     ForConcat,
     Input,
     SemanticsFunction,
 )
-from repro.hydride_ir.indexexpr import IBin, IConst, IVar
-from repro.hydride_ir.serialize import (
-    expr_from_obj,
-    expr_to_obj,
-    index_from_obj,
-    index_to_obj,
-)
+from repro.hydride_ir.indexexpr import IBin, IConst, IndexExpr, IParam, IVar
 from repro.autollvm.intrinsics import dictionary_from_classes
 from repro.irgen import build_artifact, load_artifact, persist_artifact
 from repro.irgen import partition_digest, pipeline
@@ -80,17 +76,22 @@ def _ladder(a, b):
     return verdict
 
 
-def _map(obj, fn):
-    """Rebuild a serialised IR payload, offering every list node to ``fn``."""
-    if not isinstance(obj, list):
-        return obj
-    return fn([_map(item, fn) for item in obj])
+def _map(node, fn):
+    """Rebuild an IR tree bottom-up, offering every node to ``fn`` after
+    its children (in field order)."""
+    if isinstance(node, tuple):
+        return tuple(_map(item, fn) for item in node)
+    if not isinstance(node, (BvExpr, IndexExpr)):
+        return node
+    return fn(type(node)(*(
+        _map(getattr(node, f.name), fn) for f in dataclasses.fields(node)
+    )))
 
 
 def _with(symbolic, body_fn=None, inputs=None):
     body = symbolic.body
     if body_fn is not None:
-        body = expr_from_obj(_map(expr_to_obj(body), body_fn))
+        body = _map(body, body_fn)
     return dataclasses.replace(
         symbolic, body=body, inputs=inputs or symbolic.inputs
     )
@@ -110,29 +111,30 @@ def _first(predicate, replacement):
 
 
 def _is_param(node):
-    return len(node) == 2 and node[0] == "p"
+    return isinstance(node, IParam)
 
 
 def _mutants(symbolic):
     """(label, base, mutant) triples; each mutant is one edit from its base."""
     values = symbolic.param_values
-    pinned = _with(symbolic, _first(_is_param, lambda n: values[n[1]]))
+    pinned = _with(symbolic, _first(_is_param, lambda n: IConst(values[n.name])))
     yield "param pinned to its constant", symbolic, pinned
     yield "one constant changed", pinned, _with(
-        symbolic, _first(_is_param, lambda n: values[n[1]] + 8)
+        symbolic, _first(_is_param, lambda n: IConst(values[n.name] + 8))
     )
     used: list[str] = []
 
     def note(node):
-        if _is_param(node) and node[1] not in used:
-            used.append(node[1])
+        if _is_param(node) and node.name not in used:
+            used.append(node.name)
         return node
 
-    _map(expr_to_obj(symbolic.body), note)
+    _map(symbolic.body, note)
     if len(used) >= 2:
         swap = {used[0]: used[1], used[1]: used[0]}
         yield "two parameter names swapped", symbolic, _with(
-            symbolic, lambda n: ["p", swap.get(n[1], n[1])] if _is_param(n) else n
+            symbolic,
+            lambda n: IParam(swap.get(n.name, n.name)) if _is_param(n) else n,
         )
     first, rest = symbolic.inputs[0], symbolic.inputs[1:]
     yield "is_immediate flipped", symbolic, _with(
@@ -141,19 +143,18 @@ def _mutants(symbolic):
     )
     other = next(
         p for p in reversed(symbolic.param_names)
-        if index_to_obj(first.width) != ["p", p]
+        if first.width != IParam(p)
     )
     yield "input width parameter changed", symbolic, _with(
         symbolic,
-        inputs=(Input(first.name, index_from_obj(["p", other]), first.is_immediate),)
-        + rest,
+        inputs=(Input(first.name, IParam(other), first.is_immediate),) + rest,
     )
     swapped_op = {"bvadd": "bvsub", "bvsub": "bvadd", "bvand": "bvor", "bvor": "bvand"}
     mutant = _with(
         symbolic,
         _first(
-            lambda n: n[0] == "O" and n[1] in swapped_op,
-            lambda n: ["O", swapped_op[n[1]]] + n[2:],
+            lambda n: isinstance(n, BvBinOp) and n.op in swapped_op,
+            lambda n: dataclasses.replace(n, op=swapped_op[n.op]),
         ),
     )
     if mutant.body != symbolic.body:
@@ -286,10 +287,10 @@ class TestRungAgainstLadder:
 class TestAlphaKey:
     def test_invariant_under_input_and_iterator_renaming(self):
         def rename(node):
-            if node[0] in ("V", "v") and len(node) == 2:
-                return [node[0], "renamed_" + node[1]]
-            if node[0] == "F":
-                return ["F", "renamed_" + node[1]] + node[2:]
+            if isinstance(node, (BvVar, IVar)):
+                return type(node)("renamed_" + node.name)
+            if isinstance(node, ForConcat):
+                return dataclasses.replace(node, var="renamed_" + node.var)
             return node
 
         for symbolic in random.Random(7).sample(_symbolics_for_isa("hvx"), 10):
@@ -396,7 +397,8 @@ class TestUninstantiableInstruction:
         broken = [_out_of_range("broken_a"), _out_of_range("broken_b")]
         monkeypatch.setattr(pipeline, "_parse_tasks", lambda isas, jobs: [None])
         monkeypatch.setattr(
-            pipeline, "_parse_task", lambda task: (broken + good, 0.0, 0.0, 0, 0)
+            pipeline, "_parse_task",
+            lambda task: (*pipeline._encode(broken + good), 0.0, 0.0, 0, 0),
         )
         monkeypatch.setattr(pipeline, "irgen_fingerprint", lambda **k: "f" * 64)
         artifact = build_artifact(jobs=1)

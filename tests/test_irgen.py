@@ -23,7 +23,13 @@ from repro.irgen import (
     partition_digest,
     persist_artifact,
 )
-from repro.irgen.artifact import ARTIFACT_FILE, artifact_dir, artifact_to_obj
+from repro.irgen import pipeline
+from repro.irgen.artifact import (
+    ARTIFACT_FILE,
+    IRGEN_FORMAT_VERSION,
+    artifact_dir,
+    artifact_to_obj,
+)
 from repro.isa import registry
 from repro.similarity.constants import SymbolicSemantics, skeleton_key
 from repro.similarity.engine import (
@@ -101,14 +107,20 @@ class TestShardedDeterminism:
                 (m.name, m.arg_order) for m in theirs.members
             ]
 
-    def test_classes_payload_identical_across_jobs(self, artifacts):
-        """Loop names are canonical, so how the catalog was sliced across
-        workers leaves no trace in the persisted IR."""
-        payloads = {
-            jobs: json.dumps(artifact_to_obj(artifact)["classes"], sort_keys=True)
-            for jobs, artifact in artifacts.items()
-        }
+    def test_payload_identical_across_jobs(self, artifacts):
+        """Loop names are canonical and the node table is numbered in
+        member order, so how the catalog was sliced across workers leaves
+        no trace in the persisted artifact: the whole payload, minus the
+        timings, the build time and the worker count, is byte-identical."""
+        payloads = {}
+        for jobs, artifact in artifacts.items():
+            obj = artifact_to_obj(artifact)
+            for key in ("phase_seconds", "built_at", "jobs"):
+                del obj[key]
+            del obj["stats"]["seconds"]
+            payloads[jobs] = json.dumps(obj, sort_keys=True)
         assert payloads[1] == payloads[2] == payloads[4]
+        assert len(artifact_to_obj(artifacts[1])["nodes"]) > 0
 
     @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_lowering_paths_counted(self, jobs, artifacts):
@@ -174,6 +186,51 @@ class TestArtifactStore:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize(
+        "label",
+        [
+            "stale version", "no node table", "unknown tag",
+            "forward reference", "bool reference", "body is an index",
+            "member record truncated", "not an object",
+        ],
+    )
+    def test_corrupt_v2_payload_is_a_recovered_miss(
+        self, store, artifacts, tmp_path, label
+    ):
+        from repro.perf import global_counters
+
+        fingerprint = artifacts[2].fingerprint
+        obj = json.loads(
+            (artifact_dir(store, fingerprint) / ARTIFACT_FILE).read_text()
+        )
+        record = obj["classes"][0]["members"][0][1]
+        index_row = next(
+            i for i, row in enumerate(obj["nodes"]) if row[0] == "p"
+        )
+        if label == "stale version":
+            obj["version"] = 1
+        elif label == "no node table":
+            del obj["nodes"]
+        elif label == "unknown tag":
+            obj["nodes"][-1] = ["Z", 0]
+        elif label == "forward reference":
+            obj["nodes"][0] = ["X", len(obj["nodes"]), 0, 0]
+        elif label == "bool reference":
+            record[3] = True
+        elif label == "body is an index":
+            record[3] = index_row
+        elif label == "member record truncated":
+            del record[-1]
+        else:
+            obj = [obj]
+        directory = artifact_dir(tmp_path, fingerprint)
+        directory.mkdir(parents=True)
+        (directory / ARTIFACT_FILE).write_text(json.dumps(obj))
+        perf = global_counters()
+        before = perf.fault_recoveries
+        assert load_artifact(tmp_path, fingerprint) is None
+        assert perf.fault_recoveries == before + 1
+
     def test_missing_fingerprint_is_a_miss(self, store):
         assert load_artifact(store, "0" * 64) is None
 
@@ -223,6 +280,7 @@ class TestArtifactStore:
         )
         out = capsys.readouterr().out
         assert "loaded hvx" in out
+        assert "(nodes=" in out and "(nodes=0," not in out
         assert "walls=parse:" in out
         assert "lowering=direct:123/rerolled:18" in out
 
@@ -249,8 +307,105 @@ class TestArtifactStore:
         assert main(["stats", "--cache-dir", str(store), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["namespaces"][0]["complete"] is True
+        assert payload["namespaces"][0]["format"] == IRGEN_FORMAT_VERSION
+        on_disk = json.loads(
+            (artifact_dir(store, artifacts[2].fingerprint) / ARTIFACT_FILE).read_text()
+        )
+        assert payload["namespaces"][0]["nodes"] == len(on_disk["nodes"]) > 0
         stats = payload["namespaces"][0]["stats"]
         assert (stats["specs_lowered_direct"], stats["specs_rerolled"]) == (123, 18)
+
+
+class TestBuildProcessBoundaries:
+    """What the build hands its pools, and the collector around it."""
+
+    @staticmethod
+    def _recording(monkeypatch):
+        import gc
+
+        real = pipeline._pool_map
+        calls = []
+
+        def recording(func, tasks, jobs, *shared):
+            results = real(func, tasks, jobs, *shared)
+            calls.append((func.__name__, tasks, results, gc.isenabled()))
+            return results
+
+        monkeypatch.setattr(pipeline, "_pool_map", recording)
+        return calls
+
+    def test_tasks_are_indices_and_results_plain_data(self, monkeypatch):
+        from repro.hydride_ir.ast import BvExpr
+        from repro.hydride_ir.indexexpr import IndexExpr
+
+        def unpicklable(self, protocol):
+            raise AssertionError(f"pickled {type(self).__name__}")
+
+        # Nothing pickles IR on the way to a worker or back from one.
+        for cls in (SymbolicSemantics, BvExpr, IndexExpr):
+            monkeypatch.setattr(cls, "__reduce_ex__", unpicklable, raising=False)
+        calls = self._recording(monkeypatch)
+        artifact = build_artifact(jobs=2)
+        assert [name for name, *_rest in calls] == [
+            "_parse_task", "_check_task", "_refine_task",
+        ]
+        by_name = {name: (tasks, results) for name, tasks, results, _gc in calls}
+
+        def plain(value):
+            if isinstance(value, (list, tuple)):
+                return all(plain(item) for item in value)
+            if isinstance(value, dict):
+                return all(plain(k) and plain(v) for k, v in value.items())
+            return value is None or isinstance(value, (int, float, str))
+
+        def ints(value):
+            if isinstance(value, (list, tuple)):
+                return all(ints(item) for item in value)
+            return type(value) is int
+
+        # Check and refine tasks name symbolics by global index only.
+        assert ints(by_name["_check_task"][0])
+        assert ints(by_name["_refine_task"][0])
+        # Every result a worker sends back is plain data: no IR objects.
+        for _name, (_tasks, results) in by_name.items():
+            assert plain(results)
+        # Both partitions of the catalog were covered exactly once.
+        checked = sorted(g for task in by_name["_check_task"][0] for g in task)
+        assert checked == list(range(artifact.stats.instructions))
+        classes = [
+            cls for encoded, _stats in by_name["_check_task"][1] for cls in encoded
+        ]
+        assert len(by_name["_refine_task"][0]) == len(classes)
+
+    def test_build_pauses_the_collector_and_restores_it(self, monkeypatch):
+        import gc
+
+        calls = self._recording(monkeypatch)
+        assert gc.isenabled()
+        build_artifact(jobs=1)
+        assert [paused for *_rest, paused in calls] == [False] * 3
+        assert gc.isenabled()
+
+        real = pipeline._pool_map
+
+        def failing(func, tasks, jobs, *shared):
+            # The check phase crashes after the parse went through.
+            if func is pipeline._check_task:
+                raise RuntimeError("phase crashed")
+            return real(func, tasks, jobs, *shared)
+
+        monkeypatch.setattr(pipeline, "_pool_map", failing)
+        with pytest.raises(RuntimeError):
+            build_artifact(jobs=1)
+        assert gc.isenabled()
+        # A caller that had paused the collector keeps it paused.
+        gc.disable()
+        try:
+            with pytest.raises(RuntimeError):
+                build_artifact(jobs=1)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestFingerprintInvalidation:

@@ -17,7 +17,7 @@ import pytest
 
 import repro
 from repro.hydride_ir.ast import BvConcat, BvIte, ForConcat
-from repro.hydride_ir.serialize import expr_to_obj, input_to_obj
+from repro.hydride_ir.serialize import NodeTable
 from repro.hydride_ir.transforms import canonicalize
 from repro.isa.pseudo_core import (
     PseudocodeError,
@@ -38,13 +38,14 @@ def _dialect(isa):
 
 
 def _serialised(func) -> str:
+    """``func`` as node-table JSON: equal strings iff equal IR."""
+    table = NodeTable()
+    inputs = [
+        [i.name, table.add(i.width), int(i.is_immediate)] for i in func.inputs
+    ]
+    body = table.add(func.body)
     return json.dumps(
-        [
-            func.name,
-            [input_to_obj(i) for i in func.inputs],
-            expr_to_obj(func.body),
-            func.output_width.value,
-        ],
+        [func.name, inputs, body, func.output_width.value, table.rows],
         separators=(",", ":"),
     )
 
