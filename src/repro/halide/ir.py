@@ -12,11 +12,13 @@ the operations, not the type, as in Halide IR proper.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.bitvector.bv import BitVector
 from repro.bitvector.lanes import Vector, vector_from_elems
+from repro.bitvector.packed import splat as splat_bits
+from repro.hydride_ir import compile as bvc
 from repro.smt import terms as smt
 
 
@@ -224,6 +226,16 @@ class HSelect(HExpr):
 
 H_CASTS = ("sext", "zext", "trunc", "sat_s", "sat_u")
 
+# Cast kind -> the bitvector operator it applies to a lane when the
+# width grows (or stays) and when it shrinks.
+_CAST_OPS = {
+    "sext": ("sext", "trunc"),
+    "zext": ("zext", "trunc"),
+    "trunc": ("trunc", "trunc"),
+    "sat_s": ("saturate_to_signed", "saturate_to_signed"),
+    "sat_u": ("saturate_to_unsigned", "saturate_to_unsigned"),
+}
+
 
 @dataclass(frozen=True)
 class HCast(HExpr):
@@ -426,6 +438,133 @@ def node_values(expr: HExpr, env: Mapping[str, BitVector]) -> dict[int, BitVecto
 
 
 # ----------------------------------------------------------------------
+# Packed compilation (CEGIS refutation)
+# ----------------------------------------------------------------------
+
+def compile_packed(expr: HExpr) -> Callable[[Sequence[int]], int] | None:
+    """``expr`` as one Python function over packed ints, or None.
+
+    The function takes the loads' register values in name order (the
+    order :meth:`HExpr.loads` sorted gives) and returns
+    ``interpret(expr, env).value``.  A node's value is the list of its
+    lanes as ints (a constant splat is one literal), so slices,
+    concatenations and shuffles are list operations, and an operation is
+    one comprehension over the lane templates of
+    :mod:`repro.hydride_ir.compile`: the lane semantics are written once,
+    there.  None means no compiled form (a broadcast scalar, an operation
+    without a template, an out-of-range shuffle) and the caller keeps
+    :func:`interpret`, which stays the definition the compiled form is
+    tested against.
+    """
+    lines: list[str] = []
+    done: dict[int, tuple[bool, str]] = {}
+    loads = sorted(expr.loads())
+
+    def emit(code: str) -> tuple[bool, str]:
+        name = f"n{len(lines)}"
+        lines.append(f"    {name} = {code}")
+        return False, name
+
+    def lanewise(lanes: int, operands, build) -> tuple[bool, str]:
+        """Lane ``i`` is ``build(*operand lane i)``; a splat operand (a
+        literal) is the same in every lane."""
+        atoms, lists = [], []
+        for splat, code in operands:
+            if splat:
+                atoms.append(code)
+            else:
+                atoms.append(f"x{len(lists)}")
+                lists.append(code)
+        lane = build(*atoms)
+        if not lists:
+            return emit(f"[{lane}] * {lanes}")
+        names = ", ".join(f"x{k}" for k in range(len(lists)))
+        source = lists[0] if len(lists) == 1 else f"zip({', '.join(lists)})"
+        return emit(f"[{lane} for {names} in {source}]")
+
+    def run(node: HExpr) -> tuple[bool, str]:
+        value = done.get(id(node))
+        if value is None:
+            value = done[id(node)] = lower(node)
+        return value
+
+    def listed(node: HExpr) -> str:
+        splat, code = run(node)
+        return f"[{code}] * {node.type.lanes}" if splat else code
+
+    def lower(node: HExpr) -> tuple[bool, str]:
+        lanes, width = node.type.lanes, node.type.elem_width
+        mask = hex((1 << width) - 1)
+        if isinstance(node, HLoad):
+            register = f"args[{loads.index(node.name)}]"
+            return emit(f"[({register} >> s) & {mask} "
+                        f"for s in range(0, {lanes * width}, {width})]")
+        if isinstance(node, HConst):
+            return True, hex(node.value & ((1 << width) - 1))
+        if isinstance(node, (HBin, HCmp)):
+            operand_width = node.left.type.elem_width
+            operands = (run(node.left), run(node.right))
+            if isinstance(node, HCmp):
+                op = H_CMPOPS[node.op]
+
+                def build(x, y):
+                    condition = bvc.cmp_code(
+                        op, (x, operand_width), (y, operand_width)
+                    )
+                    return f"(1 if {condition} else 0)"
+            else:
+                op = H_BINOPS[node.op]
+
+                def build(x, y):
+                    return bvc.binop_code(op, (x, width), (y, width))[0]
+            return lanewise(lanes, operands, build)
+        if isinstance(node, HSelect):
+            operands = (run(node.cond), run(node.then_expr), run(node.else_expr))
+            return lanewise(lanes, operands, lambda c, t, e: f"({t} if {c} else {e})")
+        if isinstance(node, HCast):
+            old = node.src.type.elem_width
+            op = _CAST_OPS[node.kind][0 if width >= old else 1]
+            return lanewise(
+                lanes, (run(node.src),),
+                lambda x: bvc.cast_code(op, (x, old), width)[0],
+            )
+        if isinstance(node, HSlice):
+            splat, code = run(node.src)
+            if splat:
+                return splat, code
+            return emit(f"{code}[{node.start}:{node.start + lanes}]")
+        if isinstance(node, HConcat):
+            return emit(" + ".join(listed(part) for part in node.parts))
+        if isinstance(node, HReduceAdd):
+            src, factor = listed(node.src), node.factor
+            return emit(f"[sum({src}[i:i + {factor}]) & {mask} "
+                        f"for i in range(0, {lanes * factor}, {factor})]")
+        if isinstance(node, HShuffle):
+            if not all(0 <= i < node.src.type.lanes for i in node.indices):
+                raise bvc.Decline("shuffle index out of range")
+            src = listed(node.src)
+            return emit(f"[{src}[i] for i in {node.indices!r}]")
+        raise bvc.Decline(type(node).__name__)
+
+    try:
+        splat, result = run(expr)
+    except bvc.Decline:
+        return None
+    width = expr.type.elem_width
+    if splat:
+        packed = hex(splat_bits(int(result, 16), expr.type.lanes, width))
+    else:
+        packed = (f"sum([v << s for v, s in "
+                  f"zip({result}, range(0, {expr.type.bits}, {width}))])")
+    source = "\n".join(["def _packed(args):", *lines, f"    return {packed}", ""])
+    namespace: dict[str, object] = {}
+    exec(compile(source, "<halide window>", "exec"), namespace)
+    packed_fn = namespace["_packed"]
+    packed_fn.source = source  # type: ignore[attr-defined]
+    return packed_fn  # type: ignore[return-value]
+
+
+# ----------------------------------------------------------------------
 # Solver lowering (the CEGIS specification)
 # ----------------------------------------------------------------------
 
@@ -490,15 +629,9 @@ def to_term(expr: HExpr) -> smt.Term:
             src = run(node.src)
             old = node.src.type.elem_width
             new = node.new_elem_width
-            table = {
-                "sext": "sext" if new >= old else "trunc",
-                "zext": "zext" if new >= old else "trunc",
-                "trunc": "trunc",
-                "sat_s": "saturate_to_signed",
-                "sat_u": "saturate_to_unsigned",
-            }
+            op = _CAST_OPS[node.kind][0 if new >= old else 1]
             parts = [
-                smt.apply_op(table[node.kind], [elem(src, i, old)], (new,))
+                smt.apply_op(op, [elem(src, i, old)], (new,))
                 for i in range(node.type.lanes)
             ]
             return concat_elems(parts)

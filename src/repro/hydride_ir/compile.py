@@ -43,8 +43,8 @@ from repro.hydride_ir.ast import (
 from repro.hydride_ir.interp import resolved_input_widths
 
 
-class _Decline(Exception):
-    """The function has no compiled form; the interpreter decides."""
+class Decline(Exception):
+    """The expression has no compiled form; the interpreter decides."""
 
 
 _ATOM = re.compile(r"\w+\Z")
@@ -110,6 +110,79 @@ def _mask(width: int) -> str:
     return hex((1 << width) - 1)
 
 
+def _as_is(code: str) -> str:
+    return code
+
+
+def _fields(template: str, left, right, atom) -> dict[str, object]:
+    """Template fields for one application; width is the left's.  An
+    operand the template mentions more than once goes through ``atom``."""
+    code, width = left
+    sign = hex(1 << (width - 1))
+    fields: dict[str, object] = {"w": width, "M": _mask(width), "S": sign}
+    for key, operand in (("a", code), ("b", right[0] if right else None)):
+        if operand is None:
+            continue
+        if template.count("{" + key + "}") + template.count("{s" + key + "}") > 1:
+            operand = atom(operand)
+        fields[key] = operand
+        fields["s" + key] = f"(({operand} ^ {sign}) - {sign})"
+    return fields
+
+
+# The lane templates as code builders.  Operands are ``(code, width)``
+# pairs whose code is side-effect free; ``atom`` binds one the template
+# reads twice to a name (by default it is repeated, which is correct
+# but slower).  Each raises :class:`Decline` where no template applies.
+
+
+def binop_code(op: str, left, right, atom=_as_is) -> tuple[str, int]:
+    """``op`` applied to two operands: the result's code and width."""
+    template = _SHIFT_BINOPS.get(op)
+    if template is None:
+        template = _SAME_WIDTH_BINOPS.get(op)
+        if template is None or left[1] != right[1]:
+            raise Decline(op)
+    return template.format(**_fields(template, left, right, atom)), left[1]
+
+
+def unop_code(op: str, operand, atom=_as_is) -> tuple[str, int]:
+    template = _UNOPS.get(op)
+    if template is None:
+        raise Decline(op)
+    return template.format(**_fields(template, operand, None, atom)), operand[1]
+
+
+def cmp_code(op: str, left, right, atom=_as_is) -> str:
+    """The comparison as a Python truth value."""
+    template = _CMPS.get(op)
+    if template is None or left[1] != right[1]:
+        raise Decline(op)
+    return template.format(**_fields(template, left, right, atom))
+
+
+def cast_code(op: str, operand, new_width: int) -> tuple[str, int]:
+    """A width-changing cast of one operand: the result's code and width."""
+    code, width = operand
+    if new_width <= 0:
+        raise Decline("non-positive cast width")
+    grows = new_width >= width
+    if op == "zext" and grows:
+        return code, new_width
+    if op == "trunc" and new_width <= width:
+        return f"({code} & {_mask(new_width)})", new_width
+    signed = _fields("{sa}", operand, None, _as_is)["sa"]
+    if op == "sext" and grows:
+        return f"({signed} & {_mask(new_width)})", new_width
+    high = (1 << (new_width - 1)) - 1
+    if op == "saturate_to_signed":
+        return (f"(max({-high - 1}, min({high}, {signed})) "
+                f"& {_mask(new_width)})"), new_width
+    if op == "saturate_to_unsigned":
+        return f"max(0, min({_mask(new_width)}, {signed}))", new_width
+    raise Decline(op)
+
+
 class _Emitter:
     """Emits the body of one compiled function, statement by statement.
 
@@ -140,20 +213,6 @@ class _Emitter:
         self.emit(f"{name} = {code}")
         return name
 
-    def operands(self, template: str, left, right=None) -> dict[str, object]:
-        """Template fields for one application; width is the left's."""
-        code, width = left
-        sign = hex(1 << (width - 1))
-        fields: dict[str, object] = {"w": width, "M": _mask(width), "S": sign}
-        for key, operand in (("a", code), ("b", right[0] if right else None)):
-            if operand is None:
-                continue
-            if template.count("{" + key + "}") + template.count("{s" + key + "}") > 1:
-                operand = self.atom(operand)
-            fields[key] = operand
-            fields["s" + key] = f"(({operand} ^ {sign}) - {sign})"
-        return fields
-
     def in_block(self, expr: BvExpr, env: dict[str, int]):
         """Compile ``expr`` into a fresh, one-level-deeper statement list."""
         outer, self.lines = self.lines, []
@@ -169,10 +228,7 @@ class _Emitter:
         """``expr`` as a Python truth value (nonzero bitvector)."""
         if isinstance(expr, BvCmp):
             left, right = self.run(expr.left, env), self.run(expr.right, env)
-            template = _CMPS.get(expr.op)
-            if template is None or left[1] != right[1]:
-                raise _Decline(expr.op)
-            return template.format(**self.operands(template, left, right))
+            return cmp_code(expr.op, left, right, self.atom)
         return self.run(expr, env)[0]
 
     def concat(self, pieces: list[tuple[str, int]]) -> tuple[str, int]:
@@ -188,7 +244,7 @@ class _Emitter:
     def run(self, expr: BvExpr, env: dict[str, int]) -> tuple[str, int]:
         if isinstance(expr, BvVar):
             if expr.name not in self.values:
-                raise _Decline(f"unknown input {expr.name!r}")
+                raise Decline(f"unknown input {expr.name!r}")
             return self.values[expr.name]
         if isinstance(expr, BvConst):
             const = BitVector(expr.value.evaluate(env), expr.width.evaluate(env))
@@ -204,7 +260,7 @@ class _Emitter:
             low = expr.low.evaluate(env)
             width = expr.width.evaluate(env)
             if low < 0 or width <= 0 or low + width > src_width:
-                raise _Decline("extract out of range")
+                raise Decline("extract out of range")
             if low:
                 code = f"({code} >> {low})"
             if low + width < src_width:
@@ -212,22 +268,13 @@ class _Emitter:
             return code, width
         if isinstance(expr, BvBinOp):
             left, right = self.run(expr.left, env), self.run(expr.right, env)
-            template = _SHIFT_BINOPS.get(expr.op)
-            if template is None:
-                template = _SAME_WIDTH_BINOPS.get(expr.op)
-                if template is None or left[1] != right[1]:
-                    raise _Decline(expr.op)
-            return template.format(**self.operands(template, left, right)), left[1]
+            return binop_code(expr.op, left, right, self.atom)
         if isinstance(expr, BvUnOp):
-            operand = self.run(expr.operand, env)
-            template = _UNOPS.get(expr.op)
-            if template is None:
-                raise _Decline(expr.op)
-            return template.format(**self.operands(template, operand)), operand[1]
+            return unop_code(expr.op, self.run(expr.operand, env), self.atom)
         if isinstance(expr, BvCmp):
             return f"(1 if {self.condition(expr, env)} else 0)", 1
         if isinstance(expr, BvCast):
-            return self.cast(expr.op, self.run(expr.operand, env),
+            return cast_code(expr.op, self.run(expr.operand, env),
                              expr.new_width.evaluate(env))
         if isinstance(expr, BvIte):
             # Lazy like the interpreter: only the taken arm's statements run.
@@ -235,7 +282,7 @@ class _Emitter:
             (then_code, then_width), then_lines = self.in_block(expr.then_expr, env)
             (else_code, else_width), else_lines = self.in_block(expr.else_expr, env)
             if then_width != else_width:
-                raise _Decline("ite arms differ in width")
+                raise Decline("ite arms differ in width")
             if not then_lines and not else_lines:
                 return f"({then_code} if {cond} else {else_code})", then_width
             name = self.temp()
@@ -249,35 +296,15 @@ class _Emitter:
         if isinstance(expr, ForConcat):
             count = expr.count.evaluate(env)
             if count <= 0:
-                raise _Decline("non-positive loop count")
+                raise Decline("non-positive loop count")
             return self.concat(
                 [self.run(expr.body, {**env, expr.var: i}) for i in range(count)]
             )
         if isinstance(expr, BvConcat):
             if not expr.parts:
-                raise _Decline("empty concat")
+                raise Decline("empty concat")
             return self.concat([self.run(part, env) for part in expr.parts])
-        raise _Decline(type(expr).__name__)
-
-    def cast(self, op: str, operand: tuple[str, int], new_width: int):
-        code, width = operand
-        if new_width <= 0:
-            raise _Decline("non-positive cast width")
-        grows = new_width >= width
-        if op == "zext" and grows:
-            return code, new_width
-        if op == "trunc" and new_width <= width:
-            return f"({code} & {_mask(new_width)})", new_width
-        signed = self.operands("{sa}", operand)["sa"]
-        if op == "sext" and grows:
-            return f"({signed} & {_mask(new_width)})", new_width
-        high = (1 << (new_width - 1)) - 1
-        if op == "saturate_to_signed":
-            return (f"(max({-high - 1}, min({high}, {signed})) "
-                    f"& {_mask(new_width)})"), new_width
-        if op == "saturate_to_unsigned":
-            return f"max(0, min({_mask(new_width)}, {signed}))", new_width
-        raise _Decline(op)
+        raise Decline(type(expr).__name__)
 
 
 def compile_semantics(
@@ -303,7 +330,7 @@ def compile_semantics(
         prelude: list[str] = []
         for name, width in widths.items():
             if width <= 0:
-                raise _Decline("non-positive input width")
+                raise Decline("non-positive input width")
             if name in fixed:
                 values[name] = (hex(fixed[name] & ((1 << width) - 1)), width)
             else:
@@ -313,7 +340,7 @@ def compile_semantics(
                 )
         emitter = _Emitter(values)
         result, _ = emitter.run(func.body, param_env)
-    except (_Decline, KeyError, ArithmeticError, ValueError):
+    except (Decline, KeyError, ArithmeticError, ValueError):
         return None
     source = "\n".join(
         ["def _compiled(args):", *prelude, *emitter.lines, f"    return {result}", ""]

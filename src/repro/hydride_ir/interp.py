@@ -33,7 +33,7 @@ from repro.hydride_ir.ast import (
     ForConcat,
     SemanticsFunction,
 )
-from repro.hydride_ir.indexexpr import IndexExpr
+from repro.hydride_ir.indexexpr import IBin, IndexExpr
 
 
 class SemanticsError(Exception):
@@ -263,16 +263,57 @@ def to_term(
     return run(func.body, param_env)
 
 
+def _affine_in(expr: IndexExpr, name: str) -> bool:
+    """Whether ``expr`` is affine in the loop iterator ``name``."""
+    if not isinstance(expr, IBin):
+        return True
+    left, right = name in expr.left.ivars(), name in expr.right.ivars()
+    if expr.op in ("+", "-"):
+        return _affine_in(expr.left, name) and _affine_in(expr.right, name)
+    if expr.op == "*":
+        return not (left and right) and (
+            _affine_in(expr.left, name) and _affine_in(expr.right, name)
+        )
+    return not (left or right)
+
+
+def _uniform_loop(loop: ForConcat) -> bool:
+    """Whether every iteration of ``loop`` has one width and the walk's
+    range checks are linear in the iterator, so the first and last
+    iterations decide the rest: no width, cast width, constant width or
+    inner loop count mentions the iterator, every offset or constant
+    value that does is affine in it, and no inner loop rebinds it."""
+    name = loop.var
+    for node in loop.body.walk():
+        if isinstance(node, ForConcat) and node.var == name:
+            return False
+        exprs = node.index_exprs()
+        if isinstance(node, (BvConst, BvBroadcastConst, BvExtract)):
+            value, sized = exprs[0], exprs[1:]
+            if not _affine_in(value, name):
+                return False
+        else:
+            sized = exprs
+        if any(name in expr.ivars() for expr in sized):
+            return False
+    return True
+
+
 def check_instantiable(
     func: SemanticsFunction, params: Mapping[str, int] | None = None
 ) -> int:
     """The width of ``to_term(func, params)``, computed without building it:
-    the same walk and per-iteration ``ForConcat`` unrolling over widths and
-    index values only, raising exactly where :func:`to_term` would (every
-    operator's width and legality rule comes from
-    :func:`repro.smt.terms.result_width`)."""
+    the same walk over widths and index values only, raising where
+    :func:`to_term` would (every operator's width and legality rule comes
+    from :func:`repro.smt.terms.result_width`).
+
+    A ``ForConcat`` whose iterations all have one width and whose range
+    checks are linear in the iterator (:func:`_uniform_loop`) is walked at
+    its first and last iterations: a linear check that holds at both ends
+    holds between them.  Any other loop is walked once per iteration."""
     param_env: dict[str, int] = dict(params if params is not None else func.params)
     widths = resolved_input_widths(func, param_env)
+    uniform: dict[int, bool] = {}
 
     def const_width(value: IndexExpr, width: IndexExpr, env: dict[str, int]) -> int:
         value.evaluate(env)
@@ -312,6 +353,15 @@ def check_instantiable(
             if count <= 0:
                 raise SemanticsError(f"loop count {count} in {func.name}")
             body_env = dict(env)
+            if id(expr) not in uniform:
+                uniform[id(expr)] = _uniform_loop(expr)
+            if uniform[id(expr)]:
+                body_env[expr.var] = 0
+                width = run(expr.body, body_env)
+                if count > 1:
+                    body_env[expr.var] = count - 1
+                    run(expr.body, body_env)
+                return count * width
             total = 0
             for i in range(count):
                 body_env[expr.var] = i

@@ -71,6 +71,11 @@ class PerfCounters:
     lane_fallbacks: int = 0
     full_width_proved: int = 0
     full_width_sampled: int = 0
+    # CEGIS searches whose scaled spec compiled to packed form for
+    # refutation, and searches whose spec declined (refuted on the
+    # interpreter instead).
+    cegis_specs_compiled: int = 0
+    cegis_specs_declined: int = 0
     # Hash-consing: term constructions served from the intern table.
     term_intern_hits: int = 0
     term_intern_misses: int = 0

@@ -303,9 +303,26 @@ def apply_op(op: str, args: list[Term], params: tuple[int, ...] = ()) -> App:
     (:func:`result_width`).
 
     The returned node is interned: structurally identical applications are
-    the same object, so downstream uid-keyed caches share their work."""
+    the same object, so downstream uid-keyed caches share their work.
+    When every argument is interned already, the node is found by one
+    lookup of its key and an :class:`App` is constructed only on a miss;
+    otherwise :func:`term_uid` interns the arguments first."""
     width = result_width(op, [a.width for a in args], params)
-    return intern_term(App(width, op, tuple(args), params))
+    try:
+        uids = tuple([a.__dict__["_uid"] for a in args])
+    except KeyError:
+        return intern_term(App(width, op, tuple(args), params))
+    key = (2, width, op, params, uids)
+    perf = _global_counters()
+    canonical = _INTERN.get(key)
+    if canonical is not None:
+        perf.term_intern_hits += 1
+        return canonical
+    node = App(width, op, tuple(args), params)
+    object.__setattr__(node, "_uid", next(_UIDS))
+    _INTERN[key] = node
+    perf.term_intern_misses += 1
+    return node
 
 
 # ----------------------------------------------------------------------

@@ -228,6 +228,8 @@ class _Enumerator:
         from repro.synthesis.grammar import _spec_profile
 
         self.spec_bv_ops, _, _ = _spec_profile(spec)
+        # The spec's loads, in the order inputs are drawn and packed.
+        self.loads = [(name, t.bits) for name, t in sorted(spec.loads().items())]
         # Pre-resolve entry shapes (scaled widths computed lazily).
         self._entry_shapes: list[tuple[GrammarEntry, tuple[int, ...], list[int], int]] = []
 
@@ -314,22 +316,31 @@ class _Enumerator:
         lane_mask = (1 << self.spec_elem_width) - 1
         self._spec_lane0 = tuple(out.value & lane_mask for out in self.spec_outs)
 
-    def random_env(self) -> dict[str, BitVector]:
-        """Uniformly random register values.
+    def random_loads(self) -> list[int]:
+        """Uniformly random register values, one per load in name order.
 
         Deliberately *not* seeded with all-zeros/all-ones boundary values:
         a zeroed multiplicand collapses the specification onto its
         accumulator, making trivial candidates "match" and poisoning the
         landmark table.  Boundary cases reach CEGIS through verification
         counterexamples instead."""
-        env: dict[str, BitVector] = {}
-        for name, load_type in sorted(self.spec.loads().items()):
-            bits = load_type.bits
+        values = []
+        for _name, bits in self.loads:
             value = self.rng.getrandbits(bits)
             if value == 0:
                 value = self.rng.getrandbits(bits) | 1
-            env[name] = BitVector(value, bits)
-        return env
+            values.append(value)
+        return values
+
+    def boxed(self, values: list[int]) -> dict[str, BitVector]:
+        """:meth:`random_loads` values as an interpreter environment."""
+        return {
+            name: BitVector(value, bits)
+            for (name, bits), value in zip(self.loads, values)
+        }
+
+    def random_env(self) -> dict[str, BitVector]:
+        return self.boxed(self.random_loads())
 
     # -- pool growth ------------------------------------------------------
 
@@ -1064,6 +1075,14 @@ def _lanewise_synthesis(
         enumerator.add_env(enumerator.random_env())
     enumerator.seed_pool()
 
+    perf = global_counters()
+    with phase_timer("verify"):
+        packed_spec = hir.compile_packed(spec_scaled)
+    if packed_spec is None:
+        perf.cegis_specs_declined += 1
+    else:
+        perf.cegis_specs_compiled += 1
+
     spec_term = hir.to_term(spec_scaled)
     # Prime: blast the spec first so its Tseitin variables occupy the
     # lowest indices.  The branching heap breaks activity ties by lowest
@@ -1098,7 +1117,7 @@ def _lanewise_synthesis(
         # than term evaluation, and wrong candidates rarely survive it.
         with phase_timer("verify"):
             refuting_env = _fuzz_refute(
-                solution.node, spec_scaled, enumerator, 96
+                solution.node, spec_scaled, packed_spec, enumerator, 96
             )
         if refuting_env is not None:
             lane = _first_failing_lane(solution.node, spec_scaled, refuting_env)
@@ -1139,7 +1158,6 @@ def _lanewise_synthesis(
     if full is None:
         raise SynthesisFailure("scaled-up solution failed full-width check")
     if factor > 1:
-        perf = global_counters()
         with phase_timer("verify"):
             proved = stats.verified in ("structural", "exhaustive", "sat") and (
                 _proves_full_width(full, spec, checker)
@@ -1176,22 +1194,40 @@ def _fuzz_equal(node: SNode, spec: hir.HExpr, enumerator: _Enumerator, trials: i
     return True
 
 
-def _fuzz_refute(node: SNode, spec: hir.HExpr, enumerator: _Enumerator, trials: int):
+def _fuzz_refute(
+    node: SNode,
+    spec: hir.HExpr,
+    packed_spec: Callable[[list[int]], int] | None,
+    enumerator: _Enumerator,
+    trials: int,
+):
     """Return an input on which the candidate differs from the spec.
 
-    The candidate runs on the compiled appliers the enumerator uses.  An
-    input they say refutes it, or cannot evaluate, is decided by the
-    interpreter, so only an input the interpreter refutes is returned."""
+    Refutation runs on compiled forms: the candidate on the appliers the
+    enumerator uses, the spec as :func:`hir.compile_packed` built it once
+    per search (None when it declined), both on packed registers.  A trial
+    on which they agree is skipped.  One on which they disagree, or either
+    cannot evaluate, is decided by the interpreters, so only an input the
+    interpreters refute is returned."""
     try:
         run = make_packed_program(node)
     except Exception:
         run = None
+    names = [name for name, _bits in enumerator.loads]
     for _ in range(trials):
-        env = enumerator.random_env()
+        values = enumerator.random_loads()
+        registers = dict(zip(names, values))
+        if run is not None and packed_spec is not None:
+            try:
+                if run(registers) == packed_spec(values):
+                    continue
+            except Exception:
+                pass
+        env = enumerator.boxed(values)
         want = hir.interpret(spec, env).value
         if run is not None:
             try:
-                if run(env) == want:
+                if run(registers) == want:
                     continue
             except Exception:
                 pass

@@ -498,15 +498,16 @@ def make_packed_applier(node: SNode, arg_widths: tuple[int, ...]):
     return sop_applier(node.binding, node.values(), node.imm_values, arg_widths)
 
 
-def make_packed_program(node: SNode) -> Callable[[Mapping[str, BitVector]], int]:
-    """``node`` as one callable from input registers to its packed value:
-    every node applied through :func:`make_packed_applier` at its
-    children's widths, as the enumerator evaluates candidates.  Raises
-    where building one of those appliers raises."""
+def make_packed_program(node: SNode) -> Callable[[Mapping[str, int]], int]:
+    """``node`` as one callable from packed input registers (name ->
+    value) to its packed value: every node applied through
+    :func:`make_packed_applier` at its children's widths, as the
+    enumerator evaluates candidates.  Raises where building one of those
+    appliers raises."""
 
     def leaf(n: SInput):
         name = n.name
-        return lambda env: env[name].value
+        return lambda env: env[name]
 
     def step(n: SNode, runs: list):
         apply = make_packed_applier(n, tuple(kid.bits for kid in n.children()))

@@ -288,3 +288,114 @@ class TestEndToEndLowering:
         got = Vector(out, 16).to_ints_signed()
         expected = [max(av + bv_, av - bv_) for av, bv_ in zip(a_vals, b_vals)]
         assert got == expected
+
+
+class TestCompilePacked:
+    """``compile_packed`` against ``interpret``, the definition it is
+    tested against: every operation and cast kind at every element
+    width, and every sub-window of the registered kernels."""
+
+    WIDTHS = (1, 8, 16, 32, 64)
+
+    @staticmethod
+    def lane_values(rng, width):
+        """Boundary lanes (0, 1, sign bit, all ones) and random ones."""
+        return [0, 1, 1 << (width - 1), (1 << width) - 1] + [
+            rng.getrandbits(width) for _ in range(4)
+        ]
+
+    @staticmethod
+    def agree(expr, registers):
+        """Compiled and interpreted values of ``expr`` on ``registers``
+        (name -> packed value); None when it has no compiled form."""
+        compiled = hir.compile_packed(expr)
+        loads = expr.loads()
+        env = {
+            name: BitVector(registers[name], load.bits)
+            for name, load in loads.items()
+        }
+        if compiled is None:
+            return None
+        assert compiled([registers[name] for name in sorted(loads)]) == (
+            hir.interpret(expr, env).value
+        ), expr
+        return True
+
+    @staticmethod
+    def pack(lanes, width):
+        return sum(value << (i * width) for i, value in enumerate(lanes))
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_every_binop_and_comparison(self, width):
+        rng = random.Random(f"binops-{width}")
+        values = self.lane_values(rng, width)
+        # Every pair of boundary / random lanes, plus small shift amounts.
+        left = [x for x in values for _ in values] + values
+        right = [y for _ in values for y in values] + [
+            rng.randrange(width + 2) for _ in values
+        ]
+        lanes = len(left)
+        a, b = hir.HLoad("a", lanes, width), hir.HLoad("b", lanes, width)
+        registers = {"a": self.pack(left, width), "b": self.pack(right, width)}
+        for op in hir.H_BINOPS:
+            assert self.agree(hir.HBin(op, a, b), registers), op
+            assert self.agree(hir.HBin(op, hir.HConst(5, lanes, width), b), registers)
+        for op in hir.H_CMPOPS:
+            assert self.agree(hir.HCmp(op, a, b), registers), op
+        select = hir.HSelect(hir.HCmp("lt_u", a, b), a, hir.HConst(3, lanes, width))
+        assert self.agree(select, registers)
+
+    @pytest.mark.parametrize("kind", hir.H_CASTS)
+    def test_every_cast_kind(self, kind):
+        rng = random.Random(f"casts-{kind}")
+        for old in self.WIDTHS:
+            lanes = self.lane_values(rng, old)
+            registers = {"a": self.pack(lanes, old)}
+            for new in self.WIDTHS:
+                expr = hir.HCast(kind, hir.HLoad("a", len(lanes), old), new)
+                compiled = self.agree(expr, registers)
+                if kind == "trunc" and new > old:
+                    # A widening trunc is ill-formed: the interpreter
+                    # raises, so there is no compiled form.
+                    assert compiled is None
+                    with pytest.raises(ValueError):
+                        hir.interpret(expr, {"a": BitVector(0, len(lanes) * old)})
+                else:
+                    assert compiled, (kind, old, new)
+
+    def test_structural_nodes(self):
+        a, b = hir.HLoad("a", 8, 16), hir.HLoad("b", 8, 16)
+        registers = {"a": 0x0123_4567_89AB_CDEF_FEDC_BA98_7654_3210, "b": 1 << 127}
+        both = hir.HConcat((a, hir.HSlice(b, 2, 4), hir.HConst(7, 2, 16)))
+        for expr in (
+            both,
+            hir.HReduceAdd(both, 2),
+            hir.HShuffle(both, (13, 0, 0, 9, 5)),
+            hir.HSlice(hir.HBin("mul", a, b), 3, 5),
+            hir.HConst(0x1_0005, 4, 16),
+        ):
+            assert self.agree(expr, registers), expr
+
+    def test_declines_what_it_cannot_compile(self):
+        a = hir.HLoad("a", 4, 8)
+        assert hir.compile_packed(hir.HBin("add", a, hir.HBroadcast("s", 4, 8))) is None
+        assert hir.compile_packed(hir.HShuffle(a, (0, 4))) is None
+
+    @pytest.mark.parametrize("isa", supported_isas())
+    def test_every_kernel_sub_window(self, isa):
+        """Each node of each registered kernel's window, as its own
+        window; only nodes reading a broadcast scalar decline."""
+        rng = random.Random(f"compile-packed-{isa}")
+        checked = 0
+        for benchmark in all_benchmarks():
+            for kernel in benchmark.lower(isa):
+                env = window_env(kernel.window, rng)
+                registers = {name: value.value for name, value in env.items()}
+                for node in kernel.window.walk():
+                    compiled = self.agree(node, registers)
+                    broadcast = any(
+                        isinstance(n, hir.HBroadcast) for n in node.walk()
+                    )
+                    assert compiled is (None if broadcast else True)
+                    checked += compiled is True
+        assert checked > 1_000

@@ -12,6 +12,7 @@ import pytest
 
 from repro.hydride_ir.ast import (
     BvBinOp,
+    BvBroadcastConst,
     BvCast,
     BvCmp,
     BvConcat,
@@ -25,8 +26,15 @@ from repro.hydride_ir.ast import (
     Input,
     SemanticsFunction,
 )
-from repro.hydride_ir.indexexpr import IConst, IParam, IVar
-from repro.hydride_ir.interp import SemanticsError, check_instantiable, to_term
+from repro.hydride_ir.indexexpr import IConst, IndexExpr, IParam, IVar
+from repro.hydride_ir.interp import (
+    SemanticsError,
+    _uniform_loop,
+    check_instantiable,
+    resolved_input_widths,
+    to_term,
+)
+from repro.smt import terms as smt
 from repro.isa.registry import supported_isas
 from repro.similarity import equivalence, holes
 from repro.similarity.engine import _symbolics_for_isa, build_equivalence_classes
@@ -154,6 +162,133 @@ class TestRaiseSites:
         )
         for body in (lanes, WIDE, ONE_BIT, BvIte(ONE_BIT, A, B), BvConcat((A, WIDE))):
             assert _agree(_func(body), {})
+
+
+def _unrolled_walk(func, params=None):
+    """``check_instantiable`` walking every ``ForConcat`` iteration: the
+    reference its first-and-last-iteration path is held to."""
+    param_env = dict(params if params is not None else func.params)
+    widths = resolved_input_widths(func, param_env)
+
+    def const_width(value: IndexExpr, width: IndexExpr, env) -> int:
+        value.evaluate(env)
+        bits = width.evaluate(env)
+        if bits < 0:
+            raise ValueError(f"negative constant width {bits} in {func.name}")
+        return bits
+
+    def run(expr: BvExpr, env) -> int:
+        if isinstance(expr, BvVar):
+            return widths[expr.name]
+        if isinstance(expr, BvConst):
+            return const_width(expr.value, expr.width, env)
+        if isinstance(expr, BvBroadcastConst):
+            elem = const_width(expr.value, expr.elem_width, env)
+            return elem * max(1, expr.num_elems.evaluate(env))
+        if isinstance(expr, BvExtract):
+            src = run(expr.src, env)
+            low = expr.low.evaluate(env)
+            width = expr.width.evaluate(env)
+            if low < 0 or low + width > src:
+                raise SemanticsError("extract out of range")
+            return smt.result_width("extract", [src], (low + width - 1, low))
+        if isinstance(expr, (BvBinOp, BvCmp, BvUnOp)):
+            return smt.result_width(expr.op, [run(c, env) for c in expr.children()])
+        if isinstance(expr, BvCast):
+            return smt.result_width(
+                expr.op, [run(expr.operand, env)], (expr.new_width.evaluate(env),)
+            )
+        if isinstance(expr, BvIte):
+            return smt.result_width("ite", [run(c, env) for c in expr.children()])
+        if isinstance(expr, ForConcat):
+            count = expr.count.evaluate(env)
+            if count <= 0:
+                raise SemanticsError(f"loop count {count}")
+            body_env = dict(env)
+            total = 0
+            for i in range(count):
+                body_env[expr.var] = i
+                total += run(expr.body, body_env)
+            return total
+        if isinstance(expr, BvConcat):
+            parts = [run(p, env) for p in expr.parts]
+            return parts[0] + sum(parts[1:])
+        raise SemanticsError(type(expr).__name__)
+
+    return run(func.body, param_env)
+
+
+class TestUniformLoops:
+    """Loops whose iterations share one width are walked at their first
+    and last iterations only; the unrolled walk is the reference."""
+
+    def test_agrees_with_the_unrolled_walk_at_every_build_vector(self, monkeypatch):
+        asked = []
+        real = equivalence.check_instantiable
+
+        def recording(func, params):
+            asked.append((func, params))
+            return real(func, params)
+
+        monkeypatch.setattr(equivalence, "check_instantiable", recording)
+        # The serial engine itself: the memoised wrapper may not run it.
+        build_equivalence_classes.__wrapped__(supported_isas())
+        monkeypatch.setattr(equivalence, "check_instantiable", real)
+        uniform = 0
+        for func, params in asked:
+            walked = _outcome(check_instantiable, func, params)
+            assert walked == _outcome(_unrolled_walk, func, params), (
+                func.name, params,
+            )
+            uniform += any(
+                isinstance(node, ForConcat) and _uniform_loop(node)
+                for node in func.body.walk()
+            )
+        assert len(asked) > 1_000 and uniform > len(asked) // 2
+
+    def test_agrees_with_the_unrolled_walk_at_perturbed_parameters(self):
+        """Where a perturbed parameter breaks the instantiation, both walks
+        raise the same exception type."""
+        rng = random.Random(45)
+        invalid = 0
+        for symbolic in rng.sample(_catalog(), 400):
+            position = rng.randrange(len(symbolic.param_names))
+            value = symbolic.values_vector()[position]
+            for changed in (value * 2, value // 2, value + 8, value - 8, 0, -1):
+                values = list(symbolic.values_vector())
+                values[position] = changed
+                func, params = _at(symbolic, tuple(values))
+                walked = _outcome(check_instantiable, func, params)
+                assert walked == _outcome(_unrolled_walk, func, params)
+                invalid += not isinstance(walked, int)
+        assert invalid > 100
+
+    def test_which_loops_are_uniform(self):
+        i = IVar("i")
+        lanes = BvExtract(A, i * 4, IConst(4))
+        assert _uniform_loop(ForConcat("i", IConst(2), lanes))
+        assert _uniform_loop(ForConcat("i", IConst(2), BvConst(i * 3 - 1, IConst(4))))
+        for body in (
+            BvExtract(A, i * i, IConst(1)),  # offset not affine
+            BvExtract(A, i // 2, IConst(1)),  # offset not affine
+            BvExtract(A, IConst(0), i + 1),  # width mentions the iterator
+            BvCast("zext", lanes, i + 8),  # cast width mentions it
+            ForConcat("j", i + 1, lanes),  # inner count mentions it
+            ForConcat("i", IConst(2), lanes),  # inner loop rebinds it
+        ):
+            assert not _uniform_loop(ForConcat("i", IConst(4), body)), body
+
+    def test_a_failure_between_the_ends_of_a_non_affine_loop_is_found(self):
+        """Offsets 0, 2, 2, 0 put the middle iterations out of range; the
+        offset is not affine, so the loop is unrolled and the walk raises."""
+        i = IVar("i")
+        body = BvExtract(A, i * (IConst(3) - i), IConst(7))
+        func = _func(ForConcat("i", IConst(4), body))
+        assert not _uniform_loop(func.body)
+        with pytest.raises(SemanticsError):
+            check_instantiable(func)
+        with pytest.raises(SemanticsError):
+            to_term(func)
 
 
 def _wanting_a_hole():

@@ -156,7 +156,7 @@ class TestFoldProgram:
         )
         env = {"a": a}
         assert evaluate_program(program, env).value == want
-        assert make_packed_program(program)(env) == want
+        assert make_packed_program(program)({"a": a.value}) == want
         assert evaluate(program_to_term(program), env).value == want
 
 

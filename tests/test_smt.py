@@ -1,16 +1,22 @@
 """Tests for the solver substrate: terms, simplifier, SAT, bit-blasting."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bitvector import BitVector
+from repro.halide import ir as hir
+from repro.perf import global_counters
+from repro.smt import simplify as simplify_module
+from repro.smt import terms
 from repro.smt.bitblast import BitBlaster, NotBitblastable
 from repro.smt.eval import evaluate
 from repro.smt.sat import CdclSolver, solve_cnf
 from repro.smt.simplify import simplify, structurally_equal, substitute
 from repro.smt.solver import EquivalenceChecker
-from repro.smt.terms import apply_op, const, var
+from repro.smt.terms import App, apply_op, const, term_uid, var
 
 
 class TestTerms:
@@ -289,3 +295,144 @@ class TestEquivalenceChecker:
             (8,),
         )
         assert checker.check_equivalence(direct, wide).equivalent
+
+
+class TestInterningLookup:
+    """``apply_op`` finds an interned node by its key: a hit builds no
+    ``App``, and uids and intern counters are those of interning a
+    freshly built node."""
+
+    def test_a_hit_constructs_no_app(self, monkeypatch):
+        x, y = var("intern_x", 8), var("intern_y", 8)
+        first = apply_op("bvadd", [x, y])
+        built = []
+        real_init = terms.App.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(terms.App, "__init__", counting_init)
+        perf = global_counters()
+        hits = perf.term_intern_hits
+        assert apply_op("bvadd", [x, y]) is first
+        assert built == [] and perf.term_intern_hits == hits + 1
+        fresh = apply_op("bvsub", [x, y])
+        assert len(built) == 1 and fresh is apply_op("bvsub", [x, y])
+
+    @staticmethod
+    def _workload():
+        """Lower a few windows and simplify them; the simplifier hands
+        ``apply_op`` unconsed constants as well as interned nodes."""
+        a, b = hir.HLoad("a", 8, 16), hir.HLoad("b", 8, 16)
+        windows = [
+            hir.HBin("add", hir.HBin("xor", a, b),
+                     hir.HBin("shl", hir.HBin("and", a, b), hir.HConst(1, 8, 16))),
+            hir.HBin("min_u", hir.HBin("sub", a, a), b),
+            hir.HReduceAdd(hir.HCast("sext", hir.HConcat((a, b)), 32), 2),
+            hir.HSelect(hir.HCmp("lt_s", a, b), hir.HSlice(hir.HConcat((b, a)), 4, 8), a),
+        ]
+        uids = []
+        for window in windows:
+            term = hir.to_term(window)
+            uids += [term_uid(node) for node in term.walk()]
+            uids += [term_uid(node) for node in simplify(term).walk()]
+        return uids
+
+    def test_uids_and_counters_equal_the_intern_term_path(self, monkeypatch):
+        def reference(op, args, params=()):
+            width = terms.result_width(op, [a.width for a in args], params)
+            return terms.intern_term(terms.App(width, op, tuple(args), params))
+
+        perf = global_counters()
+        runs = []
+        for build in (terms.apply_op, reference):
+            with monkeypatch.context() as patch:
+                patch.setattr(terms, "_INTERN", {})
+                patch.setattr(terms, "_UIDS", itertools.count(1))
+                patch.setattr(terms, "apply_op", build)
+                patch.setattr(simplify_module, "apply_op", build)
+                before = (perf.term_intern_hits, perf.term_intern_misses)
+                uids = self._workload()
+                counts = (perf.term_intern_hits - before[0],
+                          perf.term_intern_misses - before[1])
+                runs.append((uids, counts, len(terms._INTERN)))
+        assert runs[0] == runs[1]
+        assert runs[0][1][0] > 0 and runs[0][1][1] > 0
+
+
+def _descend(term, high, low):
+    """``simplify(extract(term, high, low))`` for a simplified ``term`` as
+    the simplifier computed it before its offset lookup: one concat level
+    at a time."""
+    while isinstance(term, App) and term.op == "concat":
+        if low == 0 and high == term.width - 1:
+            return term
+        high_part, low_part = term.args
+        split = low_part.width
+        if high < split:
+            term = low_part
+        elif low >= split:
+            term, high, low = high_part, high - split, low - split
+        else:
+            return apply_op("extract", [term], (high, low))
+    return simplify(apply_op("extract", [term], (high, low)))
+
+
+class TestExtractOfConcatChain:
+    """Extracts over a lane concatenation resolve by offset lookup: the
+    same terms as the per-level descent, in calls linear in the lanes."""
+
+    @staticmethod
+    def extracts(lanes):
+        """(high, low) of every 8-bit lane in reverse order, two extracts
+        straddling pieces, and the low half (a whole sub-chain)."""
+        bounds = [(8 * i + 7, 8 * i) for i in reversed(range(lanes))]
+        return bounds + [(11, 4), (8 * lanes - 5, 8 * lanes - 20), (4 * lanes - 1, 0)]
+
+    @staticmethod
+    def chain(lanes):
+        wide = var("chain_src", 8 * lanes)
+        pieces = [var(f"chain_p{i}", 8) for i in range(lanes // 2)] + [
+            apply_op("extract", [wide], (8 * i + 7, 8 * i))
+            for i in range(lanes // 2, lanes)
+        ]
+        term = pieces[0]
+        for piece in pieces[1:]:
+            term = apply_op("concat", [piece, term])
+        return term
+
+    def test_same_terms_as_the_per_level_descent(self):
+        lanes = 256
+        chain = self.chain(lanes)
+        parts = [apply_op("extract", [chain], bounds) for bounds in self.extracts(lanes)]
+        want = [_descend(chain, high, low) for high, low in self.extracts(lanes)]
+        term, expected = parts[0], want[0]
+        for part, piece in zip(parts[1:], want[1:]):
+            term = apply_op("concat", [part, term])
+            expected = apply_op("concat", [piece, expected])
+        assert simplify(term) is expected
+        # The straddling extracts stay extracts; the low half is its node.
+        assert want[-3].op == "extract" and want[-2].op == "extract"
+        assert want[-1].op == "concat" and want[-1].width == 4 * lanes
+
+    def test_simplify_calls_grow_linearly_with_lanes(self, monkeypatch):
+        calls = {}
+        real = simplify_module._simplify_app
+        for lanes in (64, 128, 256):
+            count = [0]
+
+            def counting(*args, count=count):
+                count[0] += 1
+                return real(*args)
+
+            chain = self.chain(lanes)
+            term = chain
+            for bounds in self.extracts(lanes):
+                term = apply_op("concat", [apply_op("extract", [chain], bounds), term])
+            monkeypatch.setattr(simplify_module, "_simplify_app", counting)
+            simplify(term)
+            monkeypatch.setattr(simplify_module, "_simplify_app", real)
+            calls[lanes] = count[0]
+        assert calls[128] <= 2 * calls[64] + 16, calls
+        assert calls[256] <= 2 * calls[128] + 16, calls

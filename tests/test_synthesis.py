@@ -531,6 +531,65 @@ class TestEnumerator:
         assert enumerator._may_lead(low, {})
 
 
+def _interpreted_refute(node, spec, enumerator, trials):
+    """``_fuzz_refute`` on the interpreters alone: the reference."""
+    for _ in range(trials):
+        env = enumerator.random_env()
+        if evaluate_program(node, env).value != hir.interpret(spec, env).value:
+            return env
+    return None
+
+
+class TestFuzzRefute:
+    """Refutation on compiled forms returns what the interpreters return."""
+
+    def test_same_inputs_and_rng_state_as_the_interpreters(self, dictionary):
+        # Right candidates (the plain add) and near misses (saturating
+        # adds, which differ only where a lane overflows).
+        window = _add_window(lanes=8, ew=16)
+        grammar = build_grammar(window, "x86", dictionary)
+        deadline = time.monotonic() + 60
+        pool = _Enumerator(grammar, window, random.Random(3), deadline, 1)
+        for _ in range(2):
+            pool.add_env(pool.random_env())
+        pool.seed_pool()
+        pool.grow()
+        stream = [c.node for c in pool.pool if c.bits == window.type.bits]
+        random.Random(5).shuffle(stream)
+        packed_spec = hir.compile_packed(window)
+        assert packed_spec is not None
+        fast, slow = (
+            _Enumerator(grammar, window, random.Random(11), deadline, 1)
+            for _ in range(2)
+        )
+        outcomes = []
+        for node in stream:
+            got = cegis._fuzz_refute(node, window, packed_spec, fast, 24)
+            want = _interpreted_refute(node, window, slow, 24)
+            assert got == want, node.describe()
+            assert fast.rng.getstate() == slow.rng.getstate()
+            outcomes.append(got is None)
+        assert True in outcomes and False in outcomes
+        # A declined spec refutes on the interpreter, with the same draws.
+        for node in stream[:20]:
+            got = cegis._fuzz_refute(node, window, None, fast, 8)
+            assert got == _interpreted_refute(node, window, slow, 8)
+            assert fast.rng.getstate() == slow.rng.getstate()
+
+    def test_a_wrong_compiled_spec_cannot_refute(self, dictionary):
+        """A trial the compiled forms disagree on is confirmed by the
+        interpreters, so a compiled spec that is wrong everywhere costs
+        time but refutes nothing that is right."""
+        window = _add_window(lanes=4, ew=16)
+        grammar = build_grammar(window, "x86", dictionary)
+        enumerator = _Enumerator(
+            grammar, window, random.Random(2), time.monotonic() + 60, 1
+        )
+        right = SInput("ld0", 4, 16)
+        spec = hir.HLoad("ld0", 4, 16)
+        assert cegis._fuzz_refute(right, spec, lambda values: -1, enumerator, 16) is None
+
+
 class TestCache:
     def test_canonical_key_renames_loads(self):
         a = _add_window()
