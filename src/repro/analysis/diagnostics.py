@@ -1,13 +1,11 @@
-"""Diagnostics engine for the cross-layer IR verifier ("hydride-lint").
+"""Diagnostics engine for the Hydride IR and AutoLLVM checkers.
 
-Every well-formedness check in :mod:`repro.analysis` reports its findings
-as :class:`Diagnostic` records instead of raising ad-hoc exceptions.  A
+Every check in :mod:`repro.analysis` reports its findings as
+:class:`Diagnostic` records instead of raising ad-hoc exceptions.  A
 diagnostic carries a stable rule ID (the catalogue below), a severity, a
 human-readable message and :class:`Provenance` — which ISA / instruction
-spec / pipeline stage produced the offending node — so a defect found deep
-inside CEGIS can still be traced back to the vendor pseudocode line that
-introduced it.  Sinks aggregate diagnostics, render terminal summaries and
-serialise to machine-readable JSON for tooling.
+spec / pipeline stage produced the offending node.  Sinks aggregate
+diagnostics and serialise them to JSON.
 """
 
 from __future__ import annotations
@@ -23,22 +21,10 @@ class Severity(str, Enum):
     WARNING = "warning"
     NOTE = "note"
 
-    @property
-    def rank(self) -> int:
-        return {"error": 0, "warning": 1, "note": 2}[self.value]
-
 
 #: The rule catalogue.  IDs are ``<layer>/<defect>``; adding a rule here is
 #: what makes it emittable — sinks reject unknown IDs so typos fail loudly.
 RULES: dict[str, str] = {
-    # -- instruction spec records (the "manual entry" layer) -------------
-    "spec/duplicate-name": "two catalog entries share one instruction name",
-    "spec/output-width": "declared output width is not positive",
-    "spec/empty-pseudocode": "spec has no pseudocode text to parse",
-    "spec/timing": "latency or throughput is not positive",
-    "spec/semantics-io": "parsed semantics disagrees with the operand list",
-    "spec/lane-width": "element or lane width does not tile the output width",
-    "spec/mask-width": "mask register width disagrees with the element count",
     # -- Hydride IR semantics functions ----------------------------------
     "hydride/unknown-input": "body references an undeclared input register",
     "hydride/input-decl": "input declaration is malformed (dup name, width)",
@@ -58,34 +44,6 @@ RULES: dict[str, str] = {
     "hydride/cast-width": "cast direction contradicts the width change",
     "hydride/saturate-width": "saturating cast widens its operand",
     "hydride/const-range": "constant value does not fit its declared width",
-    # -- lowered Halide IR windows ---------------------------------------
-    "halide/nonpositive-type": "node type has non-positive lanes or width",
-    "halide/op-name": "unknown Halide operation or cast kind",
-    "halide/binop-type": "binary operation operand types differ",
-    "halide/select-cond": "select condition is not 1-bit with matching lanes",
-    "halide/slice-bounds": "lane slice exceeds the source lane count",
-    "halide/concat-elem": "concat parts have differing element widths",
-    "halide/reduce-factor": "reduce_add factor does not divide the lanes",
-    "halide/shuffle-index": "shuffle index outside the source lane range",
-    "halide/load-conflict": "one load/broadcast name bound at two types",
-    "halide/const-range": "splat constant does not fit the element width",
-    # -- synthesis candidate programs (pre-SMT well-typedness) -----------
-    "synth/nonpositive-width": "candidate node has a non-positive bit width",
-    "synth/op-arity": "instruction application has wrong argument count",
-    "synth/imm-arity": "instruction application has wrong immediate count",
-    "synth/arg-width": "argument width disagrees with the input declaration",
-    "synth/out-width": "recorded output width disagrees with the semantics",
-    "synth/slice-width": "half-register slice of an unsplittable width",
-    "synth/swizzle-arity": "swizzle pattern applied at the wrong arity",
-    "synth/swizzle-width": "swizzle operand/output widths are inconsistent",
-    # -- semantic rules (abstract interpretation, repro.analysis.absint) -
-    "sem/select-const": "select condition is abstractly constant",
-    "sem/shift-overflow": "shift amount is provably >= the operand width",
-    "sem/impossible-compare": "comparison result is abstractly constant",
-    "sem/const-subtree": "subtree always evaluates to one constant",
-    "sem/dead-lanes": "input bits never observed by the output",
-    # -- lint driver internals --------------------------------------------
-    "A-INTERNAL": "a checker raised an internal error while linting",
     # -- AutoLLVM / LLVM IR functions ------------------------------------
     "llvm/undef-value": "use of an undefined SSA value",
     "llvm/redef": "SSA value defined twice",
@@ -109,8 +67,8 @@ class Provenance:
     """Where a diagnosed node came from."""
 
     isa: str = ""
-    instruction: str = ""  # spec name / kernel name / LLVM function name
-    stage: str = ""  # pipeline stage: parse, canonicalize, lowering, ...
+    instruction: str = ""  # spec name / LLVM function name
+    stage: str = ""  # pipeline stage: parse, canonicalize, verify, ...
     node: str = ""  # short rendering of the offending node
 
     def format(self) -> str:
@@ -147,7 +105,7 @@ class Diagnostic:
 
 
 class IRVerificationError(Exception):
-    """Raised by the ``assert_*`` checkers when a check finds errors."""
+    """Raised by :meth:`DiagnosticSink.raise_if_errors` when errors were found."""
 
     def __init__(self, diagnostics: list[Diagnostic], context: str = "") -> None:
         self.diagnostics = list(diagnostics)
@@ -164,8 +122,8 @@ class DiagnosticSink:
     """Accumulates diagnostics and renders summaries.
 
     ``max_per_rule`` caps how many diagnostics of one rule are *stored*
-    (counts keep growing), so linting a corpus with a systematic defect
-    does not hoard thousands of identical records.
+    (counts keep growing), so a systematic defect does not hoard
+    thousands of identical records.
     """
 
     def __init__(self, max_per_rule: int = 200) -> None:
@@ -184,20 +142,11 @@ class DiagnosticSink:
         if rule not in RULES:
             raise KeyError(f"unknown diagnostic rule {rule!r}")
         diag = Diagnostic(rule, severity, message, provenance or Provenance())
-        self.add(diag)
-        return diag
-
-    def add(self, diag: Diagnostic) -> None:
-        if diag.rule not in RULES:
-            raise KeyError(f"unknown diagnostic rule {diag.rule!r}")
-        self._rule_counts[diag.rule] += 1
-        self._severity_counts[diag.severity.value] += 1
-        if self._rule_counts[diag.rule] <= self.max_per_rule:
+        self._rule_counts[rule] += 1
+        self._severity_counts[severity.value] += 1
+        if self._rule_counts[rule] <= self.max_per_rule:
             self.diagnostics.append(diag)
-
-    def extend(self, diagnostics: list[Diagnostic]) -> None:
-        for diag in diagnostics:
-            self.add(diag)
+        return diag
 
     @property
     def error_count(self) -> int:

@@ -21,7 +21,6 @@ from collections.abc import Mapping
 from repro.analysis.diagnostics import (
     Diagnostic,
     DiagnosticSink,
-    IRVerificationError,
     Provenance,
     Severity,
 )
@@ -408,23 +407,3 @@ def check_semantics(
             )
     return own_sink.diagnostics[before:]
 
-
-def assert_semantics(
-    func: SemanticsFunction,
-    params: Mapping[str, int] | None = None,
-    *,
-    declared_output_width: int | None = None,
-    isa: str = "",
-    stage: str = "",
-) -> None:
-    """Raise :class:`IRVerificationError` if ``func`` fails the checker."""
-    diagnostics = check_semantics(
-        func,
-        params,
-        declared_output_width=declared_output_width,
-        isa=isa,
-        stage=stage,
-    )
-    errors = [d for d in diagnostics if d.severity is Severity.ERROR]
-    if errors:
-        raise IRVerificationError(diagnostics, context=func.name)

@@ -98,4 +98,52 @@ def validate_catalog(catalog: IsaCatalog) -> list[str]:
             problems.append(f"{spec.name}: empty pseudocode")
         if spec.latency <= 0 or spec.throughput <= 0:
             problems.append(f"{spec.name}: non-positive latency/throughput")
+        problems.extend(f"{spec.name}: {p}" for p in _width_problems(spec))
+    return problems
+
+
+def _width_problems(spec: InstructionSpec) -> list[str]:
+    """Lane and mask tiling of the declared widths.
+
+    Catches a fixed lane or vector width (e.g. 128-bit SSE lanes) baked
+    into generated specs that mis-tiles at another vector length.  A
+    mask-producing spec declares ``output_width`` in mask bits, so
+    element and lane tiling do not apply to its output.
+    """
+    problems: list[str] = []
+    attrs = spec.attributes
+    elem = attrs.get("elem_width")
+    lane = attrs.get("lane_bits")
+    elem = elem if isinstance(elem, int) and elem > 0 else None
+    lane = lane if isinstance(lane, int) and lane > 0 else None
+    if not attrs.get("mask_output"):
+        if elem and spec.output_width % elem:
+            problems.append(
+                f"element width {elem} does not divide output width "
+                f"{spec.output_width}"
+            )
+        if lane and spec.output_width % lane:
+            problems.append(
+                f"lane width {lane} does not divide output width "
+                f"{spec.output_width}"
+            )
+        if lane and elem and lane % elem:
+            problems.append(
+                f"element width {elem} does not divide lane width {lane}"
+            )
+    mask_elems = attrs.get("mask_elems")
+    if isinstance(mask_elems, int) and mask_elems > 0:
+        if attrs.get("mask_output") and spec.output_width != mask_elems:
+            problems.append(
+                f"mask output is {spec.output_width} bits for "
+                f"{mask_elems} elements"
+            )
+        declared = {op.name: op.width for op in spec.operands}
+        for name in attrs.get("mask_operands", ()) or ():
+            width = declared.get(name)
+            if width is not None and width != mask_elems:
+                problems.append(
+                    f"mask operand {name!r} is {width} bits for "
+                    f"{mask_elems} elements"
+                )
     return problems

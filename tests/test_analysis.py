@@ -1,10 +1,12 @@
-"""Tests for the cross-layer IR verifier (repro.analysis)."""
+"""Tests for the diagnostics engine and the spec-corpus checks.
 
+Every spec of every registered ISA must agree with its documented
+operands and pass the Hydride IR type/width checker; each check has a
+seeded defect that shows it can fail.
+"""
+
+import dataclasses
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -17,17 +19,9 @@ from repro.analysis import (
     check_semantics,
     rule_doc,
 )
-from repro.analysis.cli import (
-    baseline_counts,
-    diff_against_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.cli import main as lint_main
-from repro.analysis.sarif import to_sarif
-from repro.isa.registry import load_isa
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
+from repro.hydride_ir.interp import resolved_input_widths
+from repro.isa.registry import SUPPORTED_ISAS, load_isa
+from repro.isa.spec import OperandSpec
 
 
 class TestDiagnosticsEngine:
@@ -47,13 +41,8 @@ class TestDiagnosticsEngine:
 
     def test_rule_catalog_documented(self):
         for rule in RULES:
-            if rule == "A-INTERNAL":
-                # The lint driver's crash tripwire is deliberately not
-                # namespaced: it marks the run, not a layer.
-                assert rule_doc(rule)
-                continue
             layer, _, defect = rule.partition("/")
-            assert layer in {"spec", "hydride", "halide", "synth", "llvm", "sem"}
+            assert layer in {"hydride", "llvm"}
             assert defect
             assert rule_doc(rule)
 
@@ -77,16 +66,16 @@ class TestDiagnosticsEngine:
     def test_json_roundtrip(self):
         sink = DiagnosticSink()
         sink.emit(
-            "halide/slice-bounds",
-            "slice [8, 40) of 32 lanes",
+            "hydride/extract-bounds",
+            "slice [8, 40) of a 32-bit value",
             Severity.ERROR,
-            Provenance(instruction="blur", stage="lowering"),
+            Provenance(instruction="_mm_add_epi16", stage="canonicalize"),
         )
         payload = json.loads(sink.to_json())
         assert payload["summary"]["errors"] == 1
         [record] = payload["diagnostics"]
-        assert record["rule"] == "halide/slice-bounds"
-        assert record["instruction"] == "blur"
+        assert record["rule"] == "hydride/extract-bounds"
+        assert record["instruction"] == "_mm_add_epi16"
 
     def test_raise_if_errors(self):
         sink = DiagnosticSink()
@@ -97,180 +86,77 @@ class TestDiagnosticsEngine:
         assert info.value.diagnostics[0].rule == "llvm/undef-value"
 
 
-class TestCorpusClean:
-    """The shipped spec corpora must lint clean (the CI gate)."""
+def _semantics_io_problems(spec, func) -> list[str]:
+    """Where the parsed semantics disagree with the documented operands."""
+    declared = {op.name: op for op in spec.operands}
+    widths = resolved_input_widths(func, func.params)
+    problems = []
+    for inp in func.inputs:
+        operand = declared.get(inp.name)
+        if operand is None:
+            problems.append(f"input {inp.name!r} is not a documented operand")
+            continue
+        if operand.width != widths[inp.name]:
+            problems.append(
+                f"operand {inp.name!r} documented at {operand.width} bits, "
+                f"semantics declares {widths[inp.name]}"
+            )
+        if operand.is_immediate != inp.is_immediate:
+            problems.append(f"operand {inp.name!r} immediate flag mismatch")
+    return problems
 
-    @pytest.mark.parametrize("isa", ["x86", "hvx", "arm"])
-    def test_sampled_semantics_check_clean(self, isa):
+
+class TestCorpusClean:
+    """The shipped spec corpora, every spec of every registered ISA."""
+
+    @pytest.mark.parametrize("isa", SUPPORTED_ISAS)
+    def test_semantics_check_clean(self, isa):
         loaded = load_isa(isa)
-        names = sorted(loaded.semantics)[::31]  # every 31st, cheap but broad
-        for name in names:
-            spec = loaded.spec(name)
-            diagnostics = check_semantics(
-                loaded.semantics[name],
+        found = []
+        for spec in loaded.catalog:
+            found += check_semantics(
+                loaded.semantics[spec.name],
                 declared_output_width=spec.output_width,
                 isa=isa,
+                stage="canonicalize",
             )
-            errors = [d for d in diagnostics if d.severity is Severity.ERROR]
-            assert errors == [], [d.format() for d in errors]
+        assert found == [], [d.format() for d in found[:10]]
 
-
-class TestLintCli:
-    def test_smoke_mode_exits_clean(self, capsys):
-        status = lint_main(["--smoke"])
-        out = capsys.readouterr().out
-        assert status == 0
-        assert "OK" in out
-        for isa in ("x86", "hvx", "arm"):
-            assert isa in out
-
-    def test_json_output(self, capsys):
-        status = lint_main(["--isa", "hvx", "--smoke", "--json"])
-        assert status == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["summary"]["errors"] == 0
-
-    def test_script_entry_point(self):
-        """scripts/lint_ir.py --smoke is the tier-1 lint gate."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get(
-            "PYTHONPATH", ""
-        )
-        proc = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "scripts" / "lint_ir.py"),
-             "--smoke", "--isa", "hvx"],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=300,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "OK" in proc.stdout
-
-    def test_internal_checker_crash_fails_run(self, monkeypatch, capsys):
-        """A checker crash must surface as A-INTERNAL and a nonzero exit,
-        never as a silently-green run (the historical failure mode)."""
-        import repro.analysis.semantic_check as semantic_check
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("injected checker crash")
-
-        monkeypatch.setattr(semantic_check, "check_semantic_rules", boom)
-        status = lint_main(["--isa", "hvx", "--smoke"])
-        out = capsys.readouterr().out
-        assert status == 1
-        assert "A-INTERNAL" in out
-        assert "injected checker crash" in out
-        assert "FAIL" in out
-
-
-class TestSarifOutput:
-    def _sink(self):
-        sink = DiagnosticSink()
-        sink.emit(
-            "hydride/binop-width",
-            "widths 16 and 8",
-            Severity.ERROR,
-            Provenance(isa="x86", instruction="_mm_add_epi16", stage="parse"),
-        )
-        sink.emit(
-            "sem/dead-lanes",
-            "input a: 64 of 128 bits never observed",
-            Severity.NOTE,
-            Provenance(isa="x86", instruction="_mm_mul_epi32", stage="absint"),
-        )
-        return sink
-
-    def test_to_sarif_structure(self):
-        payload = to_sarif(self._sink().diagnostics)
-        assert payload["version"] == "2.1.0"
-        [run] = payload["runs"]
-        driver = run["tool"]["driver"]
-        rule_ids = [rule["id"] for rule in driver["rules"]]
-        assert set(rule_ids) == {"hydride/binop-width", "sem/dead-lanes"}
-        results = run["results"]
-        assert [r["level"] for r in results] == ["error", "note"]
-        assert results[0]["ruleId"] == "hydride/binop-width"
-        assert rule_ids[results[0]["ruleIndex"]] == "hydride/binop-width"
-        [location] = results[0]["locations"]
-        [logical] = location["logicalLocations"]
-        assert logical["fullyQualifiedName"] == "x86:_mm_add_epi16"
-        assert logical["kind"] == "parse"
-
-    def test_cli_sarif_format(self, capsys):
-        status = lint_main(["--isa", "hvx", "--smoke", "--format", "sarif"])
-        assert status == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == "2.1.0"
-        assert payload["runs"][0]["tool"]["driver"]["name"] == "hydride-lint"
-
-    def test_cli_sarif_output_file(self, tmp_path):
-        out = tmp_path / "report.sarif"
-        status = lint_main(
-            ["--isa", "hvx", "--smoke", "--format", "sarif",
-             "--output", str(out)]
-        )
-        assert status == 0
-        payload = json.loads(out.read_text())
-        assert payload["version"] == "2.1.0"
-
-
-class TestBaselineDiff:
-    def _diags(self, extra=0):
-        sink = DiagnosticSink()
-        for _ in range(2 + extra):
-            sink.emit(
-                "sem/dead-lanes",
-                "input a: bits never observed",
-                Severity.NOTE,
-                Provenance(isa="x86", instruction="foo", stage="absint"),
+    @pytest.mark.parametrize("isa", SUPPORTED_ISAS)
+    def test_semantics_match_documented_operands(self, isa):
+        loaded = load_isa(isa)
+        problems = [
+            f"{spec.name}: {problem}"
+            for spec in loaded.catalog
+            for problem in _semantics_io_problems(
+                spec, loaded.semantics[spec.name]
             )
-        return sink.diagnostics
+        ]
+        assert problems == [], problems[:10]
 
-    def test_counts_and_clean_diff(self, tmp_path):
-        diagnostics = self._diags()
-        counts = baseline_counts(diagnostics)
-        assert counts == {"sem/dead-lanes|x86|foo": 2}
-        path = tmp_path / "baseline.json"
-        write_baseline(str(path), diagnostics)
-        baseline = load_baseline(str(path))
-        assert diff_against_baseline(diagnostics, baseline) == []
-
-    def test_new_findings_detected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(str(path), self._diags())
-        baseline = load_baseline(str(path))
-        # One more of an existing key...
-        grown = diff_against_baseline(self._diags(extra=1), baseline)
-        assert grown == [("sem/dead-lanes|x86|foo", 3, 2)]
-        # ... and a brand-new key (allowed count 0).
-        sink = DiagnosticSink()
-        sink.emit(
-            "sem/select-const",
-            "condition constant",
-            Severity.WARNING,
-            Provenance(isa="arm", instruction="bar", stage="absint"),
+    def test_seeded_output_width_defect_fails(self):
+        loaded = load_isa("x86")
+        spec = loaded.spec("_mm_add_epi16")
+        diagnostics = check_semantics(
+            loaded.semantics[spec.name],
+            declared_output_width=2 * spec.output_width,
         )
-        fresh = diff_against_baseline(sink.diagnostics, baseline)
-        assert fresh == [("sem/select-const|arm|bar", 1, 0)]
+        assert [d.rule for d in diagnostics] == ["hydride/output-width"]
 
-    def test_disappearing_diagnostics_are_fine(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(str(path), self._diags(extra=3))
-        assert diff_against_baseline(self._diags(), load_baseline(str(path))) == []
-
-    def test_cli_round_trip(self, tmp_path, capsys):
-        """--write-baseline followed by --baseline must be a clean run;
-        an empty baseline must fail once any diagnostic exists."""
-        path = tmp_path / "baseline.json"
-        assert lint_main(
-            ["--isa", "x86", "--write-baseline", str(path)]
-        ) == 0
-        assert lint_main(["--isa", "x86", "--baseline", str(path)]) == 0
-        capsys.readouterr()
-        empty = tmp_path / "empty.json"
-        empty.write_text(json.dumps({"counts": {}}))
-        # The x86 corpus carries known sem/* notes, so an empty baseline
-        # must flag them as new findings.
-        assert lint_main(["--isa", "x86", "--baseline", str(empty)]) == 1
-        assert "not in the baseline" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "operand,problem",
+        [
+            (OperandSpec("a", 64), "documented at 64 bits"),
+            (OperandSpec("a", 128, is_immediate=True), "immediate flag"),
+            (OperandSpec("x", 128), "not a documented operand"),
+        ],
+        ids=["width", "immediate", "undocumented"],
+    )
+    def test_seeded_operand_defect_fails(self, operand, problem):
+        loaded = load_isa("x86")
+        spec = loaded.spec("_mm_add_epi16")
+        func = loaded.semantics[spec.name]
+        assert _semantics_io_problems(spec, func) == []
+        bad = dataclasses.replace(spec, operands=(operand, spec.operands[1]))
+        [found] = _semantics_io_problems(bad, func)
+        assert problem in found

@@ -1,23 +1,16 @@
 """Seeded-defect tests: each known bug class must trip its exact rule.
 
 Every test corrupts a well-formed artifact in one specific way and
-asserts the checker reports exactly the matching rule ID, covering the
-defect classes of ISSUE.md: wrong width, lane inconsistency, out-of-range
-shift, slice out of bounds, malformed intrinsic calls — plus the synth-
-and Halide-layer variants of each.
+asserts the checker reports exactly the matching rule ID, covering wrong
+widths, lane inconsistency, out-of-range shifts, slices out of bounds
+(Hydride IR) and malformed intrinsic calls (AutoLLVM functions).
 """
 
 import importlib
 
 import pytest
 
-from repro.analysis import (
-    Severity,
-    check_llvm_function,
-    check_program,
-    check_semantics,
-    check_window,
-)
+from repro.analysis import Severity, check_llvm_function, check_semantics
 from repro.autollvm import build_dictionary
 from repro.autollvm.llvmir import (
     Function,
@@ -29,7 +22,6 @@ from repro.autollvm.llvmir import (
     VerificationError,
     verify_function,
 )
-from repro.halide import ir as hir
 from repro.hydride_ir.ast import (
     BvBinOp,
     BvCast,
@@ -44,7 +36,6 @@ from repro.hydride_ir.ast import (
 from repro.hydride_ir.indexexpr import IBin, IConst, IVar
 from repro.isa.registry import load_catalog
 from repro.isa.x86.parser import x86_semantics
-from repro.synthesis.program import SInput, SOp, SSwizzle
 
 
 def _func(body, inputs=(("a", 16), ("b", 16)), out=None):
@@ -127,86 +118,9 @@ class TestHydrideInjection:
         assert "hydride/nonpositive-width" in _rules(check_semantics(result))
 
 
-class TestHalideInjection:
-    """Halide nodes validate partially at construction, so defects are
-    planted with object.__setattr__ on the frozen dataclasses — modelling
-    a transform that rebuilt a node wrongly."""
-
-    def test_swapped_lanes_slice(self):
-        load = hir.HLoad("a", 32, 16)
-        node = hir.HSlice(load, 0, 16)
-        object.__setattr__(node, "start", 24)  # [24, 40) of 32 lanes
-        assert "halide/slice-bounds" in _rules(check_window(node))
-
-    def test_binop_type_mismatch(self):
-        a = hir.HLoad("a", 32, 16)
-        b = hir.HLoad("b", 32, 16)
-        node = hir.HBin("add", a, b)
-        object.__setattr__(node, "right", hir.HLoad("b", 16, 32))
-        assert "halide/binop-type" in _rules(check_window(node))
-
-    def test_load_type_conflict(self):
-        a16 = hir.HLoad("a", 32, 16)
-        a32 = hir.HLoad("a", 16, 32)  # same name, different type
-        node = hir.HConcat((a16, a16))
-        object.__setattr__(node, "parts", (a16, a32))
-        rules = _rules(check_window(node))
-        assert "halide/load-conflict" in rules
-        assert "halide/concat-elem" in rules
-
-    def test_reduce_factor(self):
-        node = hir.HReduceAdd(hir.HLoad("a", 32, 16), 4)
-        object.__setattr__(node, "factor", 5)
-        assert "halide/reduce-factor" in _rules(check_window(node))
-
-    def test_shuffle_index_out_of_range(self):
-        node = hir.HShuffle(hir.HLoad("a", 8, 16), (0, 1, 99))
-        assert "halide/shuffle-index" in _rules(check_window(node))
-
-
 @pytest.fixture(scope="module")
 def dictionary():
     return build_dictionary(("x86",))
-
-
-def _sop(dictionary, name, args, out_bits, imm_values=()):
-    op = dictionary.by_target_instruction[name]
-    binding = next(b for b in op.bindings if b.spec.name == name)
-    return SOp(op, binding, tuple(args), imm_values, None, out_bits)
-
-
-class TestSynthInjection:
-    def test_swizzle_wrong_arity(self):
-        a = SInput("a", 8, 16)
-        node = SSwizzle("interleave_lo", (a,), 16, 128)
-        assert "synth/swizzle-arity" in _rules(check_program(node))
-
-    def test_swizzle_unequal_widths(self):
-        node = SSwizzle(
-            "interleave_lo", (SInput("a", 8, 16), SInput("b", 4, 16)), 16, 128
-        )
-        assert "synth/swizzle-width" in _rules(check_program(node))
-
-    def test_swizzle_wrong_out_bits(self):
-        node = SSwizzle(
-            "interleave_full", (SInput("a", 8, 16), SInput("b", 8, 16)), 16, 128
-        )
-        # interleave_full doubles the width: 128 in -> 256 out, not 128.
-        assert "synth/swizzle-width" in _rules(check_program(node))
-
-    def test_op_wrong_arity(self, dictionary):
-        node = _sop(dictionary, "_mm_add_epi16", [SInput("a", 8, 16)], 128)
-        assert "synth/op-arity" in _rules(check_program(node))
-
-    def test_op_wrong_arg_width(self, dictionary):
-        args = [SInput("a", 8, 16), SInput("b", 4, 16)]
-        node = _sop(dictionary, "_mm_add_epi16", args, 128)
-        assert "synth/arg-width" in _rules(check_program(node))
-
-    def test_op_wrong_out_bits(self, dictionary):
-        args = [SInput("a", 8, 16), SInput("b", 8, 16)]
-        node = _sop(dictionary, "_mm_add_epi16", args, 999)
-        assert "synth/out-width" in _rules(check_program(node))
 
 
 class TestLlvmInjection:

@@ -19,7 +19,12 @@ from repro.isa.pseudo_core import (
     parse_pseudocode,
 )
 from repro.isa.registry import load_catalog, load_isa, supported_isas
-from repro.isa.spec import InstructionSpec, OperandSpec, validate_catalog
+from repro.isa.spec import (
+    InstructionSpec,
+    IsaCatalog,
+    OperandSpec,
+    validate_catalog,
+)
 from repro.isa.arm.parser import DIALECT as ARM, arm_semantics
 from repro.isa.hvx.parser import DIALECT as HVX, parse_hvx_pseudocode, hvx_semantics
 from repro.isa.rvv.parser import DIALECT as RVV
@@ -398,9 +403,31 @@ class TestCatalogs:
         loaded = load_isa(isa)
         assert len(loaded) >= expected_min
 
-    @pytest.mark.parametrize("isa", ["x86", "hvx", "arm"])
+    @pytest.mark.parametrize("isa", supported_isas())
     def test_catalog_valid(self, isa):
-        assert validate_catalog(load_isa(isa).catalog) == []
+        assert validate_catalog(load_catalog(isa)) == []
+
+    @pytest.mark.parametrize(
+        "defect,problem",
+        [
+            ({"output_width": 0}, "non-positive output width"),
+            ({"pseudocode": "  "}, "empty pseudocode"),
+            ({"latency": 0.0}, "non-positive latency/throughput"),
+            ({"attributes": {"elem_width": 24}}, "does not divide output width"),
+        ],
+        ids=["output-width", "pseudocode", "timing", "lane-tiling"],
+    )
+    def test_catalog_validator_flags_seeded_defect(self, defect, problem):
+        spec = load_catalog("x86").by_name("_mm_add_epi16")
+        assert validate_catalog(IsaCatalog("x86", [spec])) == []
+        bad = dataclasses.replace(spec, **defect)
+        [found] = validate_catalog(IsaCatalog("x86", [bad]))
+        assert problem in found
+
+    def test_catalog_validator_flags_duplicate_name(self):
+        spec = load_catalog("x86").by_name("_mm_add_epi16")
+        [found] = validate_catalog(IsaCatalog("x86", [spec, spec]))
+        assert "duplicate instruction name" in found
 
     @pytest.mark.parametrize("isa", ["x86", "hvx", "arm"])
     def test_all_semantics_parse_and_canonicalize(self, isa):

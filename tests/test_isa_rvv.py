@@ -8,15 +8,18 @@ doubled VLEN — that agreement is the scale-down soundness argument.
 
 import pytest
 
-from repro.analysis.cli import _check_spec_record
-from repro.analysis.diagnostics import DiagnosticSink
 from repro.autollvm.intrinsics import dictionary_isas
 from repro.irgen import build_artifact, partition_digest
 from repro.isa import registry
 from repro.isa.fuzz import fuzz_catalog
 from repro.isa.registry import load_isa, supported_isas
 from repro.isa.rvv import VLEN_SOLVER, generate_rvv_catalog, rvv_semantics
-from repro.isa.spec import InstructionSpec, OperandSpec
+from repro.isa.spec import (
+    InstructionSpec,
+    IsaCatalog,
+    OperandSpec,
+    validate_catalog,
+)
 from repro.synthesis.serialize import dictionary_fingerprint
 
 
@@ -124,6 +127,8 @@ class TestIrgenDeterminism:
 
 
 class TestWidthLintRules:
+    """``validate_catalog``'s lane and mask tiling checks, one spec each."""
+
     def _spec(self, **attrs):
         return InstructionSpec(
             name="bad", isa="rvv", asm="bad", extension="V", family="f",
@@ -132,30 +137,38 @@ class TestWidthLintRules:
             attributes=attrs,
         )
 
-    def _rules(self, **attrs):
-        sink = DiagnosticSink()
-        _check_spec_record(self._spec(**attrs), set(), sink)
-        return [d.rule for d in sink.diagnostics]
+    def _problems(self, **attrs):
+        return validate_catalog(IsaCatalog("rvv", [self._spec(**attrs)]))
+
+    def _one_problem(self, **attrs):
+        [problem] = self._problems(**attrs)
+        return problem
 
     def test_element_must_tile_output(self):
-        assert self._rules(elem_width=7) == ["spec/lane-width"]
+        assert "element width 7 does not divide output" in self._one_problem(
+            elem_width=7
+        )
 
     def test_lane_must_tile_output(self):
-        assert self._rules(elem_width=8, lane_bits=64) == ["spec/lane-width"]
+        assert "lane width 64 does not divide output" in self._one_problem(
+            elem_width=8, lane_bits=64
+        )
 
     def test_element_must_tile_lane(self):
-        assert self._rules(elem_width=32, lane_bits=48) == ["spec/lane-width"]
+        assert "element width 32 does not divide lane" in self._one_problem(
+            elem_width=32, lane_bits=48
+        )
 
     def test_mask_output_width_checked(self):
-        assert self._rules(mask_output=True, mask_elems=16) == [
-            "spec/mask-width"
-        ]
+        assert "mask output is 96 bits" in self._one_problem(
+            mask_output=True, mask_elems=16
+        )
 
     def test_mask_operand_width_checked(self):
-        assert self._rules(mask_elems=16, mask_operands=("vm",)) == [
-            "spec/mask-width"
-        ]
+        assert "mask operand 'vm' is 24 bits" in self._one_problem(
+            mask_elems=16, mask_operands=("vm",)
+        )
 
     def test_consistent_spec_is_clean(self):
-        assert self._rules(elem_width=32, lane_bits=96) == []
-        assert self._rules(mask_elems=24, mask_operands=("vm",)) == []
+        assert self._problems(elem_width=32, lane_bits=96) == []
+        assert self._problems(mask_elems=24, mask_operands=("vm",)) == []

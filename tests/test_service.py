@@ -1,7 +1,10 @@
 """Tests for the compilation service: serialization, persistent cache,
-scheduler, and the warm-cache acceptance scenario (`service-smoke`)."""
+scheduler, the warm-cache acceptance scenario (`service-smoke`), and the
+concrete check every stored program passes before it is served
+(repro.synthesis.cache.check_stored_program)."""
 
 import json
+import random
 
 import pytest
 
@@ -18,11 +21,16 @@ from repro.service import (
 )
 from repro.service.store import _key_hash
 from repro.synthesis import CegisOptions, MemoCache
-from repro.synthesis.cache import canonical_key
+from repro.synthesis.cache import (
+    CacheEntry,
+    canonical_key,
+    check_stored_program,
+)
 from repro.synthesis.program import (
     SConcat,
     SConstant,
     SInput,
+    SOp,
     SSlice,
     SSwizzle,
     evaluate_program,
@@ -655,3 +663,127 @@ class TestCliGc:
         assert not dead.exists()
         assert store_stats(tmp_path)["namespaces"] == before
         assert len(before) == len(supported_isas())
+
+
+# ----------------------------------------------------------------------
+# The stored-program check (structure, then concrete trials)
+# ----------------------------------------------------------------------
+
+
+def _check(spec, program, trials=4):
+    return check_stored_program(program, spec, random.Random(0), trials)
+
+
+def _add_op(dictionary, args):
+    """``_mm_add_epi16`` applied to ``args`` (128-bit result)."""
+    name = "_mm_add_epi16"
+    op = dictionary.by_target_instruction[name]
+    binding = next(b for b in op.bindings if b.spec.name == name)
+    return SOp(op, binding, tuple(args), (), None, 128)
+
+
+class TestScreenCachedProgram:
+    def test_identity_program_passes(self):
+        spec = hir.HLoad("ld0", 8, 16)
+        assert _check(spec, SInput("ld0", 8, 16)) is None
+
+    def test_unknown_input_flagged(self):
+        spec = hir.HLoad("ld0", 8, 16)
+        assert "unknown input" in _check(spec, SInput("ghost", 8, 16))
+
+    def test_width_mismatch_flagged(self):
+        spec = hir.HLoad("ld0", 8, 16)
+        assert "width" in _check(spec, SInput("ld0", 4, 16))
+
+    def test_output_width_mismatch_flagged(self):
+        spec = hir.HLoad("ld0", 8, 16)
+        assert "output width" in _check(spec, SConstant(0, 4, 16))
+
+    def test_provably_wrong_constant_flagged(self):
+        spec = hir.HConst(3, 8, 16)
+        assert "differs" in _check(spec, SConstant(5, 8, 16))
+
+    def test_matching_constant_passes(self):
+        spec = hir.HConst(3, 8, 16)
+        assert _check(spec, SConstant(3, 8, 16)) is None
+
+    def test_structural_failures_draw_no_randomness(self):
+        # Callers share one RNG stream across candidates; a structural
+        # rejection must leave that stream where it was.
+        rng = random.Random(5)
+        spec = hir.HLoad("ld0", 8, 16)
+        assert check_stored_program(SInput("ghost", 8, 16), spec, rng, 3)
+        assert rng.random() == random.Random(5).random()
+
+
+class TestPersistentCacheScreen:
+    @pytest.fixture(scope="class")
+    def dictionary(self):
+        return build_dictionary(("x86", "hvx", "arm"))
+
+    def _window(self):
+        return hir.HBin(
+            "add", hir.HLoad("ld0", 8, 16), hir.HLoad("ld1", 8, 16)
+        )
+
+    def _served(self, tmp_path, dictionary, program):
+        """Store ``program`` for the add window, then look it up."""
+        spec = self._window()
+        key = canonical_key(spec, "x86")
+        cache = PersistentCache(tmp_path, "x86", dictionary)
+        cache.put_entry(key, CacheEntry(program, 1.0, ["ld0", "ld1"]))
+        entry_file = cache.dir / f"e-{_key_hash(key)}.json"
+        assert entry_file.exists()
+        return cache.lookup(spec, "x86"), cache, key, entry_file
+
+    def _assert_evicted(self, tmp_path, dictionary, program):
+        served, cache, key, entry_file = self._served(
+            tmp_path, dictionary, program
+        )
+        assert served is None
+        counters = cache.counters()
+        assert counters["screened"] == 1
+        assert counters["screen_failures"] == 1
+        assert counters["hits"] == 0 and counters["misses"] == 1
+        assert not entry_file.exists()
+        assert key not in cache._entries
+
+    def test_corrupt_entry_evicted_on_lookup(self, tmp_path, dictionary):
+        # A program whose input width contradicts the specification —
+        # the shape a bit-rotted entry file takes after deserialization.
+        self._assert_evicted(tmp_path, dictionary, SInput("ld0", 4, 16))
+
+    def test_plausible_entry_evicted_on_lookup(self, tmp_path, dictionary):
+        # Well-typed, reads only the spec's loads, and equal to ``add``
+        # on some inputs (ld1 == 0): only a concrete input refutes it.
+        self._assert_evicted(tmp_path, dictionary, SInput("ld0", 8, 16))
+
+    def test_same_shape_wrong_op_evicted_on_lookup(self, tmp_path, dictionary):
+        name = "_mm_sub_epi16"
+        op = dictionary.by_target_instruction[name]
+        binding = next(b for b in op.bindings if b.spec.name == name)
+        sub = SOp(
+            op, binding, (SInput("ld0", 8, 16), SInput("ld1", 8, 16)),
+            (), None, 128,
+        )
+        self._assert_evicted(tmp_path, dictionary, sub)
+
+    def test_raising_entry_evicted_on_lookup(self, tmp_path, dictionary):
+        # One operand lost: evaluating it raises, which is a failed
+        # check, never a served hit.
+        truncated = _add_op(dictionary, [SInput("ld0", 8, 16)])
+        self._assert_evicted(tmp_path, dictionary, truncated)
+
+    def test_correct_entry_survives(self, tmp_path, dictionary):
+        program = _add_op(
+            dictionary, [SInput("ld0", 8, 16), SInput("ld1", 8, 16)]
+        )
+        served, cache, _key, entry_file = self._served(
+            tmp_path, dictionary, program
+        )
+        assert served is not None and served.program == program
+        counters = cache.counters()
+        assert counters["screened"] == 1
+        assert counters["screen_failures"] == 0
+        assert counters["hits"] == 1
+        assert entry_file.exists()
