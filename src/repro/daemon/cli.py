@@ -27,6 +27,8 @@ DEFAULT_PORT = 7461
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    from repro.service.jobs import COMPILERS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.daemon", description=__doc__
     )
@@ -78,7 +80,7 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
                         help="comma-separated benchmark names")
     submit.add_argument("--isa", default="x86", help="comma-separated ISAs")
     submit.add_argument("--compiler", default="hydride",
-                        choices=("hydride", "halide", "llvm", "rake"))
+                        choices=tuple(COMPILERS))
     submit.add_argument("--tenant", default="default")
     submit.add_argument("--timeout", type=float, default=None,
                         help="per-job wall budget in seconds")

@@ -7,10 +7,10 @@ WorkerPool` and serves any number of concurrent clients:
   responses stream back in completion order, so one connection can
   pipeline many submits and a cache hit overtakes a cold synthesis;
 * **cross-client dedup** — requests with the same job signature
-  coalesce onto one in-flight synthesis regardless of tenant, and jobs
-  whose *windows* overlap a running job's are deferred until the owner
-  has published its entries (the parent-side ``canonical_key`` dedup
-  from the batch scheduler, lifted to daemon scope);
+  coalesce onto one in-flight synthesis regardless of tenant; the pool
+  then defers a job whose *windows* overlap a running job's until the
+  owner has published its entries (the same queue, and the same rule,
+  as the batch scheduler's);
 * **admission control** — per-tenant token buckets and in-flight caps
   plus a global queue bound (:mod:`repro.daemon.admission`); overload
   is answered with typed ``retry_after`` rejections, never buffered;
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro import faults
@@ -40,24 +40,17 @@ from repro.daemon.admission import (
     Rejection,
 )
 from repro.isa.registry import SUPPORTED_ISAS
-from repro.perf import snapshot as perf_snapshot
-from repro.perf import snapshot_delta as perf_snapshot_delta
-from repro.service.jobs import CompileJob, JobResult
+from repro.service.jobs import COMPILERS, CompileJob
 from repro.service.scheduler import (
     DEFAULT_KILL_SECONDS,
+    PoolEvent,
     ServiceOptions,
-    ServiceStats,
     WorkerPool,
     default_cegis_options,
     prewarm,
-    window_keys,
 )
-from repro.service.telemetry import fold_outcome
 
-KNOWN_COMPILERS = ("hydride", "halide", "llvm", "rake")
 KNOWN_ISAS = SUPPORTED_ISAS
-# The window-keys memo's bound: the default L1 capacity.
-_WINDOW_KEYS_CAPACITY = 512
 
 
 @dataclass
@@ -104,23 +97,10 @@ class _Request:
     tenant: str
 
 
-@dataclass
-class _Entry:
-    """One unit of synthesis work (owner job + coalesced followers)."""
-
-    job: CompileJob
-    keys: frozenset
-    requests: list[_Request]
-    token: int
-    launched: bool = False
-    deferral_counted: bool = False
-
-
 class DaemonServer:
     def __init__(self, options: DaemonOptions | None = None) -> None:
         self.options = options or DaemonOptions()
         self.admission = AdmissionController(self.options.limits)
-        self.run_stats = ServiceStats(workers=max(1, self.options.jobs))
         self.counters = {
             "connections_total": 0,
             "connections_open": 0,
@@ -132,7 +112,6 @@ class DaemonServer:
             "l1_lookups": 0,
             "l1_evictions": 0,
             "coalesced": 0,
-            "window_deferrals": 0,
             "conn_drops": 0,
             "internal_errors": 0,
             "drain_abandoned": 0,
@@ -143,25 +122,20 @@ class DaemonServer:
         }
         # L1: job signature -> response payload (result + telemetry).
         self._l1: OrderedDict[tuple, dict] = OrderedDict()
-        # job signature -> window_keys(job), so the event loop lowers a
-        # job once, not on every submit; LRU-bounded like L1.
-        self._window_keys: OrderedDict[tuple, frozenset] = OrderedDict()
-        self._pending: deque[_Entry] = deque()
-        self._by_signature: dict[tuple, _Entry] = {}
-        self._launched: dict[int, _Entry] = {}
-        self._running_keys: set[str] = set()
-        self._next_token = 0
+        # Job signature -> the requests it answers (owner first, then
+        # coalesced followers), for every job the pool holds.  The
+        # signature is also the job's pool token.
+        self._inflight: dict[tuple, list[_Request]] = {}
         self._pool: WorkerPool | None = None
         self._server: asyncio.base_events.Server | None = None
         self._pump_task: asyncio.Task | None = None
         # Set by whatever gives the pump something to do.
         self._wake = asyncio.Event()
         # token -> fd of the worker pipe registered with the loop.
-        self._watched: dict[int, int] = {}
+        self._watched: dict[tuple, int] = {}
         self._draining = False
         self._drained = asyncio.Event()
         self._started_at = time.monotonic()
-        self._perf_baseline: dict = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -184,7 +158,6 @@ class DaemonServer:
                 kill_seconds=self.options.kill_seconds,
             )
         )
-        self._perf_baseline = perf_snapshot()
         self._started_at = time.monotonic()
         self._server = await asyncio.start_server(
             self._handle_conn, self.options.host, self.options.port
@@ -351,7 +324,7 @@ class DaemonServer:
             return
 
         try:
-            self.admission.admit(job.tenant, queue_depth=len(self._pending))
+            self.admission.admit(job.tenant, queue_depth=self._pool.queued)
         except Rejection as exc:
             await self._send(
                 conn,
@@ -396,21 +369,14 @@ class DaemonServer:
                 return
 
             # Cross-client dedup: identical job already in flight.
-            entry = self._by_signature.get(signature)
-            if entry is not None:
-                entry.requests.append(request)
+            requests = self._inflight.get(signature)
+            if requests is not None:
+                requests.append(request)
                 self.counters["coalesced"] += 1
                 return
 
-            entry = _Entry(
-                job=job,
-                keys=self._keys_for(job, signature),
-                requests=[request],
-                token=self._next_token,
-            )
-            self._next_token += 1
-            self._by_signature[signature] = entry
-            self._pending.append(entry)
+            self._pool.submit(signature, job)
+            self._inflight[signature] = [request]
             self._wake.set()
         except faults.InjectedFault as exc:
             self.counters["internal_errors"] += 1
@@ -422,25 +388,11 @@ class DaemonServer:
                 ),
             )
 
-    def _keys_for(self, job: CompileJob, signature: tuple) -> frozenset:
-        """``window_keys(job)``, memoised per signature (it depends on
-        nothing else).  Window dedup needs a shared disk cache."""
-        if self.options.cache_dir is None:
-            return frozenset()
-        keys = self._window_keys.get(signature)
-        if keys is None:
-            keys = self._window_keys[signature] = window_keys(job)
-            if len(self._window_keys) > _WINDOW_KEYS_CAPACITY:
-                self._window_keys.popitem(last=False)
-        else:
-            self._window_keys.move_to_end(signature)
-        return keys
-
     def _validate(self, job: CompileJob) -> str:
-        if job.compiler not in KNOWN_COMPILERS:
+        if job.compiler not in COMPILERS:
             return (
                 f"unknown compiler {job.compiler!r} "
-                f"(known: {', '.join(KNOWN_COMPILERS)})"
+                f"(known: {', '.join(COMPILERS)})"
             )
         if job.isa not in KNOWN_ISAS:
             return f"unknown isa {job.isa!r} (known: {', '.join(KNOWN_ISAS)})"
@@ -466,8 +418,9 @@ class DaemonServer:
             self._wake.clear()
             try:
                 for event in self._harvest():
-                    await self._complete(event.token, event.outcome)
-                self._launch_eligible()
+                    await self._complete(event)
+                for token in self._pool.launch_ready():
+                    self._watch(token)
             except Exception:  # noqa: BLE001 - the pump must never die
                 self.counters["internal_errors"] += 1
             if self._draining:
@@ -475,7 +428,7 @@ class DaemonServer:
                     drain_deadline = (
                         time.monotonic() + self.options.drain_seconds
                     )
-                settled = not self._pending and not self._launched
+                settled = not self._inflight
                 if settled or time.monotonic() > drain_deadline:
                     await self._finish_drain()
                     return
@@ -497,7 +450,7 @@ class DaemonServer:
             self._unwatch(event.token)
         return events
 
-    def _watch(self, token: int) -> None:
+    def _watch(self, token: tuple) -> None:
         """Wake the pump once when ``token``'s result pipe turns readable
         (a result, EOF, or the worker's death closing its end)."""
         assert self._pool is not None
@@ -505,60 +458,22 @@ class DaemonServer:
         self._watched[token] = fd
         asyncio.get_running_loop().add_reader(fd, self._on_readable, token)
 
-    def _on_readable(self, token: int) -> None:
+    def _on_readable(self, token: tuple) -> None:
         # One-shot: a readable pipe stays readable until poll() takes it.
         self._unwatch(token)
         self._wake.set()
 
-    def _unwatch(self, token: int) -> None:
+    def _unwatch(self, token: tuple) -> None:
         fd = self._watched.pop(token, None)
         if fd is not None:
             asyncio.get_running_loop().remove_reader(fd)
 
-    def _launch_eligible(self) -> None:
-        assert self._pool is not None
-        launched_any = True
-        while launched_any:
-            launched_any = False
-            for entry in list(self._pending):
-                if not self._pool.has_capacity():
-                    return
-                if entry.keys & self._running_keys:
-                    # A running job owns one of this entry's windows;
-                    # once it publishes to the shared store this entry
-                    # replays the window from disk instead of
-                    # re-synthesizing it.
-                    if not entry.deferral_counted:
-                        entry.deferral_counted = True
-                        self.counters["window_deferrals"] += 1
-                        self.run_stats.deferred += 1
-                    continue
-                self._pending.remove(entry)
-                self._pool.launch(entry.token, entry.job)
-                self._watch(entry.token)
-                entry.launched = True
-                self._launched[entry.token] = entry
-                self._running_keys.update(entry.keys)
-                launched_any = True
-
-    async def _complete(self, token: int, outcome: JobResult) -> None:
-        entry = self._launched.pop(token, None)
-        if entry is None:
-            return
-        self._by_signature.pop(entry.job.signature(), None)
-        self._running_keys.difference_update(entry.keys)
-        for other in self._launched.values():
-            self._running_keys.update(other.keys)
-
-        self.run_stats.jobs += 1
-        fold_outcome(self.run_stats, outcome)
-        assert self._pool is not None
-        self.run_stats.killed = self._pool.killed
-        self.run_stats.worker_eofs = self._pool.worker_eofs
-
+    async def _complete(self, event: PoolEvent) -> None:
+        requests = self._inflight.pop(event.token)
+        outcome = event.outcome
         payload = protocol.result_to_obj(outcome)
         if outcome.ok and not outcome.telemetry.fallback:
-            self._l1[entry.job.signature()] = payload
+            self._l1[event.token] = payload
             while len(self._l1) > max(1, self.options.l1_capacity):
                 self._l1.popitem(last=False)
                 self.counters["l1_evictions"] += 1
@@ -570,7 +485,7 @@ class DaemonServer:
             if telemetry.rule_hits > 0 and telemetry.synth_calls == 0
             else "synthesis"
         )
-        for index, request in enumerate(entry.requests):
+        for index, request in enumerate(requests):
             self.admission.release(request.tenant)
             response = protocol.ok_response(request.frame_id, dict(payload))
             response["served_by"] = owner_tier if index == 0 else "coalesced"
@@ -579,16 +494,13 @@ class DaemonServer:
     async def _finish_drain(self) -> None:
         """Fail whatever is left with a typed error, flush, and stop."""
         assert self._pool is not None
-        leftovers = list(self._pending) + list(self._launched.values())
-        self._pending.clear()
-        self._launched.clear()
-        self._running_keys.clear()
-        self._by_signature.clear()
         for token in list(self._watched):
             self._unwatch(token)
-        self._pool.shutdown()
-        for entry in leftovers:
-            for request in entry.requests:
+        leftovers = [
+            self._inflight.pop(token) for token in self._pool.shutdown()
+        ]
+        for requests in leftovers:
+            for request in requests:
                 self.admission.release(request.tenant, completed=False)
                 self.counters["drain_abandoned"] += 1
                 await self._send(
@@ -621,16 +533,9 @@ class DaemonServer:
     # ------------------------------------------------------------------
 
     def stats_payload(self) -> dict:
-        stats = self.run_stats
+        stats = self._pool.stats
         stats.wall_seconds = time.monotonic() - self._started_at
         runs = stats.to_dict()
-        # Parent-side hot-path counters (fallback compiles, recoveries)
-        # merged on the fly so run perf totals match the batch CLI's.
-        for key, value in perf_snapshot_delta(self._perf_baseline).items():
-            if value:
-                runs["perf"][key] = round(
-                    runs["perf"].get(key, 0) + value, 6
-                )
         l1_lookups = self.counters["l1_lookups"]
         lookups = stats.lookups
         return {
@@ -640,10 +545,11 @@ class DaemonServer:
                 ),
                 "draining": self._draining,
                 "workers": self.options.jobs,
-                "workers_active": self._pool.active if self._pool else 0,
-                "queue_depth": len(self._pending),
-                "inflight": len(self._launched),
+                "workers_active": self._pool.active,
+                "queue_depth": self._pool.queued,
+                "inflight": len(self._inflight) - self._pool.queued,
                 **self.counters,
+                "window_deferrals": stats.deferred,
             },
             "admission": self.admission.to_dict(),
             "tiers": {

@@ -16,7 +16,7 @@ import json
 import sys
 
 from repro.experiments.runner import format_table
-from repro.service.jobs import CompileJob, JobResult
+from repro.service.jobs import COMPILERS, CompileJob, JobResult
 from repro.service.scheduler import (
     Scheduler,
     ServiceOptions,
@@ -80,7 +80,7 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     compile_.add_argument("--benchmark", required=True)
     compile_.add_argument("--isa", default="x86")
     compile_.add_argument("--compiler", default="hydride",
-                          choices=("hydride", "halide", "llvm", "rake"))
+                          choices=tuple(COMPILERS))
     compile_.add_argument("--timeout", type=float, default=None)
     compile_.add_argument("--retries", type=int, default=1)
     compile_.add_argument("--synth-timeout", type=float, default=None)

@@ -150,6 +150,18 @@ class JobResult:
         return self.result.ok
 
 
+# Every compiler a job can name, and how to build it from the job's
+# dictionary, cache, CEGIS options and rulebook.
+COMPILERS = {
+    "hydride": lambda dictionary, cache, cegis, rules: HydrideCompiler(
+        dictionary=dictionary, cache=cache, cegis=cegis, rules=rules
+    ),
+    "halide": lambda *_: HalideNativeCompiler(),
+    "llvm": lambda *_: LlvmGenericCompiler(),
+    "rake": lambda dictionary, *_: RakeCompiler(dictionary=dictionary),
+}
+
+
 def make_compiler(
     name: str,
     dictionary,
@@ -157,17 +169,9 @@ def make_compiler(
     cegis: CegisOptions,
     rules=None,
 ):
-    if name == "hydride":
-        return HydrideCompiler(
-            dictionary=dictionary, cache=cache, cegis=cegis, rules=rules
-        )
-    if name == "halide":
-        return HalideNativeCompiler()
-    if name == "llvm":
-        return LlvmGenericCompiler()
-    if name == "rake":
-        return RakeCompiler(dictionary=dictionary)
-    raise ValueError(f"unknown compiler {name!r}")
+    if name not in COMPILERS:
+        raise ValueError(f"unknown compiler {name!r}")
+    return COMPILERS[name](dictionary, cache, cegis, rules)
 
 
 def _open_cache(job: CompileJob, cache_dir, dictionary) -> MemoCache:

@@ -1,36 +1,39 @@
 """Parallel, cache-aware job scheduling.
 
-The scheduler fans :class:`~repro.service.jobs.CompileJob`\\ s out over a
-pool of worker processes (one process per job attempt, up to ``jobs``
-alive at once, forked so the parent's already-built AutoLLVM dictionary
-is inherited for free) and de-duplicates in-flight synthesis work:
+:class:`WorkerPool` is the one job queue of both front-ends, the batch
+:class:`Scheduler` and the daemon (:mod:`repro.daemon`).  It forks one
+process per job (up to ``jobs`` alive at once, forked so the parent's
+already-built AutoLLVM dictionary is inherited for free) and
+de-duplicates in-flight synthesis work:
 
 * Each hydride job's top-level window keys (``canonical_key`` of every
-  lowered kernel window) are computed **in the parent** before dispatch.
+  lowered kernel window) are computed **in the parent** when it is
+  submitted.
 * A job sharing any window key with a currently-running job is deferred
   until that job completes — by then the owner has written the entry to
   the persistent store, so the deferred job replays it from disk instead
   of synthesizing the identical window a second time.
 
-With ``jobs <= 1`` (the default) everything runs serially in-process —
-no fork, no pickling — which is the path tier-1 tests and single-kernel
-uses take.
+With ``jobs <= 1`` (the default) the batch scheduler runs everything
+serially in-process — no fork, no pickling — which is the path tier-1
+tests and single-kernel uses take.
 """
 
 from __future__ import annotations
 
+import functools
 import gc
 import multiprocessing
 import multiprocessing.connection
 import os
 import time
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import faults
 from repro.perf import global_counters
 from repro.perf import snapshot as perf_snapshot
-from repro.perf import snapshot_delta as perf_snapshot_delta
 from repro.synthesis import CegisOptions
 from repro.service.jobs import (
     CompileJob,
@@ -38,6 +41,7 @@ from repro.service.jobs import (
     execute_job,
     fallback_job_result,
 )
+from repro.service.telemetry import fold_outcome
 
 # Grace factor on a job's wall budget before the parent hard-kills the
 # worker (the in-worker deadline normally fires first; the kill is the
@@ -154,21 +158,27 @@ class ServiceStats:
 def window_keys(job: CompileJob) -> frozenset[str]:
     """Canonical keys of a job's top-level synthesis windows.
 
-    Computed in the parent for in-flight de-duplication.  Only hydride
-    jobs synthesize; anything that fails to lower here returns no keys
-    and the error surfaces in the worker instead.
+    Computed in the parent for in-flight de-duplication, and memoised
+    per job signature (they depend on nothing else), so a repeated job
+    is lowered once.  Only hydride jobs synthesize; anything that fails
+    to lower here returns no keys and the error surfaces in the worker
+    instead.
     """
-    if job.compiler != "hydride":
+    return _window_keys(job.benchmark, job.isa, job.compiler)
+
+
+@functools.lru_cache(maxsize=512)
+def _window_keys(benchmark: str, isa: str, compiler: str) -> frozenset[str]:
+    if compiler != "hydride":
         return frozenset()
     try:
         from repro.backend.hydride import rewrite_broadcasts
         from repro.synthesis.cache import canonical_key
         from repro.workloads.registry import benchmark_named
 
-        benchmark = benchmark_named(job.benchmark)
         return frozenset(
-            canonical_key(rewrite_broadcasts(kernel.window), job.isa)
-            for kernel in benchmark.lower(job.isa)
+            canonical_key(rewrite_broadcasts(kernel.window), isa)
+            for kernel in benchmark_named(benchmark).lower(isa)
         )
     except Exception:  # noqa: BLE001 - dedup is an optimization only
         return frozenset()
@@ -232,28 +242,34 @@ class PoolEvent:
     parent-side baseline fallback result.
     """
 
-    token: int
+    token: Hashable
     job: CompileJob
     outcome: JobResult
     kind: str = "result"
 
 
 class WorkerPool:
-    """A fork-per-job worker pool with no event loop of its own.
+    """The one job queue: a fork-per-job worker pool with no event loop
+    of its own.
 
-    The pool only knows how to ``launch`` a job into a fresh forked
-    worker and, on each ``poll``, harvest whatever finished since the
-    last call — receiving results, recovering EOF'd pipes and silent
-    deaths via the baseline fallback, and hard-killing workers past
-    their wall backstop.  A result is handed out as soon as it is
-    received: the worker gives up its slot then, and its exit is joined
-    on a later ``poll`` (killed if it lingers past
-    ``_JOIN_GRACE_SECONDS``) or by ``shutdown``.  *When* to poll is the
-    caller's business, and both callers are event-driven: the batch
-    :class:`Scheduler` blocks in :meth:`wait`, while the daemon
-    (:mod:`repro.daemon`) registers each worker's :meth:`pipe` with its
-    asyncio loop and never blocks its connections.  Call :func:`prewarm` before the first ``launch``:
-    workers are forked, so whatever the parent has built they inherit.
+    Callers ``submit`` jobs; ``launch_ready`` forks a worker for each
+    queued job, in submission order, that fits capacity and shares no
+    window key with a running job (keys are held only with a
+    ``cache_dir``: deferral pays off only when workers share a store).
+    Each ``poll`` harvests whatever finished since the last call —
+    receiving results, recovering EOF'd pipes and silent deaths via the
+    baseline fallback, and hard-killing workers past their wall
+    backstop — and folds every event it hands out into :attr:`stats`,
+    the run's one :class:`ServiceStats`.  A result is handed out as soon
+    as it is received: the worker gives up its slot and its window keys
+    then, and its exit is joined on a later ``poll`` (killed if it
+    lingers past ``_JOIN_GRACE_SECONDS``) or by ``shutdown``.  *When* to
+    poll is the caller's business, and both callers are event-driven:
+    the batch :class:`Scheduler` blocks in :meth:`wait`, while the
+    daemon registers each launched worker's :meth:`pipe` with its
+    asyncio loop and never blocks its connections.  Call
+    :func:`prewarm` before the first launch: workers are forked, so
+    whatever the parent has built they inherit.
     """
 
     def __init__(self, options: ServiceOptions) -> None:
@@ -262,15 +278,24 @@ class WorkerPool:
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else None
         )
-        # token -> (process, parent_conn, started_at, job)
-        self._running: dict[int, tuple] = {}
+        # token -> (job, window keys), in submission order.
+        self._queued: dict[Hashable, tuple] = {}
+        # Queued tokens already counted in stats.deferred.
+        self._deferred: set[Hashable] = set()
+        # token -> (process, parent_conn, started_at, job, window keys)
+        self._running: dict[Hashable, tuple] = {}
+        # Every running job's window keys.  Disjoint per job: a job is
+        # launched only when none of its keys is here.
+        self._running_keys: set[str] = set()
         # Workers done with their job but not yet joined: (process, kill
         # deadline).  They hold no slot; poll() joins them without
         # blocking and kills any still alive past the deadline.
         self._exiting: list[tuple] = []
-        # Recovery accounting, folded into run stats by the caller.
-        self.killed = 0
-        self.worker_eofs = 0
+        # The run so far: every handed-out outcome, the pool's own kills
+        # and EOFs, and the parent's perf counters since the pool began
+        # (fallback compiles, recoveries; workers count their own).
+        self.stats = ServiceStats(workers=self.capacity)
+        self._perf_mark = perf_snapshot()
 
     # ------------------------------------------------------------------
 
@@ -282,23 +307,61 @@ class WorkerPool:
     def active(self) -> int:
         return len(self._running)
 
+    @property
+    def queued(self) -> int:
+        return len(self._queued)
+
     def has_capacity(self) -> bool:
         return self.active < self.capacity
 
-    def launch(self, token: int, job: CompileJob) -> None:
-        """Fork a worker for ``job``; ``token`` names it in poll events."""
-        if token in self._running:
-            raise ValueError(f"token {token} already running")
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(child_conn, job, self.options.cache_dir, self.options.cegis),
+    def submit(self, token: Hashable, job: CompileJob) -> None:
+        """Queue ``job`` under ``token``, which names it to the caller
+        until its event is handed out (then the token is free again)."""
+        if token in self._queued or token in self._running:
+            raise ValueError(f"token {token} already submitted")
+        keys = (
+            window_keys(job) if self.options.cache_dir is not None
+            else frozenset()
         )
-        proc.start()
-        child_conn.close()
-        self._running[token] = (proc, parent_conn, time.monotonic(), job)
+        self._queued[token] = (job, keys)
 
-    def pipe(self, token: int):
+    def launch_ready(self) -> list[Hashable]:
+        """Fork a worker for every queued job that fits capacity and
+        shares no window key with a running job, in submission order;
+        returns their tokens.  A job held back by a running job's keys
+        is counted in ``stats.deferred`` once.  With nothing running,
+        the head of the queue always launches."""
+        launched = []
+        for token, (job, keys) in list(self._queued.items()):
+            if not self.has_capacity():
+                break
+            if keys & self._running_keys:
+                # Once the owner publishes to the shared store this job
+                # replays the window from disk instead of synthesizing it.
+                if token not in self._deferred:
+                    self._deferred.add(token)
+                    self.stats.deferred += 1
+                continue
+            del self._queued[token]
+            self._deferred.discard(token)
+            parent_conn, child_conn = self._ctx.Pipe(duplex=False)
+            proc = self._ctx.Process(
+                target=_worker_main,
+                args=(
+                    child_conn, job, self.options.cache_dir,
+                    self.options.cegis,
+                ),
+            )
+            proc.start()
+            child_conn.close()
+            self._running[token] = (
+                proc, parent_conn, time.monotonic(), job, keys
+            )
+            self._running_keys |= keys
+            launched.append(token)
+        return launched
+
+    def pipe(self, token: Hashable):
         """The read end of a launched worker's result pipe.
 
         Readable when the worker has reported, closed its end, or died;
@@ -312,7 +375,7 @@ class WorkerPool:
         EOF on its pipe, its exit, or its kill backstop coming due."""
         now = time.monotonic()
         handles, timeout = [], None
-        for proc, conn, started_at, job in self._running.values():
+        for proc, conn, started_at, job, _keys in self._running.values():
             handles += [conn, proc.sentinel]
             left = started_at + _kill_limit(job, self.options.kill_seconds) - now
             timeout = left if timeout is None else min(timeout, left)
@@ -323,10 +386,12 @@ class WorkerPool:
         if handles:
             multiprocessing.connection.wait(handles, max(0.0, timeout))
 
-    def _release(self, token: int) -> None:
-        """Free ``token``'s slot and pipe; its process is joined later,
-        by :meth:`_join_exited`, so nobody waits for it to exit."""
-        proc, conn, _started, _job = self._running.pop(token)
+    def _release(self, token: Hashable) -> None:
+        """Free ``token``'s slot, window keys and pipe; its process is
+        joined later, by :meth:`_join_exited`, so nobody waits for it to
+        exit."""
+        proc, conn, _started, _job, keys = self._running.pop(token)
+        self._running_keys -= keys
         try:
             conn.close()
         except OSError:
@@ -354,12 +419,13 @@ class WorkerPool:
         Non-blocking; returns in arbitrary completion order.  Workers
         that crashed, went mute, or overran their wall backstop come
         back as fallback results rather than exceptions — a pool user
-        always gets exactly one event per launched token.
+        always gets exactly one event per launched token.  Launches
+        nothing: a freed slot is filled by the next :meth:`launch_ready`.
         """
         self._join_exited()
         events: list[PoolEvent] = []
         for token in list(self._running):
-            proc, conn, started_at, job = self._running[token]
+            proc, conn, started_at, job, _keys = self._running[token]
             if conn.poll(0):
                 try:
                     faults.trip("scheduler.recv", detail=job.benchmark)
@@ -371,7 +437,7 @@ class WorkerPool:
                     # "died without reporting" guard below can never
                     # fire — mark the connection dead *now*, reap the
                     # process, and route the job to the fallback.
-                    self.worker_eofs += 1
+                    self.stats.worker_eofs += 1
                     global_counters().fault_recoveries += 1
                     if proc.is_alive():
                         proc.terminate()
@@ -419,7 +485,7 @@ class WorkerPool:
             limit = _kill_limit(job, self.options.kill_seconds)
             if time.monotonic() - started_at > limit:
                 proc.terminate()
-                self.killed += 1
+                self.stats.killed += 1
                 global_counters().fault_recoveries += 1
                 self._release(token)
                 events.append(PoolEvent(
@@ -429,17 +495,39 @@ class WorkerPool:
                     ),
                     kind="killed",
                 ))
+        if events:
+            self._fold(events)
         return events
 
-    def shutdown(self) -> None:
-        """Terminate every still-running worker (drain abandonment) and
-        join every worker, so none outlives the pool."""
+    def _fold(self, events: list[PoolEvent]) -> None:
+        """Fold handed-out events and the parent's perf delta into
+        :attr:`stats`."""
+        for event in events:
+            self.stats.jobs += 1
+            fold_outcome(self.stats, event.outcome)
+        now = perf_snapshot()
+        for key, value in now.items():
+            change = value - self._perf_mark.get(key, 0)
+            if change:
+                self.stats.perf[key] = self.stats.perf.get(key, 0) + change
+        self._perf_mark = now
+
+    def shutdown(self) -> list[Hashable]:
+        """Drop every queued job, terminate every still-running worker
+        (drain abandonment) and join every worker, so none outlives the
+        pool.  Returns the tokens that will get no event — queued ones
+        in submission order, then running ones in launch order — for
+        the caller to answer."""
+        abandoned = list(self._queued) + list(self._running)
+        self._queued.clear()
+        self._deferred.clear()
         for token in list(self._running):
-            proc, _conn, _started, _job = self._running[token]
+            proc = self._running[token][0]
             if proc.is_alive():
                 proc.terminate()
             self._release(token)
         self._join_exited(block=True)
+        return abandoned
 
 
 class Scheduler:
@@ -454,94 +542,38 @@ class Scheduler:
     def run(self, jobs: list[CompileJob]) -> list[JobResult]:
         """Execute all jobs; results come back in the input order."""
         started = time.monotonic()
-        stats = ServiceStats(
-            jobs=len(jobs), workers=max(1, self.options.jobs)
-        )
         if self.options.jobs <= 1 or len(jobs) <= 1:
+            stats = ServiceStats(
+                jobs=len(jobs), workers=max(1, self.options.jobs)
+            )
             results = [
                 execute_job(job, self.options.cache_dir, self.options.cegis)
                 for job in jobs
             ]
+            for outcome in results:
+                fold_outcome(stats, outcome)
         else:
-            results = self._run_parallel(jobs, stats)
+            prewarm(self.options.cache_dir)
+            pool = WorkerPool(self.options)
+            for index, job in enumerate(jobs):
+                pool.submit(index, job)
+            outcomes: dict[int, JobResult] = {}
+            pool.launch_ready()
+            while pool.active:
+                pool.wait()
+                for event in pool.poll():
+                    outcomes[event.token] = event.outcome
+                pool.launch_ready()
+            pool.shutdown()
+            results = [outcomes[index] for index in range(len(jobs))]
+            stats = pool.stats
         stats.wall_seconds = time.monotonic() - started
-        from repro.service.telemetry import fold_outcome
-
-        for outcome in results:
-            fold_outcome(stats, outcome)
         self.last_stats = stats
         if self.options.cache_dir is not None:
             from repro.service.store import record_run_telemetry
 
             record_run_telemetry(self.options.cache_dir, stats.to_dict())
         return results
-
-    # ------------------------------------------------------------------
-
-    def _run_parallel(
-        self, jobs: list[CompileJob], stats: ServiceStats
-    ) -> list[JobResult]:
-        prewarm(self.options.cache_dir)
-        # Parent-side counters (fallback compiles, EOF/kill recoveries)
-        # are folded into the run aggregate at the end; workers are
-        # separate processes, so there is no double counting.
-        parent_before = perf_snapshot()
-        pool = WorkerPool(self.options)
-
-        # In-flight dedup only pays off when workers share a disk cache.
-        dedup = self.options.cache_dir is not None
-        keys = [window_keys(job) if dedup else frozenset() for job in jobs]
-
-        pending: list[int] = list(range(len(jobs)))
-        results: dict[int, JobResult] = {}
-        running_keys: set[str] = set()
-        running_indices: set[int] = set()
-        deferred_seen: set[int] = set()
-
-        def launch(index: int) -> None:
-            pool.launch(index, jobs[index])
-            running_indices.add(index)
-            running_keys.update(keys[index])
-
-        while pending or running_indices:
-            # Launch every eligible job while worker slots are free.
-            launched = False
-            for index in list(pending):
-                if not pool.has_capacity():
-                    break
-                if keys[index] & running_keys:
-                    if index not in deferred_seen:
-                        deferred_seen.add(index)
-                        stats.deferred += 1
-                    continue
-                pending.remove(index)
-                launch(index)
-                launched = True
-            if launched:
-                continue
-            if not running_indices:
-                # Everything pending conflicts but nothing runs: cannot
-                # happen (conflicts are only with running jobs), guard
-                # against it anyway rather than spinning forever.
-                launch(pending.pop(0))
-                continue
-
-            pool.wait()
-            for event in pool.poll():
-                results[event.token] = event.outcome
-                running_indices.discard(event.token)
-                running_keys.difference_update(keys[event.token])
-                # Keys owned by still-running jobs stay blocked.
-                for other in running_indices:
-                    running_keys.update(keys[other])
-
-        pool.shutdown()
-        stats.killed += pool.killed
-        stats.worker_eofs += pool.worker_eofs
-        for key, value in perf_snapshot_delta(parent_before).items():
-            if value:
-                stats.perf[key] = stats.perf.get(key, 0) + value
-        return [results[i] for i in range(len(jobs))]
 
 
 def _kill_limit(job: CompileJob, default_seconds: float = DEFAULT_KILL_SECONDS) -> float:

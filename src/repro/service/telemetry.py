@@ -14,16 +14,15 @@ def fold_outcome(stats, outcome) -> None:
     """Fold one job's telemetry into a run aggregate.
 
     ``stats`` is a :class:`ServiceStats`; ``outcome`` a
-    :class:`JobResult`.  Used by the batch scheduler after a run and by
-    the daemon incrementally as each job completes.
+    :class:`JobResult`.  Used by :class:`WorkerPool` as it hands out
+    each event and by the batch scheduler's serial path.
     """
     telemetry = outcome.telemetry
-    stats.jobs = max(stats.jobs, 0)
     stats.ok += 1 if outcome.ok else 0
     stats.cache_hits += telemetry.cache_hits
     stats.failure_hits += telemetry.failure_hits
     stats.synth_calls += telemetry.synth_calls
-    stats.rule_hits += getattr(telemetry, "rule_hits", 0)
+    stats.rule_hits += telemetry.rule_hits
     stats.entries_added += telemetry.entries_added
     stats.cache_screened += telemetry.cache_screened
     stats.cache_screen_failures += telemetry.cache_screen_failures

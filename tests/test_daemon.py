@@ -688,6 +688,35 @@ class TestAnswerBeforeReap:
 
 
 @pytest.mark.usefixtures("no_faults")
+class TestWindowDeferral:
+    def test_overlapping_job_is_deferred_once(self, tmp_path, monkeypatch):
+        from repro.service import scheduler
+
+        # Both jobs claim the same window; the first holds its slot for
+        # a second, so the second is queued while the first runs.
+        monkeypatch.setattr(
+            scheduler, "window_keys", lambda job: frozenset({"shared"})
+        )
+        faults.install_plan(FaultPlan(
+            [FaultSpec("scheduler.worker.start", "slow", match="add",
+                       delay=1.0)]
+        ))
+        with _LocalDaemon(cache_dir=str(tmp_path), jobs=2) as daemon:
+            with DaemonClient.connect(daemon.addr, timeout=60.0) as client:
+                frames = client.submit_many(
+                    [LLVM_ADD, {**LLVM_ADD, "benchmark": "mul"}]
+                )
+            stats = http_get(daemon.addr, "/stats")
+        assert all(
+            f.get("ok") and f["served_by"] == "synthesis" for f in frames
+        ), frames
+        assert stats["daemon"]["window_deferrals"] == 1
+        assert stats["runs"]["deferred"] == 1
+        assert stats["runs"]["jobs"] == 2
+        assert stats["daemon"]["queue_depth"] == 0
+
+
+@pytest.mark.usefixtures("no_faults")
 class TestAdmissionDefaults:
     def test_thousand_l1_submits_are_never_rate_limited(self, tmp_path):
         with _LocalDaemon(cache_dir=str(tmp_path), jobs=1) as daemon:

@@ -520,7 +520,8 @@ class TestWarmFork:
         pool = WorkerPool(ServiceOptions(
             jobs=1, cache_dir=cache_dir, cegis=cegis, kill_seconds=120.0
         ))
-        pool.launch(0, job)
+        pool.submit(0, job)
+        assert pool.launch_ready() == [0]
         events = []
         while not events:
             pool.wait()
@@ -571,6 +572,48 @@ class TestWarmFork:
         before = global_counters().specs_parsed
         parse_spec("hvx", load_catalog("hvx").specs[0])
         assert global_counters().specs_parsed == before + 1
+
+
+class TestOneQueue:
+    """``WorkerPool`` is the one job queue of the batch scheduler and the
+    daemon: a job sharing a window key with a running job launches only
+    after that job's event."""
+
+    def test_overlapping_job_waits_for_the_owner(self, tmp_path, monkeypatch):
+        from repro.service import prewarm, scheduler
+
+        # llvm jobs are fast and have no windows of their own: give every
+        # job the same one.
+        monkeypatch.setattr(
+            scheduler, "window_keys", lambda job: frozenset({"shared"})
+        )
+        prewarm(str(tmp_path))
+        pool = scheduler.WorkerPool(ServiceOptions(
+            jobs=2, cache_dir=str(tmp_path), kill_seconds=120.0
+        ))
+        for token, name in enumerate(("add", "mul")):
+            pool.submit(token, CompileJob(name, "x86", "llvm"))
+        try:
+            assert pool.launch_ready() == [0]
+            assert pool.launch_ready() == []
+            assert (pool.queued, pool.stats.deferred) == (1, 1)
+            events = []
+            while not events:
+                pool.wait()
+                events = pool.poll()
+            assert [event.token for event in events] == [0]
+            assert events[0].outcome.ok
+            assert pool.launch_ready() == [1]
+            assert pool.stats.deferred == 1
+            pool.submit(2, CompileJob("average_pool", "x86", "llvm"))
+            assert pool.launch_ready() == []
+        finally:
+            abandoned = pool.shutdown()
+        # The queued job is answered by shutdown, never launched.
+        assert abandoned == [2, 1]
+        assert (pool.queued, pool.active) == (0, 0)
+        assert pool.stats.deferred == 2
+        assert (pool.stats.jobs, pool.stats.ok) == (1, 1)
 
 
 class TestSchedulerSerialPath:
