@@ -44,8 +44,6 @@ def main() -> int:
         "recomputed (see python -m repro.irgen build)",
     )
     args = parser.parse_args()
-    if args.full:
-        os.environ["REPRO_FULL_SUITE"] = "1"
     if args.irgen_cache:
         # Before the repro.experiments imports below: every table pulls
         # the dictionary/classes at first use.

@@ -74,11 +74,6 @@ class AutoLLVMOp:
             )
         return self._ops
 
-    def intrinsic_signature(self) -> str:
-        """LLVM-style declaration used in module headers / TableGen."""
-        params = ", ".join(["<W x iN>"] * self.arity + ["i32"] * len(self.free_positions))
-        return f"<W x iN> @{self.name}({params})"
-
 
 @dataclass
 class AutoLLVMDictionary:

@@ -38,12 +38,6 @@ class CompiledKernel:
             self.live_values or None,
         )
 
-    def op_histogram(self) -> dict[str, int]:
-        histogram: dict[str, int] = {}
-        for op in self.body:
-            histogram[op.name] = histogram.get(op.name, 0) + 1
-        return histogram
-
 
 def memory_ops(kernel: LoweredKernel, target: TargetDescription) -> list[MachineOp]:
     """Loads for every vector input plus the output store.

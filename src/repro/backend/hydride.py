@@ -26,7 +26,6 @@ from repro.machine.ops import MachineOp, op_from_spec
 from repro.machine.targets import TARGETS
 from repro.synthesis import (
     CegisOptions,
-    GrammarOptions,
     MemoCache,
     SynthesisFailure,
     build_grammar,
@@ -98,7 +97,6 @@ class HydrideCompiler:
         dictionary: AutoLLVMDictionary | None = None,
         cache: MemoCache | None = None,
         cegis: CegisOptions | None = None,
-        grammar_options: GrammarOptions | None = None,
         # Windows deeper than this are split before synthesis (the paper's
         # bounded window size).
         max_window_size: int = 14,
@@ -112,7 +110,6 @@ class HydrideCompiler:
         self.dictionary = dictionary or build_dictionary()
         self.cache = cache if cache is not None else MemoCache()
         self.cegis = cegis or CegisOptions(timeout_seconds=30.0)
-        self.grammar_options = grammar_options or GrammarOptions()
         self.max_window_size = max_window_size
         self.rules = rules
 
@@ -157,7 +154,7 @@ class HydrideCompiler:
                 hits_before = self.cache.hits
                 result = synthesize(
                     window,
-                    build_grammar(window, isa, self.dictionary, self.grammar_options),
+                    build_grammar(window, isa, self.dictionary),
                     self.cegis,
                     self.cache,
                     rules=self.rules,

@@ -19,10 +19,6 @@ class OpTable:
         for spec in self.catalog:
             elem_width = spec.attributes.get("elem_width", 0)
             self._index.setdefault((spec.family, elem_width), []).append(spec)
-        self._families = {spec.family for spec in self.catalog}
-
-    def has_family(self, family: str) -> bool:
-        return family in self._families
 
     def instr(
         self, family: str, elem_width: int, prefer_bits: int | None = None

@@ -314,12 +314,6 @@ class BitVector:
             raise ValueError(f"trunc cannot grow {self.width} -> {new_width}")
         return BitVector(self.value, new_width)
 
-    def resize_signed(self, new_width: int) -> "BitVector":
-        """Sign-extend or truncate to ``new_width``."""
-        if new_width >= self.width:
-            return self.sext(new_width)
-        return self.trunc(new_width)
-
     def resize_unsigned(self, new_width: int) -> "BitVector":
         """Zero-extend or truncate to ``new_width``."""
         if new_width >= self.width:

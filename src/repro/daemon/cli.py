@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import os
 import sys
 
 DEFAULT_PORT = 7461
@@ -63,16 +62,8 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
                        help="per-tenant admitted-but-unanswered cap")
     serve.add_argument("--drain-seconds", type=float, default=60.0,
                        help="SIGTERM drain budget before abandoning work")
-    serve.add_argument("--drain-pack", default=None,
-                       help="export a cache pack here on drain")
     serve.add_argument("--warm-pack", default=None,
                        help="import this cache pack before serving")
-    serve.add_argument("--faults", default=None,
-                       help="fault-injection plan (JSON or path; "
-                       "sets REPRO_FAULTS)")
-    serve.add_argument("--irgen-cache", default=None,
-                       help="offline IR-generation artifact store "
-                       "(sets REPRO_IRGEN_CACHE)")
 
     submit = sub.add_parser("submit", help="submit jobs to a daemon")
     submit.add_argument("--addr", required=True, help="daemon host:port")
@@ -119,11 +110,6 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.irgen_cache:
-        os.environ["REPRO_IRGEN_CACHE"] = args.irgen_cache
-    if args.faults:
-        os.environ["REPRO_FAULTS"] = args.faults
-
     from repro.daemon.admission import AdmissionLimits
     from repro.daemon.server import DaemonOptions, serve
     from repro.service.scheduler import (
@@ -149,7 +135,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ),
         l1_capacity=max(1, args.l1_capacity),
         drain_seconds=args.drain_seconds,
-        drain_pack=args.drain_pack,
         warm_pack=args.warm_pack,
     )
 

@@ -33,13 +33,11 @@ class DaemonProcess:
         jobs: int = 2,
         extra_args: list[str] | None = None,
         env: dict | None = None,
-        ready_timeout: float = READY_TIMEOUT_SECONDS,
     ) -> None:
         self.cache_dir = cache_dir
         self.jobs = jobs
         self.extra_args = list(extra_args or [])
         self.env_overrides = dict(env or {})
-        self.ready_timeout = ready_timeout
         self.proc: subprocess.Popen | None = None
         self.addr: str | None = None
         self._port_file: Path | None = None
@@ -69,7 +67,7 @@ class DaemonProcess:
             )
         env.update(self.env_overrides)
         self.proc = subprocess.Popen(argv, env=env)
-        deadline = time.monotonic() + self.ready_timeout
+        deadline = time.monotonic() + READY_TIMEOUT_SECONDS
         while time.monotonic() < deadline:
             if self.proc.poll() is not None:
                 raise DaemonStartError(
@@ -86,7 +84,7 @@ class DaemonProcess:
             time.sleep(0.005)
         self.stop(timeout=5.0)
         raise DaemonStartError(
-            f"daemon not ready within {self.ready_timeout}s"
+            f"daemon not ready within {READY_TIMEOUT_SECONDS}s"
         )
 
     def send_sigterm(self) -> None:

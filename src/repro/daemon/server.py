@@ -66,8 +66,6 @@ class DaemonOptions:
     l1_capacity: int = 512
     # Seconds the drain waits for in-flight work before abandoning it.
     drain_seconds: float = 60.0
-    # Export a cache pack to this path on drain (fleet warm-up handoff).
-    drain_pack: str | None = None
     # Import this cache pack into cache_dir before serving.
     warm_pack: str | None = None
     # The pump wakes on events (a submit, a worker's pipe turning
@@ -117,7 +115,6 @@ class DaemonServer:
             "drain_abandoned": 0,
             "http_requests": 0,
             "pack_imported_entries": 0,
-            "pack_exported_entries": 0,
             "rulebooks_preloaded": 0,
         }
         # L1: job signature -> response payload (result + telemetry).
@@ -517,13 +514,6 @@ class DaemonServer:
             record_run_telemetry(
                 self.options.cache_dir, self.stats_payload()["runs"]
             )
-            if self.options.drain_pack:
-                from repro.service.store import export_pack
-
-                summary = export_pack(
-                    self.options.cache_dir, self.options.drain_pack
-                )
-                self.counters["pack_exported_entries"] += summary["entries"]
         if self._server is not None:
             self._server.close()
         self._drained.set()
@@ -579,7 +569,6 @@ class DaemonServer:
                 },
                 "pack": {
                     "imported_entries": self.counters["pack_imported_entries"],
-                    "exported_entries": self.counters["pack_exported_entries"],
                 },
             },
             "runs": runs,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
@@ -219,7 +220,7 @@ class ExperimentRunner:
         )
         suite = SuiteResult(isa)
         for outcome in scheduler.run(requests):
-            result = outcome.result
+            result = _requested_result(outcome.result, outcome.telemetry.fallback)
             suite.results[(result.benchmark, result.compiler)] = result
         self.last_service_stats = scheduler.last_stats
         return suite
@@ -247,27 +248,54 @@ class ExperimentRunner:
             self.last_service_stats = client.stats()
         suite = SuiteResult(isa)
         for (name, compiler_name), frame in zip(pairs, frames):
-            if frame.get("ok"):
-                result = frame.get("result") or {}
-                suite.results[(name, compiler_name)] = BenchmarkResult(
-                    name,
-                    isa,
-                    compiler_name,
-                    result.get("runtime_us"),
-                    compile_seconds=result.get("compile_seconds", 0.0),
-                    expression_count=result.get("expression_count", 0),
-                    error=result.get("error", ""),
-                )
-            else:
-                error = frame.get("error") or {}
-                suite.results[(name, compiler_name)] = BenchmarkResult(
-                    name, isa, compiler_name, None,
-                    error=(
-                        f"daemon {error.get('type', 'error')}: "
-                        f"{error.get('message', '')}"
-                    ),
-                )
+            suite.results[(name, compiler_name)] = result_from_frame(
+                frame, name, isa, compiler_name
+            )
         return suite
+
+
+def _requested_result(result: BenchmarkResult, fallback: str) -> BenchmarkResult:
+    """``result`` as the requested compiler's outcome.
+
+    A job the service answered with its baseline ``fallback`` failed
+    for the compiler it names: the experiments compare compilers, so
+    the baseline's runtime must not stand in for the requested one's.
+    The error (``fallback=<name>: <why>``) is kept.
+    """
+    if not fallback:
+        return result
+    return dataclasses.replace(result, runtime_us=None)
+
+
+def result_from_frame(
+    frame: dict, name: str, isa: str, compiler_name: str
+) -> BenchmarkResult:
+    """The suite result of one daemon response frame."""
+    if not frame.get("ok"):
+        error = frame.get("error") or {}
+        return BenchmarkResult(
+            name, isa, compiler_name, None,
+            error=(
+                f"daemon {error.get('type', 'error')}: "
+                f"{error.get('message', '')}"
+            ),
+        )
+    result = frame.get("result") or {}
+    # The fallback is judged here, not by the daemon: its job signature
+    # ignores ``fallback``, so L1 and coalescing can hand back a result
+    # another client's job fell back on.
+    return _requested_result(
+        BenchmarkResult(
+            name,
+            isa,
+            compiler_name,
+            result.get("runtime_us"),
+            compile_seconds=result.get("compile_seconds", 0.0),
+            expression_count=result.get("expression_count", 0),
+            error=result.get("error", ""),
+        ),
+        (frame.get("telemetry") or {}).get("fallback", ""),
+    )
 
 
 def format_table(headers: list[str], rows: list[list[str]]) -> str:

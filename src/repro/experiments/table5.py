@@ -10,12 +10,13 @@ and reported as intractable when they exceed it, as in the paper.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
 from repro.autollvm import build_dictionary
 from repro.experiments.runner import format_table
-from repro.halide import ir as hir
+from repro.experiments.table3 import matmul_window
 from repro.synthesis import (
     CegisOptions,
     GrammarOptions,
@@ -23,23 +24,6 @@ from repro.synthesis import (
     build_grammar,
     synthesize,
 )
-
-
-def dot_product_window(lanes_out: int) -> hir.HExpr:
-    """The dot-product expression of the paper's sensitivity study."""
-    a = hir.HLoad("ld0", lanes_out * 2, 16)
-    b = hir.HLoad("ld1", lanes_out * 2, 16)
-    acc = hir.HLoad("ld2", lanes_out, 32)
-    return hir.HBin(
-        "add",
-        hir.HReduceAdd(
-            hir.HBin("mul", hir.HCast("sext", a, 32), hir.HCast("sext", b, 32)), 2
-        ),
-        acc,
-    )
-
-
-LANES_OUT = {"x86": 16, "hvx": 32, "arm": 4}
 
 
 @dataclass
@@ -93,9 +77,6 @@ class Table5Result:
         return None
 
 
-import functools
-
-
 @functools.lru_cache(maxsize=4)
 def run(
     isas: tuple[str, ...] = ("x86", "hvx", "arm"), budget: float = 120.0
@@ -110,7 +91,9 @@ def _run(
     dictionary = build_dictionary(("x86", "hvx", "arm"))
     result = Table5Result()
     for isa in isas:
-        spec = dot_product_window(LANES_OUT[isa])
+        # The dot product of the paper's sensitivity study: Table 3's
+        # matmul window, one 32-bit lane per i32 of the target's vector.
+        spec = matmul_window(isa)
         rows: list[SettingResult] = []
         for setting in settings(budget):
             grammar = build_grammar(spec, isa, dictionary, setting.grammar)

@@ -204,9 +204,6 @@ class SemanticsFunction:
     body: BvExpr
     output_width: IndexExpr = field(default_factory=lambda: IConst(0))
 
-    def input_names(self) -> list[str]:
-        return [i.name for i in self.inputs]
-
     def param_values(self) -> dict[str, int]:
         return dict(self.params)
 
@@ -214,9 +211,3 @@ class SemanticsFunction:
         return SemanticsFunction(
             self.name, self.inputs, dict(self.params), body, self.output_width
         )
-
-    def bv_input_count(self) -> int:
-        return sum(1 for i in self.inputs if not i.is_immediate)
-
-    def imm_input_count(self) -> int:
-        return sum(1 for i in self.inputs if i.is_immediate)

@@ -8,7 +8,6 @@ from repro.hydride_ir.ast import (
     BvExpr,
     BvIte,
     ForConcat,
-    SemanticsFunction,
 )
 from repro.hydride_ir.indexexpr import IConst, normalize_affine, simplify_index
 from repro.hydride_ir.transforms.rewrite import rewrite_bottom_up, with_index_exprs
@@ -56,7 +55,3 @@ def propagate_constants(expr: BvExpr) -> BvExpr:
     shape is restored deterministically.
     """
     return rewrite_bottom_up(expr, _fold_node)
-
-
-def propagate_constants_function(func: SemanticsFunction) -> SemanticsFunction:
-    return func.with_body(propagate_constants(func.body))

@@ -12,7 +12,6 @@ build.
 Consumers opt in through the environment::
 
     REPRO_IRGEN_CACHE=/path/to/cache   # artifact root directory
-    REPRO_IRGEN_JOBS=8                 # worker processes for cold builds
 
 With the cache set, :func:`repro.autollvm.intrinsics.build_dictionary`,
 the compilation service and the experiment runners all load the artifact
@@ -26,6 +25,7 @@ from __future__ import annotations
 import os
 import time
 
+from repro import faults
 from repro.irgen.artifact import (
     IrgenArtifact,
     irgen_fingerprint,
@@ -52,7 +52,6 @@ __all__ = [
 ]
 
 ENV_CACHE = "REPRO_IRGEN_CACHE"
-ENV_JOBS = "REPRO_IRGEN_JOBS"
 
 # In-process memo: (root, fingerprint) -> IrgenArtifact.
 # Sits in front of the disk store exactly like the lru_cache on
@@ -66,12 +65,7 @@ def cache_root_from_env() -> str | None:
 
 
 def default_jobs() -> int:
-    value = os.environ.get(ENV_JOBS, "").strip()
-    if value:
-        try:
-            return max(1, int(value))
-        except ValueError:
-            pass
+    """Worker processes for a cold build: one per CPU."""
     return os.cpu_count() or 1
 
 
@@ -85,7 +79,10 @@ def ensure_artifact(
     matches, rebuilt (and persisted) otherwise.
 
     ``force`` rebuilds even on a fingerprint hit.  ``extra`` salts the
-    fingerprint (test hook).  Results are memoised per process.
+    fingerprint (test hook).  Results are memoised per process.  The
+    write is best-effort, like the synthesis cache's: a store that
+    cannot be written costs the next process a rebuild, never this one
+    its built partition.
     """
     fingerprint = irgen_fingerprint(extra=extra)
     key = (str(root), fingerprint)
@@ -102,7 +99,10 @@ def ensure_artifact(
                 artifact.phase_seconds["load"] = time.monotonic() - began
     if artifact is None:
         artifact = build_artifact(jobs or default_jobs(), extra)
-        persist_artifact(root, artifact)
+        try:
+            persist_artifact(root, artifact)
+        except OSError:
+            faults.recovered()
     _MEMO[key] = artifact
     return artifact
 
@@ -117,9 +117,9 @@ def classes_and_stats():
     ISA: from the env-configured artifact store when there is one,
     otherwise from the serial in-memory engine.
 
-    Any store failure — unwritable root, corrupt payload — falls back to
-    the engine, so callers degrade instead of crashing an otherwise
-    healthy run.
+    A load or build that fails falls back to the engine, so callers
+    degrade instead of crashing an otherwise healthy run; an unwritable
+    root is no failure (:func:`ensure_artifact`).
     """
     root = cache_root_from_env()
     if root is not None:

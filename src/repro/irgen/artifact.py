@@ -292,6 +292,16 @@ def artifact_dir(root: str | Path, fingerprint: str) -> Path:
     return Path(root) / fingerprint[:FINGERPRINT_DIR_CHARS]
 
 
+def _payload_path(root: str | Path, fingerprint: str) -> Path:
+    return artifact_dir(root, fingerprint) / ARTIFACT_FILE
+
+
+def artifact_stored(root: str | Path, fingerprint: str) -> bool:
+    """True when the store under ``root`` holds a payload for
+    ``fingerprint`` (whether it decodes is :func:`load_artifact`'s call)."""
+    return _payload_path(root, fingerprint).exists()
+
+
 def persist_artifact(root: str | Path, artifact: IrgenArtifact) -> Path:
     """Atomically write ``meta.json`` + ``artifact.json``; returns the
     namespace directory."""
@@ -305,7 +315,7 @@ def persist_artifact(root: str | Path, artifact: IrgenArtifact) -> Path:
         json.dumps(artifact.summary(), sort_keys=True, indent=2),
     )
     atomic_write(
-        directory / ARTIFACT_FILE,
+        _payload_path(root, artifact.fingerprint),
         json.dumps(payload, sort_keys=True, separators=(",", ":")),
     )
     return directory
@@ -323,9 +333,9 @@ def load_artifact(
     schema — counts as a recovery: the caller rebuilds and overwrites
     instead of crashing.
     """
-    path = artifact_dir(root, fingerprint) / ARTIFACT_FILE
-    if not path.exists():
+    if not artifact_stored(root, fingerprint):
         return None
+    path = _payload_path(root, fingerprint)
     # The decoded trees are acyclic, so the cyclic collector would only
     # walk the growing heap over and over; pause it for the decode.
     collecting = gc.isenabled()

@@ -30,6 +30,7 @@ from repro.irgen import (
     irgen_fingerprint,
     store_inventory,
 )
+from repro.irgen.artifact import artifact_stored
 from repro.isa.registry import supported_isas
 
 
@@ -119,6 +120,9 @@ def cmd_build(args) -> int:
             file=sys.stderr,
         )
         return 1
+    if not artifact_stored(root, artifact.fingerprint):
+        print(f"[irgen] error: could not write under {root}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -190,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes (default: $REPRO_IRGEN_JOBS or cpu count)",
+        help="worker processes (default: cpu count)",
     )
     build.add_argument(
         "--force", action="store_true", help="rebuild even on a cache hit"

@@ -370,9 +370,6 @@ def _gen_shifts(specs: list[InstructionSpec]) -> None:
                 t = _TYPE[signed]
                 shr = ">>>" if signed else ">>"
 
-                def fn_shr(x, env_shift, signed=signed):
-                    return x.bvashr(env_shift) if signed else x.bvlshr(env_shift)
-
                 def ref_shr(env, ew=ew, signed=signed):
                     amount = env["shift"].resize_unsigned(ew)
                     return Vector(env["operand1"], ew).map_lanes(

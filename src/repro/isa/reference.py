@@ -103,20 +103,6 @@ def ref_abs(elem_width: int) -> Reference:
     return run
 
 
-def ref_neg(elem_width: int) -> Reference:
-    def run(env: Env) -> BitVector:
-        return _vec(env, "a", elem_width).map_lanes(lambda x: x.bvneg()).bits
-
-    return run
-
-
-def ref_not() -> Reference:
-    def run(env: Env) -> BitVector:
-        return env["a"].bvnot()
-
-    return run
-
-
 def ref_shift_imm(elem_width: int, kind: str) -> Reference:
     def run(env: Env) -> BitVector:
         amount = env["imm"].zext(elem_width) if env["imm"].width < elem_width else env[

@@ -51,9 +51,6 @@ class InstructionSpec:
     def register_operands(self) -> list[OperandSpec]:
         return [op for op in self.operands if not op.is_immediate]
 
-    def immediate_operands(self) -> list[OperandSpec]:
-        return [op for op in self.operands if op.is_immediate]
-
 
 @dataclass
 class IsaCatalog:

@@ -32,10 +32,6 @@ class SimulationResult:
     port_cycles: dict[str, float]
     bound: str  # which bound dominated: 'port:<class>' | 'carried' | 'spill'
 
-    @property
-    def runtime_ms(self) -> float:
-        return self.runtime_us / 1000.0
-
 
 def simulate_body(
     body: list[MachineOp],

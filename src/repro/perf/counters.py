@@ -5,7 +5,7 @@ The counter set mirrors the phases of one CEGIS run:
 * ``enumeration`` — growing the candidate pool (grammar productions),
 * ``dedup``       — observational-equivalence signature work,
 * ``blast``       — Tseitin bit-blasting of terms to CNF,
-* ``sat``         — CDCL solving (both one-shot and incremental),
+* ``sat``         — CDCL solving,
 * ``verify``      — the full verification ladder around the solver.
 
 Event counters count *things*, timers accumulate *seconds*.  Both are
@@ -58,10 +58,6 @@ class PerfCounters:
     sat_clauses_deleted: int = 0
     # Learned clauses alive in persistent solver contexts.
     learned_clauses_retained: int = 0
-    # Queries answered by a reused (incremental) solver context vs a
-    # freshly constructed solver.
-    incremental_queries: int = 0
-    fresh_queries: int = 0
     # Lane-symmetric proofs (repro.smt.solver): lane classes decided by
     # bit-parallel simulation, lane-class CDCL queries run,
     # decompositions that fell back to the whole-vector query, and CEGIS
@@ -71,6 +67,9 @@ class PerfCounters:
     lane_fallbacks: int = 0
     full_width_proved: int = 0
     full_width_sampled: int = 0
+    # CEGIS searches started: windows that neither a cache nor a rule
+    # answered (what a compile job reports as ``synth_calls``).
+    cegis_searches: int = 0
     # CEGIS searches whose scaled spec compiled to packed form for
     # refutation, and searches whose spec declined (refuted on the
     # interpreter instead).
@@ -181,13 +180,5 @@ def derived_metrics(delta: dict[str, float]) -> dict[str, float]:
         "learned_clauses_retained": delta.get("learned_clauses_retained", 0),
         "candidates_per_sec": (
             candidates / enum_seconds if enum_seconds > 0 else 0.0
-        ),
-        "incremental_share": (
-            delta.get("incremental_queries", 0)
-            / max(
-                1,
-                delta.get("incremental_queries", 0)
-                + delta.get("fresh_queries", 0),
-            )
         ),
     }

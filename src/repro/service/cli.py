@@ -44,18 +44,6 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
             default=None,
             help="persistent synthesis-cache directory",
         )
-        p.add_argument(
-            "--irgen-cache",
-            default=None,
-            help="offline IR-generation artifact store "
-            "(sets REPRO_IRGEN_CACHE; see python -m repro.irgen)",
-        )
-        p.add_argument(
-            "--faults",
-            default=None,
-            help="fault-injection plan: inline JSON or a plan-file path "
-            "(sets REPRO_FAULTS; see repro.faults and scripts/chaos_service.py)",
-        )
 
     warm = sub.add_parser("warm", help="populate a cache from a suite")
     common(warm, cache_required=True)
@@ -229,17 +217,6 @@ def _cmd_gc(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse_args(argv)
-    if getattr(args, "irgen_cache", None):
-        # Set before any dictionary is built: the scheduler pre-warms
-        # build_dictionary in the parent and workers inherit the env.
-        import os
-
-        os.environ["REPRO_IRGEN_CACHE"] = args.irgen_cache
-    if getattr(args, "faults", None):
-        # Workers inherit the env (fork) or re-read it (spawn).
-        import os
-
-        os.environ["REPRO_FAULTS"] = args.faults
     handlers = {
         "warm": _cmd_warm,
         "compile": _cmd_compile,

@@ -95,7 +95,7 @@ class JobTelemetry:
 
     cache_hits: int = 0
     failure_hits: int = 0
-    synth_calls: int = 0  # cache misses that went to CEGIS
+    synth_calls: int = 0  # CEGIS searches started (perf ``cegis_searches``)
     # Cache misses served solver-free by the distilled rulebook
     # (repro.synthesis.rules) instead of CEGIS.
     rule_hits: int = 0
@@ -204,13 +204,6 @@ def _open_rules(job: CompileJob, cache: MemoCache):
     )
 
 
-def _rule_match_count() -> int:
-    """Rulebook matches so far in this process (for per-attempt deltas)."""
-    from repro.perf import global_counters
-
-    return global_counters().rule_matches
-
-
 def _compile_once(
     job: CompileJob,
     compiler_name: str,
@@ -251,13 +244,12 @@ def execute_job(
     telemetry = JobTelemetry(worker_pid=os.getpid())
 
     result: BenchmarkResult | None = None
+    before = cache.counters()
     for attempt in range(job.retries + 1):
         telemetry.attempts = attempt + 1
         budget = dataclasses.replace(
             cegis, timeout_seconds=cegis.timeout_seconds / (2**attempt)
         )
-        before = cache.counters()
-        rules_before = _rule_match_count()
         timed_out = False
         try:
             _attempt_fault(job, attempt)
@@ -277,36 +269,26 @@ def execute_job(
                 job.benchmark, job.isa, job.compiler, None,
                 error=f"injected fault: {exc}",
             )
-        after = cache.counters()
-        rule_delta = _rule_match_count() - rules_before
-        telemetry.cache_hits += after["hits"] - before["hits"]
-        telemetry.failure_hits += after["failure_hits"] - before["failure_hits"]
-        # A rule-served window still records a cache-lookup miss, so the
-        # rulebook's matches are subtracted from the misses that actually
-        # went to CEGIS.  Clamped because the negative-cache rescue path
-        # counts a failure_hit (not a miss) before the rule fires.
-        telemetry.rule_hits += rule_delta
-        telemetry.synth_calls += max(
-            0, after["misses"] - before["misses"] - rule_delta
-        )
-        # Store counters exist only on PersistentCache; .get keeps the
-        # in-memory MemoCache path working.  Entries written, not the
-        # growth of the in-memory map: reads grow it too.
-        telemetry.entries_added += (
-            after.get("writes", 0) - before.get("writes", 0)
-        )
-        telemetry.cache_screened += (
-            after.get("screened", 0) - before.get("screened", 0)
-        )
-        telemetry.cache_screen_failures += (
-            after.get("screen_failures", 0) - before.get("screen_failures", 0)
-        )
         if result.ok or not timed_out:
             # Deterministic failures don't improve with a smaller budget;
             # only timed-out attempts walk the retry ladder.
             break
 
     assert result is not None
+    after = cache.counters()
+    telemetry.cache_hits = after["hits"] - before["hits"]
+    telemetry.failure_hits = after["failure_hits"] - before["failure_hits"]
+    # Store counters exist only on PersistentCache; .get keeps the
+    # in-memory MemoCache path working.  Entries written, not the
+    # growth of the in-memory map: reads grow it too.
+    telemetry.entries_added = after.get("writes", 0) - before.get("writes", 0)
+    telemetry.cache_screened = (
+        after.get("screened", 0) - before.get("screened", 0)
+    )
+    telemetry.cache_screen_failures = (
+        after.get("screen_failures", 0) - before.get("screen_failures", 0)
+    )
+
     if not result.ok and job.fallback and job.fallback != job.compiler:
         original_error = result.error
         fallback_result = _compile_once(
@@ -325,6 +307,11 @@ def execute_job(
         for key, value in perf_snapshot_delta(perf_before).items()
         if value
     }
+    # Windows are counted where they are decided, not derived from the
+    # cache's misses: a window the negative cache remembers and a rule
+    # rescues is a rule hit without a miss.
+    telemetry.synth_calls = int(telemetry.perf.get("cegis_searches", 0))
+    telemetry.rule_hits = int(telemetry.perf.get("rule_matches", 0))
     return JobResult(job, result, telemetry)
 
 

@@ -39,8 +39,7 @@ def perf_line(metrics: dict, raw: dict) -> str:
         f"({metrics.get('candidates_per_sec', 0.0):,.0f}/s) | "
         f"blast cache {metrics.get('blast_cache_hit_rate', 0.0):.1%} | "
         f"{raw.get('learned_clauses_retained', 0):.0f} learned clauses "
-        f"retained over {raw.get('incremental_queries', 0):.0f} "
-        f"incremental queries"
+        f"retained over {raw.get('sat_queries', 0):.0f} SAT queries"
     )
     injected = raw.get("faults_injected", 0)
     recovered = raw.get("fault_recoveries", 0)
@@ -121,9 +120,6 @@ def tier_summary(daemon_stats: dict) -> list[str]:
             f"{rules.get('misses', 0)} fell through to synthesis)"
         )
     pack = tiers.get("pack") or {}
-    if pack.get("imported_entries") or pack.get("exported_entries"):
-        lines.append(
-            f"packs: {pack.get('imported_entries', 0)} entries imported, "
-            f"{pack.get('exported_entries', 0)} exported"
-        )
+    if pack.get("imported_entries"):
+        lines.append(f"packs: {pack['imported_entries']} entries imported")
     return lines

@@ -128,18 +128,6 @@ class SymbolicSemantics:
             name or self.name, self.inputs, assignment, self.body, IConst(0)
         )
 
-    def with_inputs_reordered(self, order: tuple[int, ...]) -> "SymbolicSemantics":
-        """A copy whose declared input order is permuted (body unchanged)."""
-        return SymbolicSemantics(
-            self.name,
-            self.isa,
-            tuple(self.inputs[i] for i in order),
-            self.body,
-            self.param_names,
-            dict(self.param_values),
-            self.skeleton,
-        )
-
 
 @dataclass
 class _Site:

@@ -55,12 +55,6 @@ class EquivalenceClass:
             if i not in self.fixed_params
         ]
 
-    def find_member(self, name: str) -> ClassMember:
-        for member in self.members:
-            if member.name == name:
-                return member
-        raise KeyError(f"{name!r} is not a member of class {self.class_id}")
-
     def compute_fixed_params(self) -> None:
         """EliminateUnnecessaryArgs: fix parameters constant across members."""
         self.fixed_params = {}

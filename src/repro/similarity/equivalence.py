@@ -45,6 +45,9 @@ def instantiate_term(
 # What an invalid instantiation raises, from the walk and from lowering alike.
 _INVALID = (SemanticsError, ValueError, KeyError, IndexError)
 
+# Wider instructions are never searched for a similar argument order.
+MAX_PERMUTATION_ARITY = 3
+
 
 def instantiable(
     symbolic: SymbolicSemantics,
@@ -129,7 +132,6 @@ def find_similar_permutation(
     a: SymbolicSemantics,
     b: SymbolicSemantics,
     checker: EquivalenceChecker,
-    max_arity: int = 3,
 ) -> tuple[int, ...] | None:
     """Search non-identity argument orders of ``b`` that make it similar
     to ``a`` (e.g. x86 ``andnot`` = NOT(a) AND b vs ARM ``bic`` =
@@ -137,7 +139,7 @@ def find_similar_permutation(
     if a.signature() != b.signature():
         return None
     arity = len(b.inputs)
-    if arity < 2 or arity > max_arity:
+    if arity < 2 or arity > MAX_PERMUTATION_ARITY:
         return None
     register_positions = [
         i for i, inp in enumerate(b.inputs) if not inp.is_immediate

@@ -270,8 +270,8 @@ class IncrementalSatContext:
     ) -> SatResult:
         """SAT iff some input makes ``a`` and ``b`` differ.
 
-        Raises :class:`NotBitblastable` / :class:`SolverBudgetExceeded`
-        like the one-shot path; the context stays usable afterwards.
+        Raises :class:`NotBitblastable` / :class:`SolverBudgetExceeded`;
+        the context stays usable afterwards.
         """
         perf = global_counters()
         with phase_timer("blast"):
@@ -284,7 +284,6 @@ class IncrementalSatContext:
             cnf.add_clause([-activation, any_diff])
             self._sync()
         self.queries += 1
-        perf.incremental_queries += 1
         perf.sat_queries += 1
         learned_before = self.solver.learned_count
         restarts_before = self.solver.restarts
@@ -321,7 +320,6 @@ class EquivalenceChecker:
         max_conflicts: int | None = 200_000,
         sat_node_limit: int = 6_000,
         probabilistic_samples: int = PROBABILISTIC_SAMPLES,
-        incremental: bool = False,
     ) -> None:
         self.rng = random.Random(seed)
         self.max_conflicts = max_conflicts
@@ -329,8 +327,8 @@ class EquivalenceChecker:
         # Terms larger than this skip bit-blasting (the CNF would dwarf the
         # budget) and rely on the randomized battery instead.
         self.sat_node_limit = sat_node_limit
-        # Share one solver context across this checker's SAT queries.
-        self.incremental = incremental
+        # The solver context of the last SAT query; a primed checker
+        # shares it across its queries.
         self._context: IncrementalSatContext | None = None
         # The spec term to prime new contexts with (re-applied whenever an
         # oversized context is replaced).
@@ -356,13 +354,12 @@ class EquivalenceChecker:
     def prime(self, spec: Term, lane_width: int | None = None) -> None:
         """Declare the spec every SAT query will verify against.
 
-        Incremental contexts created from now on blast ``spec`` first
+        Solver contexts created from now on blast ``spec`` first, and
+        the checker's SAT queries share one of them
         (see :meth:`IncrementalSatContext.prime`).  With ``lane_width``,
         the SAT rung first tries to prove the pair one lane class at a
-        time (:meth:`_prove_lanes`).  No-op for non-incremental checkers.
+        time (:meth:`_prove_lanes`).
         """
-        if not self.incremental:
-            return
         self._prime_term = simplify(spec)
         self._lane_width = lane_width
         self._context = None  # rebuilt (and re-primed) lazily
@@ -532,39 +529,22 @@ class EquivalenceChecker:
         :meth:`_decomposition`, proved class by class first."""
         if classes is not None and self._prove_lanes(classes):
             return CheckResult(True, None, "sat")
-        if self.incremental:
-            if self._context is None or self._context.oversized():
-                self._context = self._new_context()
-            try:
-                result = self._context.check_not_equal(a, b, self.max_conflicts)
-            except SolverBudgetExceeded as exc:
-                raise SolverTimeout(str(exc)) from exc
-            if not result.satisfiable:
-                return CheckResult(True, None, "sat")
-            env = self._model_to_env(result.model, self._context.blaster, variables)
-            return CheckResult(False, env, "sat")
-
-        perf = global_counters()
-        with phase_timer("blast"):
-            blaster = BitBlaster()
-            bits_a = blaster.blast(a)
-            bits_b = blaster.blast(b)
-            # Assert that some output bit differs.
-            diff_lits = [blaster.cnf.gate_xor(x, y) for x, y in zip(bits_a, bits_b)]
-            blaster.cnf.assert_lit(blaster.cnf.gate_big_or(diff_lits))
-        solver = CdclSolver(blaster.cnf.num_vars, blaster.cnf.clauses)
-        perf.fresh_queries += 1
-        perf.sat_queries += 1
+        # Only a primed checker's queries share one spec's variables; an
+        # unprimed one may see a name again at another width, so each of
+        # its queries gets a context of its own.
+        if (
+            self._prime_term is None
+            or self._context is None
+            or self._context.oversized()
+        ):
+            self._context = self._new_context()
         try:
-            with phase_timer("sat"):
-                result = solver.solve(self.max_conflicts)
+            result = self._context.check_not_equal(a, b, self.max_conflicts)
         except SolverBudgetExceeded as exc:
-            perf.sat_conflicts += exc.conflicts
             raise SolverTimeout(str(exc)) from exc
-        perf.sat_conflicts += result.conflicts
         if not result.satisfiable:
             return CheckResult(True, None, "sat")
-        env = self._model_to_env(result.model, blaster, variables)
+        env = self._model_to_env(result.model, self._context.blaster, variables)
         return CheckResult(False, env, "sat")
 
     @staticmethod

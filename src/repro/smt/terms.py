@@ -219,10 +219,6 @@ def intern_term(term: Term) -> Term:
     return _INTERN[_local_key(term)]
 
 
-def intern_table_size() -> int:
-    return len(_INTERN)
-
-
 def _term_hash(self: Term) -> int:
     return term_uid(self)
 

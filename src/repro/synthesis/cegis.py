@@ -1000,6 +1000,7 @@ def synthesize(
         if served is not None:
             return rule_result(served)
 
+    global_counters().cegis_searches += 1
     try:
         result = _synthesize_uncached(spec, grammar, options, start)
     except SynthesisFailure:
@@ -1064,9 +1065,6 @@ def _lanewise_synthesis(
         # so the term-level battery can stay small.
         sat_node_limit=1_500,
         probabilistic_samples=96,
-        # One solver context per spec: the spec circuit is blasted once
-        # and learned clauses carry over between candidate queries.
-        incremental=True,
     )
     enumerator = _Enumerator(grammar, spec_scaled, rng, deadline, factor)
     stats = SynthStats(grammar_size=grammar.size(), scale_factor=factor)

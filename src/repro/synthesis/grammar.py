@@ -167,10 +167,6 @@ class GrammarEntry:
             result.append(widths.pop() if len(widths) == 1 else None)
         return result
 
-    def output_elem_width(self) -> int | None:
-        value = self.binding.spec.attributes.get("elem_width")
-        return value if isinstance(value, int) else None
-
 
 @dataclass
 class GrammarOptions:

@@ -88,10 +88,12 @@ _MATCH_SEED = 0x52554C45  # "RULE"
 
 # Concrete trials run by check_stored_program before a program is
 # trusted: the matcher's gate on a scaled-up instantiation (the kind of
-# check CEGIS's full-scale fuzz applies after its own scale-up), and the
-# distiller's screen of each cached entry it generalises.
+# check CEGIS's full-scale fuzz applies after its own scale-up), the
+# distiller's screen of each cached entry it generalises, and the
+# verifier's screen of each hole assignment.
 MATCH_CHECK_TRIALS = 12
 DISTILL_CHECK_TRIALS = 4
+VERIFY_CHECK_TRIALS = 3
 
 
 # ----------------------------------------------------------------------
@@ -254,14 +256,13 @@ def verify_rule(
     checker: EquivalenceChecker | None = None,
     seed: int = 0,
     samples: int = 16,
-    envs_per_sample: int = 3,
 ) -> tuple[bool, str]:
     """Decide whether a candidate rule is sound over its whole hole domain.
 
     Pre-screen first: boundary and random hole assignments are
     instantiated concretely and put through
     :func:`~repro.synthesis.cache.check_stored_program` (structure, then
-    ``envs_per_sample`` random inputs against the concrete window
+    :data:`VERIFY_CHECK_TRIALS` random inputs against the concrete window
     semantics) — cheap rejection for the common unsound candidate.
     Survivors face the SMT ladder once, on a window whose hole constants
     are broadcast *variables* sharing the template holes' SMT names, so
@@ -295,7 +296,7 @@ def verify_rule(
             )
         except Exception as exc:  # noqa: BLE001 - any failure rejects the rule
             return False, f"error:{type(exc).__name__}"
-        problem = check_stored_program(program, window, rng, envs_per_sample)
+        problem = check_stored_program(program, window, rng, VERIFY_CHECK_TRIALS)
         if problem is not None:
             return False, f"fuzz:{problem}"
 

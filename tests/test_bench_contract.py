@@ -14,9 +14,11 @@ from pathlib import Path
 
 import pytest
 
+from repro import faults
 from repro.autollvm import build_dictionary
 from repro.autollvm.intrinsics import dictionary_isas
 from repro.backend.hydride import HydrideCompiler
+from repro.daemon.client import DaemonClient, http_get
 from repro.halide import ir as hir
 from repro.isa.registry import supported_isas
 from repro.synthesis import (
@@ -26,6 +28,7 @@ from repro.synthesis import (
     build_grammar,
     synthesize,
 )
+from tests.test_daemon import LLVM_ADD, _LocalDaemon
 
 BENCH = Path(__file__).resolve().parents[1] / "bench_e2e"
 MODULES = sorted(
@@ -102,3 +105,51 @@ class TestShims:
     @pytest.mark.parametrize("isa", supported_isas())
     def test_dictionary_isas_names_the_one_dictionary(self, dictionary, isa):
         assert build_dictionary(dictionary_isas(isa)) is dictionary
+
+
+def _missing(payload: dict, paths) -> list[str]:
+    """The dotted ``paths`` that ``payload`` does not carry."""
+    missing = []
+    for path in paths:
+        node = payload
+        for part in path.split("."):
+            if not isinstance(node, dict) or part not in node:
+                missing.append(path)
+                break
+            node = node[part]
+    return missing
+
+
+class TestWireKeys:
+    """The response and ``/stats`` keys the bench reads
+    (``bench_e2e/harness.py``, ``report.py``, ``workloads.py``), served
+    by an in-process daemon."""
+
+    RESPONSE = (
+        "ok", "id", "served_by", "result.runtime_us", "result.error",
+        "telemetry.synth_calls", "telemetry.rule_hits", "telemetry.fallback",
+        "telemetry.entries_added", "telemetry.wall_seconds",
+    )
+    STATS = (
+        "admission.rejected", "tiers.l1.hits", "daemon.coalesced",
+        "daemon.window_deferrals", "runs.killed", "runs.worker_eofs",
+        "runs.synth_calls",
+    )
+
+    @pytest.fixture(scope="class")
+    def served(self, tmp_path_factory):
+        faults.clear_plan()
+        cache_dir = tmp_path_factory.mktemp("wire")
+        with _LocalDaemon(cache_dir=str(cache_dir), jobs=1) as daemon:
+            with DaemonClient.connect(daemon.addr, timeout=60.0) as client:
+                frame = client.submit_many([LLVM_ADD])[0]
+            stats = http_get(daemon.addr, "/stats")
+        return frame, stats
+
+    def test_response_carries_the_bench_keys(self, served):
+        frame, _stats = served
+        assert _missing(frame, self.RESPONSE) == []
+
+    def test_stats_carry_the_bench_keys(self, served):
+        _frame, stats = served
+        assert _missing(stats, self.STATS) == []

@@ -233,7 +233,7 @@ class TestNearMissCarryIdentity:
 
     def test_proved_by_the_sat_rung_within_budget(self):
         spec, candidate = _carry_identity(2, 32, 1)
-        checker = EquivalenceChecker(max_conflicts=4_000, incremental=True)
+        checker = EquivalenceChecker(max_conflicts=4_000)
         checker.prime(spec)
         verdict = checker.check_equivalence(candidate, spec)
         assert verdict.equivalent
@@ -257,6 +257,17 @@ class TestNearMissCarryIdentity:
             result.model, context.blaster, spec.variables()
         )
         assert evaluate(mutant, env).value != evaluate(spec, env).value
+
+    def test_unprimed_checker_takes_a_name_at_a_new_width(self):
+        """An unprimed checker serves unrelated pairs (the similarity
+        engine, the rule verifier), which may reuse a variable name at
+        another width; each of its SAT queries must still be answered."""
+        checker = EquivalenceChecker(max_conflicts=4_000)
+        for width in (16, 32):
+            spec, candidate = _carry_identity(1, width, 1)
+            verdict = checker.check_equivalence(candidate, spec)
+            assert verdict.equivalent
+            assert verdict.method == "sat"
 
 
 class TestSpecFirstPriming:

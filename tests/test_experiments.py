@@ -8,7 +8,11 @@ paper's qualitative shapes.
 import pytest
 
 from repro.experiments import table1, table2
-from repro.experiments.runner import ExperimentRunner, format_table
+from repro.experiments.runner import (
+    ExperimentRunner,
+    format_table,
+    result_from_frame,
+)
 from repro.synthesis import CegisOptions
 from repro.workloads.registry import benchmark_named
 
@@ -145,3 +149,33 @@ class TestRunnerInfra:
             "x86", ("halide", "llvm"), [benchmark_named("dilate3x3")]
         )
         assert suite.geomean_speedup("llvm", "halide") == pytest.approx(1.0, rel=0.3)
+
+    def test_service_suite_records_a_fallback_as_a_failure(self, runner):
+        """Rake cannot compile conv_nn for HVX.  Through the service the
+        llvm baseline answers the job; the suite still records a Rake
+        failure, as the serial path does, with the reason kept."""
+        conv_nn = [benchmark_named("conv_nn")]
+        serial = runner.run_suite("hvx", ("rake",), conv_nn, jobs=1)
+        service = runner.run_suite("hvx", ("rake",), conv_nn, jobs=2)
+        assert not serial.results[("conv_nn", "rake")].ok
+        result = service.results[("conv_nn", "rake")]
+        assert not result.ok
+        assert result.error.startswith("fallback=llvm: rake:")
+
+    def test_daemon_frame_with_a_fallback_is_a_failure(self):
+        frame = {
+            "id": "1", "ok": True, "served_by": "l1",
+            "result": {"runtime_us": 12.5, "error": "fallback=llvm: rake: x"},
+            "telemetry": {"fallback": "llvm"},
+        }
+        result = result_from_frame(frame, "conv_nn", "hvx", "rake")
+        assert result.runtime_us is None
+        assert result.error == "fallback=llvm: rake: x"
+        clean = {**frame, "result": {"runtime_us": 12.5, "error": ""},
+                 "telemetry": {"fallback": ""}}
+        assert result_from_frame(clean, "conv_nn", "hvx", "rake").ok
+        rejected = {"id": "2", "ok": False,
+                    "error": {"type": "quota_exceeded", "message": "busy"}}
+        result = result_from_frame(rejected, "conv_nn", "hvx", "rake")
+        assert not result.ok
+        assert result.error == "daemon quota_exceeded: busy"

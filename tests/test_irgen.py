@@ -440,6 +440,41 @@ class TestFingerprintInvalidation:
             artifacts[2].classes
         )
 
+    def test_unwritable_store_keeps_the_built_artifact(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A save that fails costs the store its write, not the process
+        its partition: no second build by the serial engine.  The build
+        CLI still reports the store it could not write."""
+        import repro.irgen as irgen
+        from repro import faults
+        from repro.faults import FaultPlan, FaultSpec
+        from repro.irgen.cli import main
+        from repro.perf import global_counters
+        from repro.similarity import engine
+
+        def no_engine(*_args):
+            raise AssertionError("the engine rebuilt the partition")
+
+        monkeypatch.setenv("REPRO_IRGEN_CACHE", str(tmp_path))
+        monkeypatch.setattr(irgen, "default_jobs", lambda: 1)
+        monkeypatch.setattr(engine, "build_equivalence_classes", no_engine)
+        clear_memo()
+        recoveries = global_counters().fault_recoveries
+        faults.install_plan(FaultPlan([FaultSpec("irgen.save", "raise")]))
+        try:
+            _classes, _stats, source = classes_and_stats()
+            recovered = global_counters().fault_recoveries - recoveries
+            status = main(["build", "--cache-dir", str(tmp_path)])
+        finally:
+            faults.clear_plan()
+            clear_memo()
+        assert source == "artifact"
+        assert recovered == 1
+        assert list(tmp_path.iterdir()) == []
+        assert status == 1
+        assert "could not write" in capsys.readouterr().err
+
 
 class TestEngineStats:
     def test_round_trip(self):

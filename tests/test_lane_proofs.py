@@ -123,7 +123,6 @@ def _checker(lane_width, spec=SPEC):
         max_conflicts=4_000,
         sat_node_limit=1_500,
         probabilistic_samples=96,
-        incremental=True,
     )
     checker.prime(spec, lane_width)
     return checker
@@ -310,7 +309,7 @@ class TestProofs:
 
     def test_unprimed_checker_never_decomposes(self, no_fuzz):
         before = _counts()
-        checker = EquivalenceChecker(seed=7, max_conflicts=4_000, incremental=True)
+        checker = EquivalenceChecker(seed=7, max_conflicts=4_000)
         assert checker.check_equivalence(CORRECT, SPEC).equivalent
         assert _delta(before, "lane_class_queries") == 0
         assert _delta(before, "lane_class_simulations") == 0
@@ -394,10 +393,9 @@ class TestBudgetConflicts:
             context.check_not_equal(self.LEFT, self.RIGHT, max_conflicts=10)
         assert global_counters().sat_conflicts - before > 10
 
-    @pytest.mark.parametrize("incremental", [False, True])
-    def test_checker(self, incremental):
+    def test_checker(self):
         before = global_counters().sat_conflicts
-        checker = EquivalenceChecker(max_conflicts=10, incremental=incremental)
+        checker = EquivalenceChecker(max_conflicts=10)
         with pytest.raises(SolverTimeout):
             checker.check_equivalence(self.LEFT, self.RIGHT)
         assert global_counters().sat_conflicts - before > 10

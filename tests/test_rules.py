@@ -12,7 +12,8 @@ import pytest
 from repro.autollvm import build_dictionary
 from repro.halide import ir as hir
 from repro.perf import global_counters
-from repro.service.jobs import JobResult, JobTelemetry
+from repro.service import jobs
+from repro.service.jobs import CompileJob, JobResult, JobTelemetry
 from repro.service.scheduler import ServiceStats
 from repro.service.store import (
     RULEBOOK_FILENAME,
@@ -444,3 +445,30 @@ class TestTelemetryFlow:
         # Rule-served windows count as cache activity, not misses.
         assert stats.lookups == 4
         assert stats.to_dict()["rule_hits"] == 3
+
+    def test_rescued_window_does_not_hide_a_search(
+        self, dictionary, distilled, monkeypatch
+    ):
+        """One window the negative cache remembers and a rule rescues
+        (a rule hit without a cache miss), one window no rule covers:
+        the job started one CEGIS search and reports it."""
+        book, _report = distilled
+        rescued = _const_window("add", 121)
+        searched = hir.HBin("add", hir.HLoad("a", 8, 16), hir.HLoad("b", 8, 16))
+        cache = MemoCache()
+        cache.store_failure(rescued, "x86")
+
+        def compile_once(job, _name, _dictionary, cache, _cegis, _deadline,
+                         rules=None):
+            for window in (rescued, searched):
+                _synth(window, dictionary, cache, rules=rules)
+            return BenchmarkResult(job.benchmark, job.isa, job.compiler, 1.0)
+
+        monkeypatch.setattr(jobs, "build_dictionary", lambda: dictionary)
+        monkeypatch.setattr(jobs, "_open_cache", lambda *_: cache)
+        monkeypatch.setattr(jobs, "_open_rules", lambda *_: book)
+        monkeypatch.setattr(jobs, "_compile_once", compile_once)
+        outcome = jobs.execute_job(CompileJob("add", "x86"), None, OPTIONS)
+        assert outcome.telemetry.failure_hits == 1
+        assert outcome.telemetry.rule_hits == 1
+        assert outcome.telemetry.synth_calls == 1
