@@ -7,13 +7,8 @@ def test_table1_autollvm_size(benchmark):
     result = benchmark.pedantic(table1.run, rounds=1, iterations=1)
     print("\n" + table1.render(result))
     # With REPRO_IRGEN_CACHE set the partition warm-loads from the irgen
-    # artifact instead of re-running the engine; the engine stats travel
-    # with the artifact either way.
-    print(
-        f"[table1] classes source={result.source}, "
-        f"engine {result.engine_seconds:.2f}s, {result.checks} checks"
-    )
-    assert result.source in ("engine", "artifact")
+    # artifact; the build's stats travel with the artifact either way.
+    print(f"[table1] {result.checks} checks")
     assert result.checks > 0
 
     # Shape assertions (see EXPERIMENTS.md for the paper's values).

@@ -12,7 +12,7 @@ from repro.autollvm import build_dictionary
 from repro.backend import HalideNativeCompiler, HydrideCompiler, LlvmGenericCompiler
 from repro.halide.dsl import Buffer, Func, Var, absolute, cast, sat_cast, saturating_add
 from repro.halide.lowering import lower_func
-from repro.machine.targets import TARGETS
+from repro.isa.registry import isa_row
 from repro.synthesis import CegisOptions, MemoCache
 
 x, y = Var("x"), Var("y")
@@ -64,7 +64,7 @@ def main() -> None:
             ("denoise", gaussian_stage, 8),
             ("sobel  ", sobel_stage, 16),
         ):
-            lanes = TARGETS[isa].vector_bits // elem_width
+            lanes = isa_row(isa).target.vector_bits // elem_width
             kernel = lower_func(builder(lanes), {"x": WIDTH, "y": HEIGHT})
             print(f"  stage {stage_name}:")
             for name, compiler in compilers:

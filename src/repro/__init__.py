@@ -4,7 +4,7 @@ synthesis-based compiler, with every substrate built from scratch.
 Public API tour (see README.md for the architecture diagram):
 
 Offline phase
-    >>> from repro import load_isa, build_equivalence_classes, build_dictionary
+    >>> from repro import load_isa, build_dictionary
     >>> dictionary = build_dictionary()  # every registered ISA
 
 Online phase
@@ -35,7 +35,6 @@ _EXPORTS = {
     "LlvmGenericCompiler": "repro.backend",
     "RakeCompiler": "repro.backend",
     "load_isa": "repro.isa.registry",
-    "build_equivalence_classes": "repro.similarity",
     "CegisOptions": "repro.synthesis",
     "GrammarOptions": "repro.synthesis",
     "MemoCache": "repro.synthesis",

@@ -169,9 +169,10 @@ def build_dictionary(isas: tuple[str, ...] | None = None) -> AutoLLVMDictionary:
     """The AutoLLVM dictionary over every registered ISA (cached).
 
     ``isas`` names a subset: the one partition restricted to it, never a
-    second build.  The partition comes from the persisted irgen artifact
-    when ``REPRO_IRGEN_CACHE`` names a store (warm load or
-    rebuild-and-persist), otherwise from the in-memory serial engine.
+    second build.  The partition is the irgen artifact
+    (:func:`repro.irgen.classes_and_stats`): from the store
+    ``REPRO_IRGEN_CACHE`` names (warm load or rebuild-and-persist), or
+    built in memory when it names none.
     """
     return _build_dictionary_cached(tuple(isas or supported_isas()))
 
@@ -180,5 +181,5 @@ def build_dictionary(isas: tuple[str, ...] | None = None) -> AutoLLVMDictionary:
 def _build_dictionary_cached(isas: tuple[str, ...]) -> AutoLLVMDictionary:
     from repro.irgen import classes_and_stats
 
-    classes, _stats, _source = classes_and_stats()
+    classes, _stats = classes_and_stats()
     return dictionary_from_classes(isas, classes)

@@ -21,7 +21,7 @@ from repro.backend.common import CompileError, CompiledKernel
 from repro.backend.hydride import HydrideCompiler
 from repro.backend.halide_native import HalideNativeCompiler
 from repro.backend.llvm_generic import LlvmGenericCompiler
-from repro.backend.rake import RakeCompiler, RAKE_SUPPORTED_HVX
+from repro.backend.rake import RakeCompiler
 
 __all__ = [
     "CompileError",
@@ -30,5 +30,4 @@ __all__ = [
     "HalideNativeCompiler",
     "LlvmGenericCompiler",
     "RakeCompiler",
-    "RAKE_SUPPORTED_HVX",
 ]

@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 from repro.halide.lowering import LoweredKernel
 from repro.machine.ops import MachineOp
 from repro.machine.simulator import SimulationResult, simulate_kernel
-from repro.machine.targets import TARGETS, TargetDescription
+from repro.isa.registry import isa_row
+from repro.machine.targets import TargetDescription
 
 
 class CompileError(Exception):
@@ -28,7 +29,7 @@ class CompiledKernel:
 
     @property
     def target_description(self) -> TargetDescription:
-        return TARGETS[self.target]
+        return isa_row(self.target).target
 
     def simulate(self) -> SimulationResult:
         return simulate_kernel(

@@ -27,7 +27,7 @@ from repro.backend.select import generic_op, op_table
 from repro.halide import ir as hir
 from repro.halide.lowering import LoweredKernel
 from repro.machine.ops import MachineOp
-from repro.machine.targets import TARGETS
+from repro.isa.registry import isa_row
 
 
 def _is_widening_mul(node: hir.HExpr, src_width: int, dst_width: int):
@@ -51,7 +51,7 @@ class HalideNativeCompiler:
 
     def compile(self, kernel: LoweredKernel, isa: str) -> CompiledKernel:
         start = time.time()
-        target = TARGETS[isa]
+        target = isa_row(isa).target
         body: list[MachineOp] = []
         self._lower(kernel.window, isa, body)
         return CompiledKernel(
@@ -77,7 +77,7 @@ class HalideNativeCompiler:
 
     def _try_rules(self, node: hir.HExpr, isa: str, body: list[MachineOp]) -> bool:
         table = op_table(isa)
-        registers = max(1, node.type.bits // TARGETS[isa].vector_bits)
+        registers = max(1, node.type.bits // isa_row(isa).target.vector_bits)
 
         def emit(op: MachineOp | None, fallback_name: str, port: str = "mul") -> None:
             chosen = op if op is not None else generic_op(fallback_name, port, 4.0, 1.0)
@@ -231,7 +231,7 @@ class HalideNativeCompiler:
             for operand in (mul.left, mul.right):
                 inner = operand.src if isinstance(operand, hir.HCast) else operand
                 self._lower(inner, isa, body)
-        regs = max(1, core.type.bits // TARGETS[isa].vector_bits)
+        regs = max(1, core.type.bits // isa_row(isa).target.vector_bits)
         from repro.backend.select import generic_op as _g
 
         for _ in range(regs):
@@ -251,7 +251,7 @@ class HalideNativeCompiler:
 
     def _emit_node(self, node: hir.HExpr, isa: str, body: list[MachineOp]) -> None:
         table = op_table(isa)
-        target = TARGETS[isa]
+        target = isa_row(isa).target
         registers = max(1, node.type.bits // target.vector_bits)
 
         def emit(op: MachineOp | None, fallback: str, port: str = "alu") -> None:

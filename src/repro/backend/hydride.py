@@ -22,8 +22,8 @@ from repro.autollvm.intrinsics import AutoLLVMDictionary
 from repro.backend.common import CompiledKernel, broadcast_ops, memory_ops
 from repro.halide import ir as hir
 from repro.halide.lowering import LoweredKernel
+from repro.isa.registry import isa_row
 from repro.machine.ops import MachineOp, op_from_spec
-from repro.machine.targets import TARGETS
 from repro.synthesis import (
     CegisOptions,
     MemoCache,
@@ -117,7 +117,7 @@ class HydrideCompiler:
 
     def compile(self, kernel: LoweredKernel, isa: str) -> CompiledKernel:
         start = time.time()
-        target = TARGETS[isa]
+        target = isa_row(isa).target
         window = rewrite_broadcasts(kernel.window)
         accounting = WindowCompilation()
         body, programs = self._compile_window(window, isa, accounting)
@@ -188,7 +188,7 @@ class HydrideCompiler:
 
     def _program_ops(self, program: SNode, isa: str) -> list[MachineOp]:
         """Machine ops for a synthesized program (1-1 AutoLLVM lowering)."""
-        target = TARGETS[isa]
+        target = isa_row(isa).target
         native = native_swizzles_for(isa)
         ops: list[MachineOp] = []
         seen: set[int] = set()

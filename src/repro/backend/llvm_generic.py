@@ -7,7 +7,8 @@ independently, complex operations expand into sequences of simple SIMD
 instructions, and no dot-product or specialized swizzle instruction is
 ever emitted.
 
-The per-target *maturity subsets* encode how much of each ISA LLVM's
+The per-target *maturity subsets* (``IsaRow.llvm_direct`` in
+:mod:`repro.isa.registry`) encode how much of each ISA LLVM's
 generic lowering actually reaches — rich for x86 (hence the paper's
 modest 12% gap), poor for HVX (hence the ~2x gap: saturating/averaging/
 narrowing ops all expand), intermediate for ARM (26%).
@@ -26,53 +27,16 @@ from repro.backend.common import (
 from repro.backend.select import generic_op, op_table
 from repro.halide import ir as hir
 from repro.halide.lowering import LoweredKernel
+from repro.isa.registry import isa_row
 from repro.machine.ops import MachineOp
-from repro.machine.targets import TARGETS
-
-# Halide-IR op families LLVM's generic lowering maps directly per target.
-_DIRECT_FAMILIES: dict[str, set[str]] = {
-    # LLVM's x86 lowering is mature: saturating adds, averages, packs and
-    # conversions all pattern-match; only dot products and specialized
-    # cross-lane ops are out of reach.
-    "x86": {
-        "add", "sub", "mul", "min_s", "max_s", "min_u", "max_u",
-        "and", "or", "xor", "shl", "lshr", "ashr",
-        "adds", "addus", "subs", "subus", "avg_u",
-        "sat_cast", "widen_cast", "cmp", "select",
-    },
-    # LLVM's Hexagon backend reaches only plain SIMD: the HVX-specific
-    # saturating/averaging/narrowing instructions never materialise.
-    "hvx": {
-        "add", "sub", "mul", "min_s", "max_s", "min_u", "max_u",
-        "and", "or", "xor", "shl", "lshr", "ashr",
-        "cmp", "select", "widen_cast",
-    },
-    # AArch64 lowering covers saturation and halving but misses the fused
-    # and pairwise families.
-    "arm": {
-        "add", "sub", "mul", "min_s", "max_s", "min_u", "max_u",
-        "and", "or", "xor", "shl", "lshr", "ashr",
-        "adds", "addus", "subs", "subus", "avg_u", "havg_u", "havg_s",
-        "sat_cast", "widen_cast", "cmp", "select",
-    },
-    # LLVM's RISC-V vector lowering is young: plain SIMD only, as for
-    # HVX; the saturating/averaging/narrowing-clip instructions expand.
-    "rvv": {
-        "add", "sub", "mul", "min_s", "max_s", "min_u", "max_u",
-        "and", "or", "xor", "shl", "lshr", "ashr",
-        "cmp", "select", "widen_cast",
-    },
-}
 
 
-def _direct_families(isa: str) -> set[str]:
-    direct = _DIRECT_FAMILIES.get(isa)
-    if direct is None:
-        raise CompileError(
-            f"llvm backend has no lowering table for ISA {isa!r}; "
-            f"supported: {tuple(_DIRECT_FAMILIES)}"
-        )
-    return direct
+def _direct_families(isa: str) -> frozenset[str]:
+    """The op families LLVM lowers directly on ``isa`` (its registry row)."""
+    try:
+        return isa_row(isa).llvm_direct
+    except ValueError as exc:
+        raise CompileError(f"llvm backend: {exc}") from None
 
 
 _BIN_FAMILY = {
@@ -104,7 +68,7 @@ class LlvmGenericCompiler:
     def compile(self, kernel: LoweredKernel, isa: str) -> CompiledKernel:
         start = time.time()
         _direct_families(isa)  # an unknown ISA is a CompileError, up front
-        target = TARGETS[isa]
+        target = isa_row(isa).target
         body: list[MachineOp] = []
         self._lower(kernel.window, isa, body)
         return CompiledKernel(
@@ -214,5 +178,4 @@ class LlvmGenericCompiler:
     @staticmethod
     def _register_factor(node: hir.HExpr, isa: str) -> int:
         """Ops on values wider than a register issue once per register."""
-        target = TARGETS[isa]
-        return max(1, node.type.bits // target.vector_bits)
+        return max(1, node.type.bits // isa_row(isa).target.vector_bits)

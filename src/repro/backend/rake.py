@@ -74,9 +74,6 @@ def rake_supported_count() -> int:
     return sum(1 for s in catalog if _rake_supported(s.name, s.family))
 
 
-RAKE_SUPPORTED_HVX = "rake_supported_count"
-
-
 class RakeCompiler:
     """Rake: Hydride-style synthesis, restricted subset, brittle windows."""
 

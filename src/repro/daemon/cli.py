@@ -154,6 +154,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.daemon.client import DaemonClient, DaemonError
+    from repro.experiments.runner import result_from_frame
 
     benchmarks = [s for s in args.benchmarks.split(",") if s]
     isas = [s for s in args.isa.split(",") if s]
@@ -180,32 +181,30 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     failures = 0
     synthesized = 0
     for request, frame in zip(requests, frames):
-        if args.json:
-            print(json.dumps(frame, sort_keys=True))
-        if not frame.get("ok"):
-            failures += 1
-            error = frame.get("error") or {}
-            if not args.json:
-                print(
-                    f"{request['benchmark']}/{request['isa']}: "
-                    f"REJECTED {error.get('type')}: {error.get('message')}"
-                )
-            continue
-        result = frame.get("result") or {}
+        # The experiments' judgement: a rejection, a failure, or an
+        # answer from the baseline fallback is not the requested
+        # compiler's success.
+        result = result_from_frame(
+            frame, request["benchmark"], request["isa"], args.compiler
+        )
         telemetry = frame.get("telemetry") or {}
         synthesized += telemetry.get("synth_calls", 0)
-        if result.get("runtime_us") is None:
-            failures += 1
-        if not args.json:
-            runtime = result.get("runtime_us")
-            print(
-                f"{result.get('benchmark')}/{result.get('isa')}: "
-                + (f"{runtime:.2f}us" if runtime is not None else "FAIL")
-                + f" (served_by={frame.get('served_by')}, "
+        failures += not result.ok
+        if args.json:
+            print(json.dumps(frame, sort_keys=True))
+            continue
+        line = f"{result.benchmark}/{result.target}: " + (
+            f"{result.runtime_us:.2f}us" if result.ok
+            else f"FAIL {result.error}"
+        )
+        if frame.get("ok"):
+            line += (
+                f" (served_by={frame.get('served_by')}, "
                 f"hits={telemetry.get('cache_hits')}, "
                 f"synth={telemetry.get('synth_calls')}, "
                 f"wall={telemetry.get('wall_seconds', 0):.2f}s)"
             )
+        print(line)
     if args.expect_cached and synthesized:
         print(
             f"--expect-cached violated: {synthesized} synthesis calls",

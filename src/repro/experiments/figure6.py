@@ -16,6 +16,7 @@ from repro.experiments.runner import (
     SuiteResult,
     format_table,
 )
+from repro.isa.registry import CORE_ISAS
 from repro.workloads.registry import Benchmark
 
 # Paper geomeans for orientation (speedup of Hydride over each baseline).
@@ -55,7 +56,7 @@ def compilers_for(isa: str) -> tuple[str, ...]:
 
 
 def run(
-    isas: tuple[str, ...] = ("x86", "hvx", "arm"),
+    isas: tuple[str, ...] = CORE_ISAS,
     benchmarks: list[Benchmark] | None = None,
     runner: ExperimentRunner | None = None,
 ) -> Figure6Result:

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 from repro.experiments import table5
 from repro.experiments.runner import format_table
+from repro.isa.registry import CORE_ISAS
 
 SERIES = [
     "BVS + lane-wise",
@@ -38,7 +39,7 @@ class Figure7Result:
 
 
 def run(
-    isas: tuple[str, ...] = ("x86", "hvx", "arm"),
+    isas: tuple[str, ...] = CORE_ISAS,
     budget: float = 120.0,
     from_table5: table5.Table5Result | None = None,
 ) -> Figure7Result:

@@ -54,11 +54,7 @@ class Table1Row:
 @dataclass
 class Table1Result:
     rows: list[Table1Row]
-    engine_seconds: float
     checks: int
-    # Where the class partition came from: "engine" (in-memory serial run)
-    # or "artifact" (warm-loaded from the REPRO_IRGEN_CACHE store).
-    source: str = "engine"
 
     def row(self, isas: tuple[str, ...]) -> Table1Row:
         for candidate in self.rows:
@@ -70,13 +66,13 @@ class Table1Result:
 def run(isas: tuple[str, ...] = CORE_ISAS) -> Table1Result:
     """One row per non-empty subset of ``isas``, each the one partition
     over every registered ISA restricted to that subset."""
-    classes, stats, source = classes_and_stats()
+    classes, stats = classes_and_stats()
     rows = []
     for subset in subsets_for(tuple(isas)):
         restricted = restrict_classes(classes, set(subset))
         instructions = sum(len(c.members) for c in restricted)
         rows.append(Table1Row(subset, instructions, len(restricted)))
-    return Table1Result(rows, stats.seconds, stats.checks, source)
+    return Table1Result(rows, stats.checks)
 
 
 def render(result: Table1Result) -> str:

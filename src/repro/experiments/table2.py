@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from repro.backend.rake import RakeHvxInterpreter
 from repro.experiments.runner import format_table
 from repro.isa.fuzz import DifferentialReport, fuzz_interpreter
-from repro.isa.registry import load_isa
+from repro.isa.registry import load_catalog
 
 
 @dataclass
@@ -31,7 +31,7 @@ class Table2Result:
 
 
 def _shift_specs():
-    catalog = load_isa("hvx").catalog
+    catalog = load_catalog("hvx")
     return [
         spec
         for spec in catalog

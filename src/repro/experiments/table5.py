@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from repro.autollvm import build_dictionary
 from repro.experiments.runner import format_table
 from repro.experiments.table3 import matmul_window
+from repro.isa.registry import CORE_ISAS
 from repro.synthesis import (
     CegisOptions,
     GrammarOptions,
@@ -79,16 +80,16 @@ class Table5Result:
 
 @functools.lru_cache(maxsize=4)
 def run(
-    isas: tuple[str, ...] = ("x86", "hvx", "arm"), budget: float = 120.0
+    isas: tuple[str, ...] = CORE_ISAS, budget: float = 120.0
 ) -> Table5Result:
     """Cached: Figure 7 derives from the same measurements."""
     return _run(isas, budget)
 
 
 def _run(
-    isas: tuple[str, ...] = ("x86", "hvx", "arm"), budget: float = 120.0
+    isas: tuple[str, ...] = CORE_ISAS, budget: float = 120.0
 ) -> Table5Result:
-    dictionary = build_dictionary(("x86", "hvx", "arm"))
+    dictionary = build_dictionary(CORE_ISAS)
     result = Table5Result()
     for isa in isas:
         # The dot product of the paper's sensitivity study: Table 3's

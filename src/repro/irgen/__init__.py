@@ -9,15 +9,17 @@ equivalence classes and, by extension, the AutoLLVM dictionary —
 registered ISA; an ISA subset is a restriction of it, never a second
 build.
 
-Consumers opt in through the environment::
+Consumers opt in to the store through the environment::
 
     REPRO_IRGEN_CACHE=/path/to/cache   # artifact root directory
 
 With the cache set, :func:`repro.autollvm.intrinsics.build_dictionary`,
 the compilation service and the experiment runners all load the artifact
 (sub-second warm start) instead of re-parsing vendor specs and re-running
-~1.2k equivalence checks; a missing or stale artifact is rebuilt in place.
-``python -m repro.irgen build|stats`` manages the store directly.
+~1.5k equivalence checks; a missing or stale artifact is rebuilt in place.
+Without it, each process runs the same pipeline build once and keeps the
+artifact in memory.  ``python -m repro.irgen build|stats`` manages the
+store directly.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from repro.irgen.artifact import (
     store_inventory,
 )
 from repro.irgen.pipeline import build_artifact
-from repro.isa.registry import supported_isas
 
 __all__ = [
     "IrgenArtifact",
@@ -53,9 +54,7 @@ __all__ = [
 
 ENV_CACHE = "REPRO_IRGEN_CACHE"
 
-# In-process memo: (root, fingerprint) -> IrgenArtifact.
-# Sits in front of the disk store exactly like the lru_cache on
-# build_equivalence_classes sits in front of the serial engine.
+# In-process memo: (root or None, fingerprint) -> IrgenArtifact.
 _MEMO: dict[tuple, IrgenArtifact] = {}
 
 
@@ -70,13 +69,14 @@ def default_jobs() -> int:
 
 
 def ensure_artifact(
-    root: str,
+    root: str | None,
     jobs: int | None = None,
     force: bool = False,
     extra: tuple[str, ...] = (),
 ) -> IrgenArtifact:
     """The artifact under ``root``: loaded warm when the fingerprint
-    matches, rebuilt (and persisted) otherwise.
+    matches, rebuilt (and persisted) otherwise.  With no ``root`` there
+    is no store: the artifact is built and kept in memory only.
 
     ``force`` rebuilds even on a fingerprint hit.  ``extra`` salts the
     fingerprint (test hook).  Results are memoised per process.  The
@@ -85,11 +85,11 @@ def ensure_artifact(
     its built partition.
     """
     fingerprint = irgen_fingerprint(extra=extra)
-    key = (str(root), fingerprint)
+    key = (None if root is None else str(root), fingerprint)
     if not force and key in _MEMO:
         return _MEMO[key]
     artifact = None
-    if not force:
+    if root is not None and not force:
         from repro.perf import phase_timer
 
         with phase_timer("irgen_load"):
@@ -99,10 +99,11 @@ def ensure_artifact(
                 artifact.phase_seconds["load"] = time.monotonic() - began
     if artifact is None:
         artifact = build_artifact(jobs or default_jobs(), extra)
-        try:
-            persist_artifact(root, artifact)
-        except OSError:
-            faults.recovered()
+        if root is not None:
+            try:
+                persist_artifact(root, artifact)
+            except OSError:
+                faults.recovered()
     _MEMO[key] = artifact
     return artifact
 
@@ -113,23 +114,8 @@ def clear_memo() -> None:
 
 
 def classes_and_stats():
-    """(classes, stats, source) of the one partition over every registered
-    ISA: from the env-configured artifact store when there is one,
-    otherwise from the serial in-memory engine.
-
-    A load or build that fails falls back to the engine, so callers
-    degrade instead of crashing an otherwise healthy run; an unwritable
-    root is no failure (:func:`ensure_artifact`).
-    """
-    root = cache_root_from_env()
-    if root is not None:
-        try:
-            artifact = ensure_artifact(root)
-        except Exception:
-            artifact = None
-        if artifact is not None:
-            return artifact.classes, artifact.stats, "artifact"
-    from repro.similarity.engine import build_equivalence_classes
-
-    classes, stats = build_equivalence_classes(supported_isas())
-    return classes, stats, "engine"
+    """(classes, stats) of the one partition over every registered ISA:
+    the artifact of the env-configured store (:func:`ensure_artifact`),
+    or, with none configured, the same build kept in memory."""
+    artifact = ensure_artifact(cache_root_from_env())
+    return artifact.classes, artifact.stats

@@ -1,4 +1,4 @@
-"""The on-disk IR-generation artifact: equivalence classes + dictionary.
+"""The on-disk IR-generation artifact: the equivalence classes.
 
 The paper runs the Automatic IR Generator once, offline, over every
 target's specs; this module makes that phase a cacheable artifact over
@@ -150,16 +150,6 @@ class IrgenArtifact:
     loaded_from: str | None = None
     # Rows of its node table on disk; 0 until persisted or loaded.
     nodes: int = 0
-    _dictionary: Any = field(default=None, repr=False, compare=False)
-
-    @property
-    def dictionary(self):
-        """The AutoLLVM dictionary over this artifact's classes (lazy)."""
-        if self._dictionary is None:
-            from repro.autollvm.intrinsics import dictionary_from_classes
-
-            self._dictionary = dictionary_from_classes(self.isas, self.classes)
-        return self._dictionary
 
     @property
     def loaded(self) -> bool:

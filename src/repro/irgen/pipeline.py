@@ -146,14 +146,13 @@ def _check_task(symbolics: list[SymbolicSemantics], indices: list[int]):
 def _refine_task(symbolics: list[SymbolicSemantics], task: tuple[int, int]):
     """Precompute the offset-hole refinement of the class at ``position``,
     whose representative has global index ``index``.  Returns
-    ``(position, refinement, skipped)``: the refinement is ``(rows,
-    records)`` of one symbolic or None, and ``skipped`` is 1 when the
-    representative was skipped as uninstantiable."""
+    ``(position, refinement, checker_stats)``: the refinement is
+    ``(rows, records)`` of one symbolic or None."""
     position, index = task
     checker = _fresh_checker()
     refined = synthesize_offset_hole(symbolics[index], checker)
     encoded = None if refined is None else _encode([refined])
-    return position, encoded, checker.stats.get("uninstantiable", 0)
+    return position, encoded, dict(checker.stats)
 
 
 # ----------------------------------------------------------------------
@@ -195,6 +194,11 @@ def _pool_map(func, tasks, jobs: int, *shared):
         return pool.map(partial(_call, func), tasks)
 
 
+def _add_counts(into: dict[str, int], counts: dict[str, int]) -> None:
+    for key, value in counts.items():
+        into[key] = into.get(key, 0) + value
+
+
 def _parse_tasks(isas: tuple[str, ...], jobs: int) -> list[tuple[str, int, int]]:
     tasks: list[tuple[str, int, int]] = []
     for isa in isas:
@@ -216,9 +220,9 @@ def build_artifact(jobs: int = 1, extra: tuple[str, ...] = ()) -> IrgenArtifact:
     """Run the full sharded pipeline over every registered ISA; returns a
     freshly built artifact.
 
-    With ``jobs <= 1`` the identical phase structure runs inline — the
-    partition it produces is the determinism reference the tests compare
-    against :func:`repro.similarity.engine.build_equivalence_classes`.
+    With ``jobs <= 1`` the identical phase structure runs inline.  Any
+    ``jobs`` gives the partition :meth:`SimilarityEngine.run` gives over
+    the same symbolics, with the same accounting.
 
     IR trees are acyclic, so the cyclic collector would only walk the
     growing heap over and over: it is paused for the build (forked
@@ -275,8 +279,10 @@ def _build(jobs: int, extra: tuple[str, ...]) -> IrgenArtifact:
     combined: list[tuple[int, EquivalenceClass]] = []
     worker_stats = {
         "checks": 0, "permute_merges": 0, "attempt_truncations": 0,
-        "checker_stats": {}, "seconds": 0.0,
+        "seconds": 0.0,
     }
+    # Ladder verdicts of every check and refine worker's checker.
+    worker_rungs: dict[str, int] = {}
     for encoded, stats in outcomes:
         for members in encoded:
             cls = EquivalenceClass(-1)
@@ -288,10 +294,7 @@ def _build(jobs: int, extra: tuple[str, ...]) -> IrgenArtifact:
         for name in ("checks", "permute_merges", "attempt_truncations"):
             worker_stats[name] += stats[name]
         worker_stats["seconds"] += stats["seconds"]
-        for key, value in stats["checker_stats"].items():
-            worker_stats["checker_stats"][key] = (
-                worker_stats["checker_stats"].get(key, 0) + value
-            )
+        _add_counts(worker_rungs, stats["checker_stats"])
     # Serial creation order: first-member global index (see module doc).
     combined.sort(key=lambda pair: pair[0])
     classes = [cls for _first, cls in combined]
@@ -308,11 +311,11 @@ def _build(jobs: int, extra: tuple[str, ...]) -> IrgenArtifact:
             jobs,
             symbolics,
         )
-        refined = {
-            pos: _decode(table, *encoded)[0]
-            for pos, encoded, _skipped in refinements
-            if encoded is not None
-        }
+        refined = {}
+        for pos, encoded, rungs in refinements:
+            if encoded is not None:
+                refined[pos] = _decode(table, *encoded)[0]
+            _add_counts(worker_rungs, rungs)
         phases["refine"] = time.monotonic() - refine_began
 
     # -- merge (pass 3 + finalisation, centralised) -------------------
@@ -320,7 +323,6 @@ def _build(jobs: int, extra: tuple[str, ...]) -> IrgenArtifact:
         merge_began = time.monotonic()
         engine = SimilarityEngine(_fresh_checker())
         engine.stats.instructions = len(symbolics)
-        engine.stats.uninstantiable = sum(s for _p, _r, s in refinements)
         engine.stats.checks = worker_stats["checks"]
         engine.stats.permute_merges = worker_stats["permute_merges"]
         engine.stats.attempt_truncations = worker_stats["attempt_truncations"]
@@ -328,11 +330,11 @@ def _build(jobs: int, extra: tuple[str, ...]) -> IrgenArtifact:
         engine.stats.specs_rerolled = rerolled
         final = engine.finish(classes, refined)
         # finish() recorded the parent checker's ladder stats; fold the
-        # workers' in so the totals match a serial run's accounting.
-        for key, value in worker_stats["checker_stats"].items():
-            engine.stats.checker_stats[key] = (
-                engine.stats.checker_stats.get(key, 0) + value
-            )
+        # workers' in, so the totals are those of one serial checker.
+        _add_counts(engine.stats.checker_stats, worker_rungs)
+        engine.stats.uninstantiable += engine.stats.checker_stats.pop(
+            "uninstantiable", 0
+        )
         phases["merge"] = time.monotonic() - merge_began
 
     engine.stats.seconds = time.monotonic() - began

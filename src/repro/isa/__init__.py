@@ -26,12 +26,11 @@ against.
 """
 
 from repro.isa.spec import InstructionSpec, IsaCatalog, OperandSpec
-from repro.isa.registry import load_isa, load_isas
+from repro.isa.registry import load_isa
 
 __all__ = [
     "InstructionSpec",
     "IsaCatalog",
     "OperandSpec",
     "load_isa",
-    "load_isas",
 ]

@@ -2,9 +2,10 @@
 
 The paper evaluates on an Intel Xeon, an Apple M2, and Qualcomm's
 cycle-accurate HVX simulator; none is available here, so this package
-provides the substitute: per-target port/latency descriptions and an
-in-order issue model that costs the instruction stream each compiler
-produces for a kernel's loop nest.
+provides the substitute: a port/latency target description (each
+ISA's lives in its :mod:`repro.isa.registry` row) and an in-order issue
+model that costs the instruction stream each compiler produces for a
+kernel's loop nest.
 
 The model is deliberately simple — per-iteration cost is the binding
 port's reciprocal-throughput sum, with latency entering through
@@ -15,13 +16,12 @@ subtlety.  What must be preserved is who wins and by roughly what factor.
 """
 
 from repro.machine.ops import MachineOp, PORT_CLASSES
-from repro.machine.targets import TARGETS, TargetDescription
+from repro.machine.targets import TargetDescription
 from repro.machine.simulator import SimulationResult, simulate_kernel
 
 __all__ = [
     "MachineOp",
     "PORT_CLASSES",
-    "TARGETS",
     "TargetDescription",
     "SimulationResult",
     "simulate_kernel",

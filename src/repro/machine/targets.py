@@ -1,10 +1,7 @@
-"""Target machine descriptions.
+"""The shape of a target machine: vector width, issue ports, costs.
 
-Shapes follow the paper's evaluation hardware: a Xeon Silver 4216
-(AVX-512, 2 vector ALU ports, 1 shuffle port), Hexagon HVX (wide vectors,
-fewer ports, in-order), and an Apple-M2-class NEON core (4 vector pipes,
-narrow vectors, high frequency).  Absolute numbers are representative,
-not measured; the experiments report ratios.
+Each registered ISA's description is a field of its row in
+:mod:`repro.isa.registry`.
 """
 
 from __future__ import annotations
@@ -33,52 +30,3 @@ class TargetDescription:
     def port_count(self, port: str) -> int:
         return self.ports.get(port, 1)
 
-
-TARGETS: dict[str, TargetDescription] = {
-    "x86": TargetDescription(
-        name="x86",
-        vector_bits=512,
-        frequency_ghz=2.1,
-        ports={"alu": 2, "mul": 1, "shuffle": 1, "load": 3, "store": 1},
-        load_rthroughput=0.33,
-        store_rthroughput=0.5,
-        strided_load_penalty=3.0,
-        generic_permute_latency=3.0,
-        vector_registers=32,
-    ),
-    "hvx": TargetDescription(
-        name="hvx",
-        vector_bits=1024,
-        frequency_ghz=1.0,
-        ports={"alu": 2, "mul": 1, "shuffle": 1, "load": 2, "store": 1},
-        load_rthroughput=0.5,
-        store_rthroughput=0.5,
-        strided_load_penalty=4.0,
-        generic_permute_latency=4.0,
-        vector_registers=32,
-    ),
-    "arm": TargetDescription(
-        name="arm",
-        vector_bits=128,
-        frequency_ghz=3.49,
-        ports={"alu": 4, "mul": 2, "shuffle": 2, "load": 4, "store": 2},
-        load_rthroughput=0.25,
-        store_rthroughput=0.5,
-        strided_load_penalty=2.0,
-        generic_permute_latency=2.0,
-        vector_registers=32,
-    ),
-    # RVV is vector-length-agnostic; codegen windows are sized at the
-    # catalog's solver shape (VLEN=128 at LMUL=2), not a hardware VLEN.
-    "rvv": TargetDescription(
-        name="rvv",
-        vector_bits=256,
-        frequency_ghz=2.0,
-        ports={"alu": 2, "mul": 1, "shuffle": 1, "load": 2, "store": 1},
-        load_rthroughput=0.5,
-        store_rthroughput=1.0,
-        strided_load_penalty=2.0,
-        generic_permute_latency=3.0,
-        vector_registers=32,
-    ),
-}

@@ -23,12 +23,11 @@ the input to AutoLLVM IR generation.
 
 from repro.similarity.constants import SymbolicSemantics, extract_constants
 from repro.similarity.eqclass import EquivalenceClass
-from repro.similarity.engine import SimilarityEngine, build_equivalence_classes
+from repro.similarity.engine import SimilarityEngine
 
 __all__ = [
     "SymbolicSemantics",
     "extract_constants",
     "EquivalenceClass",
     "SimilarityEngine",
-    "build_equivalence_classes",
 ]

@@ -23,11 +23,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from repro.smt.solver import EquivalenceChecker
-from repro.isa.registry import load_isa
-from repro.similarity.constants import SymbolicSemantics, extract_constants
+from repro.similarity.constants import SymbolicSemantics
 from repro.similarity.eqclass import ClassMember, EquivalenceClass
 from repro.similarity.equivalence import check_similar, find_similar_permutation
 from repro.similarity.holes import synthesize_offset_hole
@@ -319,25 +317,3 @@ class SimilarityEngine:
         self.stats.uninstantiable += self.stats.checker_stats.pop("uninstantiable", 0)
         return result
 
-
-def _symbolics_for_isa(isa: str) -> list[SymbolicSemantics]:
-    loaded = load_isa(isa)
-    return [
-        extract_constants(loaded.semantics[spec.name], isa)
-        for spec in loaded.catalog
-    ]
-
-
-@lru_cache(maxsize=None)
-def build_equivalence_classes(isas: tuple[str, ...]) -> tuple:
-    """Run the serial engine over the given ISAs; returns (classes, stats).
-
-    Serving code reads the one partition through
-    :func:`repro.irgen.classes_and_stats`; this is its in-memory
-    fallback and the tests' reference."""
-    symbolics: list[SymbolicSemantics] = []
-    for isa in isas:
-        symbolics.extend(_symbolics_for_isa(isa))
-    engine = SimilarityEngine()
-    classes = engine.run(symbolics)
-    return classes, engine.stats

@@ -26,11 +26,16 @@ a generated compiler backend:
   cache runs on its hits) — the standard CEGIS applies to its own
   scaled-up programs.
 
-Soundness: every persisted rule was SMT-verified at base scale over its
-entire hole domain, so hole instantiation is always exact; only the lane
-scale-up step is (like CEGIS's own scaling ladder) re-validated
-concretely per match.  The rulebook is fingerprinted like the cache it
-was distilled from and stored beside it as ``rules.json``.
+Soundness: every persisted rule passed the checker's ladder at base
+scale over its entire hole domain.  That verdict is a proof when it is
+``structural``, ``exhaustive`` or ``sat``, and then hole instantiation
+is exact.  :func:`verify_rule` also admits a ``probabilistic`` verdict,
+the ladder's seeded random battery for a pair its complete rungs
+decline (a wide multiply, say): such a rule is tested over its hole
+domain, not proved.  The lane scale-up step is (like CEGIS's own
+scaling ladder) re-validated concretely per match.  The rulebook is
+fingerprinted like the cache it was distilled from and stored beside it
+as ``rules.json``.
 """
 
 from __future__ import annotations

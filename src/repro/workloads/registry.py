@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from repro.halide.dsl import Func
 from repro.halide.lowering import LoweredKernel, lower_func
-from repro.machine.targets import TARGETS
+from repro.isa.registry import isa_row
 
 # A stage builder returns (scheduled Func, loop extents) for a lane count.
 StageBuilder = Callable[[int], tuple[Func, dict[str, int]]]
@@ -29,7 +29,7 @@ class Benchmark:
     )
 
     def lanes_for(self, isa: str) -> int:
-        return TARGETS[isa].vector_bits // self.vector_elem_width
+        return isa_row(isa).target.vector_bits // self.vector_elem_width
 
     def lower(self, isa: str) -> list[LoweredKernel]:
         """All stages lowered for one target.

@@ -21,18 +21,20 @@ from repro.hydride_ir.ast import (
 )
 from repro.hydride_ir.indexexpr import IBin, IConst, IndexExpr, IParam, IVar
 from repro.autollvm.intrinsics import dictionary_from_classes
+import repro.irgen as irgen
 from repro.irgen import build_artifact, load_artifact, persist_artifact
-from repro.irgen import partition_digest, pipeline
+from repro.irgen import classes_and_stats, clear_memo, partition_digest, pipeline
 from repro.isa import registry
 from repro.similarity import engine as engine_module
 from repro.similarity import equivalence, holes
 from repro.similarity.constants import extract_constants
-from repro.similarity.engine import SimilarityEngine, _symbolics_for_isa
+from repro.similarity.engine import SimilarityEngine
 from repro.similarity.eqclass import restrict_classes
 from repro.similarity.equivalence import check_similar
 from repro.smt import solver
 from repro.smt.solver import EquivalenceChecker
 from repro.synthesis.serialize import dictionary_fingerprint
+from tests.support import parsed_symbolics
 
 CORE = ("x86", "hvx", "arm")
 GOLDEN = {
@@ -42,12 +44,10 @@ GOLDEN = {
     ),
 }
 # The four-ISA build's accounting: checks, ladder verdicts, skipped
-# refinements, and pass-2 / pass-3 merges.  The serial engine refines every
-# representative with its own checker, so its ``structural`` count also
-# holds the 187 hole identities the pipeline's refine pool counts apart.
-RUNGS = {"alpha": 1429, "structural": 45, "fuzz": 23, "exhaustive": 0, "sat": 0, "probabilistic": 0}
+# refinements, and pass-2 / pass-3 merges.  ``structural`` holds the 187
+# hole identities of pass 3's refinements, wherever they ran.
+RUNGS = {"alpha": 1429, "structural": 232, "fuzz": 23, "exhaustive": 0, "sat": 0, "probabilistic": 0}
 ACCOUNTING = (1462, RUNGS, 0, 4, 3)
-SERIAL_ACCOUNTING = (1462, dict(RUNGS, structural=45 + 187), 0, 4, 3)
 
 
 def _accounting(stats):
@@ -222,8 +222,29 @@ class TestGoldenPartitions:
         artifact, _accepted, _build_record = four_isa_build
         assert _accounting(artifact.stats) == ACCOUNTING
         assert _accounting(sharded_four_isa_build.stats) == ACCOUNTING
-        classes, stats = engine_module.build_equivalence_classes(CORE + ("rvv",))
-        assert _accounting(stats) == SERIAL_ACCOUNTING
+        serial = SimilarityEngine()
+        classes = serial.run(
+            [s for isa in CORE + ("rvv",) for s in parsed_symbolics(isa)]
+        )
+        assert _accounting(serial.stats) == ACCOUNTING
+        assert (len(classes), partition_digest(classes)) == GOLDEN[CORE + ("rvv",)]
+
+    def test_storeless_partition_is_one_memoised_build(self, monkeypatch):
+        """With no store, the partition is the pipeline build a store
+        miss makes, run once per process."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        real = irgen.build_artifact
+        monkeypatch.delenv("REPRO_IRGEN_CACHE", raising=False)
+        monkeypatch.setattr(irgen, "build_artifact", counting)
+        clear_memo()
+        classes, _stats = classes_and_stats()
+        assert classes_and_stats()[0] is classes
+        assert calls == [(irgen.default_jobs(), ())]
         assert (len(classes), partition_digest(classes)) == GOLDEN[CORE + ("rvv",)]
 
     def test_build_lowers_no_term_on_the_rung_or_for_a_hole(self, four_isa_build):
@@ -250,9 +271,9 @@ class TestGoldenPartitions:
         assert dictionary_fingerprint(
             dictionary_from_classes(CORE, artifact.classes)
         ).startswith("d347c9f0554a43ac")
-        assert dictionary_fingerprint(artifact.dictionary).startswith(
-            "fe498b014c9888b1"
-        )
+        assert dictionary_fingerprint(
+            dictionary_from_classes(artifact.isas, artifact.classes)
+        ).startswith("fe498b014c9888b1")
 
 
 class TestRungAgainstLadder:
@@ -270,7 +291,7 @@ class TestRungAgainstLadder:
         assert stats.uninstantiable == 0
 
     def test_mutants_leave_the_rung_and_keep_the_verdict(self):
-        symbolics = random.Random(24).sample(_symbolics_for_isa("hvx"), 10)
+        symbolics = random.Random(24).sample(parsed_symbolics("hvx"), 10)
         labels = set()
         for symbolic in symbolics:
             for label, base, mutant in _mutants(symbolic):
@@ -293,7 +314,7 @@ class TestAlphaKey:
                 return dataclasses.replace(node, var="renamed_" + node.var)
             return node
 
-        for symbolic in random.Random(7).sample(_symbolics_for_isa("hvx"), 10):
+        for symbolic in random.Random(7).sample(parsed_symbolics("hvx"), 10):
             inputs = tuple(
                 Input("renamed_" + i.name, i.width, i.is_immediate)
                 for i in symbolic.inputs
@@ -306,7 +327,7 @@ class TestAlphaKey:
             assert (checker.stats["alpha"], checker.stats["structural"]) == (1, 0)
 
     def test_explicit_order_never_takes_the_rung(self):
-        symbolic = _symbolics_for_isa("hvx")[0]
+        symbolic = parsed_symbolics("hvx")[0]
         checker = EquivalenceChecker(seed=1)
         assert check_similar(symbolic, symbolic, checker, _identity(symbolic))
         assert checker.stats["alpha"] == 0
@@ -327,7 +348,7 @@ class TestAlphaKey:
             equivalence, "check_instantiable",
             lambda *args: walks.append(args) or real_walk(*args),
         )
-        a, b = _symbolics_for_isa("hvx")[:2]
+        a, b = parsed_symbolics("hvx")[:2]
         renamed = dataclasses.replace(a, name="renamed")
         checker = EquivalenceChecker(seed=1)
         for _ in range(3):
@@ -346,7 +367,7 @@ class TestAlphaKey:
         artifact = _build(("hvx",), jobs=1)
         persist_artifact(tmp_path, artifact)
         loaded = load_artifact(tmp_path, artifact.fingerprint)
-        assert loaded.dictionary.ops
+        assert dictionary_from_classes(loaded.isas, loaded.classes).ops
         for cls in loaded.classes:
             for member in cls.members:
                 assert "alpha_key" not in vars(member.symbolic)
@@ -354,7 +375,7 @@ class TestAlphaKey:
 
 class TestIdenticalTerms:
     def test_same_term_is_structural_without_simplify(self, monkeypatch):
-        symbolic = _symbolics_for_isa("hvx")[0]
+        symbolic = parsed_symbolics("hvx")[0]
         term = equivalence.instantiate_term(symbolic, symbolic.values_vector())
         monkeypatch.setattr(
             solver, "simplify", lambda _t: pytest.fail("simplify called")
@@ -393,7 +414,7 @@ class TestUninstantiableInstruction:
         assert "uninstantiable" not in engine.stats.checker_stats
 
     def test_build_artifact_completes(self, monkeypatch):
-        good = _symbolics_for_isa("hvx")[:4]
+        good = parsed_symbolics("hvx")[:4]
         broken = [_out_of_range("broken_a"), _out_of_range("broken_b")]
         monkeypatch.setattr(pipeline, "_parse_tasks", lambda isas, jobs: [None])
         monkeypatch.setattr(

@@ -1,5 +1,7 @@
 """Tests for the compiler backends (Hydride, Halide-native, LLVM, Rake)."""
 
+import hashlib
+
 import pytest
 
 from repro.backend import (
@@ -16,6 +18,12 @@ from repro.halide.lowering import lower_func
 from repro.synthesis import CegisOptions, MemoCache
 
 x, y = Var("x"), Var("y")
+
+# sha256 over "isa:benchmark:compiler:runtime_us" of every registry
+# workload's kernels under the llvm and halide baselines, every ISA.
+BASELINE_RUNTIME_DIGEST = (
+    "ca3946bd5bf3645b8ff83e25c9d3eda4830c50e5f90a6f45a3c9433d9c3a465f"
+)
 
 
 @pytest.fixture(scope="module")
@@ -126,20 +134,28 @@ class TestRvvGenericGlue:
     llvm fallback, must know every registered ISA."""
 
     def test_every_registered_isa_has_a_lowering_table(self):
-        # Every registry workload, not one kernel: a per-ISA table
-        # (machine TARGETS, llvm _DIRECT_FAMILIES, the native selectors)
-        # missing a registered ISA fails here, not in a served request.
+        # Every registry workload, not one kernel: a registry row missing
+        # its target or its llvm families, or a native selector missing
+        # a registered ISA, fails here, not in a served request.  The
+        # digest over every simulated runtime pins the rows' values.
         from repro.isa.registry import supported_isas
         from repro.workloads.registry import all_benchmarks
 
         compilers = (LlvmGenericCompiler(), HalideNativeCompiler())
+        digest = hashlib.sha256()
         for isa in supported_isas():
             for benchmark in all_benchmarks():
                 for kernel in benchmark.lower(isa):
                     for compiler in compilers:
                         compiled = compiler.compile(kernel, isa)
                         assert compiled.body, (benchmark.name, isa)
-                        assert compiled.simulate().runtime_us > 0
+                        runtime = compiled.simulate().runtime_us
+                        assert runtime > 0
+                        digest.update(
+                            f"{isa}:{benchmark.name}:{compiler.name}:"
+                            f"{runtime!r}\n".encode()
+                        )
+        assert digest.hexdigest() == BASELINE_RUNTIME_DIGEST
 
     def test_unknown_isa_is_a_typed_error(self, add_kernel):
         with pytest.raises(CompileError, match="vax.*supported.*rvv"):

@@ -754,3 +754,22 @@ class TestAdmissionDefaults:
         assert all(f["error"]["type"] == "quota_exceeded" for f in rejected)
         assert stats["admission"]["rejected"]["inflight"] == len(rejected)
         assert stats["admission"]["rejected"]["rate"] == 0
+
+
+@pytest.mark.usefixtures("no_faults")
+class TestSubmitCli:
+    def test_fallback_is_a_failure_of_the_requested_compiler(
+        self, tmp_path, capsys
+    ):
+        """Rake cannot compile conv_nn on hvx; the daemon answers with
+        the llvm fallback, which ``submit`` must not count as Rake's."""
+        from repro.daemon.cli import main
+
+        with _LocalDaemon(cache_dir=str(tmp_path), jobs=1) as daemon:
+            status = main([
+                "submit", "--addr", daemon.addr, "--compiler", "rake",
+                "--benchmarks", "conv_nn", "--isa", "hvx",
+            ])
+        out = capsys.readouterr().out
+        assert "conv_nn/hvx: FAIL fallback=llvm: " in out, out
+        assert status == 1

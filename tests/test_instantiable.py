@@ -35,9 +35,9 @@ from repro.hydride_ir.interp import (
     to_term,
 )
 from repro.smt import terms as smt
+from repro.irgen import build_artifact, classes_and_stats
 from repro.isa.registry import supported_isas
 from repro.similarity import equivalence, holes
-from repro.similarity.engine import _symbolics_for_isa, build_equivalence_classes
 from repro.similarity.equivalence import instantiable, lowered
 from repro.similarity.holes import (
     _lowers_identically,
@@ -45,11 +45,12 @@ from repro.similarity.holes import (
     synthesize_offset_hole,
 )
 from repro.smt.solver import EquivalenceChecker
+from tests.support import parsed_symbolics
 
 
 @lru_cache(maxsize=None)
 def _catalog():
-    return tuple(s for isa in supported_isas() for s in _symbolics_for_isa(isa))
+    return tuple(s for isa in supported_isas() for s in parsed_symbolics(isa))
 
 
 def _outcome(fn, func, params):
@@ -80,7 +81,7 @@ class TestWalkAgainstLowering:
             assert _agree(*_at(symbolic, symbolic.values_vector()))
 
     def test_every_spec_at_each_classmates_values(self):
-        classes, _stats = build_equivalence_classes(supported_isas())
+        classes, _stats = classes_and_stats()
         cases = {}
         for cls in classes:
             vectors = {m.symbolic.values_vector() for m in cls.members}
@@ -231,8 +232,8 @@ class TestUniformLoops:
             return real(func, params)
 
         monkeypatch.setattr(equivalence, "check_instantiable", recording)
-        # The serial engine itself: the memoised wrapper may not run it.
-        build_equivalence_classes.__wrapped__(supported_isas())
+        # A build of its own, inline: the memoised partition may not run.
+        build_artifact(jobs=1)
         monkeypatch.setattr(equivalence, "check_instantiable", real)
         uniform = 0
         for func, params in asked:

@@ -32,13 +32,9 @@ from repro.irgen.artifact import (
 )
 from repro.isa import registry
 from repro.similarity.constants import SymbolicSemantics, skeleton_key
-from repro.similarity.engine import (
-    EngineStats,
-    SimilarityEngine,
-    _symbolics_for_isa,
-    shard_key,
-)
+from repro.similarity.engine import EngineStats, SimilarityEngine, shard_key
 from repro.synthesis.serialize import dictionary_fingerprint
+from tests.support import parsed_symbolics
 
 ISAS = ("hvx",)
 
@@ -55,7 +51,7 @@ def hvx_registry():
 def serial_reference():
     """The unsharded engine's partition — the determinism yardstick."""
     engine = SimilarityEngine()
-    classes = engine.run(_symbolics_for_isa("hvx"))
+    classes = engine.run(parsed_symbolics("hvx"))
     return classes, engine.stats
 
 
@@ -90,7 +86,7 @@ class TestShardedDeterminism:
     def test_dictionary_matches_serial(self, jobs, artifacts, serial_reference):
         serial_classes, _stats = serial_reference
         reference = dictionary_from_classes(ISAS, serial_classes)
-        dictionary = artifacts[jobs].dictionary
+        dictionary = dictionary_from_classes(ISAS, artifacts[jobs].classes)
         assert [op.name for op in dictionary.ops] == [
             op.name for op in reference.ops
         ]
@@ -128,7 +124,7 @@ class TestShardedDeterminism:
         assert (stats.specs_lowered_direct, stats.specs_rerolled) == (123, 18)
 
     def test_shard_key_groups_cover_catalog(self):
-        symbolics = _symbolics_for_isa("hvx")
+        symbolics = parsed_symbolics("hvx")
         groups = {}
         for symbolic in symbolics:
             groups.setdefault(shard_key(symbolic), []).append(symbolic)
@@ -147,8 +143,10 @@ class TestArtifactStore:
             original.classes
         )
         assert loaded.stats.to_dict() == original.stats.to_dict()
-        assert dictionary_fingerprint(loaded.dictionary) == (
-            dictionary_fingerprint(original.dictionary)
+        assert dictionary_fingerprint(
+            dictionary_from_classes(ISAS, loaded.classes)
+        ) == dictionary_fingerprint(
+            dictionary_from_classes(ISAS, original.classes)
         )
 
     def test_decode_pauses_the_collector_and_restores_it(
@@ -256,14 +254,34 @@ class TestArtifactStore:
         assert artifact.stats.checks == artifacts[2].stats.checks
 
     def test_classes_and_stats_prefers_artifact(self, store, monkeypatch):
+        import repro.irgen as irgen
+
+        def no_build(*_args):
+            raise AssertionError("a stored artifact was rebuilt")
+
         monkeypatch.setenv("REPRO_IRGEN_CACHE", str(store))
+        monkeypatch.setattr(irgen, "build_artifact", no_build)
         clear_memo()
-        _classes, stats, source = classes_and_stats()
-        assert source == "artifact"
+        classes, stats = classes_and_stats()
         assert stats.checks > 0
-        monkeypatch.delenv("REPRO_IRGEN_CACHE")
-        _classes, _stats, source = classes_and_stats()
-        assert source == "engine"
+        assert partition_digest(classes) == partition_digest(
+            load_artifact(store, irgen_fingerprint()).classes
+        )
+
+    def test_build_fault_surfaces_typed(self, monkeypatch):
+        """No fallback builder: an ``irgen.build`` fault reaches the
+        caller as the typed fault, with or without a store."""
+        from repro import faults
+        from repro.faults import FaultPlan, FaultSpec, InjectedFault
+
+        monkeypatch.delenv("REPRO_IRGEN_CACHE", raising=False)
+        clear_memo()
+        faults.install_plan(FaultPlan([FaultSpec("irgen.build", "raise")]))
+        try:
+            with pytest.raises(InjectedFault):
+                classes_and_stats()
+        finally:
+            faults.clear_plan()
 
     def test_cli_build_expect_cached(self, store, capsys):
         from repro.irgen.cli import main
@@ -451,25 +469,20 @@ class TestFingerprintInvalidation:
         from repro.faults import FaultPlan, FaultSpec
         from repro.irgen.cli import main
         from repro.perf import global_counters
-        from repro.similarity import engine
-
-        def no_engine(*_args):
-            raise AssertionError("the engine rebuilt the partition")
 
         monkeypatch.setenv("REPRO_IRGEN_CACHE", str(tmp_path))
         monkeypatch.setattr(irgen, "default_jobs", lambda: 1)
-        monkeypatch.setattr(engine, "build_equivalence_classes", no_engine)
         clear_memo()
         recoveries = global_counters().fault_recoveries
         faults.install_plan(FaultPlan([FaultSpec("irgen.save", "raise")]))
         try:
-            _classes, _stats, source = classes_and_stats()
+            classes, _stats = classes_and_stats()
             recovered = global_counters().fault_recoveries - recoveries
             status = main(["build", "--cache-dir", str(tmp_path)])
         finally:
             faults.clear_plan()
             clear_memo()
-        assert source == "artifact"
+        assert classes
         assert recovered == 1
         assert list(tmp_path.iterdir()) == []
         assert status == 1

@@ -8,7 +8,7 @@ doubled VLEN — that agreement is the scale-down soundness argument.
 
 import pytest
 
-from repro.autollvm.intrinsics import dictionary_isas
+from repro.autollvm.intrinsics import dictionary_from_classes, dictionary_isas
 from repro.irgen import build_artifact, partition_digest
 from repro.isa import registry
 from repro.isa.fuzz import fuzz_catalog
@@ -121,9 +121,11 @@ class TestIrgenDeterminism:
         )
 
     def test_dictionary_identical_across_jobs(self, artifacts):
-        assert dictionary_fingerprint(
-            artifacts[1].dictionary
-        ) == dictionary_fingerprint(artifacts[2].dictionary)
+        fingerprints = {
+            dictionary_fingerprint(dictionary_from_classes(a.isas, a.classes))
+            for a in artifacts.values()
+        }
+        assert len(fingerprints) == 1
 
 
 class TestWidthLintRules:

@@ -27,7 +27,7 @@ from repro.hydride_ir.indexexpr import IBin, IConst, IndexExpr, IParam, IVar
 from repro.hydride_ir.serialize import _LAYOUT, IrSerializeError, NodeTable, node_at
 from repro.irgen.artifact import symbolic_from_record, symbolic_record
 from repro.isa.registry import supported_isas
-from repro.similarity.engine import _symbolics_for_isa
+from tests.support import parsed_symbolics
 
 
 def _subtrees(symbolics):
@@ -53,7 +53,7 @@ def _subtrees_of(*roots):
 
 @pytest.fixture(scope="module")
 def catalog():
-    return [s for isa in supported_isas() for s in _symbolics_for_isa(isa)]
+    return [s for isa in supported_isas() for s in parsed_symbolics(isa)]
 
 
 @pytest.fixture(scope="module")

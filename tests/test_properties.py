@@ -74,10 +74,12 @@ class TestClassInvariants:
 
     @pytest.fixture(scope="class")
     def classes(self):
-        from repro.similarity.engine import build_equivalence_classes
+        from repro.irgen import classes_and_stats
+        from repro.isa.registry import CORE_ISAS
+        from repro.similarity.eqclass import restrict_classes
 
-        classes, _ = build_equivalence_classes(("x86", "hvx", "arm"))
-        return classes
+        classes, _ = classes_and_stats()
+        return restrict_classes(classes, set(CORE_ISAS))
 
     def test_partition(self, classes):
         seen = set()

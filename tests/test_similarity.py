@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.isa.registry import load_isa
+from repro.irgen import classes_and_stats
+from repro.isa.registry import CORE_ISAS, load_isa
 from repro.similarity.constants import extract_constants
-from repro.similarity.engine import SimilarityEngine, build_equivalence_classes
+from repro.similarity.engine import SimilarityEngine
 from repro.similarity.eqclass import restrict_classes
 from repro.similarity.equivalence import (
     check_similar,
@@ -168,16 +169,18 @@ class TestEngine:
         assert any(v == 1024 for v in (rep_values[p] for p in cls.fixed_params))
 
     def test_full_engine_cached(self):
-        classes, stats = build_equivalence_classes(("x86", "hvx", "arm"))
+        classes, stats = classes_and_stats()
+        assert classes_and_stats()[0] is classes
         assert stats.instructions > 1000
         assert 100 < stats.classes < stats.instructions // 2
         # Cross-ISA merges exist (the retargetability claim).
-        assert any(len(c.isas()) == 3 for c in classes)
+        core = restrict_classes(classes, set(CORE_ISAS))
+        assert any(len(c.isas()) == 3 for c in core)
 
     def test_restriction_counts_subadditive(self):
         """Combined ISAs need fewer classes than the sum of individuals —
         the Table 1 sharing effect."""
-        classes, _ = build_equivalence_classes(("x86", "hvx", "arm"))
+        classes = restrict_classes(classes_and_stats()[0], set(CORE_ISAS))
         individual = sum(
             len(restrict_classes(classes, {isa})) for isa in ("x86", "hvx", "arm")
         )
@@ -186,7 +189,7 @@ class TestEngine:
     def test_compression_ratios_match_paper_shape(self):
         """Each ISA compresses to a small fraction of its size, with the
         DSP ISA (HVX) compressing least — the Table 1 ordering."""
-        classes, _ = build_equivalence_classes(("x86", "hvx", "arm"))
+        classes = classes_and_stats()[0]
         ratios = {}
         for isa in ("x86", "hvx", "arm"):
             sub = restrict_classes(classes, {isa})

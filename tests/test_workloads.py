@@ -40,14 +40,14 @@ class TestLowering:
                 assert kernel.work_items > 0
 
     def test_vector_width_matches_target(self, isa):
-        from repro.machine.targets import TARGETS
+        from repro.isa.registry import isa_row
 
+        vector_bits = isa_row(isa).target.vector_bits
         for benchmark in all_benchmarks():
             for kernel in benchmark.lower(isa):
                 window_bits = kernel.lanes * kernel.out_elem_width
                 assert window_bits in (
-                    TARGETS[isa].vector_bits,
-                    TARGETS[isa].vector_bits * 2,
+                    vector_bits, vector_bits * 2,
                 ), benchmark.name
 
 
